@@ -136,13 +136,23 @@ def _load(config: RunConfig):
 
 
 def _spectrum(graph, robin, config: RunConfig):
+    """The one spectrum call of every command: the run's target and solver settings."""
     return compute_spectrum(
         graph,
         robin,
-        n_max=config.n_max,
+        n_max=config.target_n if config.k_max is None else None,
         k_max=config.k_max,
         step_scale=config.step_scale,
         tol=config.tol,
+    )
+
+
+def _gap_series(graph, robin, config: RunConfig):
+    """Index-paired gaps between the Neumann and the coupled spectrum."""
+    return rng_sequence(
+        graph, robin.vertices, robin.sigma, config.target_n,
+        neumann=_spectrum(graph, RobinSpec.neumann(), config),
+        robin_spectrum=_spectrum(graph, robin, config),
     )
 
 
@@ -177,17 +187,7 @@ def cmd_rng(config: RunConfig) -> Table:
     _require_coupling(robin)
     _require_index_target(config)
     n = config.target_n
-    neumann = compute_spectrum(
-        graph, RobinSpec.neumann(), n_max=n,
-        step_scale=config.step_scale, tol=config.tol,
-    )
-    robin_spectrum = compute_spectrum(
-        graph, robin, n_max=n, step_scale=config.step_scale, tol=config.tol
-    )
-    series = rng_sequence(
-        graph, robin.vertices, robin.sigma, n,
-        neumann=neumann, robin_spectrum=robin_spectrum,
-    )
+    series = _gap_series(graph, robin, config)
     mean = theoretical_mean(graph, robin.vertices, robin.sigma)
     averaged = running_average(series.gaps, config.window)
     predicted = arctan_prediction(graph, robin.vertices, robin.sigma, series.k_neumann)
@@ -263,8 +263,7 @@ def cmd_cdf(config: RunConfig) -> Table:
     graph, robin = _load(config)
     _require_coupling(robin)
     _require_index_target(config)
-    n = config.target_n
-    series = rng_sequence(graph, robin.vertices, robin.sigma, n)
+    series = _gap_series(graph, robin, config)
     cdf = empirical_cdf(series)
     xs = np.unique(cdf.values)
     rows = [("cdf", float(x), float(x), float(cdf(x))) for x in xs]

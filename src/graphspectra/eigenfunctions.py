@@ -38,7 +38,7 @@ from .errors import (
     OutOfRange,
 )
 from .graphs import MetricGraph, RobinSpec
-from .solver import Spectrum, compute_spectrum
+from .solver import KERNEL_SV_SCALE, Spectrum, _stack_map, compute_spectrum
 from .scattering import unitary_stack
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "robin_residual",
 ]
 
-KERNEL_SV_SCALE = 1e-8
 CONTINUITY_TOL = 1e-6
 
 
@@ -166,20 +165,14 @@ def kernel_vectors_batch(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray):
     Much faster than kernel_vector in a loop; no dimension audit, so
     callers must pass wave numbers of simple eigenvalues only.
     """
-    ks = np.asarray(ks, dtype=float)
-    amps = np.empty((ks.size, graph.num_slots), dtype=complex)
-    residuals = np.empty(ks.size)
-    chunk = 1024
     eye = np.eye(graph.num_slots)
-    for start in range(0, ks.size, chunk):
-        batch = ks[start : start + chunk]
-        m = eye - unitary_stack(graph, robin, batch)
-        _, sv, vh = np.linalg.svd(m)
+
+    def gauged(batch, u):
+        _, sv, vh = np.linalg.svd(eye - u)
         a = np.conj(vh[:, -1, :])
-        a = a * _gauge_phase(graph, a, batch[:, None])[:, None]
-        amps[start : start + chunk] = a
-        residuals[start : start + chunk] = sv[:, -1]
-    return amps, residuals
+        return a * _gauge_phase(graph, a, batch[:, None])[:, None], sv[:, -1]
+
+    return _stack_map(graph, robin, ks, gauged)
 
 
 def l2_norm_sq(amp: AmplitudeVector, graph: MetricGraph) -> float:

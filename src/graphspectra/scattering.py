@@ -156,9 +156,9 @@ def unitary_stack(
 
 def secular_det(graph: MetricGraph, robin: RobinSpec, k: float) -> complex:
     """det(I - U(k)); zero exactly at eigenvalue wave numbers."""
-    k = _require_positive_k(k)
-    u = scattering_matrix(graph, robin, k) * np.exp(1j * k * graph.slot_length)
-    return complex(np.linalg.det(np.eye(graph.num_slots) - u))
+    from .solver import secular_dets  # the batched path; solver imports this module
+
+    return complex(secular_dets(graph, robin, [_require_positive_k(k)])[0])
 
 
 def total_phase_values(

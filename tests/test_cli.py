@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from graphspectra import cli
 from graphspectra.cli import main
+from graphspectra.solver import compute_spectrum
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -184,6 +186,47 @@ class TestCdf:
         assert area == pytest.approx(1.0, rel=1e-12)
         (support,) = [r for r in rows if r[0] == "support"]
         assert float(support[1]) < float(support[2])
+
+
+    @pytest.mark.parametrize("command", ["rng", "cdf"])
+    def test_solver_settings_reach_both_spectra(self, command, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return compute_spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_spectrum", recording)
+        code, _ = run_cli(
+            [command, "--graph", str(FIXTURES / "interval.json"), "--nmax", "30",
+             "--step-scale", "0.5", "--tol", "1e-9"],
+            tmp_path,
+        )
+        assert code == 0
+        assert [(kw["n_max"], kw["step_scale"], kw["tol"]) for kw in seen] == [
+            (30, 0.5, 1e-9),
+            (30, 0.5, 1e-9),
+        ]
+
+    def test_tolerance_changes_the_output(self, tmp_path):
+        args = ["cdf", "--graph", str(FIXTURES / "interval.json"), "--nmax", "30"]
+        _, default = run_cli(args, tmp_path, "default.csv")
+        _, loose = run_cli([*args, "--tol", "1e-4"], tmp_path, "loose.csv")
+        assert default.read_bytes() != loose.read_bytes()
+
+
+class TestDefaultTarget:
+    @pytest.mark.parametrize("command", ["spectrum", "weyl", "sensitivity"])
+    def test_neither_nmax_nor_kmax_means_2500(self, command, tmp_path):
+        code, out = run_cli(
+            [command, "--graph", str(FIXTURES / "interval.json")], tmp_path
+        )
+        assert code == 0
+        header, rows = read_rows(out)
+        if command == "weyl":
+            assert rows[0][:2] == ["n_used", "2500"]
+        else:
+            assert len(rows) == 2500 and rows[-1][0] == "2500"
 
 
 class TestSensitivity:

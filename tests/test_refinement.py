@@ -1,0 +1,158 @@
+"""Two-stage root refinement: the zeta polish, its safeguards, and the
+certification checks that stay loud around it."""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphspectra import solver
+from graphspectra.errors import ToleranceNotMet
+from graphspectra.graphs import RobinSpec, build_graph
+from graphspectra.scattering import total_phase_values, unitary_stack
+
+NEUMANN = RobinSpec.neumann()
+TWO_PI = 2.0 * math.pi
+
+
+def _eigvals_count(graph, robin, lo, hi):
+    """Crossings in (lo, hi] from the winding of plain LAPACK eigenphases."""
+    ks = np.array([lo, hi])
+    ev = np.linalg.eigvals(unitary_stack(graph, robin, ks))
+    phi = np.mod(np.angle(ev), TWO_PI).sum(axis=1)
+    theta = total_phase_values(graph, robin, ks)
+    return int(np.rint((theta[1] - theta[0] - (phi[1] - phi[0])) / TWO_PI))
+
+
+def test_zeta_is_real_and_vanishes_at_roots(star4):
+    robin = RobinSpec(frozenset({0}), 2.0)
+    rotation = solver._secular_rotation(star4, robin, 0.7)
+    ks = np.linspace(0.1, 40.0, 997)
+    z = solver._secular_values(star4, robin, ks, rotation)
+    assert np.max(np.abs(z.imag) / np.abs(z)) < 1e-8
+    roots = solver.compute_spectrum(star4, robin, k_max=40.0).wavenumbers()
+    # one sign change of zeta per simple root
+    assert np.count_nonzero(np.diff(np.sign(z.real))) == roots.size
+
+
+def test_polish_ready_sends_even_and_endpoint_roots_back(pi_interval):
+    rotation = solver._secular_rotation(pi_interval, NEUMANN, 0.7)
+    # roots at the integers: (0.5, 1.5] and (1.5, 4.5] change sign, (0.5, 2.5]
+    # holds two roots, and (0.5, 1.0] has its root on the end
+    los = np.array([0.5, 1.5, 0.5, 0.5])
+    his = np.array([1.5, 4.5, 2.5, 1.0])
+    _, _, ready = solver._polish_ready(pi_interval, NEUMANN, los, his, rotation)
+    assert ready.tolist() == [True, True, False, False]
+
+
+def test_polish_ready_raises_when_zeta_is_not_real(pi_interval):
+    # turned by 45 degrees, zeta has |Im| = |zeta| / sqrt(2)
+    rotation = solver._secular_rotation(pi_interval, NEUMANN, 0.7) * np.exp(0.25j * np.pi)
+    with pytest.raises(ToleranceNotMet, match="not real"):
+        solver._polish_ready(
+            pi_interval, NEUMANN, np.array([0.5]), np.array([1.5]), rotation
+        )
+
+
+def test_simple_roots_are_polished_with_determinants(star4, monkeypatch):
+    matrices = {"eigvals": 0, "det": 0}
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapped(a):
+            matrices[name] += int(np.prod(np.shape(a)[:-2]))
+            return fn(a)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals"))
+    monkeypatch.setattr(np.linalg, "det", counted("det"))
+    spec = solver.compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=200)
+    # bisection alone needs about 45 eigendecompositions per root; here
+    # the scan grid (a few points per root) is nearly all that is left
+    assert matrices["eigvals"] < 5 * spec.size
+    assert matrices["det"] > spec.size
+
+
+def test_window_counts_off_an_integer_raise():
+    with pytest.raises(ToleranceNotMet, match="away from an integer"):
+        solver._window_counts(np.array([TWO_PI * 1.3]), np.array([0.0]))
+    counts = solver._window_counts(np.array([TWO_PI * (2.0 + 1e-9)]), np.array([0.0]))
+    assert counts.tolist() == [2]
+
+
+def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
+    # Shift Phi by -4 pi at every bisection midpoint, after the scan: each
+    # left half then counts two crossings more than its bracket holds.
+    phase_sums = solver._phase_sums
+    calls = []
+
+    def shifted(graph, robin, ks):
+        calls.append(len(ks))
+        out = phase_sums(graph, robin, ks)
+        return out if len(calls) == 1 else out - 2.0 * TWO_PI
+
+    monkeypatch.setattr(solver, "_phase_sums", shifted)
+    with pytest.raises(ToleranceNotMet, match="outside"):
+        solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+
+
+def test_kernel_audit_reports_excess_dimension(equilateral_star, monkeypatch):
+    # Record every root as simple: the triples at pi/2 and 3 pi/2 then have a
+    # three-dimensional kernel but one crossing, which the drift audit
+    # (window of 2E = 8) does not see on this short range.
+    merge = solver._merge_roots
+    monkeypatch.setattr(
+        solver, "_merge_roots", lambda roots, mults: merge(roots, np.ones_like(mults))
+    )
+    with pytest.raises(ToleranceNotMet, match="above"):
+        solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+
+
+@st.composite
+def awkward_graphs(draw):
+    """Small graphs with loops, multi-edges and degree-2 chains; one edge of
+    length 1, the others in [1e-4, 1], often repeated exactly."""
+    n = draw(st.integers(2, 4))
+    length = st.one_of(
+        st.just(1.0), st.floats(-4.0, 0.0).map(lambda u: float(10.0**u))
+    )
+    edges = [(draw(st.integers(0, v - 1)), v, draw(length)) for v in range(1, n)]
+    edges[0] = (edges[0][0], edges[0][1], 1.0)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["loop", "multi", "chain"]))
+        if kind == "loop":
+            u = draw(st.integers(0, n - 1))
+            edges.append((u, u, draw(length)))
+        elif kind == "multi":
+            u, v, _ = draw(st.sampled_from(edges))
+            edges.append((u, v, draw(length)))
+        else:
+            u = draw(st.integers(0, n - 1))
+            edges += [(u, n, draw(length)), (n, n + 1, draw(length))]
+            n += 2
+    coupled = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    sigma = float(10.0 ** draw(st.floats(-8.0, 6.0)))
+    return build_graph(edges, num_vertices=n), RobinSpec(frozenset(coupled), sigma)
+
+
+@given(awkward_graphs())
+@settings(max_examples=40, deadline=None)
+def test_records_carry_their_winding_count(case):
+    graph, robin = case
+    spec = solver.compute_spectrum(graph, robin, n_max=20)
+    for rec in spec.records:
+        if rec.k == 0.0:
+            continue
+        w = float(solver._stop_width(np.asarray(rec.k), None))
+        count = _eigvals_count(graph, robin, rec.k - 2.0 * w, rec.k + 2.0 * w)
+        if count != rec.multiplicity:
+            # roots closer than the merge radius are one record by design
+            # (say a loop of length 1 - 2e-10 beside an edge of length 1)
+            r = solver.MERGE_SCALE * (1.0 + rec.k)
+            count = _eigvals_count(graph, robin, rec.k - r, rec.k + r)
+        assert count == rec.multiplicity, (rec, w)

