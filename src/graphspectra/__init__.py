@@ -7,155 +7,23 @@ the statistics of the index-paired gap sequence between the coupled and
 uncoupled spectra, with their limiting means, pointwise predictions,
 and explicit bounds.
 
-Typical use:
+Import from the submodules; the package root loads nothing else, so
+the command line never pulls in the scipy-based finite-difference
+oracle.  Typical use:
 
-    >>> from graphspectra import make_star, RobinSpec, compute_spectrum
+    >>> from graphspectra.graphs import RobinSpec, make_star
+    >>> from graphspectra.solver import compute_spectrum
     >>> star = make_star(3, (1.0, 1.5, 2.0))
     >>> spectrum = compute_spectrum(star, RobinSpec(frozenset([0]), 2.0), n_max=100)
     >>> spectrum.wavenumbers(3)
     array([0.54885251, 0.91068253, 1.3355473 ])
 """
 
-from .bounds import (
-    BoundReport,
-    check_all,
-    decomposition_bound_parameters,
-    gap_bound,
-    improved_bound,
-    lowest_eigenvalue_slope,
-    sensitivity_bound,
-    shortest_edge_bound,
-    star_bound_parameters,
-)
-from .eigenfunctions import (
-    AmplitudeVector,
-    EigenfunctionHandle,
-    SensitivityValue,
-    eigenfunction_handle,
-    evaluate,
-    kernel_vector,
-    kernel_vectors_batch,
-    l2_norm_sq,
-    robin_residual,
-    sensitivity,
-    vertex_value,
-)
-from .errors import GraphSpectraError
-from .fd import DiscreteOperator, discretize, oracle_eigenvalues
-from .graphs import (
-    MetricGraph,
-    RobinSpec,
-    StarDecomposition,
-    boundary_star_decomposition,
-    build_graph,
-    incommensurate_lengths,
-    load_graph_file,
-    make_complete4,
-    make_star,
-    midpoint_star_decomposition,
-    parse_graph,
-)
-from .scattering import (
-    TotalPhase,
-    UnitaryAtK,
-    build_unitary,
-    scattering_matrix,
-    secular_det,
-    total_phase,
-    total_phase_derivative,
-    total_phase_values,
-    vertex_scattering_entry,
-)
-from .solver import (
-    EigenvalueCurve,
-    SpectralPoint,
-    Spectrum,
-    compute_spectrum,
-    counting_function,
-    robin_homotopy,
-    spectral_shift,
-)
-from .stats import (
-    CdfEstimate,
-    MomentReport,
-    RngSeries,
-    accumulation_clusters,
-    arctan_prediction,
-    cesaro_mean,
-    empirical_cdf,
-    lipschitz_audit,
-    rng_sequence,
-    running_average,
-    sensitivity_prediction,
-    theoretical_mean,
-    weyl_moments,
-)
+# bench/tests imports these three from the root; graphs and solver load
+# with the command line anyway, so keeping them costs no import time.
+from .graphs import RobinSpec, make_star
+from .solver import compute_spectrum
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeVector",
-    "BoundReport",
-    "CdfEstimate",
-    "DiscreteOperator",
-    "EigenfunctionHandle",
-    "EigenvalueCurve",
-    "GraphSpectraError",
-    "MetricGraph",
-    "MomentReport",
-    "RngSeries",
-    "RobinSpec",
-    "SensitivityValue",
-    "SpectralPoint",
-    "Spectrum",
-    "StarDecomposition",
-    "TotalPhase",
-    "UnitaryAtK",
-    "accumulation_clusters",
-    "arctan_prediction",
-    "boundary_star_decomposition",
-    "build_graph",
-    "build_unitary",
-    "cesaro_mean",
-    "check_all",
-    "compute_spectrum",
-    "counting_function",
-    "decomposition_bound_parameters",
-    "discretize",
-    "eigenfunction_handle",
-    "empirical_cdf",
-    "evaluate",
-    "gap_bound",
-    "improved_bound",
-    "incommensurate_lengths",
-    "kernel_vector",
-    "kernel_vectors_batch",
-    "l2_norm_sq",
-    "lipschitz_audit",
-    "load_graph_file",
-    "lowest_eigenvalue_slope",
-    "make_complete4",
-    "make_star",
-    "midpoint_star_decomposition",
-    "oracle_eigenvalues",
-    "parse_graph",
-    "rng_sequence",
-    "robin_homotopy",
-    "robin_residual",
-    "running_average",
-    "scattering_matrix",
-    "secular_det",
-    "sensitivity",
-    "sensitivity_bound",
-    "sensitivity_prediction",
-    "shortest_edge_bound",
-    "spectral_shift",
-    "star_bound_parameters",
-    "theoretical_mean",
-    "total_phase",
-    "total_phase_derivative",
-    "total_phase_values",
-    "vertex_scattering_entry",
-    "vertex_value",
-    "weyl_moments",
-]
+__all__ = ["RobinSpec", "compute_spectrum", "make_star"]

@@ -288,27 +288,23 @@ def cmd_sensitivity(config: RunConfig) -> Table:
     spectrum = _spectrum(graph, robin, config)
     decomp = boundary_star_decomposition(graph, robin)
     lams = spectrum.eigenvalues(n)
-    predictions = sensitivity_prediction(graph, robin.vertices, robin.sigma, lams)
-    rows = []
-    violations = 0
-    for i in range(n):
-        value = sensitivity(graph, robin, i + 1, spectrum=spectrum)
-        lam = float(lams[i])
-        if lam > 0.0:
-            bound = float(sensitivity_bound(decomp, robin, lam))
-            prediction = float(predictions[i])
-        else:
-            bound = None
-            prediction = None
-        if (
-            bound is not None
-            and not value.degenerate
-            and value.value >= bound + 1e-10 * (1.0 + bound)
-        ):
-            violations += 1
-        rows.append(
-            (i + 1, lam, value.value, prediction, bound, int(value.degenerate))
-        )
+    values = sensitivity(graph, robin, np.arange(1, n + 1), spectrum=spectrum)
+    positive = lams > 0.0
+    predictions = np.full(n, np.nan)
+    bounds = np.full(n, np.nan)
+    predictions[positive] = sensitivity_prediction(
+        graph, robin.vertices, robin.sigma, lams[positive]
+    )
+    bounds[positive] = sensitivity_bound(decomp, robin, lams[positive])
+    # nan bounds (lambda = 0) compare False
+    violations = int(np.count_nonzero(
+        ~values.degenerate & (values.value >= bounds + 1e-10 * (1.0 + bounds))
+    ))
+    rows = [
+        (i + 1, lams[i], values.value[i], predictions[i], bounds[i],
+         int(values.degenerate[i]))
+        for i in range(n)
+    ]
     return Table(
         ["n", "lambda_n", "sensitivity", "prediction", "bound", "degenerate"],
         rows,

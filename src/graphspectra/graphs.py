@@ -32,7 +32,7 @@ class MetricGraph:
 
     Derived (not part of equality/hash)
         total_length, degrees, and the per-slot tables slot_origin,
-        slot_terminus, slot_edge, slot_reversal, slot_length.
+        slot_terminus, slot_reversal, slot_length.
     """
 
     num_vertices: int
@@ -41,7 +41,6 @@ class MetricGraph:
     degrees: np.ndarray = field(init=False, compare=False, repr=False)
     slot_origin: np.ndarray = field(init=False, compare=False, repr=False)
     slot_terminus: np.ndarray = field(init=False, compare=False, repr=False)
-    slot_edge: np.ndarray = field(init=False, compare=False, repr=False)
     slot_reversal: np.ndarray = field(init=False, compare=False, repr=False)
     slot_length: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -65,7 +64,6 @@ class MetricGraph:
         m = len(edges)
         origin = np.empty(2 * m, dtype=np.intp)
         terminus = np.empty(2 * m, dtype=np.intp)
-        slot_edge = np.repeat(np.arange(m, dtype=np.intp), 2)
         lengths = np.empty(2 * m)
         for t, (u, v, length) in enumerate(edges):
             origin[2 * t], terminus[2 * t] = u, v
@@ -101,7 +99,6 @@ class MetricGraph:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "slot_origin", origin)
         object.__setattr__(self, "slot_terminus", terminus)
-        object.__setattr__(self, "slot_edge", slot_edge)
         object.__setattr__(self, "slot_reversal", reversal)
         object.__setattr__(self, "slot_length", lengths)
 
@@ -131,10 +128,6 @@ class MetricGraph:
         """Directed slots leaving vertex v (the adjacency list E_v)."""
         return np.flatnonzero(self.slot_origin == v)
 
-    def slots_in(self, v: int) -> np.ndarray:
-        """Directed slots ending at vertex v."""
-        return np.flatnonzero(self.slot_terminus == v)
-
 
 @dataclass(frozen=True)
 class RobinSpec:
@@ -157,9 +150,6 @@ class RobinSpec:
     @classmethod
     def neumann(cls) -> "RobinSpec":
         return cls(frozenset(), 0.0)
-
-    def with_sigma(self, sigma: float) -> "RobinSpec":
-        return RobinSpec(self.vertices, sigma)
 
     def sigma_at(self, v: int) -> float:
         return self.sigma if v in self.vertices else 0.0

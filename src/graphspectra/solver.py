@@ -62,13 +62,14 @@ Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
 outside [0, count].  Roots closer than 1e-9 (1 + k) merge into one
 record.  Each record's crossing count is cross-checked against
-dim ker(I - U(k)), measured by singular values below 1e-8 sqrt(2E), in
-both directions, and the counting function is audited against Theta
-over the whole scan grid.
+dim ker(I - U(k)), measured by singular values below 1e-8 sqrt(2E)
+(widened for a loose tol by _kernel_threshold, which the eigenfunction
+module counts with too), in both directions, and the counting function
+is audited against Theta over the whole scan grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,12 +121,15 @@ class Spectrum:
     records carry multiplicity, so a record with multiplicity m owns the
     m consecutive indices starting at its index field.  k_cap is the
     largest wave number the scan certified; every eigenvalue at or below
-    k_cap appears.
+    k_cap appears.  tol is the refinement tolerance the records were
+    computed with (None for the default stop width); kernel dimensions
+    at these wave numbers are counted against the threshold it sets.
     """
 
     sigma: float
     records: tuple
     k_cap: float
+    tol: float | None = field(default=None, compare=False)
 
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
         """Expanded wave numbers, one entry per index."""
@@ -405,6 +409,20 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray):
     return np.asarray(out_k), np.asarray(out_m, dtype=int)
 
 
+def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
+    """Singular values of I - U(k) below this count toward dim ker.
+
+    A reported root sits up to half a stop width from the true root,
+    which lifts the kernel singular values by roughly that distance
+    times the branch phase velocity; the threshold widens accordingly
+    so loose user tolerances do not trip the dimension checks.
+    """
+    return np.maximum(
+        KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
+        2.0 * _stop_width(ks, tol) * total_phase_derivative(graph, robin, ks),
+    )
+
+
 def _kernel_audit(graph, robin, roots: np.ndarray, mults: np.ndarray, tol) -> None:
     """Raise unless dim ker(I - U(k)) matches each record's crossing count.
 
@@ -416,14 +434,7 @@ def _kernel_audit(graph, robin, roots: np.ndarray, mults: np.ndarray, tol) -> No
     reach = 2 threshold / l_min stays above it.  Windows that reach
     k = 0, where U(0) has a larger kernel of its own, are not compared.
     """
-    # A reported root sits up to half a stop width from the true root,
-    # which lifts the kernel singular values by roughly that distance
-    # times the branch phase velocity; widen the threshold accordingly
-    # so loose user tolerances do not trip the cross-check.
-    sv_tol = np.maximum(
-        KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
-        2.0 * _stop_width(roots, tol) * total_phase_derivative(graph, robin, roots),
-    )
+    sv_tol = _kernel_threshold(graph, robin, roots, tol)
     eye = np.eye(graph.num_slots)
     sv = _stack_map(
         graph, robin, roots, lambda _, u: np.linalg.svd(eye - u, compute_uv=False)
@@ -577,7 +588,7 @@ def compute_spectrum(
     for k, m in zip(roots, mults):
         records.append(SpectralPoint(index=index, k=float(k), multiplicity=int(m)))
         index += int(m)
-    return Spectrum(sigma=robin.sigma, records=tuple(records), k_cap=k_cap)
+    return Spectrum(sigma=robin.sigma, records=tuple(records), k_cap=k_cap, tol=tol)
 
 
 def counting_function(spectrum: Spectrum, k: float) -> int:

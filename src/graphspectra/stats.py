@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfunctions import kernel_vectors_batch
+from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
 from .graphs import MetricGraph, RobinSpec
 from .solver import Spectrum, compute_spectrum
@@ -210,37 +210,21 @@ def weyl_moments(
             ks.append(rec.k)
         else:
             skipped += min(rec.multiplicity, n - rec.index + 1)
-    ks = np.asarray(ks)
-    amps, _ = kernel_vectors_batch(graph, robin, ks)
+    basis = eigenbasis(graph, robin, ks, np.ones(len(ks), dtype=int), spectrum.tol)
+    amps = basis.a
+    vertex_means = np.mean(basis.vertex_values**2, axis=0)
 
-    out_slots = np.arange(0, graph.num_slots, 2)
-    rev = graph.slot_reversal
-    lengths = graph.slot_length[out_slots]
     amp_sq = np.abs(amps) ** 2
     length_norm = np.sum(
-        lengths[None, :] * (amp_sq[:, out_slots] + amp_sq[:, rev[out_slots]]), axis=1
+        graph.slot_length[None, 0::2] * (amp_sq[:, 0::2] + amp_sq[:, 1::2]), axis=1
     )
-    cross_term = np.sum(
-        (2.0 / ks)[:, None]
-        * np.sin(ks[:, None] * lengths[None, :])
-        * np.real(amps[:, out_slots] * np.conj(amps[:, rev[out_slots]])),
-        axis=1,
-    )
-    l2_sq = length_norm + cross_term
-
-    vertex_means = np.empty(graph.num_vertices)
-    for v in range(graph.num_vertices):
-        j = int(graph.slots_out(v)[0])
-        raw = amps[:, j] + amps[:, rev[j]] * np.exp(1j * ks * graph.slot_length[j])
-        vertex_means[v] = float(np.mean(np.real(raw) ** 2 / l2_sq))
-
     scaled = amps / np.sqrt(length_norm)[:, None]
     cross = (scaled[:, :, None] * np.conj(scaled[:, None, :])).mean(axis=0)
     return MomentReport(
         vertex_means=vertex_means,
         slot_means=np.real(np.diag(cross)).copy(),
         cross_matrix=cross,
-        n_used=int(ks.size),
+        n_used=len(ks),
         skipped=int(skipped),
     )
 

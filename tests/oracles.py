@@ -6,7 +6,9 @@ the package under test, so agreement between the two is meaningful.
 """
 from __future__ import annotations
 
+import cmath
 import math
+from collections import Counter
 
 import numpy as np
 from scipy.integrate import quad
@@ -99,6 +101,54 @@ def equilateral_star_gaps(degree, length, sigma, count):
     k0 = equilateral_star_wavenumbers(degree, length, 0.0, count)
     k1 = equilateral_star_wavenumbers(degree, length, sigma, count)
     return k1 ** 2 - k0 ** 2
+
+
+def vertex_scattering_entry(degree, sigma, k, backscatter):
+    """S_{e'e}(k) = 2 / (d + i sigma / k) - [e' = reversal(e)].
+
+    The amplitude scattered at a vertex of degree d with delta coupling
+    sigma from an incoming slot e into an outgoing slot e' (Kottos and
+    Smilansky 1999); backscatter means e' is the reversal of e.
+    """
+    c = 2.0 / (degree + 1j * sigma / k)
+    return c - 1.0 if backscatter else c
+
+
+def unitary_matrix(edges, coupled, sigma, k):
+    """U(k) = S(k) exp(ikL) over directed slots, built entry by entry.
+
+    edges: (u, v, length) triples; slot 2t runs u -> v along edge t and
+    slot 2t + 1 runs back.  Entry [e_out, e_in] scatters e_in, which ends
+    at a vertex, into e_out, which starts there, after e_in's propagation
+    phase exp(ik length).  coupled vertices carry coupling sigma.
+    """
+    slots = []
+    for u, v, length in edges:
+        slots.extend([(u, v, length), (v, u, length)])
+    degree = Counter(start for start, _, _ in slots)
+    out = np.zeros((len(slots), len(slots)), dtype=complex)
+    for e_in, (_, vertex, length) in enumerate(slots):
+        s = sigma if vertex in coupled else 0.0
+        for e_out, (start, _, _) in enumerate(slots):
+            if start == vertex:
+                entry = vertex_scattering_entry(degree[vertex], s, k, e_out == e_in ^ 1)
+                out[e_out, e_in] = entry * cmath.exp(1j * k * length)
+    return out
+
+
+def robin_star_sensitivity(lengths, k):
+    """d lambda / d sigma of a star coupled at the center, Neumann leaves.
+
+    On edge j (center at x = 0) f = A_j cos(k (l_j - x)); continuity at
+    the center gives A_j = f(0) / cos(k l_j), so the normalized
+    f(0)^2 = 1 / sum_j (l_j / 2 + sin(2 k l_j) / (4 k)) / cos(k l_j)^2.
+    Valid at simple eigenvalues where no cos(k l_j) vanishes.
+    """
+    return 1.0 / sum(
+        (length / 2.0 + math.sin(2.0 * k * length) / (4.0 * k))
+        / math.cos(k * length) ** 2
+        for length in lengths
+    )
 
 
 def quadrature_norm_sq(edges, k):

@@ -258,6 +258,22 @@ class TestSensitivity:
         assert rows[0][3] == "NA" and rows[0][4] == "NA"
 
 
+    def test_loose_tol_counts_kernels_like_the_solver(self, tmp_path):
+        # the solver widens its kernel threshold for a loose tol; the
+        # eigenfunctions must count with the same threshold, or they
+        # reject roots the solver certified
+        args = ["sensitivity", "--graph", str(FIXTURES / "star_incommensurate.json"),
+                "--nmax", "60"]
+        code, default = run_cli(args, tmp_path, name="default.csv")
+        assert code == 0
+        code, loose = run_cli([*args, "--tol", "1e-6"], tmp_path, name="loose.csv")
+        assert code == 0
+        _, want = read_rows(default)
+        _, got = read_rows(loose)
+        assert len(got) == len(want) == 60
+        assert max(abs(float(g[2]) - float(w[2])) for g, w in zip(got, want)) <= 1e-5
+
+
 class TestOutputDiscipline:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["rng", "--graph", str(FIXTURES / "star_equilateral.json"),
@@ -326,3 +342,15 @@ class TestOutputDiscipline:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_cli_import_leaves_scipy_out(self):
+        probe = (
+            "import sys, graphspectra.cli\n"
+            "assert callable(graphspectra.cli.load_graph_file)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from graphspectra.eigenfunctions import (
+    _l2_norm_sq,
+    eigenbasis,
     eigenfunction_handle,
     evaluate,
     kernel_vector,
-    kernel_vectors_batch,
-    l2_norm_sq,
     robin_residual,
     sensitivity,
-    vertex_value,
 )
 from graphspectra.errors import (
     DegenerateEigenvalue,
@@ -23,7 +22,11 @@ from graphspectra.errors import (
 )
 from graphspectra.graphs import RobinSpec, build_graph, make_star
 from graphspectra.solver import compute_spectrum
-from oracles import interval_robin_wavenumbers, quadrature_norm_sq
+from oracles import (
+    interval_robin_wavenumbers,
+    quadrature_norm_sq,
+    robin_star_sensitivity,
+)
 
 NEUMANN = RobinSpec.neumann()
 
@@ -47,12 +50,12 @@ def test_interval_eigenfunction_is_cosine(pi_interval):
     (handle,) = eigenfunction_handle(pi_interval, NEUMANN, 2.0)
     # normalized eigenfunction is sqrt(2/pi) cos(2x), up to overall sign
     want = math.sqrt(2.0 / math.pi)
-    sign = math.copysign(1.0, vertex_value(handle, 0))
+    sign = math.copysign(1.0, handle.vertex_values[0])
     for x in np.linspace(0.0, math.pi, 23):
         got = evaluate(handle, 0, float(x))
         assert got == pytest.approx(sign * want * math.cos(2.0 * x), abs=1e-8)
-    assert vertex_value(handle, 0) == pytest.approx(sign * want, abs=1e-10)
-    assert abs(vertex_value(handle, 1)) == pytest.approx(want, abs=1e-10)
+    assert handle.vertex_values[0] == pytest.approx(sign * want, abs=1e-10)
+    assert abs(handle.vertex_values[1]) == pytest.approx(want, abs=1e-10)
     with pytest.raises(OutOfRange):
         evaluate(handle, 0, math.pi + 0.1)
     with pytest.raises(OutOfRange):
@@ -69,18 +72,16 @@ def test_kernel_dimension_guard(pi_interval):
 def test_l2_norm_against_quadrature(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=12)
-    for rec in spec.records[:12]:
-        (amp,) = kernel_vector(star4, robin, rec.k)
-        closed = l2_norm_sq(amp, star4)
+    records = spec.records[:12]
+    basis = eigenbasis(
+        star4, robin, [r.k for r in records], [r.multiplicity for r in records]
+    )
+    for a, k, closed in zip(basis.a, basis.k, basis.l2norm_sq):
         edges = [
-            (
-                star4.edge_length(t),
-                complex(amp.a[2 * t]),
-                complex(amp.a[2 * t + 1]),
-            )
+            (star4.edge_length(t), complex(a[2 * t]), complex(a[2 * t + 1]))
             for t in range(star4.num_edges)
         ]
-        assert closed == pytest.approx(quadrature_norm_sq(edges, rec.k), abs=1e-10)
+        assert closed == pytest.approx(quadrature_norm_sq(edges, k), abs=1e-10)
         assert closed > 0.0
 
 
@@ -122,7 +123,7 @@ def test_degenerate_basis_real_gauge(equilateral_star):
             for h in eigenfunction_handle(equilateral_star, NEUMANN, k, 3)
             if np.allclose(h.amplitude.a, amp.a)
         ]
-        assert abs(vertex_value(handle, 0)) < 1e-8
+        assert abs(handle.vertex_values[0]) < 1e-8
 
 
 def test_vertex_values_continuity(tetrahedron):
@@ -156,7 +157,7 @@ def test_tangent_identity_at_robin_vertex(star4):
     spec = compute_spectrum(star4, robin, n_max=6)
     for rec in spec.records[:6]:
         (handle,) = eigenfunction_handle(star4, robin, rec.k)
-        if abs(vertex_value(handle, 0)) < 1e-3:
+        if abs(handle.vertex_values[0]) < 1e-3:
             continue
         a = handle.amplitude.a
         slots = star4.slots_out(0)
@@ -202,22 +203,47 @@ def test_sensitivity_degenerate_flag(equilateral_star):
         sensitivity(equilateral_star, robin, 3, spectrum=spec, strict=True)
 
 
-def test_batch_kernel_matches_single(star4):
+def test_batch_kernel_matches_closed_form(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=15)
-    ks = np.array([rec.k for rec in spec.records[:15]])
-    amps, residuals = kernel_vectors_batch(star4, robin, ks)
-    assert np.all(residuals < 1e-10)
-    for i, k in enumerate(ks):
+    records = spec.records[:15]
+    ks = np.array([rec.k for rec in records])
+    basis = eigenbasis(star4, robin, ks, [1] * ks.size)
+    assert np.array_equal(basis.record, np.arange(ks.size))
+    assert np.array_equal(basis.k, ks)
+    assert np.all(basis.residual < 1e-10)
+    lengths = [star4.edge_length(t) for t in range(star4.num_edges)]
+    for k, f in zip(ks, basis.vertex_values):
+        # f = A_j cos(k (l_j - x)) on edge j: leaf value f(0) / cos(k l_j)
+        leaves = f[0] / np.cos(k * np.array(lengths))
+        assert np.allclose(f[1:], leaves, atol=1e-9)
+        assert f[0] ** 2 == pytest.approx(robin_star_sensitivity(lengths, k), rel=1e-9)
+    # each row is the single-record basis at its own k
+    for k, a in zip(ks, basis.a):
         (single,) = kernel_vector(star4, robin, float(k))
-        # same vector up to a global sign
-        overlap = abs(np.vdot(single.a, amps[i]))
-        assert overlap == pytest.approx(1.0, abs=1e-10)
+        assert abs(np.vdot(single.a, a)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_batch_sensitivity_mixes_multiplicities(equilateral_star):
+    robin = RobinSpec(frozenset({0}), 2.0)
+    spec = compute_spectrum(equilateral_star, robin, n_max=30)
+    got = sensitivity(equilateral_star, robin, np.arange(1, 31), spectrum=spec)
+    mults = np.repeat(
+        [r.multiplicity for r in spec.records], [r.multiplicity for r in spec.records]
+    )[:30]
+    assert np.array_equal(got.degenerate, mults > 1)
+    # center-vanishing triples carry no weight at the coupled center
+    want = [
+        robin_star_sensitivity([1.0] * 4, k) if m == 1 else 0.0
+        for k, m in zip(spec.wavenumbers(30), mults)
+    ]
+    assert np.allclose(got.value, want, rtol=1e-9, atol=1e-12)
+    with pytest.raises(DegenerateEigenvalue):
+        sensitivity(equilateral_star, robin, np.arange(1, 31), spectrum=spec, strict=True)
+    with pytest.raises(OutOfRange):
+        sensitivity(equilateral_star, robin, np.array([1, spec.size + 1]), spectrum=spec)
 
 
 def test_zero_vector_norm():
     g = build_graph([(0, 1, 1.0)])
-    from graphspectra.eigenfunctions import AmplitudeVector
-
-    amp = AmplitudeVector(k=1.0, a=np.zeros(2, dtype=complex), residual=0.0)
-    assert l2_norm_sq(amp, g) == 0.0
+    assert _l2_norm_sq(g, np.zeros((1, 2), dtype=complex), np.array([1.0]))[0] == 0.0
