@@ -22,15 +22,30 @@ without any branch matching or path continuity.  The solver scans a
 grid fine enough to keep per-cell counts small and refines every cell
 with a positive count in two stages.
 
-Bisection.  The count of each half is measured at the midpoint and
-halves whose count stays positive are kept, so a cluster of m
-coincident roots is simply a bracket whose count never drops below m.
-Brackets with count 2 or more stay in this stage to the end.
+Counted splits.  Each step measures every bracket at one point and
+counts each half; halves whose count stays positive are kept, so a
+cluster of m coincident roots is simply a bracket whose count never
+drops below m.  The point comes from the eigenphases the counts already
+use.  For a bracket (lo, hi] holding c crossings, let
+
+    psi(lo) = (sum of the c largest phi_m(lo)) - 2 pi c  <= 0,
+    psi(hi) =  sum of the c smallest phi_m(hi)           >= 0.
+
+When the crossing branches are those nearest 2 pi at lo and nearest 0
+at hi, psi is their summed phase unwrapped across the crossing, nearly
+linear in k and zero at a multiple root, so the false-position point of
+psi lands on the cluster.  It is safeguarded like the polish below: an
+end kept twice in a row has its psi halved (the Illinois rule), the
+point stays half a stop width inside the bracket, and the midpoint is
+taken when the psi ends have the wrong signs or the bracket did not
+halve over three steps.  The point only chooses where to measure; the
+counts at it certify as before.  Brackets with count 2 or more stay in
+this stage to the end, a few steps each where bisection took about 45.
 
 Polish.  A bracket with count 1 that is wider than POLISH_HANDOFF stop
-widths leaves the bisection as soon as it appears, from the scan or
-from a split.  It holds exactly one simple root, which is a sign change
-of the real secular function
+widths leaves the counted splits as soon as it appears, from the scan
+or from a split.  It holds exactly one simple root, which is a sign
+change of the real secular function
 
     zeta(k) = Re[det(I - U(k)) exp(-i Theta(k) / 2) conj(c)].
 
@@ -43,20 +58,21 @@ zeta is real: U(k) is unitary with N = 2E eigenvalues exp(i theta_m), so
 with c = (-i)^N exp(i c_0 / 2), read off det U once per graph and
 coupling.  All count-1 brackets then run one vectorized false-position
 iteration on zeta (one batched determinant per step, a few steps per
-root, where bisection needs about 45 batched eigendecompositions).
+root, where a counted split needs a batched eigendecomposition).
 Two safeguards keep it honest.  A bracket whose endpoint values of zeta
 do not have opposite signs clearly above the determinant's rounding
-level stays in the bisection: that is a root on or within rounding of
-an end, the usual case after a split next to a multiple root.  An
+level stays in the counted splits: that is a root on or within rounding
+of an end, the usual case after a split next to a multiple root.  An
 endpoint value whose imaginary part exceeds REALNESS_TOL |zeta| (plus
 that rounding level) means zeta is not the real secular function, and
 raises ToleranceNotMet.
 
 Both stages stop once a bracket is narrower than the stop width
 max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
-reported root lies within half a stop width of the true root.  The two
-stages reach different points inside that window, so results are not
-bitwise those of pure bisection.
+reported root lies within half a stop width of the true root.  Where
+inside that window a root lands depends on the eigenphases and
+determinants met on the way, so a root shared by two couplings need not
+be reported bitwise equal at both.
 
 Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
@@ -95,7 +111,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 EPS = float(np.finfo(float).eps)
-MAX_BISECTION_LEVELS = 200
+MAX_REFINE_STEPS = 200
 MAX_POLISH_STEPS = 200
 MERGE_SCALE = 1e-9
 KERNEL_SV_SCALE = 1e-8
@@ -181,13 +197,18 @@ def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn):
     return np.concatenate(parts)
 
 
-def _phase_sums(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
-    """Phi(k) = sum of eigenvalue arguments of U(k) reduced to [0, 2 pi)."""
+def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
+    """Eigenvalue arguments of U(k) reduced to [0, 2 pi), sorted along rows.
+
+    Phi(k) is the row sum.  This is the one eigenphase evaluation: the
+    scan keeps the rows of its grid and the refinement those of its
+    bracket ends, so no wave number is decomposed twice.
+    """
     return _stack_map(
         graph,
         robin,
         ks,
-        lambda _, u: np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI).sum(axis=1),
+        lambda _, u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
     )
 
 
@@ -261,6 +282,20 @@ def _polish_ready(graph, robin, los, his, rotation):
     return f_lo, f_hi, clear & (np.sign(f_lo) != np.sign(f_hi))
 
 
+def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
+    """Where to measure next in each bracket, half a stop width inside it.
+
+    The false-position point of the end values, or the midpoint where
+    they have the same sign or the bracket has stalled.  A zero end value
+    puts the point next to that end.
+    """
+    width = his - los
+    secant = (np.sign(f_lo) * np.sign(f_hi) <= 0.0) & (f_lo != f_hi) & ~stalled
+    slope = np.where(secant, f_hi - f_lo, 1.0)
+    x = np.where(secant, his - f_hi * (width / slope), 0.5 * (los + his))
+    return np.clip(x, los + 0.5 * stop, his - 0.5 * stop)
+
+
 def _polish(graph, robin, rotation, los, his, f_lo, f_hi, tol) -> np.ndarray:
     """Safeguarded false position on zeta over sign-changing brackets.
 
@@ -291,12 +326,7 @@ def _polish(graph, robin, rotation, los, his, f_lo, f_hi, tol) -> np.ndarray:
         width, stop, widths = width[live], stop[live], widths[:, live]
         if open_.size == 0:
             return out
-        x = np.where(
-            width > 0.5 * widths[2],
-            0.5 * (los + his),
-            his - f_hi * (width / (f_hi - f_lo)),
-        )
-        x = np.clip(x, los + 0.5 * stop, his - 0.5 * stop)
+        x = _split_points(los, his, f_lo, f_hi, width > 0.5 * widths[2], stop)
         f_x = _secular_values(graph, robin, x, rotation).real
         to_lo = np.sign(f_x) == np.sign(f_lo)
         to_hi = ~to_lo
@@ -317,21 +347,47 @@ def _polish(graph, robin, rotation, los, his, f_lo, f_hi, tol) -> np.ndarray:
     )
 
 
+def _cluster_phases(ph_lo, ph_hi, counts):
+    """psi at both ends of brackets holding count crossings each.
+
+    psi(lo) is the sum of the count largest reduced phases at lo less
+    2 pi each, psi(hi) the sum of the count smallest at hi (rows sorted
+    ascending, so psi(lo) <= 0 <= psi(hi)).  When the crossing branches
+    are the ones nearest 2 pi at lo and nearest 0 at hi, psi is their
+    summed unwrapped phase, which rises through 0 at the cluster, so its
+    false-position point is a good place to split the bracket.
+    """
+    # a count above N = 2E (only across a wide cell) takes all N phases
+    c = np.minimum(counts, ph_lo.shape[1])[:, None] - 1
+    psi_lo = np.take_along_axis(np.cumsum(ph_lo[:, ::-1] - TWO_PI, axis=1), c, axis=1)
+    psi_hi = np.take_along_axis(np.cumsum(ph_hi, axis=1), c, axis=1)
+    return psi_lo[:, 0], psi_hi[:, 0]
+
+
 def _refine_brackets(
     graph, robin, rotation, los, his, th_lo, th_hi, ph_lo, ph_hi, counts, tol
 ):
     """Roots with multiplicities of every bracket, down to the stop width.
 
-    Count-guided bisection, except that each count-1 bracket wider than
-    POLISH_HANDOFF stop widths leaves it as soon as it appears for the
-    polish on zeta, unless its endpoint values do not qualify; then it
-    stays in the bisection to the end.
+    ph_lo and ph_hi are the sorted eigenphase rows at the ends.  Each step
+    measures every bracket at one point, chosen by _split_points on the
+    cluster phases psi (an end kept twice in a row has its psi halved,
+    the Illinois rule), and keeps the halves whose winding count stays
+    positive.  Each count-1 bracket wider than POLISH_HANDOFF stop widths
+    leaves as soon as it appears for the polish on zeta, unless its
+    endpoint values do not qualify; then it stays here to the end.
     """
     roots: list[float] = []
     mults: list[int] = []
     polish: list[tuple] = []
-    bisect_only = np.zeros(los.size, dtype=bool)
-    for _ in range(MAX_BISECTION_LEVELS):
+    n = los.size
+    unready = np.zeros(n, dtype=bool)
+    kept_lo = np.zeros(n, dtype=bool)  # the step before kept lo
+    kept_hi = np.zeros(n, dtype=bool)
+    w_lo, w_hi = np.ones(n), np.ones(n)
+    # bracket widths one, two and three steps ago
+    widths = np.full((3, n), np.inf)
+    for _ in range(MAX_REFINE_STEPS):
         width = his - los
         stop = _stop_width(his, tol)
         done = width <= stop
@@ -339,7 +395,7 @@ def _refine_brackets(
         mults.extend(counts[done])
         keep = ~done
         handoff = np.flatnonzero(
-            keep & (counts == 1) & ~bisect_only & (width > POLISH_HANDOFF * stop)
+            keep & (counts == 1) & ~unready & (width > POLISH_HANDOFF * stop)
         )
         if handoff.size:
             f_lo, f_hi, ready = _polish_ready(
@@ -348,40 +404,58 @@ def _refine_brackets(
             leaving = handoff[ready]
             polish.append((los[leaving], his[leaving], f_lo[ready], f_hi[ready]))
             keep[leaving] = False
-            bisect_only[handoff[~ready]] = True
-        los, his, counts = los[keep], his[keep], counts[keep]
-        bisect_only = bisect_only[keep]
-        th_lo, th_hi = th_lo[keep], th_hi[keep]
-        ph_lo, ph_hi = ph_lo[keep], ph_hi[keep]
+            unready[handoff[~ready]] = True
+        los, his, th_lo, th_hi, ph_lo, ph_hi, counts = (
+            a[keep] for a in (los, his, th_lo, th_hi, ph_lo, ph_hi, counts)
+        )
+        unready, kept_lo, kept_hi, w_lo, w_hi = (
+            a[keep] for a in (unready, kept_lo, kept_hi, w_lo, w_hi)
+        )
+        width, stop, widths = width[keep], stop[keep], widths[:, keep]
         if los.size == 0:
             break
-        mids = 0.5 * (los + his)
-        th_mid = total_phase_values(graph, robin, mids)
-        ph_mid = _phase_sums(graph, robin, mids)
-        c_lo = _window_counts(th_mid - th_lo, ph_mid - ph_lo)
+        psi_lo, psi_hi = _cluster_phases(ph_lo, ph_hi, counts)
+        x = _split_points(
+            los, his, w_lo * psi_lo, w_hi * psi_hi, width > 0.5 * widths[2], stop
+        )
+        th_x = total_phase_values(graph, robin, x)
+        ph_x = _eigenphases(graph, robin, x)
+        c_lo = _window_counts(th_x - th_lo, ph_x.sum(axis=1) - ph_lo.sum(axis=1))
         # c_hi is the remainder, so totals are conserved exactly; a half
-        # outside [0, count] means the midpoint and end counts disagree.
+        # outside [0, count] means the split-point and end counts disagree.
         outside = (c_lo < 0) | (c_lo > counts)
         if np.any(outside):
             j = int(np.flatnonzero(outside)[0])
             raise ToleranceNotMet(
                 f"half-bracket count {c_lo[j]} outside [0, {counts[j]}] "
-                f"at k={mids[j]!r}"
+                f"at k={x[j]!r}"
             )
         c_hi = counts - c_lo
-        left = c_lo > 0
-        right = c_hi > 0
-        los = np.concatenate([los[left], mids[right]])
-        his = np.concatenate([mids[left], his[right]])
-        th_lo = np.concatenate([th_lo[left], th_mid[right]])
-        th_hi = np.concatenate([th_mid[left], th_hi[right]])
-        ph_lo = np.concatenate([ph_lo[left], ph_mid[right]])
-        ph_hi = np.concatenate([ph_mid[left], ph_hi[right]])
+        left = np.flatnonzero(c_lo > 0)
+        right = np.flatnonzero(c_hi > 0)
+        # a step that keeps one half keeps one end, and an end kept twice in
+        # a row has its weight halved; both halves of a split start afresh
+        one_side = (c_lo == 0) | (c_hi == 0)
+        w_lo = np.where(one_side, np.where(kept_lo, 0.5, 1.0) * w_lo, 1.0)
+        w_hi = np.where(one_side, np.where(kept_hi, 0.5, 1.0) * w_hi, 1.0)
+        both = np.concatenate([left, right])
+        lefts = np.arange(both.size) < left.size
+        kept_lo = lefts & one_side[both]
+        kept_hi = ~lefts & one_side[both]
+        w_lo = np.where(lefts, w_lo[both], 1.0)
+        w_hi = np.where(lefts, 1.0, w_hi[both])
+        los = np.concatenate([los[left], x[right]])
+        his = np.concatenate([x[left], his[right]])
+        th_lo = np.concatenate([th_lo[left], th_x[right]])
+        th_hi = np.concatenate([th_x[left], th_hi[right]])
+        ph_lo = np.concatenate([ph_lo[left], ph_x[right]])
+        ph_hi = np.concatenate([ph_x[left], ph_hi[right]])
         counts = np.concatenate([c_lo[left], c_hi[right]])
-        bisect_only = np.concatenate([bisect_only[left], bisect_only[right]])
+        unready = unready[both]
+        widths = np.stack([width, widths[0], widths[1]])[:, both]
     if los.size:
         raise ToleranceNotMet(
-            f"{los.size} brackets still open after {MAX_BISECTION_LEVELS} bisection levels"
+            f"{los.size} brackets still open after {MAX_REFINE_STEPS} refinement steps"
         )
     if polish:
         lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
@@ -491,7 +565,7 @@ def compute_spectrum(
 
     Exactly one of n_max (count including multiplicity) and k_max must
     be given.  step_scale multiplies the scan step pi / (8 l_max); tol
-    loosens the default bisection stop width to tol * (1 + k).
+    loosens the default refinement stop width to tol * (1 + k).
     """
     if robin is None:
         robin = RobinSpec.neumann()
@@ -518,7 +592,8 @@ def compute_spectrum(
 
     grid = np.concatenate([[k_start], k_start + delta * np.arange(1, n_cells + 1)])
     theta = total_phase_values(graph, robin, grid)
-    phi = _phase_sums(graph, robin, grid)
+    phases = _eigenphases(graph, robin, grid)
+    phi = phases.sum(axis=1)
     rotation = _secular_rotation(graph, robin, grid[1])
 
     roots = np.empty(0)
@@ -539,8 +614,8 @@ def compute_spectrum(
                 grid[hot + 1],
                 theta[hot],
                 theta[hot + 1],
-                phi[hot],
-                phi[hot + 1],
+                phases[hot],
+                phases[hot + 1],
                 counts[counts > 0],
                 tol,
             )
@@ -554,7 +629,8 @@ def compute_spectrum(
         ext = grid[-1] + delta * np.arange(1, extra + 1)
         grid = np.concatenate([grid, ext])
         theta = np.concatenate([theta, total_phase_values(graph, robin, ext)])
-        phi = np.concatenate([phi, _phase_sums(graph, robin, ext)])
+        phases = np.concatenate([phases, _eigenphases(graph, robin, ext)])
+        phi = phases.sum(axis=1)
         n_cells += extra
 
     roots, mults = _merge_roots(roots, mults)

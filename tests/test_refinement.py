@@ -1,5 +1,6 @@
-"""Two-stage root refinement: the zeta polish, its safeguards, and the
-certification checks that stay loud around it."""
+"""Two-stage root refinement: the counted splits at the cluster-phase
+false-position point, the zeta polish, their safeguards, and the
+certification checks that stay loud around them."""
 from __future__ import annotations
 
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from graphspectra import solver
 from graphspectra.errors import ToleranceNotMet
-from graphspectra.graphs import RobinSpec, build_graph
+from graphspectra.graphs import RobinSpec, build_graph, make_star
 from graphspectra.scattering import total_phase_values, unitary_stack
 
 NEUMANN = RobinSpec.neumann()
@@ -58,7 +59,17 @@ def test_polish_ready_raises_when_zeta_is_not_real(pi_interval):
 
 
 def test_simple_roots_are_polished_with_determinants(star4, monkeypatch):
-    matrices = {"eigvals": 0, "det": 0}
+    matrices = _count_matrices(monkeypatch, "eigvals", "det")
+    spec = solver.compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=200)
+    # bisection alone needs about 45 eigendecompositions per root; here
+    # the scan grid (a few points per root) is nearly all that is left
+    assert matrices["eigvals"] < 5 * spec.size
+    assert matrices["det"] > spec.size
+
+
+def _count_matrices(monkeypatch, *names):
+    """Patch np.linalg functions to count the matrices they decompose."""
+    matrices = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(np.linalg, name)
@@ -69,13 +80,20 @@ def test_simple_roots_are_polished_with_determinants(star4, monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals"))
-    monkeypatch.setattr(np.linalg, "det", counted("det"))
-    spec = solver.compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=200)
-    # bisection alone needs about 45 eigendecompositions per root; here
-    # the scan grid (a few points per root) is nearly all that is left
-    assert matrices["eigvals"] < 5 * spec.size
-    assert matrices["det"] > spec.size
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return matrices
+
+
+def test_multiple_roots_are_split_on_the_cluster_phases(equilateral_star, monkeypatch):
+    matrices = _count_matrices(monkeypatch, "eigvals")
+    for robin in (RobinSpec(frozenset({0}), 2.0), NEUMANN):
+        matrices["eigvals"] = 0
+        spec = solver.compute_spectrum(equilateral_star, robin, n_max=200)
+        assert sum(r.multiplicity > 1 for r in spec.records) == 54
+        # bisecting the triples to the stop width costs about 12.8
+        # eigendecompositions per eigenvalue; false position on psi about 2.5
+        assert matrices["eigvals"] < 5 * spec.size, (robin, matrices)
 
 
 def test_window_counts_off_an_integer_raise():
@@ -86,17 +104,18 @@ def test_window_counts_off_an_integer_raise():
 
 
 def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
-    # Shift Phi by -4 pi at every bisection midpoint, after the scan: each
-    # left half then counts two crossings more than its bracket holds.
-    phase_sums = solver._phase_sums
+    # Lower every eigenphase so that Phi drops by 4 pi at each split point,
+    # after the scan: each left half then counts two crossings more than
+    # its bracket holds.
+    eigenphases = solver._eigenphases
     calls = []
 
     def shifted(graph, robin, ks):
         calls.append(len(ks))
-        out = phase_sums(graph, robin, ks)
-        return out if len(calls) == 1 else out - 2.0 * TWO_PI
+        rows = eigenphases(graph, robin, ks)
+        return rows if len(calls) == 1 else rows - 2.0 * TWO_PI / rows.shape[1]
 
-    monkeypatch.setattr(solver, "_phase_sums", shifted)
+    monkeypatch.setattr(solver, "_eigenphases", shifted)
     with pytest.raises(ToleranceNotMet, match="outside"):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
 
@@ -140,11 +159,7 @@ def awkward_graphs(draw):
     return build_graph(edges, num_vertices=n), RobinSpec(frozenset(coupled), sigma)
 
 
-@given(awkward_graphs())
-@settings(max_examples=40, deadline=None)
-def test_records_carry_their_winding_count(case):
-    graph, robin = case
-    spec = solver.compute_spectrum(graph, robin, n_max=20)
+def _assert_winding_counts(graph, robin, spec):
     for rec in spec.records:
         if rec.k == 0.0:
             continue
@@ -156,3 +171,52 @@ def test_records_carry_their_winding_count(case):
             r = solver.MERGE_SCALE * (1.0 + rec.k)
             count = _eigvals_count(graph, robin, rec.k - r, rec.k + r)
         assert count == rec.multiplicity, (rec, w)
+
+
+@given(awkward_graphs())
+@settings(max_examples=40, deadline=None)
+def test_records_carry_their_winding_count(case):
+    graph, robin = case
+    _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+@given(
+    st.integers(3, 5),
+    st.floats(-15.0, -2.0),
+    st.lists(st.sampled_from([0, 1, 2]), min_size=5, max_size=5),
+    st.floats(-8.0, 6.0),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf):
+    # lengths 1 + j delta {0, 1, 2}: clusters of roots that split just
+    # above or below the stop width, the hard case for the split point
+    delta = 10.0**u
+    lengths = tuple(1.0 + j * delta * steps[j] for j in range(degree))
+    graph = make_star(degree, lengths)
+    robin = RobinSpec(frozenset({1 if at_leaf else 0}), float(10.0**s))
+    _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+def _slack(spec, count):
+    """1e-10 (1 + k) per index, plus the merge radius on multiple records:
+    roots closer than that are reported once, at their mean."""
+    mults = np.array([r.multiplicity for r in spec.records])
+    merged = np.repeat(mults, mults)[:count] > 1
+    return (1e-10 + np.where(merged, solver.MERGE_SCALE, 0.0)) * (
+        1.0 + spec.wavenumbers(count)
+    )
+
+
+@given(awkward_graphs(), st.integers(0, 63))
+@settings(max_examples=40, deadline=None)
+def test_interlacing_under_one_robin_vertex(case, vertex):
+    # k_n(0) <= k_n(sigma) <= k_{n+1}(0) for a single coupled vertex
+    graph, robin = case
+    coupled = RobinSpec(frozenset({vertex % graph.num_vertices}), robin.sigma)
+    s0 = solver.compute_spectrum(graph, NEUMANN, n_max=21)
+    s1 = solver.compute_spectrum(graph, coupled, n_max=20)
+    k0, k1 = s0.wavenumbers(21), s1.wavenumbers(20)
+    w0, w1 = _slack(s0, 21), _slack(s1, 20)
+    assert np.all(k0[:20] <= k1 + w0[:20] + w1)
+    assert np.all(k1 <= k0[1:] + w0[1:] + w1)

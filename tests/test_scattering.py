@@ -25,7 +25,7 @@ from graphspectra.scattering import (
     total_phase_values,
     unitary_stack,
 )
-from graphspectra.solver import _phase_sums, secular_dets
+from graphspectra.solver import _eigenphases, secular_dets
 from oracles import interval_robin_wavenumbers, unitary_matrix
 
 NEUMANN = RobinSpec.neumann()
@@ -128,8 +128,11 @@ def test_eigenphases_sorted_and_unimodular():
     assert np.allclose(np.abs(ev), 1.0, atol=1e-12)
     phases = np.sort(np.mod(np.angle(ev), 2.0 * math.pi))
     assert np.all(phases >= 0.0) and np.all(phases < 2.0 * math.pi)
-    # the solver's phase sum Phi(k) adds up exactly these reduced phases
-    assert _phase_sums(g, robin, [1.1])[0] == pytest.approx(phases.sum(), abs=1e-12)
+    # the solver's eigenphase row is exactly these sorted reduced phases,
+    # and Phi(k) is its sum
+    row = _eigenphases(g, robin, [1.1])[0]
+    assert np.allclose(row, phases, rtol=0.0, atol=1e-12)
+    assert row.sum() == pytest.approx(phases.sum(), abs=1e-12)
 
 
 def test_unitary_stack_matches_pointwise():
