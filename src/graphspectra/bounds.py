@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDecomposition, DegenerateParameters, PreconditionViolated
-from .graphs import MetricGraph, RobinSpec, StarDecomposition
+from .graphs import (
+    MetricGraph,
+    RobinSpec,
+    StarDecomposition,
+    boundary_star_decomposition,
+)
 from .stats import RngSeries
 
 __all__ = [
@@ -164,8 +169,6 @@ def star_bound_parameters(graph: MetricGraph, robin: RobinSpec) -> tuple:
     Assigns every edge to the coupled center, so S_check is the full
     graph length and s_check the center's harmonic split.
     """
-    from .graphs import boundary_star_decomposition
-
     if len(robin.vertices) != 1:
         raise ValueError("star recipe needs exactly one coupled vertex")
     decomp = boundary_star_decomposition(graph, robin)
@@ -187,12 +190,7 @@ def decomposition_bound_parameters(decomp: StarDecomposition, robin: RobinSpec) 
     return s_check, S_check
 
 
-def check_all(
-    series: RngSeries,
-    decomp: StarDecomposition,
-    *,
-    params: tuple | None = None,
-) -> tuple:
+def check_all(series: RngSeries, decomp: StarDecomposition) -> tuple:
     """Audit all gap bounds against a computed series.
 
     Returns three BoundReports: the flat star-decomposition bound, the
@@ -207,9 +205,7 @@ def check_all(
         gaps,
         None,
     )
-    if params is None:
-        params = decomposition_bound_parameters(decomp, robin)
-    s_check, S_check = params
+    s_check, S_check = decomposition_bound_parameters(decomp, robin)
     refined_values = _improved_bound_values(
         series.k_neumann**2, series.sigma, s_check, S_check
     )

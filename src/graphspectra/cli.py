@@ -45,10 +45,9 @@ class RunConfig:
     sigma: float | None
     n_max: int | None
     k_max: float | None
-    window: int
+    window: int | None
     out: str | None
     format: str
-    step_scale: float
     tol: float | None
 
     @property
@@ -142,7 +141,6 @@ def _spectrum(graph, robin, config: RunConfig):
         robin,
         n_max=config.target_n if config.k_max is None else None,
         k_max=config.k_max,
-        step_scale=config.step_scale,
         tol=config.tol,
     )
 
@@ -344,14 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="number of eigenvalues (default 2500)")
         target.add_argument("--kmax", type=float, default=None,
                             help="wave-number ceiling instead of a count")
-        p.add_argument("--window", type=int, default=21,
-                       help="odd running-average window (default 21)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--step-scale", type=float, default=1.0,
-                       help="scan resolution multiplier")
         p.add_argument("--tol", type=float, default=None,
                        help="root refinement tolerance")
+        if name == "rng":
+            p.add_argument("--window", type=int, default=21,
+                           help="odd running-average window (default 21)")
     return parser
 
 
@@ -363,10 +360,9 @@ def main(argv=None) -> int:
         sigma=args.sigma,
         n_max=args.nmax,
         k_max=args.kmax,
-        window=args.window,
+        window=getattr(args, "window", None),
         out=args.out,
         format=args.format,
-        step_scale=args.step_scale,
         tol=args.tol,
     )
     try:

@@ -21,10 +21,6 @@ class ZeroWaveNumber(GraphSpectraError):
     """A scattering quantity was requested at k <= 0, where it is undefined."""
 
 
-class StepPolicyViolation(GraphSpectraError):
-    """The counting-function audit failed; rerun with a smaller scan step."""
-
-
 class ToleranceNotMet(GraphSpectraError):
     """Root refinement could not reach the requested tolerance."""
 

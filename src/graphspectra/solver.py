@@ -74,6 +74,16 @@ inside that window a root lands depends on the eigenphases and
 determinants met on the way, so a root shared by two couplings need not
 be reported bitwise equal at both.
 
+Scan range.  Each of the N = 2E branches loses at most one crossing
+against Theta / (2 pi), because Phi stays in [0, 2 pi N), and Theta
+rises by at least 2 |G| per unit k.  Counting from the anchor k_start,
+below every positive eigenvalue,
+
+    N(k) > zero_count + |G| (k - k_start) / pi - 2E,
+
+so a single scan to k = pi (n_max + 2E + 8) / |G| certifies n_max
+eigenvalues; a scan that certifies fewer raises.
+
 Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
 outside [0, count].  Roots closer than 1e-9 (1 + k) merge into one
@@ -89,12 +99,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IndexCrossingAmbiguity,
-    OutOfScannedRange,
-    StepPolicyViolation,
-    ToleranceNotMet,
-)
+from .errors import IndexCrossingAmbiguity, OutOfScannedRange, ToleranceNotMet
 from .graphs import MetricGraph, RobinSpec
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
@@ -119,6 +124,8 @@ LAPACK_CHUNK = 1024
 COUNT_ROUNDING_TOL = 1e-6
 POLISH_HANDOFF = 64.0
 REALNESS_TOL = 1e-6
+# scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
+SCAN_PHASE_STEP = np.pi / 8.0
 
 
 @dataclass(frozen=True)
@@ -557,15 +564,13 @@ def compute_spectrum(
     n_max: int | None = None,
     k_max: float | None = None,
     *,
-    step_scale: float = 1.0,
     tol: float | None = None,
-    check_kernel: bool = True,
 ) -> Spectrum:
     """All eigenvalue wave numbers up to an index or wave-number target.
 
     Exactly one of n_max (count including multiplicity) and k_max must
-    be given.  step_scale multiplies the scan step pi / (8 l_max); tol
-    loosens the default refinement stop width to tol * (1 + k).
+    be given.  tol loosens the default refinement stop width to
+    tol * (1 + k).
     """
     if robin is None:
         robin = RobinSpec.neumann()
@@ -575,10 +580,8 @@ def compute_spectrum(
         raise ValueError("n_max must be at least 1")
     if k_max is not None and k_max <= 0.0:
         raise ValueError("k_max must be positive")
-    if step_scale <= 0.0:
-        raise ValueError("step_scale must be positive")
 
-    delta = np.pi / (8.0 * graph.max_edge_length) * step_scale
+    delta = SCAN_PHASE_STEP / graph.max_edge_length
     k_start = _anchor(graph, robin)
     has_zero_mode = robin.sigma == 0.0 or not robin.vertices
     zero_count = 1 if has_zero_mode else 0
@@ -586,7 +589,9 @@ def compute_spectrum(
     if k_max is not None:
         k_goal = k_max
     else:
-        # Weyl count k|G|/pi plus slack covers the boundary correction.
+        # One scan suffices ("Scan range" in the module docstring):
+        # N(k) > zero_count + |G| (k - k_start) / pi - 2E and k_start is at
+        # most pi / (2 |G|), so this k_goal certifies at least n_max + 8.
         k_goal = np.pi * (n_max + graph.num_slots + 8) / graph.total_length
     n_cells = max(int(np.ceil((k_goal - k_start) / delta)), 1)
 
@@ -596,52 +601,28 @@ def compute_spectrum(
     phi = phases.sum(axis=1)
     rotation = _secular_rotation(graph, robin, grid[1])
 
-    roots = np.empty(0)
-    mults = np.empty(0, dtype=int)
-    lo_edge = 0
-    while True:
-        cells = np.arange(lo_edge, grid.size - 1)
-        counts = _window_counts(
-            theta[cells + 1] - theta[cells], phi[cells + 1] - phi[cells]
-        )
-        hot = cells[counts > 0]
-        if hot.size:
-            new_roots, new_mults = _refine_brackets(
-                graph,
-                robin,
-                rotation,
-                grid[hot],
-                grid[hot + 1],
-                theta[hot],
-                theta[hot + 1],
-                phases[hot],
-                phases[hot + 1],
-                counts[counts > 0],
-                tol,
-            )
-            roots = np.concatenate([roots, new_roots])
-            mults = np.concatenate([mults, new_mults])
-        if k_max is not None or zero_count + int(mults.sum()) >= n_max:
-            break
-        # Undershot the requested count: extend the scan by a quarter.
-        lo_edge = grid.size - 1
-        extra = max(int(np.ceil(0.25 * n_cells)), 64)
-        ext = grid[-1] + delta * np.arange(1, extra + 1)
-        grid = np.concatenate([grid, ext])
-        theta = np.concatenate([theta, total_phase_values(graph, robin, ext)])
-        phases = np.concatenate([phases, _eigenphases(graph, robin, ext)])
-        phi = phases.sum(axis=1)
-        n_cells += extra
-
+    counts = _window_counts(np.diff(theta), np.diff(phi))
+    hot = np.flatnonzero(counts > 0)
+    roots, mults = _refine_brackets(
+        graph, robin, rotation, grid[hot], grid[hot + 1], theta[hot], theta[hot + 1],
+        phases[hot], phases[hot + 1], counts[hot], tol,
+    )
     roots, mults = _merge_roots(roots, mults)
     if k_max is not None:
         inside = roots <= k_max
         roots, mults = roots[inside], mults[inside]
         k_cap = float(k_max)
     else:
+        certified = zero_count + int(mults.sum())
+        if certified < n_max:
+            raise ToleranceNotMet(
+                f"scan to k={grid[-1]!r} certified {certified} of {n_max} "
+                "eigenvalues, below the winding bound "
+                "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+            )
         k_cap = float(grid[-1])
 
-    if check_kernel and roots.size:
+    if roots.size:
         _kernel_audit(graph, robin, roots, mults, tol)
 
     # Post-hoc audit: the counting function may not drift from the total
@@ -651,9 +632,9 @@ def compute_spectrum(
     )
     drift = np.abs(n_at_grid - theta / TWO_PI)
     if np.any(drift > graph.num_slots):
-        raise StepPolicyViolation(
+        raise ToleranceNotMet(
             f"counting function drifts {drift.max():.3f} branch widths from the "
-            "total phase; rerun with a smaller step_scale"
+            "total phase"
         )
 
     records = []
@@ -689,7 +670,6 @@ def robin_homotopy(
     t_steps: int,
     *,
     strict: bool = False,
-    step_scale: float = 1.0,
 ) -> EigenvalueCurve:
     """Track k_n over couplings t = 0, sigma/t_steps, ..., sigma.
 
@@ -707,12 +687,7 @@ def robin_homotopy(
     ks: list[float] = []
     degenerate: list[float] = []
     for t in couplings:
-        spec = compute_spectrum(
-            graph,
-            RobinSpec(frozenset(vertices), t),
-            n_max=n,
-            step_scale=step_scale,
-        )
+        spec = compute_spectrum(graph, RobinSpec(frozenset(vertices), t), n_max=n)
         ks.append(float(spec.wavenumbers()[n - 1]))
         for rec in spec.records:
             if rec.index <= n < rec.index + rec.multiplicity:

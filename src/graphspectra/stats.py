@@ -22,7 +22,7 @@ import numpy as np
 from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
 from .graphs import MetricGraph, RobinSpec
-from .solver import Spectrum, compute_spectrum
+from .solver import Spectrum, _stop_width, compute_spectrum
 
 __all__ = [
     "RngSeries",
@@ -102,7 +102,13 @@ def rng_sequence(
     neumann: Spectrum | None = None,
     robin_spectrum: Spectrum | None = None,
 ) -> RngSeries:
-    """First n gaps, paired strictly by sorted index with multiplicity."""
+    """First n gaps, paired strictly by sorted index with multiplicity.
+
+    Each reported wave number lies within half a stop width of its root,
+    so a pair closer than the mean of their stop widths cannot be told
+    from one root shared by both spectra.  Such a pair reports the
+    Neumann wave number on both sides, and its gap is exactly 0.
+    """
     if n < 1:
         raise ValueError("need at least one gap")
     vertices = frozenset(vertices)
@@ -117,6 +123,8 @@ def rng_sequence(
         )
     k0 = neumann.wavenumbers(n)
     k1 = robin_spectrum.wavenumbers(n)
+    reach = 0.5 * (_stop_width(k0, neumann.tol) + _stop_width(k1, robin_spectrum.tol))
+    k1 = np.where(np.abs(k1 - k0) <= reach, k0, k1)
     return RngSeries(
         graph=graph,
         vertices=vertices,

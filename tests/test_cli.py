@@ -16,6 +16,7 @@ from graphspectra.solver import compute_spectrum
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+SRC = ROOT / "src"  # the subprocesses below import the checkout from their cwd
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -85,6 +86,14 @@ class TestSpectrum:
                   "--nmax", "5", "--kmax", "3.0"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--window", "5"], ["--step-scale", "0.5"]])
+    def test_unknown_flags_rejected(self, flag):
+        # --window belongs to rng alone, and the scan step is not a setting
+        with pytest.raises(SystemExit) as err:
+            main(["spectrum", "--graph", str(FIXTURES / "interval.json"),
+                  "--nmax", "5", *flag])
+        assert err.value.code == 2
+
 
 class TestRng:
     def test_interval_table(self, tmp_path):
@@ -118,6 +127,21 @@ class TestRng:
         # three quarters of the gaps vanish identically
         assert float(rows[0][0]) == pytest.approx(0.0, abs=1e-10)
         assert int(rows[0][1]) == 30
+
+    def test_shared_roots_give_zero_gaps(self, tmp_path):
+        # on the equilateral 4-star three of every four eigenvalues vanish
+        # at the coupled center and stay put: each gap is exactly 0, none
+        # negative, as interlacing requires
+        code, out = run_cli(
+            ["rng", "--graph", str(FIXTURES / "star_equilateral.json"),
+             "--nmax", "300"],
+            tmp_path,
+        )
+        assert code == 0
+        _, rows = read_rows(out)
+        gaps = [float(r[1]) for r in rows]
+        assert gaps.count(0.0) == 225
+        assert min(gaps) >= 0.0
 
     def test_requires_positive_sigma(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -199,14 +223,11 @@ class TestCdf:
         monkeypatch.setattr(cli, "compute_spectrum", recording)
         code, _ = run_cli(
             [command, "--graph", str(FIXTURES / "interval.json"), "--nmax", "30",
-             "--step-scale", "0.5", "--tol", "1e-9"],
+             "--tol", "1e-9"],
             tmp_path,
         )
         assert code == 0
-        assert [(kw["n_max"], kw["step_scale"], kw["tol"]) for kw in seen] == [
-            (30, 0.5, 1e-9),
-            (30, 0.5, 1e-9),
-        ]
+        assert [(kw["n_max"], kw["tol"]) for kw in seen] == [(30, 1e-9), (30, 1e-9)]
 
     def test_tolerance_changes_the_output(self, tmp_path):
         args = ["cdf", "--graph", str(FIXTURES / "interval.json"), "--nmax", "30"]
@@ -339,6 +360,7 @@ class TestOutputDiscipline:
              "--nmax", "3", "--out", str(out)],
             capture_output=True,
             text=True,
+            cwd=SRC,
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -350,7 +372,7 @@ class TestOutputDiscipline:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True
+            [sys.executable, "-c", probe], capture_output=True, text=True, cwd=SRC
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphspectra import solver
 from graphspectra.errors import (
     IndexCrossingAmbiguity,
     OutOfScannedRange,
+    ToleranceNotMet,
 )
 from graphspectra.graphs import (
     RobinSpec,
@@ -108,8 +110,6 @@ def test_target_validation(unit_interval):
         compute_spectrum(unit_interval, NEUMANN, n_max=0)
     with pytest.raises(ValueError):
         compute_spectrum(unit_interval, NEUMANN, k_max=-1.0)
-    with pytest.raises(ValueError):
-        compute_spectrum(unit_interval, NEUMANN, n_max=5, step_scale=0.0)
 
 
 def test_counting_function(pi_interval):
@@ -144,14 +144,29 @@ def test_interlacing_single_robin_vertex(star4):
     assert np.all(k2[:-1] < k0[1:] + slack[1:])
 
 
-def test_step_scale_invariance(star4):
+def test_step_scale_invariance(star4, monkeypatch):
+    # the certified roots do not depend on the scan grid
     robin = RobinSpec(frozenset({0}), 2.0)
-    a = compute_spectrum(star4, robin, n_max=60)
-    b = compute_spectrum(star4, robin, n_max=60, step_scale=0.5)
-    c = compute_spectrum(star4, robin, n_max=60, step_scale=2.0)
-    ka = a.wavenumbers(60)
-    assert np.max(np.abs(ka - b.wavenumbers(60))) < 1e-11
-    assert np.max(np.abs(ka - c.wavenumbers(60))) < 1e-11
+    ka = compute_spectrum(star4, robin, n_max=60).wavenumbers(60)
+    step = solver.SCAN_PHASE_STEP
+    for scale in (0.5, 2.0):
+        monkeypatch.setattr(solver, "SCAN_PHASE_STEP", step * scale)
+        kb = compute_spectrum(star4, robin, n_max=60).wavenumbers(60)
+        assert np.max(np.abs(ka - kb)) < 1e-11
+
+
+def test_scan_short_of_n_max_raises(star4, monkeypatch):
+    # a scan that certifies fewer than n_max roots raises, not extends
+    window_counts = solver._window_counts
+
+    def lower_quarter(dtheta, dphi):
+        counts = window_counts(dtheta, dphi)
+        counts[counts.size // 4 :] = 0
+        return counts
+
+    monkeypatch.setattr(solver, "_window_counts", lower_quarter)
+    with pytest.raises(ToleranceNotMet, match="winding bound"):
+        compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=60)
 
 
 def test_loose_tolerance_still_brackets(unit_interval):
