@@ -50,7 +50,7 @@ def unitary_stack(
     """U(k) for a batch of wave numbers, shape (len(ks), 2E, 2E).
 
     One fused construction so the solver can run batched
-    eigendecompositions over scan grids and bracket split points.
+    eigendecompositions, determinants and SVDs over many wave numbers.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1:

@@ -1,10 +1,53 @@
-"""Eigenvalue solver: eigenphase winding counts certify, the real
-secular function polishes.
+"""Eigenvalue solver: inertia counts certify the scan, eigenphase winding
+counts the multiple roots, the real secular function polishes the simple
+ones.
 
-Write the eigenvalues of U(k) as exp(i theta_m(k)) with each branch
-theta_m continuous and strictly increasing in k (velocity at least
-l_min).  k is an eigenvalue wave number of the graph operator exactly
-when some branch crosses a multiple of 2 pi.  Summing over branches,
+Counting.  Take k off every Dirichlet pole, so that k l_e / pi is not an
+integer for any edge.  Then the number of eigenvalues with wave number
+at most k, zero mode included, is the Morse index
+
+    N(k) = sum_e floor(k l_e / pi) + n_+(M(k))
+
+(Friedlander, Ann. Inst. Fourier 55 (2005); Berkolaiko & Kuchment,
+Introduction to Quantum Graphs, ch. 3), where n_+ counts positive
+eigenvalues and M(k) is the real symmetric V x V vertex
+Dirichlet-to-Neumann matrix minus the couplings: M_vv = -sum k cot(k l_e)
+- sigma_v over the edges at v, M_uv = sum k / sin(k l_e) over the edges
+u-v, and a loop at v adds 2 k (1 - cos k l) / sin k l to M_vv.  This is
+the sign convention sum f'_out(v) = sigma f(v).  Every scan-grid point
+is counted this way, by one batched eigvalsh, and a count is used only
+with margin: every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2 (Weyl's
+bound on the eigenvalues of the rounded matrix) and every |sin k l_e|
+above POLE_MARGIN, where a graph eigenvalue sitting on a pole can fool
+the first test.  Grid points are free, so a point without margin moves
+up by delta / 16 at a time, at most GRID_MOVES times, and raises
+ToleranceNotMet if it finds none.  No count is rounded without margin.
+
+The anchor.  Near k = 0 the row sums of M are differences of entries of
+size 1 / (k l), so eigvalsh cannot resolve the lowest eigenvalue of M.
+The congruent C = T^T M T with T = [1, e_2, ..., e_V] has the same
+inertia and computes those sums directly, without cancellation:
+
+    C_11 = sum_e 2 k tan(k l_e / 2) - sigma |V_R|,
+    C_1j = sum_{e at j} k tan(k l_e / 2) - sigma_j,
+
+while the rest C' is M without vertex 0.  By Haynsworth,
+n_+(M) = n_+(C') + [C_11 - b^T C'^-1 b > 0], b the rest of C's first
+row.  Below pi / (2 |G|) no floor term is positive and C' is negative
+definite (clamping one vertex leaves no eigenvalue there), which the
+margins check rather than assume.  The scan starts at k_start below
+every positive eigenvalue, and this count certifies N(k_start).  When
+sigma is so small that the ground state lies far below the usual anchor
+(k_R = sqrt(sigma |V_R| / |G|) at most half of it), no eigenphase or
+determinant resolves it; since 0 < lambda_1 <= sigma |V_R| / |G|
+(Rayleigh with f = 1) and the ground state is simple, it is bisected on
+this count instead, and the scan starts above it.
+
+Winding counts.  Write the eigenvalues of U(k) as exp(i theta_m(k))
+with each branch theta_m continuous and strictly increasing in k
+(velocity at least l_min).  k is an eigenvalue wave number of the graph
+operator exactly when some branch crosses a multiple of 2 pi.  Summing
+over branches,
 
     sum_m theta_m(k) = Theta(k) + c_0,
 
@@ -18,9 +61,11 @@ Splitting each branch into 2 pi * floor + fractional part phi_m(k) in
 
 where Phi(k) = sum_m phi_m(k).  The constant cancels and the right
 side is an integer up to rounding noise, so windows can be counted
-without any branch matching or path continuity.  The solver scans a
-grid fine enough to keep per-cell counts small and refines every cell
-with a positive count in two stages.
+without any branch matching or path continuity.  Every scan cell with a
+positive inertia count is refined in two stages, and eigvals of U(k)
+runs only at the ends of the cells that reach the counted splits and
+at their split points: there the winding count is the only
+certificate, and it must equal the cell's inertia count.
 
 Counted splits.  Each step measures every bracket at one point and
 counts each half; halves whose count stays positive are kept, so a
@@ -82,16 +127,22 @@ below every positive eigenvalue,
     N(k) > zero_count + |G| (k - k_start) / pi - 2E,
 
 so a single scan to k = pi (n_max + 2E + 8) / |G| certifies n_max
-eigenvalues; a scan that certifies fewer raises.
+eigenvalues; a scan that certifies fewer raises.  The inertia counts
+would give the range pointwise, but the scan keeps this bound, so the
+records and k_cap do not depend on which counter certified them.
 
 Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
-outside [0, count].  Roots closer than 1e-9 (1 + k) merge into one
-record.  Each record's crossing count is cross-checked against
-dim ker(I - U(k)), measured by singular values below 1e-8 sqrt(2E)
-(widened for a loose tol by _kernel_threshold, which the eigenfunction
-module counts with too), in both directions, and the counting function
-is audited against Theta over the whole scan grid.
+outside [0, count], an inertia count that falls from one scan point to
+the next, and a cell whose winding count differs from its inertia
+count.  Roots closer than the merge radius merge into one record: 1e-9
+(1 + k), capped so that a merged record's mean stays inside the kernel
+the audit measures.  Each record's crossing count is first
+cross-checked against dim ker(I - U(k)), measured by singular values
+below 1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold,
+which the eigenfunction module counts with too), in both directions.
+Then the records must count exactly the inertia count N(k) at every
+scan-grid point.
 """
 from __future__ import annotations
 
@@ -126,6 +177,12 @@ POLISH_HANDOFF = 64.0
 REALNESS_TOL = 1e-6
 # scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
 SCAN_PHASE_STEP = np.pi / 8.0
+# an inertia count needs every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2
+# and every |sin k l_e| above POLE_MARGIN
+INERTIA_MARGIN = 64.0
+POLE_MARGIN = 1e-8
+# moves of delta / 16 a scan point without margin may take
+GRID_MOVES = 8
 
 
 @dataclass(frozen=True)
@@ -184,16 +241,19 @@ class EigenvalueCurve:
         return list(zip(self.couplings, self.wavenumbers))
 
 
-def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn):
-    """fn(batch, U(batch)) over slices of at most LAPACK_CHUNK wave numbers.
+def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build=None):
+    """fn(batch, build(batch)) over slices of at most LAPACK_CHUNK wave numbers.
 
-    The results are joined along the first axis, element by element when
-    fn returns a tuple.  Every batched decomposition over wave numbers in
-    the package goes through here, which bounds the U stacks it builds.
+    build is _vertex_matrices (M) or, by default, unitary_stack (U), looked
+    up at each call so that a wrapper on the module attribute sees it.  The
+    results are joined along the first axis, element by element when fn
+    returns a tuple.  Every batched decomposition over wave numbers in the
+    package goes through here, which bounds the stacks it builds.
     """
     ks = np.asarray(ks, dtype=float)
+    build = unitary_stack if build is None else build
     parts = [
-        fn(batch, unitary_stack(graph, robin, batch))
+        fn(batch, build(graph, robin, batch))
         for batch in (
             ks[start : start + LAPACK_CHUNK]
             for start in range(0, max(ks.size, 1), LAPACK_CHUNK)
@@ -217,6 +277,98 @@ def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
         ks,
         lambda _, u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
     )
+
+
+def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
+    """M(k) for a batch of wave numbers off the poles, shape (len(ks), V, V).
+
+    Each edge u-v adds -k cot(k l) to M_uu and M_vv and k / sin(k l) to
+    M_uv and M_vu, so a loop at u adds 2 k (1 - cos k l) / sin k l to
+    M_uu; then sigma_v leaves M_vv.
+    """
+    ks = np.asarray(ks, dtype=float)
+    n = graph.num_vertices
+    x = ks[:, None] * graph.slot_length[None, 0::2]
+    sin = np.sin(x)
+    diag, off = -ks[:, None] * np.cos(x) / sin, ks[:, None] / sin
+    m = np.zeros((ks.size, n, n))
+    for e, (u, v, _) in enumerate(graph.edges):
+        m[:, u, u] += diag[:, e]
+        m[:, v, v] += diag[:, e]
+        m[:, u, v] += off[:, e]
+        m[:, v, u] += off[:, e]
+    m[:, np.arange(n), np.arange(n)] -= robin.vertex_sigmas(graph)
+    return m
+
+
+def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
+    """N(k) by the Morse index of M(k), and whether each count has margin.
+
+    See "Counting" in the module docstring.  floor(k l_e / pi) is exact
+    where |sin k l_e| exceeds 2 eps k l_e, which the pole margin includes.
+    """
+    ks = np.asarray(ks, dtype=float)
+    x = ks[:, None] * graph.slot_length[None, 0::2]
+    mu = _stack_map(
+        graph, robin, ks, lambda _, m: np.linalg.eigvalsh(m), build=_vertex_matrices
+    )
+    size = np.abs(mu)
+    ok = size.min(axis=1) > INERTIA_MARGIN * graph.num_vertices * EPS * size.max(axis=1)
+    ok &= np.all(np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x, axis=1)
+    counts = np.floor(x / np.pi).sum(axis=1).astype(int) + np.count_nonzero(mu > 0.0, axis=1)
+    return counts, ok
+
+
+def _scan_counts(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, delta: float):
+    """Inertia counts at scan points, moving each point that lacks margin.
+
+    A point moves up by delta / 16 at a time, at most GRID_MOVES times,
+    so it stays below the next point and the order holds.  Returns the
+    points where the counts were taken and the counts; raises
+    ToleranceNotMet for a point that found no margin.
+    """
+    ks = np.array(ks, dtype=float)
+    counts, ok = _inertia_counts(graph, robin, ks)
+    for _ in range(GRID_MOVES):
+        bad = np.flatnonzero(~ok)
+        if bad.size == 0:
+            break
+        ks[bad] += delta / 16.0
+        counts[bad], ok[bad] = _inertia_counts(graph, robin, ks[bad])
+    if not np.all(ok):
+        j = int(np.flatnonzero(~ok)[0])
+        raise ToleranceNotMet(
+            f"no inertia count with margin at k={ks[j]!r} after {GRID_MOVES} "
+            "moves of a sixteenth of a scan cell"
+        )
+    return ks, counts
+
+
+def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
+    """N(k) for 0 < k <= pi / (4 |G|) from the congruent form of M(k).
+
+    See "The anchor" in the module docstring; raises ToleranceNotMet
+    unless C' and the Schur complement both have margin.
+    """
+    n = graph.num_vertices
+    sigmas = robin.vertex_sigmas(graph)
+    t = k * np.tan(0.5 * k * graph.slot_length)
+    b = np.bincount(graph.slot_origin, weights=t, minlength=n)[1:] - sigmas[1:]
+    positive, coupling = float(t.sum()), float(sigmas.sum())
+    rest = _vertex_matrices(graph, robin, [k])[0, 1:, 1:]
+    mu = np.linalg.eigvalsh(rest)
+    size_max, size_min = np.abs(mu).max(initial=0.0), np.abs(mu).min(initial=np.inf)
+    y = np.linalg.solve(rest, b) if b.size else b
+    schur = positive - coupling - float(b @ y)
+    # to first order, b^T C'^-1 b moves by 2 y^T db + y^T dC' y, with
+    # |db| <= eps (positive + coupling) and ||dC'|| <= V eps ||C'||
+    y_norm = float(np.linalg.norm(y))
+    noise = INERTIA_MARGIN * n * EPS * (
+        (1.0 + 2.0 * y_norm) * (positive + coupling) + y_norm**2 * size_max
+    )
+    if size_min <= INERTIA_MARGIN * n * EPS * size_max or abs(schur) <= noise:
+        raise ToleranceNotMet(f"no inertia count with margin at k={k!r}")
+    return int(np.count_nonzero(mu > 0.0)) + int(schur > 0.0)
 
 
 def secular_dets(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
@@ -371,18 +523,38 @@ def _cluster_phases(ph_lo, ph_hi, counts):
     return psi_lo[:, 0], psi_hi[:, 0]
 
 
-def _refine_brackets(
-    graph, robin, rotation, los, his, th_lo, th_hi, ph_lo, ph_hi, counts, tol
-):
+def _end_rows(graph, robin, los, his, counts):
+    """Theta and eigenphase rows at the bracket ends, checked against counts.
+
+    An end shared by two brackets is decomposed once.  Each bracket's
+    winding count must equal the inertia count it came with; raises
+    ToleranceNotMet otherwise.
+    """
+    ks, inverse = np.unique(np.concatenate([los, his]), return_inverse=True)
+    th_lo, th_hi = np.split(total_phase_values(graph, robin, ks)[inverse], 2)
+    ph_lo, ph_hi = np.split(_eigenphases(graph, robin, ks)[inverse], 2)
+    winding = _window_counts(th_hi - th_lo, ph_hi.sum(axis=1) - ph_lo.sum(axis=1))
+    wrong = winding != counts
+    if np.any(wrong):
+        j = int(np.flatnonzero(wrong)[0])
+        raise ToleranceNotMet(
+            f"winding count {winding[j]} of ({los[j]!r}, {his[j]!r}] differs "
+            f"from its inertia count {counts[j]}"
+        )
+    return th_lo, th_hi, ph_lo, ph_hi
+
+
+def _refine_brackets(graph, robin, rotation, los, his, counts, tol):
     """Roots with multiplicities of every bracket, down to the stop width.
 
-    ph_lo and ph_hi are the sorted eigenphase rows at the ends.  Each step
-    measures every bracket at one point, chosen by _split_points on the
-    cluster phases psi (an end kept twice in a row has its psi halved,
-    the Illinois rule), and keeps the halves whose winding count stays
-    positive.  Each count-1 bracket wider than POLISH_HANDOFF stop widths
-    leaves as soon as it appears for the polish on zeta, unless its
-    endpoint values do not qualify; then it stays here to the end.
+    Each count-1 bracket wider than POLISH_HANDOFF stop widths leaves as
+    soon as it appears for the polish on zeta, unless its endpoint values
+    do not qualify; then it stays here to the end.  The brackets left
+    after the first handoff get their eigenphase rows (_end_rows).  Each
+    step then measures every bracket at one point, chosen by
+    _split_points on the cluster phases psi (an end kept twice in a row
+    has its psi halved, the Illinois rule), and keeps the halves whose
+    winding count stays positive.
     """
     roots: list[float] = []
     mults: list[int] = []
@@ -394,6 +566,7 @@ def _refine_brackets(
     w_lo, w_hi = np.ones(n), np.ones(n)
     # bracket widths one, two and three steps ago
     widths = np.full((3, n), np.inf)
+    rows = None  # th_lo, th_hi, ph_lo, ph_hi, from the first split on
     for _ in range(MAX_REFINE_STEPS):
         width = his - los
         stop = _stop_width(his, tol)
@@ -412,15 +585,16 @@ def _refine_brackets(
             polish.append((los[leaving], his[leaving], f_lo[ready], f_hi[ready]))
             keep[leaving] = False
             unready[handoff[~ready]] = True
-        los, his, th_lo, th_hi, ph_lo, ph_hi, counts = (
-            a[keep] for a in (los, his, th_lo, th_hi, ph_lo, ph_hi, counts)
-        )
-        unready, kept_lo, kept_hi, w_lo, w_hi = (
-            a[keep] for a in (unready, kept_lo, kept_hi, w_lo, w_hi)
+        los, his, counts, unready, kept_lo, kept_hi, w_lo, w_hi = (
+            a[keep] for a in (los, his, counts, unready, kept_lo, kept_hi, w_lo, w_hi)
         )
         width, stop, widths = width[keep], stop[keep], widths[:, keep]
         if los.size == 0:
             break
+        if rows is None:
+            th_lo, th_hi, ph_lo, ph_hi = _end_rows(graph, robin, los, his, counts)
+        else:
+            th_lo, th_hi, ph_lo, ph_hi = (a[keep] for a in rows)
         psi_lo, psi_hi = _cluster_phases(ph_lo, ph_hi, counts)
         x = _split_points(
             los, his, w_lo * psi_lo, w_hi * psi_hi, width > 0.5 * widths[2], stop
@@ -453,10 +627,12 @@ def _refine_brackets(
         w_hi = np.where(lefts, 1.0, w_hi[both])
         los = np.concatenate([los[left], x[right]])
         his = np.concatenate([x[left], his[right]])
-        th_lo = np.concatenate([th_lo[left], th_x[right]])
-        th_hi = np.concatenate([th_x[left], th_hi[right]])
-        ph_lo = np.concatenate([ph_lo[left], ph_x[right]])
-        ph_hi = np.concatenate([ph_x[left], ph_hi[right]])
+        rows = (
+            np.concatenate([th_lo[left], th_x[right]]),
+            np.concatenate([th_x[left], th_hi[right]]),
+            np.concatenate([ph_lo[left], ph_x[right]]),
+            np.concatenate([ph_x[left], ph_hi[right]]),
+        )
         counts = np.concatenate([c_lo[left], c_hi[right]])
         unready = unready[both]
         widths = np.stack([width, widths[0], widths[1]])[:, both]
@@ -471,16 +647,16 @@ def _refine_brackets(
     return np.asarray(roots), np.asarray(mults, dtype=int)
 
 
-def _merge_roots(roots: np.ndarray, mults: np.ndarray):
-    """Sum multiplicities of roots closer than the merge radius."""
+def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
+    """Sum multiplicities of roots closer than their merge radii."""
     if roots.size == 0:
         return roots, mults
     order = np.argsort(roots)
-    roots, mults = roots[order], mults[order]
+    roots, mults, radii = roots[order], mults[order], radii[order]
     out_k: list[float] = []
     out_m: list[int] = []
-    for k, m in zip(roots, mults):
-        if out_k and k - out_k[-1] <= MERGE_SCALE * (1.0 + k):
+    for k, m, r in zip(roots, mults, radii):
+        if out_k and k - out_k[-1] <= r:
             total = out_m[-1] + m
             out_k[-1] = (out_m[-1] * out_k[-1] + m * k) / total
             out_m[-1] = total
@@ -501,6 +677,25 @@ def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     return np.maximum(
         KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
         2.0 * _stop_width(ks, tol) * total_phase_derivative(graph, robin, ks),
+    )
+
+
+def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
+    """MERGE_SCALE (1 + k), capped at the kernel threshold over the largest
+    branch velocity, so that a merged record's mean stays inside the kernel
+    the audit measures.
+
+    A branch of U(k) moves at most l_max plus the phase velocity of the
+    coupled vertex factor, 2 sigma d / (d^2 k^2 + sigma^2), per unit k.
+    """
+    ks = np.asarray(ks, dtype=float)
+    velocity = np.full_like(ks, graph.max_edge_length)
+    if robin.vertices:
+        d = graph.degrees[sorted(robin.vertices)][:, None]
+        s = robin.sigma
+        velocity += np.max(2.0 * s * d / (d * d * ks * ks + s * s), axis=0, initial=0.0)
+    return np.minimum(
+        MERGE_SCALE * (1.0 + ks), _kernel_threshold(graph, robin, ks, tol) / velocity
     )
 
 
@@ -542,20 +737,43 @@ def _kernel_audit(graph, robin, roots: np.ndarray, mults: np.ndarray, tol) -> No
         )
 
 
-def _anchor(graph: MetricGraph, robin: RobinSpec) -> float:
-    """Scan floor: below every positive eigenvalue.
+def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
+    """Scan floor k_start below every positive eigenvalue not listed, and
+    the list: the ground state when it lies far below the usual floor.
 
     For sigma = 0 the first positive wave number is at least pi / |G|
-    (path graphs saturate it), so half that is safe.  For sigma > 0 the
-    lowest eigenvalue behaves like sigma |V_R| / |G| to first order in
-    sigma; the extra sqrt(sigma / |G|) / 100 floor keeps the anchor far
-    below it even for very weak coupling.
+    (path graphs saturate it), so a quarter of that is safe.  For
+    sigma > 0 the lowest eigenvalue behaves like sigma |V_R| / |G| to
+    first order in sigma; the extra sqrt(sigma / |G|) / 100 floor keeps
+    the anchor far below it even for weak coupling.  Where
+    k_R = sqrt(sigma |V_R| / |G|) is at most half the usual floor, the
+    ground state is bisected on _small_k_count in (0, floor] instead
+    ("The anchor" in the module docstring).  _small_k_count certifies
+    N(k_start); a count other than the zero mode and the listed roots
+    raises ToleranceNotMet.
     """
-    floor = min(1e-6, 0.5 * np.pi / graph.total_length)
+    floor = min(1e-6, 0.25 * np.pi / graph.total_length)
+    k_start, expected, tiny = floor, 1, False
     if robin.sigma > 0.0 and robin.vertices:
         # two square roots: sigma / |G| underflows for subnormal sigma
-        floor = min(floor, 0.01 * np.sqrt(robin.sigma) / np.sqrt(graph.total_length))
-    return floor
+        scale = np.sqrt(robin.sigma) / np.sqrt(graph.total_length)
+        tiny = scale * np.sqrt(len(robin.vertices)) <= 0.5 * floor
+        if not tiny:
+            k_start, expected = min(floor, 0.01 * scale), 0
+    count = _small_k_count(graph, robin, k_start)
+    if count != expected:
+        raise ToleranceNotMet(
+            f"inertia count {count} at the scan floor k={k_start!r}, "
+            f"expected {expected}"
+        )
+    if not tiny:
+        return k_start, []
+    # (0, floor] holds exactly the simple ground state
+    lo, hi = 0.0, floor
+    while hi - lo > _stop_width(np.asarray(hi), tol):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _small_k_count(graph, robin, mid) == 0 else (lo, mid)
+    return k_start, [0.5 * (lo + hi)]
 
 
 def compute_spectrum(
@@ -569,8 +787,8 @@ def compute_spectrum(
     """All eigenvalue wave numbers up to an index or wave-number target.
 
     Exactly one of n_max (count including multiplicity) and k_max must
-    be given.  tol loosens the default refinement stop width to
-    tol * (1 + k).
+    be given; k_max must be finite and positive.  tol, finite and
+    positive, loosens the default refinement stop width to tol * (1 + k).
     """
     if robin is None:
         robin = RobinSpec.neumann()
@@ -578,11 +796,13 @@ def compute_spectrum(
         raise ValueError("give exactly one of n_max and k_max")
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if k_max is not None and k_max <= 0.0:
-        raise ValueError("k_max must be positive")
+    if k_max is not None and not (np.isfinite(k_max) and k_max > 0.0):
+        raise ValueError(f"k_max must be finite and positive, got {k_max!r}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
     delta = SCAN_PHASE_STEP / graph.max_edge_length
-    k_start = _anchor(graph, robin)
+    k_start, below = _anchor(graph, robin, tol)
     has_zero_mode = robin.sigma == 0.0 or not robin.vertices
     zero_count = 1 if has_zero_mode else 0
 
@@ -595,19 +815,27 @@ def compute_spectrum(
         k_goal = np.pi * (n_max + graph.num_slots + 8) / graph.total_length
     n_cells = max(int(np.ceil((k_goal - k_start) / delta)), 1)
 
-    grid = np.concatenate([[k_start], k_start + delta * np.arange(1, n_cells + 1)])
-    theta = total_phase_values(graph, robin, grid)
-    phases = _eigenphases(graph, robin, grid)
-    phi = phases.sum(axis=1)
+    points, n_points = _scan_counts(
+        graph, robin, k_start + delta * np.arange(1, n_cells + 1), delta
+    )
+    grid = np.concatenate([[k_start], points])
+    n_grid = np.concatenate([[zero_count + len(below)], n_points])
+    counts = np.diff(n_grid)
+    if np.any(counts < 0):
+        j = int(np.flatnonzero(counts < 0)[0])
+        raise ToleranceNotMet(
+            f"inertia count falls from {n_grid[j]} to {n_grid[j + 1]} "
+            f"at k={grid[j + 1]!r}"
+        )
     rotation = _secular_rotation(graph, robin, grid[1])
-
-    counts = _window_counts(np.diff(theta), np.diff(phi))
     hot = np.flatnonzero(counts > 0)
     roots, mults = _refine_brackets(
-        graph, robin, rotation, grid[hot], grid[hot + 1], theta[hot], theta[hot + 1],
-        phases[hot], phases[hot + 1], counts[hot], tol,
+        graph, robin, rotation, grid[hot], grid[hot + 1], counts[hot], tol
     )
-    roots, mults = _merge_roots(roots, mults)
+    roots = np.concatenate([below, roots])
+    mults = np.concatenate([np.ones(len(below), dtype=int), mults])
+    roots, mults = _merge_roots(roots, mults, _merge_radius(graph, robin, roots, tol))
+    crossings = np.repeat(roots, mults)
     if k_max is not None:
         inside = roots <= k_max
         roots, mults = roots[inside], mults[inside]
@@ -625,16 +853,15 @@ def compute_spectrum(
     if roots.size:
         _kernel_audit(graph, robin, roots, mults, tol)
 
-    # Post-hoc audit: the counting function may not drift from the total
-    # phase by more than the number of eigenphase branches.
-    n_at_grid = zero_count + np.searchsorted(
-        np.repeat(roots, mults), grid, side="right"
-    )
-    drift = np.abs(n_at_grid - theta / TWO_PI)
-    if np.any(drift > graph.num_slots):
+    # Exact audit: the records count what the inertia counted at every
+    # scan point.
+    n_records = zero_count + np.searchsorted(crossings, grid, side="right")
+    wrong = n_records != n_grid
+    if np.any(wrong):
+        j = int(np.flatnonzero(wrong)[0])
         raise ToleranceNotMet(
-            f"counting function drifts {drift.max():.3f} branch widths from the "
-            "total phase"
+            f"records count {n_records[j]} eigenvalues up to k={grid[j]!r}, "
+            f"the inertia count {n_grid[j]}"
         )
 
     records = []

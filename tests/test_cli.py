@@ -94,6 +94,23 @@ class TestSpectrum:
                   "--nmax", "5", *flag])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, target",
+        [
+            ("--tol=inf", "--nmax=5"),  # printed k_1 = 0.5248 for 0.5195
+            ("--tol=nan", "--nmax=5"),
+            ("--tol=-1e-6", "--nmax=5"),  # silently ignored
+            ("--kmax=inf", None),  # OverflowError traceback
+            ("--kmax=nan", None),
+        ],
+    )
+    def test_bad_tolerance_or_ceiling_exits_1(self, flag, target, tmp_path, capsys):
+        args = ["spectrum", "--graph", str(FIXTURES / "star_incommensurate.json"), flag]
+        code, out = run_cli(args + ([target] if target else []), tmp_path)
+        assert code == 1
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRng:
     def test_interval_table(self, tmp_path):

@@ -4,6 +4,7 @@ certification checks that stay loud around them."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 from graphspectra import solver
 from graphspectra.errors import ToleranceNotMet
-from graphspectra.graphs import RobinSpec, build_graph, make_star
+from graphspectra.graphs import RobinSpec, build_graph, load_graph_file, make_star
 from graphspectra.scattering import total_phase_values, unitary_stack
 
 NEUMANN = RobinSpec.neumann()
 TWO_PI = 2.0 * math.pi
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _eigvals_count(graph, robin, lo, hi):
@@ -96,6 +98,29 @@ def test_multiple_roots_are_split_on_the_cluster_phases(equilateral_star, monkey
         assert matrices["eigvals"] < 5 * spec.size, (robin, matrices)
 
 
+@pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
+def test_scan_grid_is_counted_without_eigenphases(name, monkeypatch):
+    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    matrices = _count_matrices(monkeypatch, "eigvals")
+    for coupling in (robin, NEUMANN):
+        matrices["eigvals"] = 0
+        spec = solver.compute_spectrum(graph, coupling, n_max=300)
+        # eigenphases on the whole scan grid cost 2.0-2.7 matrices per
+        # eigenvalue; only the ends of counted-split brackets remain
+        assert matrices["eigvals"] < 0.5 * spec.size, (coupling, matrices)
+
+
+def test_merged_records_stay_inside_the_audited_kernel():
+    # two roots 5e-8 apart near k = 76.969: merged at the radius 1e-9 (1 + k),
+    # their mean sat 2.5e-8 from each, outside the kernel threshold
+    graph = make_star(3, (1.0, 1.0000000005615068, 1.0000000011230137))
+    robin = RobinSpec(frozenset({0}), 0.0014866135130149375)
+    spec = solver.compute_spectrum(graph, robin, n_max=60)
+    near = [r for r in spec.records if abs(r.k - 76.96902) < 1e-6]
+    assert [r.multiplicity for r in near] == [1, 1]
+    assert near[1].k - near[0].k == pytest.approx(5.0e-8, rel=0.01)
+
+
 def test_window_counts_off_an_integer_raise():
     with pytest.raises(ToleranceNotMet, match="away from an integer"):
         solver._window_counts(np.array([TWO_PI * 1.3]), np.array([0.0]))
@@ -122,11 +147,13 @@ def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
 
 def test_kernel_audit_reports_excess_dimension(equilateral_star, monkeypatch):
     # Record every root as simple: the triples at pi/2 and 3 pi/2 then have a
-    # three-dimensional kernel but one crossing, which the drift audit
-    # (window of 2E = 8) does not see on this short range.
+    # three-dimensional kernel but one crossing, which the kernel audit
+    # reports before the records are checked against the inertia counts.
     merge = solver._merge_roots
     monkeypatch.setattr(
-        solver, "_merge_roots", lambda roots, mults: merge(roots, np.ones_like(mults))
+        solver,
+        "_merge_roots",
+        lambda roots, mults, radii: merge(roots, np.ones_like(mults), radii),
     )
     with pytest.raises(ToleranceNotMet, match="above"):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
@@ -168,7 +195,7 @@ def _assert_winding_counts(graph, robin, spec):
         if count != rec.multiplicity:
             # roots closer than the merge radius are one record by design
             # (say a loop of length 1 - 2e-10 beside an edge of length 1)
-            r = solver.MERGE_SCALE * (1.0 + rec.k)
+            r = float(solver._merge_radius(graph, robin, np.asarray([rec.k]), None)[0])
             count = _eigvals_count(graph, robin, rec.k - r, rec.k + r)
         assert count == rec.multiplicity, (rec, w)
 
@@ -196,6 +223,21 @@ def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf
     graph = make_star(degree, lengths)
     robin = RobinSpec(frozenset({1 if at_leaf else 0}), float(10.0**s))
     _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+@given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_inertia_count_equals_the_winding_count(case, us):
+    # N(k) from the inertia of M(k) against the eigenphase winding count
+    # from the anchor, at random k where the inertia count has margin
+    graph, robin = case
+    k_start, below = solver._anchor(graph, robin, None)
+    zero_count = 1 if robin.sigma == 0.0 or not robin.vertices else 0
+    ks = k_start + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
+    counts, ok = solver._inertia_counts(graph, robin, ks)
+    for k, n in zip(ks[ok], counts[ok]):
+        winding = _eigvals_count(graph, robin, k_start, k)
+        assert n == zero_count + len(below) + winding, (k, n, winding)
 
 
 def _slack(spec, count):

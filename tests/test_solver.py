@@ -110,6 +110,12 @@ def test_target_validation(unit_interval):
         compute_spectrum(unit_interval, NEUMANN, n_max=0)
     with pytest.raises(ValueError):
         compute_spectrum(unit_interval, NEUMANN, k_max=-1.0)
+    for k_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="k_max must be finite"):
+            compute_spectrum(unit_interval, NEUMANN, k_max=k_max)
+    for tol in (math.inf, math.nan, -1e-6, 0.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            compute_spectrum(unit_interval, NEUMANN, n_max=5, tol=tol)
 
 
 def test_counting_function(pi_interval):
@@ -157,14 +163,15 @@ def test_step_scale_invariance(star4, monkeypatch):
 
 def test_scan_short_of_n_max_raises(star4, monkeypatch):
     # a scan that certifies fewer than n_max roots raises, not extends
-    window_counts = solver._window_counts
+    inertia_counts = solver._inertia_counts
 
-    def lower_quarter(dtheta, dphi):
-        counts = window_counts(dtheta, dphi)
-        counts[counts.size // 4 :] = 0
-        return counts
+    def lower_quarter(graph, robin, ks):
+        # N flat above the lowest quarter: those cells count zero
+        n, ok = inertia_counts(graph, robin, ks)
+        n[n.size // 4 :] = n[n.size // 4]
+        return n, ok
 
-    monkeypatch.setattr(solver, "_window_counts", lower_quarter)
+    monkeypatch.setattr(solver, "_inertia_counts", lower_quarter)
     with pytest.raises(ToleranceNotMet, match="winding bound"):
         compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=60)
 
@@ -236,3 +243,51 @@ def test_counting_consistency_property(sigma, seed):
     # counting function agrees with direct enumeration at arbitrary k
     for k in rng.uniform(0.05, spec.k_cap, 12):
         assert counting_function(spec, float(k)) == int(np.sum(ks <= k))
+
+
+@st.composite
+def robin_stars_and_k4(draw):
+    """Stars of degree 3-5 and K4, lengths in [0.6, 1.8], with a nonempty
+    Robin vertex set."""
+    rng = np.random.default_rng(draw(st.integers(0, 7)))
+    if draw(st.booleans()):
+        degree = draw(st.integers(3, 5))
+        graph = make_star(degree, tuple(rng.uniform(0.6, 1.8, degree)))
+    else:
+        graph = make_complete4(tuple(rng.uniform(0.6, 1.8, 6)))
+    vertices = draw(st.sets(st.integers(0, graph.num_vertices - 1), min_size=1))
+    return graph, frozenset(vertices)
+
+
+@given(
+    robin_stars_and_k4(),
+    st.one_of(st.just(5e-324), st.floats(-300.0, -8.0).map(lambda u: 10.0**u)),
+    st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_tiny_coupling_keeps_one_simple_ground_state(case, sigma, us):
+    graph, vertices = case
+    robin = RobinSpec(vertices, sigma)
+    spec = compute_spectrum(graph, robin, n_max=20)
+    # Rayleigh with f = 1: 0 < lambda_1 <= sigma |V_R| / |G|
+    k_r = math.sqrt(sigma) * math.sqrt(len(vertices) / graph.total_length)
+    first = spec.records[0]
+    assert first.multiplicity == 1
+    assert 0.0 < first.k <= k_r + _stop_width(np.asarray(k_r), None)
+    # the records count what the inertia of M(k) counts, wherever it has margin
+    ks = spec.k_cap * np.asarray(us)
+    ks = ks[ks > 0.0]
+    counts, ok = solver._inertia_counts(graph, robin, ks)
+    for k, n in zip(ks[ok], counts[ok]):
+        assert counting_function(spec, float(k)) == n, (k, n)
+
+
+@pytest.mark.parametrize("sigma", [1.1754943508222875e-38, 1e-30, 1e-200, 1e-300])
+def test_small_k_count_flips_at_the_rayleigh_wave_number(sigma):
+    # to first order in sigma the ground state sits at k_R = sqrt(sigma |V_R| / |G|)
+    rng = np.random.default_rng(1)
+    graph = make_complete4(tuple(rng.uniform(0.6, 1.8, 6)))
+    robin = RobinSpec(frozenset(range(4)), sigma)
+    k_r = math.sqrt(sigma) * math.sqrt(4.0 / graph.total_length)
+    assert solver._small_k_count(graph, robin, 0.999999 * k_r) == 0
+    assert solver._small_k_count(graph, robin, 1.000001 * k_r) == 1
