@@ -36,6 +36,7 @@ __all__ = [
     "star_bound_parameters",
     "decomposition_bound_parameters",
     "check_all",
+    "bound_report",
 ]
 
 VIOLATION_SLACK = 1e-10
@@ -65,12 +66,13 @@ class BoundReport:
         return int(np.count_nonzero(~np.isnan(self.bound)))
 
 
-def _evaluate(name, bound, actual, decomposition) -> BoundReport:
+def bound_report(name, bound, actual, decomposition=None) -> BoundReport:
+    """The one violation rule: an entry violates the bound when it reaches
+    it beyond the relative slack VIOLATION_SLACK, never where it is NaN."""
     bound = np.broadcast_to(np.asarray(bound, dtype=float), np.shape(actual)).copy()
     actual = np.asarray(actual, dtype=float)
     with np.errstate(invalid="ignore"):
         bad = actual >= bound + VIOLATION_SLACK * (1.0 + bound)
-    bad &= ~np.isnan(bound)
     return BoundReport(
         name=name,
         bound=bound,
@@ -198,16 +200,12 @@ def check_all(series: RngSeries, decomp: StarDecomposition) -> tuple:
     """
     robin = RobinSpec(series.vertices, series.sigma)
     gaps = series.gaps
-    flat = _evaluate("gap-bound", gap_bound(decomp, robin), gaps, decomp)
-    edge = _evaluate(
-        "shortest-edge-bound",
-        shortest_edge_bound(series.graph, series.sigma),
-        gaps,
-        None,
-    )
+    flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps, decomp)
+    ceiling = shortest_edge_bound(series.graph, series.sigma)
+    edge = bound_report("shortest-edge-bound", ceiling, gaps)
     s_check, S_check = decomposition_bound_parameters(decomp, robin)
     refined_values = _improved_bound_values(
         series.k_neumann**2, series.sigma, s_check, S_check
     )
-    refined = _evaluate("improved-bound", refined_values, gaps, decomp)
+    refined = bound_report("improved-bound", refined_values, gaps, decomp)
     return flat, edge, refined

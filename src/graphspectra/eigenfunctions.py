@@ -6,17 +6,21 @@ An eigenfunction with wave number k restricted to edge e is
 
 with the amplitude vector a in ker(I - U(k)).  A real eigenfunction
 satisfies the reality relations a_e = conj(a_rev(e)) exp(-ik l_e) on
-every slot; kernel vectors come out of the SVD with an arbitrary global
-phase, so the gauge is fixed by minimizing the reality defect.  For a
-simple eigenvalue the optimal phase has the closed form
-gamma = -arg(sum_j a_j a_rev(j) exp(ik l_j)) / 2.  For a multiple
-eigenvalue the antiunitary map
+every slot, that is a = C a for the antiunitary map
 
-    (C a)_j = conj(a_rev(j)) exp(-ik l_j)
+    (C a)_j = conj(a_rev(j)) exp(-ik l_j),
 
-squares to the identity and fixes exactly the real-gauge vectors, so an
-orthonormal real-gauge basis is built from projections u + Cu and
-i(u - Cu).
+which squares to the identity and maps ker(I - U(k)) onto itself.
+Kernel vectors come out of the SVD with an arbitrary phase (or, for a
+multiple eigenvalue, an arbitrary unitary mix), so every record gets
+the same real gauge: the 2m vectors u + Cu and i(u - Cu) of its m
+kernel rows u are C-fixed.  In exact arithmetic their real Gram matrix
+has eigenvalue 4 on the combinations that span the fixed part of the
+kernel (m-fold) and 0 on the rest.  Its top m eigenvectors, scaled by
+1 / sqrt(eigenvalue), combine them into an orthonormal basis of C-fixed
+vectors, because the inner product of two fixed vectors is real.  A
+kernel that C does not map onto itself pulls the top eigenvalues toward
+2; one not above 3, nearer 2 than 4, raises KernelDimensionMismatch.
 
 The squared L2 norm of f over the graph is the exact edge-wise integral
 
@@ -26,9 +30,9 @@ and vertex values in the real gauge reduce to f(v) = 2 Re(a_j) for any
 slot j pointing out of v.
 
 All of it runs in one batched evaluation, eigenbasis: the SVDs of
-I - U(k) over a set of records (k, m), every quantity above vectorized
-over the result.  The single-record functions and the sensitivity are
-views of it.
+I - U(k) over a set of records (k, m), the gauge batched per
+multiplicity, every quantity above vectorized over the result.  The
+single-record functions and the sensitivity are views of it.
 """
 from __future__ import annotations
 
@@ -43,7 +47,13 @@ from .errors import (
     OutOfRange,
 )
 from .graphs import MetricGraph, RobinSpec
-from .solver import Spectrum, _kernel_threshold, _stack_map, compute_spectrum
+from .solver import (
+    Spectrum,
+    _kernel_mismatch,
+    _kernel_threshold,
+    _stack_map,
+    compute_spectrum,
+)
 
 __all__ = [
     "AmplitudeVector",
@@ -113,41 +123,6 @@ def _conjugate_flip(graph: MetricGraph, a: np.ndarray, k: float) -> np.ndarray:
     return np.conj(a[..., graph.slot_reversal]) * np.exp(-1j * k * graph.slot_length)
 
 
-def _gauge_phase(graph: MetricGraph, a: np.ndarray, k) -> np.ndarray:
-    """Least-squares unit phase: rotating by it minimizes the reality defect."""
-    w = np.sum(a * a[..., graph.slot_reversal] * np.exp(1j * k * graph.slot_length), axis=-1)
-    return np.exp(-0.5j * np.angle(w))
-
-
-def _real_gauge_basis(graph, basis, k):
-    """Orthonormal basis of fixed points of the conjugation symmetry.
-
-    Each raw vector contributes up to two fixed directions, u + Cu and
-    i(u - Cu); Gram-Schmidt against fixed vectors keeps the result fixed
-    because the inner product of two fixed vectors is real.
-    """
-    out: list[np.ndarray] = []
-    want = basis.shape[0]
-    for v in basis:
-        u = v.copy()
-        for w in out:
-            u = u - np.vdot(w, u) * w
-        flip = _conjugate_flip(graph, u, k)
-        for cand in (u + flip, 1j * (u - flip)):
-            if np.linalg.norm(cand) <= 1e-6:
-                continue
-            for w in out:
-                cand = cand - np.vdot(w, cand) * w
-            norm = np.linalg.norm(cand)
-            if norm > 1e-6:
-                out.append(cand / norm)
-            if len(out) == want:
-                return out
-    raise KernelDimensionMismatch(
-        f"could not complete a real-gauge basis of dimension {want} at k={k!r}"
-    )
-
-
 def _l2_norm_sq(graph: MetricGraph, a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Exact squared L2 norms over the graph of amplitude rows a at wave numbers k."""
     out_slots = np.arange(0, graph.num_slots, 2)
@@ -168,55 +143,57 @@ def eigenbasis(
     """Real-gauge eigenfunctions of every record (k, m), k > 0.
 
     One pass of SVDs over the U(k) stack of all records, every later
-    step vectorized over the rows.  Raises
-    KernelDimensionMismatch unless each record's numerical kernel
-    dimension, counted against the solver's threshold for the
-    refinement tolerance tol, equals m; raises ContinuityViolation when
-    an eigenfunction takes two values at one vertex.
+    step vectorized over the rows.  Raises KernelDimensionMismatch where
+    a record breaks the solver's kernel-dimension rule (_kernel_mismatch)
+    at the threshold for the refinement tolerance tol, or where its
+    kernel has no real gauge; raises ContinuityViolation when an
+    eigenfunction takes two values at one vertex.  The rule counts the
+    crossings near each record among the records given, so callers hand
+    in whole chains of nearby records (_reach_chains).
     """
     ks = np.asarray(ks, dtype=float)
     mults = np.asarray(multiplicities, dtype=int)
     n = graph.num_slots
     eye = np.eye(n)
-    # the right singular vectors of the m smallest singular values span
-    # a kernel of dimension m; only that many rows of V^H are kept
-    width = int(mults.max(initial=1))
 
     def decompose(_, u):
         # one LAPACK call per matrix, not per stack: the benchmark's layer
         # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
         sv = np.empty((len(u), n))
-        vh = np.empty((len(u), width, n), dtype=complex)
+        vh = np.empty((len(u), n, n), dtype=complex)
         for i, m in enumerate(eye - u):
-            _, sv[i], full = np.linalg.svd(m)
-            vh[i] = full[n - width :]
+            _, sv[i], vh[i] = np.linalg.svd(m)
         return sv, vh
 
     sv, vh = _stack_map(graph, robin, ks, decompose)
     threshold = _kernel_threshold(graph, robin, ks, tol)
-    dims = np.sum(sv < threshold[:, None], axis=1)
-    wrong = np.flatnonzero(dims != mults)
-    if wrong.size:
-        j = wrong[0]
-        raise KernelDimensionMismatch(
-            f"kernel of I - U(k) at k={float(ks[j])!r} has numerical dimension "
-            f"{dims[j]}, expected multiplicity {mults[j]}"
-        )
+    mismatch = _kernel_mismatch(graph, ks, mults, sv, threshold)
+    if mismatch:
+        raise KernelDimensionMismatch(mismatch)
 
     record = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults
     a = np.empty((record.size, n), dtype=complex)
-    simple = np.flatnonzero(mults == 1)
-    raw = np.conj(vh[simple, -1, :])
-    a[first_row[simple]] = raw * _gauge_phase(graph, raw, ks[simple, None])[:, None]
-    for j in np.flatnonzero(mults > 1):
-        basis = np.conj(vh[j, width - mults[j] :, :])[::-1]
-        a[first_row[j] : first_row[j] + mults[j]] = _real_gauge_basis(graph, basis, ks[j])
+    for m in np.unique(mults):
+        # the real gauge of the module docstring, on the right singular
+        # vectors of the m smallest singular values
+        at = np.flatnonzero(mults == m)
+        u = np.conj(vh[at, n - m :])
+        flip = _conjugate_flip(graph, u, ks[at, None, None])
+        fixed = np.concatenate([u + flip, 1j * (u - flip)], axis=1)
+        lam, w = np.linalg.eigh(np.einsum("rin,rjn->rij", fixed.conj(), fixed).real)
+        lam, w = lam[:, m:], w[:, :, m:]
+        unreal = np.flatnonzero(lam[:, 0] <= 3.0)
+        if unreal.size:
+            raise KernelDimensionMismatch(
+                f"kernel of I - U(k) at k={float(ks[at[unreal[0]]])!r} has no "
+                f"real basis of dimension {m}"
+            )
+        rows = first_row[at, None] + np.arange(m)
+        a[rows] = np.einsum("rij,rin->rjn", w, fixed) / np.sqrt(lam)[:, :, None]
     k = ks[record]
-    # |(I - U) a| = |Sigma V^H a|; a lies in the span of the kept rows
-    residual = np.linalg.norm(
-        sv[record, n - width :] * np.einsum("rij,rj->ri", vh[record], a), axis=1
-    )
+    # |(I - U) a| = |Sigma V^H a|
+    residual = np.linalg.norm(sv[record] * np.einsum("rij,rj->ri", vh[record], a), axis=1)
 
     l2norm_sq = _l2_norm_sq(graph, a, k)
     # f at the origin of every slot; continuity asks one value per vertex.
@@ -234,6 +211,20 @@ def eigenbasis(
         )
     vertex_values = np.real(at_origin[:, first_out]) / np.sqrt(l2norm_sq)[:, None]
     return EigenBasis(record, k, a, residual, l2norm_sq, vertex_values)
+
+
+def _reach_chains(graph, robin, ks: np.ndarray, tol, wanted) -> np.ndarray:
+    """Positions of the positive records ks in the chains of the wanted ones.
+
+    Consecutive records closer than the largest kernel reach link into
+    one chain.  eigenbasis counts the crossings near a record among the
+    records it is given, and a whole chain shows it every one of them.
+    """
+    positive = np.flatnonzero(ks > 0.0)
+    threshold = _kernel_threshold(graph, robin, ks[positive], tol)
+    reach = 2.0 * threshold.max(initial=0.0) / graph.min_edge_length
+    chain = np.cumsum(np.diff(ks[positive], prepend=-np.inf) > reach)
+    return positive[np.isin(chain, chain[np.isin(positive, wanted)])]
 
 
 def eigenfunction_handle(
@@ -300,10 +291,10 @@ def sensitivity(
     the squared normalized vertex values.
 
     n is one index or an array of indices; each record they touch is
-    solved once, all in one eigenbasis call.  For a multiple eigenvalue
-    the basis average is returned (the trace over the eigenspace divided
-    by its dimension, which is basis independent) with degenerate=True;
-    strict=True raises instead.
+    solved once, all in one eigenbasis call with the records near them.
+    For a multiple eigenvalue the basis average is returned (the trace
+    over the eigenspace divided by its dimension, which is basis
+    independent) with degenerate=True; strict=True raises instead.
     """
     idx = np.asarray(n)
     if np.any(idx < 1):
@@ -312,12 +303,8 @@ def sensitivity(
         spectrum = compute_spectrum(graph, robin, n_max=int(idx.max()))
     if np.any(idx > spectrum.size):
         raise OutOfRange(f"index {int(idx.max())} beyond the computed spectrum")
-    firsts = [rec.index for rec in spectrum.records]
-    used, which = np.unique(
-        np.searchsorted(firsts, idx.ravel(), side="right") - 1, return_inverse=True
-    )
-    ks = np.array([spectrum.records[j].k for j in used])
-    mults = np.array([spectrum.records[j].multiplicity for j in used])
+    firsts, ks, mults = spectrum.columns
+    which = np.searchsorted(firsts, idx.ravel(), side="right") - 1
     degenerate = mults[which] > 1
     if strict and np.any(degenerate):
         j = int(np.argmax(degenerate))
@@ -326,13 +313,13 @@ def sensitivity(
             f"has multiplicity {mults[which[j]]}"
         )
     # constant eigenfunction at k = 0: f(v)^2 = 1/|G| at every vertex
-    values = np.full(used.size, len(robin.vertices) / graph.total_length)
-    moving = ks > 0.0
-    basis = eigenbasis(graph, robin, ks[moving], mults[moving], spectrum.tol)
+    values = np.full(ks.size, len(robin.vertices) / graph.total_length)
+    handed = _reach_chains(graph, robin, ks, spectrum.tol, which)
+    basis = eigenbasis(graph, robin, ks[handed], mults[handed], spectrum.tol)
     per_row = np.sum(basis.vertex_values[:, sorted(robin.vertices)] ** 2, axis=1)
-    values[moving] = np.bincount(
-        basis.record, weights=per_row, minlength=int(moving.sum())
-    ) / mults[moving]
+    values[handed] = np.bincount(
+        basis.record, weights=per_row, minlength=handed.size
+    ) / mults[handed]
     value = values[which]
     if idx.ndim == 0:
         return SensitivityValue(value=float(value[0]), degenerate=bool(degenerate[0]))

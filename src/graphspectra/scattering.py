@@ -20,9 +20,15 @@ lifted argument
 
     Theta(k) = 2 k |G| - 2 sum_v arctan(s_v / (deg(v) k)),
 
-summing over the coupled vertices, where |G| is the total edge length.
-Theta is strictly increasing in k and drives the root counting used by
-the eigenvalue solver.
+summing over the coupled vertices, where |G| is the total edge length:
+
+    det U(k) = (-1)^(E + V) exp(i Theta(k)).
+
+The vertex block c J - I has eigenvalues c d - 1 = exp(-2i arctan(s / (d k)))
+once and -1 (d - 1 times), the slot reversal is E transpositions, and
+the propagation phases contribute exp(2 i k |G|).  Theta is strictly
+increasing in k and drives the root counting used by the eigenvalue
+solver.
 """
 from __future__ import annotations
 

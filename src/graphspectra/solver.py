@@ -100,8 +100,11 @@ zeta is real: U(k) is unitary with N = 2E eigenvalues exp(i theta_m), so
                = (-2i)^N exp(i sum_m theta_m / 2) prod_m sin(theta_m / 2)
                = c exp(i Theta / 2) 2^N prod_m sin(theta_m / 2),
 
-with c = (-i)^N exp(i c_0 / 2), read off det U once per graph and
-coupling.  All count-1 brackets then run one vectorized false-position
+with c = (-i)^N exp(i c_0 / 2).  Every vertex block of U contributes
+(-1)^(d - 1) exp(-2i arctan(sigma / (d k))) to det U and the slot
+reversal (-1)^E, so exp(i c_0) = (-1)^(E + V) and conj(c) is
+(-i)^((E + V) mod 2) up to the sign (-1)^E, which only flips zeta.
+All count-1 brackets then run one vectorized false-position
 iteration on zeta (one batched determinant per step, a few steps per
 root, where a counted split needs a batched eigendecomposition).
 Two safeguards keep it honest.  A bracket whose endpoint values of zeta
@@ -109,7 +112,7 @@ do not have opposite signs clearly above the determinant's rounding
 level stays in the counted splits: that is a root on or within rounding
 of an end, the usual case after a split next to a multiple root.  An
 endpoint value whose imaginary part exceeds REALNESS_TOL |zeta| (plus
-that rounding level) means zeta is not the real secular function, and
+that rounding level) means the closed form of c does not hold, and
 raises ToleranceNotMet.
 
 Both stages stop once a bracket is narrower than the stop width
@@ -131,22 +134,31 @@ eigenvalues; a scan that certifies fewer raises.  The inertia counts
 would give the range pointwise, but the scan keeps this bound, so the
 records and k_cap do not depend on which counter certified them.
 
+Records.  Roots merge by single linkage on the merge radius, 1e-9
+(1 + k) capped at the kernel threshold over the largest branch
+velocity: a chain of roots, each within the radius of the root below
+it, is one record at its multiplicity-weighted mean, provided every root
+of the chain lies within the radius of that mean, so that the record's
+kernel holds them all.  The roots of a longer chain stay records of
+their own.
+
 Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
 outside [0, count], an inertia count that falls from one scan point to
 the next, and a cell whose winding count differs from its inertia
-count.  Roots closer than the merge radius merge into one record: 1e-9
-(1 + k), capped so that a merged record's mean stays inside the kernel
-the audit measures.  Each record's crossing count is first
-cross-checked against dim ker(I - U(k)), measured by singular values
-below 1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold,
-which the eigenfunction module counts with too), in both directions.
-Then the records must count exactly the inertia count N(k) at every
-scan-grid point.
+count.  Each record's crossing count m is checked against
+dim ker(I - U(k)) by the one kernel-dimension rule, _kernel_mismatch,
+which the eigenfunction module applies too: singular values below
+1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold) count, a
+record is short when fewer than m count, and it has excess when more
+count than the records place crossings within reach of it.  Then the
+records must count exactly the inertia count N(k) at every scan-grid
+point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -211,12 +223,22 @@ class Spectrum:
     k_cap: float
     tol: float | None = field(default=None, compare=False)
 
+    @cached_property
+    def columns(self) -> tuple:
+        """First indices, wave numbers and multiplicities of the records."""
+        columns = (
+            np.array([r.index for r in self.records], dtype=int),
+            np.array([r.k for r in self.records], dtype=float),
+            np.array([r.multiplicity for r in self.records], dtype=int),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
         """Expanded wave numbers, one entry per index."""
-        ks = np.repeat(
-            [r.k for r in self.records],
-            [r.multiplicity for r in self.records],
-        )
+        _, ks, mults = self.columns
+        ks = np.repeat(ks, mults)
         return ks if count is None else ks[:count]
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
@@ -224,7 +246,7 @@ class Spectrum:
 
     @property
     def size(self) -> int:
-        return sum(r.multiplicity for r in self.records)
+        return int(self.columns[2].sum())
 
 
 @dataclass(frozen=True)
@@ -338,7 +360,7 @@ def _scan_counts(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, delta: fl
     if not np.all(ok):
         j = int(np.flatnonzero(~ok)[0])
         raise ToleranceNotMet(
-            f"no inertia count with margin at k={ks[j]!r} after {GRID_MOVES} "
+            f"no inertia count with margin at k={float(ks[j])!r} after {GRID_MOVES} "
             "moves of a sixteenth of a scan cell"
         )
     return ks, counts
@@ -367,7 +389,7 @@ def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
         (1.0 + 2.0 * y_norm) * (positive + coupling) + y_norm**2 * size_max
     )
     if size_min <= INERTIA_MARGIN * n * EPS * size_max or abs(schur) <= noise:
-        raise ToleranceNotMet(f"no inertia count with margin at k={k!r}")
+        raise ToleranceNotMet(f"no inertia count with margin at k={float(k)!r}")
     return int(np.count_nonzero(mu > 0.0)) + int(schur > 0.0)
 
 
@@ -385,7 +407,7 @@ def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     if off.size and off.max() > COUNT_ROUNDING_TOL:
         j = int(np.argmax(off))
         raise ToleranceNotMet(
-            f"eigenphase winding count {x[j]!r} is {off[j]:.3g} away from an integer"
+            f"eigenphase winding count {float(x[j])!r} is {off[j]:.3g} away from an integer"
         )
     return counts.astype(int)
 
@@ -397,26 +419,14 @@ def _stop_width(ks: np.ndarray, tol: float | None) -> np.ndarray:
     return np.maximum(floor, tol * (1.0 + ks))
 
 
-def _secular_rotation(graph: MetricGraph, robin: RobinSpec, k: float) -> complex:
-    """conj(c), which turns det(I - U) exp(-i Theta / 2) onto the real axis.
-
-    c = (-i)^N exp(i c_0 / 2), where exp(i c_0) = det U(k) exp(-i Theta(k))
-    takes the same value at every k.  Either square root serves: the
-    other one only flips the sign of zeta everywhere.
-    """
-    ks = np.asarray([k], dtype=float)
-    (det_u,) = np.linalg.det(unitary_stack(graph, robin, ks))
-    c0 = det_u * np.exp(-1j * total_phase_values(graph, robin, ks)[0])
-    return complex(np.conj((-1j) ** graph.num_slots * np.sqrt(c0 / abs(c0))))
-
-
-def _secular_values(graph, robin, ks, rotation: complex) -> np.ndarray:
+def _secular_values(graph, robin, ks) -> np.ndarray:
     """zeta(k) before its real part is taken; see the module docstring."""
+    rotation = (-1j) ** ((graph.num_edges + graph.num_vertices) % 2)
     phase = np.exp(-0.5j * total_phase_values(graph, robin, ks))
     return secular_dets(graph, robin, ks) * phase * rotation
 
 
-def _polish_ready(graph, robin, los, his, rotation):
+def _polish_ready(graph, robin, los, his):
     """Endpoint values of zeta, and which brackets it can polish.
 
     A bracket qualifies when zeta has opposite signs at its ends, both
@@ -425,7 +435,7 @@ def _polish_ready(graph, robin, los, his, rotation):
     function, so it raises.
     """
     ks = np.concatenate([los, his])
-    z = _secular_values(graph, robin, ks, rotation)
+    z = _secular_values(graph, robin, ks)
     # rounding level of det(I - U): N eps times 2^N, the largest product
     # of the N singular values of I - U (each at most 2)
     noise = graph.num_slots * EPS * 2.0**graph.num_slots
@@ -433,7 +443,7 @@ def _polish_ready(graph, robin, los, his, rotation):
     if np.any(complex_at):
         j = int(np.flatnonzero(complex_at)[0])
         raise ToleranceNotMet(
-            f"secular function not real at k={ks[j]!r}: "
+            f"secular function not real at k={float(ks[j])!r}: "
             f"|Im| / |zeta| = {abs(z[j].imag) / abs(z[j]):.3g}"
         )
     f_lo, f_hi = np.split(z.real, 2)
@@ -455,7 +465,7 @@ def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
     return np.clip(x, los + 0.5 * stop, his - 0.5 * stop)
 
 
-def _polish(graph, robin, rotation, los, his, f_lo, f_hi, tol) -> np.ndarray:
+def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
     """Safeguarded false position on zeta over sign-changing brackets.
 
     Each step evaluates zeta at one point per open bracket, in one
@@ -486,7 +496,7 @@ def _polish(graph, robin, rotation, los, his, f_lo, f_hi, tol) -> np.ndarray:
         if open_.size == 0:
             return out
         x = _split_points(los, his, f_lo, f_hi, width > 0.5 * widths[2], stop)
-        f_x = _secular_values(graph, robin, x, rotation).real
+        f_x = _secular_values(graph, robin, x).real
         to_lo = np.sign(f_x) == np.sign(f_lo)
         to_hi = ~to_lo
         # scale m = 1 - f_x / f(replaced end), or 1/2 where that is not positive
@@ -538,13 +548,13 @@ def _end_rows(graph, robin, los, his, counts):
     if np.any(wrong):
         j = int(np.flatnonzero(wrong)[0])
         raise ToleranceNotMet(
-            f"winding count {winding[j]} of ({los[j]!r}, {his[j]!r}] differs "
+            f"winding count {winding[j]} of ({float(los[j])!r}, {float(his[j])!r}] differs "
             f"from its inertia count {counts[j]}"
         )
     return th_lo, th_hi, ph_lo, ph_hi
 
 
-def _refine_brackets(graph, robin, rotation, los, his, counts, tol):
+def _refine_brackets(graph, robin, los, his, counts, tol):
     """Roots with multiplicities of every bracket, down to the stop width.
 
     Each count-1 bracket wider than POLISH_HANDOFF stop widths leaves as
@@ -578,9 +588,7 @@ def _refine_brackets(graph, robin, rotation, los, his, counts, tol):
             keep & (counts == 1) & ~unready & (width > POLISH_HANDOFF * stop)
         )
         if handoff.size:
-            f_lo, f_hi, ready = _polish_ready(
-                graph, robin, los[handoff], his[handoff], rotation
-            )
+            f_lo, f_hi, ready = _polish_ready(graph, robin, los[handoff], his[handoff])
             leaving = handoff[ready]
             polish.append((los[leaving], his[leaving], f_lo[ready], f_hi[ready]))
             keep[leaving] = False
@@ -609,7 +617,7 @@ def _refine_brackets(graph, robin, rotation, los, his, counts, tol):
             j = int(np.flatnonzero(outside)[0])
             raise ToleranceNotMet(
                 f"half-bracket count {c_lo[j]} outside [0, {counts[j]}] "
-                f"at k={x[j]!r}"
+                f"at k={float(x[j])!r}"
             )
         c_hi = counts - c_lo
         left = np.flatnonzero(c_lo > 0)
@@ -642,28 +650,32 @@ def _refine_brackets(graph, robin, rotation, los, his, counts, tol):
         )
     if polish:
         lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
-        roots.extend(_polish(graph, robin, rotation, lo, hi, f_lo, f_hi, tol))
+        roots.extend(_polish(graph, robin, lo, hi, f_lo, f_hi, tol))
         mults.extend([1] * lo.size)
     return np.asarray(roots), np.asarray(mults, dtype=int)
 
 
 def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
-    """Sum multiplicities of roots closer than their merge radii."""
+    """Records from roots by single linkage on their merge radii, each
+    chain kept whole only where its mean holds every root within its
+    radius; see "Records" in the module docstring."""
     if roots.size == 0:
         return roots, mults
     order = np.argsort(roots)
     roots, mults, radii = roots[order], mults[order], radii[order]
-    out_k: list[float] = []
-    out_m: list[int] = []
-    for k, m, r in zip(roots, mults, radii):
-        if out_k and k - out_k[-1] <= r:
-            total = out_m[-1] + m
-            out_k[-1] = (out_m[-1] * out_k[-1] + m * k) / total
-            out_m[-1] = total
-        else:
-            out_k.append(float(k))
-            out_m.append(int(m))
-    return np.asarray(out_k), np.asarray(out_m, dtype=int)
+    new_chain = np.diff(roots, prepend=-np.inf) > radii
+    starts = np.flatnonzero(new_chain)
+    chain = np.cumsum(new_chain) - 1
+    total = np.add.reduceat(mults, starts)
+    # offsets from the chain's lowest root, so a lone root keeps its value
+    mean = roots[starts] + np.add.reduceat(
+        mults * (roots - roots[starts][chain]), starts
+    ) / total
+    tight = np.logical_and.reduceat(np.abs(roots - mean[chain]) <= radii, starts)
+    apart = ~tight[chain]
+    ks = np.concatenate([mean[tight], roots[apart]])
+    order = np.argsort(ks)
+    return ks[order], np.concatenate([total[tight], mults[apart]])[order]
 
 
 def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
@@ -699,42 +711,37 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     )
 
 
-def _kernel_audit(graph, robin, roots: np.ndarray, mults: np.ndarray, tol) -> None:
-    """Raise unless dim ker(I - U(k)) matches each record's crossing count.
+def _kernel_mismatch(graph, ks, mults, sv, threshold) -> str | None:
+    """The kernel-dimension rule: why the first record (k, m) breaks it, or None.
 
-    I - U is normal, so its singular values are the distances
-    |1 - exp(i theta_m)| of the eigenvalues from 1.  A record is short
-    when fewer than m of them fall below the threshold.  It has excess
-    when more fall below it than the solver placed roots within reach:
-    every branch moves at least l_min per unit k, so a root farther than
-    reach = 2 threshold / l_min stays above it.  Windows that reach
-    k = 0, where U(0) has a larger kernel of its own, are not compared.
+    sv holds the singular values of I - U(k) per record; I - U is normal,
+    so they are the distances |1 - exp(i theta_m)| of its eigenvalues
+    from 1.  Every branch moves at least l_min per unit k, so a crossing
+    farther than reach = 2 threshold / l_min stays above the threshold.
+    Windows that reach k = 0, where U(0) has a larger kernel of its own,
+    are not compared.
     """
-    sv_tol = _kernel_threshold(graph, robin, roots, tol)
-    eye = np.eye(graph.num_slots)
-    sv = _stack_map(
-        graph, robin, roots, lambda _, u: np.linalg.svd(eye - u, compute_uv=False)
-    )
-    dims = np.sum(sv < sv_tol[:, None], axis=1)
-    short = dims < mults
-    if np.any(short):
-        j = int(np.flatnonzero(short)[0])
-        raise ToleranceNotMet(
+    dims = np.sum(sv < threshold[:, None], axis=1)
+    short = np.flatnonzero(dims < mults)
+    if short.size:
+        j = short[0]
+        return (
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
-            f"at k={roots[j]!r}"
+            f"at k={float(ks[j])!r}"
         )
-    reach = 2.0 * sv_tol / graph.min_edge_length
-    crossings = np.repeat(roots, mults)
-    nearby = np.searchsorted(crossings, roots + reach, side="right") - np.searchsorted(
-        crossings, roots - reach, side="left"
+    reach = 2.0 * threshold / graph.min_edge_length
+    crossings = np.sort(np.repeat(ks, mults))
+    nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
+        crossings, ks - reach, side="left"
     )
-    excess = (dims > nearby) & (roots > reach)
-    if np.any(excess):
-        j = int(np.flatnonzero(excess)[0])
-        raise ToleranceNotMet(
+    excess = np.flatnonzero((dims > nearby) & (ks > reach))
+    if excess.size:
+        j = excess[0]
+        return (
             f"kernel dimension {dims[j]} above the {nearby[j]} crossings found "
-            f"within {reach[j]:.3g} of k={roots[j]!r}"
+            f"within {reach[j]:.3g} of k={float(ks[j])!r}"
         )
+    return None
 
 
 def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
@@ -763,7 +770,7 @@ def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
     count = _small_k_count(graph, robin, k_start)
     if count != expected:
         raise ToleranceNotMet(
-            f"inertia count {count} at the scan floor k={k_start!r}, "
+            f"inertia count {count} at the scan floor k={float(k_start)!r}, "
             f"expected {expected}"
         )
     if not tiny:
@@ -825,12 +832,11 @@ def compute_spectrum(
         j = int(np.flatnonzero(counts < 0)[0])
         raise ToleranceNotMet(
             f"inertia count falls from {n_grid[j]} to {n_grid[j + 1]} "
-            f"at k={grid[j + 1]!r}"
+            f"at k={float(grid[j + 1])!r}"
         )
-    rotation = _secular_rotation(graph, robin, grid[1])
     hot = np.flatnonzero(counts > 0)
     roots, mults = _refine_brackets(
-        graph, robin, rotation, grid[hot], grid[hot + 1], counts[hot], tol
+        graph, robin, grid[hot], grid[hot + 1], counts[hot], tol
     )
     roots = np.concatenate([below, roots])
     mults = np.concatenate([np.ones(len(below), dtype=int), mults])
@@ -844,14 +850,21 @@ def compute_spectrum(
         certified = zero_count + int(mults.sum())
         if certified < n_max:
             raise ToleranceNotMet(
-                f"scan to k={grid[-1]!r} certified {certified} of {n_max} "
+                f"scan to k={float(grid[-1])!r} certified {certified} of {n_max} "
                 "eigenvalues, below the winding bound "
                 "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
             )
         k_cap = float(grid[-1])
 
-    if roots.size:
-        _kernel_audit(graph, robin, roots, mults, tol)
+    eye = np.eye(graph.num_slots)
+    sv = _stack_map(
+        graph, robin, roots, lambda _, u: np.linalg.svd(eye - u, compute_uv=False)
+    )
+    mismatch = _kernel_mismatch(
+        graph, roots, mults, sv, _kernel_threshold(graph, robin, roots, tol)
+    )
+    if mismatch:
+        raise ToleranceNotMet(mismatch)
 
     # Exact audit: the records count what the inertia counted at every
     # scan point.
@@ -860,7 +873,7 @@ def compute_spectrum(
     if np.any(wrong):
         j = int(np.flatnonzero(wrong)[0])
         raise ToleranceNotMet(
-            f"records count {n_records[j]} eigenvalues up to k={grid[j]!r}, "
+            f"records count {n_records[j]} eigenvalues up to k={float(grid[j])!r}, "
             f"the inertia count {n_grid[j]}"
         )
 
@@ -879,7 +892,7 @@ def counting_function(spectrum: Spectrum, k: float) -> int:
     """N(k): eigenvalue count with multiplicity at or below k."""
     if k > spectrum.k_cap:
         raise OutOfScannedRange(
-            f"k={k!r} exceeds the scanned range k_cap={spectrum.k_cap!r}"
+            f"k={float(k)!r} exceeds the scanned range k_cap={spectrum.k_cap!r}"
         )
     return int(np.searchsorted(spectrum.wavenumbers(), k, side="right"))
 
@@ -916,11 +929,9 @@ def robin_homotopy(
     for t in couplings:
         spec = compute_spectrum(graph, RobinSpec(frozenset(vertices), t), n_max=n)
         ks.append(float(spec.wavenumbers()[n - 1]))
-        for rec in spec.records:
-            if rec.index <= n < rec.index + rec.multiplicity:
-                if rec.multiplicity > 1:
-                    degenerate.append(t)
-                break
+        firsts, _, mults = spec.columns
+        if mults[np.searchsorted(firsts, n, side="right") - 1] > 1:
+            degenerate.append(t)
     if strict and degenerate:
         raise IndexCrossingAmbiguity(
             f"eigenvalue {n} is multiple at couplings {degenerate}"

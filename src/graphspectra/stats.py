@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfunctions import eigenbasis
+from .eigenfunctions import _reach_chains, eigenbasis
 from .errors import InsufficientSpectrum
 from .graphs import MetricGraph, RobinSpec
 from .solver import Spectrum, _stop_width, compute_spectrum
@@ -209,18 +209,16 @@ def weyl_moments(
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
 
-    ks = []
-    skipped = 0
-    for rec in spectrum.records:
-        if rec.index > n:
-            break
-        if rec.multiplicity == 1 and rec.k > 0.0:
-            ks.append(rec.k)
-        else:
-            skipped += min(rec.multiplicity, n - rec.index + 1)
-    basis = eigenbasis(graph, robin, ks, np.ones(len(ks), dtype=int), spectrum.tol)
-    amps = basis.a
-    vertex_means = np.mean(basis.vertex_values**2, axis=0)
+    firsts, ks, mults = spectrum.columns
+    handed = _reach_chains(
+        graph, robin, ks, spectrum.tol, np.flatnonzero((firsts <= n) & (ks > 0.0))
+    )
+    basis = eigenbasis(graph, robin, ks[handed], mults[handed], spectrum.tol)
+    rows = handed[basis.record]
+    used = (mults[rows] == 1) & (firsts[rows] <= n)
+    n_used = int(used.sum())
+    amps = basis.a[used]
+    vertex_means = np.mean(basis.vertex_values[used] ** 2, axis=0)
 
     amp_sq = np.abs(amps) ** 2
     length_norm = np.sum(
@@ -232,8 +230,8 @@ def weyl_moments(
         vertex_means=vertex_means,
         slot_means=np.real(np.diag(cross)).copy(),
         cross_matrix=cross,
-        n_used=len(ks),
-        skipped=int(skipped),
+        n_used=n_used,
+        skipped=n - n_used,
     )
 
 

@@ -252,6 +252,18 @@ class TestCdf:
         _, loose = run_cli([*args, "--tol", "1e-4"], tmp_path, "loose.csv")
         assert default.read_bytes() != loose.read_bytes()
 
+    def test_top_gap_at_the_ceiling_is_no_violation(self, tmp_path, monkeypatch):
+        # cdf checks the ceiling 4 sigma / l_min with the slack rng uses
+        args = ["cdf", "--graph", str(FIXTURES / "interval.json"), "--nmax", "30",
+                "--format", "json"]
+        code, out = run_cli(args, tmp_path, name="first.json")
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        (top,) = [r[1] for r in rows if r[0] == "support"]
+        monkeypatch.setattr(cli, "shortest_edge_bound", lambda graph, sigma: top)
+        code, _ = run_cli(args, tmp_path, name="second.json")
+        assert code == 0
+
 
 class TestDefaultTarget:
     @pytest.mark.parametrize("command", ["spectrum", "weyl", "sensitivity"])
@@ -310,6 +322,23 @@ class TestSensitivity:
         _, got = read_rows(loose)
         assert len(got) == len(want) == 60
         assert max(abs(float(g[2]) - float(w[2])) for g, w in zip(got, want)) <= 1e-5
+
+
+class TestNearDegenerateStar:
+    # four edges 1e-8 apart in length: simple roots 1.76e-8 apart near
+    # pi / 2, each inside the numerical kernel of its neighbours
+    GRAPH = {
+        "vertices": 5,
+        "edges": [{"u": 0, "v": j, "len": 1.0 + 1e-8 * (j - 1)} for j in range(1, 5)],
+        "robin": {"vertices": [0], "sigma": 1.0},
+    }
+
+    @pytest.mark.parametrize("command, n", [("sensitivity", "8"), ("weyl", "60")])
+    def test_eigenfunction_commands_accept_the_spectrum(self, command, n, tmp_path):
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(self.GRAPH))
+        code, _ = run_cli([command, "--graph", str(path), "--nmax", n], tmp_path)
+        assert code == 0
 
 
 class TestOutputDiscipline:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from graphspectra import solver
 from graphspectra.eigenfunctions import (
     _l2_norm_sq,
     eigenbasis,
@@ -62,11 +63,34 @@ def test_interval_eigenfunction_is_cosine(pi_interval):
         evaluate(handle, 0, -0.1)
 
 
-def test_kernel_dimension_guard(pi_interval):
+def test_kernel_dimension_guard(pi_interval, equilateral_star):
     with pytest.raises(KernelDimensionMismatch):
         kernel_vector(pi_interval, NEUMANN, 1.0, multiplicity=2)
     with pytest.raises(KernelDimensionMismatch):
         kernel_vector(pi_interval, NEUMANN, 1.4)  # not an eigenvalue
+    # the triple root at pi / 2: a short record and records with excess raise
+    for m in (1, 2, 4):
+        with pytest.raises(KernelDimensionMismatch):
+            kernel_vector(equilateral_star, NEUMANN, math.pi / 2.0, multiplicity=m)
+    assert len(kernel_vector(equilateral_star, NEUMANN, math.pi / 2.0, multiplicity=3)) == 3
+    with pytest.raises(KernelDimensionMismatch):
+        kernel_vector(equilateral_star, NEUMANN, 1.3, multiplicity=3)
+
+
+def test_kernel_without_a_real_gauge_raises(monkeypatch):
+    # D U D^-1 with D = diag(1, 1, i, i) moves the kernel of the path 0-1-2
+    # at pi / 2 off the real gauge: D_j D_rev(j) is 1 on one edge and -1 on
+    # the other, which carry equal weight, so no kernel direction is real
+    path = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
+    d = np.array([1.0, 1.0, 1j, 1j])
+    stack = solver.unitary_stack
+    monkeypatch.setattr(
+        solver,
+        "unitary_stack",
+        lambda *args: d[:, None] * stack(*args) * np.conj(d)[None, :],
+    )
+    with pytest.raises(KernelDimensionMismatch, match="real"):
+        kernel_vector(path, NEUMANN, math.pi / 2.0)
 
 
 def test_l2_norm_against_quadrature(star4):

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphspectra import solver
+from graphspectra.eigenfunctions import _conjugate_flip, eigenbasis, sensitivity
 from graphspectra.errors import ToleranceNotMet
 from graphspectra.graphs import RobinSpec, build_graph, load_graph_file, make_star
 from graphspectra.scattering import total_phase_values, unitary_stack
+from graphspectra.stats import weyl_moments
 
 NEUMANN = RobinSpec.neumann()
 TWO_PI = 2.0 * math.pi
@@ -32,9 +34,8 @@ def _eigvals_count(graph, robin, lo, hi):
 
 def test_zeta_is_real_and_vanishes_at_roots(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
-    rotation = solver._secular_rotation(star4, robin, 0.7)
     ks = np.linspace(0.1, 40.0, 997)
-    z = solver._secular_values(star4, robin, ks, rotation)
+    z = solver._secular_values(star4, robin, ks)
     assert np.max(np.abs(z.imag) / np.abs(z)) < 1e-8
     roots = solver.compute_spectrum(star4, robin, k_max=40.0).wavenumbers()
     # one sign change of zeta per simple root
@@ -42,22 +43,22 @@ def test_zeta_is_real_and_vanishes_at_roots(star4):
 
 
 def test_polish_ready_sends_even_and_endpoint_roots_back(pi_interval):
-    rotation = solver._secular_rotation(pi_interval, NEUMANN, 0.7)
     # roots at the integers: (0.5, 1.5] and (1.5, 4.5] change sign, (0.5, 2.5]
     # holds two roots, and (0.5, 1.0] has its root on the end
     los = np.array([0.5, 1.5, 0.5, 0.5])
     his = np.array([1.5, 4.5, 2.5, 1.0])
-    _, _, ready = solver._polish_ready(pi_interval, NEUMANN, los, his, rotation)
+    _, _, ready = solver._polish_ready(pi_interval, NEUMANN, los, his)
     assert ready.tolist() == [True, True, False, False]
 
 
-def test_polish_ready_raises_when_zeta_is_not_real(pi_interval):
-    # turned by 45 degrees, zeta has |Im| = |zeta| / sqrt(2)
-    rotation = solver._secular_rotation(pi_interval, NEUMANN, 0.7) * np.exp(0.25j * np.pi)
+def test_polish_ready_raises_when_zeta_is_not_real(pi_interval, monkeypatch):
+    # Theta shifted by pi / 2 turns zeta by 45 degrees: |Im| = |zeta| / sqrt(2)
+    theta = solver.total_phase_values
+    monkeypatch.setattr(
+        solver, "total_phase_values", lambda *args: theta(*args) + 0.5 * np.pi
+    )
     with pytest.raises(ToleranceNotMet, match="not real"):
-        solver._polish_ready(
-            pi_interval, NEUMANN, np.array([0.5]), np.array([1.5]), rotation
-        )
+        solver._polish_ready(pi_interval, NEUMANN, np.array([0.5]), np.array([1.5]))
 
 
 def test_simple_roots_are_polished_with_determinants(star4, monkeypatch):
@@ -215,6 +216,8 @@ def test_records_carry_their_winding_count(case):
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
+# four roots near 5 pi / 2, each gap below the merge radius: one record
+@example(degree=5, u=-9.25, steps=[0, 0, 1, 1, 1], s=0.0, at_leaf=False)
 def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf):
     # lengths 1 + j delta {0, 1, 2}: clusters of roots that split just
     # above or below the stop width, the hard case for the split point
@@ -223,6 +226,36 @@ def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf
     graph = make_star(degree, lengths)
     robin = RobinSpec(frozenset({1 if at_leaf else 0}), float(10.0**s))
     _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+@given(
+    st.integers(3, 5),
+    st.floats(-15.0, -2.0),
+    st.lists(st.sampled_from([0, 1, 2]), min_size=5, max_size=5),
+    st.floats(-8.0, 6.0),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+# two simple roots 2.1e-8 apart near pi / 2, each inside the other's kernel
+@example(degree=3, u=-8.0, steps=[0, 0, 1, 0, 0], s=0.0, at_leaf=False)
+# a leaf coupled at sigma = 1e-7 splits the double root at 3 pi / 2
+@example(degree=3, u=-2.0, steps=[0] * 5, s=-7.0, at_leaf=True)
+def test_eigenfunctions_accept_the_certified_clusters(degree, u, steps, s, at_leaf):
+    # the eigenfunctions count kernels by the solver's rule, so every
+    # spectrum it certifies has eigenfunctions, and all in the real gauge
+    delta = 10.0**u
+    lengths = tuple(1.0 + j * delta * steps[j] for j in range(degree))
+    graph = make_star(degree, lengths)
+    robin = RobinSpec(frozenset({1 if at_leaf else 0}), float(10.0**s))
+    spec = solver.compute_spectrum(graph, robin, n_max=20)
+    weyl_moments(graph, robin, 20, spectrum=spec)
+    sensitivity(graph, robin, np.arange(1, 21), spectrum=spec)
+    records = [r for r in spec.records if r.k > 0.0]
+    basis = eigenbasis(
+        graph, robin, [r.k for r in records], [r.multiplicity for r in records]
+    )
+    flipped = _conjugate_flip(graph, basis.a, basis.k[:, None])
+    assert np.max(np.abs(basis.a - flipped)) <= 1e-12
 
 
 @given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))

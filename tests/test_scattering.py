@@ -210,3 +210,7 @@ def test_unitarity_defect_property(kind, k, sigma):
     defect = np.linalg.norm(u.conj().T @ u - np.eye(g.num_slots))
     assert defect <= 1e-12 * g.num_slots
     assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-12
+    # det U(k) = (-1)^(E + V) exp(i Theta(k)), loops included
+    theta = total_phase_values(g, robin, [k])[0]
+    sign = (-1.0) ** (g.num_edges + g.num_vertices)
+    assert abs(np.linalg.det(u) - sign * np.exp(1j * theta)) < 1e-12

@@ -172,8 +172,10 @@ def test_scan_short_of_n_max_raises(star4, monkeypatch):
         return n, ok
 
     monkeypatch.setattr(solver, "_inertia_counts", lower_quarter)
-    with pytest.raises(ToleranceNotMet, match="winding bound"):
+    with pytest.raises(ToleranceNotMet, match="winding bound") as raised:
         compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=60)
+    # wave numbers print as plain floats, not as numpy scalar reprs
+    assert "np.float64" not in str(raised.value)
 
 
 def test_loose_tolerance_still_brackets(unit_interval):
