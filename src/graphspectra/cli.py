@@ -148,9 +148,9 @@ def _spectrum(graph, robin, config: RunConfig):
 def _gap_series(graph, robin, config: RunConfig):
     """Index-paired gaps between the Neumann and the coupled spectrum."""
     return rng_sequence(
-        graph, robin.vertices, robin.sigma, config.target_n,
-        neumann=_spectrum(graph, RobinSpec.neumann(), config),
-        robin_spectrum=_spectrum(graph, robin, config),
+        _spectrum(graph, RobinSpec.neumann(), config),
+        _spectrum(graph, robin, config),
+        config.target_n,
     )
 
 
@@ -228,7 +228,7 @@ def cmd_weyl(config: RunConfig) -> Table:
     _require_index_target(config)
     n = config.target_n
     spectrum = _spectrum(graph, robin, config)
-    report = weyl_moments(graph, robin, n, spectrum=spectrum)
+    report = weyl_moments(spectrum, n)
     total = graph.total_length
     slot_scale = 1.0 / (2.0 * total)
 
@@ -286,7 +286,7 @@ def cmd_sensitivity(config: RunConfig) -> Table:
     spectrum = _spectrum(graph, robin, config)
     decomp = boundary_star_decomposition(graph, robin)
     lams = spectrum.eigenvalues(n)
-    values = sensitivity(graph, robin, np.arange(1, n + 1), spectrum=spectrum)
+    values = sensitivity(spectrum, np.arange(1, n + 1))
     positive = lams > 0.0
     predictions = np.full(n, np.nan)
     bounds = np.full(n, np.nan)

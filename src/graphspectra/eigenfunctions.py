@@ -30,9 +30,9 @@ and vertex values in the real gauge reduce to f(v) = 2 Re(a_j) for any
 slot j pointing out of v.
 
 All of it runs in one batched evaluation, eigenbasis: the SVDs of
-I - U(k) over a set of records (k, m), the gauge batched per
+I - U(k) over a set of records of one Spectrum, the gauge batched per
 multiplicity, every quantity above vectorized over the result.  The
-single-record functions and the sensitivity are views of it.
+single-record handles and the sensitivity are views of it.
 """
 from __future__ import annotations
 
@@ -45,15 +45,10 @@ from .errors import (
     DegenerateEigenvalue,
     KernelDimensionMismatch,
     OutOfRange,
+    ZeroWaveNumber,
 )
 from .graphs import MetricGraph, RobinSpec
-from .solver import (
-    Spectrum,
-    _kernel_mismatch,
-    _kernel_threshold,
-    _stack_map,
-    compute_spectrum,
-)
+from .solver import Spectrum, _kernel_mismatch, _stack_map
 
 __all__ = [
     "AmplitudeVector",
@@ -61,7 +56,6 @@ __all__ = [
     "EigenfunctionHandle",
     "SensitivityValue",
     "eigenbasis",
-    "kernel_vector",
     "eigenfunction_handle",
     "evaluate",
     "sensitivity",
@@ -94,11 +88,12 @@ class EigenfunctionHandle:
 class EigenBasis:
     """Real-gauge eigenfunctions of a batch of records, one row each.
 
-    Rows come grouped by record in input order, m rows for a record of
-    multiplicity m; record[i] is the input position of row i and k[i]
-    its wave number.  a holds unit kernel vectors of I - U(k), residual
-    |(I - U(k)) a|, l2norm_sq the exact squared L2 norm of the
-    eigenfunction, and vertex_values the L2-normalized values f(v).
+    Rows come grouped by record in spectrum order, m rows for a record
+    of multiplicity m; record[i] is the position of row i's record in
+    spectrum.records and k[i] its wave number.  a holds unit kernel
+    vectors of I - U(k), residual |(I - U(k)) a|, l2norm_sq the exact
+    squared L2 norm of the eigenfunction, and vertex_values the
+    L2-normalized values f(v).
     """
 
     record: np.ndarray
@@ -137,22 +132,30 @@ def _l2_norm_sq(graph: MetricGraph, a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.sum(direct + cross, axis=1)
 
 
-def eigenbasis(
-    graph: MetricGraph, robin: RobinSpec, ks, multiplicities, tol: float | None = None
-) -> EigenBasis:
-    """Real-gauge eigenfunctions of every record (k, m), k > 0.
+def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
+    """Real-gauge eigenfunctions of the wanted records and their chains.
 
-    One pass of SVDs over the U(k) stack of all records, every later
+    records are positions in spectrum.records.  Consecutive positive
+    records closer than the largest kernel reach link into one chain,
+    and every record in the chain of a wanted one is solved too: the
+    kernel-dimension rule (_kernel_mismatch) counts the crossings near a
+    record among the records it sees, and a whole chain shows it every
+    one of them.  The zero mode has no amplitude vector and is left out.
+    One pass of SVDs over the U(k) stack of those records, every later
     step vectorized over the rows.  Raises KernelDimensionMismatch where
-    a record breaks the solver's kernel-dimension rule (_kernel_mismatch)
-    at the threshold for the refinement tolerance tol, or where its
-    kernel has no real gauge; raises ContinuityViolation when an
-    eigenfunction takes two values at one vertex.  The rule counts the
-    crossings near each record among the records given, so callers hand
-    in whole chains of nearby records (_reach_chains).
+    a record breaks the rule at the spectrum's kernel threshold, or
+    where its kernel has no real gauge; raises ContinuityViolation when
+    an eigenfunction takes two values at one vertex.
     """
-    ks = np.asarray(ks, dtype=float)
-    mults = np.asarray(multiplicities, dtype=int)
+    graph = spectrum.graph
+    _, all_ks, all_mults = spectrum.columns
+    positive = np.flatnonzero(all_ks > 0.0)
+    threshold = spectrum.kernel_threshold(all_ks[positive])
+    reach = 2.0 * threshold.max(initial=0.0) / graph.min_edge_length
+    chain = np.cumsum(np.diff(all_ks[positive], prepend=-np.inf) > reach)
+    chained = np.isin(chain, chain[np.isin(positive, records)])
+    handed, threshold = positive[chained], threshold[chained]
+    ks, mults = all_ks[handed], all_mults[handed]
     n = graph.num_slots
     eye = np.eye(n)
 
@@ -165,20 +168,21 @@ def eigenbasis(
             _, sv[i], vh[i] = np.linalg.svd(m)
         return sv, vh
 
-    sv, vh = _stack_map(graph, robin, ks, decompose)
-    threshold = _kernel_threshold(graph, robin, ks, tol)
+    sv, vh = _stack_map(graph, spectrum.robin, ks, decompose)
     mismatch = _kernel_mismatch(graph, ks, mults, sv, threshold)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
 
-    record = np.repeat(np.arange(ks.size), mults)
+    local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults
-    a = np.empty((record.size, n), dtype=complex)
+    a = np.empty((local.size, n), dtype=complex)
+    residual = np.empty(local.size)
     for m in np.unique(mults):
         # the real gauge of the module docstring, on the right singular
         # vectors of the m smallest singular values
         at = np.flatnonzero(mults == m)
-        u = np.conj(vh[at, n - m :])
+        vt = vh[at]
+        u = np.conj(vt[:, n - m :])
         flip = _conjugate_flip(graph, u, ks[at, None, None])
         fixed = np.concatenate([u + flip, 1j * (u - flip)], axis=1)
         lam, w = np.linalg.eigh(np.einsum("rin,rjn->rij", fixed.conj(), fixed).real)
@@ -191,9 +195,11 @@ def eigenbasis(
             )
         rows = first_row[at, None] + np.arange(m)
         a[rows] = np.einsum("rij,rin->rjn", w, fixed) / np.sqrt(lam)[:, :, None]
-    k = ks[record]
-    # |(I - U) a| = |Sigma V^H a|
-    residual = np.linalg.norm(sv[record] * np.einsum("rij,rj->ri", vh[record], a), axis=1)
+        # |(I - U) a| = |Sigma V^H a|, over all 2E rows of V^H
+        residual[rows] = np.linalg.norm(
+            sv[at, None, :] * np.einsum("rij,rmj->rmi", vt, a[rows]), axis=2
+        )
+    k = ks[local]
 
     l2norm_sq = _l2_norm_sq(graph, a, k)
     # f at the origin of every slot; continuity asks one value per vertex.
@@ -202,7 +208,7 @@ def eigenbasis(
     at_origin = a + a[:, graph.slot_reversal] * np.exp(1j * k[:, None] * graph.slot_length)
     _, first_out = np.unique(graph.slot_origin, return_index=True)
     jump = np.abs(at_origin - at_origin[:, first_out[graph.slot_origin]])
-    broken = jump > np.maximum(CONTINUITY_TOL, 2.0 * threshold[record])[:, None]
+    broken = jump > np.maximum(CONTINUITY_TOL, 2.0 * threshold[local])[:, None]
     if np.any(broken):
         row, slot = np.unravel_index(np.argmax(broken), jump.shape)
         raise ContinuityViolation(
@@ -210,46 +216,28 @@ def eigenbasis(
             f"at vertex {graph.slot_origin[slot]}"
         )
     vertex_values = np.real(at_origin[:, first_out]) / np.sqrt(l2norm_sq)[:, None]
-    return EigenBasis(record, k, a, residual, l2norm_sq, vertex_values)
+    return EigenBasis(handed[local], k, a, residual, l2norm_sq, vertex_values)
 
 
-def _reach_chains(graph, robin, ks: np.ndarray, tol, wanted) -> np.ndarray:
-    """Positions of the positive records ks in the chains of the wanted ones.
-
-    Consecutive records closer than the largest kernel reach link into
-    one chain.  eigenbasis counts the crossings near a record among the
-    records it is given, and a whole chain shows it every one of them.
-    """
-    positive = np.flatnonzero(ks > 0.0)
-    threshold = _kernel_threshold(graph, robin, ks[positive], tol)
-    reach = 2.0 * threshold.max(initial=0.0) / graph.min_edge_length
-    chain = np.cumsum(np.diff(ks[positive], prepend=-np.inf) > reach)
-    return positive[np.isin(chain, chain[np.isin(positive, wanted)])]
-
-
-def eigenfunction_handle(
-    graph: MetricGraph, robin: RobinSpec, k: float, multiplicity: int = 1
-) -> list[EigenfunctionHandle]:
-    """Real-gauge eigenbasis at one eigenvalue, with norms and vertex values."""
-    basis = eigenbasis(graph, robin, [k], [multiplicity])
+def eigenfunction_handle(spectrum: Spectrum, n: int) -> list[EigenfunctionHandle]:
+    """Real-gauge eigenbasis of the record holding eigenvalue n, one
+    handle per unit of its multiplicity, with norms and vertex values."""
+    at = int(spectrum.positions(n))
+    basis = eigenbasis(spectrum, [at])
+    rows = np.flatnonzero(basis.record == at)
+    if rows.size == 0:
+        raise ZeroWaveNumber(f"eigenvalue {n} is the zero mode, which has no amplitudes")
     return [
         EigenfunctionHandle(
-            graph=graph,
+            graph=spectrum.graph,
             amplitude=AmplitudeVector(
-                k=float(k), a=basis.a[i], residual=float(basis.residual[i])
+                k=float(basis.k[i]), a=basis.a[i], residual=float(basis.residual[i])
             ),
             l2norm_sq=float(basis.l2norm_sq[i]),
             vertex_values=basis.vertex_values[i],
         )
-        for i in range(multiplicity)
+        for i in rows
     ]
-
-
-def kernel_vector(
-    graph: MetricGraph, robin: RobinSpec, k: float, multiplicity: int = 1
-) -> list[AmplitudeVector]:
-    """Orthonormal real-gauge basis of ker(I - U(k))."""
-    return [h.amplitude for h in eigenfunction_handle(graph, robin, k, multiplicity)]
 
 
 def evaluate(handle: EigenfunctionHandle, edge: int, x: float) -> float:
@@ -279,32 +267,19 @@ def robin_residual(handle: EigenfunctionHandle, robin: RobinSpec, v: int) -> flo
     )
 
 
-def sensitivity(
-    graph: MetricGraph,
-    robin: RobinSpec,
-    n,
-    *,
-    spectrum: Spectrum | None = None,
-    strict: bool = False,
-) -> SensitivityValue:
+def sensitivity(spectrum: Spectrum, n, *, strict: bool = False) -> SensitivityValue:
     """Coupling derivative of eigenvalue n: sum over coupled vertices of
     the squared normalized vertex values.
 
     n is one index or an array of indices; each record they touch is
-    solved once, all in one eigenbasis call with the records near them.
-    For a multiple eigenvalue the basis average is returned (the trace
-    over the eigenspace divided by its dimension, which is basis
-    independent) with degenerate=True; strict=True raises instead.
+    solved once, all in one eigenbasis call.  For a multiple eigenvalue
+    the basis average is returned (the trace over the eigenspace divided
+    by its dimension, which is basis independent) with degenerate=True;
+    strict=True raises instead.
     """
     idx = np.asarray(n)
-    if np.any(idx < 1):
-        raise ValueError("eigenvalue index starts at 1")
-    if spectrum is None:
-        spectrum = compute_spectrum(graph, robin, n_max=int(idx.max()))
-    if np.any(idx > spectrum.size):
-        raise OutOfRange(f"index {int(idx.max())} beyond the computed spectrum")
-    firsts, ks, mults = spectrum.columns
-    which = np.searchsorted(firsts, idx.ravel(), side="right") - 1
+    which = spectrum.positions(idx.ravel())
+    _, ks, mults = spectrum.columns
     degenerate = mults[which] > 1
     if strict and np.any(degenerate):
         j = int(np.argmax(degenerate))
@@ -312,14 +287,13 @@ def sensitivity(
             f"eigenvalue {idx.ravel()[j]} at k={float(ks[which[j]])!r} "
             f"has multiplicity {mults[which[j]]}"
         )
+    coupled = sorted(spectrum.robin.vertices)
     # constant eigenfunction at k = 0: f(v)^2 = 1/|G| at every vertex
-    values = np.full(ks.size, len(robin.vertices) / graph.total_length)
-    handed = _reach_chains(graph, robin, ks, spectrum.tol, which)
-    basis = eigenbasis(graph, robin, ks[handed], mults[handed], spectrum.tol)
-    per_row = np.sum(basis.vertex_values[:, sorted(robin.vertices)] ** 2, axis=1)
-    values[handed] = np.bincount(
-        basis.record, weights=per_row, minlength=handed.size
-    ) / mults[handed]
+    values = np.full(ks.size, len(coupled) / spectrum.graph.total_length)
+    basis = eigenbasis(spectrum, which)
+    per_row = np.sum(basis.vertex_values[:, coupled] ** 2, axis=1)
+    solved = np.unique(basis.record)
+    values[solved] = np.bincount(basis.record, weights=per_row)[solved] / mults[solved]
     value = values[which]
     if idx.ndim == 0:
         return SensitivityValue(value=float(value[0]), degenerate=bool(degenerate[0]))

@@ -162,7 +162,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexCrossingAmbiguity, OutOfScannedRange, ToleranceNotMet
+from .errors import IndexCrossingAmbiguity, OutOfRange, OutOfScannedRange, ToleranceNotMet
 from .graphs import MetricGraph, RobinSpec
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
@@ -208,17 +208,18 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ordered spectrum of one graph operator at fixed coupling.
+    """Ordered spectrum of the operator of one graph and one coupling.
 
     records carry multiplicity, so a record with multiplicity m owns the
     m consecutive indices starting at its index field.  k_cap is the
     largest wave number the scan certified; every eigenvalue at or below
     k_cap appears.  tol is the refinement tolerance the records were
-    computed with (None for the default stop width); kernel dimensions
-    at these wave numbers are counted against the threshold it sets.
+    computed with (None for the default stop width); stop_width and
+    kernel_threshold give the accuracy model it sets.
     """
 
-    sigma: float
+    graph: MetricGraph
+    robin: RobinSpec
     records: tuple
     k_cap: float
     tol: float | None = field(default=None, compare=False)
@@ -247,6 +248,23 @@ class Spectrum:
     @property
     def size(self) -> int:
         return int(self.columns[2].sum())
+
+    def positions(self, n) -> np.ndarray:
+        """Positions in records of the records holding eigenvalue indices n."""
+        n = np.asarray(n)
+        if np.any(n < 1):
+            raise ValueError("eigenvalue index starts at 1")
+        if np.any(n > self.size):
+            raise OutOfRange(f"index {int(n.max())} beyond the computed spectrum")
+        return np.searchsorted(self.columns[0], n, side="right") - 1
+
+    def stop_width(self, ks: np.ndarray) -> np.ndarray:
+        """Final bracket width at ks; a reported k lies within half of it."""
+        return _stop_width(ks, self.tol)
+
+    def kernel_threshold(self, ks: np.ndarray) -> np.ndarray:
+        """Singular values of I - U(k) below this count toward dim ker."""
+        return _kernel_threshold(self.graph, self.robin, ks, self.tol)
 
 
 @dataclass(frozen=True)
@@ -885,7 +903,7 @@ def compute_spectrum(
     for k, m in zip(roots, mults):
         records.append(SpectralPoint(index=index, k=float(k), multiplicity=int(m)))
         index += int(m)
-    return Spectrum(sigma=robin.sigma, records=tuple(records), k_cap=k_cap, tol=tol)
+    return Spectrum(graph, robin, tuple(records), k_cap, tol)
 
 
 def counting_function(spectrum: Spectrum, k: float) -> int:
@@ -929,8 +947,7 @@ def robin_homotopy(
     for t in couplings:
         spec = compute_spectrum(graph, RobinSpec(frozenset(vertices), t), n_max=n)
         ks.append(float(spec.wavenumbers()[n - 1]))
-        firsts, _, mults = spec.columns
-        if mults[np.searchsorted(firsts, n, side="right") - 1] > 1:
+        if spec.columns[2][spec.positions(n)] > 1:
             degenerate.append(t)
     if strict and degenerate:
         raise IndexCrossingAmbiguity(

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigenfunctions import _reach_chains, eigenbasis
+from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
-from .graphs import MetricGraph, RobinSpec
-from .solver import Spectrum, _stop_width, compute_spectrum
+from .graphs import MetricGraph
+from .solver import Spectrum
 
 __all__ = [
     "RngSeries",
@@ -93,42 +93,36 @@ class MomentReport:
     skipped: int
 
 
-def rng_sequence(
-    graph: MetricGraph,
-    vertices,
-    sigma: float,
-    n: int,
-    *,
-    neumann: Spectrum | None = None,
-    robin_spectrum: Spectrum | None = None,
-) -> RngSeries:
-    """First n gaps, paired strictly by sorted index with multiplicity.
+def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
+    """First n gaps between the uncoupled and the coupled spectrum of one
+    graph, paired strictly by sorted index with multiplicity.
 
     Each reported wave number lies within half a stop width of its root,
     so a pair closer than the mean of their stop widths cannot be told
     from one root shared by both spectra.  Such a pair reports the
     Neumann wave number on both sides, and its gap is exactly 0.
+    Raises ValueError when the spectra belong to different graphs or the
+    first one is coupled.
     """
     if n < 1:
         raise ValueError("need at least one gap")
-    vertices = frozenset(vertices)
-    if neumann is None:
-        neumann = compute_spectrum(graph, RobinSpec.neumann(), n_max=n)
-    if robin_spectrum is None:
-        robin_spectrum = compute_spectrum(graph, RobinSpec(vertices, sigma), n_max=n)
-    if neumann.size < n or robin_spectrum.size < n:
+    if neumann.graph != coupled.graph:
+        raise ValueError("the two spectra belong to different graphs")
+    if neumann.robin.sigma > 0.0 and neumann.robin.vertices:
+        raise ValueError("the first spectrum is coupled; pass the uncoupled one first")
+    if neumann.size < n or coupled.size < n:
         raise InsufficientSpectrum(
             f"need {n} eigenvalues, have {neumann.size} uncoupled "
-            f"and {robin_spectrum.size} coupled"
+            f"and {coupled.size} coupled"
         )
     k0 = neumann.wavenumbers(n)
-    k1 = robin_spectrum.wavenumbers(n)
-    reach = 0.5 * (_stop_width(k0, neumann.tol) + _stop_width(k1, robin_spectrum.tol))
+    k1 = coupled.wavenumbers(n)
+    reach = 0.5 * (neumann.stop_width(k0) + coupled.stop_width(k1))
     k1 = np.where(np.abs(k1 - k0) <= reach, k0, k1)
     return RngSeries(
-        graph=graph,
-        vertices=vertices,
-        sigma=float(sigma),
+        graph=coupled.graph,
+        vertices=coupled.robin.vertices,
+        sigma=coupled.robin.sigma,
         gaps=(k1 - k0) * (k1 + k0),
         k_neumann=k0,
         k_robin=k1,
@@ -190,40 +184,24 @@ def sensitivity_prediction(graph: MetricGraph, vertices, sigma: float, lam) -> n
     return 2.0 / graph.total_length * acc
 
 
-def weyl_moments(
-    graph: MetricGraph,
-    robin: RobinSpec | None = None,
-    n: int = 2000,
-    *,
-    spectrum: Spectrum | None = None,
-) -> MomentReport:
+def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
     """Moment averages over the simple eigenvalues among the first n.
 
     Multiple eigenvalues (and the zero mode, which has no scattering
     amplitude vector) are skipped; their count lands in skipped.
     """
-    if robin is None:
-        robin = RobinSpec.neumann()
-    if spectrum is None:
-        spectrum = compute_spectrum(graph, robin, n_max=n)
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
-
-    firsts, ks, mults = spectrum.columns
-    handed = _reach_chains(
-        graph, robin, ks, spectrum.tol, np.flatnonzero((firsts <= n) & (ks > 0.0))
-    )
-    basis = eigenbasis(graph, robin, ks[handed], mults[handed], spectrum.tol)
-    rows = handed[basis.record]
-    used = (mults[rows] == 1) & (firsts[rows] <= n)
+    firsts, _, mults = spectrum.columns
+    basis = eigenbasis(spectrum, np.flatnonzero(firsts <= n))
+    used = (mults[basis.record] == 1) & (firsts[basis.record] <= n)
     n_used = int(used.sum())
     amps = basis.a[used]
     vertex_means = np.mean(basis.vertex_values[used] ** 2, axis=0)
 
     amp_sq = np.abs(amps) ** 2
-    length_norm = np.sum(
-        graph.slot_length[None, 0::2] * (amp_sq[:, 0::2] + amp_sq[:, 1::2]), axis=1
-    )
+    lengths = spectrum.graph.slot_length[None, 0::2]
+    length_norm = np.sum(lengths * (amp_sq[:, 0::2] + amp_sq[:, 1::2]), axis=1)
     scaled = amps / np.sqrt(length_norm)[:, None]
     cross = (scaled[:, :, None] * np.conj(scaled[:, None, :])).mean(axis=0)
     return MomentReport(
@@ -267,28 +245,26 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
     ]
 
 
-def lipschitz_audit(
-    graph: MetricGraph,
-    vertices,
-    sigma_grid,
-    n: int,
-    *,
-    spectra: dict | None = None,
-) -> float:
+def lipschitz_audit(spectra, n: int) -> float:
     """Largest difference quotient |d_n(s1) - d_n(s2)| / |s1 - s2|.
 
-    Runs over all grid pairs and all indices up to n.  spectra may carry
-    precomputed Spectrum objects keyed by coupling value.
+    Runs over all pairs of the spectra's couplings and all indices up to
+    n; a repeated coupling counts once.  Raises ValueError unless the
+    spectra share one graph, the coupled ones share one vertex set, and
+    they hold at least two distinct couplings.
     """
-    grid = sorted(set(float(s) for s in sigma_grid))
+    spectra = list(spectra)
+    if len({spec.graph for spec in spectra}) > 1:
+        raise ValueError("the spectra belong to different graphs")
+    if len({spec.robin.vertices for spec in spectra if spec.robin.sigma > 0.0}) > 1:
+        raise ValueError("the coupled spectra couple different vertex sets")
+    by_coupling = {spec.robin.sigma: spec for spec in spectra}
+    grid = sorted(by_coupling)
     if len(grid) < 2:
-        raise ValueError("need at least two distinct grid couplings")
-    vertices = frozenset(vertices)
+        raise ValueError("need at least two distinct couplings")
     lams = []
     for s in grid:
-        spec = (spectra or {}).get(s)
-        if spec is None:
-            spec = compute_spectrum(graph, RobinSpec(vertices, s), n_max=n)
+        spec = by_coupling[s]
         if spec.size < n:
             raise InsufficientSpectrum(
                 f"need {n} eigenvalues at coupling {s}, have {spec.size}"

@@ -11,6 +11,7 @@ from graphspectra.graphs import (
     make_star,
 )
 from graphspectra.solver import compute_spectrum
+from graphspectra.stats import rng_sequence
 
 
 @pytest.fixture(scope="session")
@@ -58,5 +59,17 @@ def get_spectrum():
             )
             cache[key] = hit
         return hit
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def gap_series(get_spectrum):
+    """Index-paired gaps between cached Neumann and coupled spectra."""
+
+    def get(graph, vertices, sigma, n):
+        return rng_sequence(
+            get_spectrum(graph, (), 0.0, n), get_spectrum(graph, vertices, sigma, n), n
+        )
 
     return get

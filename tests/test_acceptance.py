@@ -39,7 +39,6 @@ from graphspectra.stats import (
     arctan_prediction,
     cesaro_mean,
     lipschitz_audit,
-    rng_sequence,
     running_average,
     theoretical_mean,
     weyl_moments,
@@ -48,17 +47,6 @@ from graphspectra.stats import (
 from oracles import interval_robin_wavenumbers
 
 SIGMA_GRID = tuple(0.5 * i for i in range(9))  # 0, 0.5, ..., 4
-
-
-def _series(get_spectrum, graph, vertices, sigma, n):
-    return rng_sequence(
-        graph,
-        vertices,
-        sigma,
-        n,
-        neumann=get_spectrum(graph, (), 0.0, n),
-        robin_spectrum=get_spectrum(graph, tuple(vertices), sigma, n),
-    )
 
 
 # 1. interval exactness ------------------------------------------------------
@@ -143,8 +131,7 @@ def test_hadamard_identity(star4, get_spectrum):
         n = rec.index
         if rec.multiplicity != 1:
             continue
-        got = sensitivity(star4, RobinSpec(frozenset([0]), sigma), n,
-                          spectrum=spectrum)
+        got = sensitivity(spectrum, n)
         assert not got.degenerate
         assert got.value == pytest.approx(diff[n - 1], rel=1e-4)
         checked += 1
@@ -153,9 +140,9 @@ def test_hadamard_identity(star4, get_spectrum):
 
 # 5. star mean convergence ---------------------------------------------------
 
-def test_star_mean_convergence(star4, get_spectrum):
+def test_star_mean_convergence(star4, gap_series):
     start = time.perf_counter()
-    series = _series(get_spectrum, star4, (0,), 2.0, 2500)
+    series = gap_series(star4, (0,), 2.0, 2500)
     elapsed = time.perf_counter() - start
     limit = theoretical_mean(star4, [0], 2.0)
     assert limit == pytest.approx(2.0 / (2.0 * star4.total_length))
@@ -168,8 +155,8 @@ def test_star_mean_convergence(star4, get_spectrum):
 
 # 6. tetrahedron mean --------------------------------------------------------
 
-def test_tetrahedron_mean(tetrahedron, get_spectrum):
-    series = _series(get_spectrum, tetrahedron, tuple(range(4)), 2.0, 5000)
+def test_tetrahedron_mean(tetrahedron, gap_series):
+    series = gap_series(tetrahedron, tuple(range(4)), 2.0, 5000)
     limit = (8.0 / 3.0) * 2.0 / tetrahedron.total_length
     assert theoretical_mean(tetrahedron, range(4), 2.0) == pytest.approx(limit)
     assert abs(cesaro_mean(series) - limit) / limit <= 0.05
@@ -177,9 +164,9 @@ def test_tetrahedron_mean(tetrahedron, get_spectrum):
 
 # 7. bounds never violated ---------------------------------------------------
 
-def test_bounds_never_violated_star(star4, get_spectrum):
+def test_bounds_never_violated_star(star4, gap_series):
     robin = RobinSpec(frozenset([0]), 2.0)
-    series = _series(get_spectrum, star4, (0,), 2.0, 2500)
+    series = gap_series(star4, (0,), 2.0, 2500)
     decomp = boundary_star_decomposition(star4, robin)
     for report in check_all(series, decomp):
         assert report.ok, (report.name, report.violations[:10])
@@ -187,9 +174,9 @@ def test_bounds_never_violated_star(star4, get_spectrum):
     assert np.all(series.gaps < gap_bound(decomp, robin))
 
 
-def test_bounds_never_violated_tetrahedron(tetrahedron, get_spectrum):
+def test_bounds_never_violated_tetrahedron(tetrahedron, gap_series):
     robin = RobinSpec(frozenset(range(4)), 2.0)
-    series = _series(get_spectrum, tetrahedron, tuple(range(4)), 2.0, 5000)
+    series = gap_series(tetrahedron, tuple(range(4)), 2.0, 5000)
     decomp = midpoint_star_decomposition(tetrahedron)
     for report in check_all(series, decomp):
         assert report.ok, (report.name, report.violations[:10])
@@ -213,7 +200,7 @@ def test_sensitivity_bound_never_violated(star4, tetrahedron, get_spectrum):
             if rec.multiplicity != 1 or rec.k in seen:
                 continue
             seen.add(rec.k)
-            value = sensitivity(graph, robin, rec.index, spectrum=spectrum)
+            value = sensitivity(spectrum, rec.index)
             bound = bounds[rec.index - 1]
             assert value.value < bound + 1e-10 * (1.0 + bound), rec
 
@@ -240,8 +227,7 @@ def test_interlacing_and_spectral_shift(star4, get_spectrum):
 
 def test_local_weyl_law(star4, get_spectrum):
     n = 2000
-    robin = RobinSpec(frozenset([0]), 2.0)
-    report = weyl_moments(star4, robin, n, spectrum=get_spectrum(star4, (0,), 2.0, n))
+    report = weyl_moments(get_spectrum(star4, (0,), 2.0, n), n)
     assert report.skipped == 0
     total = star4.total_length
     for v in range(star4.num_vertices):
@@ -275,10 +261,10 @@ def _major(clusters, n):
     return [(value, c) for value, c in clusters if c >= MAJOR_SHARE * n]
 
 
-def test_equilateral_gap_cluster_count(equilateral_star, get_spectrum):
+def test_equilateral_gap_cluster_count(equilateral_star, gap_series):
     half, full = (
         accumulation_clusters(
-            _series(get_spectrum, equilateral_star, (0,), EQ_SIGMA, n), tol=1e-8
+            gap_series(equilateral_star, (0,), EQ_SIGMA, n), tol=1e-8
         )
         for n in (EQ_N // 2, EQ_N)
     )
@@ -293,15 +279,15 @@ def test_equilateral_gap_cluster_count(equilateral_star, get_spectrum):
     assert abs(major[1][0] - _equilateral_limit(equilateral_star)) < 1e-5
 
 
-def test_equilateral_zero_gap_frequency(equilateral_star, get_spectrum):
-    series = _series(get_spectrum, equilateral_star, (0,), 2.0, 2000)
+def test_equilateral_zero_gap_frequency(equilateral_star, gap_series):
+    series = gap_series(equilateral_star, (0,), 2.0, 2000)
     clusters = accumulation_clusters(series, tol=1e-8)
     zero_count = sum(c for value, c in clusters if abs(value) < 1e-6)
     assert zero_count / 2000 == pytest.approx(0.75, abs=0.02)
 
 
-def test_equilateral_nonzero_accumulation_count(equilateral_star, get_spectrum):
-    series = _series(get_spectrum, equilateral_star, (0,), EQ_SIGMA, EQ_N)
+def test_equilateral_nonzero_accumulation_count(equilateral_star, gap_series):
+    series = gap_series(equilateral_star, (0,), EQ_SIGMA, EQ_N)
     clusters = accumulation_clusters(series)
     nonzero = [(value, c) for value, c in clusters if value > 1e-3]
     major = _major(nonzero, EQ_N)
@@ -316,8 +302,8 @@ def test_equilateral_nonzero_accumulation_count(equilateral_star, get_spectrum):
 
 # 11. running average against the pointwise prediction -----------------------
 
-def test_running_average_tracks_prediction(star4, get_spectrum):
-    series = _series(get_spectrum, star4, (0,), 2.0, 2500)
+def test_running_average_tracks_prediction(star4, gap_series):
+    series = gap_series(star4, (0,), 2.0, 2500)
     averaged = running_average(series.gaps, 21)
     predicted = arctan_prediction(star4, [0], 2.0, series.k_neumann)
     window = slice(49, 2500)
@@ -355,8 +341,8 @@ def test_lowest_eigenvalue_slope(unit_interval, star4, tetrahedron):
 def test_lipschitz_audit_star(star4, get_spectrum):
     robin = RobinSpec(frozenset([0]), 1.0)
     decomp = boundary_star_decomposition(star4, robin)
-    spectra = {s: get_spectrum(star4, (0,) if s else (), s, 1000) for s in SIGMA_GRID}
-    worst = lipschitz_audit(star4, [0], SIGMA_GRID, 1000, spectra=spectra)
+    spectra = [get_spectrum(star4, (0,) if s else (), s, 1000) for s in SIGMA_GRID]
+    worst = lipschitz_audit(spectra, 1000)
     ceiling = 2.0 / decomp.star_length(0)
     assert worst <= ceiling + 1e-10 * (1.0 + ceiling), (worst, ceiling)
 
@@ -364,9 +350,9 @@ def test_lipschitz_audit_star(star4, get_spectrum):
 def test_lipschitz_audit_tetrahedron(tetrahedron, get_spectrum):
     verts = tuple(range(4))
     decomp = midpoint_star_decomposition(tetrahedron)
-    spectra = {
-        s: get_spectrum(tetrahedron, verts if s else (), s, 1000) for s in SIGMA_GRID
-    }
-    worst = lipschitz_audit(tetrahedron, verts, SIGMA_GRID, 1000, spectra=spectra)
+    spectra = [
+        get_spectrum(tetrahedron, verts if s else (), s, 1000) for s in SIGMA_GRID
+    ]
+    worst = lipschitz_audit(spectra, 1000)
     ceiling = 2.0 / min(decomp.star_length(v) for v in verts)
     assert worst <= ceiling + 1e-10 * (1.0 + ceiling), (worst, ceiling)

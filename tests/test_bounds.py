@@ -27,7 +27,7 @@ from graphspectra.graphs import (
     make_complete4,
     midpoint_star_decomposition,
 )
-from graphspectra.stats import RngSeries, rng_sequence
+from graphspectra.stats import RngSeries
 
 
 class TestGapBound:
@@ -173,8 +173,8 @@ class TestParameters:
 
 
 class TestCheckAll:
-    def test_interval_all_clean(self, unit_interval):
-        series = rng_sequence(unit_interval, [0], 1.0, 60)
+    def test_interval_all_clean(self, unit_interval, gap_series):
+        series = gap_series(unit_interval, (0,), 1.0, 60)
         robin = RobinSpec(frozenset([0]), 1.0)
         decomp = boundary_star_decomposition(unit_interval, robin)
         flat, edge, refined = check_all(series, decomp)
@@ -187,16 +187,16 @@ class TestCheckAll:
         assert refined.applicable < 60
         assert refined.applicable >= 55
 
-    def test_refined_converges_to_flat(self, unit_interval):
-        series = rng_sequence(unit_interval, [0], 1.0, 60)
+    def test_refined_converges_to_flat(self, unit_interval, gap_series):
+        series = gap_series(unit_interval, (0,), 1.0, 60)
         robin = RobinSpec(frozenset([0]), 1.0)
         decomp = boundary_star_decomposition(unit_interval, robin)
         flat, _, refined = check_all(series, decomp)
         assert refined.bound[-1] == pytest.approx(flat.bound[-1], rel=1e-4)
         assert refined.bound[5] > refined.bound[-1]
 
-    def test_detector_flags_inflated_gap(self, unit_interval):
-        series = rng_sequence(unit_interval, [0], 1.0, 30)
+    def test_detector_flags_inflated_gap(self, unit_interval, gap_series):
+        series = gap_series(unit_interval, (0,), 1.0, 30)
         gaps = series.gaps.copy()
         gaps[17] = 100.0
         doped = RngSeries(

@@ -12,7 +12,6 @@ from graphspectra.eigenfunctions import (
     eigenbasis,
     eigenfunction_handle,
     evaluate,
-    kernel_vector,
     robin_residual,
     sensitivity,
 )
@@ -20,9 +19,10 @@ from graphspectra.errors import (
     DegenerateEigenvalue,
     KernelDimensionMismatch,
     OutOfRange,
+    ZeroWaveNumber,
 )
 from graphspectra.graphs import RobinSpec, build_graph, make_star
-from graphspectra.solver import compute_spectrum
+from graphspectra.solver import SpectralPoint, Spectrum, compute_spectrum
 from oracles import (
     interval_robin_wavenumbers,
     quadrature_norm_sq,
@@ -30,6 +30,11 @@ from oracles import (
 )
 
 NEUMANN = RobinSpec.neumann()
+
+
+def _one_record(graph, k, multiplicity):
+    """A Neumann spectrum that claims a single record (k, multiplicity)."""
+    return Spectrum(graph, NEUMANN, (SpectralPoint(2, k, multiplicity),), k_cap=k)
 
 
 def _reality_defect(graph, amp):
@@ -40,7 +45,9 @@ def _reality_defect(graph, amp):
 
 
 def test_interval_cosine_amplitudes(pi_interval):
-    (amp,) = kernel_vector(pi_interval, NEUMANN, 1.0)
+    spec = compute_spectrum(pi_interval, NEUMANN, n_max=3)
+    (handle,) = eigenfunction_handle(spec, 2)  # k = 1
+    amp = handle.amplitude
     assert amp.residual < 1e-10
     assert abs(np.linalg.norm(amp.a) - 1.0) < 1e-12
     assert abs(abs(amp.a[0]) - 1.0 / math.sqrt(2.0)) < 1e-10
@@ -48,7 +55,8 @@ def test_interval_cosine_amplitudes(pi_interval):
 
 
 def test_interval_eigenfunction_is_cosine(pi_interval):
-    (handle,) = eigenfunction_handle(pi_interval, NEUMANN, 2.0)
+    spec = compute_spectrum(pi_interval, NEUMANN, n_max=3)
+    (handle,) = eigenfunction_handle(spec, 3)  # k = 2
     # normalized eigenfunction is sqrt(2/pi) cos(2x), up to overall sign
     want = math.sqrt(2.0 / math.pi)
     sign = math.copysign(1.0, handle.vertex_values[0])
@@ -65,16 +73,40 @@ def test_interval_eigenfunction_is_cosine(pi_interval):
 
 def test_kernel_dimension_guard(pi_interval, equilateral_star):
     with pytest.raises(KernelDimensionMismatch):
-        kernel_vector(pi_interval, NEUMANN, 1.0, multiplicity=2)
+        eigenbasis(_one_record(pi_interval, 1.0, 2), [0])
     with pytest.raises(KernelDimensionMismatch):
-        kernel_vector(pi_interval, NEUMANN, 1.4)  # not an eigenvalue
+        eigenbasis(_one_record(pi_interval, 1.4, 1), [0])  # not an eigenvalue
     # the triple root at pi / 2: a short record and records with excess raise
     for m in (1, 2, 4):
         with pytest.raises(KernelDimensionMismatch):
-            kernel_vector(equilateral_star, NEUMANN, math.pi / 2.0, multiplicity=m)
-    assert len(kernel_vector(equilateral_star, NEUMANN, math.pi / 2.0, multiplicity=3)) == 3
+            eigenbasis(_one_record(equilateral_star, math.pi / 2.0, m), [0])
+    basis = eigenbasis(_one_record(equilateral_star, math.pi / 2.0, 3), [0])
+    assert np.array_equal(basis.record, [0, 0, 0])
     with pytest.raises(KernelDimensionMismatch):
-        kernel_vector(equilateral_star, NEUMANN, 1.3, multiplicity=3)
+        eigenbasis(_one_record(equilateral_star, 1.3, 3), [0])
+
+
+def test_handles_of_records_inside_each_others_kernel():
+    # two certified simple roots 2.1e-8 apart near pi / 2: each lies inside
+    # the other's numerical kernel, so a handle needs the pair to count it
+    star = make_star(3, (1.0, 1.0, 1.0 + 2e-8))
+    spec = compute_spectrum(star, RobinSpec(frozenset({0}), 1.0), n_max=4)
+    pair = [r for r in spec.records if abs(r.k - math.pi / 2.0) < 1e-6]
+    assert [r.multiplicity for r in pair] == [1, 1]
+    assert 0.0 < pair[1].k - pair[0].k < 1e-7
+    (low,) = eigenfunction_handle(spec, pair[0].index)
+    (high,) = eigenfunction_handle(spec, pair[1].index)
+    assert (low.amplitude.k, high.amplitude.k) == (pair[0].k, pair[1].k)
+    for handle in (low, high):
+        assert handle.amplitude.residual < 1e-12
+        assert _reality_defect(star, handle.amplitude) < 1e-12
+
+
+def test_zero_mode_has_no_handle(unit_interval):
+    spec = compute_spectrum(unit_interval, NEUMANN, n_max=3)
+    with pytest.raises(ZeroWaveNumber):
+        eigenfunction_handle(spec, 1)
+    assert len(eigenbasis(spec, [0]).record) == 0
 
 
 def test_kernel_without_a_real_gauge_raises(monkeypatch):
@@ -90,16 +122,13 @@ def test_kernel_without_a_real_gauge_raises(monkeypatch):
         lambda *args: d[:, None] * stack(*args) * np.conj(d)[None, :],
     )
     with pytest.raises(KernelDimensionMismatch, match="real"):
-        kernel_vector(path, NEUMANN, math.pi / 2.0)
+        eigenbasis(_one_record(path, math.pi / 2.0, 1), [0])
 
 
 def test_l2_norm_against_quadrature(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=12)
-    records = spec.records[:12]
-    basis = eigenbasis(
-        star4, robin, [r.k for r in records], [r.multiplicity for r in records]
-    )
+    basis = eigenbasis(spec, np.arange(12))
     for a, k, closed in zip(basis.a, basis.k, basis.l2norm_sq):
         edges = [
             (star4.edge_length(t), complex(a[2 * t]), complex(a[2 * t + 1]))
@@ -113,7 +142,7 @@ def test_normalized_handle_has_unit_norm(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=5)
     k = spec.records[2].k
-    (handle,) = eigenfunction_handle(star4, robin, k)
+    (handle,) = eigenfunction_handle(spec, spec.records[2].index)
     scaled = np.array(
         [evaluate(handle, e, 0.3 * star4.edge_length(e)) for e in range(4)]
     )
@@ -132,21 +161,17 @@ def test_normalized_handle_has_unit_norm(star4):
 
 
 def test_degenerate_basis_real_gauge(equilateral_star):
-    k = math.pi / 2.0
-    amps = kernel_vector(equilateral_star, NEUMANN, k, multiplicity=3)
-    assert len(amps) == 3
-    for i, amp in enumerate(amps):
+    spec = compute_spectrum(equilateral_star, NEUMANN, n_max=4)
+    handles = eigenfunction_handle(spec, 2)  # the triple root at pi / 2
+    assert len(handles) == 3
+    for i, handle in enumerate(handles):
+        amp = handle.amplitude
+        assert amp.k == pytest.approx(math.pi / 2.0, rel=1e-12)
         assert amp.residual < 1e-10
         assert _reality_defect(equilateral_star, amp) < 1e-8
         for j in range(i):
-            assert abs(np.vdot(amps[j].a, amp.a)) < 1e-10
-    # center-vanishing states: all of them are zero at the hub
-    for amp in amps:
-        (handle,) = [
-            h
-            for h in eigenfunction_handle(equilateral_star, NEUMANN, k, 3)
-            if np.allclose(h.amplitude.a, amp.a)
-        ]
+            assert abs(np.vdot(handles[j].amplitude.a, amp.a)) < 1e-10
+        # center-vanishing states: all of them are zero at the hub
         assert abs(handle.vertex_values[0]) < 1e-8
 
 
@@ -154,7 +179,7 @@ def test_vertex_values_continuity(tetrahedron):
     robin = RobinSpec(frozenset(range(4)), 2.0)
     spec = compute_spectrum(tetrahedron, robin, n_max=8)
     for rec in spec.records[:8]:
-        (handle,) = eigenfunction_handle(tetrahedron, robin, rec.k)
+        (handle,) = eigenfunction_handle(spec, rec.index)
         for v in range(4):
             # value via each incident slot must agree; construction checks
             # at 1e-6, re-verify at the tighter reporting tolerance
@@ -170,7 +195,7 @@ def test_robin_residual_all_vertices(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=10)
     for rec in spec.records[:10]:
-        (handle,) = eigenfunction_handle(star4, robin, rec.k)
+        (handle,) = eigenfunction_handle(spec, rec.index)
         for v in range(star4.num_vertices):
             assert robin_residual(handle, robin, v) < 1e-6 * max(rec.k, 1.0)
 
@@ -180,7 +205,7 @@ def test_tangent_identity_at_robin_vertex(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=6)
     for rec in spec.records[:6]:
-        (handle,) = eigenfunction_handle(star4, robin, rec.k)
+        (handle,) = eigenfunction_handle(spec, rec.index)
         if abs(handle.vertex_values[0]) < 1e-3:
             continue
         a = handle.amplitude.a
@@ -199,7 +224,7 @@ def test_tangent_identity_at_robin_vertex(star4):
 def test_sensitivity_constant_mode(star4, tetrahedron, unit_interval):
     for g, verts in ((unit_interval, {0}), (star4, {0}), (tetrahedron, {0, 1, 2, 3})):
         robin = RobinSpec(frozenset(verts), 0.0)
-        got = sensitivity(g, robin, 1)
+        got = sensitivity(compute_spectrum(g, robin, n_max=1), 1)
         assert not got.degenerate
         assert got.value == pytest.approx(len(verts) / g.total_length, rel=1e-12)
 
@@ -211,7 +236,7 @@ def test_sensitivity_hadamard_interval(unit_interval):
     up = interval_robin_wavenumbers(1.0, 1.0 + h, 8)
     down = interval_robin_wavenumbers(1.0, 1.0 - h, 8)
     for n in range(1, 9):
-        got = sensitivity(unit_interval, robin, n, spectrum=spec)
+        got = sensitivity(spec, n)
         fd = (up[n - 1] ** 2 - down[n - 1] ** 2) / (2.0 * h)
         assert not got.degenerate
         assert got.value == pytest.approx(fd, rel=1e-6)
@@ -220,19 +245,18 @@ def test_sensitivity_hadamard_interval(unit_interval):
 def test_sensitivity_degenerate_flag(equilateral_star):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(equilateral_star, robin, n_max=4)
-    got = sensitivity(equilateral_star, robin, 3, spectrum=spec)
+    got = sensitivity(spec, 3)
     assert got.degenerate
     assert got.value == pytest.approx(0.0, abs=1e-12)  # center-vanishing states
     with pytest.raises(DegenerateEigenvalue):
-        sensitivity(equilateral_star, robin, 3, spectrum=spec, strict=True)
+        sensitivity(spec, 3, strict=True)
 
 
 def test_batch_kernel_matches_closed_form(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=15)
-    records = spec.records[:15]
-    ks = np.array([rec.k for rec in records])
-    basis = eigenbasis(star4, robin, ks, [1] * ks.size)
+    ks = spec.columns[1][:15]
+    basis = eigenbasis(spec, np.arange(15))
     assert np.array_equal(basis.record, np.arange(ks.size))
     assert np.array_equal(basis.k, ks)
     assert np.all(basis.residual < 1e-10)
@@ -243,15 +267,15 @@ def test_batch_kernel_matches_closed_form(star4):
         assert np.allclose(f[1:], leaves, atol=1e-9)
         assert f[0] ** 2 == pytest.approx(robin_star_sensitivity(lengths, k), rel=1e-9)
     # each row is the single-record basis at its own k
-    for k, a in zip(ks, basis.a):
-        (single,) = kernel_vector(star4, robin, float(k))
-        assert abs(np.vdot(single.a, a)) == pytest.approx(1.0, abs=1e-12)
+    for rec, a in zip(spec.records, basis.a):
+        (single,) = eigenfunction_handle(spec, rec.index)
+        assert abs(np.vdot(single.amplitude.a, a)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_sensitivity_mixes_multiplicities(equilateral_star):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(equilateral_star, robin, n_max=30)
-    got = sensitivity(equilateral_star, robin, np.arange(1, 31), spectrum=spec)
+    got = sensitivity(spec, np.arange(1, 31))
     mults = np.repeat(
         [r.multiplicity for r in spec.records], [r.multiplicity for r in spec.records]
     )[:30]
@@ -263,9 +287,9 @@ def test_batch_sensitivity_mixes_multiplicities(equilateral_star):
     ]
     assert np.allclose(got.value, want, rtol=1e-9, atol=1e-12)
     with pytest.raises(DegenerateEigenvalue):
-        sensitivity(equilateral_star, robin, np.arange(1, 31), spectrum=spec, strict=True)
+        sensitivity(spec, np.arange(1, 31), strict=True)
     with pytest.raises(OutOfRange):
-        sensitivity(equilateral_star, robin, np.array([1, spec.size + 1]), spectrum=spec)
+        sensitivity(spec, np.array([1, spec.size + 1]))
 
 
 def test_zero_vector_norm():

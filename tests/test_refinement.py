@@ -248,12 +248,9 @@ def test_eigenfunctions_accept_the_certified_clusters(degree, u, steps, s, at_le
     graph = make_star(degree, lengths)
     robin = RobinSpec(frozenset({1 if at_leaf else 0}), float(10.0**s))
     spec = solver.compute_spectrum(graph, robin, n_max=20)
-    weyl_moments(graph, robin, 20, spectrum=spec)
-    sensitivity(graph, robin, np.arange(1, 21), spectrum=spec)
-    records = [r for r in spec.records if r.k > 0.0]
-    basis = eigenbasis(
-        graph, robin, [r.k for r in records], [r.multiplicity for r in records]
-    )
+    weyl_moments(spec, 20)
+    sensitivity(spec, np.arange(1, 21))
+    basis = eigenbasis(spec, np.arange(len(spec.records)))
     flipped = _conjugate_flip(graph, basis.a, basis.k[:, None])
     assert np.max(np.abs(basis.a - flipped)) <= 1e-12
 

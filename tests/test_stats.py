@@ -6,6 +6,7 @@ import pytest
 
 from graphspectra.errors import InsufficientSpectrum
 from graphspectra.graphs import RobinSpec, build_graph
+from graphspectra.solver import compute_spectrum
 from graphspectra.stats import (
     RngSeries,
     accumulation_clusters,
@@ -39,8 +40,8 @@ def _synthetic(gaps, sigma=2.0, graph=None):
 
 
 class TestRngSequence:
-    def test_interval_gaps_match_oracle(self, unit_interval):
-        series = rng_sequence(unit_interval, [0], 1.0, 12)
+    def test_interval_gaps_match_oracle(self, unit_interval, gap_series):
+        series = gap_series(unit_interval, (0,), 1.0, 12)
         k_robin = interval_robin_wavenumbers(1.0, 1.0, 12)
         k_neumann = np.concatenate([[0.0], np.pi * np.arange(1, 12)])
         expected = k_robin**2 - k_neumann**2
@@ -48,33 +49,42 @@ class TestRngSequence:
         assert series.gaps.shape == (12,)
         assert len(series) == 12
 
-    def test_difference_consistency_is_exact(self, unit_interval):
+    def test_difference_consistency_is_exact(self, unit_interval, gap_series):
         # gaps are built as (k1 - k0)(k1 + k0), so this holds bitwise
-        series = rng_sequence(unit_interval, [0], 3.0, 25)
+        series = gap_series(unit_interval, (0,), 3.0, 25)
         rebuilt = series.k_gaps * (series.k_robin + series.k_neumann)
         assert np.array_equal(series.gaps, rebuilt)
 
-    def test_gaps_nonnegative(self, star4, get_spectrum):
-        series = rng_sequence(
-            star4,
-            [0],
-            2.0,
-            150,
-            neumann=get_spectrum(star4, (), 0.0, 150),
-            robin_spectrum=get_spectrum(star4, (0,), 2.0, 150),
-        )
+    def test_gaps_nonnegative(self, star4, gap_series):
+        series = gap_series(star4, (0,), 2.0, 150)
         assert np.all(series.gaps >= -1e-9)
+        # graph and coupling come from the coupled spectrum
+        assert (series.graph, series.vertices, series.sigma) == (star4, frozenset({0}), 2.0)
 
-    def test_short_spectrum_rejected(self, unit_interval):
-        from graphspectra.solver import compute_spectrum
-
+    def test_short_spectrum_rejected(self, unit_interval, get_spectrum):
         short = compute_spectrum(unit_interval, RobinSpec.neumann(), n_max=5)
         with pytest.raises(InsufficientSpectrum):
-            rng_sequence(unit_interval, [0], 1.0, 50, neumann=short)
+            rng_sequence(short, get_spectrum(unit_interval, (0,), 1.0, 50), 50)
 
-    def test_needs_positive_count(self, unit_interval):
+    def test_needs_positive_count(self, unit_interval, get_spectrum):
         with pytest.raises(ValueError):
-            rng_sequence(unit_interval, [0], 1.0, 0)
+            rng_sequence(
+                get_spectrum(unit_interval, (), 0.0, 5),
+                get_spectrum(unit_interval, (0,), 1.0, 5),
+                0,
+            )
+
+    def test_spectra_of_different_graphs_rejected(self, star4, tetrahedron, get_spectrum):
+        neumann = get_spectrum(tetrahedron, (), 0.0, 20)
+        with pytest.raises(ValueError, match="different graphs"):
+            rng_sequence(neumann, get_spectrum(star4, (0,), 1.0, 20), 20)
+
+    def test_coupled_first_spectrum_rejected(self, star4, get_spectrum):
+        coupled = get_spectrum(star4, (0,), 1.0, 20)
+        with pytest.raises(ValueError, match="coupled"):
+            rng_sequence(coupled, get_spectrum(star4, (0,), 2.0, 20), 20)
+        with pytest.raises(ValueError, match="coupled"):
+            rng_sequence(coupled, get_spectrum(star4, (), 0.0, 20), 20)
 
 
 class TestMeans:
@@ -97,8 +107,8 @@ class TestMeans:
         expected = (8.0 / 3.0) * 2.0 / tetrahedron.total_length
         assert got == pytest.approx(expected, rel=1e-14)
 
-    def test_cesaro_approaches_limit(self, unit_interval):
-        series = rng_sequence(unit_interval, [0], 1.0, 400)
+    def test_cesaro_approaches_limit(self, unit_interval, gap_series):
+        series = gap_series(unit_interval, (0,), 1.0, 400)
         limit = theoretical_mean(unit_interval, [0], 1.0)
         assert cesaro_mean(series) == pytest.approx(limit, rel=0.05)
 
@@ -161,26 +171,26 @@ class TestPredictions:
 class TestWeylMoments:
     def test_slot_means_weighted_sum_is_one(self, star4, get_spectrum):
         spectrum = get_spectrum(star4, (0,), 2.0, 300)
-        report = weyl_moments(star4, RobinSpec(frozenset([0]), 2.0), 300, spectrum=spectrum)
+        report = weyl_moments(spectrum, 300)
         # per sample the length-weighted slot functionals sum to exactly 1
         weighted = np.sum(star4.slot_length * report.slot_means)
         assert weighted == pytest.approx(1.0, abs=1e-12)
 
     def test_counts_add_up(self, star4, get_spectrum):
         spectrum = get_spectrum(star4, (), 0.0, 200)
-        report = weyl_moments(star4, None, 200, spectrum=spectrum)
+        report = weyl_moments(spectrum, 200)
         assert report.n_used + report.skipped == 200
         assert report.skipped >= 1  # the zero mode carries no amplitudes
 
     def test_cross_matrix_hermitian(self, star4, get_spectrum):
         spectrum = get_spectrum(star4, (0,), 2.0, 300)
-        report = weyl_moments(star4, RobinSpec(frozenset([0]), 2.0), 300, spectrum=spectrum)
+        report = weyl_moments(spectrum, 300)
         assert np.allclose(report.cross_matrix, report.cross_matrix.conj().T, atol=1e-14)
         assert np.allclose(np.real(np.diag(report.cross_matrix)), report.slot_means)
 
     def test_moments_near_equidistribution(self, star4, get_spectrum):
         spectrum = get_spectrum(star4, (0,), 2.0, 400)
-        report = weyl_moments(star4, RobinSpec(frozenset([0]), 2.0), 400, spectrum=spectrum)
+        report = weyl_moments(spectrum, 400)
         total = star4.total_length
         # loose check at modest N; the acceptance run tightens this at N=2000
         assert report.vertex_means[0] == pytest.approx(2.0 / (4.0 * total), rel=0.25)
@@ -193,7 +203,7 @@ class TestWeylMoments:
     def test_short_spectrum_rejected(self, star4, get_spectrum):
         spectrum = get_spectrum(star4, (0,), 2.0, 100)
         with pytest.raises(InsufficientSpectrum):
-            weyl_moments(star4, RobinSpec(frozenset([0]), 2.0), 10**6, spectrum=spectrum)
+            weyl_moments(spectrum, 10**6)
 
 
 class TestCdf:
@@ -228,15 +238,8 @@ class TestClusters:
         clusters = accumulation_clusters(series, tol=10.0)
         assert clusters == [(1.0, 3)]
 
-    def test_equilateral_zero_cluster(self, equilateral_star, get_spectrum):
-        series = rng_sequence(
-            equilateral_star,
-            [0],
-            2.0,
-            120,
-            neumann=get_spectrum(equilateral_star, (), 0.0, 120),
-            robin_spectrum=get_spectrum(equilateral_star, (0,), 2.0, 120),
-        )
+    def test_equilateral_zero_cluster(self, equilateral_star, gap_series):
+        series = gap_series(equilateral_star, (0,), 2.0, 120)
         clusters = accumulation_clusters(series)
         # three of every four gaps vanish: the degenerate branches never move
         value, count = clusters[0]
@@ -245,21 +248,36 @@ class TestClusters:
 
 
 class TestLipschitz:
-    def test_interval_quotient_below_two(self, unit_interval):
-        worst = lipschitz_audit(unit_interval, [0], [0.0, 0.5, 1.0], 40)
+    def test_interval_quotient_below_two(self, unit_interval, get_spectrum):
+        spectra = [get_spectrum(unit_interval, (0,), s, 40) for s in (0.0, 0.5, 1.0)]
+        worst = lipschitz_audit(spectra, 40)
         assert 0.0 < worst <= 2.0 + 1e-9
 
-    def test_single_point_grid_rejected(self, unit_interval):
-        with pytest.raises(ValueError):
-            lipschitz_audit(unit_interval, [0], [1.0, 1.0], 10)
+    def test_single_point_grid_rejected(self, unit_interval, get_spectrum):
+        spectrum = get_spectrum(unit_interval, (0,), 1.0, 10)
+        with pytest.raises(ValueError, match="two distinct"):
+            lipschitz_audit([spectrum, spectrum], 10)
 
-    def test_short_precomputed_spectrum_rejected(self, unit_interval):
-        from graphspectra.solver import compute_spectrum
-
-        short = compute_spectrum(
-            unit_interval, RobinSpec(frozenset([0]), 0.5), n_max=3
-        )
+    def test_short_precomputed_spectrum_rejected(self, unit_interval, get_spectrum):
+        short = compute_spectrum(unit_interval, RobinSpec(frozenset([0]), 0.5), n_max=3)
         with pytest.raises(InsufficientSpectrum):
-            lipschitz_audit(
-                unit_interval, [0], [0.0, 0.5], 20, spectra={0.5: short}
-            )
+            lipschitz_audit([get_spectrum(unit_interval, (), 0.0, 20), short], 20)
+
+    def test_mixed_graphs_rejected(self, star4, tetrahedron, get_spectrum):
+        spectra = [
+            get_spectrum(star4, (), 0.0, 10),
+            get_spectrum(tetrahedron, (0,), 1.0, 10),
+        ]
+        with pytest.raises(ValueError, match="different graphs"):
+            lipschitz_audit(spectra, 10)
+
+    def test_mixed_vertex_sets_rejected(self, star4, get_spectrum):
+        # an uncoupled spectrum joins any vertex set; two coupled sets do not
+        spectra = [
+            get_spectrum(star4, (), 0.0, 10),
+            get_spectrum(star4, (0,), 1.0, 10),
+            get_spectrum(star4, (1,), 2.0, 10),
+        ]
+        assert lipschitz_audit(spectra[:2], 10) > 0.0
+        with pytest.raises(ValueError, match="vertex sets"):
+            lipschitz_audit(spectra, 10)
