@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDecomposition, DegenerateParameters, PreconditionViolated
-from .graphs import (
-    MetricGraph,
-    RobinSpec,
-    StarDecomposition,
-    boundary_star_decomposition,
-)
+from .graphs import MetricGraph, RobinSpec, StarDecomposition
 from .stats import RngSeries
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "sensitivity_bound",
     "lowest_eigenvalue_slope",
     "improved_bound",
-    "star_bound_parameters",
     "decomposition_bound_parameters",
     "check_all",
     "bound_report",
@@ -83,9 +77,10 @@ def bound_report(name, bound, actual, decomposition=None) -> BoundReport:
 
 
 def _coupled_star_lengths(decomp: StarDecomposition, robin: RobinSpec) -> np.ndarray:
-    if not robin.vertices:
+    verts = robin.coupled_vertices(decomp.graph)
+    if not verts:
         raise ValueError("no coupled vertices to bound")
-    return np.array([decomp.star_length(v) for v in sorted(robin.vertices)])
+    return np.array([decomp.star_length(v) for v in verts])
 
 
 def gap_bound(decomp: StarDecomposition, robin: RobinSpec) -> float:
@@ -100,9 +95,10 @@ def gap_bound(decomp: StarDecomposition, robin: RobinSpec) -> float:
     return 2.0 * robin.sigma / smallest
 
 
-def shortest_edge_bound(graph: MetricGraph, sigma: float) -> float:
+def shortest_edge_bound(graph: MetricGraph, robin: RobinSpec) -> float:
     """Midpoint-split specialization: 4 sigma / l_min."""
-    return 4.0 * sigma / graph.min_edge_length
+    robin.coupled_vertices(graph)  # validates the vertex set
+    return 4.0 * robin.sigma / graph.min_edge_length
 
 
 def sensitivity_bound(decomp: StarDecomposition, robin: RobinSpec, lam) -> np.ndarray:
@@ -115,7 +111,7 @@ def sensitivity_bound(decomp: StarDecomposition, robin: RobinSpec, lam) -> np.nd
     if np.any(lam <= 0.0):
         raise ValueError("energy must be positive")
     sigma = robin.sigma
-    verts = sorted(robin.vertices)
+    verts = robin.coupled_vertices(decomp.graph)
     if not verts:
         raise ValueError("no coupled vertices to bound")
     denoms = []
@@ -130,9 +126,9 @@ def sensitivity_bound(decomp: StarDecomposition, robin: RobinSpec, lam) -> np.nd
     return 2.0 / np.min(denoms, axis=0)
 
 
-def lowest_eigenvalue_slope(graph: MetricGraph, vertices) -> float:
+def lowest_eigenvalue_slope(graph: MetricGraph, robin: RobinSpec) -> float:
     """Derivative of the bottom eigenvalue in the coupling, |V_R|/|G|."""
-    return len(frozenset(vertices)) / graph.total_length
+    return len(robin.coupled_vertices(graph)) / graph.total_length
 
 
 def _improved_bound_values(lambda0, sigma, s_check, S_check) -> np.ndarray:
@@ -165,22 +161,9 @@ def improved_bound(lambda0: float, sigma: float, s_check: float, S_check: float)
     return float(_improved_bound_values(np.array([lambda0]), sigma, s_check, S_check)[0])
 
 
-def star_bound_parameters(graph: MetricGraph, robin: RobinSpec) -> tuple:
-    """(s_check, S_check) for a star with one coupled vertex.
-
-    Assigns every edge to the coupled center, so S_check is the full
-    graph length and s_check the center's harmonic split.
-    """
-    if len(robin.vertices) != 1:
-        raise ValueError("star recipe needs exactly one coupled vertex")
-    decomp = boundary_star_decomposition(graph, robin)
-    (v,) = robin.vertices
-    return decomp.harmonic_split(v), decomp.star_length(v)
-
-
 def decomposition_bound_parameters(decomp: StarDecomposition, robin: RobinSpec) -> tuple:
     """(s_check, S_check) = (min s_v, min |S_v|) over the coupled vertices."""
-    verts = sorted(robin.vertices)
+    verts = robin.coupled_vertices(decomp.graph)
     if not verts:
         raise ValueError("no coupled vertices")
     s_check = min(decomp.harmonic_split(v) for v in verts)
@@ -197,15 +180,17 @@ def check_all(series: RngSeries, decomp: StarDecomposition) -> tuple:
 
     Returns three BoundReports: the flat star-decomposition bound, the
     shortest-edge bound, and the refined bound (NaN below threshold).
+    Raises ValueError when decomp splits another graph than the series'.
     """
-    robin = RobinSpec(series.vertices, series.sigma)
-    gaps = series.gaps
+    if decomp.graph != series.graph:
+        raise ValueError("the decomposition belongs to another graph than the series")
+    robin, gaps = series.robin, series.gaps
     flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps, decomp)
-    ceiling = shortest_edge_bound(series.graph, series.sigma)
+    ceiling = shortest_edge_bound(series.graph, robin)
     edge = bound_report("shortest-edge-bound", ceiling, gaps)
     s_check, S_check = decomposition_bound_parameters(decomp, robin)
     refined_values = _improved_bound_values(
-        series.k_neumann**2, series.sigma, s_check, S_check
+        series.k_neumann**2, robin.sigma, s_check, S_check
     )
     refined = bound_report("improved-bound", refined_values, gaps, decomp)
     return flat, edge, refined

@@ -186,9 +186,9 @@ def cmd_rng(config: RunConfig) -> Table:
     _require_index_target(config)
     n = config.target_n
     series = _gap_series(graph, robin, config)
-    mean = theoretical_mean(graph, robin.vertices, robin.sigma)
+    mean = theoretical_mean(graph, robin)
     averaged = running_average(series.gaps, config.window)
-    predicted = arctan_prediction(graph, robin.vertices, robin.sigma, series.k_neumann)
+    predicted = arctan_prediction(graph, robin, series.k_neumann)
     decomp = boundary_star_decomposition(graph, robin)
     reports = check_all(series, decomp)
     flat_value = reports[0].bound[0]
@@ -270,7 +270,7 @@ def cmd_cdf(config: RunConfig) -> Table:
         ("hist", float(edges[i]), float(edges[i + 1]), float(density[i]))
         for i in range(density.size)
     )
-    ceiling = shortest_edge_bound(graph, robin.sigma)
+    ceiling = shortest_edge_bound(graph, robin)
     top = float(np.max(series.gaps))
     rows.append(("support", top, ceiling, top / ceiling))
     violations = len(bound_report("shortest-edge-bound", ceiling, [top]).violations)
@@ -290,9 +290,7 @@ def cmd_sensitivity(config: RunConfig) -> Table:
     positive = lams > 0.0
     predictions = np.full(n, np.nan)
     bounds = np.full(n, np.nan)
-    predictions[positive] = sensitivity_prediction(
-        graph, robin.vertices, robin.sigma, lams[positive]
-    )
+    predictions[positive] = sensitivity_prediction(graph, robin, lams[positive])
     bounds[positive] = sensitivity_bound(decomp, robin, lams[positive])
     # a basis average over a multiple eigenvalue is not held to the bound
     checked = np.where(values.degenerate, np.nan, bounds)

@@ -42,16 +42,15 @@ import numpy as np
 
 from .errors import (
     ContinuityViolation,
-    DegenerateEigenvalue,
+    DanglingEndpoint,
     KernelDimensionMismatch,
     OutOfRange,
     ZeroWaveNumber,
 )
-from .graphs import MetricGraph, RobinSpec
+from .graphs import MetricGraph
 from .solver import Spectrum, _kernel_mismatch, _stack_map
 
 __all__ = [
-    "AmplitudeVector",
     "EigenBasis",
     "EigenfunctionHandle",
     "SensitivityValue",
@@ -63,25 +62,6 @@ __all__ = [
 ]
 
 CONTINUITY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class AmplitudeVector:
-    """Unit kernel vector of I - U(k) in the real gauge."""
-
-    k: float
-    a: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class EigenfunctionHandle:
-    """One L2-normalizable eigenfunction ready for pointwise evaluation."""
-
-    graph: MetricGraph
-    amplitude: AmplitudeVector
-    l2norm_sq: float
-    vertex_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,6 +82,38 @@ class EigenBasis:
     residual: np.ndarray
     l2norm_sq: np.ndarray
     vertex_values: np.ndarray
+
+
+@dataclass(frozen=True)
+class EigenfunctionHandle:
+    """One L2-normalizable eigenfunction of spectrum, ready for pointwise
+    evaluation: row `row` of an eigenbasis of it, with the fields of that
+    row (k, a, residual, l2norm_sq, vertex_values) as scalars and vectors."""
+
+    spectrum: Spectrum
+    basis: EigenBasis
+    row: int
+
+    @property
+    def k(self) -> float:
+        return float(self.basis.k[self.row])
+
+    @property
+    def a(self) -> np.ndarray:
+        """Unit kernel vector of I - U(k) in the real gauge."""
+        return self.basis.a[self.row]
+
+    @property
+    def residual(self) -> float:
+        return float(self.basis.residual[self.row])
+
+    @property
+    def l2norm_sq(self) -> float:
+        return float(self.basis.l2norm_sq[self.row])
+
+    @property
+    def vertex_values(self) -> np.ndarray:
+        return self.basis.vertex_values[self.row]
 
 
 @dataclass(frozen=True)
@@ -227,67 +239,51 @@ def eigenfunction_handle(spectrum: Spectrum, n: int) -> list[EigenfunctionHandle
     rows = np.flatnonzero(basis.record == at)
     if rows.size == 0:
         raise ZeroWaveNumber(f"eigenvalue {n} is the zero mode, which has no amplitudes")
-    return [
-        EigenfunctionHandle(
-            graph=spectrum.graph,
-            amplitude=AmplitudeVector(
-                k=float(basis.k[i]), a=basis.a[i], residual=float(basis.residual[i])
-            ),
-            l2norm_sq=float(basis.l2norm_sq[i]),
-            vertex_values=basis.vertex_values[i],
-        )
-        for i in rows
-    ]
+    return [EigenfunctionHandle(spectrum, basis, int(i)) for i in rows]
 
 
 def evaluate(handle: EigenfunctionHandle, edge: int, x: float) -> float:
     """Normalized eigenfunction value at position x along an edge."""
-    length = handle.graph.edge_length(edge)
+    graph = handle.spectrum.graph
+    if not 0 <= edge < graph.num_edges:
+        raise OutOfRange(f"edge {edge} outside 0..{graph.num_edges - 1}")
+    length = graph.edge_length(edge)
     if not 0.0 <= x <= length:
         raise OutOfRange(f"x={x!r} outside [0, {length!r}] on edge {edge}")
-    amp = handle.amplitude
-    a_out = amp.a[2 * edge]
-    a_back = amp.a[2 * edge + 1]
-    raw = a_out * np.exp(1j * amp.k * x) + a_back * np.exp(1j * amp.k * (length - x))
+    a, k = handle.a, handle.k
+    raw = a[2 * edge] * np.exp(1j * k * x) + a[2 * edge + 1] * np.exp(1j * k * (length - x))
     return float(np.real(raw)) / float(np.sqrt(handle.l2norm_sq))
 
 
-def robin_residual(handle: EigenfunctionHandle, robin: RobinSpec, v: int) -> float:
-    """Defect in the vertex condition sum f'(v) = sigma_v f(v); diagnostic."""
-    graph = handle.graph
-    amp = handle.amplitude
+def robin_residual(handle: EigenfunctionHandle, v: int) -> float:
+    """Defect in the vertex condition sum f'(v) = sigma_v f(v) of the
+    handle's spectrum; diagnostic."""
+    graph, robin = handle.spectrum.graph, handle.spectrum.robin
+    if not 0 <= v < graph.num_vertices:
+        raise DanglingEndpoint(f"vertex {v} is not a graph vertex")
+    a, k = handle.a, handle.k
     slots = graph.slots_out(v)
-    back = amp.a[graph.slot_reversal[slots]] * np.exp(
-        1j * amp.k * graph.slot_length[slots]
-    )
-    outward = 1j * amp.k * np.sum(amp.a[slots] - back)
+    back = a[graph.slot_reversal[slots]] * np.exp(1j * k * graph.slot_length[slots])
+    outward = 1j * k * np.sum(a[slots] - back)
     norm = float(np.sqrt(handle.l2norm_sq))
-    return float(
-        np.abs(outward / norm - robin.sigma_at(v) * handle.vertex_values[v])
-    )
+    sigma = robin.vertex_sigmas(graph)[v]
+    return float(np.abs(outward / norm - sigma * handle.vertex_values[v]))
 
 
-def sensitivity(spectrum: Spectrum, n, *, strict: bool = False) -> SensitivityValue:
+def sensitivity(spectrum: Spectrum, n) -> SensitivityValue:
     """Coupling derivative of eigenvalue n: sum over coupled vertices of
     the squared normalized vertex values.
 
     n is one index or an array of indices; each record they touch is
     solved once, all in one eigenbasis call.  For a multiple eigenvalue
     the basis average is returned (the trace over the eigenspace divided
-    by its dimension, which is basis independent) with degenerate=True;
-    strict=True raises instead.
+    by its dimension, which is basis independent) with degenerate=True.
     """
     idx = np.asarray(n)
     which = spectrum.positions(idx.ravel())
     _, ks, mults = spectrum.columns
     degenerate = mults[which] > 1
-    if strict and np.any(degenerate):
-        j = int(np.argmax(degenerate))
-        raise DegenerateEigenvalue(
-            f"eigenvalue {idx.ravel()[j]} at k={float(ks[which[j]])!r} "
-            f"has multiplicity {mults[which[j]]}"
-        )
-    coupled = sorted(spectrum.robin.vertices)
+    coupled = spectrum.robin.coupled_vertices(spectrum.graph)
     # constant eigenfunction at k = 0: f(v)^2 = 1/|G| at every vertex
     values = np.full(ks.size, len(coupled) / spectrum.graph.total_length)
     basis = eigenbasis(spectrum, which)

@@ -29,16 +29,8 @@ class OutOfScannedRange(GraphSpectraError):
     """A query point lies beyond the scanned wave-number range."""
 
 
-class IndexCrossingAmbiguity(GraphSpectraError):
-    """A coupling homotopy hit a persistently multiple eigenvalue."""
-
-
 class ContinuityViolation(GraphSpectraError):
     """Vertex values computed from different incident edges disagree."""
-
-
-class DegenerateEigenvalue(GraphSpectraError):
-    """An operation requiring a simple eigenvalue met a multiple one."""
 
 
 class MeshTooCoarse(GraphSpectraError):

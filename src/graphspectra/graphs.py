@@ -151,16 +151,19 @@ class RobinSpec:
     def neumann(cls) -> "RobinSpec":
         return cls(frozenset(), 0.0)
 
-    def sigma_at(self, v: int) -> float:
-        return self.sigma if v in self.vertices else 0.0
+    def coupled_vertices(self, graph: MetricGraph) -> list[int]:
+        """The coupled vertex ids in increasing order; raises DanglingEndpoint
+        for one that is not a vertex of graph."""
+        ids = sorted(self.vertices)
+        for v in ids:
+            if not (0 <= v < graph.num_vertices):
+                raise DanglingEndpoint(f"Robin vertex {v} is not a graph vertex")
+        return ids
 
     def vertex_sigmas(self, graph: MetricGraph) -> np.ndarray:
         """Per-vertex coupling array; validates the vertex set against the graph."""
         out = np.zeros(graph.num_vertices)
-        for v in self.vertices:
-            if not (0 <= v < graph.num_vertices):
-                raise DanglingEndpoint(f"Robin vertex {v} is not a graph vertex")
-            out[v] = self.sigma
+        out[self.coupled_vertices(graph)] = self.sigma
         return out
 
 
@@ -325,7 +328,7 @@ def parse_graph(mapping) -> tuple[MetricGraph, RobinSpec]:
             frozenset(robin_block.get("vertices", ())),
             float(robin_block.get("sigma", 0.0)),
         )
-    robin.vertex_sigmas(graph)  # validates the vertex set
+    robin.coupled_vertices(graph)  # validates the vertex set
     return graph, robin
 
 

@@ -83,7 +83,7 @@ def total_phase_values(
     if ks.size and not np.all(ks > 0.0):
         raise ZeroWaveNumber("total phase needs k > 0")
     theta = 2.0 * graph.total_length * ks
-    for v in sorted(robin.vertices):
+    for v in robin.coupled_vertices(graph):
         theta = theta - 2.0 * np.arctan(robin.sigma / (graph.degree(v) * ks))
     return theta
 
@@ -96,7 +96,7 @@ def total_phase_derivative(
     if ks.size and not np.all(ks > 0.0):
         raise ZeroWaveNumber("total phase derivative needs k > 0")
     out = np.full_like(ks, 2.0 * graph.total_length)
-    for v in sorted(robin.vertices):
+    for v in robin.coupled_vertices(graph):
         d = graph.degree(v)
         out = out + 2.0 * robin.sigma * d / (d * d * ks * ks + robin.sigma**2)
     return out

@@ -162,18 +162,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexCrossingAmbiguity, OutOfRange, OutOfScannedRange, ToleranceNotMet
+from .errors import OutOfRange, OutOfScannedRange, ToleranceNotMet
 from .graphs import MetricGraph, RobinSpec
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
 __all__ = [
     "SpectralPoint",
     "Spectrum",
-    "EigenvalueCurve",
     "compute_spectrum",
     "counting_function",
     "spectral_shift",
-    "robin_homotopy",
     "secular_dets",
 ]
 
@@ -265,20 +263,6 @@ class Spectrum:
     def kernel_threshold(self, ks: np.ndarray) -> np.ndarray:
         """Singular values of I - U(k) below this count toward dim ker."""
         return _kernel_threshold(self.graph, self.robin, ks, self.tol)
-
-
-@dataclass(frozen=True)
-class EigenvalueCurve:
-    """k_n as a function of the coupling on a uniform grid over [0, sigma]."""
-
-    index: int
-    couplings: tuple
-    wavenumbers: tuple
-    degenerate_at: tuple
-
-    @property
-    def samples(self) -> list:
-        return list(zip(self.couplings, self.wavenumbers))
 
 
 def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build=None):
@@ -721,7 +705,7 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     velocity = np.full_like(ks, graph.max_edge_length)
     if robin.vertices:
-        d = graph.degrees[sorted(robin.vertices)][:, None]
+        d = graph.degrees[robin.coupled_vertices(graph)][:, None]
         s = robin.sigma
         velocity += np.max(2.0 * s * d / (d * d * ks * ks + s * s), axis=0, initial=0.0)
     return np.minimum(
@@ -918,44 +902,3 @@ def counting_function(spectrum: Spectrum, k: float) -> int:
 def spectral_shift(spec0: Spectrum, spec1: Spectrum, k: float) -> int:
     """N(k, 0) - N(k, sigma); in {0, 1} for a single coupled vertex."""
     return counting_function(spec0, k) - counting_function(spec1, k)
-
-
-def robin_homotopy(
-    graph: MetricGraph,
-    vertices,
-    sigma: float,
-    n: int,
-    t_steps: int,
-    *,
-    strict: bool = False,
-) -> EigenvalueCurve:
-    """Track k_n over couplings t = 0, sigma/t_steps, ..., sigma.
-
-    Index pairing is by sorted order at each coupling.  Couplings where
-    the n-th eigenvalue is multiple are reported in degenerate_at (the
-    sorted-order pairing stays well defined, but the perturbation
-    direction inside the eigenspace is not); strict=True raises
-    IndexCrossingAmbiguity instead.
-    """
-    if t_steps < 1:
-        raise ValueError("t_steps must be at least 1")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    couplings = [sigma * j / t_steps for j in range(t_steps + 1)]
-    ks: list[float] = []
-    degenerate: list[float] = []
-    for t in couplings:
-        spec = compute_spectrum(graph, RobinSpec(frozenset(vertices), t), n_max=n)
-        ks.append(float(spec.wavenumbers()[n - 1]))
-        if spec.columns[2][spec.positions(n)] > 1:
-            degenerate.append(t)
-    if strict and degenerate:
-        raise IndexCrossingAmbiguity(
-            f"eigenvalue {n} is multiple at couplings {degenerate}"
-        )
-    return EigenvalueCurve(
-        index=n,
-        couplings=tuple(couplings),
-        wavenumbers=tuple(ks),
-        degenerate_at=tuple(degenerate),
-    )

@@ -11,7 +11,10 @@ the closed-form limit (2 sigma / |G|) sum 1/deg(v), windowed running
 averages against the k-local prediction
 (2k/|G|) sum arctan(sigma/(deg(v) k)), eigenfunction moment averages
 against their ergodic limits, empirical distribution functions, value
-clustering, and difference-quotient audits of the Lipschitz property.
+clustering, difference-quotient audits of the Lipschitz property, and
+eigenvalue curves across couplings.  The closed forms take the graph and
+its RobinSpec; the rest take spectra, or series built from them, which
+carry both.
 """
 from __future__ import annotations
 
@@ -21,13 +24,14 @@ import numpy as np
 
 from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
-from .graphs import MetricGraph
+from .graphs import MetricGraph, RobinSpec
 from .solver import Spectrum
 
 __all__ = [
     "RngSeries",
     "CdfEstimate",
     "MomentReport",
+    "EigenvalueCurve",
     "rng_sequence",
     "cesaro_mean",
     "theoretical_mean",
@@ -38,6 +42,7 @@ __all__ = [
     "empirical_cdf",
     "accumulation_clusters",
     "lipschitz_audit",
+    "robin_homotopy",
 ]
 
 
@@ -46,8 +51,7 @@ class RngSeries:
     """Index-paired eigenvalue gaps between coupled and uncoupled spectra."""
 
     graph: MetricGraph
-    vertices: frozenset
-    sigma: float
+    robin: RobinSpec
     gaps: np.ndarray
     k_neumann: np.ndarray
     k_robin: np.ndarray
@@ -93,6 +97,20 @@ class MomentReport:
     skipped: int
 
 
+@dataclass(frozen=True)
+class EigenvalueCurve:
+    """k_n as a function of the coupling, one sample per spectrum."""
+
+    index: int
+    couplings: tuple
+    wavenumbers: tuple
+    degenerate_at: tuple
+
+    @property
+    def samples(self) -> list:
+        return list(zip(self.couplings, self.wavenumbers))
+
+
 def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
     """First n gaps between the uncoupled and the coupled spectrum of one
     graph, paired strictly by sorted index with multiplicity.
@@ -121,8 +139,7 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
     k1 = np.where(np.abs(k1 - k0) <= reach, k0, k1)
     return RngSeries(
         graph=coupled.graph,
-        vertices=coupled.robin.vertices,
-        sigma=coupled.robin.sigma,
+        robin=coupled.robin,
         gaps=(k1 - k0) * (k1 + k0),
         k_neumann=k0,
         k_robin=k1,
@@ -136,10 +153,10 @@ def cesaro_mean(series: RngSeries) -> float:
     return float(np.mean(series.gaps))
 
 
-def theoretical_mean(graph: MetricGraph, vertices, sigma: float) -> float:
+def theoretical_mean(graph: MetricGraph, robin: RobinSpec) -> float:
     """Limiting mean gap: (2 sigma / |G|) sum over coupled v of 1/deg(v)."""
-    inv_deg = sum(1.0 / graph.degree(v) for v in frozenset(vertices))
-    return 2.0 * sigma / graph.total_length * inv_deg
+    inv_deg = sum(1.0 / graph.degree(v) for v in robin.coupled_vertices(graph))
+    return 2.0 * robin.sigma / graph.total_length * inv_deg
 
 
 def running_average(values, window: int) -> np.ndarray:
@@ -157,7 +174,7 @@ def running_average(values, window: int) -> np.ndarray:
     return (padded[hi] - padded[lo]) / (hi - lo)
 
 
-def arctan_prediction(graph: MetricGraph, vertices, sigma: float, k) -> np.ndarray:
+def arctan_prediction(graph: MetricGraph, robin: RobinSpec, k) -> np.ndarray:
     """k-local mean gap (2k/|G|) sum arctan(sigma/(deg(v) k)).
 
     Continuously extended by 0 at k = 0 (the arctan sum stays bounded).
@@ -165,22 +182,22 @@ def arctan_prediction(graph: MetricGraph, vertices, sigma: float, k) -> np.ndarr
     k = np.asarray(k, dtype=float)
     acc = np.zeros_like(k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for v in sorted(frozenset(vertices)):
-            acc = acc + np.arctan(sigma / (graph.degree(v) * k))
+        for v in robin.coupled_vertices(graph):
+            acc = acc + np.arctan(robin.sigma / (graph.degree(v) * k))
         scaled = 2.0 * k / graph.total_length * acc
     return np.where(k > 0.0, scaled, 0.0)
 
 
-def sensitivity_prediction(graph: MetricGraph, vertices, sigma: float, lam) -> np.ndarray:
+def sensitivity_prediction(graph: MetricGraph, robin: RobinSpec, lam) -> np.ndarray:
     """Spectral-average prediction of the coupling derivative at energy lam."""
     lam = np.asarray(lam, dtype=float)
     acc = np.zeros_like(lam)
     # 0/0 at (lam, sigma) = (0, 0); the limit along lam is 1/d per vertex,
     # but the value there is direction-dependent, so nan is passed through
     with np.errstate(invalid="ignore"):
-        for v in sorted(frozenset(vertices)):
+        for v in robin.coupled_vertices(graph):
             d = graph.degree(v)
-            acc = acc + lam * d / (sigma**2 + lam * d * d)
+            acc = acc + lam * d / (robin.sigma**2 + lam * d * d)
     return 2.0 / graph.total_length * acc
 
 
@@ -233,7 +250,7 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
     tol = 1e-6 * (1 + 4 sigma / l_min).
     """
     if tol is None:
-        tol = 1e-6 * (1.0 + 4.0 * series.sigma / series.graph.min_edge_length)
+        tol = 1e-6 * (1.0 + 4.0 * series.robin.sigma / series.graph.min_edge_length)
     values = np.sort(series.gaps)
     if values.size == 0:
         return []
@@ -245,6 +262,25 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
     ]
 
 
+def _by_coupling(spectra, n: int) -> dict:
+    """The spectra keyed by coupling in increasing order; a repeated
+    coupling counts once.  Raises ValueError unless they share one graph
+    and the coupled ones one vertex set, and InsufficientSpectrum when
+    one holds fewer than n eigenvalues."""
+    spectra = list(spectra)
+    if len({spec.graph for spec in spectra}) > 1:
+        raise ValueError("the spectra belong to different graphs")
+    if len({spec.robin.vertices for spec in spectra if spec.robin.sigma > 0.0}) > 1:
+        raise ValueError("the coupled spectra couple different vertex sets")
+    by_coupling = dict(sorted({spec.robin.sigma: spec for spec in spectra}.items()))
+    for s, spec in by_coupling.items():
+        if spec.size < n:
+            raise InsufficientSpectrum(
+                f"need {n} eigenvalues at coupling {s}, have {spec.size}"
+            )
+    return by_coupling
+
+
 def lipschitz_audit(spectra, n: int) -> float:
     """Largest difference quotient |d_n(s1) - d_n(s2)| / |s1 - s2|.
 
@@ -253,26 +289,34 @@ def lipschitz_audit(spectra, n: int) -> float:
     spectra share one graph, the coupled ones share one vertex set, and
     they hold at least two distinct couplings.
     """
-    spectra = list(spectra)
-    if len({spec.graph for spec in spectra}) > 1:
-        raise ValueError("the spectra belong to different graphs")
-    if len({spec.robin.vertices for spec in spectra if spec.robin.sigma > 0.0}) > 1:
-        raise ValueError("the coupled spectra couple different vertex sets")
-    by_coupling = {spec.robin.sigma: spec for spec in spectra}
-    grid = sorted(by_coupling)
-    if len(grid) < 2:
+    by_coupling = _by_coupling(spectra, n)
+    if len(by_coupling) < 2:
         raise ValueError("need at least two distinct couplings")
-    lams = []
-    for s in grid:
-        spec = by_coupling[s]
-        if spec.size < n:
-            raise InsufficientSpectrum(
-                f"need {n} eigenvalues at coupling {s}, have {spec.size}"
-            )
-        lams.append(spec.eigenvalues(n))
+    grid = list(by_coupling)
+    lams = [spec.eigenvalues(n) for spec in by_coupling.values()]
     worst = 0.0
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             quot = np.max(np.abs(lams[j] - lams[i])) / (grid[j] - grid[i])
             worst = max(worst, float(quot))
     return worst
+
+
+def robin_homotopy(spectra, n: int) -> EigenvalueCurve:
+    """k_n across the couplings of spectra of one graph and one vertex set.
+
+    Index pairing is by sorted order in each spectrum.  Couplings where
+    the n-th eigenvalue is multiple are reported in degenerate_at (the
+    sorted-order pairing stays well defined, but the perturbation
+    direction inside the eigenspace is not).  The checks are those of
+    lipschitz_audit, except that one coupling is enough.
+    """
+    by_coupling = _by_coupling(spectra, n)
+    ks, degenerate = [], []
+    for s, spec in by_coupling.items():
+        _, wavenumbers, mults = spec.columns
+        at = spec.positions(n)
+        ks.append(float(wavenumbers[at]))
+        if mults[at] > 1:
+            degenerate.append(s)
+    return EigenvalueCurve(n, tuple(by_coupling), tuple(ks), tuple(degenerate))

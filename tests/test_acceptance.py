@@ -144,7 +144,7 @@ def test_star_mean_convergence(star4, gap_series):
     start = time.perf_counter()
     series = gap_series(star4, (0,), 2.0, 2500)
     elapsed = time.perf_counter() - start
-    limit = theoretical_mean(star4, [0], 2.0)
+    limit = theoretical_mean(star4, RobinSpec(frozenset([0]), 2.0))
     assert limit == pytest.approx(2.0 / (2.0 * star4.total_length))
     full = cesaro_mean(series)
     assert abs(full - limit) / limit <= 0.05
@@ -158,7 +158,8 @@ def test_star_mean_convergence(star4, gap_series):
 def test_tetrahedron_mean(tetrahedron, gap_series):
     series = gap_series(tetrahedron, tuple(range(4)), 2.0, 5000)
     limit = (8.0 / 3.0) * 2.0 / tetrahedron.total_length
-    assert theoretical_mean(tetrahedron, range(4), 2.0) == pytest.approx(limit)
+    robin = RobinSpec(frozenset(range(4)), 2.0)
+    assert theoretical_mean(tetrahedron, robin) == pytest.approx(limit)
     assert abs(cesaro_mean(series) - limit) / limit <= 0.05
 
 
@@ -170,7 +171,7 @@ def test_bounds_never_violated_star(star4, gap_series):
     decomp = boundary_star_decomposition(star4, robin)
     for report in check_all(series, decomp):
         assert report.ok, (report.name, report.violations[:10])
-    assert np.all(series.gaps < shortest_edge_bound(star4, 2.0))
+    assert np.all(series.gaps < shortest_edge_bound(star4, robin))
     assert np.all(series.gaps < gap_bound(decomp, robin))
 
 
@@ -305,7 +306,7 @@ def test_equilateral_nonzero_accumulation_count(equilateral_star, gap_series):
 def test_running_average_tracks_prediction(star4, gap_series):
     series = gap_series(star4, (0,), 2.0, 2500)
     averaged = running_average(series.gaps, 21)
-    predicted = arctan_prediction(star4, [0], 2.0, series.k_neumann)
+    predicted = arctan_prediction(star4, series.robin, series.k_neumann)
     window = slice(49, 2500)
     rel = (averaged[window] - predicted[window]) / predicted[window]
     rms = float(np.sqrt(np.mean(rel**2)))

@@ -12,7 +12,6 @@ from graphspectra.bounds import (
     lowest_eigenvalue_slope,
     sensitivity_bound,
     shortest_edge_bound,
-    star_bound_parameters,
 )
 from graphspectra.errors import (
     DegenerateDecomposition,
@@ -25,6 +24,7 @@ from graphspectra.graphs import (
     boundary_star_decomposition,
     build_graph,
     make_complete4,
+    make_star,
     midpoint_star_decomposition,
 )
 from graphspectra.stats import RngSeries
@@ -46,7 +46,7 @@ class TestGapBound:
     def test_midpoint_never_beats_shortest_edge(self, tetrahedron):
         robin = RobinSpec(frozenset(range(4)), 3.0)
         decomp = midpoint_star_decomposition(tetrahedron)
-        assert gap_bound(decomp, robin) <= shortest_edge_bound(tetrahedron, 3.0) + 1e-12
+        assert gap_bound(decomp, robin) <= shortest_edge_bound(tetrahedron, robin) + 1e-12
 
     def test_zero_star_rejected(self, unit_interval):
         decomp = StarDecomposition(unit_interval, ((1.0, 0.0),))
@@ -83,14 +83,16 @@ class TestSensitivityBound:
 
 class TestSlope:
     def test_interval_single_end(self, unit_interval):
-        assert lowest_eigenvalue_slope(unit_interval, [0]) == pytest.approx(1.0)
+        robin = RobinSpec(frozenset([0]), 1.0)
+        assert lowest_eigenvalue_slope(unit_interval, robin) == pytest.approx(1.0)
 
     def test_unit_tetrahedron_all_vertices(self):
         graph = make_complete4([1.0] * 6)
-        assert lowest_eigenvalue_slope(graph, range(4)) == pytest.approx(4.0 / 6.0)
+        robin = RobinSpec(frozenset(range(4)), 1.0)
+        assert lowest_eigenvalue_slope(graph, robin) == pytest.approx(4.0 / 6.0)
 
     def test_empty_set(self, star4):
-        assert lowest_eigenvalue_slope(star4, []) == 0.0
+        assert lowest_eigenvalue_slope(star4, RobinSpec.neumann()) == 0.0
 
 
 class TestImprovedBound:
@@ -128,7 +130,9 @@ class TestImprovedBound:
         # is that of 3 - 2*s_check*sigma; at the star's parameters the
         # refined curve therefore hugs the flat line from above
         robin = RobinSpec(frozenset([0]), 2.0)
-        s_check, S_check = star_bound_parameters(star4, robin)
+        s_check, S_check = decomposition_bound_parameters(
+            boundary_star_decomposition(star4, robin), robin
+        )
         flat = 2.0 * 2.0 / S_check
         excess = [
             improved_bound(lam, 2.0, s_check, S_check) - flat
@@ -148,14 +152,12 @@ class TestImprovedBound:
 class TestParameters:
     def test_star_recipe(self, star4):
         robin = RobinSpec(frozenset([0]), 2.0)
-        s_check, S_check = star_bound_parameters(star4, robin)
+        s_check, S_check = decomposition_bound_parameters(
+            boundary_star_decomposition(star4, robin), robin
+        )
         assert S_check == pytest.approx(star4.total_length, rel=1e-14)
         lengths = [length for _, _, length in star4.edges]
         assert s_check == pytest.approx(1.0 / sum(1.0 / x for x in lengths), rel=1e-14)
-
-    def test_star_recipe_needs_single_vertex(self, star4):
-        with pytest.raises(ValueError):
-            star_bound_parameters(star4, RobinSpec(frozenset([0, 1]), 2.0))
 
     def test_decomposition_recipe_midpoint(self, tetrahedron):
         robin = RobinSpec(frozenset(range(4)), 2.0)
@@ -201,8 +203,7 @@ class TestCheckAll:
         gaps[17] = 100.0
         doped = RngSeries(
             graph=series.graph,
-            vertices=series.vertices,
-            sigma=series.sigma,
+            robin=series.robin,
             gaps=gaps,
             k_neumann=series.k_neumann,
             k_robin=series.k_robin,
@@ -224,11 +225,22 @@ class TestCheckAll:
         ks = np.array([1.0, 2.0])
         series = RngSeries(
             graph=unit_interval,
-            vertices=frozenset([0]),
-            sigma=1.0,
+            robin=robin,
             gaps=np.array([below, above]),
             k_neumann=ks,
             k_robin=ks,
         )
         flat, _, _ = check_all(series, decomp)
         assert flat.violations == (2,)
+
+    def test_decomposition_of_another_graph_rejected(self, gap_series):
+        # the bounds of a ten times longer star do not hold for this one's
+        # gaps, so its decomposition must not be audited against them
+        star = make_star(3, (1.0, 1.5, 2.0))
+        robin = RobinSpec(frozenset([0]), 2.0)
+        series = gap_series(star, (0,), 2.0, 50)
+        for report in check_all(series, boundary_star_decomposition(star, robin)):
+            assert report.ok, (report.name, report.violations[:10])
+        other = boundary_star_decomposition(make_star(3, (10.0, 15.0, 20.0)), robin)
+        with pytest.raises(ValueError, match="another graph"):
+            check_all(series, other)

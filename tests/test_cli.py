@@ -260,7 +260,7 @@ class TestCdf:
         assert code == 0
         rows = json.loads(out.read_text())["rows"]
         (top,) = [r[1] for r in rows if r[0] == "support"]
-        monkeypatch.setattr(cli, "shortest_edge_bound", lambda graph, sigma: top)
+        monkeypatch.setattr(cli, "shortest_edge_bound", lambda graph, robin: top)
         code, _ = run_cli(args, tmp_path, name="second.json")
         assert code == 0
 

@@ -1,9 +1,17 @@
-"""The documented examples run: the README python blocks and the doctests."""
+"""The documented examples run, and every public module lists what it defines.
+
+The README python blocks and the doctests are executed; each module with
+an __all__ must list exactly the public functions and classes it defines.
+"""
 from __future__ import annotations
 
 import doctest
+import importlib
+import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import graphspectra
 
@@ -20,3 +28,20 @@ def test_readme_python_blocks_run():
 def test_package_doctests_pass():
     result = doctest.testmod(graphspectra)
     assert result.attempted > 0 and result.failed == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["scattering", "solver", "eigenfunctions", "stats", "bounds", "fd"]
+)
+def test_module_all_lists_its_public_definitions(name):
+    module = importlib.import_module(f"graphspectra.{name}")
+    listed = set(module.__all__)
+    assert not {entry for entry in listed if not hasattr(module, entry)}
+    defined = {
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert defined - listed == set()

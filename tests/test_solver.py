@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspectra import solver
-from graphspectra.errors import (
-    IndexCrossingAmbiguity,
-    OutOfScannedRange,
-    ToleranceNotMet,
-)
+from graphspectra.errors import OutOfScannedRange, ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
     build_graph,
@@ -25,9 +21,9 @@ from graphspectra.solver import (
     _stop_width,
     compute_spectrum,
     counting_function,
-    robin_homotopy,
     spectral_shift,
 )
+from graphspectra.stats import robin_homotopy
 from oracles import interval_robin_wavenumbers
 
 NEUMANN = RobinSpec.neumann()
@@ -187,8 +183,17 @@ def test_loose_tolerance_still_brackets(unit_interval):
     assert err.max() > 1e-13  # actually looser than the default stop
 
 
+def _homotopy(graph, vertices, sigma, n, t_steps):
+    """robin_homotopy over spectra at couplings sigma j / t_steps, j = 0..t_steps."""
+    spectra = [
+        compute_spectrum(graph, RobinSpec(frozenset(vertices), sigma * j / t_steps), n_max=n)
+        for j in range(t_steps + 1)
+    ]
+    return robin_homotopy(spectra, n)
+
+
 def test_homotopy_interval_curve(unit_interval):
-    curve = robin_homotopy(unit_interval, {0}, 1.0, 2, 5)
+    curve = _homotopy(unit_interval, {0}, 1.0, 2, 5)
     assert curve.index == 2
     assert curve.couplings[0] == 0.0 and curve.couplings[-1] == 1.0
     assert not curve.degenerate_at
@@ -202,18 +207,25 @@ def test_homotopy_interval_curve(unit_interval):
 
 
 def test_homotopy_flags_degeneracy(equilateral_star):
-    curve = robin_homotopy(equilateral_star, {0}, 2.0, 3, 2)
+    curve = _homotopy(equilateral_star, {0}, 2.0, 3, 2)
     # index 3 sits inside the sigma-independent center-vanishing triple
     assert curve.degenerate_at == curve.couplings
     assert all(k == pytest.approx(math.pi / 2.0, abs=1e-12) for k in curve.wavenumbers)
-    with pytest.raises(IndexCrossingAmbiguity):
-        robin_homotopy(equilateral_star, {0}, 2.0, 3, 2, strict=True)
 
 
 def test_homotopy_monotone_on_star(star4):
-    curve = robin_homotopy(star4, {0}, 3.0, 4, 6)
+    curve = _homotopy(star4, {0}, 3.0, 4, 6)
     assert np.all(np.diff(curve.wavenumbers) >= -1e-13)
     assert not curve.degenerate_at
+
+
+def test_homotopy_needs_one_operator_family(star4, tetrahedron):
+    spectra = [compute_spectrum(star4, RobinSpec(frozenset({0}), 1.0), n_max=4)]
+    with pytest.raises(ValueError, match="different graphs"):
+        robin_homotopy(spectra + [compute_spectrum(tetrahedron, NEUMANN, n_max=4)], 4)
+    other = compute_spectrum(star4, RobinSpec(frozenset({1}), 2.0), n_max=4)
+    with pytest.raises(ValueError, match="vertex sets"):
+        robin_homotopy(spectra + [other], 4)
 
 
 @given(

@@ -4,8 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphspectra.errors import InsufficientSpectrum
-from graphspectra.graphs import RobinSpec, build_graph
+from graphspectra.bounds import lowest_eigenvalue_slope
+from graphspectra.errors import DanglingEndpoint, InsufficientSpectrum
+from graphspectra.graphs import RobinSpec, build_graph, make_star
+from graphspectra.scattering import total_phase_derivative, total_phase_values
 from graphspectra.solver import compute_spectrum
 from graphspectra.stats import (
     RngSeries,
@@ -31,8 +33,7 @@ def _synthetic(gaps, sigma=2.0, graph=None):
     ks = np.sqrt(np.arange(1.0, gaps.size + 1))
     return RngSeries(
         graph=graph,
-        vertices=frozenset([0]),
-        sigma=sigma,
+        robin=RobinSpec(frozenset([0]), sigma),
         gaps=gaps,
         k_neumann=ks,
         k_robin=ks,
@@ -59,7 +60,7 @@ class TestRngSequence:
         series = gap_series(star4, (0,), 2.0, 150)
         assert np.all(series.gaps >= -1e-9)
         # graph and coupling come from the coupled spectrum
-        assert (series.graph, series.vertices, series.sigma) == (star4, frozenset({0}), 2.0)
+        assert (series.graph, series.robin) == (star4, RobinSpec(frozenset({0}), 2.0))
 
     def test_short_spectrum_rejected(self, unit_interval, get_spectrum):
         short = compute_spectrum(unit_interval, RobinSpec.neumann(), n_max=5)
@@ -99,17 +100,18 @@ class TestMeans:
     def test_theoretical_mean_star_center(self, star4):
         # single coupled vertex of degree 4: sigma / (2 |G|)
         expected = 2.0 / (2.0 * star4.total_length)
-        assert theoretical_mean(star4, [0], 2.0) == pytest.approx(expected, rel=1e-14)
+        got = theoretical_mean(star4, RobinSpec(frozenset([0]), 2.0))
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_theoretical_mean_all_vertices(self, tetrahedron):
         # four coupled vertices of degree 3: (8/3) sigma / |G|
-        got = theoretical_mean(tetrahedron, range(4), 2.0)
+        got = theoretical_mean(tetrahedron, RobinSpec(frozenset(range(4)), 2.0))
         expected = (8.0 / 3.0) * 2.0 / tetrahedron.total_length
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_cesaro_approaches_limit(self, unit_interval, gap_series):
         series = gap_series(unit_interval, (0,), 1.0, 400)
-        limit = theoretical_mean(unit_interval, [0], 1.0)
+        limit = theoretical_mean(unit_interval, series.robin)
         assert cesaro_mean(series) == pytest.approx(limit, rel=0.05)
 
 
@@ -138,34 +140,55 @@ class TestRunningAverage:
 
 class TestPredictions:
     def test_arctan_large_k_limit(self, star4):
-        far = arctan_prediction(star4, [0], 2.0, 1e8)
-        assert far == pytest.approx(theoretical_mean(star4, [0], 2.0), rel=1e-6)
+        robin = RobinSpec(frozenset([0]), 2.0)
+        far = arctan_prediction(star4, robin, 1e8)
+        assert far == pytest.approx(theoretical_mean(star4, robin), rel=1e-6)
 
     def test_arctan_interval_closed_form(self, unit_interval):
         k = np.array([0.3, 1.0, 7.5])
-        got = arctan_prediction(unit_interval, [0], 2.0, k)
+        got = arctan_prediction(unit_interval, RobinSpec(frozenset([0]), 2.0), k)
         assert np.allclose(got, 2.0 * k * np.arctan(2.0 / k), rtol=1e-14)
 
     def test_arctan_increasing_in_k(self, tetrahedron):
         k = np.linspace(0.1, 40.0, 300)
-        vals = arctan_prediction(tetrahedron, range(4), 2.0, k)
+        vals = arctan_prediction(tetrahedron, RobinSpec(frozenset(range(4)), 2.0), k)
         assert np.all(np.diff(vals) > 0)
 
     def test_sensitivity_neumann_limit(self, star4):
         # sigma = 0 collapses to the high-energy constant for every lam
-        got = sensitivity_prediction(star4, [0], 0.0, [0.5, 3.0, 100.0])
+        robin = RobinSpec(frozenset([0]), 0.0)
+        got = sensitivity_prediction(star4, robin, [0.5, 3.0, 100.0])
         expected = 2.0 / star4.total_length * 0.25
         assert np.allclose(got, expected, rtol=1e-14)
 
     def test_sensitivity_interval_closed_form(self, unit_interval):
         lam = np.array([0.2, 1.0, 9.0])
-        got = sensitivity_prediction(unit_interval, [0], 3.0, lam)
+        got = sensitivity_prediction(unit_interval, RobinSpec(frozenset([0]), 3.0), lam)
         assert np.allclose(got, 2.0 * lam / (9.0 + lam), rtol=1e-14)
 
     def test_sensitivity_high_energy_limit(self, tetrahedron):
-        got = sensitivity_prediction(tetrahedron, range(4), 2.0, 1e10)
+        robin = RobinSpec(frozenset(range(4)), 2.0)
+        got = sensitivity_prediction(tetrahedron, robin, 1e10)
         expected = 2.0 / tetrahedron.total_length * (4.0 / 3.0)
         assert got == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("vertex", [-1, 4])
+    def test_vertices_outside_the_graph_rejected(self, vertex):
+        # a negative vertex must not wrap around to the last leaf, whose
+        # degree would then be counted twice
+        star = make_star(3, (1.0, 1.5, 2.0))
+        robin = RobinSpec(frozenset([vertex, 3]), 2.0)
+        ks = np.array([0.5, 2.0])
+        for closed_form in (
+            lambda: theoretical_mean(star, robin),
+            lambda: arctan_prediction(star, robin, ks),
+            lambda: sensitivity_prediction(star, robin, ks**2),
+            lambda: lowest_eigenvalue_slope(star, robin),
+            lambda: total_phase_values(star, robin, ks),
+            lambda: total_phase_derivative(star, robin, ks),
+        ):
+            with pytest.raises(DanglingEndpoint):
+                closed_form()
 
 
 class TestWeylMoments:
