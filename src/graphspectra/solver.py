@@ -1,6 +1,6 @@
 """Eigenvalue solver: inertia counts certify the scan, eigenphase winding
-counts the multiple roots, the real secular function polishes the simple
-ones.
+counts the multiple roots, a real amplitude determinant polishes the
+simple ones.
 
 Counting.  Take k off every Dirichlet pole, so that k l_e / pi is not an
 integer for any edge.  Then the number of eigenvalues with wave number
@@ -90,30 +90,35 @@ this stage to the end, a few steps each where bisection took about 45.
 Polish.  A bracket with count 1 that is wider than POLISH_HANDOFF stop
 widths leaves the counted splits as soon as it appears, from the scan
 or from a split.  It holds exactly one simple root, which is a sign
-change of the real secular function
+change of det A(k), A(k) the real 2E x 2E matrix of the amplitudes
+f_e(x) = A_e cos kx + B_e sin kx on each edge (x from its first vertex).
+Its rows are the d_v - 1 continuity conditions of each vertex and one
+delta-Kirchhoff row (sum f'_out / k - (sigma_v / k) f(v)) / |d_v + i
+sigma_v / k|, so det A(k) = 0 exactly at the eigenvalue wave numbers,
+Dirichlet poles included.  The normalisation makes it the real secular
+function of U(k) up to one constant sign per graph:
 
-    zeta(k) = Re[det(I - U(k)) exp(-i Theta(k) / 2) conj(c)].
+    2^E det A(k) = +-zeta(k),  zeta = Re[det(I - U) exp(-i Theta / 2) conj(c)],
 
-zeta is real: U(k) is unitary with N = 2E eigenvalues exp(i theta_m), so
+where |c| = 1 and zeta is real, |zeta(k)| = |det(I - U(k))| = 2^(2E)
+prod_m |sin(theta_m / 2)| over the eigenvalues exp(i theta_m) of U(k).
+A root of multiplicity m flips the sign m times, so
 
-    det(I - U) = prod_m (1 - exp(i theta_m))
-               = (-2i)^N exp(i sum_m theta_m / 2) prod_m sin(theta_m / 2)
-               = c exp(i Theta / 2) 2^N prod_m sin(theta_m / 2),
+    sign det A(k) = s_0 (-1)^N(k),
 
-with c = (-i)^N exp(i c_0 / 2).  Every vertex block of U contributes
-(-1)^(d - 1) exp(-2i arctan(sigma / (d k))) to det U and the slot
-reversal (-1)^E, so exp(i c_0) = (-1)^(E + V) and conj(c) is
-(-i)^((E + V) mod 2) up to the sign (-1)^E, which only flips zeta.
-All count-1 brackets then run one vectorized false-position
-iteration on zeta (one batched determinant per step, a few steps per
-root, where a counted split needs a batched eigendecomposition).
-Two safeguards keep it honest.  A bracket whose endpoint values of zeta
-do not have opposite signs clearly above the determinant's rounding
-level stays in the counted splits: that is a root on or within rounding
-of an end, the usual case after a split next to a multiple root.  An
-endpoint value whose imaginary part exceeds REALNESS_TOL |zeta| (plus
-that rounding level) means the closed form of c does not hold, and
-raises ToleranceNotMet.
+with N(k) the inertia count and s_0 one constant per spectrum, taken at
+the first handoff from the end with the largest |det A|.  The handoff
+certifies the end signs by this parity: a scan cell carries N(lo) from
+the grid, and a split's left half keeps N(lo) while its right half adds
+the left half's count.  A bracket whose end values do not both have the
+predicted signs stays in the counted splits; that is a root on or
+within rounding of an end, the usual case after a split next to a
+multiple root.  No rounding level is needed: an end value with the
+predicted sign is the true sign.  All count-1 brackets then run one
+vectorized false-position iteration on det A (one batched real
+determinant per step, a few steps per root, where a counted split needs
+a batched complex eigendecomposition).  The kernel audit below checks
+every polished root.
 
 Both stages stop once a bracket is narrower than the stop width
 max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
@@ -158,7 +163,7 @@ point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -172,7 +177,6 @@ __all__ = [
     "compute_spectrum",
     "counting_function",
     "spectral_shift",
-    "secular_dets",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -184,7 +188,6 @@ KERNEL_SV_SCALE = 1e-8
 LAPACK_CHUNK = 1024
 COUNT_ROUNDING_TOL = 1e-6
 POLISH_HANDOFF = 64.0
-REALNESS_TOL = 1e-6
 # scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
 SCAN_PHASE_STEP = np.pi / 8.0
 # an inertia count needs every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2
@@ -268,11 +271,12 @@ class Spectrum:
 def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build=None):
     """fn(batch, build(batch)) over slices of at most LAPACK_CHUNK wave numbers.
 
-    build is _vertex_matrices (M) or, by default, unitary_stack (U), looked
-    up at each call so that a wrapper on the module attribute sees it.  The
-    results are joined along the first axis, element by element when fn
-    returns a tuple.  Every batched decomposition over wave numbers in the
-    package goes through here, which bounds the stacks it builds.
+    build is _vertex_matrices (M), _amplitude_matrices (A) or, by default,
+    unitary_stack (U), looked up at each call so that a wrapper on the
+    module attribute sees it.  The results are joined along the first
+    axis, element by element when fn returns a tuple.  Every batched
+    decomposition over wave numbers in the package goes through here,
+    which bounds the stacks it builds.
     """
     ks = np.asarray(ks, dtype=float)
     build = unitary_stack if build is None else build
@@ -395,10 +399,89 @@ def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     return int(np.count_nonzero(mu > 0.0)) + int(schur > 0.0)
 
 
-def secular_dets(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
-    """det(I - U(k)) for a batch of positive wave numbers."""
-    eye = np.eye(graph.num_slots)
-    return _stack_map(graph, robin, ks, lambda _, u: np.linalg.det(eye - u))
+# f and f' / k of a slot at its origin as (column, basis, factor) terms, by
+# (backward slot, derivative): a forward slot of edge t has f = A_t and
+# f' / k = B_t, a backward one f = A_t cos + B_t sin, f' / k = A_t sin - B_t cos
+_SLOT_TERMS = {
+    (0, False): ((0, "1", 1.0),),
+    (0, True): ((1, "1", 1.0),),
+    (1, False): ((0, "cos", 1.0), (1, "sin", 1.0)),
+    (1, True): ((0, "sin", 1.0), (1, "cos", -1.0)),
+}
+
+
+@lru_cache(maxsize=1)
+def _amplitude_layout(graph: MetricGraph):
+    """Entry, basis index, weight index and sign of each term of A(k).
+
+    Row r of A belongs to the r-th slot in order of origin.  The first slot
+    of each vertex carries the vertex's delta-Kirchhoff row, every other
+    slot q the continuity row f_q(v) - f_p(v), p the slot before it.  The
+    basis is [1, cos k l_t, sin k l_t] and the weights are
+    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  A has the
+    same layout at every coupling, so the last graph's is kept.
+    """
+    n, num_edges, num_vertices = graph.num_slots, graph.num_edges, graph.num_vertices
+    slots = np.argsort(graph.slot_origin, kind="stable")
+    vertex = graph.slot_origin[slots]
+    lead = np.concatenate([[True], vertex[1:] != vertex[:-1]])
+    cont = np.flatnonzero(~lead)
+    # (row, slot, derivative, weight, sign): f' / k of every slot and the
+    # coupling term in its vertex's Kirchhoff row, then f_q - f_p
+    row = np.concatenate([np.flatnonzero(lead)[vertex], np.flatnonzero(lead), cont, cont])
+    slot = np.concatenate([slots, slots[lead], slots[cont], slots[cont - 1]])
+    derivative = np.arange(row.size) < n
+    weight = np.concatenate(
+        [1 + vertex, 1 + num_vertices + vertex[lead], np.zeros(2 * cont.size, dtype=int)]
+    )
+    sign = np.concatenate(
+        [np.ones(n), -np.ones(num_vertices), np.ones(cont.size), -np.ones(cont.size)]
+    )
+    offset = {"1": 0, "cos": 1, "sin": 1 + num_edges}
+    terms = []
+    for (backward, is_derivative), slot_terms in _SLOT_TERMS.items():
+        at = np.flatnonzero((slot % 2 == backward) & (derivative == is_derivative))
+        edge = slot[at] // 2
+        for column, basis, factor in slot_terms:
+            src = offset[basis] + edge * (basis != "1")
+            flat = row[at] * n + 2 * edge + column
+            terms.append((flat, src, weight[at], factor * sign[at]))
+    layout = tuple(np.concatenate(column) for column in zip(*terms))
+    for column in layout:
+        column.flags.writeable = False  # shared by every caller of the cache
+    return layout
+
+
+def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
+    """The real amplitude matrix A(k), shape (len(ks), 2E, 2E).
+
+    Its columns are the amplitudes of f_e(x) = A_e cos kx + B_e sin kx, x
+    running from the edge's first vertex, and its rows the d_v - 1
+    continuity conditions and the delta-Kirchhoff condition
+    (sum f'_out / k - (sigma_v / k) f(v)) / n_v, n_v = |d_v + i sigma_v / k|,
+    of each vertex: one gather of [1, cos k l_e, sin k l_e] times the
+    weights and one scatter, laid out by _amplitude_layout.
+    """
+    ks = np.asarray(ks, dtype=float)
+    flat, src, weight, sign = _amplitude_layout(graph)
+    x = ks[:, None] * graph.slot_length[None, 0::2]
+    ones = np.ones((ks.size, 1))
+    basis = np.concatenate([ones, np.cos(x), np.sin(x)], axis=1)
+    coupling = robin.vertex_sigmas(graph)[None, :] / ks[:, None]
+    inverse = 1.0 / np.hypot(graph.degrees[None, :], coupling)
+    weights = np.concatenate([ones, inverse, coupling * inverse], axis=1)
+    values = sign * basis[:, src] * weights[:, weight]
+    n = graph.num_slots
+    at = np.arange(ks.size)[:, None] * (n * n) + flat
+    out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
+    return out.reshape(-1, n, n)
+
+
+def _amplitude_dets(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
+    """det A(k) for a batch of positive wave numbers."""
+    return _stack_map(
+        graph, robin, ks, lambda _, a: np.linalg.det(a), build=_amplitude_matrices
+    )
 
 
 def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -421,36 +504,26 @@ def _stop_width(ks: np.ndarray, tol: float | None) -> np.ndarray:
     return np.maximum(floor, tol * (1.0 + ks))
 
 
-def _secular_values(graph, robin, ks) -> np.ndarray:
-    """zeta(k) before its real part is taken; see the module docstring."""
-    rotation = (-1j) ** ((graph.num_edges + graph.num_vertices) % 2)
-    phase = np.exp(-0.5j * total_phase_values(graph, robin, ks))
-    return secular_dets(graph, robin, ks) * phase * rotation
+def _polish_ready(graph, robin, los, his, n_lo, sign=None):
+    """End values of det A, which one-root brackets the polish can take,
+    and s_0.
 
-
-def _polish_ready(graph, robin, los, his):
-    """Endpoint values of zeta, and which brackets it can polish.
-
-    A bracket qualifies when zeta has opposite signs at its ends, both
-    clear of the determinant's rounding level.  An imaginary part above
-    that level and REALNESS_TOL |zeta| means zeta is not the real secular
-    function, so it raises.
+    sign det A(k) = s_0 (-1)^N(k), so a bracket holding one root, with
+    N(lo) = n_lo, qualifies when its end values have the signs
+    s_0 (-1)^n_lo and -s_0 (-1)^n_lo.  s_0, when not given, comes from the
+    end with the largest |det A|.  An end shared by two brackets is
+    decomposed once.
     """
-    ks = np.concatenate([los, his])
-    z = _secular_values(graph, robin, ks)
-    # rounding level of det(I - U): N eps times 2^N, the largest product
-    # of the N singular values of I - U (each at most 2)
-    noise = graph.num_slots * EPS * 2.0**graph.num_slots
-    complex_at = np.abs(z.imag) > REALNESS_TOL * np.abs(z) + noise
-    if np.any(complex_at):
-        j = int(np.flatnonzero(complex_at)[0])
-        raise ToleranceNotMet(
-            f"secular function not real at k={float(ks[j])!r}: "
-            f"|Im| / |zeta| = {abs(z[j].imag) / abs(z[j]):.3g}"
-        )
-    f_lo, f_hi = np.split(z.real, 2)
-    clear = (np.abs(f_lo) > noise) & (np.abs(f_hi) > noise)
-    return f_lo, f_hi, clear & (np.sign(f_lo) != np.sign(f_hi))
+    ks, inverse = np.unique(np.concatenate([los, his]), return_inverse=True)
+    f = _amplitude_dets(graph, robin, ks)[inverse]
+    parity = 1.0 - 2.0 * (np.asarray(n_lo) % 2)
+    parity = np.concatenate([parity, -parity])
+    if sign is None:
+        j = int(np.argmax(np.abs(f)))
+        sign = np.sign(f[j]) * parity[j]
+    agree_lo, agree_hi = np.split(np.sign(f) == sign * parity, 2)
+    f_lo, f_hi = np.split(f, 2)
+    return f_lo, f_hi, agree_lo & agree_hi, sign
 
 
 def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
@@ -468,9 +541,9 @@ def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
 
 
 def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
-    """Safeguarded false position on zeta over sign-changing brackets.
+    """Safeguarded false position on det A over sign-changing brackets.
 
-    Each step evaluates zeta at one point per open bracket, in one
+    Each step evaluates det A at one point per open bracket, in one
     batched determinant: the false-position point kept at least half a
     stop width inside the bracket, or the midpoint when the bracket did
     not halve over the three previous steps.  An end that survives twice
@@ -498,7 +571,7 @@ def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
         if open_.size == 0:
             return out
         x = _split_points(los, his, f_lo, f_hi, width > 0.5 * widths[2], stop)
-        f_x = _secular_values(graph, robin, x).real
+        f_x = _amplitude_dets(graph, robin, x)
         to_lo = np.sign(f_x) == np.sign(f_lo)
         to_hi = ~to_lo
         # scale m = 1 - f_x / f(replaced end), or 1/2 where that is not positive
@@ -556,22 +629,25 @@ def _end_rows(graph, robin, los, his, counts):
     return th_lo, th_hi, ph_lo, ph_hi
 
 
-def _refine_brackets(graph, robin, los, his, counts, tol):
+def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
     """Roots with multiplicities of every bracket, down to the stop width.
 
-    Each count-1 bracket wider than POLISH_HANDOFF stop widths leaves as
-    soon as it appears for the polish on zeta, unless its endpoint values
-    do not qualify; then it stays here to the end.  The brackets left
-    after the first handoff get their eigenphase rows (_end_rows).  Each
-    step then measures every bracket at one point, chosen by
-    _split_points on the cluster phases psi (an end kept twice in a row
-    has its psi halved, the Illinois rule), and keeps the halves whose
-    winding count stays positive.
+    n_lo is the inertia count N(lo) of each bracket; a split's left half
+    keeps it and its right half adds the left half's count.  Each count-1
+    bracket wider than POLISH_HANDOFF stop widths leaves as soon as it
+    appears for the polish on det A, unless its end values do not have
+    the signs N predicts (_polish_ready); then it stays here to the end.
+    The brackets left after the first handoff get their eigenphase rows
+    (_end_rows).  Each step then measures every bracket at one point,
+    chosen by _split_points on the cluster phases psi (an end kept twice
+    in a row has its psi halved, the Illinois rule), and keeps the halves
+    whose winding count stays positive.
     """
     roots: list[float] = []
     mults: list[int] = []
     polish: list[tuple] = []
     n = los.size
+    sign = None  # s_0 of _polish_ready, fixed at the first handoff
     unready = np.zeros(n, dtype=bool)
     kept_lo = np.zeros(n, dtype=bool)  # the step before kept lo
     kept_hi = np.zeros(n, dtype=bool)
@@ -590,13 +666,16 @@ def _refine_brackets(graph, robin, los, his, counts, tol):
             keep & (counts == 1) & ~unready & (width > POLISH_HANDOFF * stop)
         )
         if handoff.size:
-            f_lo, f_hi, ready = _polish_ready(graph, robin, los[handoff], his[handoff])
+            f_lo, f_hi, ready, sign = _polish_ready(
+                graph, robin, los[handoff], his[handoff], n_lo[handoff], sign
+            )
             leaving = handoff[ready]
             polish.append((los[leaving], his[leaving], f_lo[ready], f_hi[ready]))
             keep[leaving] = False
             unready[handoff[~ready]] = True
-        los, his, counts, unready, kept_lo, kept_hi, w_lo, w_hi = (
-            a[keep] for a in (los, his, counts, unready, kept_lo, kept_hi, w_lo, w_hi)
+        los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi = (
+            a[keep]
+            for a in (los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi)
         )
         width, stop, widths = width[keep], stop[keep], widths[:, keep]
         if los.size == 0:
@@ -644,6 +723,7 @@ def _refine_brackets(graph, robin, los, his, counts, tol):
             np.concatenate([ph_x[left], ph_hi[right]]),
         )
         counts = np.concatenate([c_lo[left], c_hi[right]])
+        n_lo = np.concatenate([n_lo[left], n_lo[right] + c_lo[right]])
         unready = unready[both]
         widths = np.stack([width, widths[0], widths[1]])[:, both]
     if los.size:
@@ -838,7 +918,7 @@ def compute_spectrum(
         )
     hot = np.flatnonzero(counts > 0)
     roots, mults = _refine_brackets(
-        graph, robin, grid[hot], grid[hot + 1], counts[hot], tol
+        graph, robin, grid[hot], grid[hot + 1], counts[hot], n_grid[hot], tol
     )
     roots = np.concatenate([below, roots])
     mults = np.concatenate([np.ones(len(below), dtype=int), mults])

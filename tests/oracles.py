@@ -2,7 +2,8 @@
 
 Everything in this module is derived from scalar closed forms or
 one-dimensional bisection on transcendental equations.  Nothing imports
-the package under test, so agreement between the two is meaningful.
+the package under test, so agreement between the two is meaningful;
+secular_function takes U(k) and Theta(k) from its caller.
 """
 from __future__ import annotations
 
@@ -134,6 +135,26 @@ def unitary_matrix(edges, coupled, sigma, k):
                 entry = vertex_scattering_entry(degree[vertex], s, k, e_out == e_in ^ 1)
                 out[e_out, e_in] = entry * cmath.exp(1j * k * length)
     return out
+
+
+def secular_function(u, theta, num_edges, num_vertices):
+    """zeta(k) = det(I - U(k)) exp(-i Theta(k) / 2) conj(c), one per U(k).
+
+    U(k) is unitary with N = 2E eigenvalues exp(i theta_m), so
+
+        det(I - U) = prod_m (1 - exp(i theta_m))
+                   = c exp(i Theta / 2) 2^N prod_m sin(theta_m / 2)
+
+    with c = (-i)^N exp(i c_0 / 2) and det U = exp(i c_0) exp(i Theta) =
+    (-1)^(E + V) exp(i Theta).  So conj(c) is (-i)^((E + V) mod 2) up to
+    the sign (-1)^E, and zeta is real up to rounding: the real secular
+    function, zero exactly at the eigenvalue wave numbers.  u is a stack of
+    U(k), theta the matching Theta(k).
+    """
+    u = np.asarray(u)
+    rotation = (-1j) ** ((num_edges + num_vertices) % 2)
+    eye = np.eye(u.shape[-1])
+    return np.linalg.det(eye - u) * np.exp(-0.5j * np.asarray(theta)) * rotation
 
 
 def robin_star_sensitivity(lengths, k):

@@ -1,8 +1,9 @@
 """Two-stage root refinement: the counted splits at the cluster-phase
-false-position point, the zeta polish, their safeguards, and the
-certification checks that stay loud around them."""
+false-position point, the polish on the amplitude determinant det A, their
+safeguards, and the certification checks that stay loud around them."""
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 
@@ -14,9 +15,16 @@ from hypothesis import strategies as st
 from graphspectra import solver
 from graphspectra.eigenfunctions import _conjugate_flip, eigenbasis, sensitivity
 from graphspectra.errors import ToleranceNotMet
-from graphspectra.graphs import RobinSpec, build_graph, load_graph_file, make_star
+from graphspectra.graphs import (
+    RobinSpec,
+    build_graph,
+    incommensurate_lengths,
+    load_graph_file,
+    make_star,
+)
 from graphspectra.scattering import total_phase_values, unitary_stack
 from graphspectra.stats import weyl_moments
+from oracles import secular_function
 
 NEUMANN = RobinSpec.neumann()
 TWO_PI = 2.0 * math.pi
@@ -32,33 +40,99 @@ def _eigvals_count(graph, robin, lo, hi):
     return int(np.rint((theta[1] - theta[0] - (phi[1] - phi[0])) / TWO_PI))
 
 
-def test_zeta_is_real_and_vanishes_at_roots(star4):
+def test_amplitude_determinant_changes_sign_once_per_simple_root(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     ks = np.linspace(0.1, 40.0, 997)
-    z = solver._secular_values(star4, robin, ks)
-    assert np.max(np.abs(z.imag) / np.abs(z)) < 1e-8
+    f = solver._amplitude_dets(star4, robin, ks)
     roots = solver.compute_spectrum(star4, robin, k_max=40.0).wavenumbers()
-    # one sign change of zeta per simple root
-    assert np.count_nonzero(np.diff(np.sign(z.real))) == roots.size
+    assert np.all(np.diff(roots) > 0.0)
+    assert np.count_nonzero(np.diff(np.sign(f))) == roots.size
+
+
+@pytest.mark.parametrize("name", ["pi_interval", "equilateral_star", "star4"])
+def test_amplitude_determinant_sign_follows_the_count_parity(name, request):
+    # sign det A(k) = s_0 (-1)^N(k): through roots on the Dirichlet poles
+    # (the pi-interval) and through multiple roots (the equilateral star)
+    graph = request.getfixturevalue(name)
+    ks = 0.05 + 0.02 * np.arange(1996)  # 0.01 or more from every integer
+    for robin in (NEUMANN, RobinSpec(frozenset({0}), 2.0)):
+        spec = solver.compute_spectrum(graph, robin, k_max=40.0)
+        counts = np.searchsorted(spec.wavenumbers(), ks, side="right")
+        signs = np.sign(solver._amplitude_dets(graph, robin, ks)) * (-1.0) ** counts
+        assert np.all(signs == signs[0]) and signs[0] != 0.0, robin
 
 
 def test_polish_ready_sends_even_and_endpoint_roots_back(pi_interval):
     # roots at the integers: (0.5, 1.5] and (1.5, 4.5] change sign, (0.5, 2.5]
-    # holds two roots, and (0.5, 1.0] has its root on the end
+    # holds two roots, and (0.5, 1.0] has its root on the end; N(lo) counts
+    # the zero mode
     los = np.array([0.5, 1.5, 0.5, 0.5])
     his = np.array([1.5, 4.5, 2.5, 1.0])
-    _, _, ready = solver._polish_ready(pi_interval, NEUMANN, los, his)
+    n_lo = np.array([1, 2, 1, 1])
+    _, _, ready, sign = solver._polish_ready(pi_interval, NEUMANN, los, his, n_lo)
     assert ready.tolist() == [True, True, False, False]
+    # the given s_0 is kept; the opposite one refuses every bracket
+    _, _, ready, _ = solver._polish_ready(pi_interval, NEUMANN, los, his, n_lo, -sign)
+    assert not ready.any()
 
 
-def test_polish_ready_raises_when_zeta_is_not_real(pi_interval, monkeypatch):
-    # Theta shifted by pi / 2 turns zeta by 45 degrees: |Im| = |zeta| / sqrt(2)
-    theta = solver.total_phase_values
-    monkeypatch.setattr(
-        solver, "total_phase_values", lambda *args: theta(*args) + 0.5 * np.pi
+def _planted(monkeypatch, row, column, delta):
+    """Add delta to one entry of every amplitude matrix the solver builds."""
+    build = solver._amplitude_matrices
+
+    def planted(graph, robin, ks):
+        a = build(graph, robin, ks)
+        a[:, row, column] += delta
+        return a
+
+    monkeypatch.setattr(solver, "_amplitude_matrices", planted)
+
+
+def _same_records(spec, reference):
+    ks, ref = spec.columns[1], reference.columns[1]
+    return (
+        np.array_equal(spec.columns[2], reference.columns[2])
+        and np.array_equal(spec.columns[0], reference.columns[0])
+        and bool(np.all(np.abs(ks - ref) <= reference.stop_width(ref)))
     )
-    with pytest.raises(ToleranceNotMet, match="not real"):
-        solver._polish_ready(pi_interval, NEUMANN, np.array([0.5]), np.array([1.5]))
+
+
+@pytest.mark.parametrize(
+    "case, entries, deltas",
+    [
+        ("pi_interval", [(0, 0), (0, 1), (1, 0), (1, 1)], [1e-3, 1.0]),
+        ("star80", [(0, 0), (1, 2), (40, 3), (79, 78)], [1e-3]),
+    ],
+    ids=["pi_interval", "star80"],
+)
+def test_planted_amplitude_fault_raises_or_keeps_the_records(
+    case, entries, deltas, pi_interval, monkeypatch
+):
+    # one wrong entry of A either leaves the end signs disagreeing with the
+    # count parity (the brackets stay with the counted splits) or moves a
+    # polished root, which the kernel audit sees; either way no other
+    # records come out.  A fault must move a root past the kernel
+    # threshold over the branch velocity to be seen: 1e-3 on entries of
+    # size at most 1 does.
+    if case == "pi_interval":
+        graph, robins = pi_interval, (NEUMANN, RobinSpec(frozenset({0}), 2.0))
+        target = {"n_max": 40}
+    else:
+        graph = make_star(40, incommensurate_lengths(40))
+        robins, target = (RobinSpec(frozenset({0}), 2.0),), {"k_max": 0.6}
+    raised = 0
+    for robin in robins:
+        reference = solver.compute_spectrum(graph, robin, **target)
+        for (row, column), delta in itertools.product(entries, deltas):
+            with monkeypatch.context() as patch:
+                _planted(patch, row, column, delta)
+                try:
+                    spec = solver.compute_spectrum(graph, robin, **target)
+                except ToleranceNotMet:
+                    raised += 1
+                    continue
+            assert _same_records(spec, reference), (robin, row, column, delta)
+    assert raised > 0  # the fault reached the polish
 
 
 def test_simple_roots_are_polished_with_determinants(star4, monkeypatch):
@@ -131,8 +205,8 @@ def test_window_counts_off_an_integer_raise():
 
 def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
     # Lower every eigenphase so that Phi drops by 4 pi at each split point,
-    # after the scan: each left half then counts two crossings more than
-    # its bracket holds.
+    # after the first end rows: each left half then counts two crossings
+    # more than its bracket holds.
     eigenphases = solver._eigenphases
     calls = []
 
@@ -142,7 +216,22 @@ def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
         return rows if len(calls) == 1 else rows - 2.0 * TWO_PI / rows.shape[1]
 
     monkeypatch.setattr(solver, "_eigenphases", shifted)
-    with pytest.raises(ToleranceNotMet, match="outside"):
+    # A wrong count-1 half beside the triple at pi / 2 can have end signs
+    # of the right parity (its true count is 3) and go to the polish, which
+    # the kernel audit then catches.  With every handoff refused, the
+    # brackets stay in the counted splits and meet the split check itself.
+    ready = solver._polish_ready
+
+    def refused(*args):
+        f_lo, f_hi, ok, sign = ready(*args)
+        return f_lo, f_hi, np.zeros_like(ok), sign
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_polish_ready", refused)
+        with pytest.raises(ToleranceNotMet, match="outside"):
+            solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+    calls.clear()
+    with pytest.raises(ToleranceNotMet):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
 
 
@@ -187,6 +276,29 @@ def awkward_graphs(draw):
     return build_graph(edges, num_vertices=n), RobinSpec(frozenset(coupled), sigma)
 
 
+@st.composite
+def wide_graphs(draw):
+    """Stars and connected random graphs (loops and multi-edges allowed)
+    with 2E from 32 to 80, edge lengths in [0.5, 2], up to three coupled
+    vertices."""
+    num_edges = draw(st.integers(16, 40))
+    length = st.floats(0.5, 2.0)
+    if draw(st.booleans()):
+        n = num_edges + 1
+        edges = [(0, v, draw(length)) for v in range(1, n)]
+    else:
+        n = draw(st.integers(4, num_edges))
+        edges = [(draw(st.integers(0, v - 1)), v, draw(length)) for v in range(1, n)]
+        vertex = st.integers(0, n - 1)
+        edges += [
+            (draw(vertex), draw(vertex), draw(length))
+            for _ in range(num_edges - len(edges))
+        ]
+    coupled = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    sigma = float(10.0 ** draw(st.floats(-2.0, 3.0)))
+    return build_graph(edges, num_vertices=n), RobinSpec(frozenset(coupled), sigma)
+
+
 def _assert_winding_counts(graph, robin, spec):
     for rec in spec.records:
         if rec.k == 0.0:
@@ -206,6 +318,55 @@ def _assert_winding_counts(graph, robin, spec):
 def test_records_carry_their_winding_count(case):
     graph, robin = case
     _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+@given(wide_graphs())
+@settings(max_examples=5, deadline=None)
+def test_wide_graphs_carry_their_winding_count(case):
+    graph, robin = case
+    _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+def test_wide_star_polishes_its_handoff_brackets(monkeypatch):
+    # 2E = 64: with a rounding level of N eps 2^N on the complex
+    # determinant no handoff end was clear and none of the 374 handoff
+    # brackets was polished; the parity handoff needs no level
+    graph = make_star(32, incommensurate_lengths(32))
+    ready_fn = solver._polish_ready
+    ready = []
+
+    def counted(*args):
+        out = ready_fn(*args)
+        ready.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_polish_ready", counted)
+    solver.compute_spectrum(graph, RobinSpec(frozenset({0}), 2.0), n_max=300)
+    ready = np.concatenate(ready)
+    assert ready.size > 300
+    assert np.mean(ready) >= 0.9
+
+
+@given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_amplitude_determinant_is_the_secular_function(case, us):
+    # 2^E det A(k) = s zeta(k) with one sign s per graph, at random k where
+    # I - U(k) has no singular value below 1e-4 (away from the roots, so
+    # that both determinants are accurate)
+    graph, robin = case
+    ks = 1e-3 + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
+    u = unitary_stack(graph, robin, ks)
+    sv = np.linalg.svd(np.eye(graph.num_slots) - u, compute_uv=False)
+    ks, u = ks[sv.min(axis=1) > 1e-4], u[sv.min(axis=1) > 1e-4]
+    if ks.size == 0:
+        return
+    zeta = secular_function(
+        u, total_phase_values(graph, robin, ks), graph.num_edges, graph.num_vertices
+    )
+    assert np.all(np.abs(zeta.imag) <= 1e-8 * np.abs(zeta))
+    ratio = 2.0**graph.num_edges * solver._amplitude_dets(graph, robin, ks) / zeta.real
+    assert np.allclose(ratio, ratio[0], rtol=0.0, atol=1e-8), ratio
+    assert abs(abs(ratio[0]) - 1.0) <= 1e-8, ratio
 
 
 @given(

@@ -25,10 +25,20 @@ from graphspectra.scattering import (
     total_phase_values,
     unitary_stack,
 )
-from graphspectra.solver import _eigenphases, secular_dets
-from oracles import interval_robin_wavenumbers, unitary_matrix
+from graphspectra.solver import _eigenphases
+from oracles import interval_robin_wavenumbers, secular_function, unitary_matrix
 
 NEUMANN = RobinSpec.neumann()
+
+
+def _zeta(graph, robin, ks):
+    """The real secular function zeta of the oracle, from unitary_stack."""
+    return secular_function(
+        unitary_stack(graph, robin, ks),
+        total_phase_values(graph, robin, ks),
+        graph.num_edges,
+        graph.num_vertices,
+    )
 
 
 def _scattering(graph, robin, k):
@@ -75,7 +85,7 @@ def test_entry_rejects_zero_k():
     with pytest.raises(ZeroWaveNumber):
         unitary_stack(g, NEUMANN, [-1.0])
     with pytest.raises(ZeroWaveNumber):
-        secular_dets(g, NEUMANN, [0.0])
+        _zeta(g, NEUMANN, [0.0])
     with pytest.raises(ZeroWaveNumber):
         total_phase_values(g, NEUMANN, [0.0])
 
@@ -93,15 +103,15 @@ def test_unitary_on_interval_neumann():
     g = build_graph([(0, 1, math.pi)])
     u = unitary_stack(g, NEUMANN, [1.0])[0]
     assert np.linalg.norm(u.conj().T @ u - np.eye(g.num_slots)) < 1e-14
-    assert abs(secular_dets(g, NEUMANN, [1.0])[0]) < 1e-12
-    assert abs(secular_dets(g, NEUMANN, [0.5])[0]) > 1e-2
+    assert abs(_zeta(g, NEUMANN, [1.0])[0]) < 1e-12
+    assert abs(_zeta(g, NEUMANN, [0.5])[0]) > 1e-2
 
 
 def test_secular_zero_at_robin_interval_root():
     g = build_graph([(0, 1, 1.0)])
     robin = RobinSpec(frozenset({0}), 1.0)
     (k1,) = interval_robin_wavenumbers(1.0, 1.0, 1)
-    dets = secular_dets(g, robin, [k1, k1 + 0.3])
+    dets = _zeta(g, robin, [k1, k1 + 0.3])
     assert abs(dets[0]) < 1e-10
     assert abs(dets[1]) > 1e-3
 
