@@ -425,10 +425,10 @@ def _amplitude_layout(graph: MetricGraph):
     slots = np.argsort(graph.slot_origin, kind="stable")
     vertex = graph.slot_origin[slots]
     lead = np.concatenate([[True], vertex[1:] != vertex[:-1]])
-    cont = np.flatnonzero(~lead)
+    heads, cont = np.flatnonzero(lead), np.flatnonzero(~lead)
     # (row, slot, derivative, weight, sign): f' / k of every slot and the
     # coupling term in its vertex's Kirchhoff row, then f_q - f_p
-    row = np.concatenate([np.flatnonzero(lead)[vertex], np.flatnonzero(lead), cont, cont])
+    row = np.concatenate([heads[vertex], heads, cont, cont])
     slot = np.concatenate([slots, slots[lead], slots[cont], slots[cont - 1]])
     derivative = np.arange(row.size) < n
     weight = np.concatenate(
