@@ -7,9 +7,7 @@ the statistics of the index-paired gap sequence between the coupled and
 uncoupled spectra, with their limiting means, pointwise predictions,
 and explicit bounds.
 
-Import from the submodules; the package root loads nothing else, so
-the command line never pulls in the scipy-based finite-difference
-oracle.  Typical use:
+Import from the submodules.  Typical use:
 
     >>> from graphspectra.graphs import RobinSpec, make_star
     >>> from graphspectra.solver import compute_spectrum

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDecomposition, DegenerateParameters, PreconditionViolated
+from .errors import DegenerateDecomposition, DegenerateParameters
 from .graphs import MetricGraph, RobinSpec, StarDecomposition
 from .stats import RngSeries
 
@@ -49,7 +49,6 @@ class BoundReport:
     bound: np.ndarray
     actual: np.ndarray
     violations: tuple
-    decomposition: StarDecomposition | None = None
 
     @property
     def ok(self) -> bool:
@@ -60,7 +59,7 @@ class BoundReport:
         return int(np.count_nonzero(~np.isnan(self.bound)))
 
 
-def bound_report(name, bound, actual, decomposition=None) -> BoundReport:
+def bound_report(name, bound, actual) -> BoundReport:
     """The one violation rule: an entry violates the bound when it reaches
     it beyond the relative slack VIOLATION_SLACK, never where it is NaN."""
     bound = np.broadcast_to(np.asarray(bound, dtype=float), np.shape(actual)).copy()
@@ -72,7 +71,6 @@ def bound_report(name, bound, actual, decomposition=None) -> BoundReport:
         bound=bound,
         actual=actual,
         violations=tuple(int(i) + 1 for i in np.flatnonzero(bad)),
-        decomposition=decomposition,
     )
 
 
@@ -131,7 +129,14 @@ def lowest_eigenvalue_slope(graph: MetricGraph, robin: RobinSpec) -> float:
     return len(robin.coupled_vertices(graph)) / graph.total_length
 
 
-def _improved_bound_values(lambda0, sigma, s_check, S_check) -> np.ndarray:
+def improved_bound(lambda0, sigma: float, s_check: float, S_check: float) -> np.ndarray:
+    """Refined bound grown from each uncoupled eigenvalue in lambda0.
+
+    Only defined above the threshold lambda0 > 1/(4 s_check S_check);
+    NaN at and below it.
+    """
+    if s_check <= 0.0 or S_check <= 0.0:
+        raise DegenerateParameters("split parameters must be positive")
     lambda0 = np.asarray(lambda0, dtype=float)
     threshold = 1.0 / (4.0 * s_check * S_check)
     out = np.full(lambda0.shape, np.nan)
@@ -144,21 +149,6 @@ def _improved_bound_values(lambda0, sigma, s_check, S_check) -> np.ndarray:
     )
     out[live] = (np.exp(growth) - 1.0) * lam
     return out
-
-
-def improved_bound(lambda0: float, sigma: float, s_check: float, S_check: float) -> float:
-    """Refined bound grown from the uncoupled eigenvalue lambda0.
-
-    Only defined above the threshold lambda0 > 1/(4 s_check S_check).
-    """
-    if s_check <= 0.0 or S_check <= 0.0:
-        raise DegenerateParameters("split parameters must be positive")
-    if not lambda0 > 1.0 / (4.0 * s_check * S_check):
-        raise PreconditionViolated(
-            f"eigenvalue {lambda0} at or below threshold "
-            f"{1.0 / (4.0 * s_check * S_check)}"
-        )
-    return float(_improved_bound_values(np.array([lambda0]), sigma, s_check, S_check)[0])
 
 
 def decomposition_bound_parameters(decomp: StarDecomposition, robin: RobinSpec) -> tuple:
@@ -185,12 +175,10 @@ def check_all(series: RngSeries, decomp: StarDecomposition) -> tuple:
     if decomp.graph != series.graph:
         raise ValueError("the decomposition belongs to another graph than the series")
     robin, gaps = series.robin, series.gaps
-    flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps, decomp)
+    flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps)
     ceiling = shortest_edge_bound(series.graph, robin)
     edge = bound_report("shortest-edge-bound", ceiling, gaps)
     s_check, S_check = decomposition_bound_parameters(decomp, robin)
-    refined_values = _improved_bound_values(
-        series.k_neumann**2, robin.sigma, s_check, S_check
-    )
-    refined = bound_report("improved-bound", refined_values, gaps, decomp)
+    refined_values = improved_bound(series.k_neumann**2, robin.sigma, s_check, S_check)
+    refined = bound_report("improved-bound", refined_values, gaps)
     return flat, edge, refined

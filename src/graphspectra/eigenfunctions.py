@@ -171,7 +171,7 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     n = graph.num_slots
     eye = np.eye(n)
 
-    def decompose(_, u):
+    def decompose(u):
         # one LAPACK call per matrix, not per stack: the benchmark's layer
         # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
         sv = np.empty((len(u), n))

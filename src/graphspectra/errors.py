@@ -33,18 +33,6 @@ class ContinuityViolation(GraphSpectraError):
     """Vertex values computed from different incident edges disagree."""
 
 
-class MeshTooCoarse(GraphSpectraError):
-    """The finite-difference mesh has too few points per edge."""
-
-
-class ConvergenceFailure(GraphSpectraError):
-    """An iterative eigenvalue solve did not converge."""
-
-
-class PreconditionViolated(GraphSpectraError):
-    """A closed-form bound was evaluated outside its validity region."""
-
-
 class DegenerateParameters(GraphSpectraError):
     """A bound parameter (s-check or S-check) is zero."""
 

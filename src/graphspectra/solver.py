@@ -144,8 +144,9 @@ Records.  Roots merge by single linkage on the merge radius, 1e-9
 velocity: a chain of roots, each within the radius of the root below
 it, is one record at its multiplicity-weighted mean, provided every root
 of the chain lies within the radius of that mean, so that the record's
-kernel holds them all.  The roots of a longer chain stay records of
-their own.
+kernel holds them all.  A chain whose mean misses one of its roots
+splits at its widest gap, and each part is judged again, down to single
+roots, so a double root in a longer chain stays one record.
 
 Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
@@ -269,7 +270,7 @@ class Spectrum:
 
 
 def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build=None):
-    """fn(batch, build(batch)) over slices of at most LAPACK_CHUNK wave numbers.
+    """fn(build(batch)) over slices of at most LAPACK_CHUNK wave numbers.
 
     build is _vertex_matrices (M), _amplitude_matrices (A) or, by default,
     unitary_stack (U), looked up at each call so that a wrapper on the
@@ -281,7 +282,7 @@ def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build=None):
     ks = np.asarray(ks, dtype=float)
     build = unitary_stack if build is None else build
     parts = [
-        fn(batch, build(graph, robin, batch))
+        fn(build(graph, robin, batch))
         for batch in (
             ks[start : start + LAPACK_CHUNK]
             for start in range(0, max(ks.size, 1), LAPACK_CHUNK)
@@ -303,7 +304,7 @@ def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
         graph,
         robin,
         ks,
-        lambda _, u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
+        lambda u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
     )
 
 
@@ -337,9 +338,7 @@ def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
     """
     ks = np.asarray(ks, dtype=float)
     x = ks[:, None] * graph.slot_length[None, 0::2]
-    mu = _stack_map(
-        graph, robin, ks, lambda _, m: np.linalg.eigvalsh(m), build=_vertex_matrices
-    )
+    mu = _stack_map(graph, robin, ks, np.linalg.eigvalsh, build=_vertex_matrices)
     size = np.abs(mu)
     ok = size.min(axis=1) > INERTIA_MARGIN * graph.num_vertices * EPS * size.max(axis=1)
     ok &= np.all(np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x, axis=1)
@@ -479,9 +478,7 @@ def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
 
 def _amplitude_dets(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     """det A(k) for a batch of positive wave numbers."""
-    return _stack_map(
-        graph, robin, ks, lambda _, a: np.linalg.det(a), build=_amplitude_matrices
-    )
+    return _stack_map(graph, robin, ks, np.linalg.det, build=_amplitude_matrices)
 
 
 def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -738,26 +735,31 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
 
 
 def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
-    """Records from roots by single linkage on their merge radii, each
-    chain kept whole only where its mean holds every root within its
-    radius; see "Records" in the module docstring."""
+    """Records from roots by single linkage on their merge radii, a chain
+    whose mean misses one of its roots split at its widest gap until every
+    part's mean holds its roots; see "Records" in the module docstring."""
     if roots.size == 0:
         return roots, mults
     order = np.argsort(roots)
     roots, mults, radii = roots[order], mults[order], radii[order]
-    new_chain = np.diff(roots, prepend=-np.inf) > radii
-    starts = np.flatnonzero(new_chain)
-    chain = np.cumsum(new_chain) - 1
-    total = np.add.reduceat(mults, starts)
-    # offsets from the chain's lowest root, so a lone root keeps its value
-    mean = roots[starts] + np.add.reduceat(
-        mults * (roots - roots[starts][chain]), starts
-    ) / total
-    tight = np.logical_and.reduceat(np.abs(roots - mean[chain]) <= radii, starts)
-    apart = ~tight[chain]
-    ks = np.concatenate([mean[tight], roots[apart]])
-    order = np.argsort(ks)
-    return ks[order], np.concatenate([total[tight], mults[apart]])[order]
+    gap = np.diff(roots, prepend=-np.inf)
+    new_chain = gap > radii
+    while True:
+        starts = np.flatnonzero(new_chain)
+        chain = np.cumsum(new_chain) - 1
+        total = np.add.reduceat(mults, starts)
+        # offsets from the chain's lowest root, so a lone root keeps its value
+        mean = roots[starts] + np.add.reduceat(
+            mults * (roots - roots[starts][chain]), starts
+        ) / total
+        tight = np.logical_and.reduceat(np.abs(roots - mean[chain]) <= radii, starts)
+        if tight.all():
+            return mean, total
+        ends = np.append(starts, roots.size)
+        for c in np.flatnonzero(~tight):
+            # a loose chain has two roots or more; a lone root is tight
+            first = starts[c] + 1
+            new_chain[first + np.argmax(gap[first : ends[c + 1]])] = True
 
 
 def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
@@ -940,7 +942,7 @@ def compute_spectrum(
 
     eye = np.eye(graph.num_slots)
     sv = _stack_map(
-        graph, robin, roots, lambda _, u: np.linalg.svd(eye - u, compute_uv=False)
+        graph, robin, roots, lambda u: np.linalg.svd(eye - u, compute_uv=False)
     )
     mismatch = _kernel_mismatch(
         graph, roots, mults, sv, _kernel_threshold(graph, robin, roots, tol)

@@ -6,15 +6,14 @@ The central object is the index-paired difference sequence
 
 computed as (k_n(sigma) - k_n(0)) (k_n(sigma) + k_n(0)) so that the
 wave-number difference consistency holds exactly and no precision is
-lost to cancellation at large k.  On top of it: Cesaro means against
-the closed-form limit (2 sigma / |G|) sum 1/deg(v), windowed running
-averages against the k-local prediction
-(2k/|G|) sum arctan(sigma/(deg(v) k)), eigenfunction moment averages
-against their ergodic limits, empirical distribution functions, value
-clustering, difference-quotient audits of the Lipschitz property, and
-eigenvalue curves across couplings.  The closed forms take the graph and
-its RobinSpec; the rest take spectra, or series built from them, which
-carry both.
+lost to cancellation at large k.  On top of it: the closed-form limit
+of its mean, (2 sigma / |G|) sum 1/deg(v), windowed running averages
+against the k-local prediction (2k/|G|) sum arctan(sigma/(deg(v) k)),
+eigenfunction moment averages against their ergodic limits, empirical
+distribution functions, value clustering, difference-quotient audits of
+the Lipschitz property, and eigenvalue curves across couplings.  The
+closed forms take the graph and its RobinSpec; the rest take spectra, or
+series built from them, which carry both.
 """
 from __future__ import annotations
 
@@ -33,7 +32,6 @@ __all__ = [
     "MomentReport",
     "EigenvalueCurve",
     "rng_sequence",
-    "cesaro_mean",
     "theoretical_mean",
     "running_average",
     "arctan_prediction",
@@ -144,13 +142,6 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
         k_neumann=k0,
         k_robin=k1,
     )
-
-
-def cesaro_mean(series: RngSeries) -> float:
-    """Arithmetic mean of the gap sequence."""
-    if len(series) == 0:
-        raise ValueError("empty gap sequence")
-    return float(np.mean(series.gaps))
 
 
 def theoretical_mean(graph: MetricGraph, robin: RobinSpec) -> float:

@@ -22,12 +22,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from .errors import ConvergenceFailure, MeshTooCoarse
-from .graphs import MetricGraph, RobinSpec
-
-__all__ = ["DiscreteOperator", "discretize", "oracle_eigenvalues"]
+from graphspectra.errors import GraphSpectraError
+from graphspectra.graphs import MetricGraph, RobinSpec
 
 MIN_POINTS = 8
+
+
+class MeshTooCoarse(GraphSpectraError):
+    """The finite-difference mesh has too few points per edge."""
+
+
+class ConvergenceFailure(GraphSpectraError):
+    """An iterative eigenvalue solve did not converge."""
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from graphspectra.bounds import (
     shortest_edge_bound,
 )
 from graphspectra.eigenfunctions import sensitivity
-from graphspectra.fd import discretize, oracle_eigenvalues
 from graphspectra.graphs import (
     RobinSpec,
     boundary_star_decomposition,
@@ -37,13 +36,13 @@ from graphspectra.solver import compute_spectrum, spectral_shift
 from graphspectra.stats import (
     accumulation_clusters,
     arctan_prediction,
-    cesaro_mean,
     lipschitz_audit,
     running_average,
     theoretical_mean,
     weyl_moments,
 )
 
+from fd import discretize, oracle_eigenvalues
 from oracles import interval_robin_wavenumbers
 
 SIGMA_GRID = tuple(0.5 * i for i in range(9))  # 0, 0.5, ..., 4
@@ -146,7 +145,7 @@ def test_star_mean_convergence(star4, gap_series):
     elapsed = time.perf_counter() - start
     limit = theoretical_mean(star4, RobinSpec(frozenset([0]), 2.0))
     assert limit == pytest.approx(2.0 / (2.0 * star4.total_length))
-    full = cesaro_mean(series)
+    full = np.mean(series.gaps)
     assert abs(full - limit) / limit <= 0.05
     short = float(np.mean(series.gaps[:500]))
     assert abs(full - limit) < abs(short - limit)
@@ -160,7 +159,7 @@ def test_tetrahedron_mean(tetrahedron, gap_series):
     limit = (8.0 / 3.0) * 2.0 / tetrahedron.total_length
     robin = RobinSpec(frozenset(range(4)), 2.0)
     assert theoretical_mean(tetrahedron, robin) == pytest.approx(limit)
-    assert abs(cesaro_mean(series) - limit) / limit <= 0.05
+    assert abs(np.mean(series.gaps) - limit) / limit <= 0.05
 
 
 # 7. bounds never violated ---------------------------------------------------

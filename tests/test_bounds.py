@@ -13,11 +13,7 @@ from graphspectra.bounds import (
     sensitivity_bound,
     shortest_edge_bound,
 )
-from graphspectra.errors import (
-    DegenerateDecomposition,
-    DegenerateParameters,
-    PreconditionViolated,
-)
+from graphspectra.errors import DegenerateDecomposition, DegenerateParameters
 from graphspectra.graphs import (
     RobinSpec,
     StarDecomposition,
@@ -97,7 +93,8 @@ class TestSlope:
 
 class TestImprovedBound:
     def test_zero_coupling_is_zero(self):
-        assert improved_bound(5.0, 0.0, 0.3, 4.0) == pytest.approx(0.0, abs=1e-15)
+        got = improved_bound(np.array([5.0, 50.0]), 0.0, 0.3, 4.0)
+        assert np.allclose(got, 0.0, rtol=0.0, atol=1e-15)
 
     def test_small_coupling_expansion(self):
         s_check, S_check = 0.25, 5.0
@@ -105,25 +102,28 @@ class TestImprovedBound:
         alpha = 2.0 / np.sqrt(4.0 * lam0 * s_check * S_check - 1.0)
         sigma = 1e-8
         expected = lam0 * 2.0 * alpha * (alpha * s_check * sigma) / (1.0 + alpha**2 / 4.0)
-        got = improved_bound(lam0, sigma, s_check, S_check)
+        (got,) = improved_bound(np.array([lam0]), sigma, s_check, S_check)
         assert got == pytest.approx(expected, rel=1e-6)
 
     def test_increasing_in_coupling(self):
-        vals = [improved_bound(4.0, s, 0.3, 5.0) for s in (0.5, 1.0, 2.0, 4.0)]
+        lam = np.array([4.0])
+        vals = [improved_bound(lam, s, 0.3, 5.0)[0] for s in (0.5, 1.0, 2.0, 4.0)]
         assert np.all(np.diff(vals) > 0)
 
     def test_threshold_is_strict(self):
         s_check, S_check = 0.5, 2.0
         threshold = 1.0 / (4.0 * s_check * S_check)
-        with pytest.raises(PreconditionViolated):
-            improved_bound(threshold, 1.0, s_check, S_check)
-        assert improved_bound(threshold * 1.01, 1.0, s_check, S_check) > 0.0
+        at, above = improved_bound(
+            np.array([threshold, threshold * 1.01]), 1.0, s_check, S_check
+        )
+        assert np.isnan(at)
+        assert above > 0.0
 
     def test_degenerate_parameters(self):
         with pytest.raises(DegenerateParameters):
-            improved_bound(5.0, 1.0, 0.0, 2.0)
+            improved_bound(np.array([5.0]), 1.0, 0.0, 2.0)
         with pytest.raises(DegenerateParameters):
-            improved_bound(5.0, 1.0, 0.5, -1.0)
+            improved_bound(np.array([5.0]), 1.0, 0.5, -1.0)
 
     def test_decays_toward_flat_bound(self, star4):
         # excess over 2*sigma/S_check shrinks like 1/lambda0 and its sign
@@ -134,19 +134,17 @@ class TestImprovedBound:
             boundary_star_decomposition(star4, robin), robin
         )
         flat = 2.0 * 2.0 / S_check
-        excess = [
-            improved_bound(lam, 2.0, s_check, S_check) - flat
-            for lam in (10.0, 100.0, 1000.0, 10000.0)
-        ]
+        lams = np.array([10.0, 100.0, 1000.0, 10000.0])
+        excess = improved_bound(lams, 2.0, s_check, S_check) - flat
         assert all(e > 0.0 for e in excess)
         assert np.all(np.diff(excess) < 0)
         assert excess[-1] < 1e-5 * flat
 
     def test_flat_crossing_dichotomy(self):
         # 2*s_check*sigma = 4 > 3: approaches the flat value from below
-        assert improved_bound(1e4, 2.0, 1.0, 1.0) < 4.0
+        assert improved_bound(np.array([1e4]), 2.0, 1.0, 1.0)[0] < 4.0
         # 2*s_check*sigma = 1 < 3: stays above it
-        assert improved_bound(1e4, 0.5, 1.0, 1.0) > 1.0
+        assert improved_bound(np.array([1e4]), 0.5, 1.0, 1.0)[0] > 1.0
 
 
 class TestParameters:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -412,9 +413,12 @@ class TestOutputDiscipline:
         assert out.exists()
 
     def test_cli_import_leaves_scipy_out(self):
+        # the command line and every other package module run on numpy alone
         probe = (
-            "import sys, graphspectra.cli\n"
+            "import importlib, pkgutil, sys, graphspectra, graphspectra.cli\n"
             "assert callable(graphspectra.cli.load_graph_file)\n"
+            "for module in pkgutil.iter_modules(graphspectra.__path__):\n"
+            "    importlib.import_module('graphspectra.' + module.name)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
@@ -422,3 +426,13 @@ class TestOutputDiscipline:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runtime_dependencies_are_numpy_only(self):
+        tomllib = pytest.importorskip("tomllib", reason="tomllib is new in 3.11")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+        def names(requirements):
+            return [re.match(r"[A-Za-z0-9_.-]+", r).group() for r in requirements]
+
+        assert names(project["dependencies"]) == ["numpy"]
+        assert "scipy" in names(project["optional-dependencies"]["test"])

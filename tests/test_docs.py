@@ -8,6 +8,7 @@ from __future__ import annotations
 import doctest
 import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -31,7 +32,12 @@ def test_package_doctests_pass():
 
 
 @pytest.mark.parametrize(
-    "name", ["scattering", "solver", "eigenfunctions", "stats", "bounds", "fd"]
+    "name",
+    [
+        module.name
+        for module in pkgutil.iter_modules(graphspectra.__path__)
+        if hasattr(importlib.import_module(f"graphspectra.{module.name}"), "__all__")
+    ],
 )
 def test_module_all_lists_its_public_definitions(name):
     module = importlib.import_module(f"graphspectra.{name}")

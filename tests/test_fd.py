@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from graphspectra.errors import MeshTooCoarse
-from graphspectra.fd import discretize, oracle_eigenvalues
 from graphspectra.graphs import RobinSpec, build_graph, make_star
 from graphspectra.solver import compute_spectrum
+from fd import MeshTooCoarse, discretize, oracle_eigenvalues
 from oracles import interval_robin_wavenumbers
 
 NEUMANN = RobinSpec.neumann()

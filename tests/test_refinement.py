@@ -401,6 +401,9 @@ def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf
 @example(degree=3, u=-8.0, steps=[0, 0, 1, 0, 0], s=0.0, at_leaf=False)
 # a leaf coupled at sigma = 1e-7 splits the double root at 3 pi / 2
 @example(degree=3, u=-2.0, steps=[0] * 5, s=-7.0, at_leaf=True)
+# four roots near pi / 2 in one chain whose mean misses a root: two
+# double records, not a double root split into two simple ones
+@example(degree=5, u=-8.9375, steps=[0, 0, 1, 1, 0], s=0.0, at_leaf=False)
 def test_eigenfunctions_accept_the_certified_clusters(degree, u, steps, s, at_leaf):
     # the eigenfunctions count kernels by the solver's rule, so every
     # spectrum it certifies has eigenfunctions, and all in the real gauge

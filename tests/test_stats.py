@@ -13,7 +13,6 @@ from graphspectra.stats import (
     RngSeries,
     accumulation_clusters,
     arctan_prediction,
-    cesaro_mean,
     empirical_cdf,
     lipschitz_audit,
     rng_sequence,
@@ -89,14 +88,6 @@ class TestRngSequence:
 
 
 class TestMeans:
-    def test_cesaro_is_plain_mean(self):
-        series = _synthetic([0.0, 1.0, 2.0, 5.0])
-        assert cesaro_mean(series) == pytest.approx(2.0)
-
-    def test_cesaro_rejects_empty(self):
-        with pytest.raises(ValueError):
-            cesaro_mean(_synthetic([]))
-
     def test_theoretical_mean_star_center(self, star4):
         # single coupled vertex of degree 4: sigma / (2 |G|)
         expected = 2.0 / (2.0 * star4.total_length)
@@ -112,7 +103,7 @@ class TestMeans:
     def test_cesaro_approaches_limit(self, unit_interval, gap_series):
         series = gap_series(unit_interval, (0,), 1.0, 400)
         limit = theoretical_mean(unit_interval, series.robin)
-        assert cesaro_mean(series) == pytest.approx(limit, rel=0.05)
+        assert np.mean(series.gaps) == pytest.approx(limit, rel=0.05)
 
 
 class TestRunningAverage:
