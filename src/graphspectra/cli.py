@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -115,11 +116,9 @@ def _emit(table: Table, config: RunConfig) -> None:
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        root, dot, ext = config.out.rpartition(".")
-        base = root if dot else config.out
-        suffix = "." + ext if dot else ""
+        base, ext = os.path.splitext(config.out)
         for name, (cols, rows) in table.companions.items():
-            side = f"{base}.{name}{suffix}"
+            side = f"{base}.{name}{ext}"
             with open(side, "w", encoding="utf-8", newline="") as fh:
                 fh.write(_csv_text(cols, rows))
     else:
@@ -171,12 +170,9 @@ def cmd_spectrum(config: RunConfig) -> Table:
     spectrum = _spectrum(graph, robin, config)
     # n_max scans certify a margin beyond the request; clip the table
     limit = None if config.k_max is not None else config.target_n
-    rows = []
-    for rec in spectrum.records:
-        for i in range(rec.multiplicity):
-            n = rec.index + i
-            if limit is None or n <= limit:
-                rows.append((n, rec.k, rec.k**2, rec.multiplicity))
+    ks = spectrum.wavenumbers(limit)
+    mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity)
+    rows = [(n, k, k**2, m) for n, (k, m) in enumerate(zip(ks, mults), start=1)]
     return Table(["n", "k_n", "lambda_n", "multiplicity"], rows, {})
 
 
@@ -364,10 +360,10 @@ def main(argv=None) -> int:
     )
     try:
         table = _COMMANDS[config.command](config)
+        _emit(table, config)
     except (GraphSpectraError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(table, config)
     if table.violations:
         print(f"error: {table.violations} bound violation(s)", file=sys.stderr)
         return 1

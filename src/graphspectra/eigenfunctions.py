@@ -31,8 +31,9 @@ slot j pointing out of v.
 
 All of it runs in one batched evaluation, eigenbasis: the SVDs of
 I - U(k) over a set of records of one Spectrum, the gauge batched per
-multiplicity, every quantity above vectorized over the result.  The
-single-record handles and the sensitivity are views of it.
+multiplicity, every quantity above vectorized over the result.
+evaluate and robin_residual read one row of it, and the sensitivity
+sums its vertex values.
 """
 from __future__ import annotations
 
@@ -45,17 +46,14 @@ from .errors import (
     DanglingEndpoint,
     KernelDimensionMismatch,
     OutOfRange,
-    ZeroWaveNumber,
 )
 from .graphs import MetricGraph
 from .solver import Spectrum, _kernel_mismatch, _stack_map
 
 __all__ = [
     "EigenBasis",
-    "EigenfunctionHandle",
     "SensitivityValue",
     "eigenbasis",
-    "eigenfunction_handle",
     "evaluate",
     "sensitivity",
     "robin_residual",
@@ -66,16 +64,18 @@ CONTINUITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Real-gauge eigenfunctions of a batch of records, one row each.
+    """Real-gauge eigenfunctions of a batch of records of spectrum, one
+    row each.
 
     Rows come grouped by record in spectrum order, m rows for a record
     of multiplicity m; record[i] is the position of row i's record in
-    spectrum.records and k[i] its wave number.  a holds unit kernel
+    the spectrum's arrays and k[i] its wave number.  a holds unit kernel
     vectors of I - U(k), residual |(I - U(k)) a|, l2norm_sq the exact
     squared L2 norm of the eigenfunction, and vertex_values the
     L2-normalized values f(v).
     """
 
+    spectrum: Spectrum
     record: np.ndarray
     k: np.ndarray
     a: np.ndarray
@@ -85,45 +85,13 @@ class EigenBasis:
 
 
 @dataclass(frozen=True)
-class EigenfunctionHandle:
-    """One L2-normalizable eigenfunction of spectrum, ready for pointwise
-    evaluation: row `row` of an eigenbasis of it, with the fields of that
-    row (k, a, residual, l2norm_sq, vertex_values) as scalars and vectors."""
-
-    spectrum: Spectrum
-    basis: EigenBasis
-    row: int
-
-    @property
-    def k(self) -> float:
-        return float(self.basis.k[self.row])
-
-    @property
-    def a(self) -> np.ndarray:
-        """Unit kernel vector of I - U(k) in the real gauge."""
-        return self.basis.a[self.row]
-
-    @property
-    def residual(self) -> float:
-        return float(self.basis.residual[self.row])
-
-    @property
-    def l2norm_sq(self) -> float:
-        return float(self.basis.l2norm_sq[self.row])
-
-    @property
-    def vertex_values(self) -> np.ndarray:
-        return self.basis.vertex_values[self.row]
-
-
-@dataclass(frozen=True)
 class SensitivityValue:
-    """Coupling derivative of one eigenvalue; degenerate means the value
-    is a basis average over the eigenspace rather than a single state.
-    Both fields are arrays when several indices are asked for at once."""
+    """Coupling derivatives of the eigenvalues n asked for, shaped like n;
+    degenerate marks a value that is a basis average over the eigenspace
+    of a multiple eigenvalue rather than a single state."""
 
-    value: float
-    degenerate: bool
+    value: np.ndarray
+    degenerate: np.ndarray
 
 
 def _conjugate_flip(graph: MetricGraph, a: np.ndarray, k: float) -> np.ndarray:
@@ -147,7 +115,7 @@ def _l2_norm_sq(graph: MetricGraph, a: np.ndarray, k: np.ndarray) -> np.ndarray:
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real-gauge eigenfunctions of the wanted records and their chains.
 
-    records are positions in spectrum.records.  Consecutive positive
+    records are positions in the spectrum's arrays.  Consecutive positive
     records closer than the largest kernel reach link into one chain,
     and every record in the chain of a wanted one is solved too: the
     kernel-dimension rule (_kernel_mismatch) counts the crossings near a
@@ -160,7 +128,7 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     an eigenfunction takes two values at one vertex.
     """
     graph = spectrum.graph
-    _, all_ks, all_mults = spectrum.columns
+    all_ks, all_mults = spectrum.k, spectrum.multiplicity
     positive = np.flatnonzero(all_ks > 0.0)
     threshold = spectrum.kernel_threshold(all_ks[positive])
     reach = 2.0 * threshold.max(initial=0.0) / graph.min_edge_length
@@ -228,69 +196,61 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
             f"at vertex {graph.slot_origin[slot]}"
         )
     vertex_values = np.real(at_origin[:, first_out]) / np.sqrt(l2norm_sq)[:, None]
-    return EigenBasis(handed[local], k, a, residual, l2norm_sq, vertex_values)
+    return EigenBasis(spectrum, handed[local], k, a, residual, l2norm_sq, vertex_values)
 
 
-def eigenfunction_handle(spectrum: Spectrum, n: int) -> list[EigenfunctionHandle]:
-    """Real-gauge eigenbasis of the record holding eigenvalue n, one
-    handle per unit of its multiplicity, with norms and vertex values."""
-    at = int(spectrum.positions(n))
-    basis = eigenbasis(spectrum, [at])
-    rows = np.flatnonzero(basis.record == at)
-    if rows.size == 0:
-        raise ZeroWaveNumber(f"eigenvalue {n} is the zero mode, which has no amplitudes")
-    return [EigenfunctionHandle(spectrum, basis, int(i)) for i in rows]
+def _check_row(basis: EigenBasis, row: int) -> None:
+    if not 0 <= row < len(basis.k):
+        raise OutOfRange(f"row {row} outside 0..{len(basis.k) - 1}")
 
 
-def evaluate(handle: EigenfunctionHandle, edge: int, x: float) -> float:
-    """Normalized eigenfunction value at position x along an edge."""
-    graph = handle.spectrum.graph
+def evaluate(basis: EigenBasis, row: int, edge: int, x: float) -> float:
+    """Normalized value of eigenfunction row at position x along an edge."""
+    graph = basis.spectrum.graph
+    _check_row(basis, row)
     if not 0 <= edge < graph.num_edges:
         raise OutOfRange(f"edge {edge} outside 0..{graph.num_edges - 1}")
     length = graph.edge_length(edge)
     if not 0.0 <= x <= length:
         raise OutOfRange(f"x={x!r} outside [0, {length!r}] on edge {edge}")
-    a, k = handle.a, handle.k
+    a, k = basis.a[row], basis.k[row]
     raw = a[2 * edge] * np.exp(1j * k * x) + a[2 * edge + 1] * np.exp(1j * k * (length - x))
-    return float(np.real(raw)) / float(np.sqrt(handle.l2norm_sq))
+    return float(np.real(raw)) / float(np.sqrt(basis.l2norm_sq[row]))
 
 
-def robin_residual(handle: EigenfunctionHandle, v: int) -> float:
-    """Defect in the vertex condition sum f'(v) = sigma_v f(v) of the
-    handle's spectrum; diagnostic."""
-    graph, robin = handle.spectrum.graph, handle.spectrum.robin
+def robin_residual(basis: EigenBasis, row: int, v: int) -> float:
+    """Defect of eigenfunction row in the vertex condition
+    sum f'(v) = sigma_v f(v) of the basis's spectrum; diagnostic."""
+    graph, robin = basis.spectrum.graph, basis.spectrum.robin
+    _check_row(basis, row)
     if not 0 <= v < graph.num_vertices:
         raise DanglingEndpoint(f"vertex {v} is not a graph vertex")
-    a, k = handle.a, handle.k
+    a, k = basis.a[row], basis.k[row]
     slots = graph.slots_out(v)
     back = a[graph.slot_reversal[slots]] * np.exp(1j * k * graph.slot_length[slots])
     outward = 1j * k * np.sum(a[slots] - back)
-    norm = float(np.sqrt(handle.l2norm_sq))
+    norm = float(np.sqrt(basis.l2norm_sq[row]))
     sigma = robin.vertex_sigmas(graph)[v]
-    return float(np.abs(outward / norm - sigma * handle.vertex_values[v]))
+    return float(np.abs(outward / norm - sigma * basis.vertex_values[row, v]))
 
 
 def sensitivity(spectrum: Spectrum, n) -> SensitivityValue:
     """Coupling derivative of eigenvalue n: sum over coupled vertices of
     the squared normalized vertex values.
 
-    n is one index or an array of indices; each record they touch is
-    solved once, all in one eigenbasis call.  For a multiple eigenvalue
-    the basis average is returned (the trace over the eigenspace divided
-    by its dimension, which is basis independent) with degenerate=True.
+    n is an index or an array of indices, and both fields come back
+    shaped like it; each record they touch is solved once, all in one
+    eigenbasis call.  For a multiple eigenvalue the basis average is
+    returned (the trace over the eigenspace divided by its dimension,
+    which is basis independent) with degenerate=True.
     """
-    idx = np.asarray(n)
-    which = spectrum.positions(idx.ravel())
-    _, ks, mults = spectrum.columns
-    degenerate = mults[which] > 1
+    which = spectrum.positions(n)
+    mults = spectrum.multiplicity
     coupled = spectrum.robin.coupled_vertices(spectrum.graph)
     # constant eigenfunction at k = 0: f(v)^2 = 1/|G| at every vertex
-    values = np.full(ks.size, len(coupled) / spectrum.graph.total_length)
+    values = np.full(mults.size, len(coupled) / spectrum.graph.total_length)
     basis = eigenbasis(spectrum, which)
     per_row = np.sum(basis.vertex_values[:, coupled] ** 2, axis=1)
     solved = np.unique(basis.record)
     values[solved] = np.bincount(basis.record, weights=per_row)[solved] / mults[solved]
-    value = values[which]
-    if idx.ndim == 0:
-        return SensitivityValue(value=float(value[0]), degenerate=bool(degenerate[0]))
-    return SensitivityValue(value=value, degenerate=degenerate)
+    return SensitivityValue(value=values[which], degenerate=mults[which] > 1)

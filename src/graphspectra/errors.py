@@ -50,4 +50,4 @@ class KernelDimensionMismatch(GraphSpectraError):
 
 
 class OutOfRange(GraphSpectraError):
-    """An evaluation point lies outside its edge."""
+    """An eigenvalue index, basis row, edge or edge position is out of range."""

@@ -163,8 +163,8 @@ point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,7 +173,6 @@ from .graphs import MetricGraph, RobinSpec
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
 __all__ = [
-    "SpectralPoint",
     "Spectrum",
     "compute_spectrum",
     "counting_function",
@@ -199,49 +198,34 @@ POLE_MARGIN = 1e-8
 GRID_MOVES = 8
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """One spectral record: first index, wave number, multiplicity."""
-
-    index: int
-    k: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ordered spectrum of the operator of one graph and one coupling.
 
-    records carry multiplicity, so a record with multiplicity m owns the
-    m consecutive indices starting at its index field.  k_cap is the
-    largest wave number the scan certified; every eigenvalue at or below
-    k_cap appears.  tol is the refinement tolerance the records were
-    computed with (None for the default stop width); stop_width and
+    One record per distinct wave number, as three read-only arrays: a
+    record with multiplicity[i] = m at k[i] owns the m consecutive
+    eigenvalue indices starting at index[i].  k_cap is the largest wave
+    number the scan certified; every eigenvalue at or below k_cap
+    appears.  tol is the refinement tolerance the records were computed
+    with (None for the default stop width); stop_width and
     kernel_threshold give the accuracy model it sets.
     """
 
     graph: MetricGraph
     robin: RobinSpec
-    records: tuple
+    index: np.ndarray
+    k: np.ndarray
+    multiplicity: np.ndarray
     k_cap: float
-    tol: float | None = field(default=None, compare=False)
+    tol: float | None = None
 
-    @cached_property
-    def columns(self) -> tuple:
-        """First indices, wave numbers and multiplicities of the records."""
-        columns = (
-            np.array([r.index for r in self.records], dtype=int),
-            np.array([r.k for r in self.records], dtype=float),
-            np.array([r.multiplicity for r in self.records], dtype=int),
-        )
-        for column in columns:
+    def __post_init__(self):
+        for column in (self.index, self.k, self.multiplicity):
             column.flags.writeable = False
-        return columns
 
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
         """Expanded wave numbers, one entry per index."""
-        _, ks, mults = self.columns
-        ks = np.repeat(ks, mults)
+        ks = np.repeat(self.k, self.multiplicity)
         return ks if count is None else ks[:count]
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
@@ -249,16 +233,16 @@ class Spectrum:
 
     @property
     def size(self) -> int:
-        return int(self.columns[2].sum())
+        return int(self.multiplicity.sum())
 
     def positions(self, n) -> np.ndarray:
-        """Positions in records of the records holding eigenvalue indices n."""
+        """Positions of the records holding eigenvalue indices n."""
         n = np.asarray(n)
         if np.any(n < 1):
             raise ValueError("eigenvalue index starts at 1")
         if np.any(n > self.size):
             raise OutOfRange(f"index {int(n.max())} beyond the computed spectrum")
-        return np.searchsorted(self.columns[0], n, side="right") - 1
+        return np.searchsorted(self.index, n, side="right") - 1
 
     def stop_width(self, ks: np.ndarray) -> np.ndarray:
         """Final bracket width at ks; a reported k lies within half of it."""
@@ -961,15 +945,9 @@ def compute_spectrum(
             f"the inertia count {n_grid[j]}"
         )
 
-    records = []
-    index = 1
     if has_zero_mode:
-        records.append(SpectralPoint(index=1, k=0.0, multiplicity=1))
-        index = 2
-    for k, m in zip(roots, mults):
-        records.append(SpectralPoint(index=index, k=float(k), multiplicity=int(m)))
-        index += int(m)
-    return Spectrum(graph, robin, tuple(records), k_cap, tol)
+        roots, mults = np.append(0.0, roots), np.append(1, mults)
+    return Spectrum(graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, k_cap, tol)
 
 
 def counting_function(spectrum: Spectrum, k: float) -> int:

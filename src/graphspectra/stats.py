@@ -200,7 +200,7 @@ def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
     """
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
-    firsts, _, mults = spectrum.columns
+    firsts, mults = spectrum.index, spectrum.multiplicity
     basis = eigenbasis(spectrum, np.flatnonzero(firsts <= n))
     used = (mults[basis.record] == 1) & (firsts[basis.record] <= n)
     n_used = int(used.sum())
@@ -305,9 +305,8 @@ def robin_homotopy(spectra, n: int) -> EigenvalueCurve:
     by_coupling = _by_coupling(spectra, n)
     ks, degenerate = [], []
     for s, spec in by_coupling.items():
-        _, wavenumbers, mults = spec.columns
         at = spec.positions(n)
-        ks.append(float(wavenumbers[at]))
-        if mults[at] > 1:
+        ks.append(float(spec.k[at]))
+        if spec.multiplicity[at] > 1:
             degenerate.append(s)
     return EigenvalueCurve(n, tuple(by_coupling), tuple(ks), tuple(degenerate))

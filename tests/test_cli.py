@@ -146,6 +146,22 @@ class TestRng:
         assert float(rows[0][0]) == pytest.approx(0.0, abs=1e-10)
         assert int(rows[0][1]) == 30
 
+    def test_companion_sits_beside_an_extensionless_out(self, tmp_path):
+        # a dot in a directory name is no extension
+        (tmp_path / "results.v2").mkdir()
+        code, out = run_cli(
+            ["rng", "--graph", str(FIXTURES / "star_incommensurate.json"),
+             "--nmax", "40"],
+            tmp_path,
+            name="results.v2/gaps",
+        )
+        assert code == 0
+        header, _ = read_rows(tmp_path / "results.v2" / "gaps.clusters")
+        assert header == ["value", "count"]
+        assert sorted(p.name for p in (tmp_path / "results.v2").iterdir()) == [
+            "gaps", "gaps.clusters"
+        ]
+
     def test_shared_roots_give_zero_gaps(self, tmp_path):
         # on the equilateral 4-star three of every four eigenvalues vanish
         # at the coupled center and stay put: each gap is exactly 0, none
@@ -391,6 +407,17 @@ class TestOutputDiscipline:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        code, out = run_cli(
+            ["spectrum", "--graph", str(FIXTURES / "interval.json"), "--nmax", "3"],
+            tmp_path,
+            name="missing/x.csv",
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,8 @@
 """The documented examples run, and every public module lists what it defines.
 
 The README python blocks and the doctests are executed; each module with
-an __all__ must list exactly the public functions and classes it defines.
+an __all__ must list exactly the public functions and classes it defines,
+and the README module map must describe that API as it is.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import pytest
 import graphspectra
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = [module.name for module in pkgutil.iter_modules(graphspectra.__path__)]
 
 
 def test_readme_python_blocks_run():
@@ -51,3 +53,22 @@ def test_module_all_lists_its_public_definitions(name):
         and obj.__module__ == module.__name__
     }
     assert defined - listed == set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_map_row_matches_the_module(name):
+    readme = README.read_text(encoding="utf-8")
+    row = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M))[name]
+    module = importlib.import_module(f"graphspectra.{name}")
+    functions = [
+        entry for entry in getattr(module, "__all__", ())
+        if inspect.isfunction(getattr(module, entry))
+    ]
+    assert [f for f in functions if not re.search(rf"`{f}[`(]", row)] == []
+    # a call written in the row names a function of the module, and the
+    # arguments it shows are that function's leading parameters
+    for fn, args in re.findall(r"`(\w+)\(([^`]*)\)`", row):
+        assert callable(getattr(module, fn, None)), fn
+        written = [arg.strip() for arg in args.split(",") if arg.strip()]
+        params = list(inspect.signature(getattr(module, fn)).parameters)
+        assert written == params[: len(written)], (fn, written, params)

@@ -10,7 +10,6 @@ from graphspectra import solver
 from graphspectra.eigenfunctions import (
     _l2_norm_sq,
     eigenbasis,
-    eigenfunction_handle,
     evaluate,
     robin_residual,
     sensitivity,
@@ -19,10 +18,9 @@ from graphspectra.errors import (
     DanglingEndpoint,
     KernelDimensionMismatch,
     OutOfRange,
-    ZeroWaveNumber,
 )
 from graphspectra.graphs import RobinSpec, build_graph, make_star
-from graphspectra.solver import SpectralPoint, Spectrum, compute_spectrum
+from graphspectra.solver import Spectrum, compute_spectrum
 from oracles import (
     interval_robin_wavenumbers,
     quadrature_norm_sq,
@@ -34,40 +32,50 @@ NEUMANN = RobinSpec.neumann()
 
 def _one_record(graph, k, multiplicity):
     """A Neumann spectrum that claims a single record (k, multiplicity)."""
-    return Spectrum(graph, NEUMANN, (SpectralPoint(2, k, multiplicity),), k_cap=k)
-
-
-def _reality_defect(graph, handle):
-    flipped = np.conj(handle.a[graph.slot_reversal]) * np.exp(
-        -1j * handle.k * graph.slot_length
+    return Spectrum(
+        graph, NEUMANN, np.array([2]), np.array([k]), np.array([multiplicity]), k_cap=k
     )
-    return np.max(np.abs(handle.a - flipped))
+
+
+def _record_rows(spec, n):
+    """An eigenbasis of the record holding eigenvalue n, and that record's rows."""
+    at = int(spec.positions(n))
+    basis = eigenbasis(spec, [at])
+    return basis, np.flatnonzero(basis.record == at)
+
+
+def _reality_defect(graph, basis, row):
+    a, k = basis.a[row], basis.k[row]
+    flipped = np.conj(a[graph.slot_reversal]) * np.exp(-1j * k * graph.slot_length)
+    return np.max(np.abs(a - flipped))
 
 
 def test_interval_cosine_amplitudes(pi_interval):
     spec = compute_spectrum(pi_interval, NEUMANN, n_max=3)
-    (handle,) = eigenfunction_handle(spec, 2)  # k = 1
-    assert handle.residual < 1e-10
-    assert abs(np.linalg.norm(handle.a) - 1.0) < 1e-12
-    assert abs(abs(handle.a[0]) - 1.0 / math.sqrt(2.0)) < 1e-10
-    assert _reality_defect(pi_interval, handle) < 1e-8
+    basis, (row,) = _record_rows(spec, 2)  # k = 1
+    a = basis.a[row]
+    assert basis.residual[row] < 1e-10
+    assert abs(np.linalg.norm(a) - 1.0) < 1e-12
+    assert abs(abs(a[0]) - 1.0 / math.sqrt(2.0)) < 1e-10
+    assert _reality_defect(pi_interval, basis, row) < 1e-8
 
 
 def test_interval_eigenfunction_is_cosine(pi_interval):
     spec = compute_spectrum(pi_interval, NEUMANN, n_max=3)
-    (handle,) = eigenfunction_handle(spec, 3)  # k = 2
+    basis, (row,) = _record_rows(spec, 3)  # k = 2
+    values = basis.vertex_values[row]
     # normalized eigenfunction is sqrt(2/pi) cos(2x), up to overall sign
     want = math.sqrt(2.0 / math.pi)
-    sign = math.copysign(1.0, handle.vertex_values[0])
+    sign = math.copysign(1.0, values[0])
     for x in np.linspace(0.0, math.pi, 23):
-        got = evaluate(handle, 0, float(x))
+        got = evaluate(basis, row, 0, float(x))
         assert got == pytest.approx(sign * want * math.cos(2.0 * x), abs=1e-8)
-    assert handle.vertex_values[0] == pytest.approx(sign * want, abs=1e-10)
-    assert abs(handle.vertex_values[1]) == pytest.approx(want, abs=1e-10)
+    assert values[0] == pytest.approx(sign * want, abs=1e-10)
+    assert abs(values[1]) == pytest.approx(want, abs=1e-10)
     with pytest.raises(OutOfRange):
-        evaluate(handle, 0, math.pi + 0.1)
+        evaluate(basis, row, 0, math.pi + 0.1)
     with pytest.raises(OutOfRange):
-        evaluate(handle, 0, -0.1)
+        evaluate(basis, row, 0, -0.1)
 
 
 def test_kernel_dimension_guard(pi_interval, equilateral_star):
@@ -85,27 +93,25 @@ def test_kernel_dimension_guard(pi_interval, equilateral_star):
         eigenbasis(_one_record(equilateral_star, 1.3, 3), [0])
 
 
-def test_handles_of_records_inside_each_others_kernel():
+def test_rows_of_records_inside_each_others_kernel():
     # two certified simple roots 2.1e-8 apart near pi / 2: each lies inside
-    # the other's numerical kernel, so a handle needs the pair to count it
+    # the other's numerical kernel, so a row needs the pair to count it
     star = make_star(3, (1.0, 1.0, 1.0 + 2e-8))
     spec = compute_spectrum(star, RobinSpec(frozenset({0}), 1.0), n_max=4)
-    pair = [r for r in spec.records if abs(r.k - math.pi / 2.0) < 1e-6]
-    assert [r.multiplicity for r in pair] == [1, 1]
-    assert 0.0 < pair[1].k - pair[0].k < 1e-7
-    (low,) = eigenfunction_handle(spec, pair[0].index)
-    (high,) = eigenfunction_handle(spec, pair[1].index)
-    assert (low.k, high.k) == (pair[0].k, pair[1].k)
-    for handle in (low, high):
-        assert handle.residual < 1e-12
-        assert _reality_defect(star, handle) < 1e-12
+    pair = np.flatnonzero(np.abs(spec.k - math.pi / 2.0) < 1e-6)
+    assert spec.multiplicity[pair].tolist() == [1, 1]
+    assert 0.0 < spec.k[pair[1]] - spec.k[pair[0]] < 1e-7
+    for at in pair:
+        basis, (row,) = _record_rows(spec, spec.index[at])
+        assert basis.k[row] == spec.k[at]
+        assert basis.residual[row] < 1e-12
+        assert _reality_defect(star, basis, row) < 1e-12
 
 
-def test_zero_mode_has_no_handle(unit_interval):
+def test_zero_mode_has_no_row(unit_interval):
     spec = compute_spectrum(unit_interval, NEUMANN, n_max=3)
-    with pytest.raises(ZeroWaveNumber):
-        eigenfunction_handle(spec, 1)
-    assert len(eigenbasis(spec, [0]).record) == 0
+    basis, rows = _record_rows(spec, 1)
+    assert rows.size == 0 and len(basis.record) == 0
 
 
 def test_kernel_without_a_real_gauge_raises(monkeypatch):
@@ -137,111 +143,123 @@ def test_l2_norm_against_quadrature(star4):
         assert closed > 0.0
 
 
-def test_normalized_handle_has_unit_norm(star4):
+def test_normalized_row_has_unit_norm(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=5)
-    k = spec.records[2].k
-    (handle,) = eigenfunction_handle(spec, spec.records[2].index)
+    k = spec.k[2]
+    basis, (row,) = _record_rows(spec, spec.index[2])
     scaled = np.array(
-        [evaluate(handle, e, 0.3 * star4.edge_length(e)) for e in range(4)]
+        [evaluate(basis, row, e, 0.3 * star4.edge_length(e)) for e in range(4)]
     )
-    # the handle divides by the norm, so re-integrating gives 1
+    # evaluate divides by the norm, so re-integrating gives 1
+    a = basis.a[row]
     edges = [
-        (
-            star4.edge_length(t),
-            complex(handle.a[2 * t]),
-            complex(handle.a[2 * t + 1]),
-        )
+        (star4.edge_length(t), complex(a[2 * t]), complex(a[2 * t + 1]))
         for t in range(star4.num_edges)
     ]
-    total = quadrature_norm_sq(edges, k) / handle.l2norm_sq
+    total = quadrature_norm_sq(edges, k) / basis.l2norm_sq[row]
     assert total == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.isfinite(scaled))
 
 
 def test_degenerate_basis_real_gauge(equilateral_star):
     spec = compute_spectrum(equilateral_star, NEUMANN, n_max=4)
-    handles = eigenfunction_handle(spec, 2)  # the triple root at pi / 2
-    assert len(handles) == 3
-    for i, handle in enumerate(handles):
-        assert handle.k == pytest.approx(math.pi / 2.0, rel=1e-12)
-        assert handle.residual < 1e-10
-        assert _reality_defect(equilateral_star, handle) < 1e-8
-        for j in range(i):
-            assert abs(np.vdot(handles[j].a, handle.a)) < 1e-10
+    basis, rows = _record_rows(spec, 2)  # the triple root at pi / 2
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        assert basis.k[row] == pytest.approx(math.pi / 2.0, rel=1e-12)
+        assert basis.residual[row] < 1e-10
+        assert _reality_defect(equilateral_star, basis, row) < 1e-8
+        for j in rows[:i]:
+            assert abs(np.vdot(basis.a[j], basis.a[row])) < 1e-10
         # center-vanishing states: all of them are zero at the hub
-        assert abs(handle.vertex_values[0]) < 1e-8
+        assert abs(basis.vertex_values[row, 0]) < 1e-8
 
 
 def test_vertex_values_continuity(tetrahedron):
     robin = RobinSpec(frozenset(range(4)), 2.0)
     spec = compute_spectrum(tetrahedron, robin, n_max=8)
-    for rec in spec.records[:8]:
-        (handle,) = eigenfunction_handle(spec, rec.index)
+    for index, k in zip(spec.index[:8], spec.k[:8]):
+        basis, (row,) = _record_rows(spec, index)
+        a = basis.a[row]
         for v in range(4):
             # value via each incident slot must agree; construction checks
             # at 1e-6, re-verify at the tighter reporting tolerance
             slots = tetrahedron.slots_out(v)
-            raw = handle.a[slots] + handle.a[tetrahedron.slot_reversal[slots]] * np.exp(
-                1j * rec.k * tetrahedron.slot_length[slots]
+            raw = a[slots] + a[tetrahedron.slot_reversal[slots]] * np.exp(
+                1j * k * tetrahedron.slot_length[slots]
             )
             assert np.max(np.abs(raw - raw[0])) < 1e-8
             assert abs(np.imag(raw[0])) < 1e-8
 
 
-def _star_handle():
+def _star_row():
     star = make_star(3, (1.0, 1.5, 2.0))
     spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=3)
-    (handle,) = eigenfunction_handle(spec, 2)
-    return handle
+    basis, (row,) = _record_rows(spec, 2)
+    return basis, row
 
 
 def test_evaluate_rejects_edges_outside_the_graph():
     # a negative edge must not wrap around to the last one
-    handle = _star_handle()
-    assert np.isfinite(evaluate(handle, 2, 0.5))
+    basis, row = _star_row()
+    assert np.isfinite(evaluate(basis, row, 2, 0.5))
     for edge in (-1, 3):
         with pytest.raises(OutOfRange):
-            evaluate(handle, edge, 0.5)
+            evaluate(basis, row, edge, 0.5)
 
 
 def test_robin_residual_rejects_vertices_outside_the_graph():
     # a negative vertex must not wrap around to the last one
-    handle = _star_handle()
-    assert robin_residual(handle, 0) < 1e-10
+    basis, row = _star_row()
+    assert robin_residual(basis, row, 0) < 1e-10
     for v in (-1, 4):
         with pytest.raises(DanglingEndpoint):
-            robin_residual(handle, v)
+            robin_residual(basis, row, v)
+
+
+def test_rows_outside_the_basis_raise(star4):
+    # a row of -1 must not read the last row
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=6)
+    basis = eigenbasis(spec, np.arange(len(spec.k)))
+    last = len(basis.k) - 1
+    assert np.isfinite(evaluate(basis, last, 0, 0.5))
+    assert robin_residual(basis, last, 0) < 1e-6 * basis.k[last]
+    for row in (-1, len(basis.k)):
+        with pytest.raises(OutOfRange):
+            evaluate(basis, row, 0, 0.5)
+        with pytest.raises(OutOfRange):
+            robin_residual(basis, row, 0)
 
 
 def test_robin_residual_all_vertices(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=10)
-    for rec in spec.records[:10]:
-        (handle,) = eigenfunction_handle(spec, rec.index)
+    for index, k in zip(spec.index[:10], spec.k[:10]):
+        basis, (row,) = _record_rows(spec, index)
         for v in range(star4.num_vertices):
-            assert robin_residual(handle, v) < 1e-6 * max(rec.k, 1.0)
+            assert robin_residual(basis, row, v) < 1e-6 * max(k, 1.0)
 
 
 def test_tangent_identity_at_robin_vertex(star4):
     # sum over incident edges of tan(phase at vertex) equals sigma/k
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=6)
-    for rec in spec.records[:6]:
-        (handle,) = eigenfunction_handle(spec, rec.index)
-        if abs(handle.vertex_values[0]) < 1e-3:
+    for index, k in zip(spec.index[:6], spec.k[:6]):
+        basis, (row,) = _record_rows(spec, index)
+        if abs(basis.vertex_values[row, 0]) < 1e-3:
             continue
-        a = handle.a
+        a = basis.a[row]
         slots = star4.slots_out(0)
         f_v = a[slots] + a[star4.slot_reversal[slots]] * np.exp(
-            1j * rec.k * star4.slot_length[slots]
+            1j * k * star4.slot_length[slots]
         )
         back = a[star4.slot_reversal[slots]] * np.exp(
-            1j * rec.k * star4.slot_length[slots]
+            1j * k * star4.slot_length[slots]
         )
-        deriv = 1j * rec.k * (a[slots] - back)
-        tans = np.real(deriv) / (rec.k * np.real(f_v))
-        assert np.sum(tans) == pytest.approx(2.0 / rec.k, rel=1e-6)
+        deriv = 1j * k * (a[slots] - back)
+        tans = np.real(deriv) / (k * np.real(f_v))
+        assert np.sum(tans) == pytest.approx(2.0 / k, rel=1e-6)
 
 
 def test_sensitivity_constant_mode(star4, tetrahedron, unit_interval):
@@ -276,7 +294,7 @@ def test_sensitivity_degenerate_flag(equilateral_star):
 def test_batch_kernel_matches_closed_form(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=15)
-    ks = spec.columns[1][:15]
+    ks = spec.k[:15]
     basis = eigenbasis(spec, np.arange(15))
     assert np.array_equal(basis.record, np.arange(ks.size))
     assert np.array_equal(basis.k, ks)
@@ -288,18 +306,16 @@ def test_batch_kernel_matches_closed_form(star4):
         assert np.allclose(f[1:], leaves, atol=1e-9)
         assert f[0] ** 2 == pytest.approx(robin_star_sensitivity(lengths, k), rel=1e-9)
     # each row is the single-record basis at its own k
-    for rec, a in zip(spec.records, basis.a):
-        (single,) = eigenfunction_handle(spec, rec.index)
-        assert abs(np.vdot(single.a, a)) == pytest.approx(1.0, abs=1e-12)
+    for index, a in zip(spec.index, basis.a):
+        single, (row,) = _record_rows(spec, index)
+        assert abs(np.vdot(single.a[row], a)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_sensitivity_mixes_multiplicities(equilateral_star):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(equilateral_star, robin, n_max=30)
     got = sensitivity(spec, np.arange(1, 31))
-    mults = np.repeat(
-        [r.multiplicity for r in spec.records], [r.multiplicity for r in spec.records]
-    )[:30]
+    mults = np.repeat(spec.multiplicity, spec.multiplicity)[:30]
     assert np.array_equal(got.degenerate, mults > 1)
     # center-vanishing triples carry no weight at the coupled center
     want = [
@@ -309,6 +325,21 @@ def test_batch_sensitivity_mixes_multiplicities(equilateral_star):
     assert np.allclose(got.value, want, rtol=1e-9, atol=1e-12)
     with pytest.raises(OutOfRange):
         sensitivity(spec, np.array([1, spec.size + 1]))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [3, np.arange(1, 9), np.arange(1, 9).reshape(2, 4), np.array([], dtype=int)],
+    ids=["0-d", "1-d", "2-d", "empty"],
+)
+def test_sensitivity_keeps_the_shape_of_n(equilateral_star, n):
+    spec = compute_spectrum(equilateral_star, RobinSpec(frozenset({0}), 2.0), n_max=8)
+    flat = sensitivity(spec, np.arange(1, 9))
+    got = sensitivity(spec, n)
+    at = np.asarray(n) - 1
+    assert np.shape(got.value) == np.shape(got.degenerate) == at.shape
+    assert np.array_equal(got.value, flat.value[at])
+    assert np.array_equal(got.degenerate, flat.degenerate[at])
 
 
 def test_zero_vector_norm():

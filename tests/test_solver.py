@@ -33,7 +33,7 @@ def test_interval_neumann_exact(pi_interval):
     spec = compute_spectrum(pi_interval, NEUMANN, n_max=30)
     ks = spec.wavenumbers(30)
     assert np.max(np.abs(ks - np.arange(30))) < 1e-12
-    assert spec.records[0].k == 0.0 and spec.records[0].multiplicity == 1
+    assert spec.k[0] == 0.0 and spec.multiplicity[0] == 1
 
 
 def test_interval_robin_matches_oracle(unit_interval):
@@ -50,7 +50,7 @@ def test_no_zero_mode_for_positive_sigma(unit_interval):
 
 def test_equilateral_star_multiplicities(equilateral_star):
     spec = compute_spectrum(equilateral_star, NEUMANN, n_max=17)
-    got = [(r.index, r.k, r.multiplicity) for r in spec.records[:5]]
+    got = list(zip(spec.index[:5], spec.k[:5], spec.multiplicity[:5]))
     want = [
         (1, 0.0, 1),
         (2, math.pi / 2.0, 3),
@@ -66,11 +66,11 @@ def test_equilateral_star_multiplicities(equilateral_star):
 def test_robin_center_keeps_degenerate_triples(equilateral_star):
     spec = compute_spectrum(equilateral_star, RobinSpec(frozenset({0}), 2.0), n_max=20)
     # center-vanishing states never feel the coupling at the center
-    triples = [r for r in spec.records if r.multiplicity == 3]
-    assert abs(triples[0].k - math.pi / 2.0) < 1e-12
-    assert abs(triples[1].k - 3.0 * math.pi / 2.0) < 1e-12
+    triples = spec.k[spec.multiplicity == 3]
+    assert abs(triples[0] - math.pi / 2.0) < 1e-12
+    assert abs(triples[1] - 3.0 * math.pi / 2.0) < 1e-12
     # the symmetric branch solves k tan(k) = sigma/4 on the unit edge
-    simple = np.array([r.k for r in spec.records if r.multiplicity == 1])
+    simple = spec.k[spec.multiplicity == 1]
     want = interval_robin_wavenumbers(1.0, 0.5, simple.size)
     assert np.max(np.abs(simple - want)) < 1e-12
 
@@ -79,12 +79,19 @@ def test_index_bookkeeping(star4):
     spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=40)
     assert spec.size >= 40
     expect = 1
-    for rec in spec.records:
-        assert rec.index == expect
-        expect += rec.multiplicity
+    for index, multiplicity in zip(spec.index, spec.multiplicity):
+        assert index == expect
+        expect += multiplicity
     ks = spec.wavenumbers()
     assert np.all(np.diff(ks) >= 0.0)
     assert spec.eigenvalues()[3] == pytest.approx(ks[3] ** 2)
+
+
+def test_spectrum_arrays_are_read_only(star4):
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=10)
+    for column in (spec.index, spec.k, spec.multiplicity):
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 def test_kmax_mode(star4):
@@ -285,9 +292,8 @@ def test_tiny_coupling_keeps_one_simple_ground_state(case, sigma, us):
     spec = compute_spectrum(graph, robin, n_max=20)
     # Rayleigh with f = 1: 0 < lambda_1 <= sigma |V_R| / |G|
     k_r = math.sqrt(sigma) * math.sqrt(len(vertices) / graph.total_length)
-    first = spec.records[0]
-    assert first.multiplicity == 1
-    assert 0.0 < first.k <= k_r + _stop_width(np.asarray(k_r), None)
+    assert spec.multiplicity[0] == 1
+    assert 0.0 < spec.k[0] <= k_r + _stop_width(np.asarray(k_r), None)
     # the records count what the inertia of M(k) counts, wherever it has margin
     ks = spec.k_cap * np.asarray(us)
     ks = ks[ks > 0.0]
