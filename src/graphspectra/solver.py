@@ -20,8 +20,9 @@ with margin: every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2 (Weyl's
 bound on the eigenvalues of the rounded matrix) and every |sin k l_e|
 above POLE_MARGIN, where a graph eigenvalue sitting on a pole can fool
 the first test.  Grid points are free, so a point without margin moves
-up by delta / 16 at a time, at most GRID_MOVES times, and raises
-ToleranceNotMet if it finds none.  No count is rounded without margin.
+up by a sixteenth of the cell above it at a time, at most GRID_MOVES
+times; a scan point that finds none raises ToleranceNotMet, and a
+quarter point (below) is dropped.  No count is rounded without margin.
 
 The anchor.  Near k = 0 the row sums of M are differences of entries of
 size 1 / (k l), so eigvalsh cannot resolve the lowest eigenvalue of M.
@@ -61,11 +62,25 @@ Splitting each branch into 2 pi * floor + fractional part phi_m(k) in
 
 where Phi(k) = sum_m phi_m(k).  The constant cancels and the right
 side is an integer up to rounding noise, so windows can be counted
-without any branch matching or path continuity.  Every scan cell with a
-positive inertia count is refined in two stages, and eigvals of U(k)
-runs only at the ends of the cells that reach the counted splits and
-at their split points: there the winding count is the only
-certificate, and it must equal the cell's inertia count.
+without any branch matching or path continuity.  Every grid cell with a
+positive inertia count, after quartering, is refined in two stages, and
+eigvals of U(k) runs only at the ends of the cells that reach the
+counted splits and at their split points: there the winding count is
+the only certificate, and it must equal the cell's inertia count.
+
+Quartering.  On incommensurate graphs most scan cells that count two or
+more roots hold simple roots a fraction of a cell apart, which the
+inertia count parts as cheaply as it counts the grid.  So before any
+eigenphase, each cell with count 2 or more is cut into QUARTERS parts,
+and the QUARTERS - 1 interior points of all such cells are counted in
+one batched eigvalsh (_scan_counts, each point with its own step, a
+sixteenth of its part).  A part is cut again while its count is 2 or
+more and below the count of the cell it came from; a part that holds
+that whole count, a genuine cluster or roots closer than a quarter of
+the cell, goes to the counted splits as it is.  Every cut lowers the
+count, so the depth is bounded by the cell's count.  The quarter points
+join the scan grid: the count-fall check and the final audit below cover
+them like every scan point.
 
 Counted splits.  Each step measures every bracket at one point and
 counts each half; halves whose count stays positive are kept, so a
@@ -76,19 +91,19 @@ use.  For a bracket (lo, hi] holding c crossings, let
     psi(lo) = (sum of the c largest phi_m(lo)) - 2 pi c  <= 0,
     psi(hi) =  sum of the c smallest phi_m(hi)           >= 0.
 
-When the crossing branches are those nearest 2 pi at lo and nearest 0
-at hi, psi is their summed phase unwrapped across the crossing, nearly
+When the crossing branches are those nearest 2 pi at lo and nearest 0 at
+hi, psi is their summed phase unwrapped across the crossing, nearly
 linear in k and zero at a multiple root, so the false-position point of
-psi lands on the cluster.  It is safeguarded like the polish below: an
-end kept twice in a row has its psi halved (the Illinois rule), the
-point stays half a stop width inside the bracket, and the midpoint is
-taken when the psi ends have the wrong signs or the bracket did not
-halve over three steps.  The point only chooses where to measure; the
-counts at it certify as before.  Brackets with count 2 or more stay in
-this stage to the end, a few steps each where bisection took about 45.
+psi lands on the cluster.  It is safeguarded: an end kept twice in a row
+has its psi halved (the Illinois rule), the point stays half a stop
+width inside the bracket, and the midpoint is taken when the psi ends
+have the wrong signs or the bracket did not halve over three steps.  The
+point only chooses where to measure; the counts at it certify as before.
+Brackets with count 2 or more stay in this stage to the end, a few steps
+each where bisection took about 45.
 
 Polish.  A bracket with count 1 that is wider than POLISH_HANDOFF stop
-widths leaves the counted splits as soon as it appears, from the scan
+widths leaves the counted splits as soon as it appears, from the grid
 or from a split.  It holds exactly one simple root, which is a sign
 change of det A(k), A(k) the real 2E x 2E matrix of the amplitudes
 f_e(x) = A_e cos kx + B_e sin kx on each edge (x from its first vertex).
@@ -108,17 +123,25 @@ A root of multiplicity m flips the sign m times, so
 
 with N(k) the inertia count and s_0 one constant per spectrum, taken at
 the first handoff from the end with the largest |det A|.  The handoff
-certifies the end signs by this parity: a scan cell carries N(lo) from
+certifies the end signs by this parity: a grid cell carries N(lo) from
 the grid, and a split's left half keeps N(lo) while its right half adds
 the left half's count.  A bracket whose end values do not both have the
 predicted signs stays in the counted splits; that is a root on or
 within rounding of an end, the usual case after a split next to a
 multiple root.  No rounding level is needed: an end value with the
 predicted sign is the true sign.  All count-1 brackets then run one
-vectorized false-position iteration on det A (one batched real
-determinant per step, a few steps per root, where a counted split needs
-a batched complex eigendecomposition).  The kernel audit below checks
-every polished root.
+vectorized Chandrupatla iteration on det A (T. R. Chandrupatla, A new
+hybrid quadratic/bisection algorithm for finding the zero of a
+nonlinear function without using derivatives, Adv. Eng. Softw. 28
+(1997) 145-149): the first point is the false-position point; after it,
+inverse quadratic interpolation through the two bracket ends and the
+point dropped last, wherever Chandrupatla's (xi, Phi) test says the
+interpolant is monotone across the bracket, and bisection elsewhere.
+Each point stays half a stop width inside its bracket.  A step costs
+one batched real determinant, where a counted split needs a batched
+complex eigendecomposition, and a bracket end beside a multiple root,
+where det A is flat, no longer stalls the iteration.  The kernel audit
+below checks every polished root.
 
 Both stages stop once a bracket is narrower than the stop width
 max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
@@ -150,7 +173,7 @@ roots, so a double root in a longer chain stays one record.
 
 Certification stays with the counts.  A window count further than
 COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
-outside [0, count], an inertia count that falls from one scan point to
+outside [0, count], an inertia count that falls from one grid point to
 the next, and a cell whose winding count differs from its inertia
 count.  Each record's crossing count m is checked against
 dim ker(I - U(k)) by the one kernel-dimension rule, _kernel_mismatch,
@@ -158,8 +181,8 @@ which the eigenfunction module applies too: singular values below
 1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold) count, a
 record is short when fewer than m count, and it has excess when more
 count than the records place crossings within reach of it.  Then the
-records must count exactly the inertia count N(k) at every scan-grid
-point.
+records must count exactly the inertia count N(k) at every grid point,
+scan and quarter points alike.
 """
 from __future__ import annotations
 
@@ -194,8 +217,10 @@ SCAN_PHASE_STEP = np.pi / 8.0
 # and every |sin k l_e| above POLE_MARGIN
 INERTIA_MARGIN = 64.0
 POLE_MARGIN = 1e-8
-# moves of delta / 16 a scan point without margin may take
+# moves of a sixteenth of its cell a grid point without margin may take
 GRID_MOVES = 8
+# parts a multi-count cell is cut into before any eigenphase
+QUARTERS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +261,14 @@ class Spectrum:
         return int(self.multiplicity.sum())
 
     def positions(self, n) -> np.ndarray:
-        """Positions of the records holding eigenvalue indices n."""
+        """Positions of the records holding eigenvalue indices n.
+
+        Raises ValueError for an index that is not a whole number or is
+        below 1, and OutOfRange for one beyond the spectrum.
+        """
         n = np.asarray(n)
+        if np.any(n != np.floor(n)):
+            raise ValueError("eigenvalue index must be a whole number")
         if np.any(n < 1):
             raise ValueError("eigenvalue index starts at 1")
         if np.any(n > self.size):
@@ -330,29 +361,56 @@ def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
     return counts, ok
 
 
-def _scan_counts(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, delta: float):
-    """Inertia counts at scan points, moving each point that lacks margin.
+def _scan_counts(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, steps):
+    """Inertia counts at ascending points, moving each point that lacks margin.
 
-    A point moves up by delta / 16 at a time, at most GRID_MOVES times,
-    so it stays below the next point and the order holds.  Returns the
-    points where the counts were taken and the counts; raises
-    ToleranceNotMet for a point that found no margin.
+    A point without margin moves up by its step at a time, at most
+    GRID_MOVES times.  A step is a sixteenth of the cell or part above the
+    point, so the point stays below the next one and the order holds.
+    Returns the points where the counts were taken, the counts, and
+    whether each count has margin; the caller raises on or drops a point
+    without it.
     """
     ks = np.array(ks, dtype=float)
+    steps = np.broadcast_to(steps, ks.shape)
     counts, ok = _inertia_counts(graph, robin, ks)
     for _ in range(GRID_MOVES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
-        ks[bad] += delta / 16.0
+        ks[bad] += steps[bad]
         counts[bad], ok[bad] = _inertia_counts(graph, robin, ks[bad])
-    if not np.all(ok):
-        j = int(np.flatnonzero(~ok)[0])
-        raise ToleranceNotMet(
-            f"no inertia count with margin at k={float(ks[j])!r} after {GRID_MOVES} "
-            "moves of a sixteenth of a scan cell"
+    return ks, counts, ok
+
+
+def _quarter_cells(graph: MetricGraph, robin: RobinSpec, grid, n_grid):
+    """The grid and its counts with every multi-count cell quartered.
+
+    See "Quartering" in the module docstring.  Each cell with count 2 or
+    more is cut at its QUARTERS - 1 interior points, all counted in one
+    batch; a point that finds no margin is dropped.  A part is cut again
+    while its count is 2 or more and below the count of the cell it came
+    from, so a part holding that whole count stays as it is.
+    """
+    cap = np.full(grid.size - 1, np.iinfo(int).max)  # count of the parent cell
+    while True:
+        counts = np.diff(n_grid)
+        cut = np.flatnonzero((counts >= 2) & (counts < cap))
+        if cut.size == 0:
+            return grid, n_grid
+        part = (grid[cut + 1] - grid[cut]) / QUARTERS
+        ks = grid[cut, None] + part[:, None] * np.arange(1, QUARTERS)
+        ks, n_ks, ok = _scan_counts(
+            graph, robin, ks.ravel(), np.repeat(part / 16.0, QUARTERS - 1)
         )
-    return ks, counts
+        cap[cut] = counts[cut]
+        ks, n_ks = ks[ok], n_ks[ok]
+        at = np.searchsorted(grid, ks)
+        # a new cell inherits the cap of the cell it was cut from
+        grid, n_grid, cap = (
+            np.insert(a, at, v)
+            for a, v in ((grid, ks), (n_grid, n_ks), (cap, cap[at - 1]))
+        )
 
 
 def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
@@ -522,51 +580,56 @@ def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
 
 
 def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
-    """Safeguarded false position on det A over sign-changing brackets.
+    """Chandrupatla's method on det A over sign-changing brackets.
 
     Each step evaluates det A at one point per open bracket, in one
-    batched determinant: the false-position point kept at least half a
-    stop width inside the bracket, or the midpoint when the bracket did
-    not halve over the three previous steps.  An end that survives twice
-    in a row has its value scaled down (the Anderson-Bjorck form of the
-    Illinois rule), so both ends converge.  Returns the midpoints once
+    batched determinant.  The first point is the false-position point;
+    after that, inverse quadratic interpolation through the bracket ends
+    and the point dropped last, where Chandrupatla's (xi, Phi) test says
+    the interpolant is monotone across the bracket, and the midpoint
+    otherwise.  Every point is kept
+    half a stop width inside its bracket.  Returns the midpoints once
     brackets are within the stop width.
     """
     out = np.empty(los.size)
     open_ = np.arange(los.size)
-    kept_hi = np.zeros(los.size, dtype=bool)  # the step before kept hi
-    kept_lo = np.zeros(los.size, dtype=bool)
-    # bracket widths one, two and three steps ago
-    widths = np.full((3, los.size), np.inf)
+    # x1 the newest point, x2 the bracket end of the other sign, x3 the
+    # point dropped last
+    x1, x2, f1, f2 = los, his, f_lo, f_hi
+    x3 = f3 = None
     for _ in range(MAX_POLISH_STEPS):
-        width = his - los
-        stop = _stop_width(his, tol)
+        width = np.abs(x2 - x1)
+        stop = _stop_width(np.maximum(x1, x2), tol)
         done = width <= stop
-        out[open_[done]] = 0.5 * (los[done] + his[done])
+        out[open_[done]] = 0.5 * (x1[done] + x2[done])
         live = ~done
-        open_, los, his, f_lo, f_hi = (
-            a[live] for a in (open_, los, his, f_lo, f_hi)
+        open_, x1, x2, f1, f2, width, stop = (
+            a[live] for a in (open_, x1, x2, f1, f2, width, stop)
         )
-        kept_hi, kept_lo = kept_hi[live], kept_lo[live]
-        width, stop, widths = width[live], stop[live], widths[:, live]
         if open_.size == 0:
             return out
-        x = _split_points(los, his, f_lo, f_hi, width > 0.5 * widths[2], stop)
-        f_x = _amplitude_dets(graph, robin, x)
-        to_lo = np.sign(f_x) == np.sign(f_lo)
-        to_hi = ~to_lo
-        # scale m = 1 - f_x / f(replaced end), or 1/2 where that is not positive
-        m_hi = 1.0 - f_x / f_lo
-        m_lo = 1.0 - f_x / f_hi
-        f_hi = np.where(to_lo & kept_hi, np.where(m_hi > 0.0, m_hi, 0.5) * f_hi, f_hi)
-        f_lo = np.where(to_hi & kept_lo, np.where(m_lo > 0.0, m_lo, 0.5) * f_lo, f_lo)
+        if x3 is None:
+            t = f1 / (f1 - f2)
+        else:
+            x3, f3 = x3[live], f3[live]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                quadratic = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (
+                    f3 - f1
+                ) * f2 / (f2 - f3)
+                t = np.where(iqi, quadratic, 0.5)
+        margin = 0.5 * stop / width
+        x = x1 + np.clip(t, margin, 1.0 - margin) * (x2 - x1)
+        f = _amplitude_dets(graph, robin, x)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         # an exact zero closes the bracket onto x
-        los = np.where(to_lo | (f_x == 0.0), x, los)
-        his = np.where(to_hi, x, his)
-        f_lo = np.where(to_lo, f_x, f_lo)
-        f_hi = np.where(to_hi, f_x, f_hi)
-        kept_hi, kept_lo = to_lo, to_hi
-        widths = np.stack([width, widths[0], widths[1]])
+        x2 = np.where(f == 0.0, x, np.where(same, x2, x1))
+        f2 = np.where(same, f2, f1)
+        x1, f1 = x, f
     raise ToleranceNotMet(
         f"{open_.size} brackets still open after {MAX_POLISH_STEPS} polish steps"
     )
@@ -890,11 +953,21 @@ def compute_spectrum(
         k_goal = np.pi * (n_max + graph.num_slots + 8) / graph.total_length
     n_cells = max(int(np.ceil((k_goal - k_start) / delta)), 1)
 
-    points, n_points = _scan_counts(
-        graph, robin, k_start + delta * np.arange(1, n_cells + 1), delta
+    points, n_points, ok = _scan_counts(
+        graph, robin, k_start + delta * np.arange(1, n_cells + 1), delta / 16.0
     )
-    grid = np.concatenate([[k_start], points])
-    n_grid = np.concatenate([[zero_count + len(below)], n_points])
+    if not np.all(ok):
+        j = int(np.flatnonzero(~ok)[0])
+        raise ToleranceNotMet(
+            f"no inertia count with margin at k={float(points[j])!r} after "
+            f"{GRID_MOVES} moves of a sixteenth of a scan cell"
+        )
+    grid, n_grid = _quarter_cells(
+        graph,
+        robin,
+        np.concatenate([[k_start], points]),
+        np.concatenate([[zero_count + len(below)], n_points]),
+    )
     counts = np.diff(n_grid)
     if np.any(counts < 0):
         j = int(np.flatnonzero(counts < 0)[0])

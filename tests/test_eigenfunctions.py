@@ -342,6 +342,15 @@ def test_sensitivity_keeps_the_shape_of_n(equilateral_star, n):
     assert np.array_equal(got.degenerate, flat.degenerate[at])
 
 
+@pytest.mark.parametrize("n", [2.5, np.array([1, 2.5]), math.nan], ids=["0-d", "1-d", "nan"])
+def test_sensitivity_rejects_a_fractional_index(star4, n):
+    # the record below 2.5 is lambda_2's; no value may come back for it
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=8)
+    with pytest.raises(ValueError, match="whole number"):
+        sensitivity(spec, n)
+    assert sensitivity(spec, 2.0).value == sensitivity(spec, 2).value
+
+
 def test_zero_vector_norm():
     g = build_graph([(0, 1, 1.0)])
     assert _l2_norm_sq(g, np.zeros((1, 2), dtype=complex), np.array([1.0]))[0] == 0.0

@@ -1,6 +1,7 @@
-"""Two-stage root refinement: the counted splits at the cluster-phase
-false-position point, the polish on the amplitude determinant det A, their
-safeguards, and the certification checks that stay loud around them."""
+"""Two-stage root refinement: the quartering of multi-count cells by
+inertia, the counted splits at the cluster-phase false-position point, the
+polish on the amplitude determinant det A, their safeguards, and the
+certification checks that stay loud around them."""
 from __future__ import annotations
 
 import itertools
@@ -20,6 +21,7 @@ from graphspectra.graphs import (
     build_graph,
     incommensurate_lengths,
     load_graph_file,
+    make_complete4,
     make_star,
 )
 from graphspectra.scattering import total_phase_values, unitary_stack
@@ -181,8 +183,33 @@ def test_scan_grid_is_counted_without_eigenphases(name, monkeypatch):
         matrices["eigvals"] = 0
         spec = solver.compute_spectrum(graph, coupling, n_max=300)
         # eigenphases on the whole scan grid cost 2.0-2.7 matrices per
-        # eigenvalue; only the ends of counted-split brackets remain
-        assert matrices["eigvals"] < 0.5 * spec.size, (coupling, matrices)
+        # eigenvalue; once quartering has parted the close simple roots,
+        # only the cells holding a pair closer than a quarter cell reach
+        # the counted splits (3 matrices on the star, 6 and 15 on K4)
+        assert matrices["eigvals"] < 0.06 * spec.size, (coupling, matrices)
+
+
+def test_polish_needs_few_determinants_beside_multiple_roots(monkeypatch):
+    # on the equilateral tetrahedron many bracket ends sit next to a
+    # multiple root, where det A is flat; false position with
+    # Anderson-Bjorck scaling took 27.4 determinants per polished root
+    # there, Chandrupatla's interpolation takes 13
+    matrices = _count_matrices(monkeypatch, "det")
+    polish_fn = solver._polish
+    polished = {"roots": 0, "det": 0}
+
+    def counted(*args):
+        before = matrices["det"]
+        out = polish_fn(*args)
+        polished["roots"] += out.size
+        polished["det"] += matrices["det"] - before
+        return out
+
+    monkeypatch.setattr(solver, "_polish", counted)
+    graph = make_complete4((1.0,) * 6)
+    solver.compute_spectrum(graph, RobinSpec(frozenset({0}), 2.0), n_max=300)
+    assert polished["roots"] > 50
+    assert polished["det"] < 16 * polished["roots"], polished
 
 
 def test_merged_records_stay_inside_the_audited_kernel():
@@ -233,6 +260,77 @@ def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
     calls.clear()
     with pytest.raises(ToleranceNotMet):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+
+
+@pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
+@pytest.mark.parametrize("where", [0, 0.5, 1])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_planted_quarter_count_raises(name, where, delta, monkeypatch):
+    # one wrong inertia count at a quarter point, in the first quartering
+    # batch: the count-fall check, the winding check on a counted split,
+    # the handoff parity or the exact audit must raise, and no records
+    # come out
+    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    inertia_fn, quarter_fn = solver._inertia_counts, solver._quarter_cells
+    state = {"quartering": False, "planted": None}
+
+    def quartering(*args):
+        state["quartering"] = True
+        try:
+            return quarter_fn(*args)
+        finally:
+            state["quartering"] = False
+
+    def planted(graph, robin, ks):
+        counts, ok = inertia_fn(graph, robin, ks)
+        if state["quartering"] and state["planted"] is None:
+            j = np.flatnonzero(ok)[int(where * (np.count_nonzero(ok) - 1))]
+            counts[j] += delta
+            state["planted"] = float(ks[j])
+        return counts, ok
+
+    monkeypatch.setattr(solver, "_quarter_cells", quartering)
+    monkeypatch.setattr(solver, "_inertia_counts", planted)
+    with pytest.raises(ToleranceNotMet):
+        solver.compute_spectrum(graph, robin, n_max=300)
+    assert state["planted"] is not None
+
+
+def _assert_polished_roots_change_sign(graph, robin, **target):
+    """Every polished root r that is reported as a simple record has det A
+    of opposite signs (or a zero) at r -+ s / 2, s its stop width.
+
+    A polished root that merges into a multiple record sits within
+    rounding of other roots, where det A vanishes to higher order and its
+    sign is rounding noise (say a simple root 5e-15 from a triple one at
+    3 pi on a star with eleven unit edges)."""
+    polish_fn = solver._polish
+    roots = []
+
+    def kept(*args):
+        roots.append(polish_fn(*args))
+        return roots[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_polish", kept)
+        spec = solver.compute_spectrum(graph, robin, **target)
+    r = np.concatenate(roots) if roots else np.empty(0)
+    # a lone root keeps its value as a record
+    r = r[np.isin(r, spec.k[spec.multiplicity == 1])]
+    half = 0.5 * spec.stop_width(r)
+    ends = solver._amplitude_dets(graph, robin, np.concatenate([r - half, r + half]))
+    same = np.prod(np.sign(np.split(ends, 2)), axis=0) > 0.0
+    assert not np.any(same), r[same]
+    return r.size
+
+
+@pytest.mark.parametrize(
+    "name", ["interval", "star_equilateral", "star_incommensurate", "tetrahedron"]
+)
+def test_polished_roots_sit_on_a_sign_change(name):
+    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    for coupling in (robin, NEUMANN):
+        assert _assert_polished_roots_change_sign(graph, coupling, n_max=300) > 0
 
 
 def test_kernel_audit_reports_excess_dimension(equilateral_star, monkeypatch):
@@ -325,6 +423,13 @@ def test_records_carry_their_winding_count(case):
 def test_wide_graphs_carry_their_winding_count(case):
     graph, robin = case
     _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
+
+
+@given(wide_graphs())
+@settings(max_examples=5, deadline=None)
+def test_wide_graphs_polish_onto_a_sign_change(case):
+    graph, robin = case
+    _assert_polished_roots_change_sign(graph, robin, n_max=20)
 
 
 def test_wide_star_polishes_its_handoff_brackets(monkeypatch):

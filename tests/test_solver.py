@@ -226,6 +226,14 @@ def test_homotopy_monotone_on_star(star4):
     assert not curve.degenerate_at
 
 
+def test_homotopy_rejects_a_fractional_index(star4):
+    spectra = [
+        compute_spectrum(star4, RobinSpec(frozenset({0}), s), n_max=4) for s in (0.0, 1.0)
+    ]
+    with pytest.raises(ValueError, match="whole number"):
+        robin_homotopy(spectra, 2.5)
+
+
 def test_homotopy_needs_one_operator_family(star4, tetrahedron):
     spectra = [compute_spectrum(star4, RobinSpec(frozenset({0}), 1.0), n_max=4)]
     with pytest.raises(ValueError, match="different graphs"):
