@@ -168,7 +168,8 @@ def _require_index_target(config: RunConfig) -> None:
 def cmd_spectrum(config: RunConfig) -> Table:
     graph, robin = _load(config)
     spectrum = _spectrum(graph, robin, config)
-    # n_max scans certify a margin beyond the request; clip the table
+    # an n_max spectrum ends at the first scan point counting n_max, and
+    # the cell below it can hold more; clip the table
     limit = None if config.k_max is not None else config.target_n
     ks = spectrum.wavenumbers(limit)
     mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity)

@@ -105,13 +105,21 @@ each where bisection took about 45.
 Polish.  A bracket with count 1 that is wider than POLISH_HANDOFF stop
 widths leaves the counted splits as soon as it appears, from the grid
 or from a split.  It holds exactly one simple root, which is a sign
-change of det A(k), A(k) the real 2E x 2E matrix of the amplitudes
-f_e(x) = A_e cos kx + B_e sin kx on each edge (x from its first vertex).
-Its rows are the d_v - 1 continuity conditions of each vertex and one
-delta-Kirchhoff row (sum f'_out / k - (sigma_v / k) f(v)) / |d_v + i
-sigma_v / k|, so det A(k) = 0 exactly at the eigenvalue wave numbers,
-Dirichlet poles included.  The normalisation makes it the real secular
-function of U(k) up to one constant sign per graph:
+change of det A(k), A(k) the condensed real amplitude matrix.  The full
+one is 2E x 2E, over the amplitudes f_e(x) = A_e cos kx + B_e sin kx on
+each edge (x from its first vertex), with the d_v - 1 continuity
+conditions of each vertex and one delta-Kirchhoff row (sum f'_out / k -
+(sigma_v / k) f(v)) / |d_v + i sigma_v / k| (Berkolaiko & Kuchment, ch.
+3).  Take each vertex's slots forward first.  Adding the A_e columns of
+the edges that leave a vertex v into one column f(v) is a column
+operation, after which the continuity rows A_q - A_p between two forward
+slots are unit rows on the other A_e columns alone; a Laplace expansion
+along them drops those rows and columns.  So A(k) is (V_s + E)-square,
+V_s the vertices that start an edge, and its determinant is that of the
+full matrix up to one sign, as a polynomial identity.  det A(k) = 0
+exactly at the eigenvalue wave numbers, Dirichlet poles included, and the
+normalisation makes it the real secular function of U(k) up to one
+constant sign per graph:
 
     2^E det A(k) = +-zeta(k),  zeta = Re[det(I - U) exp(-i Theta / 2) conj(c)],
 
@@ -128,8 +136,12 @@ the grid, and a split's left half keeps N(lo) while its right half adds
 the left half's count.  A bracket whose end values do not both have the
 predicted signs stays in the counted splits; that is a root on or
 within rounding of an end, the usual case after a split next to a
-multiple root.  No rounding level is needed: an end value with the
-predicted sign is the true sign.  All count-1 brackets then run one
+multiple root.  No rounding level is applied, so within rounding of a
+multiple root an end value can have the predicted sign by chance (a
+simple root one ulp of edge length from a triple one, say) and the
+bracket is polished on noise; the root it yields still meets the kernel
+audit and the exact count audit below, which certify it or raise.  All
+count-1 brackets then run one
 vectorized Chandrupatla iteration on det A (T. R. Chandrupatla, A new
 hybrid quadratic/bisection algorithm for finding the zero of a
 nonlinear function without using derivatives, Adv. Eng. Softw. 28
@@ -158,9 +170,11 @@ below every positive eigenvalue,
     N(k) > zero_count + |G| (k - k_start) / pi - 2E,
 
 so a single scan to k = pi (n_max + 2E + 8) / |G| certifies n_max
-eigenvalues; a scan that certifies fewer raises.  The inertia counts
-would give the range pointwise, but the scan keeps this bound, so the
-records and k_cap do not depend on which counter certified them.
+eigenvalues; a scan that certifies fewer raises.  The margin raise and
+the count-fall check cover the whole scan, but only the cells up to the
+first scan point whose count reaches n_max are quartered, refined,
+audited and recorded, and that point is k_cap.  The scan grid is the
+same for every target, so k_cap does not depend on the bound.
 
 Records.  Roots merge by single linkage on the merge radius, 1e-9
 (1 + k) capped at the kernel threshold over the largest branch
@@ -229,11 +243,12 @@ class Spectrum:
 
     One record per distinct wave number, as three read-only arrays: a
     record with multiplicity[i] = m at k[i] owns the m consecutive
-    eigenvalue indices starting at index[i].  k_cap is the largest wave
-    number the scan certified; every eigenvalue at or below k_cap
-    appears.  tol is the refinement tolerance the records were computed
-    with (None for the default stop width); stop_width and
-    kernel_threshold give the accuracy model it sets.
+    eigenvalue indices starting at index[i].  k_cap is k_max, or for an
+    n_max target the first scan point whose inertia count reaches n_max;
+    every eigenvalue at or below k_cap appears, so an n_max spectrum can
+    hold a few more than n_max.  tol is the refinement tolerance the
+    records were computed with (None for the default stop width);
+    stop_width and kernel_threshold give the accuracy model it sets.
     """
 
     graph: MetricGraph
@@ -413,6 +428,17 @@ def _quarter_cells(graph: MetricGraph, robin: RobinSpec, grid, n_grid):
         )
 
 
+def _require_rising(grid: np.ndarray, n_grid: np.ndarray) -> None:
+    """Raise ToleranceNotMet where the inertia count falls along the grid."""
+    fall = np.flatnonzero(np.diff(n_grid) < 0)
+    if fall.size:
+        j = int(fall[0])
+        raise ToleranceNotMet(
+            f"inertia count falls from {n_grid[j]} to {n_grid[j + 1]} "
+            f"at k={float(grid[j + 1])!r}"
+        )
+
+
 def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     """N(k) for 0 < k <= pi / (4 |G|) from the congruent form of M(k).
 
@@ -453,23 +479,31 @@ _SLOT_TERMS = {
 
 @lru_cache(maxsize=1)
 def _amplitude_layout(graph: MetricGraph):
-    """Entry, basis index, weight index and sign of each term of A(k).
+    """Size, and entry, basis index, weight index and sign of each term of
+    the condensed A(k).
 
-    Row r of A belongs to the r-th slot in order of origin.  The first slot
-    of each vertex carries the vertex's delta-Kirchhoff row, every other
-    slot q the continuity row f_q(v) - f_p(v), p the slot before it.  The
-    basis is [1, cos k l_t, sin k l_t] and the weights are
+    The slots of each vertex are taken forward slots first.  Column c below
+    V_s is f(v) of the c-th vertex that starts an edge, the merged A_t of
+    the edges leaving it; column V_s + t is B_t.  Row r belongs to the r-th
+    kept slot: the first slot of each vertex carries the vertex's
+    delta-Kirchhoff row, every backward slot q the continuity row
+    f_q(v) - f_p(v), p the slot before it.  A forward slot after another has
+    no row ("Polish" in the module docstring).  The basis is
+    [1, cos k l_t, sin k l_t] and the weights are
     [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  A has the
     same layout at every coupling, so the last graph's is kept.
     """
     n, num_edges, num_vertices = graph.num_slots, graph.num_edges, graph.num_vertices
-    slots = np.argsort(graph.slot_origin, kind="stable")
-    vertex = graph.slot_origin[slots]
+    slots = np.lexsort((np.arange(n) % 2, graph.slot_origin))
+    vertex, backward = graph.slot_origin[slots], slots % 2 == 1
     lead = np.concatenate([[True], vertex[1:] != vertex[:-1]])
-    heads, cont = np.flatnonzero(lead), np.flatnonzero(~lead)
+    row_of = np.cumsum(lead | backward) - 1
+    heads, cont = np.flatnonzero(lead), np.flatnonzero(~lead & backward)
+    starts, f_column = np.unique(graph.slot_origin[0::2], return_inverse=True)
+    size = starts.size + num_edges
     # (row, slot, derivative, weight, sign): f' / k of every slot and the
     # coupling term in its vertex's Kirchhoff row, then f_q - f_p
-    row = np.concatenate([heads[vertex], heads, cont, cont])
+    row = row_of[np.concatenate([heads[vertex], heads, cont, cont])]
     slot = np.concatenate([slots, slots[lead], slots[cont], slots[cont - 1]])
     derivative = np.arange(row.size) < n
     weight = np.concatenate(
@@ -480,31 +514,33 @@ def _amplitude_layout(graph: MetricGraph):
     )
     offset = {"1": 0, "cos": 1, "sin": 1 + num_edges}
     terms = []
-    for (backward, is_derivative), slot_terms in _SLOT_TERMS.items():
-        at = np.flatnonzero((slot % 2 == backward) & (derivative == is_derivative))
+    for (slot_backward, is_derivative), slot_terms in _SLOT_TERMS.items():
+        at = np.flatnonzero((slot % 2 == slot_backward) & (derivative == is_derivative))
         edge = slot[at] // 2
         for column, basis, factor in slot_terms:
             src = offset[basis] + edge * (basis != "1")
-            flat = row[at] * n + 2 * edge + column
-            terms.append((flat, src, weight[at], factor * sign[at]))
+            col = f_column[edge] if column == 0 else starts.size + edge
+            terms.append((row[at] * size + col, src, weight[at], factor * sign[at]))
     layout = tuple(np.concatenate(column) for column in zip(*terms))
     for column in layout:
         column.flags.writeable = False  # shared by every caller of the cache
-    return layout
+    return (size, *layout)
 
 
 def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
-    """The real amplitude matrix A(k), shape (len(ks), 2E, 2E).
+    """The condensed real amplitude matrix A(k), shape (len(ks), n, n) with
+    n = V_s + E.
 
-    Its columns are the amplitudes of f_e(x) = A_e cos kx + B_e sin kx, x
-    running from the edge's first vertex, and its rows the d_v - 1
-    continuity conditions and the delta-Kirchhoff condition
+    Its columns are f(v) at each vertex that starts an edge and the B_e of
+    f_e(x) = A_e cos kx + B_e sin kx, x running from the edge's first
+    vertex, where A_e = f(v); its rows are the continuity conditions of the
+    backward slots and the delta-Kirchhoff condition
     (sum f'_out / k - (sigma_v / k) f(v)) / n_v, n_v = |d_v + i sigma_v / k|,
     of each vertex: one gather of [1, cos k l_e, sin k l_e] times the
     weights and one scatter, laid out by _amplitude_layout.
     """
     ks = np.asarray(ks, dtype=float)
-    flat, src, weight, sign = _amplitude_layout(graph)
+    n, flat, src, weight, sign = _amplitude_layout(graph)
     x = ks[:, None] * graph.slot_length[None, 0::2]
     ones = np.ones((ks.size, 1))
     basis = np.concatenate([ones, np.cos(x), np.sin(x)], axis=1)
@@ -512,7 +548,6 @@ def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     inverse = 1.0 / np.hypot(graph.degrees[None, :], coupling)
     weights = np.concatenate([ones, inverse, coupling * inverse], axis=1)
     values = sign * basis[:, src] * weights[:, weight]
-    n = graph.num_slots
     at = np.arange(ks.size)[:, None] * (n * n) + flat
     out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
     return out.reshape(-1, n, n)
@@ -962,19 +997,22 @@ def compute_spectrum(
             f"no inertia count with margin at k={float(points[j])!r} after "
             f"{GRID_MOVES} moves of a sixteenth of a scan cell"
         )
-    grid, n_grid = _quarter_cells(
-        graph,
-        robin,
-        np.concatenate([[k_start], points]),
-        np.concatenate([[zero_count + len(below)], n_points]),
-    )
+    grid = np.concatenate([[k_start], points])
+    n_grid = np.concatenate([[zero_count + len(below)], n_points])
+    _require_rising(grid, n_grid)
+    if n_max is not None:
+        # records up to the first scan point that counts n_max ("Scan range")
+        reach = np.flatnonzero(n_grid >= n_max)
+        if reach.size == 0:
+            raise ToleranceNotMet(
+                f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
+                "eigenvalues, below the winding bound "
+                "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+            )
+        grid, n_grid = grid[: reach[0] + 1], n_grid[: reach[0] + 1]
+    grid, n_grid = _quarter_cells(graph, robin, grid, n_grid)
+    _require_rising(grid, n_grid)
     counts = np.diff(n_grid)
-    if np.any(counts < 0):
-        j = int(np.flatnonzero(counts < 0)[0])
-        raise ToleranceNotMet(
-            f"inertia count falls from {n_grid[j]} to {n_grid[j + 1]} "
-            f"at k={float(grid[j + 1])!r}"
-        )
     hot = np.flatnonzero(counts > 0)
     roots, mults = _refine_brackets(
         graph, robin, grid[hot], grid[hot + 1], counts[hot], n_grid[hot], tol
@@ -988,13 +1026,6 @@ def compute_spectrum(
         roots, mults = roots[inside], mults[inside]
         k_cap = float(k_max)
     else:
-        certified = zero_count + int(mults.sum())
-        if certified < n_max:
-            raise ToleranceNotMet(
-                f"scan to k={float(grid[-1])!r} certified {certified} of {n_max} "
-                "eigenvalues, below the winding bound "
-                "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
-            )
         k_cap = float(grid[-1])
 
     eye = np.eye(graph.num_slots)

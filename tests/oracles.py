@@ -137,6 +137,40 @@ def unitary_matrix(edges, coupled, sigma, k):
     return out
 
 
+def amplitude_matrix(edges, coupled, sigma, k):
+    """The real 2E x 2E amplitude matrix A(k), built row by row.
+
+    f_t(x) = A_t cos kx + B_t sin kx on edge t = (u, v, length), x running
+    from u; columns 2t and 2t + 1 hold A_t and B_t.  Each vertex v, over
+    the slots starting there in slot order, gives the delta-Kirchhoff row
+    (sum f'_out / k - (sigma_v / k) f(v)) / |d_v + i sigma_v / k| and a
+    continuity row f_q(v) - f_p(v) for each slot q after the first, p the
+    slot before it (Berkolaiko and Kuchment, ch. 3).  coupled vertices
+    carry coupling sigma.
+    """
+    size = 2 * len(edges)
+    starts, value, slope = [], [], []  # f and f'_out / k of each slot at its start
+    for t, (u, v, length) in enumerate(edges):
+        c, s = math.cos(k * length), math.sin(k * length)
+        forward = (u, {2 * t: 1.0}, {2 * t + 1: 1.0})
+        backward = (v, {2 * t: c, 2 * t + 1: s}, {2 * t: s, 2 * t + 1: -c})
+        for start, f, df in (forward, backward):
+            starts.append(start)
+            for terms, rows in ((f, value), (df, slope)):
+                row = np.zeros(size)
+                for column, entry in terms.items():
+                    row[column] = entry
+                rows.append(row)
+    out = []
+    for vertex in sorted(set(starts)):
+        at = [j for j, start in enumerate(starts) if start == vertex]
+        s = sigma / k if vertex in coupled else 0.0
+        kirchhoff = sum(slope[j] for j in at) - s * value[at[0]]
+        out.append(kirchhoff / abs(len(at) + 1j * s))
+        out.extend(value[q] - value[p] for p, q in zip(at, at[1:]))
+    return np.array(out)
+
+
 def secular_function(u, theta, num_edges, num_vertices):
     """zeta(k) = det(I - U(k)) exp(-i Theta(k) / 2) conj(c), one per U(k).
 
