@@ -8,8 +8,11 @@ split specializes it to 4 sigma / l_min.  The refined bound integrates
 the sensitivity estimate from an uncoupled eigenvalue lambda0 upward
 and is only defined above the threshold lambda0 > 1/(4 s_check S_check).
 
-Checks are reported with a relative slack of 1e-10 so that strict
-mathematical inequalities are not failed on root-refinement noise.
+A measured value violates a bound only when it exceeds the bound by more
+than its certified error plus a relative slack of 1e-10, so that strict
+mathematical inequalities are not failed on root-refinement noise: the
+gaps carry the error bars the spectra's radii give them, the
+sensitivities none.
 """
 from __future__ import annotations
 
@@ -59,13 +62,14 @@ class BoundReport:
         return int(np.count_nonzero(~np.isnan(self.bound)))
 
 
-def bound_report(name, bound, actual) -> BoundReport:
-    """The one violation rule: an entry violates the bound when it reaches
-    it beyond the relative slack VIOLATION_SLACK, never where it is NaN."""
+def bound_report(name, bound, actual, error=0.0) -> BoundReport:
+    """The one violation rule: an entry violates the bound when actual -
+    error, the least value its error bar allows, reaches the bound beyond
+    the relative slack VIOLATION_SLACK; never where the bound is NaN."""
     bound = np.broadcast_to(np.asarray(bound, dtype=float), np.shape(actual)).copy()
     actual = np.asarray(actual, dtype=float)
     with np.errstate(invalid="ignore"):
-        bad = actual >= bound + VIOLATION_SLACK * (1.0 + bound)
+        bad = actual - error >= bound + VIOLATION_SLACK * (1.0 + bound)
     return BoundReport(
         name=name,
         bound=bound,
@@ -169,16 +173,18 @@ def check_all(series: RngSeries, decomp: StarDecomposition) -> tuple:
     """Audit all gap bounds against a computed series.
 
     Returns three BoundReports: the flat star-decomposition bound, the
-    shortest-edge bound, and the refined bound (NaN below threshold).
-    Raises ValueError when decomp splits another graph than the series'.
+    shortest-edge bound, and the refined bound (NaN below threshold),
+    each gap checked at its error.  Raises ValueError when decomp splits
+    another graph than the series'.
     """
     if decomp.graph != series.graph:
         raise ValueError("the decomposition belongs to another graph than the series")
     robin, gaps = series.robin, series.gaps
-    flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps)
+    error = 0.0 if series.error is None else series.error
+    flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps, error)
     ceiling = shortest_edge_bound(series.graph, robin)
-    edge = bound_report("shortest-edge-bound", ceiling, gaps)
+    edge = bound_report("shortest-edge-bound", ceiling, gaps, error)
     s_check, S_check = decomposition_bound_parameters(decomp, robin)
     refined_values = improved_bound(series.k_neumann**2, robin.sigma, s_check, S_check)
-    refined = bound_report("improved-bound", refined_values, gaps)
+    refined = bound_report("improved-bound", refined_values, gaps, error)
     return flat, edge, refined

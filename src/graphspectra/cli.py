@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ from .stats import (
 )
 
 HISTOGRAM_BINS = 50
+# a cell that csv writes without quotes
+_UNQUOTED = re.compile(r'[^,"\r\n]+')
 
 
 @dataclass(frozen=True)
@@ -74,12 +77,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _format_column(values) -> tuple:
+    """_fmt of each value of one column, and whether csv writes every one
+    of them as it is.  The type is tested once for a column of numbers."""
+    kinds = set(map(type, values))
+    if kinds <= {float, np.float64, type(None)}:
+        text = ["NA" if x is None or x != x else "{:.15g}".format(x) for x in values]
+        return text, True
+    if kinds <= {int, np.int64}:
+        return list(map(str, values)), True
+    text = [_fmt(x) for x in values]
+    return text, all(map(_UNQUOTED.fullmatch, text))
+
+
 def _csv_text(columns, rows) -> str:
+    """The table as CSV, formatted column by column.  csv writes the header,
+    and the rows too when a cell needs quoting."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    formatted = [_format_column(column) for column in zip(*rows)]
+    cells = zip(*(text for text, _ in formatted))
+    if all(plain for _, plain in formatted):
+        buf.writelines(",".join(line) + "\n" for line in cells)
+    else:
+        writer.writerows(cells)
     return buf.getvalue()
 
 
@@ -270,7 +292,9 @@ def cmd_cdf(config: RunConfig) -> Table:
     ceiling = shortest_edge_bound(graph, robin)
     top = float(np.max(series.gaps))
     rows.append(("support", top, ceiling, top / ceiling))
-    violations = len(bound_report("shortest-edge-bound", ceiling, [top]).violations)
+    # one verdict on the support: some gap exceeds the ceiling by its error
+    support = bound_report("shortest-edge-bound", ceiling, series.gaps, series.error)
+    violations = int(not support.ok)
     return Table(["kind", "x_lo", "x_hi", "value"], rows, {}, violations=violations)
 
 

@@ -139,8 +139,8 @@ within rounding of an end, the usual case after a split next to a
 multiple root.  No rounding level is applied, so within rounding of a
 multiple root an end value can have the predicted sign by chance (a
 simple root one ulp of edge length from a triple one, say) and the
-bracket is polished on noise; the root it yields still meets the kernel
-audit and the exact count audit below, which certify it or raise.  All
+bracket is polished on noise; the root it yields still meets the
+certification and the exact count audit below, which pass it or raise.  All
 count-1 brackets then run one
 vectorized Chandrupatla iteration on det A (T. R. Chandrupatla, A new
 hybrid quadratic/bisection algorithm for finding the zero of a
@@ -152,7 +152,7 @@ interpolant is monotone across the bracket, and bisection elsewhere.
 Each point stays half a stop width inside its bracket.  A step costs
 one batched real determinant, where a counted split needs a batched
 complex eigendecomposition, and a bracket end beside a multiple root,
-where det A is flat, no longer stalls the iteration.  The kernel audit
+where det A is flat, no longer stalls the iteration.  The certification
 below checks every polished root.
 
 Both stages stop once a bracket is narrower than the stop width
@@ -185,18 +185,35 @@ kernel holds them all.  A chain whose mean misses one of its roots
 splits at its widest gap, and each part is judged again, down to single
 roots, so a double root in a longer chain stays one record.
 
-Certification stays with the counts.  A window count further than
-COUNT_ROUNDING_TOL from an integer raises, as does a half-bracket count
-outside [0, count], an inertia count that falls from one grid point to
-the next, and a cell whose winding count differs from its inertia
-count.  Each record's crossing count m is checked against
-dim ker(I - U(k)) by the one kernel-dimension rule, _kernel_mismatch,
-which the eigenfunction module applies too: singular values below
+Certification.  A window count further than COUNT_ROUNDING_TOL from an
+integer raises, as does a half-bracket count outside [0, count], an
+inertia count that falls from one grid point to the next, and a cell
+whose winding count differs from its inertia count.  Each record (k, m)
+then has a radius
+
+    rho = max(stop width + spread, RADIUS_FLOOR (1 + k)),
+
+spread the largest distance from k to a root merged into it, so its m
+roots lie within rho of k.  Enclosures [k - rho, k + rho] that overlap
+are joined, and the inertia counts at the two ends of each join, all in
+one batched eigvalsh, must differ by the sum of the join's
+multiplicities: an exact integer certificate that m eigenvalues lie
+within rho of k.  A count off by one either way raises, as "below" or
+"above" the multiplicity.  An end without margin decides nothing, and
+next to a Dirichlet pole no count has margin.  So the records of a join
+with such an end (every record of the Neumann interval, half of those of
+the Neumann equilateral star) fall back to the kernel-dimension rule, as
+do the records of a join of several (at a loose tol), whose count
+certifies only their sum.  The rule, _kernel_mismatch, is the one the
+eigenfunction module applies too: singular values of I - U(k) below
 1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold) count, a
 record is short when fewer than m count, and it has excess when more
-count than the records place crossings within reach of it.  Then the
-records must count exactly the inertia count N(k) at every grid point,
-scan and quarter points alike.
+count than all the records place crossings within reach of it.  The
+enclosure is the stronger certificate: it places exactly m eigenvalues
+within rho of k, and rho, 1e-12 (1 + k) at the default tol, lies far
+inside the threshold over the branch velocity, the distance within which
+the rule places them.  Then the records must count exactly the inertia
+count N(k) at every grid point, scan and quarter points alike.
 """
 from __future__ import annotations
 
@@ -235,6 +252,8 @@ POLE_MARGIN = 1e-8
 GRID_MOVES = 8
 # parts a multi-count cell is cut into before any eigenphase
 QUARTERS = 4
+# a record's enclosure radius is at least RADIUS_FLOOR (1 + k)
+RADIUS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +268,13 @@ class Spectrum:
     hold a few more than n_max.  tol is the refinement tolerance the
     records were computed with (None for the default stop width);
     stop_width and kernel_threshold give the accuracy model it sets.
+    radius[i] bounds the distance from k[i] to its roots: the stop width
+    plus the spread of the roots merged into the record, at least
+    RADIUS_FLOOR (1 + k).  Where the inertia counts at its ends have
+    margin, they certify that exactly multiplicity[i] eigenvalues lie
+    within it ("Certification" in the solver docstring).  The zero mode
+    is exact, with radius 0, and radius defaults to zeros, for records
+    given as exact.
     """
 
     graph: MetricGraph
@@ -258,9 +284,12 @@ class Spectrum:
     multiplicity: np.ndarray
     k_cap: float
     tol: float | None = None
+    radius: np.ndarray | None = None
 
     def __post_init__(self):
-        for column in (self.index, self.k, self.multiplicity):
+        if self.radius is None:
+            object.__setattr__(self, "radius", np.zeros(self.k.shape))
+        for column in (self.index, self.k, self.multiplicity, self.radius):
             column.flags.writeable = False
 
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
@@ -819,9 +848,13 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
 def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
     """Records from roots by single linkage on their merge radii, a chain
     whose mean misses one of its roots split at its widest gap until every
-    part's mean holds its roots; see "Records" in the module docstring."""
+    part's mean holds its roots; see "Records" in the module docstring.
+
+    Returns the records' wave numbers and multiplicities, and their
+    spreads: the largest distance from a record to a root merged into it.
+    """
     if roots.size == 0:
-        return roots, mults
+        return roots, mults, roots
     order = np.argsort(roots)
     roots, mults, radii = roots[order], mults[order], radii[order]
     gap = np.diff(roots, prepend=-np.inf)
@@ -834,9 +867,10 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
         mean = roots[starts] + np.add.reduceat(
             mults * (roots - roots[starts][chain]), starts
         ) / total
-        tight = np.logical_and.reduceat(np.abs(roots - mean[chain]) <= radii, starts)
+        offset = np.abs(roots - mean[chain])
+        tight = np.logical_and.reduceat(offset <= radii, starts)
         if tight.all():
-            return mean, total
+            return mean, total, np.maximum.reduceat(offset, starts)
         ends = np.append(starts, roots.size)
         for c in np.flatnonzero(~tight):
             # a loose chain has two roots or more; a lone root is tight
@@ -877,15 +911,16 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     )
 
 
-def _kernel_mismatch(graph, ks, mults, sv, threshold) -> str | None:
+def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None) -> str | None:
     """The kernel-dimension rule: why the first record (k, m) breaks it, or None.
 
     sv holds the singular values of I - U(k) per record; I - U is normal,
     so they are the distances |1 - exp(i theta_m)| of its eigenvalues
     from 1.  Every branch moves at least l_min per unit k, so a crossing
     farther than reach = 2 threshold / l_min stays above the threshold.
-    Windows that reach k = 0, where U(0) has a larger kernel of its own,
-    are not compared.
+    The crossings within reach are counted among crossings, sorted, by
+    default those of the records given.  Windows that reach k = 0, where
+    U(0) has a larger kernel of its own, are not compared.
     """
     dims = np.sum(sv < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
@@ -896,7 +931,8 @@ def _kernel_mismatch(graph, ks, mults, sv, threshold) -> str | None:
             f"at k={float(ks[j])!r}"
         )
     reach = 2.0 * threshold / graph.min_edge_length
-    crossings = np.sort(np.repeat(ks, mults))
+    if crossings is None:
+        crossings = np.sort(np.repeat(ks, mults))
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
         crossings, ks - reach, side="left"
     )
@@ -908,6 +944,54 @@ def _kernel_mismatch(graph, ks, mults, sv, threshold) -> str | None:
             f"within {reach[j]:.3g} of k={float(ks[j])!r}"
         )
     return None
+
+
+def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
+    """Raise ToleranceNotMet unless every record (k, m), ascending, is
+    certified; see "Certification" in the module docstring.
+
+    The enclosures [k - rho, k + rho] join where they overlap, and a join
+    whose ends both count with margin must count the sum of its
+    multiplicities between them, in one batched _inertia_counts.  The
+    records of a join without margin, or of one with several records,
+    meet the kernel-dimension rule on the singular values of I - U(k),
+    against every record's crossings.
+    """
+    if ks.size == 0:
+        return
+    # a join starts where every enclosure below ends before every one above
+    top = np.maximum.accumulate(ks + radius)
+    bottom = np.minimum.accumulate((ks - radius)[::-1])[::-1]
+    first = np.concatenate([[True], top[:-1] < bottom[1:]])
+    starts = np.flatnonzero(first)
+    ends = np.concatenate([bottom[starts], top[np.append(starts[1:], ks.size) - 1]])
+    counts, ok = np.zeros(ends.size, dtype=int), ends > 0.0
+    counts[ok], ok[ok] = _inertia_counts(graph, robin, ends[ok])
+    n_lo, n_hi = np.split(counts, 2)
+    margin = np.logical_and(*np.split(ok, 2))
+    found, total = n_hi - n_lo, np.add.reduceat(mults, starts)
+    wrong = np.flatnonzero(margin & (found != total))
+    if wrong.size:
+        j = wrong[0]
+        side = "below" if found[j] < total[j] else "above"
+        raise ToleranceNotMet(
+            f"{found[j]} eigenvalues in the enclosure ({float(ends[j])!r}, "
+            f"{float(ends[starts.size + j])!r}], {side} its multiplicity {total[j]}"
+        )
+    # a join of several records certifies only the sum of their counts
+    alone = np.diff(np.append(starts, ks.size)) == 1
+    at = np.flatnonzero(~(margin & alone)[np.cumsum(first) - 1])
+    if at.size == 0:
+        return
+    eye = np.eye(graph.num_slots)
+    sv = _stack_map(
+        graph, robin, ks[at], lambda u: np.linalg.svd(eye - u, compute_uv=False)
+    )
+    threshold = _kernel_threshold(graph, robin, ks[at], tol)
+    crossings = np.repeat(ks, mults)
+    mismatch = _kernel_mismatch(graph, ks[at], mults[at], sv, threshold, crossings)
+    if mismatch:
+        raise ToleranceNotMet(mismatch)
 
 
 def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
@@ -1019,28 +1103,14 @@ def compute_spectrum(
     )
     roots = np.concatenate([below, roots])
     mults = np.concatenate([np.ones(len(below), dtype=int), mults])
-    roots, mults = _merge_roots(roots, mults, _merge_radius(graph, robin, roots, tol))
-    crossings = np.repeat(roots, mults)
-    if k_max is not None:
-        inside = roots <= k_max
-        roots, mults = roots[inside], mults[inside]
-        k_cap = float(k_max)
-    else:
-        k_cap = float(grid[-1])
-
-    eye = np.eye(graph.num_slots)
-    sv = _stack_map(
-        graph, robin, roots, lambda u: np.linalg.svd(eye - u, compute_uv=False)
-    )
-    mismatch = _kernel_mismatch(
-        graph, roots, mults, sv, _kernel_threshold(graph, robin, roots, tol)
-    )
-    if mismatch:
-        raise ToleranceNotMet(mismatch)
+    radii = _merge_radius(graph, robin, roots, tol)
+    roots, mults, spread = _merge_roots(roots, mults, radii)
+    radius = np.maximum(_stop_width(roots, tol) + spread, RADIUS_FLOOR * (1.0 + roots))
+    _certify_records(graph, robin, roots, mults, radius, tol)
 
     # Exact audit: the records count what the inertia counted at every
     # scan point.
-    n_records = zero_count + np.searchsorted(crossings, grid, side="right")
+    n_records = zero_count + np.searchsorted(np.repeat(roots, mults), grid, side="right")
     wrong = n_records != n_grid
     if np.any(wrong):
         j = int(np.flatnonzero(wrong)[0])
@@ -1049,9 +1119,18 @@ def compute_spectrum(
             f"the inertia count {n_grid[j]}"
         )
 
+    if k_max is not None:
+        inside = roots <= k_max
+        roots, mults, radius = roots[inside], mults[inside], radius[inside]
+        k_cap = float(k_max)
+    else:
+        k_cap = float(grid[-1])
     if has_zero_mode:
         roots, mults = np.append(0.0, roots), np.append(1, mults)
-    return Spectrum(graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, k_cap, tol)
+        radius = np.append(0.0, radius)
+    return Spectrum(
+        graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, k_cap, tol, radius
+    )
 
 
 def counting_function(spectrum: Spectrum, k: float) -> int:

@@ -46,13 +46,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RngSeries:
-    """Index-paired eigenvalue gaps between coupled and uncoupled spectra."""
+    """Index-paired eigenvalue gaps between coupled and uncoupled spectra.
+
+    error bounds each gap's distance from the true gap, from the radii of
+    the records (None for gaps given as exact).
+    """
 
     graph: MetricGraph
     robin: RobinSpec
     gaps: np.ndarray
     k_neumann: np.ndarray
     k_robin: np.ndarray
+    error: np.ndarray | None = None
 
     @property
     def k_gaps(self) -> np.ndarray:
@@ -117,6 +122,9 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
     so a pair closer than the mean of their stop widths cannot be told
     from one root shared by both spectra.  Such a pair reports the
     Neumann wave number on both sides, and its gap is exactly 0.
+    With r = rho_0 + rho_1 the sum of the two records' radii, the true
+    gap lies within r (k_0 + k_1 + |k_1 - k_0|) + r^2 of the gap from the
+    reported k_1, which the error adds to a pair reported as 0.
     Raises ValueError when the spectra belong to different graphs or the
     first one is coupled.
     """
@@ -133,14 +141,22 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
         )
     k0 = neumann.wavenumbers(n)
     k1 = coupled.wavenumbers(n)
+    r = (
+        np.repeat(neumann.radius, neumann.multiplicity)[:n]
+        + np.repeat(coupled.radius, coupled.multiplicity)[:n]
+    )
+    error = r * (k0 + k1 + np.abs(k1 - k0)) + r * r
     reach = 0.5 * (neumann.stop_width(k0) + coupled.stop_width(k1))
-    k1 = np.where(np.abs(k1 - k0) <= reach, k0, k1)
+    shared = np.abs(k1 - k0) <= reach
+    error += np.where(shared, np.abs(k1 - k0) * (k1 + k0), 0.0)
+    k1 = np.where(shared, k0, k1)
     return RngSeries(
         graph=coupled.graph,
         robin=coupled.robin,
         gaps=(k1 - k0) * (k1 + k0),
         k_neumann=k0,
         k_robin=k1,
+        error=error,
     )
 
 

@@ -231,6 +231,31 @@ class TestCheckAll:
         flat, _, _ = check_all(series, decomp)
         assert flat.violations == (2,)
 
+    def test_error_bar_decides_a_violation(self, unit_interval):
+        # a gap violates only when it stays above the bound by more than its
+        # error; the slack applies on top
+        robin = RobinSpec(frozenset([0]), 1.0)
+        decomp = boundary_star_decomposition(unit_interval, robin)
+        bound = gap_bound(decomp, robin)
+        ks = np.array([1.0, 2.0, 3.0])
+        series = RngSeries(
+            graph=unit_interval,
+            robin=robin,
+            gaps=np.full(3, bound + 1e-3),
+            k_neumann=ks,
+            k_robin=ks,
+            error=np.array([2e-3, 1e-3, 0.5e-3]),
+        )
+        flat, _, _ = check_all(series, decomp)
+        assert flat.violations == (3,)
+
+    def test_series_gaps_carry_their_radii(self, unit_interval, gap_series):
+        series = gap_series(unit_interval, (0,), 1.0, 20)
+        # each coupled record's radius is at least 1e-12 (1 + k)
+        r = 1e-12 * (1.0 + series.k_robin)
+        assert np.all(series.error >= r * (series.k_neumann + series.k_robin))
+        assert np.all(series.error <= 1e-9 * (1.0 + series.k_robin) ** 2)
+
     def test_decomposition_of_another_graph_rejected(self, gap_series):
         # the bounds of a ten times longer star do not hold for this one's
         # gaps, so its decomposition must not be audited against them

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -9,9 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from graphspectra import cli
+from graphspectra import bounds, cli
 from graphspectra.cli import main
 from graphspectra.solver import compute_spectrum
 
@@ -176,6 +178,22 @@ class TestRng:
         gaps = [float(r[1]) for r in rows]
         assert gaps.count(0.0) == 225
         assert min(gaps) >= 0.0
+
+    def test_loose_tol_judges_gaps_at_their_error(self, tmp_path, capsys, monkeypatch):
+        # at tol 1e-6 the interval's gaps approach the sharp flat bound
+        # 2 sigma / |G| within their error bars, which is no violation; the
+        # bound scaled by 0.99 is violated where the bars are narrow
+        args = ["rng", "--graph", str(FIXTURES / "interval.json"),
+                "--nmax", "300", "--tol", "1e-6"]
+        code, _ = run_cli(args, tmp_path)
+        assert code == 0
+        gap_bound = bounds.gap_bound
+        monkeypatch.setattr(
+            bounds, "gap_bound", lambda decomp, robin: 0.99 * gap_bound(decomp, robin)
+        )
+        code, _ = run_cli(args, tmp_path)
+        assert code == 1
+        assert "bound violation" in capsys.readouterr().err
 
     def test_requires_positive_sigma(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -368,6 +386,34 @@ class TestOutputDiscipline:
         assert (tmp_path / "a.clusters.csv").read_bytes() == (
             tmp_path / "b.clusters.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "strings",
+        [("vertex_sq_0", "cross_0_1"), ("a,b", 'say "hi"'), ("two\nlines", "cr\r"),
+         ("", " padded ")],
+        ids=["plain", "comma-quote", "newline", "empty"],
+    )
+    def test_column_formatting_matches_the_value_by_value_path(self, strings):
+        # the table mixes Python and numpy ints and floats, NaN, None and
+        # strings, some of which csv must quote
+        rows = [
+            (1, np.float64(1.0 / 3.0), None, strings[0], np.int64(7)),
+            (np.int64(2), float("nan"), 2.5e-300, strings[1], True),
+            (3, np.float64(-0.0), np.float64(np.inf), strings[0], np.int64(-1)),
+        ]
+        columns = ["n", "x", "y", "label", "m"]
+
+        def value_by_value(columns, rows):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([cli._fmt(x) for x in row])
+            return buf.getvalue()
+
+        for cols, table in ((columns, rows), (columns[:1], [(s,) for s in strings]),
+                            (columns[:2], [row[:2] for row in rows]), (columns, [])):
+            assert cli._csv_text(cols, table) == value_by_value(cols, table)
 
     def test_lf_line_endings(self, tmp_path):
         _, out = run_cli(

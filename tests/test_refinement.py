@@ -181,9 +181,9 @@ def _count_matrices(monkeypatch, *names):
     def counted(name):
         fn = getattr(np.linalg, name)
 
-        def wrapped(a):
+        def wrapped(a, *args, **kwargs):
             matrices[name] += int(np.prod(np.shape(a)[:-2]))
-            return fn(a)
+            return fn(a, *args, **kwargs)
 
         return wrapped
 
@@ -373,6 +373,98 @@ def test_kernel_audit_reports_excess_dimension(equilateral_star, monkeypatch):
     )
     with pytest.raises(ToleranceNotMet, match="above"):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+
+
+def _planted_record(monkeypatch, at, shift=0.0, extra=0):
+    """Move the record at position at of the merged records (negative
+    from the top) by shift enclosure radii, and add extra to its
+    multiplicity."""
+    merge = solver._merge_roots
+
+    def planted(roots, mults, radii):
+        mean, total, spread = merge(roots, mults, radii)
+        mean, total = mean.copy(), total.copy()
+        rho = max(
+            float(solver._stop_width(mean[at], None)) + spread[at],
+            solver.RADIUS_FLOOR * (1.0 + mean[at]),
+        )
+        mean[at] += shift * rho
+        total[at] += extra
+        return mean, total, spread
+
+    monkeypatch.setattr(solver, "_merge_roots", planted)
+
+
+@pytest.mark.parametrize("at", [0, 150, -1])
+@pytest.mark.parametrize(
+    "shift, extra, words",
+    [(2.0, 0, "0 eigenvalues .* below"), (0.0, 1, "1 eigenvalues .* below")],
+    ids=["moved-2-radii", "multiplicity-plus-1"],
+)
+def test_planted_record_fault_breaks_its_enclosure(at, shift, extra, words, monkeypatch):
+    # a simple record moved by twice its radius leaves its root outside its
+    # enclosure; one claiming multiplicity 2 holds one root
+    graph, robin = load_graph_file(FIXTURES / "star_incommensurate.json")
+    _planted_record(monkeypatch, at, shift, extra)
+    with pytest.raises(ToleranceNotMet, match=words):
+        solver.compute_spectrum(graph, robin, n_max=300)
+
+
+def test_planted_multiplicity_below_a_triple_breaks_its_enclosure(
+    equilateral_star, monkeypatch
+):
+    # the triple at 3 pi / 2 sits off the poles k = pi n, so its enclosure
+    # has margin and counts three roots against the two claimed
+    robin = RobinSpec(frozenset({0}), 2.0)
+    spec = solver.compute_spectrum(equilateral_star, robin, k_max=5.0)
+    at = int(np.flatnonzero(np.abs(spec.k - 1.5 * math.pi) < 1e-9)[0])
+    assert spec.multiplicity[at] == 3
+    _planted_record(monkeypatch, at, extra=-1)
+    with pytest.raises(ToleranceNotMet, match="3 eigenvalues .* above"):
+        solver.compute_spectrum(equilateral_star, robin, k_max=5.0)
+
+
+def test_planted_multiplicity_on_a_pole_meets_the_kernel_audit(
+    unit_interval, monkeypatch
+):
+    # the Neumann interval's roots k = pi n all sit on Dirichlet poles,
+    # where no inertia count has margin: each record falls back to the
+    # SVD of I - U(k), whose one-dimensional kernel is below the two
+    # crossings claimed
+    matrices = _count_matrices(monkeypatch, "svd")
+    _planted_record(monkeypatch, 3, extra=1)
+    with pytest.raises(ToleranceNotMet, match="kernel dimension 1 below crossing count 2"):
+        solver.compute_spectrum(unit_interval, NEUMANN, n_max=20)
+    assert matrices["svd"] > 0
+
+
+def test_joined_enclosures_count_the_sum_of_their_records(star4, monkeypatch):
+    # two neighbouring simple records whose enclosures overlap are one
+    # join: it must hold both roots, and each record meets the kernel rule
+    # too, since the join certifies only their sum
+    robin = RobinSpec(frozenset({0}), 2.0)
+    spec = solver.compute_spectrum(star4, robin, k_max=10.0)
+    ks, mults = spec.k[5:7], spec.multiplicity[5:7]
+    wide = np.full(2, 0.6 * (ks[1] - ks[0]))
+    matrices = _count_matrices(monkeypatch, "svd")
+    solver._certify_records(star4, robin, ks, mults, wide, None)
+    assert matrices["svd"] == 2
+    with pytest.raises(ToleranceNotMet, match="2 eigenvalues .* below its multiplicity 3"):
+        solver._certify_records(star4, robin, ks, mults + [0, 1], wide, None)
+    # one record whose enclosure reaches the next root holds too many
+    with pytest.raises(ToleranceNotMet, match="above its multiplicity 1"):
+        solver._certify_records(star4, robin, ks[:1], mults[:1], 2.0 * wide[:1], None)
+
+
+@pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
+def test_enclosures_leave_few_records_to_the_audit_svd(name, monkeypatch):
+    # the SVD of I - U(k) audited every record; now only records whose
+    # enclosure ends have no margin reach it: 2 of 300 on the star and 1
+    # on the tetrahedron, at their own couplings
+    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    matrices = _count_matrices(monkeypatch, "svd")
+    spec = solver.compute_spectrum(graph, robin, n_max=300)
+    assert matrices["svd"] <= 0.01 * spec.k.size, matrices
 
 
 @st.composite
@@ -572,6 +664,32 @@ def test_eigenfunctions_accept_the_certified_clusters(degree, u, steps, s, at_le
     basis = eigenbasis(spec, np.arange(len(spec.k)))
     flipped = _conjugate_flip(graph, basis.a, basis.k[:, None])
     assert np.max(np.abs(basis.a - flipped)) <= 1e-12
+
+
+@given(awkward_graphs())
+@settings(max_examples=40, deadline=None)
+def test_enclosures_agree_with_the_kernel_audit_across_couplings(case):
+    # sigma log-uniform in [1e-8, 1e6] moves records onto and off the
+    # Dirichlet poles.  A spectrum that comes out passes the kernel audit
+    # over all its records, and every record whose enclosure has margin
+    # and meets no other holds its multiplicity in it.
+    graph, robin = case
+    try:
+        spec = solver.compute_spectrum(graph, robin, n_max=12)
+    except ToleranceNotMet:
+        return
+    positive = spec.k > 0.0
+    ks, mults, rho = spec.k[positive], spec.multiplicity[positive], spec.radius[positive]
+    eye = np.eye(graph.num_slots)
+    sv = np.linalg.svd(eye - unitary_stack(graph, robin, ks), compute_uv=False)
+    assert solver._kernel_mismatch(graph, ks, mults, sv, spec.kernel_threshold(ks)) is None
+    lo, hi = ks - rho, ks + rho
+    alone = (lo > 0.0) & (lo > np.append(-np.inf, hi[:-1]))
+    alone &= hi < np.append(lo[1:], np.inf)
+    counts, ok = solver._inertia_counts(graph, robin, np.concatenate([lo[alone], hi[alone]]))
+    n_lo, n_hi = np.split(counts, 2)
+    margin = np.logical_and(*np.split(ok, 2))
+    assert np.array_equal((n_hi - n_lo)[margin], mults[alone][margin])
 
 
 @given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
