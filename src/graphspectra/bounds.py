@@ -12,7 +12,13 @@ A measured value violates a bound only when it exceeds the bound by more
 than its certified error plus a relative slack of 1e-10, so that strict
 mathematical inequalities are not failed on root-refinement noise: the
 gaps carry the error bars the spectra's radii give them, the
-sensitivities none.
+sensitivities none.  At the default tol both radii are the floor
+1e-12 (1 + k), so a gap near wave number k may exceed its bound by about
+4e-12 k^2 before it is flagged (3.5e-6 at k = 940), where the slack
+alone allowed 1e-10 (1 + bound); a loose tol widens the bars with the
+stop width.  The radii of records certified by the kernel rule rather
+than an inertia enclosure rest on their refinement brackets
+("Certification" in the solver docstring).
 """
 from __future__ import annotations
 
@@ -179,8 +185,7 @@ def check_all(series: RngSeries, decomp: StarDecomposition) -> tuple:
     """
     if decomp.graph != series.graph:
         raise ValueError("the decomposition belongs to another graph than the series")
-    robin, gaps = series.robin, series.gaps
-    error = 0.0 if series.error is None else series.error
+    robin, gaps, error = series.robin, series.gaps, series.error
     flat = bound_report("gap-bound", gap_bound(decomp, robin), gaps, error)
     ceiling = shortest_edge_bound(series.graph, robin)
     edge = bound_report("shortest-edge-bound", ceiling, gaps, error)

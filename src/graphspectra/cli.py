@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import os
-import re
 import sys
 from dataclasses import dataclass
 
@@ -38,8 +37,6 @@ from .stats import (
 )
 
 HISTOGRAM_BINS = 50
-# a cell that csv writes without quotes
-_UNQUOTED = re.compile(r'[^,"\r\n]+')
 
 
 @dataclass(frozen=True)
@@ -67,41 +64,38 @@ class Table:
     violations: int = 0
 
 
+def _fmt_float(value) -> str:
+    """A float with 15 significant digits; NaN and None are NA."""
+    return "NA" if value is None or value != value else "{:.15g}".format(value)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "NA"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return "NA" if np.isnan(value) else "{:.15g}".format(float(value))
+        return _fmt_float(float(value))
     return str(value)
 
 
-def _format_column(values) -> tuple:
-    """_fmt of each value of one column, and whether csv writes every one
-    of them as it is.  The type is tested once for a column of numbers."""
+def _format_column(values) -> list:
+    """_fmt of each value of one column; the type is tested once for a
+    column of floats or of ints."""
     kinds = set(map(type, values))
     if kinds <= {float, np.float64, type(None)}:
-        text = ["NA" if x is None or x != x else "{:.15g}".format(x) for x in values]
-        return text, True
+        return list(map(_fmt_float, values))
     if kinds <= {int, np.int64}:
-        return list(map(str, values)), True
-    text = [_fmt(x) for x in values]
-    return text, all(map(_UNQUOTED.fullmatch, text))
+        return list(map(str, values))
+    return list(map(_fmt, values))
 
 
 def _csv_text(columns, rows) -> str:
-    """The table as CSV, formatted column by column.  csv writes the header,
-    and the rows too when a cell needs quoting."""
+    """The table as CSV, formatted column by column."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    formatted = [_format_column(column) for column in zip(*rows)]
-    cells = zip(*(text for text, _ in formatted))
-    if all(plain for _, plain in formatted):
-        buf.writelines(",".join(line) + "\n" for line in cells)
-    else:
-        writer.writerows(cells)
+    writer.writerows(zip(*(_format_column(column) for column in zip(*rows))))
     return buf.getvalue()
 
 

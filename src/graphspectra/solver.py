@@ -212,7 +212,12 @@ count than all the records place crossings within reach of it.  The
 enclosure is the stronger certificate: it places exactly m eigenvalues
 within rho of k, and rho, 1e-12 (1 + k) at the default tol, lies far
 inside the threshold over the branch velocity, the distance within which
-the rule places them.  Then the records must count exactly the inertia
+the rule places them.  A record that falls back keeps its radius on the
+certificate of its refinement bracket: the winding and inertia counts
+at the ends of a counted split, or for a polished root the signs of
+det A that the inertia parity predicts.  The one exception is a bracket
+polished on rounding noise beside a multiple root (see Polish), whose
+root only the rule and the audit below check.  Then the records must count exactly the inertia
 count N(k) at every grid point, scan and quarter points alike.
 """
 from __future__ import annotations
@@ -260,8 +265,7 @@ RADIUS_FLOOR = 1e-12
 class Spectrum:
     """Ordered spectrum of the operator of one graph and one coupling.
 
-    One record per distinct wave number, as three read-only arrays: a
-    record with multiplicity[i] = m at k[i] owns the m consecutive
+    One record per distinct wave number, as read-only arrays: a record with multiplicity[i] = m at k[i] owns the m consecutive
     eigenvalue indices starting at index[i].  k_cap is k_max, or for an
     n_max target the first scan point whose inertia count reaches n_max;
     every eigenvalue at or below k_cap appears, so an n_max spectrum can
@@ -272,9 +276,9 @@ class Spectrum:
     plus the spread of the roots merged into the record, at least
     RADIUS_FLOOR (1 + k).  Where the inertia counts at its ends have
     margin, they certify that exactly multiplicity[i] eigenvalues lie
-    within it ("Certification" in the solver docstring).  The zero mode
-    is exact, with radius 0, and radius defaults to zeros, for records
-    given as exact.
+    within it ("Certification" in the solver docstring); where they lack
+    it, the refinement bracket certifies the radius and the kernel rule
+    the multiplicity.  The zero mode is exact, with radius 0.
     """
 
     graph: MetricGraph
@@ -282,13 +286,11 @@ class Spectrum:
     index: np.ndarray
     k: np.ndarray
     multiplicity: np.ndarray
+    radius: np.ndarray
     k_cap: float
     tol: float | None = None
-    radius: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.radius is None:
-            object.__setattr__(self, "radius", np.zeros(self.k.shape))
         for column in (self.index, self.k, self.multiplicity, self.radius):
             column.flags.writeable = False
 
@@ -1129,7 +1131,7 @@ def compute_spectrum(
         roots, mults = np.append(0.0, roots), np.append(1, mults)
         radius = np.append(0.0, radius)
     return Spectrum(
-        graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, k_cap, tol, radius
+        graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, radius, k_cap, tol
     )
 
 

@@ -49,7 +49,7 @@ class RngSeries:
     """Index-paired eigenvalue gaps between coupled and uncoupled spectra.
 
     error bounds each gap's distance from the true gap, from the radii of
-    the records (None for gaps given as exact).
+    the records (0 for gaps given as exact).
     """
 
     graph: MetricGraph
@@ -57,7 +57,7 @@ class RngSeries:
     gaps: np.ndarray
     k_neumann: np.ndarray
     k_robin: np.ndarray
-    error: np.ndarray | None = None
+    error: np.ndarray | float = 0.0
 
     @property
     def k_gaps(self) -> np.ndarray:

@@ -33,7 +33,8 @@ NEUMANN = RobinSpec.neumann()
 def _one_record(graph, k, multiplicity):
     """A Neumann spectrum that claims a single record (k, multiplicity)."""
     return Spectrum(
-        graph, NEUMANN, np.array([2]), np.array([k]), np.array([multiplicity]), k_cap=k
+        graph, NEUMANN, np.array([2]), np.array([k]), np.array([multiplicity]),
+        np.zeros(1), k_cap=k,
     )
 
 
