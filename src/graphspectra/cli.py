@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -187,8 +188,8 @@ def cmd_spectrum(config: RunConfig) -> Table:
     # an n_max spectrum ends at the first scan point counting n_max, and
     # the cell below it can hold more; clip the table
     limit = None if config.k_max is not None else config.target_n
-    ks = spectrum.wavenumbers(limit)
-    mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity)
+    ks = spectrum.wavenumbers(limit).tolist()
+    mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity).tolist()
     rows = [(n, k, k**2, m) for n, (k, m) in enumerate(zip(ks, mults), start=1)]
     return Table(["n", "k_n", "lambda_n", "multiplicity"], rows, {})
 
@@ -204,22 +205,12 @@ def cmd_rng(config: RunConfig) -> Table:
     predicted = arctan_prediction(graph, robin, series.k_neumann)
     decomp = boundary_star_decomposition(graph, robin)
     reports = check_all(series, decomp)
-    flat_value = reports[0].bound[0]
-    refined_bound = reports[2].bound
     violations = sum(len(r.violations) for r in reports)
 
-    rows = [
-        (
-            i + 1,
-            series.gaps[i],
-            series.gaps[i] / mean,
-            averaged[i],
-            predicted[i],
-            flat_value,
-            refined_bound[i] if not np.isnan(refined_bound[i]) else None,
-        )
-        for i in range(n)
-    ]
+    # Python floats format faster than numpy scalars; a NaN bound prints NA
+    flat, refined = np.full(n, reports[0].bound[0]), reports[2].bound
+    columns = (series.gaps, series.gaps / mean, averaged, predicted, flat, refined)
+    rows = list(zip(range(1, n + 1), *(column.tolist() for column in columns)))
     clusters = accumulation_clusters(series)
     companions = {
         "clusters": (
@@ -310,11 +301,8 @@ def cmd_sensitivity(config: RunConfig) -> Table:
     # a basis average over a multiple eigenvalue is not held to the bound
     checked = np.where(values.degenerate, np.nan, bounds)
     violations = len(bound_report("sensitivity-bound", checked, values.value).violations)
-    rows = [
-        (i + 1, lams[i], values.value[i], predictions[i], bounds[i],
-         int(values.degenerate[i]))
-        for i in range(n)
-    ]
+    columns = (lams, values.value, predictions, bounds, values.degenerate.astype(int))
+    rows = list(zip(range(1, n + 1), *(column.tolist() for column in columns)))
     return Table(
         ["n", "lambda_n", "sensitivity", "prediction", "bound", "degenerate"],
         rows,
@@ -332,6 +320,7 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)  # parsing leaves it as it was, and costs far less
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphspectra",

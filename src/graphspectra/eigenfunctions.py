@@ -1,39 +1,36 @@
-"""Amplitude vectors, real gauge fixing, eigenfunction evaluation.
+"""Real eigenfunctions from the kernel of the condensed amplitude matrix.
 
-An eigenfunction with wave number k restricted to edge e is
+On edge t, x running from its first vertex u, an eigenfunction with wave
+number k is f_t(x) = f(u) cos kx + B_t sin kx, and (f(v) per vertex that
+starts an edge, B_t per edge) is a null vector of the real (V_s + E)-square
+A(k) of the solver's polish ("Polish" in its docstring): for multiplicity
+m, a right singular vector of the m smallest singular values.  A vertex
+that starts no edge reads the end of an edge into it, f(u) cos k l_t +
+B_t sin k l_t, and every edge end must agree with its vertex's value, or
+ContinuityViolation is raised.  With a = f(u), b = B_t and l = l_t, the
+squared L2 norm is exactly
 
-    f|_e(x) = a_e exp(ikx) + a_rev(e) exp(ik(l_e - x)),
+    sum_t a^2 (l/2 + sin 2kl / (4k)) + b^2 (l/2 - sin 2kl / (4k))
+          + a b (1 - cos 2kl) / (2k),
 
-with the amplitude vector a in ker(I - U(k)).  A real eigenfunction
-satisfies the reality relations a_e = conj(a_rev(e)) exp(-ik l_e) on
-every slot, that is a = C a for the antiunitary map
+an inner product taking half the cross term from each of a_1 b_2 and a_2 b_1.
+The m vectors are orthonormalised in that Gram matrix: a trace over them,
+as in the basis average of sensitivity, is then basis free.
 
-    (C a)_j = conj(a_rev(j)) exp(-ik l_j),
+Kernel rule.  Singular values count relative to ||A(k)||_2, below the
+threshold of the rule on I - U(k) over its norm 2, with ||A'|| / ||A||_2
+(bounded by _amplitude_slope) for the phase velocity: half of
+max(1e-8 sqrt(2E), 2 w ||A'|| / ||A||_2), w the stop width, twice what a
+root w / 2 off lifts the smallest one.  _kernel_mismatch then raises on a
+short or an excess kernel, with that rule's reach 2 kernel_threshold / l_min
+passed in: A has no bound of its own on how fast its singular values leave
+zero, and the chains that eigenbasis solves together share that reach.
 
-which squares to the identity and maps ker(I - U(k)) onto itself.
-Kernel vectors come out of the SVD with an arbitrary phase (or, for a
-multiple eigenvalue, an arbitrary unitary mix), so every record gets
-the same real gauge: the 2m vectors u + Cu and i(u - Cu) of its m
-kernel rows u are C-fixed.  In exact arithmetic their real Gram matrix
-has eigenvalue 4 on the combinations that span the fixed part of the
-kernel (m-fold) and 0 on the rest.  Its top m eigenvectors, scaled by
-1 / sqrt(eigenvalue), combine them into an orthonormal basis of C-fixed
-vectors, because the inner product of two fixed vectors is real.  A
-kernel that C does not map onto itself pulls the top eigenvalues toward
-2; one not above 3, nearer 2 than 4, raises KernelDimensionMismatch.
-
-The squared L2 norm of f over the graph is the exact edge-wise integral
-
-    sum_e [ l_e (|a_e|^2 + |a_rev|^2) + (2/k) sin(k l_e) Re(a_e conj(a_rev)) ],
-
-and vertex values in the real gauge reduce to f(v) = 2 Re(a_j) for any
-slot j pointing out of v.
-
-All of it runs in one batched evaluation, eigenbasis: the SVDs of
-I - U(k) over a set of records of one Spectrum, the gauge batched per
-multiplicity, every quantity above vectorized over the result.
-evaluate and robin_residual read one row of it, and the sensitivity
-sums its vertex values.
+Each row also carries the unit-norm slot amplitudes of the plane-wave form
+f_t(x) = a_2t exp(ikx) + a_2t+1 exp(ik(l_t - x)) that evaluate,
+robin_residual and weyl_moments read: a_2t = (A_t - i B_t) / 2 and a_2t+1
+= exp(-ik l_t) (A_t + i B_t) / 2, A_t = f(u).  They lie in the kernel of
+I - U(k) and meet a_j = conj(a_rev(j)) exp(-ik l_j) exactly.
 """
 from __future__ import annotations
 
@@ -41,14 +38,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .errors import (
     ContinuityViolation,
     DanglingEndpoint,
     KernelDimensionMismatch,
     OutOfRange,
 )
-from .graphs import MetricGraph
-from .solver import Spectrum, _kernel_mismatch, _stack_map
+from .graphs import MetricGraph, RobinSpec
+from .solver import (
+    KERNEL_SV_SCALE,
+    Spectrum,
+    _amplitude_layout,
+    _kernel_mismatch,
+    _stack_map,
+)
 
 __all__ = [
     "EigenBasis",
@@ -64,15 +68,14 @@ CONTINUITY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Real-gauge eigenfunctions of a batch of records of spectrum, one
-    row each.
+    """Real eigenfunctions of a batch of records of spectrum, one row each.
 
-    Rows come grouped by record in spectrum order, m rows for a record
-    of multiplicity m; record[i] is the position of row i's record in
-    the spectrum's arrays and k[i] its wave number.  a holds unit kernel
-    vectors of I - U(k), residual |(I - U(k)) a|, l2norm_sq the exact
-    squared L2 norm of the eigenfunction, and vertex_values the
-    L2-normalized values f(v).
+    Rows come grouped by record in spectrum order, m L2-orthonormal rows
+    for a record of multiplicity m at position record[i] of the spectrum's
+    arrays, wave number k[i].  a holds the unit-norm slot amplitudes of the
+    module docstring, residual |A(k) x| / (|x| ||A(k)||_2) for the row's
+    kernel vector x, l2norm_sq the exact squared L2 norm of the function a
+    describes, and vertex_values the L2-normalized f(v).
     """
 
     spectrum: Spectrum
@@ -94,108 +97,112 @@ class SensitivityValue:
     degenerate: np.ndarray
 
 
-def _conjugate_flip(graph: MetricGraph, a: np.ndarray, k: float) -> np.ndarray:
-    return np.conj(a[..., graph.slot_reversal]) * np.exp(-1j * k * graph.slot_length)
+def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
+    """Exact squared L2 norms of real eigenfunctions with edge amplitudes p,
+    (A_0, B_0, ...) on the last axis, at wave numbers k; or inner products with q."""
+    q = p if q is None else q
+    lengths = graph.slot_length[0::2]
+    k = np.asarray(k)[..., None]
+    wave = np.sin(2.0 * k * lengths) / (4.0 * k)
+    cross = np.sin(k * lengths) ** 2 / (2.0 * k)  # half of (1 - cos 2kl) / (2k)
+    pa, pb, qa, qb = p[..., 0::2], p[..., 1::2], q[..., 0::2], q[..., 1::2]
+    terms = (0.5 * lengths + wave) * pa * qa + (0.5 * lengths - wave) * pb * qb
+    return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
-def _l2_norm_sq(graph: MetricGraph, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Exact squared L2 norms over the graph of amplitude rows a at wave numbers k."""
-    out_slots = np.arange(0, graph.num_slots, 2)
-    rev = graph.slot_reversal[out_slots]
-    lengths = graph.slot_length[out_slots]
-    direct = lengths * (np.abs(a[:, out_slots]) ** 2 + np.abs(a[:, rev]) ** 2)
-    cross = (
-        (2.0 / k)[:, None]
-        * np.sin(k[:, None] * lengths)
-        * np.real(a[:, out_slots] * np.conj(a[:, rev]))
-    )
-    return np.sum(direct + cross, axis=1)
+def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
+    """A bound on ||A'(k)||_2: the Frobenius norm of A', each entry bounded by
+    its terms, l_t through cos or sin k l_t and |w'| through a vertex weight w,
+    s^2 / r or s d^2 k / r with r = (d^2 k^2 + s^2)^(3/2) at coupling s."""
+    size, flat, src, weight, _ = _amplitude_layout(graph)
+    lengths = np.append(0.0, np.tile(graph.slot_length[0::2], 2))
+    d, s, k = graph.degrees, robin.vertex_sigmas(graph), ks[:, None]
+    r = (d * d * k * k + s * s) ** 1.5
+    moving = np.concatenate([np.zeros_like(k), s * s / r, s * d * d * k / r], axis=1)
+    terms = np.zeros((size * size, moving.shape[1]))
+    np.add.at(terms, (flat, weight), 1.0)
+    fixed = np.bincount(flat, weights=lengths[src], minlength=size * size)
+    return np.linalg.norm(fixed + moving @ terms.T, axis=1)
 
 
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
-    """Real-gauge eigenfunctions of the wanted records and their chains.
-
-    records are positions in the spectrum's arrays.  Consecutive positive
-    records closer than the largest kernel reach link into one chain,
-    and every record in the chain of a wanted one is solved too: the
-    kernel-dimension rule (_kernel_mismatch) counts the crossings near a
-    record among the records it sees, and a whole chain shows it every
-    one of them.  The zero mode has no amplitude vector and is left out.
-    One pass of SVDs over the U(k) stack of those records, every later
-    step vectorized over the rows.  Raises KernelDimensionMismatch where
-    a record breaks the rule at the spectrum's kernel threshold, or
-    where its kernel has no real gauge; raises ContinuityViolation when
-    an eigenfunction takes two values at one vertex.
+    """Real eigenfunctions of the records at positions records of the
+    spectrum and of their chains: one SVD of A(k) per record, the rest
+    vectorized.  Consecutive positive records closer than the largest
+    kernel reach form a chain, solved whole so that the kernel rule sees
+    every crossing near a record.  The zero mode is left out.  Raises
+    KernelDimensionMismatch where a record breaks the kernel rule, and
+    ContinuityViolation where an eigenfunction takes two values at a vertex.
     """
-    graph = spectrum.graph
+    graph, robin = spectrum.graph, spectrum.robin
     all_ks, all_mults = spectrum.k, spectrum.multiplicity
     positive = np.flatnonzero(all_ks > 0.0)
     threshold = spectrum.kernel_threshold(all_ks[positive])
-    reach = 2.0 * threshold.max(initial=0.0) / graph.min_edge_length
-    chain = np.cumsum(np.diff(all_ks[positive], prepend=-np.inf) > reach)
+    reach = 2.0 * threshold / graph.min_edge_length
+    chain = np.cumsum(np.diff(all_ks[positive], prepend=-np.inf) > reach.max(initial=0.0))
     chained = np.isin(chain, chain[np.isin(positive, records)])
-    handed, threshold = positive[chained], threshold[chained]
+    handed, threshold, reach = positive[chained], threshold[chained], reach[chained]
     ks, mults = all_ks[handed], all_mults[handed]
-    n = graph.num_slots
-    eye = np.eye(n)
+    # (A_0, B_0, A_1, B_1, ...) from the columns: f(v) per starting vertex, B_t
+    starts, start_column = np.unique(graph.slot_origin[0::2], return_inverse=True)
+    n = starts.size + graph.num_edges
+    edge_columns = np.ravel([start_column, starts.size + np.arange(graph.num_edges)], "F")
 
-    def decompose(u):
+    def decompose(amp):
         # one LAPACK call per matrix, not per stack: the benchmark's layer
         # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
-        sv = np.empty((len(u), n))
-        vh = np.empty((len(u), n, n), dtype=complex)
-        for i, m in enumerate(eye - u):
-            _, sv[i], vh[i] = np.linalg.svd(m)
-        return sv, vh
+        sv, vt = np.empty((len(amp), n)), np.empty((len(amp), n, n))
+        for i, m in enumerate(amp):
+            _, sv[i], vt[i] = np.linalg.svd(m)
+        return sv, vt
 
-    sv, vh = _stack_map(graph, spectrum.robin, ks, decompose)
-    mismatch = _kernel_mismatch(graph, ks, mults, sv, threshold)
+    # looked up at each call, like _stack_map's U(k), so a wrapper sees it
+    sv, vt = _stack_map(graph, robin, ks, decompose, build=solver._amplitude_matrices)
+    slope = spectrum.stop_width(ks) * _amplitude_slope(graph, robin, ks) / sv[:, 0]
+    kernel = np.maximum(0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots), slope)
+    sv = sv / sv[:, :1]  # relative to ||A(k)||_2
+    mismatch = _kernel_mismatch(graph, ks, mults, sv, kernel, reach=reach)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
 
     local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults
-    a = np.empty((local.size, n), dtype=complex)
+    ab = np.empty((local.size, graph.num_slots))
     residual = np.empty(local.size)
     for m in np.unique(mults):
-        # the real gauge of the module docstring, on the right singular
-        # vectors of the m smallest singular values
+        # the right singular vectors of the m smallest singular values,
+        # orthonormalised in their L2 Gram matrix
         at = np.flatnonzero(mults == m)
-        vt = vh[at]
-        u = np.conj(vt[:, n - m :])
-        flip = _conjugate_flip(graph, u, ks[at, None, None])
-        fixed = np.concatenate([u + flip, 1j * (u - flip)], axis=1)
-        lam, w = np.linalg.eigh(np.einsum("rin,rjn->rij", fixed.conj(), fixed).real)
-        lam, w = lam[:, m:], w[:, :, m:]
-        unreal = np.flatnonzero(lam[:, 0] <= 3.0)
-        if unreal.size:
-            raise KernelDimensionMismatch(
-                f"kernel of I - U(k) at k={float(ks[at[unreal[0]]])!r} has no "
-                f"real basis of dimension {m}"
-            )
+        tail = vt[at, n - m :][:, :, edge_columns]
+        gram = _l2_norm_sq(graph, tail[:, :, None], ks[at, None, None], tail[:, None])
+        lam, w = np.linalg.eigh(gram)
         rows = first_row[at, None] + np.arange(m)
-        a[rows] = np.einsum("rij,rin->rjn", w, fixed) / np.sqrt(lam)[:, :, None]
-        # |(I - U) a| = |Sigma V^H a|, over all 2E rows of V^H
-        residual[rows] = np.linalg.norm(
-            sv[at, None, :] * np.einsum("rij,rmj->rmi", vt, a[rows]), axis=2
-        )
+        ab[rows] = np.einsum("rij,rin->rjn", w / np.sqrt(lam)[:, None, :], tail)
+        # |A x| for the unit x = sum_i w_ij v_i: sigma_i w_ij over i
+        residual[rows] = np.linalg.norm(sv[at, n - m :, None] * w, axis=1)
     k = ks[local]
 
-    l2norm_sq = _l2_norm_sq(graph, a, k)
-    # f at the origin of every slot; continuity asks one value per vertex.
-    # Slot values at a vertex differ by at most twice |(I - U) a|, which
-    # the kernel threshold bounds, so a loose tol widens this check too.
-    at_origin = a + a[:, graph.slot_reversal] * np.exp(1j * k[:, None] * graph.slot_length)
-    _, first_out = np.unique(graph.slot_origin, return_index=True)
-    jump = np.abs(at_origin - at_origin[:, first_out[graph.slot_origin]])
+    ab /= np.sqrt(0.5 * np.sum(ab**2, axis=1))[:, None]  # unit slot amplitudes
+    l2norm_sq = _l2_norm_sq(graph, ab, k)
+    phase = k[:, None] * graph.slot_length[0::2]
+    at_end = ab[:, 0::2] * np.cos(phase) + ab[:, 1::2] * np.sin(phase)
+    ends = graph.slot_origin[1::2]
+    values = np.empty((k.size, graph.num_vertices))
+    values[:, ends] = at_end
+    values[:, graph.slot_origin[0::2]] = ab[:, 0::2]
+    # each edge end against its vertex's value: they differ by a sum of
+    # continuity rows of A x, so a loose tol widens this check too
+    jump = np.abs(at_end - values[:, ends])
     broken = jump > np.maximum(CONTINUITY_TOL, 2.0 * threshold[local])[:, None]
     if np.any(broken):
-        row, slot = np.unravel_index(np.argmax(broken), jump.shape)
+        row, edge = np.unravel_index(np.argmax(broken), jump.shape)
         raise ContinuityViolation(
             f"eigenfunction at k={float(k[row])!r} takes inconsistent values "
-            f"at vertex {graph.slot_origin[slot]}"
+            f"at vertex {ends[edge]}"
         )
-    vertex_values = np.real(at_origin[:, first_out]) / np.sqrt(l2norm_sq)[:, None]
+    a = np.repeat(0.5 * (ab[:, 0::2] - 1j * ab[:, 1::2]), 2, axis=1)
+    a[:, 1::2] = np.exp(-1j * phase) * np.conj(a[:, 1::2])
+    vertex_values = values / np.sqrt(l2norm_sq)[:, None]
     return EigenBasis(spectrum, handed[local], k, a, residual, l2norm_sq, vertex_values)
 
 

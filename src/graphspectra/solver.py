@@ -13,7 +13,7 @@ Introduction to Quantum Graphs, ch. 3), where n_+ counts positive
 eigenvalues and M(k) is the real symmetric V x V vertex
 Dirichlet-to-Neumann matrix minus the couplings: M_vv = -sum k cot(k l_e)
 - sigma_v over the edges at v, M_uv = sum k / sin(k l_e) over the edges
-u-v, and a loop at v adds 2 k (1 - cos k l) / sin k l to M_vv.  This is
+u-v, and a loop at v adds 2 k tan(k l / 2) to M_vv.  This is
 the sign convention sum f'_out(v) = sigma f(v).  Every scan-grid point
 is counted this way, by one batched eigvalsh, and a count is used only
 with margin: every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2 (Weyl's
@@ -204,8 +204,8 @@ next to a Dirichlet pole no count has margin.  So the records of a join
 with such an end (every record of the Neumann interval, half of those of
 the Neumann equilateral star) fall back to the kernel-dimension rule, as
 do the records of a join of several (at a loose tol), whose count
-certifies only their sum.  The rule, _kernel_mismatch, is the one the
-eigenfunction module applies too: singular values of I - U(k) below
+certifies only their sum.  The rule, _kernel_mismatch, which the
+eigenfunction module applies to A(k) too: singular values of I - U(k) below
 1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold) count, a
 record is short when fewer than m count, and it has excess when more
 count than all the records place crossings within reach of it.  The
@@ -373,14 +373,17 @@ def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     """M(k) for a batch of wave numbers off the poles, shape (len(ks), V, V).
 
     Each edge u-v adds -k cot(k l) to M_uu and M_vv and k / sin(k l) to
-    M_uv and M_vu, so a loop at u adds 2 k (1 - cos k l) / sin k l to
-    M_uu; then sigma_v leaves M_vv.
+    M_uv and M_vu, and a loop at u their sum 2 k tan(k l / 2) to M_uu, in
+    that form: the four terms cancel two of size 2 / l, whose rounding
+    outgrows the inertia margin on a short loop.  sigma_v leaves M_vv.
     """
     ks = np.asarray(ks, dtype=float)
     n = graph.num_vertices
     x = ks[:, None] * graph.slot_length[None, 0::2]
     sin = np.sin(x)
-    diag, off = -ks[:, None] * np.cos(x) / sin, ks[:, None] / sin
+    loop = graph.slot_origin[0::2] == graph.slot_origin[1::2]
+    diag = np.where(loop, ks[:, None] * np.tan(0.5 * x), -ks[:, None] * np.cos(x) / sin)
+    off = np.where(loop, 0.0, ks[:, None] / sin)
     m = np.zeros((ks.size, n, n))
     for e, (u, v, _) in enumerate(graph.edges):
         m[:, u, u] += diag[:, e]
@@ -913,16 +916,16 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     )
 
 
-def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None) -> str | None:
+def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None, reach=None) -> str | None:
     """The kernel-dimension rule: why the first record (k, m) breaks it, or None.
 
     sv holds the singular values of I - U(k) per record; I - U is normal,
     so they are the distances |1 - exp(i theta_m)| of its eigenvalues
     from 1.  Every branch moves at least l_min per unit k, so a crossing
-    farther than reach = 2 threshold / l_min stays above the threshold.
-    The crossings within reach are counted among crossings, sorted, by
-    default those of the records given.  Windows that reach k = 0, where
-    U(0) has a larger kernel of its own, are not compared.
+    farther than reach = 2 threshold / l_min (unless given) stays above the
+    threshold.  The crossings within reach are counted among crossings,
+    sorted, by default those of the records given.  Windows that reach
+    k = 0, where U(0) has a larger kernel of its own, are not compared.
     """
     dims = np.sum(sv < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
@@ -932,7 +935,7 @@ def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None) -> str | N
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
             f"at k={float(ks[j])!r}"
         )
-    reach = 2.0 * threshold / graph.min_edge_length
+    reach = 2.0 * threshold / graph.min_edge_length if reach is None else reach
     if crossings is None:
         crossings = np.sort(np.repeat(ks, mults))
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(

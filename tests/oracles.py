@@ -191,6 +191,87 @@ def secular_function(u, theta, num_edges, num_vertices):
     return np.linalg.det(eye - u) * np.exp(-0.5j * np.asarray(theta)) * rotation
 
 
+def gauged_kernel(edges, coupled, sigma, k, m):
+    """Real eigenfunctions at a root k of multiplicity m as slot amplitudes,
+    from the complex kernel of I - U(k).
+
+    The kernel rows u are the conjugated right singular vectors of the m
+    smallest singular values of I - U(k).  The conjugation
+    (C a)_j = conj(a_rev(j)) exp(-ik l_j) maps the kernel onto itself and
+    squares to the identity, so the 2m vectors u + Cu and i(u - Cu) are
+    C-fixed.  Their real Gram matrix has eigenvalue 4 on the m combinations
+    that span the kernel and 0 on the rest; its top m eigenvectors, scaled
+    by 1 / sqrt(eigenvalue), give an orthonormal basis of C-fixed vectors,
+    whose eigenfunctions a_e exp(ikx) + a_rev(e) exp(ik(l - x)) are real.
+    Raises ValueError when a top eigenvalue is not above 3 (no real basis
+    of dimension m).  Returns the m rows.
+    """
+    u = unitary_matrix(edges, coupled, sigma, k)
+    n = len(u)
+    _, _, vh = np.linalg.svd(np.eye(n) - u)
+    kernel = np.conj(vh[n - m :])
+    lengths = np.repeat([length for _, _, length in edges], 2)
+    flip = np.conj(kernel[:, np.arange(n) ^ 1]) * np.exp(-1j * k * lengths)
+    fixed = np.concatenate([kernel + flip, 1j * (kernel - flip)])
+    lam, w = np.linalg.eigh((fixed.conj() @ fixed.T).real)
+    if lam[m] <= 3.0:
+        raise ValueError(f"no real basis of dimension {m} at k={k!r}")
+    return (w[:, m:].T @ fixed) / np.sqrt(lam[m:])[:, None]
+
+
+def slot_l2_gram(edges, k, rows):
+    """Real L2 inner products of the eigenfunctions with slot amplitude rows:
+    per edge, l (a_e b_e* + a_rev b_rev*) + (sin kl / k)(a_e b_rev* + a_rev b_e*)."""
+    gram = np.zeros((len(rows), len(rows)))
+    for t, (_, _, length) in enumerate(edges):
+        a, b = rows[:, 2 * t], rows[:, 2 * t + 1]
+        cross = math.sin(k * length) / k
+        gram += np.real(
+            length * (np.outer(a, a.conj()) + np.outer(b, b.conj()))
+            + cross * (np.outer(a, b.conj()) + np.outer(b, a.conj()))
+        )
+    return gram
+
+
+def slot_vertex_values(edges, k, rows):
+    """f(v) of real eigenfunctions with slot amplitude rows, as a dict over
+    the vertices: 2 Re a_j for the first slot j out of v."""
+    values = {}
+    for t, (u, v, _) in enumerate(edges):
+        values.setdefault(u, 2.0 * np.real(rows[:, 2 * t]))
+        values.setdefault(v, 2.0 * np.real(rows[:, 2 * t + 1]))
+    return values
+
+
+def eigenspace_vertex_weight(edges, coupled, sigma, vertices, k, m):
+    """(1/m) trace over the eigenspace at k of sum_{v in vertices} f(v)^2
+    for L2-normalized f: trace(G^-1 F) / m with G the L2 Gram matrix of
+    any basis of gauged_kernel and F_ij = sum_v f_i(v) f_j(v)."""
+    rows = gauged_kernel(edges, coupled, sigma, k, m)
+    values = slot_vertex_values(edges, k, rows)
+    f = np.array([values[v] for v in vertices]).reshape(len(vertices), m)
+    gram = slot_l2_gram(edges, k, rows)
+    return float(np.trace(np.linalg.solve(gram, f.T @ f))) / m
+
+
+def simple_root_moments(edges, coupled, sigma, ks, num_vertices):
+    """Means over simple roots ks of the normalized f(v)^2 per vertex, of
+    |a_j|^2 and of a_i conj(a_j), the slot amplitudes scaled so that
+    sum_e l_e (|a_e|^2 + |a_rev|^2) = 1.  Returns (vertex means, slot
+    means, |cross| matrix)."""
+    vertex, cross = np.zeros(num_vertices), 0.0
+    lengths = np.repeat([length for _, _, length in edges], 2)
+    for k in ks:
+        rows = gauged_kernel(edges, coupled, sigma, k, 1)
+        norm = slot_l2_gram(edges, k, rows)[0, 0]
+        values = slot_vertex_values(edges, k, rows)
+        vertex += np.array([values[v][0] ** 2 for v in range(num_vertices)]) / norm
+        scaled = rows[0] / math.sqrt(np.sum(lengths * np.abs(rows[0]) ** 2))
+        cross = cross + np.outer(scaled, scaled.conj())
+    cross = cross / len(ks)
+    return vertex / len(ks), np.real(np.diag(cross)), np.abs(cross)
+
+
 def robin_star_sensitivity(lengths, k):
     """d lambda / d sigma of a star coupled at the center, Neumann leaves.
 

@@ -415,6 +415,25 @@ class TestOutputDiscipline:
                             (columns[:2], [row[:2] for row in rows]), (columns, [])):
             assert cli._csv_text(cols, table) == value_by_value(cols, table)
 
+    def test_consecutive_runs_carry_no_state(self, capsys):
+        # one parser serves every run in a process; a run with --window
+        # must leave the default of the next run alone
+        args = ["rng", "--graph", str(FIXTURES / "star_incommensurate.json"), "--nmax", "30"]
+        runs = ([*args, "--window", "5"], args)
+        separate = [
+            subprocess.run(
+                [sys.executable, "-m", "graphspectra.cli", *run],
+                capture_output=True, check=True, cwd=SRC,
+            ).stdout
+            for run in runs
+        ]
+        together = []
+        for run in runs:
+            assert main(run) == 0
+            together.append(capsys.readouterr().out.encode())
+        assert together == separate
+        assert separate[0] != separate[1]
+
     def test_lf_line_endings(self, tmp_path):
         _, out = run_cli(
             ["spectrum", "--graph", str(FIXTURES / "interval.json"),

@@ -115,20 +115,21 @@ def test_zero_mode_has_no_row(unit_interval):
     assert rows.size == 0 and len(basis.record) == 0
 
 
-def test_kernel_without_a_real_gauge_raises(monkeypatch):
-    # D U D^-1 with D = diag(1, 1, i, i) moves the kernel of the path 0-1-2
-    # at pi / 2 off the real gauge: D_j D_rev(j) is 1 on one edge and -1 on
-    # the other, which carry equal weight, so no kernel direction is real
-    path = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
-    d = np.array([1.0, 1.0, 1j, 1j])
-    stack = solver.unitary_stack
-    monkeypatch.setattr(
-        solver,
-        "unitary_stack",
-        lambda *args: d[:, None] * stack(*args) * np.conj(d)[None, :],
-    )
-    with pytest.raises(KernelDimensionMismatch, match="real"):
-        eigenbasis(_one_record(path, math.pi / 2.0, 1), [0])
+def test_kernel_lost_at_the_record_raises(monkeypatch, star4):
+    # a planted fault: A(k) gains 1e-6 ||A|| along its kernel vector, so the
+    # record's singular value sits far above the kernel threshold
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=5)
+    build = solver._amplitude_matrices
+
+    def lifted(*args):
+        amp = build(*args)
+        u, s, vt = np.linalg.svd(amp)
+        return amp + 1e-6 * s[:, :1, None] * u[:, :, -1:] * vt[:, -1:, :]
+
+    assert eigenbasis(spec, [2]).residual.max() < 1e-12
+    monkeypatch.setattr(solver, "_amplitude_matrices", lifted)
+    with pytest.raises(KernelDimensionMismatch, match="below"):
+        eigenbasis(spec, [2])
 
 
 def test_l2_norm_against_quadrature(star4):

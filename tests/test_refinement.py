@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphspectra import solver
-from graphspectra.eigenfunctions import _conjugate_flip, eigenbasis, sensitivity
+from graphspectra.eigenfunctions import eigenbasis, sensitivity
 from graphspectra.errors import ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
@@ -26,7 +26,12 @@ from graphspectra.graphs import (
 )
 from graphspectra.scattering import total_phase_values, unitary_stack
 from graphspectra.stats import weyl_moments
-from oracles import amplitude_matrix, secular_function
+from oracles import (
+    amplitude_matrix,
+    eigenspace_vertex_weight,
+    secular_function,
+    simple_root_moments,
+)
 
 NEUMANN = RobinSpec.neumann()
 TWO_PI = 2.0 * math.pi
@@ -533,6 +538,14 @@ def _assert_winding_counts(graph, robin, spec):
 
 @given(awkward_graphs())
 @settings(max_examples=40, deadline=None)
+# a loop of length 1e-3: its M(k) entry as -2k cot(kl) + 2k / sin(kl)
+# rounded to the wrong side of zero at the ground state
+@example(
+    case=(
+        build_graph([(0, 1, 1.0), (0, 0, 0.001)], num_vertices=2),
+        RobinSpec(frozenset({0}), 0.001),
+    )
+)
 def test_records_carry_their_winding_count(case):
     graph, robin = case
     _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
@@ -662,8 +675,62 @@ def test_eigenfunctions_accept_the_certified_clusters(degree, u, steps, s, at_le
     weyl_moments(spec, 20)
     sensitivity(spec, np.arange(1, 21))
     basis = eigenbasis(spec, np.arange(len(spec.k)))
-    flipped = _conjugate_flip(graph, basis.a, basis.k[:, None])
+    # the conjugate flip (C a)_j = conj(a_rev(j)) exp(-ik l_j) fixes a real row
+    flipped = np.conj(basis.a[:, graph.slot_reversal]) * np.exp(
+        -1j * basis.k[:, None] * graph.slot_length
+    )
     assert np.max(np.abs(basis.a - flipped)) <= 1e-12
+
+
+def _assert_matches_the_complex_kernel(spec, n):
+    """sensitivity and weyl_moments over the first n eigenvalues against
+    the oracle on the complex kernel of I - U(k), to 1e-10 of the largest
+    value of each quantity."""
+    graph, robin = spec.graph, spec.robin
+    edges, vertices = list(graph.edges), robin.coupled_vertices(graph)
+    at = np.flatnonzero((spec.k > 0.0) & (spec.index <= n))
+    want = np.array([
+        eigenspace_vertex_weight(edges, robin.vertices, robin.sigma, vertices, k, m)
+        for k, m in zip(spec.k[at], spec.multiplicity[at])
+    ])
+    got = sensitivity(spec, spec.index[at]).value
+    assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max(initial=0.0))
+    simple = at[spec.multiplicity[at] == 1]
+    if simple.size == 0:
+        return
+    report = weyl_moments(spec, n)
+    assert report.n_used == simple.size
+    moments = simple_root_moments(
+        edges, robin.vertices, robin.sigma, spec.k[simple], graph.num_vertices
+    )
+    measured = (report.vertex_means, report.slot_means, np.abs(report.cross_matrix))
+    for got, want in zip(measured, moments):
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "neumann"])
+@pytest.mark.parametrize(
+    "name", ["interval", "star_equilateral", "star_incommensurate", "tetrahedron"]
+)
+def test_fixture_eigenfunctions_match_the_complex_kernel(name, coupled):
+    # sigma = 0 keeps the coupled set, so sensitivity reads the same vertices
+    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    if not coupled:
+        robin = RobinSpec(robin.vertices, 0.0)
+    _assert_matches_the_complex_kernel(solver.compute_spectrum(graph, robin, n_max=100), 100)
+
+
+@given(awkward_graphs(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
+    graph, robin = case
+    if not coupled:
+        robin = RobinSpec(robin.vertices, 0.0)
+    try:
+        spec = solver.compute_spectrum(graph, robin, n_max=12)
+    except ToleranceNotMet:
+        return
+    _assert_matches_the_complex_kernel(spec, 12)
 
 
 @given(awkward_graphs())

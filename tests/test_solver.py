@@ -319,3 +319,16 @@ def test_small_k_count_flips_at_the_rayleigh_wave_number(sigma):
     k_r = math.sqrt(sigma) * math.sqrt(4.0 / graph.total_length)
     assert solver._small_k_count(graph, robin, 0.999999 * k_r) == 0
     assert solver._small_k_count(graph, robin, 1.000001 * k_r) == 1
+
+
+def test_loop_entry_is_the_tangent_form():
+    # -2k cot(kl) + 2k / sin(kl) cancels two terms of size 2 / l; on a
+    # loop of length 1e-3 its rounding error, ~4e-13, outgrows the margin
+    # 64 V eps ||M|| that the inertia count relies on
+    graph = build_graph([(0, 1, 1.0), (0, 0, 0.001)], num_vertices=2)
+    robin = RobinSpec(frozenset({0}), 0.001)
+    for k in (0.031601720711095835, 0.5, 3.0):
+        m = solver._vertex_matrices(graph, robin, [k])[0]
+        want = -k / math.tan(k) + 2.0 * k * math.tan(0.0005 * k) - 0.001
+        assert m[0, 0] == pytest.approx(want, rel=1e-14, abs=1e-16)
+        assert m[0, 1] == m[1, 0] == pytest.approx(k / math.sin(k), rel=1e-15)
