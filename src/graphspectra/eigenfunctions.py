@@ -17,14 +17,10 @@ an inner product taking half the cross term from each of a_1 b_2 and a_2 b_1.
 The m vectors are orthonormalised in that Gram matrix: a trace over them,
 as in the basis average of sensitivity, is then basis free.
 
-Kernel rule.  Singular values count relative to ||A(k)||_2, below the
-threshold of the rule on I - U(k) over its norm 2, with ||A'|| / ||A||_2
-(bounded by _amplitude_slope) for the phase velocity: half of
-max(1e-8 sqrt(2E), 2 w ||A'|| / ||A||_2), w the stop width, twice what a
-root w / 2 off lifts the smallest one.  _kernel_mismatch then raises on a
-short or an excess kernel, with that rule's reach 2 kernel_threshold / l_min
-passed in: A has no bound of its own on how fast its singular values leave
-zero, and the chains that eigenbasis solves together share that reach.
+Kernel rule.  A short or an excess kernel raises KernelDimensionMismatch,
+by the solver's rule on the singular values of A(k) (_kernel_rule;
+"Certification" in its docstring), the one that certifies the records
+whose enclosures have no inertia margin.
 
 Each row also carries the unit-norm slot amplitudes of the plane-wave form
 f_t(x) = a_2t exp(ikx) + a_2t+1 exp(ik(l_t - x)) that evaluate,
@@ -45,14 +41,8 @@ from .errors import (
     KernelDimensionMismatch,
     OutOfRange,
 )
-from .graphs import MetricGraph, RobinSpec
-from .solver import (
-    KERNEL_SV_SCALE,
-    Spectrum,
-    _amplitude_layout,
-    _kernel_mismatch,
-    _stack_map,
-)
+from .graphs import MetricGraph
+from .solver import Spectrum, _kernel_rule, _stack_map
 
 __all__ = [
     "EigenBasis",
@@ -110,21 +100,6 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
     return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
-def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
-    """A bound on ||A'(k)||_2: the Frobenius norm of A', each entry bounded by
-    its terms, l_t through cos or sin k l_t and |w'| through a vertex weight w,
-    s^2 / r or s d^2 k / r with r = (d^2 k^2 + s^2)^(3/2) at coupling s."""
-    size, flat, src, weight, _ = _amplitude_layout(graph)
-    lengths = np.append(0.0, np.tile(graph.slot_length[0::2], 2))
-    d, s, k = graph.degrees, robin.vertex_sigmas(graph), ks[:, None]
-    r = (d * d * k * k + s * s) ** 1.5
-    moving = np.concatenate([np.zeros_like(k), s * s / r, s * d * d * k / r], axis=1)
-    terms = np.zeros((size * size, moving.shape[1]))
-    np.add.at(terms, (flat, weight), 1.0)
-    fixed = np.bincount(flat, weights=lengths[src], minlength=size * size)
-    return np.linalg.norm(fixed + moving @ terms.T, axis=1)
-
-
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real eigenfunctions of the records at positions records of the
     spectrum and of their chains: one SVD of A(k) per record, the rest
@@ -141,7 +116,7 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     reach = 2.0 * threshold / graph.min_edge_length
     chain = np.cumsum(np.diff(all_ks[positive], prepend=-np.inf) > reach.max(initial=0.0))
     chained = np.isin(chain, chain[np.isin(positive, records)])
-    handed, threshold, reach = positive[chained], threshold[chained], reach[chained]
+    handed, threshold = positive[chained], threshold[chained]
     ks, mults = all_ks[handed], all_mults[handed]
     # (A_0, B_0, A_1, B_1, ...) from the columns: f(v) per starting vertex, B_t
     starts, start_column = np.unique(graph.slot_origin[0::2], return_inverse=True)
@@ -156,14 +131,12 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
             _, sv[i], vt[i] = np.linalg.svd(m)
         return sv, vt
 
-    # looked up at each call, like _stack_map's U(k), so a wrapper sees it
+    # looked up at each call, so that a wrapper on the module attribute sees it
     sv, vt = _stack_map(graph, robin, ks, decompose, build=solver._amplitude_matrices)
-    slope = spectrum.stop_width(ks) * _amplitude_slope(graph, robin, ks) / sv[:, 0]
-    kernel = np.maximum(0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots), slope)
-    sv = sv / sv[:, :1]  # relative to ||A(k)||_2
-    mismatch = _kernel_mismatch(graph, ks, mults, sv, kernel, reach=reach)
+    mismatch = _kernel_rule(graph, robin, ks, mults, sv, spectrum.radius[handed], spectrum.tol)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
+    sv = sv / sv[:, :1]  # relative to ||A(k)||_2
 
     local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults

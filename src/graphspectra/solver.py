@@ -181,7 +181,8 @@ Records.  Roots merge by single linkage on the merge radius, 1e-9
 velocity: a chain of roots, each within the radius of the root below
 it, is one record at its multiplicity-weighted mean, provided every root
 of the chain lies within the radius of that mean, so that the record's
-kernel holds them all.  A chain whose mean misses one of its roots
+kernel holds them all.  No chain crosses a grid point, where the audit
+below counts the records.  A chain whose mean misses one of its roots
 splits at its widest gap, and each part is judged again, down to single
 roots, so a double root in a longer chain stays one record.
 
@@ -202,28 +203,32 @@ within rho of k.  A count off by one either way raises, as "below" or
 "above" the multiplicity.  An end without margin decides nothing, and
 next to a Dirichlet pole no count has margin.  So the records of a join
 with such an end (every record of the Neumann interval, half of those of
-the Neumann equilateral star) fall back to the kernel-dimension rule, as
-do the records of a join of several (at a loose tol), whose count
-certifies only their sum.  The rule, _kernel_mismatch, which the
-eigenfunction module applies to A(k) too: singular values of I - U(k) below
-1e-8 sqrt(2E) (widened for a loose tol by _kernel_threshold) count, a
-record is short when fewer than m count, and it has excess when more
-count than all the records place crossings within reach of it.  The
-enclosure is the stronger certificate: it places exactly m eigenvalues
-within rho of k, and rho, 1e-12 (1 + k) at the default tol, lies far
-inside the threshold over the branch velocity, the distance within which
-the rule places them.  A record that falls back keeps its radius on the
-certificate of its refinement bracket: the winding and inertia counts
-at the ends of a counted split, or for a polished root the signs of
-det A that the inertia parity predicts.  The one exception is a bracket
-polished on rounding noise beside a multiple root (see Polish), whose
-root only the rule and the audit below check.  Then the records must count exactly the inertia
-count N(k) at every grid point, scan and quarter points alike.
+the Neumann equilateral star) fall back to the kernel rule, as do the
+records of a join of several (at a loose tol), whose count certifies
+only their sum.  The rule, _kernel_rule, which the eigenfunction module
+applies too: singular values of A(k) over ||A(k)||_2 below half of
+max(1e-8 sqrt(2E), 2 (w + 2 s) ||A'(k)|| / ||A(k)||_2) count, twice what
+a root w / 2 + s off lifts the smallest one, w the stop width and s the
+spread (rho - w where rho is above its floor, else 0, and at most
+MERGE_SCALE (1 + k)).  A record is short when fewer than m count, and it
+has excess when more count than all the records place crossings within
+reach of it.  A gives no speed at which its singular values leave zero,
+so the reach is the eigenphases': every branch of U(k) moves at least
+l_min per unit k, and reach = 2 kernel_threshold / l_min.  The enclosure
+is the stronger certificate: it places exactly m eigenvalues within rho
+of k, and rho, 1e-12 (1 + k) at the default tol, lies far inside the
+reach.  A record that falls back keeps its radius on the certificate of
+its refinement bracket: the winding and inertia counts at the ends of a
+counted split, or for a polished root the signs of det A that the
+inertia parity predicts.  The one exception is a bracket polished on
+rounding noise beside a multiple root (see Polish), whose root only the
+rule and the audit below check.  Then the records must count exactly
+the inertia count N(k) at every grid point, scan and quarter points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -326,22 +331,20 @@ class Spectrum:
         return _stop_width(ks, self.tol)
 
     def kernel_threshold(self, ks: np.ndarray) -> np.ndarray:
-        """Singular values of I - U(k) below this count toward dim ker."""
+        """Eigenphase scale of the kernel rule's reach and the merge cap."""
         return _kernel_threshold(self.graph, self.robin, ks, self.tol)
 
 
-def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build=None):
+def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build):
     """fn(build(batch)) over slices of at most LAPACK_CHUNK wave numbers.
 
-    build is _vertex_matrices (M), _amplitude_matrices (A) or, by default,
-    unitary_stack (U), looked up at each call so that a wrapper on the
-    module attribute sees it.  The results are joined along the first
-    axis, element by element when fn returns a tuple.  Every batched
-    decomposition over wave numbers in the package goes through here,
-    which bounds the stacks it builds.
+    build is _vertex_matrices (M), _amplitude_matrices (A) or unitary_stack
+    (U), named at each call so that a wrapper on the module attribute sees
+    it.  The results are joined along the first axis, element by element
+    when fn returns a tuple.  Every batched decomposition over wave numbers
+    in the package goes through here, which bounds the stacks it builds.
     """
     ks = np.asarray(ks, dtype=float)
-    build = unitary_stack if build is None else build
     parts = [
         fn(build(graph, robin, batch))
         for batch in (
@@ -366,6 +369,7 @@ def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
         robin,
         ks,
         lambda u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
+        build=unitary_stack,
     )
 
 
@@ -585,6 +589,21 @@ def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     at = np.arange(ks.size)[:, None] * (n * n) + flat
     out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
     return out.reshape(-1, n, n)
+
+
+def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
+    """A bound on ||A'(k)||_2: the Frobenius norm of A', each entry bounded by
+    its terms, l_t through cos or sin k l_t and |w'| through a vertex weight w,
+    s^2 / r or s d^2 k / r with r = (d^2 k^2 + s^2)^(3/2) at coupling s."""
+    size, flat, src, weight, _ = _amplitude_layout(graph)
+    lengths = np.append(0.0, np.tile(graph.slot_length[0::2], 2))
+    d, s, k = graph.degrees, robin.vertex_sigmas(graph), ks[:, None]
+    r = (d * d * k * k + s * s) ** 1.5
+    moving = np.concatenate([np.zeros_like(k), s * s / r, s * d * d * k / r], axis=1)
+    terms = np.zeros((size * size, moving.shape[1]))
+    np.add.at(terms, (flat, weight), 1.0)
+    fixed = np.bincount(flat, weights=lengths[src], minlength=size * size)
+    return np.linalg.norm(fixed + moving @ terms.T, axis=1)
 
 
 def _amplitude_dets(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
@@ -850,10 +869,10 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
     return np.asarray(roots), np.asarray(mults, dtype=int)
 
 
-def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
-    """Records from roots by single linkage on their merge radii, a chain
-    whose mean misses one of its roots split at its widest gap until every
-    part's mean holds its roots; see "Records" in the module docstring.
+def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray, grid):
+    """Records from roots by single linkage on their merge radii, cut at
+    every point of grid, a chain whose mean misses one of its roots split at
+    its widest gap until every part's mean holds its roots; see "Records".
 
     Returns the records' wave numbers and multiplicities, and their
     spreads: the largest distance from a record to a root merged into it.
@@ -863,7 +882,8 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
     order = np.argsort(roots)
     roots, mults, radii = roots[order], mults[order], radii[order]
     gap = np.diff(roots, prepend=-np.inf)
-    new_chain = gap > radii
+    # a root in another grid cell than the root below it starts a chain
+    new_chain = (gap > radii) | (np.diff(np.searchsorted(grid, roots), prepend=-1) != 0)
     while True:
         starts = np.flatnonzero(new_chain)
         chain = np.cumsum(new_chain) - 1
@@ -884,12 +904,10 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray):
 
 
 def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
-    """Singular values of I - U(k) below this count toward dim ker.
-
-    A reported root sits up to half a stop width from the true root,
-    which lifts the kernel singular values by roughly that distance
-    times the branch phase velocity; the threshold widens accordingly
-    so loose user tolerances do not trip the dimension checks.
+    """Eigenphase scale of the kernel rule's reach, the merge cap and the
+    continuity tolerance of eigenfunctions: max(1e-8 sqrt(2E), 2 w Theta'(k)),
+    w the stop width.  A root reported w / 2 off moves its eigenphase by up
+    to that times the branch velocity, so a loose tol widens the scale.
     """
     return np.maximum(
         KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
@@ -899,8 +917,8 @@ def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
 
 def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     """MERGE_SCALE (1 + k), capped at the kernel threshold over the largest
-    branch velocity, so that a merged record's mean stays inside the kernel
-    the audit measures.
+    branch velocity: no eigenphase of U(k) moves by more than the threshold
+    between a merged root and its record's mean, well inside the reach.
 
     A branch of U(k) moves at most l_max plus the phase velocity of the
     coupled vertex factor, 2 sigma d / (d^2 k^2 + sigma^2), per unit k.
@@ -916,17 +934,12 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     )
 
 
-def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None, reach=None) -> str | None:
-    """The kernel-dimension rule: why the first record (k, m) breaks it, or None.
-
-    sv holds the singular values of I - U(k) per record; I - U is normal,
-    so they are the distances |1 - exp(i theta_m)| of its eigenvalues
-    from 1.  Every branch moves at least l_min per unit k, so a crossing
-    farther than reach = 2 threshold / l_min (unless given) stays above the
-    threshold.  The crossings within reach are counted among crossings,
-    sorted, by default those of the records given.  Windows that reach
-    k = 0, where U(0) has a larger kernel of its own, are not compared.
-    """
+def _kernel_mismatch(ks, mults, sv, threshold, reach, crossings=None) -> str | None:
+    """The kernel-dimension count: why the first record (k, m) breaks it, or
+    None.  Singular values sv below threshold count: fewer than m is short,
+    more than the crossings (sorted, by default the records') within reach
+    of k is excess, unless the reach spans k = 0, where the secular system
+    has a larger kernel of its own."""
     dims = np.sum(sv < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
     if short.size:
@@ -935,7 +948,6 @@ def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None, reach=None
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
             f"at k={float(ks[j])!r}"
         )
-    reach = 2.0 * threshold / graph.min_edge_length if reach is None else reach
     if crossings is None:
         crossings = np.sort(np.repeat(ks, mults))
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
@@ -951,6 +963,21 @@ def _kernel_mismatch(graph, ks, mults, sv, threshold, crossings=None, reach=None
     return None
 
 
+def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> str | None:
+    """The kernel rule on the singular values sv of A(k) per record, largest
+    first ("Certification" in the module docstring): why the first record
+    (k, m) breaks it, or None.  Where a record's radius is above its floor,
+    radius - width is the spread of the roots merged into it."""
+    width = _stop_width(ks, tol)
+    merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
+    spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
+    norm = sv[:, :1]
+    slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm[:, 0]
+    threshold = 0.5 * np.maximum(KERNEL_SV_SCALE * np.sqrt(graph.num_slots), 2.0 * slope)
+    reach = 2.0 * _kernel_threshold(graph, robin, ks, tol) / graph.min_edge_length
+    return _kernel_mismatch(ks, mults, sv / norm, threshold, reach, crossings)
+
+
 def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
     """Raise ToleranceNotMet unless every record (k, m), ascending, is
     certified; see "Certification" in the module docstring.
@@ -959,8 +986,8 @@ def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
     whose ends both count with margin must count the sum of its
     multiplicities between them, in one batched _inertia_counts.  The
     records of a join without margin, or of one with several records,
-    meet the kernel-dimension rule on the singular values of I - U(k),
-    against every record's crossings.
+    meet the kernel rule on the singular values of A(k), against every
+    record's crossings.
     """
     if ks.size == 0:
         return
@@ -988,13 +1015,10 @@ def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
     at = np.flatnonzero(~(margin & alone)[np.cumsum(first) - 1])
     if at.size == 0:
         return
-    eye = np.eye(graph.num_slots)
-    sv = _stack_map(
-        graph, robin, ks[at], lambda u: np.linalg.svd(eye - u, compute_uv=False)
-    )
-    threshold = _kernel_threshold(graph, robin, ks[at], tol)
+    svd = partial(np.linalg.svd, compute_uv=False)
+    sv = _stack_map(graph, robin, ks[at], svd, build=_amplitude_matrices)
     crossings = np.repeat(ks, mults)
-    mismatch = _kernel_mismatch(graph, ks[at], mults[at], sv, threshold, crossings)
+    mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], tol, crossings)
     if mismatch:
         raise ToleranceNotMet(mismatch)
 
@@ -1109,7 +1133,7 @@ def compute_spectrum(
     roots = np.concatenate([below, roots])
     mults = np.concatenate([np.ones(len(below), dtype=int), mults])
     radii = _merge_radius(graph, robin, roots, tol)
-    roots, mults, spread = _merge_roots(roots, mults, radii)
+    roots, mults, spread = _merge_roots(roots, mults, radii, grid)
     radius = np.maximum(_stop_width(roots, tol) + spread, RADIUS_FLOOR * (1.0 + roots))
     _certify_records(graph, robin, roots, mults, radius, tol)
 

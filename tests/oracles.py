@@ -191,6 +191,32 @@ def secular_function(u, theta, num_edges, num_vertices):
     return np.linalg.det(eye - u) * np.exp(-0.5j * np.asarray(theta)) * rotation
 
 
+def complex_kernel_mismatch(u, ks, mults, threshold, reach):
+    """The kernel rule on I - U(k): why the first record (k, m) breaks it,
+    or None.
+
+    u is a stack of U(k), one per record.  I - U is normal, so its singular
+    values are the distances |1 - exp(i theta)| of the eigenvalues of U(k)
+    from 1, and those below threshold count toward the kernel dimension.  A
+    record is short when fewer than m count.  It has excess when more count
+    than the records place crossings within reach of k; records within reach
+    of k = 0 are not judged for excess.
+    """
+    ks = [float(k) for k in ks]
+    u = np.asarray(u)
+    sv = np.linalg.svd(np.eye(u.shape[-1]) - u, compute_uv=False)
+    dims = [int(np.sum(row < t)) for row, t in zip(sv, threshold)]
+    for k, m, dim in zip(ks, mults, dims):
+        if dim < m:
+            return f"kernel dimension {dim} below crossing count {m} at k={k!r}"
+    crossings = np.repeat(ks, mults)
+    for k, dim, r in zip(ks, dims, reach):
+        nearby = int(np.sum(np.abs(crossings - k) <= r))
+        if k > r and dim > nearby:
+            return f"kernel dimension {dim} above {nearby} crossings within {r:.3g} of k={k!r}"
+    return None
+
+
 def gauged_kernel(edges, coupled, sigma, k, m):
     """Real eigenfunctions at a root k of multiplicity m as slot amplitudes,
     from the complex kernel of I - U(k).

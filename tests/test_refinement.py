@@ -28,6 +28,7 @@ from graphspectra.scattering import total_phase_values, unitary_stack
 from graphspectra.stats import weyl_moments
 from oracles import (
     amplitude_matrix,
+    complex_kernel_mismatch,
     eigenspace_vertex_weight,
     secular_function,
     simple_root_moments,
@@ -256,6 +257,32 @@ def test_merged_records_stay_inside_the_audited_kernel():
     assert np.diff(spec.k[near])[0] == pytest.approx(5.0e-8, rel=0.01)
 
 
+def test_merge_chains_stop_at_grid_points():
+    # two roots about 3e-8 apart on either side of a quarter point near
+    # k = 50.45193 made one chain, and the records then counted one
+    # eigenvalue too many up to that point
+    graph = make_star(
+        5,
+        (
+            0.5915557211791358,
+            0.5915557330102503,
+            0.5915557217706916,
+            0.5915557211791358,
+            0.5915557214749136,
+        ),
+    )
+    robin = RobinSpec(frozenset({0}), 0.0025271881091369704)
+    for target in ({"n_max": 50}, {"n_max": 80}, {"k_max": 60.0}):
+        spec = solver.compute_spectrum(graph, robin, **target)
+        near = np.abs(spec.k - 50.45193) < 1e-5
+        assert spec.multiplicity[near].tolist() == [1, 2, 1], target
+    # two roots within each other's merge radius stay apart across a point
+    roots, mults, radii = np.array([1.0, 1.0 + 2e-10]), np.ones(2, dtype=int), np.full(2, 1e-9)
+    assert solver._merge_roots(roots, mults, radii, np.array([0.0, 2.0]))[1].tolist() == [2]
+    split = solver._merge_roots(roots, mults, radii, np.array([0.0, 1.0 + 1e-10, 2.0]))
+    assert split[1].tolist() == [1, 1]
+
+
 def test_window_counts_off_an_integer_raise():
     with pytest.raises(ToleranceNotMet, match="away from an integer"):
         solver._window_counts(np.array([TWO_PI * 1.3]), np.array([0.0]))
@@ -374,7 +401,7 @@ def test_kernel_audit_reports_excess_dimension(equilateral_star, monkeypatch):
     monkeypatch.setattr(
         solver,
         "_merge_roots",
-        lambda roots, mults, radii: merge(roots, np.ones_like(mults), radii),
+        lambda roots, mults, radii, grid: merge(roots, np.ones_like(mults), radii, grid),
     )
     with pytest.raises(ToleranceNotMet, match="above"):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
@@ -386,8 +413,8 @@ def _planted_record(monkeypatch, at, shift=0.0, extra=0):
     multiplicity."""
     merge = solver._merge_roots
 
-    def planted(roots, mults, radii):
-        mean, total, spread = merge(roots, mults, radii)
+    def planted(roots, mults, radii, grid):
+        mean, total, spread = merge(roots, mults, radii, grid)
         mean, total = mean.copy(), total.copy()
         rho = max(
             float(solver._stop_width(mean[at], None)) + spread[at],
@@ -434,7 +461,7 @@ def test_planted_multiplicity_on_a_pole_meets_the_kernel_audit(
 ):
     # the Neumann interval's roots k = pi n all sit on Dirichlet poles,
     # where no inertia count has margin: each record falls back to the
-    # SVD of I - U(k), whose one-dimensional kernel is below the two
+    # SVD of A(k), whose one-dimensional kernel is below the two
     # crossings claimed
     matrices = _count_matrices(monkeypatch, "svd")
     _planted_record(monkeypatch, 3, extra=1)
@@ -463,9 +490,9 @@ def test_joined_enclosures_count_the_sum_of_their_records(star4, monkeypatch):
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
 def test_enclosures_leave_few_records_to_the_audit_svd(name, monkeypatch):
-    # the SVD of I - U(k) audited every record; now only records whose
-    # enclosure ends have no margin reach it: 2 of 300 on the star and 1
-    # on the tetrahedron, at their own couplings
+    # only records whose enclosure ends have no margin reach the audit
+    # SVD: 2 of 300 on the star and 1 on the tetrahedron, at their own
+    # couplings
     graph, robin = load_graph_file(FIXTURES / f"{name}.json")
     matrices = _count_matrices(monkeypatch, "svd")
     spec = solver.compute_spectrum(graph, robin, n_max=300)
@@ -733,13 +760,17 @@ def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     _assert_matches_the_complex_kernel(spec, 12)
 
 
-@given(awkward_graphs())
+@given(awkward_graphs(), st.integers(0, 63))
 @settings(max_examples=40, deadline=None)
-def test_enclosures_agree_with_the_kernel_audit_across_couplings(case):
+def test_enclosures_agree_with_the_kernel_audit_across_couplings(case, pick):
     # sigma log-uniform in [1e-8, 1e6] moves records onto and off the
-    # Dirichlet poles.  A spectrum that comes out passes the kernel audit
-    # over all its records, and every record whose enclosure has margin
-    # and meets no other holds its multiplicity in it.
+    # Dirichlet poles.  A spectrum that comes out passes the kernel rule on
+    # A(k) and the oracle's on I - U(k) over all its records, and both
+    # refuse a crossing planted on a record alone in its reach or taken
+    # from a multiple one.  (A record shares its kernel with any other
+    # within its reach, where a planted fault need not show.)
+    # Every record whose enclosure has margin and meets no other holds its
+    # multiplicity in it.
     graph, robin = case
     try:
         spec = solver.compute_spectrum(graph, robin, n_max=12)
@@ -747,9 +778,26 @@ def test_enclosures_agree_with_the_kernel_audit_across_couplings(case):
         return
     positive = spec.k > 0.0
     ks, mults, rho = spec.k[positive], spec.multiplicity[positive], spec.radius[positive]
-    eye = np.eye(graph.num_slots)
-    sv = np.linalg.svd(eye - unitary_stack(graph, robin, ks), compute_uv=False)
-    assert solver._kernel_mismatch(graph, ks, mults, sv, spec.kernel_threshold(ks)) is None
+    sv = np.linalg.svd(solver._amplitude_matrices(graph, robin, ks), compute_uv=False)
+    u = unitary_stack(graph, robin, ks)
+    threshold = spec.kernel_threshold(ks)
+    reach = 2.0 * threshold / graph.min_edge_length
+
+    def verdicts(claimed):
+        return (
+            solver._kernel_rule(graph, robin, ks, claimed, sv, rho, spec.tol),
+            complex_kernel_mismatch(u, ks, claimed, threshold, reach),
+        )
+
+    assert verdicts(mults) == (None, None)
+    gaps = np.diff(ks)
+    single = (np.append(np.inf, gaps) > reach) & (np.append(gaps, np.inf) > reach)
+    single &= ks > reach
+    for delta, at in ((1, np.flatnonzero(single)), (-1, np.flatnonzero(single & (mults > 1)))):
+        if at.size:
+            claimed = mults.copy()
+            claimed[at[pick % at.size]] += delta
+            assert None not in verdicts(claimed), claimed
     lo, hi = ks - rho, ks + rho
     alone = (lo > 0.0) & (lo > np.append(-np.inf, hi[:-1]))
     alone &= hi < np.append(lo[1:], np.inf)
