@@ -185,8 +185,8 @@ def _require_index_target(config: RunConfig) -> None:
 def cmd_spectrum(config: RunConfig) -> Table:
     graph, robin = _load(config)
     spectrum = _spectrum(graph, robin, config)
-    # an n_max spectrum ends at the first scan point counting n_max, and
-    # the cell below it can hold more; clip the table
+    # an n_max spectrum ends at a scan point counting n_max or more; clip
+    # the table
     limit = None if config.k_max is not None else config.target_n
     ks = spectrum.wavenumbers(limit).tolist()
     mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity).tolist()

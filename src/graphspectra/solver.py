@@ -24,6 +24,22 @@ up by a sixteenth of the cell above it at a time, at most GRID_MOVES
 times; a scan point that finds none raises ToleranceNotMet, and a
 quarter point (below) is dropped.  No count is rounded without margin.
 
+Pendant vertices.  P holds the vertices of degree 1 (of an isolated
+edge, one end), so M_PP is diagonal: d_v = -(k cos kl + sigma_v sin kl)
+/ sin kl, l the length of v's edge.  By Haynsworth's inertia additivity
+(E. V. Haynsworth, Linear Algebra Appl. 1 (1968) 73-81), n_+(M) =
+#{v in P : d_v > 0} + n_+(M~), M~ the Schur complement of M_PP: M on the
+other vertices, with each pendant edge's -k cot kl at its neighbour
+replaced by the stub term k (k sin kl - sigma_v cos kl) / (k cos kl +
+sigma_v sin kl), k tan kl at a Neumann leaf.  This closed form avoids the
+cancellation of two terms of size 1 / l at small kl.  A star's M~ is
+1 x 1.  Its count has margin where, besides the pole margin, every
+|k cos kl + sigma_v sin kl| exceeds 64 eps (1 + kl)(k + sigma_v), a
+first-order bound on its rounding and on that of k sin kl - sigma_v
+cos kl, and the eigenvalues of M~ pass the rule above with the stub
+terms' first-order errors added.  A count that has the pole margin but
+misses these is taken on the full M(k) instead.
+
 The anchor.  Near k = 0 the row sums of M are differences of entries of
 size 1 / (k l), so eigvalsh cannot resolve the lowest eigenvalue of M.
 The congruent C = T^T M T with T = [1, e_2, ..., e_V] has the same
@@ -171,10 +187,12 @@ below every positive eigenvalue,
 
 so a single scan to k = pi (n_max + 2E + 8) / |G| certifies n_max
 eigenvalues; a scan that certifies fewer raises.  The margin raise and
-the count-fall check cover the whole scan, but only the cells up to the
-first scan point whose count reaches n_max are quartered, refined,
-audited and recorded, and that point is k_cap.  The scan grid is the
-same for every target, so k_cap does not depend on the bound.
+the count-fall check cover the whole scan, but only the cells up to k_cap
+are quartered, refined, audited and recorded: the first scan point whose
+count reaches n_max with no eigenvalue within the kernel reach
+(Certification) above it, so no record's kernel rule meets an unrefined
+root.  The scan grid is the same for every target, so k_cap does not
+depend on the bound.
 
 Records.  Roots merge by single linkage on the merge radius, 1e-9
 (1 + k) capped at the kernel threshold over the largest branch
@@ -272,9 +290,10 @@ class Spectrum:
 
     One record per distinct wave number, as read-only arrays: a record with multiplicity[i] = m at k[i] owns the m consecutive
     eigenvalue indices starting at index[i].  k_cap is k_max, or for an
-    n_max target the first scan point whose inertia count reaches n_max;
-    every eigenvalue at or below k_cap appears, so an n_max spectrum can
-    hold a few more than n_max.  tol is the refinement tolerance the
+    n_max target the first scan point whose inertia count reaches n_max
+    with no eigenvalue within the kernel reach above it; every eigenvalue
+    at or below k_cap appears, so an n_max spectrum can hold a few more
+    than n_max.  tol is the refinement tolerance the
     records were computed with (None for the default stop width);
     stop_width and kernel_threshold give the accuracy model it sets.
     radius[i] bounds the distance from k[i] to its roots: the stop width
@@ -335,8 +354,9 @@ class Spectrum:
         return _kernel_threshold(self.graph, self.robin, ks, self.tol)
 
 
-def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build):
-    """fn(build(batch)) over slices of at most LAPACK_CHUNK wave numbers.
+def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build, *along):
+    """fn(build(graph, robin, batch, *rows)) over slices of at most
+    LAPACK_CHUNK wave numbers, rows the batch's rows of each array in along.
 
     build is _vertex_matrices (M), _amplitude_matrices (A) or unitary_stack
     (U), named at each call so that a wrapper on the module attribute sees
@@ -346,9 +366,9 @@ def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build):
     """
     ks = np.asarray(ks, dtype=float)
     parts = [
-        fn(build(graph, robin, batch))
+        fn(build(graph, robin, ks[batch], *(a[batch] for a in along)))
         for batch in (
-            ks[start : start + LAPACK_CHUNK]
+            slice(start, start + LAPACK_CHUNK)
             for start in range(0, max(ks.size, 1), LAPACK_CHUNK)
         )
     ]
@@ -373,8 +393,59 @@ def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     )
 
 
-def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
-    """M(k) for a batch of wave numbers off the poles, shape (len(ks), V, V).
+@lru_cache(maxsize=1)
+def _pendant_edges(graph: MetricGraph):
+    """Edges, lengths, pendant ends and other ends of the pendant vertices P:
+    degree 1 (a loop counts 2), of an isolated edge the end with the larger
+    id.  Read-only, as every caller of the cache shares them."""
+    u, v, degree = graph.slot_origin[0::2], graph.slot_origin[1::2], graph.degrees
+    at_v = (degree[v] == 1) & ((degree[u] > 1) | (v > u))
+    at_u = (degree[u] == 1) & ~at_v
+    edges = np.flatnonzero(at_u | at_v)
+    out = (
+        edges,
+        graph.slot_length[0::2][edges],
+        np.where(at_v, v, u)[edges],
+        np.where(at_v, u, v)[edges],
+    )
+    for column in out:
+        column.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=2)
+def _vertex_layout(graph: MetricGraph, reduced: bool):
+    """Size of M(k), or with reduced of M~(k), its edge lengths, half loop
+    lengths and kept vertices, and how its entries sum the values of
+    _vertex_matrices: each term's value index sorted by entry, where each
+    entry's terms start, and the entries."""
+    edges, _, pendant, neighbour = _pendant_edges(graph) if reduced else ([],) * 4
+    u, v = graph.slot_origin[0::2], graph.slot_origin[1::2]
+    link, keep = u != v, np.ones(graph.num_vertices, dtype=bool)
+    link[edges], keep[pendant] = False, False
+    links, loops, kept = np.flatnonzero(link), np.flatnonzero(u == v), np.flatnonzero(keep)
+    n, index = kept.size, np.cumsum(keep) - 1
+    u, v, w = index[u[links]], index[v[links]], index[u[loops]]
+    b = index[np.asarray(neighbour, dtype=int)]
+    j, m = np.arange(links.size), links.size
+    # a loop's term enters twice, once from each of its slots
+    loop, stub = 2 * m + np.arange(w.size).repeat(2), 2 * m + w.size + np.arange(b.size)
+    value = np.concatenate([j, j, m + j, m + j, loop, stub])
+    entry = np.concatenate(
+        [u * (n + 1), v * (n + 1), u * n + v, v * n + u, w.repeat(2) * (n + 1), b * (n + 1)]
+    )
+    order = np.argsort(entry, kind="stable")
+    entries, starts = np.unique(entry[order], return_index=True)
+    lengths = graph.slot_length[0::2]
+    out = (n, lengths[links], 0.5 * lengths[loops], kept, value[order], starts, entries)
+    for column in out[1:]:
+        column.flags.writeable = False
+    return out
+
+
+def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks, stubs=None) -> np.ndarray:
+    """M(k) for a batch of wave numbers off the poles, shape (len(ks), V, V),
+    or given the stub terms (a column per pendant vertex), M~(k).
 
     Each edge u-v adds -k cot(k l) to M_uu and M_vv and k / sin(k l) to
     M_uv and M_vu, and a loop at u their sum 2 k tan(k l / 2) to M_uu, in
@@ -382,36 +453,76 @@ def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     outgrows the inertia margin on a short loop.  sigma_v leaves M_vv.
     """
     ks = np.asarray(ks, dtype=float)
-    n = graph.num_vertices
-    x = ks[:, None] * graph.slot_length[None, 0::2]
+    n, links, half_loops, kept, value, starts, entries = _vertex_layout(graph, stubs is not None)
+    k = ks[:, None]
+    x = k * links
     sin = np.sin(x)
-    loop = graph.slot_origin[0::2] == graph.slot_origin[1::2]
-    diag = np.where(loop, ks[:, None] * np.tan(0.5 * x), -ks[:, None] * np.cos(x) / sin)
-    off = np.where(loop, 0.0, ks[:, None] / sin)
-    m = np.zeros((ks.size, n, n))
-    for e, (u, v, _) in enumerate(graph.edges):
-        m[:, u, u] += diag[:, e]
-        m[:, v, v] += diag[:, e]
-        m[:, u, v] += off[:, e]
-        m[:, v, u] += off[:, e]
-    m[:, np.arange(n), np.arange(n)] -= robin.vertex_sigmas(graph)
+    values = np.concatenate(
+        [
+            -k * np.cos(x) / sin,
+            k / sin,
+            k * np.tan(k * half_loops),
+            np.empty((ks.size, 0)) if stubs is None else stubs,
+        ],
+        axis=1,
+    )
+    m = np.zeros((ks.size, n * n))
+    m[:, entries] = np.add.reduceat(values[:, value], starts, axis=1)
+    m = m.reshape(-1, n, n)
+    m[:, np.arange(n), np.arange(n)] -= robin.vertex_sigmas(graph)[kept]
     return m
 
 
-def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
-    """N(k) by the Morse index of M(k), and whether each count has margin.
+def _morse_index(graph: MetricGraph, robin: RobinSpec, ks, *stubs, noise=0.0):
+    """n_+ of M(k), or of M~(k) given the stub terms, and whether each has
+    margin: every |mu_j| above INERTIA_MARGIN V eps ||.||_2 + noise."""
+    mu = _stack_map(graph, robin, ks, np.linalg.eigvalsh, _vertex_matrices, *stubs)
+    size = np.abs(mu)
+    bound = INERTIA_MARGIN * graph.num_vertices * EPS * size.max(axis=1) + noise
+    return np.count_nonzero(mu > 0.0, axis=1), size.min(axis=1) > bound
 
-    See "Counting" in the module docstring.  floor(k l_e / pi) is exact
-    where |sin k l_e| exceeds 2 eps k l_e, which the pole margin includes.
+
+def _pendant_index(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray):
+    """n_+(M(k)) as #{v in P : d_v > 0} + n_+(M~(k)), and whether it has
+    margin ("Pendant vertices" in the module docstring)."""
+    _, lengths, pendant, _ = _pendant_edges(graph)
+    if not pendant.size:
+        return _morse_index(graph, robin, ks)  # M~ is M
+    k = ks[:, None]
+    x = k * lengths
+    c, s, sigma = np.cos(x), np.sin(x), robin.vertex_sigmas(graph)[pendant]
+    g = k * c + sigma * s  # -d_v sin kl
+    # rounding of g and of k sin - sigma cos: eps times their terms, and
+    # eps kl times their slopes in kl, each the other one
+    noise = INERTIA_MARGIN * EPS * (1.0 + x) * (k + sigma)
+    resolved = np.abs(g) > noise
+    positive = np.count_nonzero(g * s < 0.0, axis=1)
+    g = np.where(resolved, g, np.inf)
+    stubs = k * (k * s - sigma * c) / g
+    # (k + |t|) noise / |g| bounds the error of a stub term t, and
+    # (V - 1) |t| noise / |g| >= (V - 1) 64 eps |t| that of the sum it enters
+    error = noise * (k + graph.num_vertices * np.abs(stubs)) / np.abs(g)
+    more, ok = _morse_index(graph, robin, ks, stubs, noise=error.sum(axis=1))
+    return positive + more, ok & resolved.all(axis=1)
+
+
+def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
+    """N(k) by the Morse index of M(k) with its pendant vertices eliminated,
+    and whether each count has margin.
+
+    See "Counting" and "Pendant vertices" in the module docstring.
+    floor(k l_e / pi) is exact where |sin k l_e| exceeds 2 eps k l_e, which
+    the pole margin includes.
     """
     ks = np.asarray(ks, dtype=float)
     x = ks[:, None] * graph.slot_length[None, 0::2]
-    mu = _stack_map(graph, robin, ks, np.linalg.eigvalsh, build=_vertex_matrices)
-    size = np.abs(mu)
-    ok = size.min(axis=1) > INERTIA_MARGIN * graph.num_vertices * EPS * size.max(axis=1)
-    ok &= np.all(np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x, axis=1)
-    counts = np.floor(x / np.pi).sum(axis=1).astype(int) + np.count_nonzero(mu > 0.0, axis=1)
-    return counts, ok
+    poles = np.all(np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x, axis=1)
+    positive, ok = _pendant_index(graph, robin, ks)
+    ok &= poles
+    again = np.flatnonzero(poles & ~ok) if _pendant_edges(graph)[0].size else []
+    if len(again):
+        positive[again], ok[again] = _morse_index(graph, robin, ks[again])
+    return np.floor(x / np.pi).sum(axis=1).astype(int) + positive, ok
 
 
 def _scan_counts(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, steps):
@@ -934,6 +1045,11 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     )
 
 
+def _kernel_reach(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
+    """How far from k the kernel rule looks for crossings ("Certification")."""
+    return 2.0 * _kernel_threshold(graph, robin, ks, tol) / graph.min_edge_length
+
+
 def _kernel_mismatch(ks, mults, sv, threshold, reach, crossings=None) -> str | None:
     """The kernel-dimension count: why the first record (k, m) breaks it, or
     None.  Singular values sv below threshold count: fewer than m is short,
@@ -974,8 +1090,9 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> st
     norm = sv[:, :1]
     slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm[:, 0]
     threshold = 0.5 * np.maximum(KERNEL_SV_SCALE * np.sqrt(graph.num_slots), 2.0 * slope)
-    reach = 2.0 * _kernel_threshold(graph, robin, ks, tol) / graph.min_edge_length
-    return _kernel_mismatch(ks, mults, sv / norm, threshold, reach, crossings)
+    return _kernel_mismatch(
+        ks, mults, sv / norm, threshold, _kernel_reach(graph, robin, ks, tol), crossings
+    )
 
 
 def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
@@ -1062,6 +1179,31 @@ def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
     return k_start, [0.5 * (lo + hi)]
 
 
+def _cap_index(graph, robin, grid, n_grid, n_max: int, tol) -> int:
+    """Index of k_cap in the scan grid ("Scan range"): no eigenvalue lies
+    within the reach above it by the count at the next scan point past the
+    reach, or else by one inertia count at k_cap + reach."""
+    reach = np.flatnonzero(n_grid >= n_max)
+    if reach.size == 0:
+        raise ToleranceNotMet(
+            f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
+            "eigenvalues, below the winding bound "
+            "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+        )
+    for j in reach:
+        top = float(grid[j] + _kernel_reach(graph, robin, grid[j : j + 1], tol)[0])
+        above = int(np.searchsorted(grid, top))
+        if above < grid.size and n_grid[above] == n_grid[j]:
+            return int(j)
+        count, ok = _inertia_counts(graph, robin, [top])
+        if ok[0] and count[0] == n_grid[j]:
+            return int(j)
+    raise ToleranceNotMet(
+        f"every scan point from k={float(grid[reach[0]])!r} on has an eigenvalue "
+        "or no inertia count with margin within the kernel reach above it"
+    )
+
+
 def compute_spectrum(
     graph: MetricGraph,
     robin: RobinSpec | None = None,
@@ -1114,15 +1256,8 @@ def compute_spectrum(
     n_grid = np.concatenate([[zero_count + len(below)], n_points])
     _require_rising(grid, n_grid)
     if n_max is not None:
-        # records up to the first scan point that counts n_max ("Scan range")
-        reach = np.flatnonzero(n_grid >= n_max)
-        if reach.size == 0:
-            raise ToleranceNotMet(
-                f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
-                "eigenvalues, below the winding bound "
-                "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
-            )
-        grid, n_grid = grid[: reach[0] + 1], n_grid[: reach[0] + 1]
+        cap = _cap_index(graph, robin, grid, n_grid, n_max, tol)
+        grid, n_grid = grid[: cap + 1], n_grid[: cap + 1]
     grid, n_grid = _quarter_cells(graph, robin, grid, n_grid)
     _require_rising(grid, n_grid)
     counts = np.diff(n_grid)

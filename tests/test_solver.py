@@ -1,7 +1,9 @@
 """Eigenvalue solver: counting, refinement, multiplicity, homotopy."""
 from __future__ import annotations
 
+import collections
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspectra import solver
+from graphspectra.eigenfunctions import eigenbasis
 from graphspectra.errors import OutOfScannedRange, ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
     build_graph,
     incommensurate_lengths,
+    load_graph_file,
     make_star,
     make_complete4,
 )
@@ -27,6 +31,7 @@ from graphspectra.stats import robin_homotopy
 from oracles import interval_robin_wavenumbers
 
 NEUMANN = RobinSpec.neumann()
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_interval_neumann_exact(pi_interval):
@@ -332,3 +337,174 @@ def test_loop_entry_is_the_tangent_form():
         want = -k / math.tan(k) + 2.0 * k * math.tan(0.0005 * k) - 0.001
         assert m[0, 0] == pytest.approx(want, rel=1e-14, abs=1e-16)
         assert m[0, 1] == m[1, 0] == pytest.approx(k / math.sin(k), rel=1e-15)
+
+
+@st.composite
+def pendant_graphs(draw):
+    """Graphs with pendant vertices: stars of degree 2-12, trees with a loop
+    or a second edge beside one of theirs, and an isolated edge, with
+    lengths in [0.01, 100], coupled or Neumann leaves and sigma in
+    [1e-8, 1e6]."""
+    length = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)
+    kind = draw(st.sampled_from(["star", "tree", "edge"]))
+    if kind == "star":
+        edges = [(0, j, draw(length)) for j in range(1, draw(st.integers(2, 12)) + 1)]
+    elif kind == "tree":
+        size = draw(st.integers(3, 8))
+        edges = [(draw(st.integers(0, j - 1)), j, draw(length)) for j in range(1, size)]
+        u, v, _ = edges[draw(st.integers(0, len(edges) - 1))]
+        edges.append((u, u if draw(st.booleans()) else v, draw(length)))
+    else:
+        edges = [(0, 1, draw(length))]
+    graph = build_graph(edges)
+    vertices = draw(st.sets(st.integers(0, graph.num_vertices - 1)))
+    return graph, RobinSpec(frozenset(vertices), draw(st.floats(-8.0, 6.0).map(lambda u: 10.0**u)))
+
+
+def _pole_margin(graph, ks):
+    x = ks[:, None] * graph.slot_length[0::2]
+    floors = np.floor(x / np.pi).sum(axis=1).astype(int)
+    return np.all(np.abs(np.sin(x)) > solver.POLE_MARGIN + 2.0 * solver.EPS * x, axis=1), floors
+
+
+# subnormal k, but not so small that k l rounds to 0, a pole of every edge
+@given(pendant_graphs(), st.integers(0, 2**32 - 1), st.lists(st.floats(-320.0, -6.0), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_pendant_reduction_keeps_the_count(case, seed, tiny):
+    # the Morse index of M by Haynsworth on the pendant vertices equals that
+    # of M wherever both have margin, and N(k) takes M's where it lacks its own
+    graph, robin = case
+    top = 60.0 / graph.min_edge_length
+    spread = np.random.default_rng(seed).uniform(0.0, top, 400)
+    ks = np.concatenate([spread, 10.0 ** np.asarray(tiny)])
+    ks = ks[ks > 0.0]
+    reduced, reduced_ok = solver._pendant_index(graph, robin, ks)
+    full, full_ok = solver._morse_index(graph, robin, ks)
+    poles, floors = _pole_margin(graph, ks)
+    both = reduced_ok & full_ok & poles
+    assert np.array_equal(reduced[both], full[both])
+    counts, ok = solver._inertia_counts(graph, robin, ks)
+    assert np.array_equal(ok, poles & (reduced_ok | full_ok))
+    assert np.array_equal(counts[ok], (floors + np.where(reduced_ok, reduced, full))[ok])
+
+
+def _float_root(f, lo, hi):
+    """The float in [lo, hi] nearest a sign change of f, by bisection."""
+    f_lo = np.sign(f(lo))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(f(lo)) <= abs(f(hi)) else hi
+        lo, hi = (mid, hi) if np.sign(f(mid)) == f_lo else (lo, mid)
+
+
+@given(pendant_graphs(), st.integers(0, 40), st.integers(-3, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_stub_resonances_leave_the_count_to_the_full_matrix(case, m, ulps, data):
+    # k cos kl + sigma sin kl = 0 makes d_v vanish: there the reduced count
+    # has no margin, and N(k) is M's count with M's margin; where
+    # k sin kl = sigma cos kl the stub term cancels, and a reduced count
+    # with margin still equals M's
+    graph, robin = case
+    _, lengths, pendant, _ = solver._pendant_edges(graph)
+    j = data.draw(st.integers(0, pendant.size - 1))
+    length = lengths[j]
+    sigma = robin.sigma if int(pendant[j]) in robin.vertices else 0.0
+
+    def at(k):
+        return float(np.nextafter(k, np.sign(ulps) * np.inf) if ulps else k)
+
+    g = _float_root(lambda k: k * np.cos(k * length) + sigma * np.sin(k * length),
+                    (m + 0.25) * np.pi / length, (m + 1.0) * np.pi / length)
+    for _ in range(abs(ulps)):
+        g = at(g)
+    ks = np.array([g])
+    if sigma > 0.0:
+        h = _float_root(lambda k: k * np.sin(k * length) - sigma * np.cos(k * length),
+                        max(m * np.pi / length, 1e-300), (m + 0.5) * np.pi / length)
+        ks = np.append(ks, h)
+    reduced, reduced_ok = solver._pendant_index(graph, robin, ks)
+    full, full_ok = solver._morse_index(graph, robin, ks)
+    poles, floors = _pole_margin(graph, ks)
+    assert not reduced_ok[0]
+    both = reduced_ok & full_ok & poles
+    assert np.array_equal(reduced[both], full[both])
+    counts, ok = solver._inertia_counts(graph, robin, ks)
+    assert ok[0] == (poles[0] and full_ok[0])
+    if ok[0]:
+        assert counts[0] == floors[0] + full[0]
+
+
+def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
+    # on an isolated edge with a Robin end the stub term is all of M~, and
+    # it vanishes at the graph's eigenvalues k tan kl = sigma
+    graph, robin = build_graph([(0, 1, 1.0)]), RobinSpec(frozenset({1}), 3.0)
+    assert solver._pendant_edges(graph)[2].tolist() == [1]
+    for m in range(5):
+        k = _float_root(
+            lambda k: k * np.sin(k) - 3.0 * np.cos(k), max(m * np.pi, 1e-300), (m + 0.5) * np.pi
+        )
+        _, reduced_ok = solver._pendant_index(graph, robin, np.array([k]))
+        assert not reduced_ok[0]
+        # 1e-8 relative to either side, the count is decided
+        counts, ok = solver._inertia_counts(graph, robin, [k * (1.0 - 1e-8), k * (1.0 + 1e-8)])
+        assert ok.all() and counts.tolist() == [m, m + 1]
+
+
+@pytest.mark.parametrize(
+    "name, coupled, size, matrices",
+    [
+        ("star_incommensurate", True, 5, 0),
+        ("star_incommensurate", False, 5, 0),
+        # no pendant vertex: the scan, quarter points and enclosures of the
+        # unreduced count, and with the coupling one count at k_cap + reach
+        ("tetrahedron", True, 4, 1282),
+        ("tetrahedron", False, 4, 1297),
+    ],
+)
+def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
+    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    eigvalsh, sizes = np.linalg.eigvalsh, collections.Counter()
+
+    def counted(a):
+        sizes[a.shape[-1]] += int(np.prod(a.shape[:-2]))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    compute_spectrum(graph, robin if coupled else NEUMANN, n_max=300)
+    assert sizes[size] == matrices
+
+
+def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
+    # the first scan point counting n_max sat just below a root within the
+    # kernel reach of the records under it, which the kernel rule then found
+    # in excess of the crossings it was given
+    graph = make_star(
+        5,
+        (0.5915557211791358, 0.5915557330102503, 0.5915557217706916,
+         0.5915557211791358, 0.5915557214749136),
+    )
+    robin = RobinSpec(frozenset({0}), 0.0025271881091369704)
+    for n_max in (47, 48, 49):
+        spec = compute_spectrum(graph, robin, n_max=n_max)
+        near = np.abs(spec.k - 50.45193) < 1e-5
+        assert spec.multiplicity[near].tolist() == [1, 2, 1]
+    graph = build_graph([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 1, 1.0)])
+    robin = RobinSpec(frozenset({0}), 0.001)
+    spec = compute_spectrum(graph, robin, n_max=12, tol=1e-6)
+    eigenbasis(spec, np.arange(spec.k.size))
+    top = spec.k_cap + solver._kernel_reach(graph, robin, np.array([spec.k_cap]), 1e-6)
+    counts, ok = solver._inertia_counts(graph, robin, top)
+    assert ok[0] and counts[0] == spec.size
+
+
+@pytest.mark.parametrize("sigma", [1e-14, 1e-12, 1e-10])
+def test_pendant_count_flips_at_the_rayleigh_wave_number(sigma):
+    # near k = 0 a leaf's -k cot kl and Schur term are each about 1 / l and
+    # cancel to k^2 l; the stub term k tan kl keeps the ground state of a
+    # weakly coupled star, sigma |G|^-1 to first order, at full precision
+    graph = make_star(5, (0.7, 1.1, 1.3, 0.9, 1.7))
+    robin = RobinSpec(frozenset({0}), sigma)
+    k_r = math.sqrt(sigma / graph.total_length)
+    counts, ok = solver._inertia_counts(graph, robin, [0.999 * k_r, 1.001 * k_r])
+    assert ok.all() and counts.tolist() == [0, 1]
