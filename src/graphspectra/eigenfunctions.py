@@ -17,6 +17,12 @@ an inner product taking half the cross term from each of a_1 b_2 and a_2 b_1.
 The m vectors are orthonormalised in that Gram matrix: a trace over them,
 as in the basis average of sensitivity, is then basis free.
 
+Close roots.  At a float k the kernel vector of a simple record leans
+toward the singular vector of a neighbouring small singular value s by
+about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart.  Where s
+is below NEIGHBOUR_SV ||A(k)||, one Newton step with k free and the
+residual in np.longdouble moves it onto the root's kernel (_root_kernel).
+
 Kernel rule.  A short or an excess kernel raises KernelDimensionMismatch,
 by the solver's rule on the singular values of A(k) (_kernel_rule;
 "Certification" in its docstring), the one that certifies the records
@@ -41,7 +47,7 @@ from .errors import (
     KernelDimensionMismatch,
     OutOfRange,
 )
-from .graphs import MetricGraph
+from .graphs import MetricGraph, RobinSpec
 from .solver import Spectrum, _kernel_rule, _stack_map
 
 __all__ = [
@@ -54,6 +60,11 @@ __all__ = [
 ]
 
 CONTINUITY_TOL = 1e-6
+# a simple record whose next singular value of A(k) is below this, relative
+# to ||A(k)||_2, has its kernel vector polished by _root_kernel
+NEIGHBOUR_SV = 1e-3
+# central difference step of A'(k) x, relative to k
+SLOPE_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,53 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
     return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
+def _wide_product(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.ndarray):
+    """A(k) x for each row of ks (np.longdouble) and x, in np.longdouble."""
+    n, flat = solver._amplitude_layout(graph)[:2]
+    terms = solver._amplitude_values(graph, robin, ks) * x[:, flat % n]
+    out = np.zeros(x.shape, dtype=np.longdouble)
+    np.add.at(out.T, flat // n, terms.T)
+    return out
+
+
+def _bordered_systems(graph: MetricGraph, robin: RobinSpec, ks, x):
+    """[[A, A' x, -A x], [x^T, 0, 0]] at each row of ks and x: the Newton
+    system of _root_kernel with its right-hand side as the last column."""
+    wide, size = ks.astype(np.longdouble), x.shape[1]
+    h = SLOPE_STEP * wide
+    ahead, behind = wide + h, wide - h
+    slope = (_wide_product(graph, robin, ahead, x) - _wide_product(graph, robin, behind, x)) / (
+        ahead - behind
+    )[:, None]
+    out = np.zeros((ks.size, size + 1, size + 2))
+    out[:, :size, :size] = solver._amplitude_matrices(graph, robin, ks)
+    out[:, :size, size] = slope
+    out[:, :size, size + 1] = -_wide_product(graph, robin, wide, x)
+    out[:, size, :size] = x
+    return out
+
+
+def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.ndarray):
+    """Unit kernel vectors x of A(k) at simple roots next to the float wave
+    numbers ks, after one Newton step on A(k) x = 0 with k free.
+
+    At a float k the SVD's kernel vector leans toward the singular vector
+    of a neighbouring small singular value s by about (eps + ulp(k) ||A'||)
+    / s, from the rounding of A(k) and of k itself: near 1e-9 for roots
+    1e-7 apart.  The step solves [[A, A' x], [x^T, 0]] (dx, dk) = (-A x, 0)
+    with A x and the central difference A' x formed in np.longdouble, so
+    the lean left is that type's rounding over s where it is wider than
+    double (x86), and no worse than before where it is not.
+    """
+
+    def solve(system):
+        return np.linalg.solve(system[..., :-1], system[..., -1:])[..., 0]
+
+    step = _stack_map(graph, robin, ks, solve, _bordered_systems, x)
+    out = x + step[:, :-1]
+    return out / np.linalg.norm(out, axis=1)[:, None]
+
+
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real eigenfunctions of the records at positions records of the
     spectrum and of their chains: one SVD of A(k) per record, the rest
@@ -137,6 +195,9 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
     sv = sv / sv[:, :1]  # relative to ||A(k)||_2
+    near = np.flatnonzero((mults == 1) & (sv[:, -2] < NEIGHBOUR_SV))
+    if near.size:
+        vt[near, -1] = _root_kernel(graph, robin, ks[near], vt[near, -1])
 
     local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults

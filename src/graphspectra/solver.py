@@ -358,10 +358,10 @@ def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build, *along):
     """fn(build(graph, robin, batch, *rows)) over slices of at most
     LAPACK_CHUNK wave numbers, rows the batch's rows of each array in along.
 
-    build is _vertex_matrices (M), _amplitude_matrices (A) or unitary_stack
-    (U), named at each call so that a wrapper on the module attribute sees
-    it.  The results are joined along the first axis, element by element
-    when fn returns a tuple.  Every batched decomposition over wave numbers
+    build is _vertex_matrices (M), _amplitude_matrices (A), unitary_stack
+    (U) or a system made from them, named at each call so that a wrapper on
+    the module attribute sees it.  The results are joined along the first
+    axis, element by element when fn returns a tuple.  Every batched decomposition over wave numbers
     in the package goes through here, which bounds the stacks it builds.
     """
     ks = np.asarray(ks, dtype=float)
@@ -689,17 +689,25 @@ def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     weights and one scatter, laid out by _amplitude_layout.
     """
     ks = np.asarray(ks, dtype=float)
-    n, flat, src, weight, sign = _amplitude_layout(graph)
+    n, flat = _amplitude_layout(graph)[:2]
+    values = _amplitude_values(graph, robin, ks)
+    at = np.arange(ks.size)[:, None] * (n * n) + flat
+    out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
+    return out.reshape(-1, n, n)
+
+
+def _amplitude_values(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
+    """The terms of A(k) in the order of _amplitude_layout, shape
+    (len(ks), terms), in the floating type of ks: [1, cos k l_e, sin k l_e]
+    gathered and times the weights."""
+    _, _, src, weight, sign = _amplitude_layout(graph)
     x = ks[:, None] * graph.slot_length[None, 0::2]
-    ones = np.ones((ks.size, 1))
+    ones = np.ones((ks.size, 1), dtype=ks.dtype)
     basis = np.concatenate([ones, np.cos(x), np.sin(x)], axis=1)
     coupling = robin.vertex_sigmas(graph)[None, :] / ks[:, None]
     inverse = 1.0 / np.hypot(graph.degrees[None, :], coupling)
     weights = np.concatenate([ones, inverse, coupling * inverse], axis=1)
-    values = sign * basis[:, src] * weights[:, weight]
-    at = np.arange(ks.size)[:, None] * (n * n) + flat
-    out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
-    return out.reshape(-1, n, n)
+    return sign * basis[:, src] * weights[:, weight]
 
 
 def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import cmath
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -115,25 +116,34 @@ def vertex_scattering_entry(degree, sigma, k, backscatter):
     return c - 1.0 if backscatter else c
 
 
-def unitary_matrix(edges, coupled, sigma, k):
-    """U(k) = S(k) exp(ikL) over directed slots, built entry by entry.
+def unitary_entries(edges, coupled, sigma, k, exp=cmath.exp):
+    """The nonzero entries (e_out, e_in, U[e_out, e_in]) of U(k) = S(k) exp(ikL)
+    over directed slots.
 
     edges: (u, v, length) triples; slot 2t runs u -> v along edge t and
     slot 2t + 1 runs back.  Entry [e_out, e_in] scatters e_in, which ends
     at a vertex, into e_out, which starts there, after e_in's propagation
-    phase exp(ik length).  coupled vertices carry coupling sigma.
+    phase exp(ik length).  coupled vertices carry coupling sigma.  With an
+    mpmath k and exp=mpmath.exp the entries carry the working precision.
     """
     slots = []
     for u, v, length in edges:
         slots.extend([(u, v, length), (v, u, length)])
     degree = Counter(start for start, _, _ in slots)
-    out = np.zeros((len(slots), len(slots)), dtype=complex)
     for e_in, (_, vertex, length) in enumerate(slots):
         s = sigma if vertex in coupled else 0.0
         for e_out, (start, _, _) in enumerate(slots):
             if start == vertex:
                 entry = vertex_scattering_entry(degree[vertex], s, k, e_out == e_in ^ 1)
-                out[e_out, e_in] = entry * cmath.exp(1j * k * length)
+                yield e_out, e_in, entry * exp(1j * k * length)
+
+
+def unitary_matrix(edges, coupled, sigma, k):
+    """U(k) as a complex array, built entry by entry (see unitary_entries)."""
+    size = 2 * len(edges)
+    out = np.zeros((size, size), dtype=complex)
+    for e_out, e_in, entry in unitary_entries(edges, coupled, sigma, k):
+        out[e_out, e_in] = entry
     return out
 
 
@@ -217,12 +227,53 @@ def complex_kernel_mismatch(u, ks, mults, threshold, reach):
     return None
 
 
+# a singular value of I - U(k) this small next to the kernel leaves the
+# double-precision kernel vectors off by about 1e-16 / NEIGHBOUR_SV
+NEIGHBOUR_SV = 1e-4
+REFINE_DIGITS = 40
+REFINE_STEPS = 2
+
+
+def refined_kernel(edges, coupled, sigma, k, rows):
+    """Kernel rows of I - U(k) refined by inverse iteration at
+    REFINE_DIGITS digits.
+
+    The double-precision singular vectors of I - U(k) carry an error of
+    about 1e-16 / s in the direction of each other singular vector with a
+    small singular value s, so a root a short distance from another root
+    blurs them.  Here I - U(k) is built at REFINE_DIGITS digits at the same
+    float k and each of REFINE_STEPS steps solves it against the rows, then
+    orthonormalizes them: every step scales the content along a
+    neighbouring singular vector by the ratio of the kernel's singular
+    value (rounding of k, about 1e-16) to the neighbour's.  Returns the
+    refined rows as a complex array.
+    """
+    size = len(rows[0])
+    with mpmath.workdps(REFINE_DIGITS):
+        a = mpmath.eye(size)
+        for e_out, e_in, entry in unitary_entries(edges, coupled, sigma, mpmath.mpf(k), mpmath.exp):
+            a[e_out, e_in] -= entry
+        lu, pivots = mpmath.mp.LU_decomp(a)
+        x = mpmath.matrix(np.asarray(rows).T.tolist())
+        for _ in range(REFINE_STEPS):
+            columns = [
+                mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, x.column(j), pivots))
+                for j in range(x.cols)
+            ]
+            x, _ = mpmath.qr(
+                mpmath.matrix([[c[i] for c in columns] for i in range(size)]), mode="skinny"
+            )
+        return np.array(x.T.tolist(), dtype=complex)
+
+
 def gauged_kernel(edges, coupled, sigma, k, m):
     """Real eigenfunctions at a root k of multiplicity m as slot amplitudes,
     from the complex kernel of I - U(k).
 
     The kernel rows u are the conjugated right singular vectors of the m
-    smallest singular values of I - U(k).  The conjugation
+    smallest singular values of I - U(k), refined at extended precision
+    (refined_kernel) when the next singular value is below NEIGHBOUR_SV;
+    above it they are good to about 1e-12.  The conjugation
     (C a)_j = conj(a_rev(j)) exp(-ik l_j) maps the kernel onto itself and
     squares to the identity, so the 2m vectors u + Cu and i(u - Cu) are
     C-fixed.  Their real Gram matrix has eigenvalue 4 on the m combinations
@@ -234,8 +285,10 @@ def gauged_kernel(edges, coupled, sigma, k, m):
     """
     u = unitary_matrix(edges, coupled, sigma, k)
     n = len(u)
-    _, _, vh = np.linalg.svd(np.eye(n) - u)
+    _, sv, vh = np.linalg.svd(np.eye(n) - u)
     kernel = np.conj(vh[n - m :])
+    if m < n and sv[n - m - 1] < NEIGHBOUR_SV:
+        kernel = refined_kernel(edges, coupled, sigma, k, kernel)
     lengths = np.repeat([length for _, _, length in edges], 2)
     flip = np.conj(kernel[:, np.arange(n) ^ 1]) * np.exp(-1j * k * lengths)
     fixed = np.concatenate([kernel + flip, 1j * (kernel - flip)])

@@ -749,6 +749,31 @@ def test_fixture_eigenfunctions_match_the_complex_kernel(name, coupled):
 
 @given(awkward_graphs(), st.booleans())
 @settings(max_examples=40, deadline=None)
+# a simple root 1.1e-6 above a double one: the double-precision kernel of
+# I - U(k) breaks the symmetry of the three edges by 1e-10
+@example(
+    case=(
+        build_graph([(0, 1, 1.0)] * 3),
+        RobinSpec(frozenset({0}), 1e-5),
+    ),
+    coupled=True,
+)
+# pairs of simple roots under 1e-6 apart: the double-precision kernel of
+# A(k) at the float root is off by near 1e-9
+@example(
+    case=(
+        build_graph([(0, 1, 1.0), (0, 2, 0.017511069255501756), (2, 3, 0.017511069255501756),
+                     (2, 3, 1.0)]),
+        RobinSpec(frozenset({0}), 1.0338786406929746e-05),
+    ),
+    coupled=True,
+)
+# simple roots 1e-8 apart, and a loop whose weak coupling splits a double root
+@example(
+    case=(build_graph([(0, 1, 1.0), (0, 2, 1.0), (0, 0, 0.9999999977520474)]), NEUMANN),
+    coupled=True,
+)
+@example(case=(build_graph([(0, 1, 1.0), (0, 0, 1.0)]), RobinSpec(frozenset({0}), 1e-6)), coupled=True)
 def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     graph, robin = case
     if not coupled:
