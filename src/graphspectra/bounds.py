@@ -35,7 +35,6 @@ __all__ = [
     "gap_bound",
     "shortest_edge_bound",
     "sensitivity_bound",
-    "lowest_eigenvalue_slope",
     "improved_bound",
     "decomposition_bound_parameters",
     "check_all",
@@ -132,11 +131,6 @@ def sensitivity_bound(decomp: StarDecomposition, robin: RobinSpec, lam) -> np.nd
             )
         denoms.append(big_s + (sigma**2 * small_s + sigma) / lam)
     return 2.0 / np.min(denoms, axis=0)
-
-
-def lowest_eigenvalue_slope(graph: MetricGraph, robin: RobinSpec) -> float:
-    """Derivative of the bottom eigenvalue in the coupling, |V_R|/|G|."""
-    return len(robin.coupled_vertices(graph)) / graph.total_length
 
 
 def improved_bound(lambda0, sigma: float, s_check: float, S_check: float) -> np.ndarray:

@@ -185,11 +185,13 @@ def _require_index_target(config: RunConfig) -> None:
 def cmd_spectrum(config: RunConfig) -> Table:
     graph, robin = _load(config)
     spectrum = _spectrum(graph, robin, config)
-    # an n_max spectrum ends at a scan point counting n_max or more; clip
-    # the table
-    limit = None if config.k_max is not None else config.target_n
-    ks = spectrum.wavenumbers(limit).tolist()
-    mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity).tolist()
+    ks = spectrum.wavenumbers()
+    # a spectrum ends at k_cap, at or past its target; clip the table to it
+    limit = config.target_n if config.k_max is None else (
+        np.searchsorted(ks, config.k_max, side="right")
+    )
+    mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity)[:limit].tolist()
+    ks = ks[:limit].tolist()
     rows = [(n, k, k**2, m) for n, (k, m) in enumerate(zip(ks, mults), start=1)]
     return Table(["n", "k_n", "lambda_n", "multiplicity"], rows, {})
 
@@ -267,7 +269,9 @@ def cmd_cdf(config: RunConfig) -> Table:
     _require_index_target(config)
     series = _gap_series(graph, robin, config)
     cdf = empirical_cdf(series)
-    xs = np.unique(cdf.values)
+    # the distinct values, from the sorted ones without np.unique, which
+    # imports numpy.ma
+    xs = cdf.values[np.diff(cdf.values, prepend=-np.inf) > 0.0]
     rows = [("cdf", float(x), float(x), float(cdf(x))) for x in xs]
     density, edges = np.histogram(series.gaps, bins=HISTOGRAM_BINS, density=True)
     rows.extend(

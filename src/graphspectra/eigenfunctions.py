@@ -29,8 +29,8 @@ by the solver's rule on the singular values of A(k) (_kernel_rule;
 whose enclosures have no inertia margin.
 
 Each row also carries the unit-norm slot amplitudes of the plane-wave form
-f_t(x) = a_2t exp(ikx) + a_2t+1 exp(ik(l_t - x)) that evaluate,
-robin_residual and weyl_moments read: a_2t = (A_t - i B_t) / 2 and a_2t+1
+f_t(x) = a_2t exp(ikx) + a_2t+1 exp(ik(l_t - x)) that evaluate and
+weyl_moments read: a_2t = (A_t - i B_t) / 2 and a_2t+1
 = exp(-ik l_t) (A_t + i B_t) / 2, A_t = f(u).  They lie in the kernel of
 I - U(k) and meet a_j = conj(a_rev(j)) exp(-ik l_j) exactly.
 """
@@ -41,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .errors import (
-    ContinuityViolation,
-    DanglingEndpoint,
-    KernelDimensionMismatch,
-    OutOfRange,
-)
+from .errors import ContinuityViolation, KernelDimensionMismatch, OutOfRange
 from .graphs import MetricGraph, RobinSpec
 from .solver import Spectrum, _kernel_rule, _stack_map
 
@@ -56,7 +51,6 @@ __all__ = [
     "eigenbasis",
     "evaluate",
     "sensitivity",
-    "robin_residual",
 ]
 
 CONTINUITY_TOL = 1e-6
@@ -203,7 +197,8 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     first_row = np.cumsum(mults) - mults
     ab = np.empty((local.size, graph.num_slots))
     residual = np.empty(local.size)
-    for m in np.unique(mults):
+    # the distinct multiplicities, without np.unique, which imports numpy.ma
+    for m in np.flatnonzero(np.bincount(mults)):
         # the right singular vectors of the m smallest singular values,
         # orthonormalised in their L2 Gram matrix
         at = np.flatnonzero(mults == m)
@@ -240,15 +235,11 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     return EigenBasis(spectrum, handed[local], k, a, residual, l2norm_sq, vertex_values)
 
 
-def _check_row(basis: EigenBasis, row: int) -> None:
-    if not 0 <= row < len(basis.k):
-        raise OutOfRange(f"row {row} outside 0..{len(basis.k) - 1}")
-
-
 def evaluate(basis: EigenBasis, row: int, edge: int, x: float) -> float:
     """Normalized value of eigenfunction row at position x along an edge."""
     graph = basis.spectrum.graph
-    _check_row(basis, row)
+    if not 0 <= row < len(basis.k):
+        raise OutOfRange(f"row {row} outside 0..{len(basis.k) - 1}")
     if not 0 <= edge < graph.num_edges:
         raise OutOfRange(f"edge {edge} outside 0..{graph.num_edges - 1}")
     length = graph.edge_length(edge)
@@ -257,22 +248,6 @@ def evaluate(basis: EigenBasis, row: int, edge: int, x: float) -> float:
     a, k = basis.a[row], basis.k[row]
     raw = a[2 * edge] * np.exp(1j * k * x) + a[2 * edge + 1] * np.exp(1j * k * (length - x))
     return float(np.real(raw)) / float(np.sqrt(basis.l2norm_sq[row]))
-
-
-def robin_residual(basis: EigenBasis, row: int, v: int) -> float:
-    """Defect of eigenfunction row in the vertex condition
-    sum f'(v) = sigma_v f(v) of the basis's spectrum; diagnostic."""
-    graph, robin = basis.spectrum.graph, basis.spectrum.robin
-    _check_row(basis, row)
-    if not 0 <= v < graph.num_vertices:
-        raise DanglingEndpoint(f"vertex {v} is not a graph vertex")
-    a, k = basis.a[row], basis.k[row]
-    slots = graph.slots_out(v)
-    back = a[graph.slot_reversal[slots]] * np.exp(1j * k * graph.slot_length[slots])
-    outward = 1j * k * np.sum(a[slots] - back)
-    norm = float(np.sqrt(basis.l2norm_sq[row]))
-    sigma = robin.vertex_sigmas(graph)[v]
-    return float(np.abs(outward / norm - sigma * basis.vertex_values[row, v]))
 
 
 def sensitivity(spectrum: Spectrum, n) -> SensitivityValue:
@@ -292,6 +267,6 @@ def sensitivity(spectrum: Spectrum, n) -> SensitivityValue:
     values = np.full(mults.size, len(coupled) / spectrum.graph.total_length)
     basis = eigenbasis(spectrum, which)
     per_row = np.sum(basis.vertex_values[:, coupled] ** 2, axis=1)
-    solved = np.unique(basis.record)
+    solved = np.flatnonzero(np.bincount(basis.record))
     values[solved] = np.bincount(basis.record, weights=per_row)[solved] / mults[solved]
     return SensitivityValue(value=values[which], degenerate=mults[which] > 1)

@@ -25,10 +25,6 @@ class ToleranceNotMet(GraphSpectraError):
     """Root refinement could not reach the requested tolerance."""
 
 
-class OutOfScannedRange(GraphSpectraError):
-    """A query point lies beyond the scanned wave-number range."""
-
-
 class ContinuityViolation(GraphSpectraError):
     """Vertex values computed from different incident edges disagree."""
 

@@ -186,13 +186,14 @@ below every positive eigenvalue,
     N(k) > zero_count + |G| (k - k_start) / pi - 2E,
 
 so a single scan to k = pi (n_max + 2E + 8) / |G| certifies n_max
-eigenvalues; a scan that certifies fewer raises.  The margin raise and
-the count-fall check cover the whole scan, but only the cells up to k_cap
-are quartered, refined, audited and recorded: the first scan point whose
-count reaches n_max with no eigenvalue within the kernel reach
-(Certification) above it, so no record's kernel rule meets an unrefined
-root.  The scan grid is the same for every target, so k_cap does not
-depend on the bound.
+eigenvalues; a scan that certifies fewer raises.  A k_max target scans
+CAP_CELLS cells past k_max.  The margin raise and the count-fall check
+cover the whole scan, but only the cells up to k_cap are quartered,
+refined, audited and recorded.  For both targets k_cap is the first scan
+point at or past the target (counting n_max, or at or above k_max) with
+no eigenvalue within the kernel reach (Certification) above it, so no
+record's kernel rule meets an unrefined root.  The scan grid is the same
+for every target, so k_cap does not depend on the bound.
 
 Records.  Roots merge by single linkage on the merge radius, 1e-9
 (1 + k) capped at the kernel threshold over the largest branch
@@ -250,16 +251,11 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import OutOfRange, OutOfScannedRange, ToleranceNotMet
+from .errors import OutOfRange, ToleranceNotMet
 from .graphs import MetricGraph, RobinSpec
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
-__all__ = [
-    "Spectrum",
-    "compute_spectrum",
-    "counting_function",
-    "spectral_shift",
-]
+__all__ = ["Spectrum", "compute_spectrum"]
 
 TWO_PI = 2.0 * np.pi
 EPS = float(np.finfo(float).eps)
@@ -280,6 +276,8 @@ POLE_MARGIN = 1e-8
 GRID_MOVES = 8
 # parts a multi-count cell is cut into before any eigenphase
 QUARTERS = 4
+# scan cells a k_max target runs past k_max
+CAP_CELLS = 8
 # a record's enclosure radius is at least RADIUS_FLOOR (1 + k)
 RADIUS_FLOOR = 1e-12
 
@@ -289,11 +287,11 @@ class Spectrum:
     """Ordered spectrum of the operator of one graph and one coupling.
 
     One record per distinct wave number, as read-only arrays: a record with multiplicity[i] = m at k[i] owns the m consecutive
-    eigenvalue indices starting at index[i].  k_cap is k_max, or for an
-    n_max target the first scan point whose inertia count reaches n_max
+    eigenvalue indices starting at index[i].  k_cap is the first scan
+    point at or past the target, counting n_max or at or above k_max,
     with no eigenvalue within the kernel reach above it; every eigenvalue
-    at or below k_cap appears, so an n_max spectrum can hold a few more
-    than n_max.  tol is the refinement tolerance the
+    at or below k_cap appears, so a spectrum can hold a few more than
+    n_max, or some above k_max.  tol is the refinement tolerance the
     records were computed with (None for the default stop width);
     stop_width and kernel_threshold give the accuracy model it sets.
     radius[i] bounds the distance from k[i] to its roots: the stop width
@@ -1058,13 +1056,21 @@ def _kernel_reach(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     return 2.0 * _kernel_threshold(graph, robin, ks, tol) / graph.min_edge_length
 
 
-def _kernel_mismatch(ks, mults, sv, threshold, reach, crossings=None) -> str | None:
-    """The kernel-dimension count: why the first record (k, m) breaks it, or
-    None.  Singular values sv below threshold count: fewer than m is short,
-    more than the crossings (sorted, by default the records') within reach
-    of k is excess, unless the reach spans k = 0, where the secular system
-    has a larger kernel of its own."""
-    dims = np.sum(sv < threshold[:, None], axis=1)
+def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> str | None:
+    """The kernel rule on the singular values sv of A(k) per record, largest
+    first ("Certification" in the module docstring): why the first record
+    (k, m) breaks it, or None.  Where a record's radius is above its floor,
+    radius - width is the spread of the roots merged into it.  Fewer than
+    m small singular values is short; more than the crossings (sorted, by
+    default the records') within reach of k is excess, unless the reach
+    spans k = 0, where the secular system has a larger kernel of its own."""
+    width = _stop_width(ks, tol)
+    merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
+    spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
+    norm = sv[:, :1]
+    slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm[:, 0]
+    threshold = 0.5 * np.maximum(KERNEL_SV_SCALE * np.sqrt(graph.num_slots), 2.0 * slope)
+    dims = np.sum(sv / norm < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
     if short.size:
         j = short[0]
@@ -1074,6 +1080,7 @@ def _kernel_mismatch(ks, mults, sv, threshold, reach, crossings=None) -> str | N
         )
     if crossings is None:
         crossings = np.sort(np.repeat(ks, mults))
+    reach = _kernel_reach(graph, robin, ks, tol)
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
         crossings, ks - reach, side="left"
     )
@@ -1085,22 +1092,6 @@ def _kernel_mismatch(ks, mults, sv, threshold, reach, crossings=None) -> str | N
             f"within {reach[j]:.3g} of k={float(ks[j])!r}"
         )
     return None
-
-
-def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> str | None:
-    """The kernel rule on the singular values sv of A(k) per record, largest
-    first ("Certification" in the module docstring): why the first record
-    (k, m) breaks it, or None.  Where a record's radius is above its floor,
-    radius - width is the spread of the roots merged into it."""
-    width = _stop_width(ks, tol)
-    merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
-    spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
-    norm = sv[:, :1]
-    slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm[:, 0]
-    threshold = 0.5 * np.maximum(KERNEL_SV_SCALE * np.sqrt(graph.num_slots), 2.0 * slope)
-    return _kernel_mismatch(
-        ks, mults, sv / norm, threshold, _kernel_reach(graph, robin, ks, tol), crossings
-    )
 
 
 def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
@@ -1187,27 +1178,21 @@ def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
     return k_start, [0.5 * (lo + hi)]
 
 
-def _cap_index(graph, robin, grid, n_grid, n_max: int, tol) -> int:
-    """Index of k_cap in the scan grid ("Scan range"): no eigenvalue lies
-    within the reach above it by the count at the next scan point past the
-    reach, or else by one inertia count at k_cap + reach."""
-    reach = np.flatnonzero(n_grid >= n_max)
-    if reach.size == 0:
-        raise ToleranceNotMet(
-            f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
-            "eigenvalues, below the winding bound "
-            "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
-        )
-    for j in reach:
+def _cap_index(graph, robin, grid, n_grid, start: int, tol) -> int:
+    """Index of k_cap in the scan grid ("Scan range"): the first from start
+    on with no eigenvalue within the kernel reach above it, by the count at
+    the next scan point past the reach, or else by one inertia count at
+    k_cap + reach."""
+    for j in range(start, grid.size):
         top = float(grid[j] + _kernel_reach(graph, robin, grid[j : j + 1], tol)[0])
         above = int(np.searchsorted(grid, top))
         if above < grid.size and n_grid[above] == n_grid[j]:
-            return int(j)
+            return j
         count, ok = _inertia_counts(graph, robin, [top])
         if ok[0] and count[0] == n_grid[j]:
-            return int(j)
+            return j
     raise ToleranceNotMet(
-        f"every scan point from k={float(grid[reach[0]])!r} on has an eigenvalue "
+        f"every scan point from k={float(grid[start])!r} on has an eigenvalue "
         "or no inertia count with margin within the kernel reach above it"
     )
 
@@ -1243,7 +1228,9 @@ def compute_spectrum(
     zero_count = 1 if has_zero_mode else 0
 
     if k_max is not None:
-        k_goal = k_max
+        # a few cells on, so that the cap rule can move past a root just
+        # above k_max
+        k_goal = k_max + CAP_CELLS * delta
     else:
         # One scan suffices ("Scan range" in the module docstring):
         # N(k) > zero_count + |G| (k - k_start) / pi - 2E and k_start is at
@@ -1263,9 +1250,18 @@ def compute_spectrum(
     grid = np.concatenate([[k_start], points])
     n_grid = np.concatenate([[zero_count + len(below)], n_points])
     _require_rising(grid, n_grid)
-    if n_max is not None:
-        cap = _cap_index(graph, robin, grid, n_grid, n_max, tol)
-        grid, n_grid = grid[: cap + 1], n_grid[: cap + 1]
+    if k_max is not None:
+        start = int(np.searchsorted(grid, k_max))
+    else:
+        start = int(np.searchsorted(n_grid, n_max))
+        if start == grid.size:
+            raise ToleranceNotMet(
+                f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
+                "eigenvalues, below the winding bound "
+                "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+            )
+    cap = _cap_index(graph, robin, grid, n_grid, start, tol)
+    grid, n_grid = grid[: cap + 1], n_grid[: cap + 1]
     grid, n_grid = _quarter_cells(graph, robin, grid, n_grid)
     _require_rising(grid, n_grid)
     counts = np.diff(n_grid)
@@ -1291,29 +1287,10 @@ def compute_spectrum(
             f"the inertia count {n_grid[j]}"
         )
 
-    if k_max is not None:
-        inside = roots <= k_max
-        roots, mults, radius = roots[inside], mults[inside], radius[inside]
-        k_cap = float(k_max)
-    else:
-        k_cap = float(grid[-1])
     if has_zero_mode:
         roots, mults = np.append(0.0, roots), np.append(1, mults)
         radius = np.append(0.0, radius)
     return Spectrum(
-        graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, radius, k_cap, tol
+        graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, radius, float(grid[-1]), tol
     )
 
-
-def counting_function(spectrum: Spectrum, k: float) -> int:
-    """N(k): eigenvalue count with multiplicity at or below k."""
-    if k > spectrum.k_cap:
-        raise OutOfScannedRange(
-            f"k={float(k)!r} exceeds the scanned range k_cap={spectrum.k_cap!r}"
-        )
-    return int(np.searchsorted(spectrum.wavenumbers(), k, side="right"))
-
-
-def spectral_shift(spec0: Spectrum, spec1: Spectrum, k: float) -> int:
-    """N(k, 0) - N(k, sigma); in {0, 1} for a single coupled vertex."""
-    return counting_function(spec0, k) - counting_function(spec1, k)

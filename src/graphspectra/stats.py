@@ -10,10 +10,9 @@ lost to cancellation at large k.  On top of it: the closed-form limit
 of its mean, (2 sigma / |G|) sum 1/deg(v), windowed running averages
 against the k-local prediction (2k/|G|) sum arctan(sigma/(deg(v) k)),
 eigenfunction moment averages against their ergodic limits, empirical
-distribution functions, value clustering, difference-quotient audits of
-the Lipschitz property, and eigenvalue curves across couplings.  The
-closed forms take the graph and its RobinSpec; the rest take spectra, or
-series built from them, which carry both.
+distribution functions and value clustering.  The closed forms take the
+graph and its RobinSpec; the rest take spectra, or series built from
+them, which carry both.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ __all__ = [
     "RngSeries",
     "CdfEstimate",
     "MomentReport",
-    "EigenvalueCurve",
     "rng_sequence",
     "theoretical_mean",
     "running_average",
@@ -39,8 +37,6 @@ __all__ = [
     "weyl_moments",
     "empirical_cdf",
     "accumulation_clusters",
-    "lipschitz_audit",
-    "robin_homotopy",
 ]
 
 
@@ -98,20 +94,6 @@ class MomentReport:
     cross_matrix: np.ndarray
     n_used: int
     skipped: int
-
-
-@dataclass(frozen=True)
-class EigenvalueCurve:
-    """k_n as a function of the coupling, one sample per spectrum."""
-
-    index: int
-    couplings: tuple
-    wavenumbers: tuple
-    degenerate_at: tuple
-
-    @property
-    def samples(self) -> list:
-        return list(zip(self.couplings, self.wavenumbers))
 
 
 def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
@@ -268,61 +250,3 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
         (float(np.mean(values[a:b])), int(b - a)) for a, b in zip(starts, ends)
     ]
 
-
-def _by_coupling(spectra, n: int) -> dict:
-    """The spectra keyed by coupling in increasing order; a repeated
-    coupling counts once.  Raises ValueError unless they share one graph
-    and the coupled ones one vertex set, and InsufficientSpectrum when
-    one holds fewer than n eigenvalues."""
-    spectra = list(spectra)
-    if len({spec.graph for spec in spectra}) > 1:
-        raise ValueError("the spectra belong to different graphs")
-    if len({spec.robin.vertices for spec in spectra if spec.robin.sigma > 0.0}) > 1:
-        raise ValueError("the coupled spectra couple different vertex sets")
-    by_coupling = dict(sorted({spec.robin.sigma: spec for spec in spectra}.items()))
-    for s, spec in by_coupling.items():
-        if spec.size < n:
-            raise InsufficientSpectrum(
-                f"need {n} eigenvalues at coupling {s}, have {spec.size}"
-            )
-    return by_coupling
-
-
-def lipschitz_audit(spectra, n: int) -> float:
-    """Largest difference quotient |d_n(s1) - d_n(s2)| / |s1 - s2|.
-
-    Runs over all pairs of the spectra's couplings and all indices up to
-    n; a repeated coupling counts once.  Raises ValueError unless the
-    spectra share one graph, the coupled ones share one vertex set, and
-    they hold at least two distinct couplings.
-    """
-    by_coupling = _by_coupling(spectra, n)
-    if len(by_coupling) < 2:
-        raise ValueError("need at least two distinct couplings")
-    grid = list(by_coupling)
-    lams = [spec.eigenvalues(n) for spec in by_coupling.values()]
-    worst = 0.0
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            quot = np.max(np.abs(lams[j] - lams[i])) / (grid[j] - grid[i])
-            worst = max(worst, float(quot))
-    return worst
-
-
-def robin_homotopy(spectra, n: int) -> EigenvalueCurve:
-    """k_n across the couplings of spectra of one graph and one vertex set.
-
-    Index pairing is by sorted order in each spectrum.  Couplings where
-    the n-th eigenvalue is multiple are reported in degenerate_at (the
-    sorted-order pairing stays well defined, but the perturbation
-    direction inside the eigenspace is not).  The checks are those of
-    lipschitz_audit, except that one coupling is enough.
-    """
-    by_coupling = _by_coupling(spectra, n)
-    ks, degenerate = [], []
-    for s, spec in by_coupling.items():
-        at = spec.positions(n)
-        ks.append(float(spec.k[at]))
-        if spec.multiplicity[at] > 1:
-            degenerate.append(s)
-    return EigenvalueCurve(n, tuple(by_coupling), tuple(ks), tuple(degenerate))

@@ -322,6 +322,27 @@ def slot_vertex_values(edges, k, rows):
     return values
 
 
+def robin_residual(edges, coupled, sigma, k, a, v):
+    """|sum of outward f'(v) - sigma_v f(v)| / ||f||_2 for the real
+    eigenfunction with slot amplitudes a at wave number k: its defect in
+    the vertex condition at v.  On edge t = (p, q, l), x running from p,
+    f = a_2t exp(ikx) + a_2t+1 exp(ik(l - x)).  Raises ValueError for a
+    vertex no edge touches, a negative one included."""
+    values = slot_vertex_values(edges, k, a[None])
+    if v not in values:
+        raise ValueError(f"vertex {v} is not a graph vertex")
+    outward = 0.0
+    for t, (p, q, length) in enumerate(edges):
+        phase = cmath.exp(1j * k * length)
+        if p == v:
+            outward += 1j * k * (a[2 * t] - a[2 * t + 1] * phase)
+        if q == v:
+            outward += 1j * k * (a[2 * t + 1] - a[2 * t] * phase)
+    sigma_v = sigma if v in coupled else 0.0
+    norm = math.sqrt(slot_l2_gram(edges, k, a[None])[0, 0])
+    return abs(outward - sigma_v * values[v][0]) / norm
+
+
 def eigenspace_vertex_weight(edges, coupled, sigma, vertices, k, m):
     """(1/m) trace over the eigenspace at k of sum_{v in vertices} f(v)^2
     for L2-normalized f: trace(G^-1 F) / m with G the L2 Gram matrix of

@@ -9,7 +9,6 @@ from graphspectra.bounds import (
     decomposition_bound_parameters,
     gap_bound,
     improved_bound,
-    lowest_eigenvalue_slope,
     sensitivity_bound,
     shortest_edge_bound,
 )
@@ -23,6 +22,7 @@ from graphspectra.graphs import (
     make_star,
     midpoint_star_decomposition,
 )
+from graphspectra.solver import compute_spectrum
 from graphspectra.stats import RngSeries
 
 
@@ -78,17 +78,26 @@ class TestSensitivityBound:
 
 
 class TestSlope:
+    """The lowest eigenvalue leaves 0 with slope |V_R| / |G| in the coupling."""
+
+    @staticmethod
+    def _slope(graph, vertices, h=1e-3):
+        def lam1(sigma):
+            spectrum = compute_spectrum(graph, RobinSpec(vertices, sigma), n_max=1)
+            return float(spectrum.eigenvalues(1)[0])
+
+        # lam1(0) = 0, so 4 lam1(h/2) - lam1(h) = s h + O(h^3)
+        return (4.0 * lam1(h / 2.0) - lam1(h)) / h
+
     def test_interval_single_end(self, unit_interval):
-        robin = RobinSpec(frozenset([0]), 1.0)
-        assert lowest_eigenvalue_slope(unit_interval, robin) == pytest.approx(1.0)
+        assert self._slope(unit_interval, {0}) == pytest.approx(1.0, rel=1e-3)
 
     def test_unit_tetrahedron_all_vertices(self):
         graph = make_complete4([1.0] * 6)
-        robin = RobinSpec(frozenset(range(4)), 1.0)
-        assert lowest_eigenvalue_slope(graph, robin) == pytest.approx(4.0 / 6.0)
+        assert self._slope(graph, range(4)) == pytest.approx(4.0 / 6.0, rel=1e-3)
 
     def test_empty_set(self, star4):
-        assert lowest_eigenvalue_slope(star4, RobinSpec.neumann()) == 0.0
+        assert self._slope(star4, ()) == 0.0
 
 
 class TestImprovedBound:

@@ -61,6 +61,19 @@ class TestSpectrum:
         ks = [float(r[1]) for r in rows]
         assert ks == pytest.approx([0.0, math.pi, 2 * math.pi, 3 * math.pi])
 
+    @pytest.mark.parametrize(
+        "fixture", ["interval", "star_incommensurate", "star_equilateral", "tetrahedron"]
+    )
+    def test_kmax_prints_the_nmax_rows_up_to_kmax(self, fixture, capsys):
+        # a k_max spectrum runs on to k_cap; its table stops at k_max
+        graph = str(FIXTURES / f"{fixture}.json")
+        assert main(["spectrum", "--graph", graph, "--nmax", "80"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert float(rows[-1].split(",")[1]) > 15.0
+        assert main(["spectrum", "--graph", graph, "--kmax", "15"]) == 0
+        below = [row for row in rows if float(row.split(",")[1]) <= 15.0]
+        assert capsys.readouterr().out.splitlines() == [header, *below]
+
     def test_sigma_override_changes_spectrum(self, tmp_path):
         code, out = run_cli(
             ["spectrum", "--graph", str(FIXTURES / "interval.json"),
@@ -518,6 +531,23 @@ class TestOutputDiscipline:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["cdf", "weyl", "sensitivity"])
+    def test_commands_leave_numpy_ma_out(self, command):
+        # a plain np.unique imports numpy.ma, about 15 ms and 2 MB a run
+        argv = [command, "--graph", str(FIXTURES / "star_incommensurate.json"), "--nmax", "40"]
+        probe = (
+            "import contextlib, io, sys\n"
+            "from graphspectra.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, cwd=SRC
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
 
     def test_runtime_dependencies_are_numpy_only(self):
         tomllib = pytest.importorskip("tomllib", reason="tomllib is new in 3.11")

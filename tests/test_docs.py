@@ -2,10 +2,12 @@
 
 The README python blocks and the doctests are executed; each module with
 an __all__ must list exactly the public functions and classes it defines,
-and the README module map must describe that API as it is.
+the library's public names must have a caller outside the tests, and the
+README module map must describe that API as it is.
 """
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import inspect
@@ -18,11 +20,16 @@ import pytest
 import graphspectra
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(graphspectra.__file__).parent
 MODULES = [module.name for module in pkgutil.iter_modules(graphspectra.__path__)]
 
 
+def _readme_blocks():
+    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
 def test_readme_python_blocks_run():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    blocks = _readme_blocks()
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
@@ -72,3 +79,36 @@ def test_module_map_row_matches_the_module(name):
         written = [arg.strip() for arg in args.split(",") if arg.strip()]
         params = list(inspect.signature(getattr(module, fn)).parameters)
         assert written == params[: len(written)], (fn, written, params)
+
+
+def _names_taken(source, name):
+    """Names a source takes from graphspectra.<name>: by from-import, in the
+    package or outside it, or as attributes of the module imported whole."""
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) in {
+            (name, 1),
+            (f"graphspectra.{name}", 0),
+        }:
+            taken.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == name:
+            taken.add(node.attr)
+    return taken
+
+
+@pytest.mark.parametrize("name", ["bounds", "eigenfunctions", "solver", "stats"])
+def test_public_names_have_a_caller_outside_the_tests(name):
+    # a public name is taken by another package module or a README python
+    # block, or is the class a taken function returns: API that only the
+    # tests call cannot come back unnoticed
+    module = importlib.import_module(f"graphspectra.{name}")
+    sources = [
+        path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py") if path.stem != name
+    ]
+    taken = set().union(*(_names_taken(src, name) for src in sources + _readme_blocks()))
+    returned = {
+        inspect.signature(getattr(module, entry)).return_annotation
+        for entry in taken
+        if inspect.isfunction(getattr(module, entry, None))
+    }
+    assert set(module.__all__) - taken - returned == set()

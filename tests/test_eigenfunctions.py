@@ -7,23 +7,14 @@ import numpy as np
 import pytest
 
 from graphspectra import solver
-from graphspectra.eigenfunctions import (
-    _l2_norm_sq,
-    eigenbasis,
-    evaluate,
-    robin_residual,
-    sensitivity,
-)
-from graphspectra.errors import (
-    DanglingEndpoint,
-    KernelDimensionMismatch,
-    OutOfRange,
-)
+from graphspectra.eigenfunctions import _l2_norm_sq, eigenbasis, evaluate, sensitivity
+from graphspectra.errors import KernelDimensionMismatch, OutOfRange
 from graphspectra.graphs import RobinSpec, build_graph, make_star
 from graphspectra.solver import Spectrum, compute_spectrum
 from oracles import (
     interval_robin_wavenumbers,
     quadrature_norm_sq,
+    robin_residual,
     robin_star_sensitivity,
 )
 
@@ -36,6 +27,14 @@ def _one_record(graph, k, multiplicity):
         graph, NEUMANN, np.array([2]), np.array([k]), np.array([multiplicity]),
         np.zeros(1), k_cap=k,
     )
+
+
+def _residual(basis, row, v):
+    """The vertex-condition oracle on one row of an eigenbasis."""
+    graph, robin = basis.spectrum.graph, basis.spectrum.robin
+    ends = graph.slot_origin
+    edges = list(zip(ends[0::2], ends[1::2], graph.slot_length[0::2]))
+    return robin_residual(edges, robin.vertices, robin.sigma, basis.k[row], basis.a[row], v)
 
 
 def _record_rows(spec, n):
@@ -214,10 +213,10 @@ def test_evaluate_rejects_edges_outside_the_graph():
 def test_robin_residual_rejects_vertices_outside_the_graph():
     # a negative vertex must not wrap around to the last one
     basis, row = _star_row()
-    assert robin_residual(basis, row, 0) < 1e-10
+    assert _residual(basis, row, 0) < 1e-10
     for v in (-1, 4):
-        with pytest.raises(DanglingEndpoint):
-            robin_residual(basis, row, v)
+        with pytest.raises(ValueError):
+            _residual(basis, row, v)
 
 
 def test_rows_outside_the_basis_raise(star4):
@@ -226,12 +225,10 @@ def test_rows_outside_the_basis_raise(star4):
     basis = eigenbasis(spec, np.arange(len(spec.k)))
     last = len(basis.k) - 1
     assert np.isfinite(evaluate(basis, last, 0, 0.5))
-    assert robin_residual(basis, last, 0) < 1e-6 * basis.k[last]
+    assert _residual(basis, last, 0) < 1e-6 * basis.k[last]
     for row in (-1, len(basis.k)):
         with pytest.raises(OutOfRange):
             evaluate(basis, row, 0, 0.5)
-        with pytest.raises(OutOfRange):
-            robin_residual(basis, row, 0)
 
 
 def test_robin_residual_all_vertices(star4):
@@ -240,7 +237,7 @@ def test_robin_residual_all_vertices(star4):
     for index, k in zip(spec.index[:10], spec.k[:10]):
         basis, (row,) = _record_rows(spec, index)
         for v in range(star4.num_vertices):
-            assert robin_residual(basis, row, v) < 1e-6 * max(k, 1.0)
+            assert _residual(basis, row, v) < 1e-6 * max(k, 1.0)
 
 
 def test_tangent_identity_at_robin_vertex(star4):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from graphspectra import solver
 from graphspectra.eigenfunctions import eigenbasis
-from graphspectra.errors import OutOfScannedRange, ToleranceNotMet
+from graphspectra.errors import ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
     build_graph,
@@ -21,13 +21,7 @@ from graphspectra.graphs import (
     make_star,
     make_complete4,
 )
-from graphspectra.solver import (
-    _stop_width,
-    compute_spectrum,
-    counting_function,
-    spectral_shift,
-)
-from graphspectra.stats import robin_homotopy
+from graphspectra.solver import _stop_width, compute_spectrum
 from oracles import interval_robin_wavenumbers
 
 NEUMANN = RobinSpec.neumann()
@@ -99,14 +93,36 @@ def test_spectrum_arrays_are_read_only(star4):
             column[0] = 0
 
 
+def _count(spec, k):
+    """N(k) of a spectrum: its eigenvalues at or below k, with multiplicity."""
+    return int(np.searchsorted(spec.wavenumbers(), k, side="right"))
+
+
 def test_kmax_mode(star4):
+    # a k_max spectrum ends at k_cap, at or past k_max, with every
+    # eigenvalue up to k_cap: the inertia count there, and the n_max
+    # spectrum's eigenvalues up to it
     spec = compute_spectrum(star4, NEUMANN, k_max=20.0)
-    assert spec.k_cap == 20.0
+    assert spec.k_cap >= 20.0
     ks = spec.wavenumbers()
-    assert np.all(ks <= 20.0)
-    assert counting_function(spec, 20.0) == spec.size
+    assert np.all(ks <= spec.k_cap)
+    count, ok = solver._inertia_counts(star4, NEUMANN, [spec.k_cap])
+    assert ok[0] and count[0] == spec.size
+    longer = compute_spectrum(star4, NEUMANN, n_max=spec.size + 10).wavenumbers()
+    np.testing.assert_array_equal(ks, longer[longer <= spec.k_cap])
     # Weyl density: N(k) ~ k |G| / pi
-    assert spec.size == pytest.approx(20.0 * star4.total_length / math.pi, abs=8)
+    assert _count(spec, 20.0) == pytest.approx(20.0 * star4.total_length / math.pi, abs=8)
+
+
+def test_kmax_spectrum_holds_the_roots_within_reach_above_k_max():
+    # the root at 9.42480534 lies within the kernel reach of the record at
+    # 9.42477635, just above k_max: the spectrum keeps it, so the kernel
+    # rule on every record finds both crossings
+    graph = build_graph([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 1, 1.0)])
+    spec = compute_spectrum(graph, RobinSpec({0}, 0.001), k_max=9.42479, tol=1e-6)
+    assert spec.k_cap > 9.4248054
+    basis = eigenbasis(spec, np.arange(spec.k.size))
+    assert np.array_equal(np.unique(basis.record), np.arange(spec.k.size))
 
 
 def test_target_validation(unit_interval):
@@ -128,25 +144,22 @@ def test_target_validation(unit_interval):
 
 def test_counting_function(pi_interval):
     spec = compute_spectrum(pi_interval, NEUMANN, n_max=10)
-    assert counting_function(spec, 2.5) == 3  # k = 0, 1, 2
+    assert _count(spec, 2.5) == 3  # k = 0, 1, 2
     k3 = float(spec.wavenumbers()[2])
     # the reported root is within half a stop width of 2, not exactly 2
     assert abs(k3 - 2.0) <= _stop_width(np.asarray(k3), None)
-    assert counting_function(spec, k3) == 3  # boundary included
-    assert counting_function(spec, 0.5) == 1
-    with pytest.raises(OutOfScannedRange):
-        counting_function(spec, spec.k_cap + 1.0)
+    assert _count(spec, k3) == 3  # boundary included
+    assert _count(spec, 0.5) == 1
 
 
 def test_spectral_shift_values(star4):
     s0 = compute_spectrum(star4, NEUMANN, n_max=120)
     s2 = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=120)
     cap = min(s0.k_cap, s2.k_cap)
-    assert spectral_shift(s0, s0, 10.0) == 0
-    assert spectral_shift(s0, s2, 0.2) == 1  # zero mode counted on one side only
+    assert _count(s0, 0.2) - _count(s2, 0.2) == 1  # zero mode on one side only
     rng = np.random.default_rng(11)
     for k in rng.uniform(0.1, cap, 200):
-        assert spectral_shift(s0, s2, float(k)) in (0, 1)
+        assert _count(s0, k) - _count(s2, k) in (0, 1)
 
 
 def test_interlacing_single_robin_vertex(star4):
@@ -195,21 +208,28 @@ def test_loose_tolerance_still_brackets(unit_interval):
     assert err.max() > 1e-13  # actually looser than the default stop
 
 
+Curve = collections.namedtuple("Curve", "couplings wavenumbers degenerate_at")
+
+
 def _homotopy(graph, vertices, sigma, n, t_steps):
-    """robin_homotopy over spectra at couplings sigma j / t_steps, j = 0..t_steps."""
-    spectra = [
-        compute_spectrum(graph, RobinSpec(frozenset(vertices), sigma * j / t_steps), n_max=n)
-        for j in range(t_steps + 1)
-    ]
-    return robin_homotopy(spectra, n)
+    """k_n across couplings sigma j / t_steps, j = 0..t_steps, and the
+    couplings where it is a multiple eigenvalue."""
+    couplings = [sigma * j / t_steps for j in range(t_steps + 1)]
+    ks, degenerate = [], []
+    for s in couplings:
+        spec = compute_spectrum(graph, RobinSpec(frozenset(vertices), s), n_max=n)
+        at = spec.positions(n)
+        ks.append(float(spec.k[at]))
+        if spec.multiplicity[at] > 1:
+            degenerate.append(s)
+    return Curve(couplings, ks, degenerate)
 
 
 def test_homotopy_interval_curve(unit_interval):
     curve = _homotopy(unit_interval, {0}, 1.0, 2, 5)
-    assert curve.index == 2
     assert curve.couplings[0] == 0.0 and curve.couplings[-1] == 1.0
     assert not curve.degenerate_at
-    for t, k in curve.samples:
+    for t, k in zip(curve.couplings, curve.wavenumbers):
         if t == 0.0:
             assert k == pytest.approx(math.pi, abs=1e-12)
         else:
@@ -232,20 +252,9 @@ def test_homotopy_monotone_on_star(star4):
 
 
 def test_homotopy_rejects_a_fractional_index(star4):
-    spectra = [
-        compute_spectrum(star4, RobinSpec(frozenset({0}), s), n_max=4) for s in (0.0, 1.0)
-    ]
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 1.0), n_max=4)
     with pytest.raises(ValueError, match="whole number"):
-        robin_homotopy(spectra, 2.5)
-
-
-def test_homotopy_needs_one_operator_family(star4, tetrahedron):
-    spectra = [compute_spectrum(star4, RobinSpec(frozenset({0}), 1.0), n_max=4)]
-    with pytest.raises(ValueError, match="different graphs"):
-        robin_homotopy(spectra + [compute_spectrum(tetrahedron, NEUMANN, n_max=4)], 4)
-    other = compute_spectrum(star4, RobinSpec(frozenset({1}), 2.0), n_max=4)
-    with pytest.raises(ValueError, match="vertex sets"):
-        robin_homotopy(spectra + [other], 4)
+        spec.positions(2.5)
 
 
 @given(
@@ -273,10 +282,11 @@ def test_counting_consistency_property(sigma, seed):
     g = make_complete4(tuple(rng.uniform(0.6, 1.8, 6)))
     robin = RobinSpec(frozenset(range(4)), sigma)
     spec = compute_spectrum(g, robin, n_max=30)
-    ks = spec.wavenumbers()
-    # counting function agrees with direct enumeration at arbitrary k
-    for k in rng.uniform(0.05, spec.k_cap, 12):
-        assert counting_function(spec, float(k)) == int(np.sum(ks <= k))
+    # the records count what the inertia of M(k) counts at arbitrary k
+    ks = rng.uniform(0.05, spec.k_cap, 12)
+    counts, ok = solver._inertia_counts(g, robin, ks)
+    for k, n in zip(ks[ok], counts[ok]):
+        assert _count(spec, k) == n, (k, n)
 
 
 @st.composite
@@ -312,7 +322,7 @@ def test_tiny_coupling_keeps_one_simple_ground_state(case, sigma, us):
     ks = ks[ks > 0.0]
     counts, ok = solver._inertia_counts(graph, robin, ks)
     for k, n in zip(ks[ok], counts[ok]):
-        assert counting_function(spec, float(k)) == n, (k, n)
+        assert _count(spec, k) == n, (k, n)
 
 
 @pytest.mark.parametrize("sigma", [1.1754943508222875e-38, 1e-30, 1e-200, 1e-300])
