@@ -25,7 +25,7 @@ from .bounds import bound_report, check_all, sensitivity_bound, shortest_edge_bo
 from .eigenfunctions import sensitivity
 from .errors import GraphSpectraError
 from .graphs import RobinSpec, boundary_star_decomposition, load_graph_file
-from .solver import compute_spectrum
+from .solver import compute_spectra, compute_spectrum
 from .stats import (
     accumulation_clusters,
     arctan_prediction,
@@ -80,23 +80,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(values) -> list:
-    """_fmt of each value of one column; the type is tested once for a
-    column of floats or of ints."""
+# a cell csv would quote, or the lone empty field it writes as ""
+_QUOTED = frozenset(',"\r\n')
+
+
+def _column_format(values) -> str | None:
+    """The % conversion that writes the values of a column as _fmt does
+    (a float column's NaN and None cells excepted), or None for a column of
+    mixed kinds or with a string csv would quote."""
     kinds = set(map(type, values))
     if kinds <= {float, np.float64, type(None)}:
-        return list(map(_fmt_float, values))
+        return "%.15g"
     if kinds <= {int, np.int64}:
-        return list(map(str, values))
-    return list(map(_fmt, values))
+        return "%d"
+    if kinds <= {str} and all(value and _QUOTED.isdisjoint(value) for value in values):
+        return "%s"
+    return None
 
 
 def _csv_text(columns, rows) -> str:
-    """The table as CSV, formatted column by column."""
+    """The table as CSV: each row by one % format, the conversions chosen
+    once per column (_column_format).  A row with NaN or None in a float
+    column is formatted cell by cell, as is every row of a table with a
+    column that has no conversion."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*(_format_column(column) for column in zip(*rows))))
+    table = list(zip(*rows))
+    formats = [_column_format(column) for column in table]
+    if None in formats:
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+        return buf.getvalue()
+    line = ",".join(formats) + "\n"
+    floats = [column for column, f in zip(table, formats) if f == "%.15g"]
+    na = np.isnan(np.array(floats, dtype=float)).any(axis=0) if floats else np.zeros(len(rows))
+    buf.writelines(
+        ",".join(map(_fmt, row)) + "\n" if missing else line % row
+        for row, missing in zip(rows, na.tolist())
+    )
     return buf.getvalue()
 
 
@@ -150,24 +171,25 @@ def _load(config: RunConfig):
     return graph, robin
 
 
+def _target(config: RunConfig) -> dict:
+    """The run's spectrum target and solver settings."""
+    return {
+        "n_max": config.target_n if config.k_max is None else None,
+        "k_max": config.k_max,
+        "tol": config.tol,
+    }
+
+
 def _spectrum(graph, robin, config: RunConfig):
-    """The one spectrum call of every command: the run's target and solver settings."""
-    return compute_spectrum(
-        graph,
-        robin,
-        n_max=config.target_n if config.k_max is None else None,
-        k_max=config.k_max,
-        tol=config.tol,
-    )
+    """The spectrum of a single-coupling command."""
+    return compute_spectrum(graph, robin, **_target(config))
 
 
 def _gap_series(graph, robin, config: RunConfig):
-    """Index-paired gaps between the Neumann and the coupled spectrum."""
-    return rng_sequence(
-        _spectrum(graph, RobinSpec.neumann(), config),
-        _spectrum(graph, robin, config),
-        config.target_n,
-    )
+    """Index-paired gaps between the Neumann and the coupled spectrum, both
+    from one solver pass."""
+    neumann, coupled = compute_spectra(graph, (RobinSpec.neumann(), robin), **_target(config))
+    return rng_sequence(neumann, coupled, config.target_n)
 
 
 def _require_coupling(robin: RobinSpec) -> None:

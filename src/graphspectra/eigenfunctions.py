@@ -105,28 +105,28 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
     return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
-def _wide_product(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.ndarray):
+def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, x: np.ndarray):
     """A(k) x for each row of ks (np.longdouble) and x, in np.longdouble."""
     n, flat = solver._amplitude_layout(graph)[:2]
-    terms = solver._amplitude_values(graph, robin, ks) * x[:, flat % n]
+    terms = solver._amplitude_values(graph, sigmas, ks) * x[:, flat % n]
     out = np.zeros(x.shape, dtype=np.longdouble)
     np.add.at(out.T, flat // n, terms.T)
     return out
 
 
-def _bordered_systems(graph: MetricGraph, robin: RobinSpec, ks, x):
+def _bordered_systems(graph: MetricGraph, sigmas, ks, x):
     """[[A, A' x, -A x], [x^T, 0, 0]] at each row of ks and x: the Newton
     system of _root_kernel with its right-hand side as the last column."""
     wide, size = ks.astype(np.longdouble), x.shape[1]
     h = SLOPE_STEP * wide
     ahead, behind = wide + h, wide - h
-    slope = (_wide_product(graph, robin, ahead, x) - _wide_product(graph, robin, behind, x)) / (
+    slope = (_wide_product(graph, sigmas, ahead, x) - _wide_product(graph, sigmas, behind, x)) / (
         ahead - behind
     )[:, None]
     out = np.zeros((ks.size, size + 1, size + 2))
-    out[:, :size, :size] = solver._amplitude_matrices(graph, robin, ks)
+    out[:, :size, :size] = solver._amplitude_matrices(graph, sigmas, ks)
     out[:, :size, size] = slope
-    out[:, :size, size + 1] = -_wide_product(graph, robin, wide, x)
+    out[:, :size, size + 1] = -_wide_product(graph, sigmas, wide, x)
     out[:, size, :size] = x
     return out
 
@@ -147,7 +147,7 @@ def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.nda
     def solve(system):
         return np.linalg.solve(system[..., :-1], system[..., -1:])[..., 0]
 
-    step = _stack_map(graph, robin, ks, solve, _bordered_systems, x)
+    step = _stack_map(graph, robin.vertex_sigmas(graph), ks, solve, _bordered_systems, x)
     out = x + step[:, :-1]
     return out / np.linalg.norm(out, axis=1)[:, None]
 
@@ -184,7 +184,9 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
         return sv, vt
 
     # looked up at each call, so that a wrapper on the module attribute sees it
-    sv, vt = _stack_map(graph, robin, ks, decompose, build=solver._amplitude_matrices)
+    sv, vt = _stack_map(
+        graph, robin.vertex_sigmas(graph), ks, decompose, build=solver._amplitude_matrices
+    )
     mismatch = _kernel_rule(graph, robin, ks, mults, sv, spectrum.radius[handed], spectrum.tol)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)

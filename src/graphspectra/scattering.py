@@ -50,10 +50,10 @@ def _coupling_mask(graph: MetricGraph) -> np.ndarray:
     return graph.slot_origin[:, None] == graph.slot_terminus[None, :]
 
 
-def unitary_stack(
-    graph: MetricGraph, robin: RobinSpec, ks: np.ndarray
-) -> np.ndarray:
-    """U(k) for a batch of wave numbers, shape (len(ks), 2E, 2E).
+def unitary_stack(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
+    """U(k) for a batch of wave numbers, shape (len(ks), 2E, 2E), each row at
+    its own vertex couplings: sigmas broadcasts to (len(ks), V), as
+    RobinSpec.vertex_sigmas does for one coupling.
 
     One fused construction so the solver can run batched
     eigendecompositions, determinants and SVDs over many wave numbers.
@@ -63,9 +63,8 @@ def unitary_stack(
         raise ValueError("ks must be one-dimensional")
     if ks.size and not np.all(ks > 0.0):
         raise ZeroWaveNumber("all batch wave numbers must be positive")
-    sigmas = robin.vertex_sigmas(graph)
     # c has shape (B, V); pick per-row vertex coefficients, then mask.
-    c = 2.0 / (graph.degrees[None, :] + 1j * sigmas[None, :] / ks[:, None])
+    c = 2.0 / (graph.degrees[None, :] + 1j * np.asarray(sigmas) / ks[:, None])
     s = np.where(
         _coupling_mask(graph)[None, :, :],
         c[:, graph.slot_origin][:, :, None],
@@ -75,16 +74,20 @@ def unitary_stack(
     return s * np.exp(1j * ks[:, None, None] * graph.slot_length[None, None, :])
 
 
-def total_phase_values(
-    graph: MetricGraph, robin: RobinSpec, ks: np.ndarray
-) -> np.ndarray:
-    """Vectorized Theta(k) over an array of positive wave numbers."""
+def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
+    """Vectorized Theta(k) over an array of positive wave numbers, each at
+    its own vertex couplings: sigmas broadcasts to (len(ks), V).
+
+    The arctan terms are taken vertex by vertex in increasing order, so a
+    row's value does not depend on the couplings of the other rows.
+    """
     ks = np.asarray(ks, dtype=float)
     if ks.size and not np.all(ks > 0.0):
         raise ZeroWaveNumber("total phase needs k > 0")
+    sigmas = np.asarray(sigmas)
     theta = 2.0 * graph.total_length * ks
-    for v in robin.coupled_vertices(graph):
-        theta = theta - 2.0 * np.arctan(robin.sigma / (graph.degree(v) * ks))
+    for v in np.flatnonzero(sigmas.reshape(-1, graph.num_vertices).any(axis=0)):
+        theta = theta - 2.0 * np.arctan(sigmas[..., v] / (graph.degrees[v] * ks))
     return theta
 
 

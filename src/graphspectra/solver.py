@@ -16,10 +16,13 @@ Dirichlet-to-Neumann matrix minus the couplings: M_vv = -sum k cot(k l_e)
 u-v, and a loop at v adds 2 k tan(k l / 2) to M_vv.  This is
 the sign convention sum f'_out(v) = sigma f(v).  Every scan-grid point
 is counted this way, by one batched eigvalsh, and a count is used only
-with margin: every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2 (Weyl's
-bound on the eigenvalues of the rounded matrix) and every |sin k l_e|
-above POLE_MARGIN, where a graph eigenvalue sitting on a pole can fool
-the first test.  Grid points are free, so a point without margin moves
+with margin: every |mu_j(M)| above INERTIA_MARGIN V eps ||T||_F, T the
+entrywise sums of the |terms| of M, sigma_v included (Weyl's bound on the
+eigenvalues of the rounded matrix, whose entries are rounded on the scale
+of their terms: on a multi-edge with a short edge, terms of size 1 / l
+cancel to entries, and to a ||M||_2, far below that rounding), and every
+|sin k l_e| above POLE_MARGIN, where a graph eigenvalue sitting on a pole
+can fool the first test.  Grid points are free, so a point without margin moves
 up by a sixteenth of the cell above it at a time, at most GRID_MOVES
 times; a scan point that finds none raises ToleranceNotMet, and a
 quarter point (below) is dropped.  No count is rounded without margin.
@@ -243,6 +246,23 @@ inertia parity predicts.  The one exception is a bracket polished on
 rounding noise beside a multiple root (see Polish), whose root only the
 rule and the audit below check.  Then the records must count exactly
 the inertia count N(k) at every grid point, scan and quarter points.
+
+Couplings.  compute_spectra solves several couplings of one graph to one
+target in one pass, and compute_spectrum is that pass for one coupling.
+Every function of wave numbers takes the vertex couplings row by row
+(sigmas, see _couplings) and does the same arithmetic on a row whatever
+rows share its batch, so each spectrum is bitwise the one its coupling
+gives alone.  These stages run once over the rows of all couplings: the
+scan counts and their grid moves, the quartering rounds, the refinement
+with its end rows, handoffs and polish, and the enclosure counts of the
+certification.  Each row keeps the index of its coupling: quarter points
+join their own coupling's grid, the count-fall check runs on each grid,
+and end values are shared by the brackets of one coupling only, since at
+the same k another coupling has other values.  These steps stay per
+coupling, as they belong to one spectrum: the anchor, k_cap, s_0 of the
+handoff parity, the merging of roots, the kernel rule and the exact
+count audit.  A pass pays the fixed cost of each step once, however many
+couplings its rows carry, which is most of the cost of a spectrum.
 """
 from __future__ import annotations
 
@@ -255,7 +275,7 @@ from .errors import OutOfRange, ToleranceNotMet
 from .graphs import MetricGraph, RobinSpec
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
-__all__ = ["Spectrum", "compute_spectrum"]
+__all__ = ["Spectrum", "compute_spectra", "compute_spectrum"]
 
 TWO_PI = 2.0 * np.pi
 EPS = float(np.finfo(float).eps)
@@ -268,8 +288,8 @@ COUNT_ROUNDING_TOL = 1e-6
 POLISH_HANDOFF = 64.0
 # scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
 SCAN_PHASE_STEP = np.pi / 8.0
-# an inertia count needs every |mu_j(M)| above INERTIA_MARGIN V eps ||M||_2
-# and every |sin k l_e| above POLE_MARGIN
+# an inertia count needs every |mu_j(M)| above INERTIA_MARGIN V eps ||T||_F,
+# T the entrywise sums of |terms| of M, and every |sin k l_e| above POLE_MARGIN
 INERTIA_MARGIN = 64.0
 POLE_MARGIN = 1e-8
 # moves of a sixteenth of its cell a grid point without margin may take
@@ -352,9 +372,26 @@ class Spectrum:
         return _kernel_threshold(self.graph, self.robin, ks, self.tol)
 
 
-def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build, *along):
-    """fn(build(graph, robin, batch, *rows)) over slices of at most
-    LAPACK_CHUNK wave numbers, rows the batch's rows of each array in along.
+def _couplings(table: np.ndarray, which) -> np.ndarray:
+    """The vertex couplings of rows under the couplings table[which]: one
+    row per wave number, or table[0] for all when there is one coupling.
+
+    Every function of wave numbers here that takes sigmas takes either
+    shape, (V,) for all of them or (len(ks), V), and does the same
+    arithmetic on each row.
+    """
+    return table[0] if len(table) == 1 else table[which]
+
+
+def _take(sigmas, rows):
+    """The couplings of the given rows, of sigmas of either shape."""
+    return sigmas if sigmas.ndim == 1 else sigmas[rows]
+
+
+def _stack_map(graph: MetricGraph, sigmas, ks, fn, build, *along):
+    """fn(build(graph, couplings, batch, *rows)) over slices of at most
+    LAPACK_CHUNK wave numbers, couplings and rows the batch's rows of sigmas
+    (see _couplings) and of each array in along.
 
     build is _vertex_matrices (M), _amplitude_matrices (A), unitary_stack
     (U) or a system made from them, named at each call so that a wrapper on
@@ -364,7 +401,7 @@ def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build, *along):
     """
     ks = np.asarray(ks, dtype=float)
     parts = [
-        fn(build(graph, robin, ks[batch], *(a[batch] for a in along)))
+        fn(build(graph, _take(sigmas, batch), ks[batch], *(a[batch] for a in along)))
         for batch in (
             slice(start, start + LAPACK_CHUNK)
             for start in range(0, max(ks.size, 1), LAPACK_CHUNK)
@@ -375,7 +412,7 @@ def _stack_map(graph: MetricGraph, robin: RobinSpec, ks, fn, build, *along):
     return np.concatenate(parts)
 
 
-def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
+def _eigenphases(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """Eigenvalue arguments of U(k) reduced to [0, 2 pi), sorted along rows.
 
     Phi(k) is the row sum.  This is the one eigenphase evaluation: the
@@ -384,7 +421,7 @@ def _eigenphases(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     """
     return _stack_map(
         graph,
-        robin,
+        sigmas,
         ks,
         lambda u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
         build=unitary_stack,
@@ -416,7 +453,8 @@ def _vertex_layout(graph: MetricGraph, reduced: bool):
     """Size of M(k), or with reduced of M~(k), its edge lengths, half loop
     lengths and kept vertices, and how its entries sum the values of
     _vertex_matrices: each term's value index sorted by entry, where each
-    entry's terms start, and the entries."""
+    entry's terms start, the entries, and which entry is each kept vertex's
+    diagonal (every kept vertex has an edge, a loop or a stub term)."""
     edges, _, pendant, neighbour = _pendant_edges(graph) if reduced else ([],) * 4
     u, v = graph.slot_origin[0::2], graph.slot_origin[1::2]
     link, keep = u != v, np.ones(graph.num_vertices, dtype=bool)
@@ -435,23 +473,30 @@ def _vertex_layout(graph: MetricGraph, reduced: bool):
     order = np.argsort(entry, kind="stable")
     entries, starts = np.unique(entry[order], return_index=True)
     lengths = graph.slot_length[0::2]
-    out = (n, lengths[links], 0.5 * lengths[loops], kept, value[order], starts, entries)
+    diagonal = np.searchsorted(entries, np.arange(n) * (n + 1))
+    out = (
+        n, lengths[links], 0.5 * lengths[loops], kept, value[order], starts, entries, diagonal
+    )
     for column in out[1:]:
         column.flags.writeable = False
     return out
 
 
-def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks, stubs=None) -> np.ndarray:
+def _vertex_matrices(graph: MetricGraph, sigmas, ks, stubs=None):
     """M(k) for a batch of wave numbers off the poles, shape (len(ks), V, V),
-    or given the stub terms (a column per pendant vertex), M~(k).
+    or given the stub terms (a column per pendant vertex), M~(k); and the
+    Frobenius norm of each matrix of the per-entry sums of |terms|, sigma_v
+    included, which bounds the rounding of its entries.
 
     Each edge u-v adds -k cot(k l) to M_uu and M_vv and k / sin(k l) to
     M_uv and M_vu, and a loop at u their sum 2 k tan(k l / 2) to M_uu, in
     that form: the four terms cancel two of size 2 / l, whose rounding
-    outgrows the inertia margin on a short loop.  sigma_v leaves M_vv.
+    outgrows the inertia margin on a short loop.  sigma_v leaves M_vv, each
+    row at its own couplings: sigmas as in _couplings.
     """
     ks = np.asarray(ks, dtype=float)
-    n, links, half_loops, kept, value, starts, entries = _vertex_layout(graph, stubs is not None)
+    layout = _vertex_layout(graph, stubs is not None)
+    n, links, half_loops, kept, value, starts, entries, diagonal = layout
     k = ks[:, None]
     x = k * links
     sin = np.sin(x)
@@ -464,31 +509,48 @@ def _vertex_matrices(graph: MetricGraph, robin: RobinSpec, ks, stubs=None) -> np
         ],
         axis=1,
     )
+    terms = values[:, value]
     m = np.zeros((ks.size, n * n))
-    m[:, entries] = np.add.reduceat(values[:, value], starts, axis=1)
+    m[:, entries] = np.add.reduceat(terms, starts, axis=1)
     m = m.reshape(-1, n, n)
-    m[:, np.arange(n), np.arange(n)] -= robin.vertex_sigmas(graph)[kept]
-    return m
+    coupling = np.asarray(sigmas)[..., kept]
+    m[:, np.arange(n), np.arange(n)] -= coupling
+    sizes = np.add.reduceat(np.abs(terms), starts, axis=1)
+    sizes[:, diagonal] += coupling
+    return m, np.sqrt(np.sum(sizes * sizes, axis=1))
 
 
-def _morse_index(graph: MetricGraph, robin: RobinSpec, ks, *stubs, noise=0.0):
+def _morse_index(graph: MetricGraph, sigmas, ks, *stubs, noise=0.0):
     """n_+ of M(k), or of M~(k) given the stub terms, and whether each has
-    margin: every |mu_j| above INERTIA_MARGIN V eps ||.||_2 + noise."""
-    mu = _stack_map(graph, robin, ks, np.linalg.eigvalsh, _vertex_matrices, *stubs)
-    size = np.abs(mu)
-    bound = INERTIA_MARGIN * graph.num_vertices * EPS * size.max(axis=1) + noise
-    return np.count_nonzero(mu > 0.0, axis=1), size.min(axis=1) > bound
+    margin: every |mu_j| above INERTIA_MARGIN V eps ||T||_F + noise, T the
+    per-entry sums of the |terms| of the matrix (see _vertex_matrices).
+
+    Weyl's bound on the rounded matrix needs the size of its terms, not of
+    their sum: on a multi-edge with a short edge the terms of size 1 / l
+    cancel to entries far smaller than their rounding.
+    """
+    mu, scale = _stack_map(
+        graph,
+        sigmas,
+        ks,
+        lambda pair: (np.linalg.eigvalsh(pair[0]), pair[1]),
+        _vertex_matrices,
+        *stubs,
+    )
+    bound = INERTIA_MARGIN * graph.num_vertices * EPS * scale + noise
+    return np.count_nonzero(mu > 0.0, axis=1), np.abs(mu).min(axis=1) > bound
 
 
-def _pendant_index(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray):
+def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
     """n_+(M(k)) as #{v in P : d_v > 0} + n_+(M~(k)), and whether it has
-    margin ("Pendant vertices" in the module docstring)."""
+    margin ("Pendant vertices" in the module docstring); sigmas as in
+    _couplings."""
     _, lengths, pendant, _ = _pendant_edges(graph)
     if not pendant.size:
-        return _morse_index(graph, robin, ks)  # M~ is M
+        return _morse_index(graph, sigmas, ks)  # M~ is M
     k = ks[:, None]
     x = k * lengths
-    c, s, sigma = np.cos(x), np.sin(x), robin.vertex_sigmas(graph)[pendant]
+    c, s, sigma = np.cos(x), np.sin(x), np.asarray(sigmas)[..., pendant]
     g = k * c + sigma * s  # -d_v sin kl
     # rounding of g and of k sin - sigma cos: eps times their terms, and
     # eps kl times their slopes in kl, each the other one
@@ -500,13 +562,14 @@ def _pendant_index(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray):
     # (k + |t|) noise / |g| bounds the error of a stub term t, and
     # (V - 1) |t| noise / |g| >= (V - 1) 64 eps |t| that of the sum it enters
     error = noise * (k + graph.num_vertices * np.abs(stubs)) / np.abs(g)
-    more, ok = _morse_index(graph, robin, ks, stubs, noise=error.sum(axis=1))
+    more, ok = _morse_index(graph, sigmas, ks, stubs, noise=error.sum(axis=1))
     return positive + more, ok & resolved.all(axis=1)
 
 
-def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
+def _inertia_counts(graph: MetricGraph, sigmas, ks):
     """N(k) by the Morse index of M(k) with its pendant vertices eliminated,
-    and whether each count has margin.
+    and whether each count has margin; each wave number at its own vertex
+    couplings, sigmas as in _couplings.
 
     See "Counting" and "Pendant vertices" in the module docstring.
     floor(k l_e / pi) is exact where |sin k l_e| exceeds 2 eps k l_e, which
@@ -515,64 +578,73 @@ def _inertia_counts(graph: MetricGraph, robin: RobinSpec, ks):
     ks = np.asarray(ks, dtype=float)
     x = ks[:, None] * graph.slot_length[None, 0::2]
     poles = np.all(np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x, axis=1)
-    positive, ok = _pendant_index(graph, robin, ks)
+    positive, ok = _pendant_index(graph, sigmas, ks)
     ok &= poles
     again = np.flatnonzero(poles & ~ok) if _pendant_edges(graph)[0].size else []
     if len(again):
-        positive[again], ok[again] = _morse_index(graph, robin, ks[again])
+        positive[again], ok[again] = _morse_index(graph, _take(sigmas, again), ks[again])
     return np.floor(x / np.pi).sum(axis=1).astype(int) + positive, ok
 
 
-def _scan_counts(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, steps):
-    """Inertia counts at ascending points, moving each point that lacks margin.
+def _scan_counts(graph: MetricGraph, sigmas, ks: np.ndarray, steps):
+    """Inertia counts at points, moving each point that lacks margin; each
+    point at its own vertex couplings, sigmas as in _couplings.
 
     A point without margin moves up by its step at a time, at most
     GRID_MOVES times.  A step is a sixteenth of the cell or part above the
-    point, so the point stays below the next one and the order holds.
-    Returns the points where the counts were taken, the counts, and
-    whether each count has margin; the caller raises on or drops a point
-    without it.
+    point, so the point stays below the next one of its grid and the order
+    holds.  Returns the points where the counts were taken, the counts,
+    and whether each count has margin; the caller raises on or drops a
+    point without it.
     """
     ks = np.array(ks, dtype=float)
     steps = np.broadcast_to(steps, ks.shape)
-    counts, ok = _inertia_counts(graph, robin, ks)
+    counts, ok = _inertia_counts(graph, sigmas, ks)
     for _ in range(GRID_MOVES):
         bad = np.flatnonzero(~ok)
         if bad.size == 0:
             break
         ks[bad] += steps[bad]
-        counts[bad], ok[bad] = _inertia_counts(graph, robin, ks[bad])
+        counts[bad], ok[bad] = _inertia_counts(graph, _take(sigmas, bad), ks[bad])
     return ks, counts, ok
 
 
-def _quarter_cells(graph: MetricGraph, robin: RobinSpec, grid, n_grid):
-    """The grid and its counts with every multi-count cell quartered.
+def _quarter_cells(graph: MetricGraph, table: np.ndarray, grids: list, n_grids: list):
+    """Each coupling's grid and its counts with every multi-count cell
+    quartered; table[c] holds the vertex couplings of grids[c].
 
     See "Quartering" in the module docstring.  Each cell with count 2 or
-    more is cut at its QUARTERS - 1 interior points, all counted in one
-    batch; a point that finds no margin is dropped.  A part is cut again
-    while its count is 2 or more and below the count of the cell it came
-    from, so a part holding that whole count stays as it is.
+    more is cut at its QUARTERS - 1 interior points, those of every
+    coupling counted in one batch; a point that finds no margin is
+    dropped.  A part is cut again while its count is 2 or more and below
+    the count of the cell it came from, so a part holding that whole count
+    stays as it is.  The new points join their own coupling's grid.
     """
-    cap = np.full(grid.size - 1, np.iinfo(int).max)  # count of the parent cell
+    grids, n_grids = list(grids), list(n_grids)
+    # count of the cell each cell was cut from
+    caps = [np.full(grid.size - 1, np.iinfo(int).max) for grid in grids]
     while True:
-        counts = np.diff(n_grid)
-        cut = np.flatnonzero((counts >= 2) & (counts < cap))
-        if cut.size == 0:
-            return grid, n_grid
-        part = (grid[cut + 1] - grid[cut]) / QUARTERS
-        ks = grid[cut, None] + part[:, None] * np.arange(1, QUARTERS)
-        ks, n_ks, ok = _scan_counts(
-            graph, robin, ks.ravel(), np.repeat(part / 16.0, QUARTERS - 1)
+        counts = [np.diff(n_grid) for n_grid in n_grids]
+        cuts = [np.flatnonzero((n >= 2) & (n < cap)) for n, cap in zip(counts, caps)]
+        if not any(cut.size for cut in cuts):
+            return grids, n_grids
+        parts = [(grid[cut + 1] - grid[cut]) / QUARTERS for grid, cut in zip(grids, cuts)]
+        ks = np.concatenate(
+            [
+                (grid[cut, None] + part[:, None] * np.arange(1, QUARTERS)).ravel()
+                for grid, cut, part in zip(grids, cuts, parts)
+            ]
         )
-        cap[cut] = counts[cut]
-        ks, n_ks = ks[ok], n_ks[ok]
-        at = np.searchsorted(grid, ks)
-        # a new cell inherits the cap of the cell it was cut from
-        grid, n_grid, cap = (
-            np.insert(a, at, v)
-            for a, v in ((grid, ks), (n_grid, n_ks), (cap, cap[at - 1]))
-        )
+        which = np.repeat(np.arange(len(grids)), [(QUARTERS - 1) * cut.size for cut in cuts])
+        steps = np.repeat(np.concatenate(parts) / 16.0, QUARTERS - 1)
+        ks, n_ks, ok = _scan_counts(graph, _couplings(table, which), ks, steps)
+        for c, cut in enumerate(cuts):
+            caps[c][cut] = counts[c][cut]
+            mine = ok & (which == c)
+            at = np.searchsorted(grids[c], ks[mine])
+            # a new cell inherits the cap of the cell it was cut from
+            new = ((grids[c], ks[mine]), (n_grids[c], n_ks[mine]), (caps[c], caps[c][at - 1]))
+            grids[c], n_grids[c], caps[c] = (np.insert(a, at, v) for a, v in new)
 
 
 def _require_rising(grid: np.ndarray, n_grid: np.ndarray) -> None:
@@ -597,7 +669,7 @@ def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     t = k * np.tan(0.5 * k * graph.slot_length)
     b = np.bincount(graph.slot_origin, weights=t, minlength=n)[1:] - sigmas[1:]
     positive, coupling = float(t.sum()), float(sigmas.sum())
-    rest = _vertex_matrices(graph, robin, [k])[0, 1:, 1:]
+    rest = _vertex_matrices(graph, sigmas, [k])[0][0, 1:, 1:]
     mu = np.linalg.eigvalsh(rest)
     size_max, size_min = np.abs(mu).max(initial=0.0), np.abs(mu).min(initial=np.inf)
     y = np.linalg.solve(rest, b) if b.size else b
@@ -674,9 +746,10 @@ def _amplitude_layout(graph: MetricGraph):
     return (size, *layout)
 
 
-def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
+def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """The condensed real amplitude matrix A(k), shape (len(ks), n, n) with
-    n = V_s + E.
+    n = V_s + E, each row at its own vertex couplings (sigmas as in
+    _couplings).
 
     Its columns are f(v) at each vertex that starts an edge and the B_e of
     f_e(x) = A_e cos kx + B_e sin kx, x running from the edge's first
@@ -688,21 +761,21 @@ def _amplitude_matrices(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
     """
     ks = np.asarray(ks, dtype=float)
     n, flat = _amplitude_layout(graph)[:2]
-    values = _amplitude_values(graph, robin, ks)
+    values = _amplitude_values(graph, sigmas, ks)
     at = np.arange(ks.size)[:, None] * (n * n) + flat
     out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
     return out.reshape(-1, n, n)
 
 
-def _amplitude_values(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
+def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """The terms of A(k) in the order of _amplitude_layout, shape
     (len(ks), terms), in the floating type of ks: [1, cos k l_e, sin k l_e]
-    gathered and times the weights."""
+    gathered and times the weights, at the couplings sigmas (see _couplings)."""
     _, _, src, weight, sign = _amplitude_layout(graph)
     x = ks[:, None] * graph.slot_length[None, 0::2]
     ones = np.ones((ks.size, 1), dtype=ks.dtype)
     basis = np.concatenate([ones, np.cos(x), np.sin(x)], axis=1)
-    coupling = robin.vertex_sigmas(graph)[None, :] / ks[:, None]
+    coupling = sigmas / ks[:, None]
     inverse = 1.0 / np.hypot(graph.degrees[None, :], coupling)
     weights = np.concatenate([ones, inverse, coupling * inverse], axis=1)
     return sign * basis[:, src] * weights[:, weight]
@@ -723,9 +796,10 @@ def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np
     return np.linalg.norm(fixed + moving @ terms.T, axis=1)
 
 
-def _amplitude_dets(graph: MetricGraph, robin: RobinSpec, ks) -> np.ndarray:
-    """det A(k) for a batch of positive wave numbers."""
-    return _stack_map(graph, robin, ks, np.linalg.det, build=_amplitude_matrices)
+def _amplitude_dets(graph: MetricGraph, sigmas, ks) -> np.ndarray:
+    """det A(k) for a batch of positive wave numbers, sigmas as in
+    _couplings."""
+    return _stack_map(graph, sigmas, ks, np.linalg.det, build=_amplitude_matrices)
 
 
 def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -748,26 +822,43 @@ def _stop_width(ks: np.ndarray, tol: float | None) -> np.ndarray:
     return np.maximum(floor, tol * (1.0 + ks))
 
 
-def _polish_ready(graph, robin, los, his, n_lo, sign=None):
-    """End values of det A, which one-root brackets the polish can take,
-    and s_0.
+def _distinct(which: np.ndarray, ks: np.ndarray):
+    """The distinct (coupling, wave number) pairs of rows, ordered, and the
+    position of each row's pair: an end that two brackets of one coupling
+    share is evaluated once, an end at the same k under two couplings twice."""
+    order = np.lexsort((ks, which))
+    which, ks = which[order], ks[order]
+    first = np.ones(ks.size, dtype=bool)
+    first[1:] = (which[1:] != which[:-1]) | (ks[1:] != ks[:-1])
+    inverse = np.empty(ks.size, dtype=int)
+    inverse[order] = np.cumsum(first) - 1
+    return which[first], ks[first], inverse
 
-    sign det A(k) = s_0 (-1)^N(k), so a bracket holding one root, with
-    N(lo) = n_lo, qualifies when its end values have the signs
-    s_0 (-1)^n_lo and -s_0 (-1)^n_lo.  s_0, when not given, comes from the
-    end with the largest |det A|.  An end shared by two brackets is
-    decomposed once.
+
+def _polish_ready(graph, table, which, los, his, n_lo, signs):
+    """End values of det A, which one-root brackets the polish can take,
+    and s_0 per coupling.
+
+    Bracket j is under the couplings table[which[j]], and signs[c] is s_0
+    of coupling c, NaN until known.  sign det A(k) = s_0 (-1)^N(k), so a
+    bracket holding one root, with N(lo) = n_lo, qualifies when its end
+    values have the signs s_0 (-1)^n_lo and -s_0 (-1)^n_lo.  An unknown
+    s_0 comes from the end of that coupling with the largest |det A|.
     """
-    ks, inverse = np.unique(np.concatenate([los, his]), return_inverse=True)
-    f = _amplitude_dets(graph, robin, ks)[inverse]
+    ends = np.concatenate([which, which])
+    at, ks, inverse = _distinct(ends, np.concatenate([los, his]))
+    f = _amplitude_dets(graph, _couplings(table, at), ks)[inverse]
     parity = 1.0 - 2.0 * (np.asarray(n_lo) % 2)
     parity = np.concatenate([parity, -parity])
-    if sign is None:
-        j = int(np.argmax(np.abs(f)))
-        sign = np.sign(f[j]) * parity[j]
-    agree_lo, agree_hi = np.split(np.sign(f) == sign * parity, 2)
+    signs = signs.copy()
+    for c in np.flatnonzero(np.isnan(signs)):
+        mine = np.flatnonzero(ends == c)
+        if mine.size:
+            j = mine[np.argmax(np.abs(f[mine]))]
+            signs[c] = np.sign(f[j]) * parity[j]
+    agree_lo, agree_hi = np.split(np.sign(f) == signs[ends] * parity, 2)
     f_lo, f_hi = np.split(f, 2)
-    return f_lo, f_hi, agree_lo & agree_hi, sign
+    return f_lo, f_hi, agree_lo & agree_hi, signs
 
 
 def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
@@ -784,8 +875,9 @@ def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
     return np.clip(x, los + 0.5 * stop, his - 0.5 * stop)
 
 
-def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
-    """Chandrupatla's method on det A over sign-changing brackets.
+def _polish(graph, table, which, los, his, f_lo, f_hi, tol) -> np.ndarray:
+    """Chandrupatla's method on det A over sign-changing brackets, bracket j
+    under the couplings table[which[j]].
 
     Each step evaluates det A at one point per open bracket, in one
     batched determinant.  The first point is the false-position point;
@@ -798,6 +890,7 @@ def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
     """
     out = np.empty(los.size)
     open_ = np.arange(los.size)
+    sigmas = _couplings(table, which)
     # x1 the newest point, x2 the bracket end of the other sign, x3 the
     # point dropped last
     x1, x2, f1, f2 = los, his, f_lo, f_hi
@@ -811,6 +904,7 @@ def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
         open_, x1, x2, f1, f2, width, stop = (
             a[live] for a in (open_, x1, x2, f1, f2, width, stop)
         )
+        sigmas = _take(sigmas, live)
         if open_.size == 0:
             return out
         if x3 is None:
@@ -828,7 +922,7 @@ def _polish(graph, robin, los, his, f_lo, f_hi, tol) -> np.ndarray:
                 t = np.where(iqi, quadratic, 0.5)
         margin = 0.5 * stop / width
         x = x1 + np.clip(t, margin, 1.0 - margin) * (x2 - x1)
-        f = _amplitude_dets(graph, robin, x)
+        f = _amplitude_dets(graph, sigmas, x)
         same = np.sign(f) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         # an exact zero closes the bracket onto x
@@ -857,16 +951,18 @@ def _cluster_phases(ph_lo, ph_hi, counts):
     return psi_lo[:, 0], psi_hi[:, 0]
 
 
-def _end_rows(graph, robin, los, his, counts):
-    """Theta and eigenphase rows at the bracket ends, checked against counts.
+def _end_rows(graph, table, which, los, his, counts):
+    """Theta and eigenphase rows at the bracket ends, checked against counts,
+    bracket j under the couplings table[which[j]].
 
-    An end shared by two brackets is decomposed once.  Each bracket's
-    winding count must equal the inertia count it came with; raises
-    ToleranceNotMet otherwise.
+    An end shared by two brackets of one coupling is decomposed once.
+    Each bracket's winding count must equal the inertia count it came
+    with; raises ToleranceNotMet otherwise.
     """
-    ks, inverse = np.unique(np.concatenate([los, his]), return_inverse=True)
-    th_lo, th_hi = np.split(total_phase_values(graph, robin, ks)[inverse], 2)
-    ph_lo, ph_hi = np.split(_eigenphases(graph, robin, ks)[inverse], 2)
+    at, ks, inverse = _distinct(np.concatenate([which, which]), np.concatenate([los, his]))
+    sigmas = _couplings(table, at)
+    th_lo, th_hi = np.split(total_phase_values(graph, sigmas, ks)[inverse], 2)
+    ph_lo, ph_hi = np.split(_eigenphases(graph, sigmas, ks)[inverse], 2)
     winding = _window_counts(th_hi - th_lo, ph_hi.sum(axis=1) - ph_lo.sum(axis=1))
     wrong = winding != counts
     if np.any(wrong):
@@ -878,8 +974,10 @@ def _end_rows(graph, robin, los, his, counts):
     return th_lo, th_hi, ph_lo, ph_hi
 
 
-def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
-    """Roots with multiplicities of every bracket, down to the stop width.
+def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
+    """Roots with multiplicities of every bracket, down to the stop width,
+    and the coupling of each: bracket j is under the couplings
+    table[which[j]], and its halves and roots keep which[j].
 
     n_lo is the inertia count N(lo) of each bracket; a split's left half
     keeps it and its right half adds the left half's count.  Each count-1
@@ -894,9 +992,11 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
     """
     roots: list[float] = []
     mults: list[int] = []
+    owners: list[int] = []
     polish: list[tuple] = []
     n = los.size
-    sign = None  # s_0 of _polish_ready, fixed at the first handoff
+    # s_0 of _polish_ready per coupling, fixed at its first handoff
+    signs = np.full(len(table), np.nan)
     unready = np.zeros(n, dtype=bool)
     kept_lo = np.zeros(n, dtype=bool)  # the step before kept lo
     kept_hi = np.zeros(n, dtype=bool)
@@ -910,35 +1010,39 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
         done = width <= stop
         roots.extend(0.5 * (los[done] + his[done]))
         mults.extend(counts[done])
+        owners.extend(which[done])
         keep = ~done
         handoff = np.flatnonzero(
             keep & (counts == 1) & ~unready & (width > POLISH_HANDOFF * stop)
         )
         if handoff.size:
-            f_lo, f_hi, ready, sign = _polish_ready(
-                graph, robin, los[handoff], his[handoff], n_lo[handoff], sign
+            f_lo, f_hi, ready, signs = _polish_ready(
+                graph, table, which[handoff], los[handoff], his[handoff], n_lo[handoff], signs
             )
             leaving = handoff[ready]
-            polish.append((los[leaving], his[leaving], f_lo[ready], f_hi[ready]))
+            polish.append(
+                (which[leaving], los[leaving], his[leaving], f_lo[ready], f_hi[ready])
+            )
             keep[leaving] = False
             unready[handoff[~ready]] = True
-        los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi = (
+        which, los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi = (
             a[keep]
-            for a in (los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi)
+            for a in (which, los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi)
         )
         width, stop, widths = width[keep], stop[keep], widths[:, keep]
         if los.size == 0:
             break
         if rows is None:
-            th_lo, th_hi, ph_lo, ph_hi = _end_rows(graph, robin, los, his, counts)
+            th_lo, th_hi, ph_lo, ph_hi = _end_rows(graph, table, which, los, his, counts)
         else:
             th_lo, th_hi, ph_lo, ph_hi = (a[keep] for a in rows)
         psi_lo, psi_hi = _cluster_phases(ph_lo, ph_hi, counts)
         x = _split_points(
             los, his, w_lo * psi_lo, w_hi * psi_hi, width > 0.5 * widths[2], stop
         )
-        th_x = total_phase_values(graph, robin, x)
-        ph_x = _eigenphases(graph, robin, x)
+        sigmas = _couplings(table, which)
+        th_x = total_phase_values(graph, sigmas, x)
+        ph_x = _eigenphases(graph, sigmas, x)
         c_lo = _window_counts(th_x - th_lo, ph_x.sum(axis=1) - ph_lo.sum(axis=1))
         # c_hi is the remainder, so totals are conserved exactly; a half
         # outside [0, count] means the split-point and end counts disagree.
@@ -963,6 +1067,7 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
         kept_hi = ~lefts & one_side[both]
         w_lo = np.where(lefts, w_lo[both], 1.0)
         w_hi = np.where(lefts, 1.0, w_hi[both])
+        which = which[both]
         los = np.concatenate([los[left], x[right]])
         his = np.concatenate([x[left], his[right]])
         rows = (
@@ -980,10 +1085,11 @@ def _refine_brackets(graph, robin, los, his, counts, n_lo, tol):
             f"{los.size} brackets still open after {MAX_REFINE_STEPS} refinement steps"
         )
     if polish:
-        lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
-        roots.extend(_polish(graph, robin, lo, hi, f_lo, f_hi, tol))
+        at, lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
+        roots.extend(_polish(graph, table, at, lo, hi, f_lo, f_hi, tol))
         mults.extend([1] * lo.size)
-    return np.asarray(roots), np.asarray(mults, dtype=int)
+        owners.extend(at)
+    return np.asarray(roots), np.asarray(mults, dtype=int), np.asarray(owners, dtype=int)
 
 
 def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray, grid):
@@ -1094,49 +1200,64 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> st
     return None
 
 
-def _certify_records(graph, robin, ks, mults, radius, tol) -> None:
-    """Raise ToleranceNotMet unless every record (k, m), ascending, is
-    certified; see "Certification" in the module docstring.
+def _certify_records(graph, robins, records, tol) -> None:
+    """Raise ToleranceNotMet unless every record (k, m) of each coupling is
+    certified; records[c] holds the ascending wave numbers, multiplicities
+    and radii of robins[c].  See "Certification" in the module docstring.
 
-    The enclosures [k - rho, k + rho] join where they overlap, and a join
-    whose ends both count with margin must count the sum of its
-    multiplicities between them, in one batched _inertia_counts.  The
-    records of a join without margin, or of one with several records,
-    meet the kernel rule on the singular values of A(k), against every
-    record's crossings.
+    The enclosures [k - rho, k + rho] of one coupling join where they
+    overlap, and a join whose ends both count with margin must count the
+    sum of its multiplicities between them; the ends of every coupling
+    are counted in one batched _inertia_counts.  The records of a join
+    without margin, or of one with several records, meet the kernel rule
+    on the singular values of A(k), against every record's crossings of
+    their coupling.
     """
-    if ks.size == 0:
-        return
-    # a join starts where every enclosure below ends before every one above
-    top = np.maximum.accumulate(ks + radius)
-    bottom = np.minimum.accumulate((ks - radius)[::-1])[::-1]
-    first = np.concatenate([[True], top[:-1] < bottom[1:]])
-    starts = np.flatnonzero(first)
-    ends = np.concatenate([bottom[starts], top[np.append(starts[1:], ks.size) - 1]])
+    joins = []
+    for ks, _, radius in records:
+        if ks.size == 0:
+            joins.append((None, None, ks))
+            continue
+        # a join starts where every enclosure below ends before every one above
+        top = np.maximum.accumulate(ks + radius)
+        bottom = np.minimum.accumulate((ks - radius)[::-1])[::-1]
+        first = np.concatenate([[True], top[:-1] < bottom[1:]])
+        starts = np.flatnonzero(first)
+        ends = np.concatenate([bottom[starts], top[np.append(starts[1:], ks.size) - 1]])
+        joins.append((first, starts, ends))
+    ends = np.concatenate([join[2] for join in joins])
+    which = np.repeat(np.arange(len(robins)), [join[2].size for join in joins])
+    table = np.array([robin.vertex_sigmas(graph) for robin in robins])
     counts, ok = np.zeros(ends.size, dtype=int), ends > 0.0
-    counts[ok], ok[ok] = _inertia_counts(graph, robin, ends[ok])
-    n_lo, n_hi = np.split(counts, 2)
-    margin = np.logical_and(*np.split(ok, 2))
-    found, total = n_hi - n_lo, np.add.reduceat(mults, starts)
-    wrong = np.flatnonzero(margin & (found != total))
-    if wrong.size:
-        j = wrong[0]
-        side = "below" if found[j] < total[j] else "above"
-        raise ToleranceNotMet(
-            f"{found[j]} eigenvalues in the enclosure ({float(ends[j])!r}, "
-            f"{float(ends[starts.size + j])!r}], {side} its multiplicity {total[j]}"
-        )
-    # a join of several records certifies only the sum of their counts
-    alone = np.diff(np.append(starts, ks.size)) == 1
-    at = np.flatnonzero(~(margin & alone)[np.cumsum(first) - 1])
-    if at.size == 0:
-        return
-    svd = partial(np.linalg.svd, compute_uv=False)
-    sv = _stack_map(graph, robin, ks[at], svd, build=_amplitude_matrices)
-    crossings = np.repeat(ks, mults)
-    mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], tol, crossings)
-    if mismatch:
-        raise ToleranceNotMet(mismatch)
+    counts[ok], ok[ok] = _inertia_counts(graph, _couplings(table, which[ok]), ends[ok])
+    for c, (robin, (ks, mults, radius), (first, starts, ends)) in enumerate(
+        zip(robins, records, joins)
+    ):
+        if ks.size == 0:
+            continue
+        mine = which == c
+        n_lo, n_hi = np.split(counts[mine], 2)
+        margin = np.logical_and(*np.split(ok[mine], 2))
+        found, total = n_hi - n_lo, np.add.reduceat(mults, starts)
+        wrong = np.flatnonzero(margin & (found != total))
+        if wrong.size:
+            j = wrong[0]
+            side = "below" if found[j] < total[j] else "above"
+            raise ToleranceNotMet(
+                f"{found[j]} eigenvalues in the enclosure ({float(ends[j])!r}, "
+                f"{float(ends[starts.size + j])!r}], {side} its multiplicity {total[j]}"
+            )
+        # a join of several records certifies only the sum of their counts
+        alone = np.diff(np.append(starts, ks.size)) == 1
+        at = np.flatnonzero(~(margin & alone)[np.cumsum(first) - 1])
+        if at.size == 0:
+            continue
+        svd = partial(np.linalg.svd, compute_uv=False)
+        sv = _stack_map(graph, table[c], ks[at], svd, build=_amplitude_matrices)
+        crossings = np.repeat(ks, mults)
+        mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], tol, crossings)
+        if mismatch:
+            raise ToleranceNotMet(mismatch)
 
 
 def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
@@ -1188,7 +1309,7 @@ def _cap_index(graph, robin, grid, n_grid, start: int, tol) -> int:
         above = int(np.searchsorted(grid, top))
         if above < grid.size and n_grid[above] == n_grid[j]:
             return j
-        count, ok = _inertia_counts(graph, robin, [top])
+        count, ok = _inertia_counts(graph, robin.vertex_sigmas(graph), [top])
         if ok[0] and count[0] == n_grid[j]:
             return j
     raise ToleranceNotMet(
@@ -1205,14 +1326,31 @@ def compute_spectrum(
     *,
     tol: float | None = None,
 ) -> Spectrum:
-    """All eigenvalue wave numbers up to an index or wave-number target.
+    """All eigenvalue wave numbers up to an index or wave-number target, at
+    one coupling (Neumann when robin is None): compute_spectra of it alone."""
+    robin = RobinSpec.neumann() if robin is None else robin
+    return compute_spectra(graph, (robin,), n_max, k_max, tol=tol)[0]
+
+
+def compute_spectra(
+    graph: MetricGraph,
+    robins,
+    n_max: int | None = None,
+    k_max: float | None = None,
+    *,
+    tol: float | None = None,
+) -> tuple[Spectrum, ...]:
+    """The spectrum of graph at each coupling of robins, up to one index or
+    wave-number target, in one solver pass ("Couplings" in the module
+    docstring): each equals the spectrum of its coupling alone.
 
     Exactly one of n_max (count including multiplicity) and k_max must
     be given; k_max must be finite and positive.  tol, finite and
     positive, loosens the default refinement stop width to tol * (1 + k).
     """
-    if robin is None:
-        robin = RobinSpec.neumann()
+    robins = tuple(robins)
+    if not robins:
+        raise ValueError("give at least one coupling")
     if (n_max is None) == (k_max is None):
         raise ValueError("give exactly one of n_max and k_max")
     if n_max is not None and n_max < 1:
@@ -1222,10 +1360,10 @@ def compute_spectrum(
     if tol is not None and not (np.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
+    table = np.array([robin.vertex_sigmas(graph) for robin in robins])
     delta = SCAN_PHASE_STEP / graph.max_edge_length
-    k_start, below = _anchor(graph, robin, tol)
-    has_zero_mode = robin.sigma == 0.0 or not robin.vertices
-    zero_count = 1 if has_zero_mode else 0
+    anchors = [_anchor(graph, robin, tol) for robin in robins]
+    zero_counts = [int(robin.sigma == 0.0 or not robin.vertices) for robin in robins]
 
     if k_max is not None:
         # a few cells on, so that the cap rule can move past a root just
@@ -1236,61 +1374,79 @@ def compute_spectrum(
         # N(k) > zero_count + |G| (k - k_start) / pi - 2E and k_start is at
         # most pi / (2 |G|), so this k_goal certifies at least n_max + 8.
         k_goal = np.pi * (n_max + graph.num_slots + 8) / graph.total_length
-    n_cells = max(int(np.ceil((k_goal - k_start) / delta)), 1)
-
+    scans = [
+        k_start + delta * np.arange(1, max(int(np.ceil((k_goal - k_start) / delta)), 1) + 1)
+        for k_start, _ in anchors
+    ]
+    which = np.repeat(np.arange(len(robins)), [scan.size for scan in scans])
     points, n_points, ok = _scan_counts(
-        graph, robin, k_start + delta * np.arange(1, n_cells + 1), delta / 16.0
+        graph, _couplings(table, which), np.concatenate(scans), delta / 16.0
     )
-    if not np.all(ok):
-        j = int(np.flatnonzero(~ok)[0])
-        raise ToleranceNotMet(
-            f"no inertia count with margin at k={float(points[j])!r} after "
-            f"{GRID_MOVES} moves of a sixteenth of a scan cell"
-        )
-    grid = np.concatenate([[k_start], points])
-    n_grid = np.concatenate([[zero_count + len(below)], n_points])
-    _require_rising(grid, n_grid)
-    if k_max is not None:
-        start = int(np.searchsorted(grid, k_max))
-    else:
-        start = int(np.searchsorted(n_grid, n_max))
-        if start == grid.size:
+
+    grids, n_grids = [], []
+    for c, (robin, (k_start, below)) in enumerate(zip(robins, anchors)):
+        mine = which == c
+        if not np.all(ok[mine]):
+            j = int(np.flatnonzero(~ok[mine])[0])
             raise ToleranceNotMet(
-                f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
-                "eigenvalues, below the winding bound "
-                "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+                f"no inertia count with margin at k={float(points[mine][j])!r} after "
+                f"{GRID_MOVES} moves of a sixteenth of a scan cell"
             )
-    cap = _cap_index(graph, robin, grid, n_grid, start, tol)
-    grid, n_grid = grid[: cap + 1], n_grid[: cap + 1]
-    grid, n_grid = _quarter_cells(graph, robin, grid, n_grid)
-    _require_rising(grid, n_grid)
-    counts = np.diff(n_grid)
-    hot = np.flatnonzero(counts > 0)
-    roots, mults = _refine_brackets(
-        graph, robin, grid[hot], grid[hot + 1], counts[hot], n_grid[hot], tol
-    )
-    roots = np.concatenate([below, roots])
-    mults = np.concatenate([np.ones(len(below), dtype=int), mults])
-    radii = _merge_radius(graph, robin, roots, tol)
-    roots, mults, spread = _merge_roots(roots, mults, radii, grid)
-    radius = np.maximum(_stop_width(roots, tol) + spread, RADIUS_FLOOR * (1.0 + roots))
-    _certify_records(graph, robin, roots, mults, radius, tol)
+        grid = np.concatenate([[k_start], points[mine]])
+        n_grid = np.concatenate([[zero_counts[c] + len(below)], n_points[mine]])
+        _require_rising(grid, n_grid)
+        if k_max is not None:
+            start = int(np.searchsorted(grid, k_max))
+        else:
+            start = int(np.searchsorted(n_grid, n_max))
+            if start == grid.size:
+                raise ToleranceNotMet(
+                    f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
+                    "eigenvalues, below the winding bound "
+                    "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+                )
+        cap = _cap_index(graph, robin, grid, n_grid, start, tol)
+        grids.append(grid[: cap + 1])
+        n_grids.append(n_grid[: cap + 1])
+    grids, n_grids = _quarter_cells(graph, table, grids, n_grids)
+    brackets = []
+    for grid, n_grid in zip(grids, n_grids):
+        _require_rising(grid, n_grid)
+        counts = np.diff(n_grid)
+        hot = np.flatnonzero(counts > 0)
+        brackets.append((grid[hot], grid[hot + 1], counts[hot], n_grid[hot]))
+    which = np.repeat(np.arange(len(robins)), [bracket[0].size for bracket in brackets])
+    los, his, counts, n_lo = (np.concatenate(column) for column in zip(*brackets))
+    roots, mults, owners = _refine_brackets(graph, table, which, los, his, counts, n_lo, tol)
 
-    # Exact audit: the records count what the inertia counted at every
-    # scan point.
-    n_records = zero_count + np.searchsorted(np.repeat(roots, mults), grid, side="right")
-    wrong = n_records != n_grid
-    if np.any(wrong):
-        j = int(np.flatnonzero(wrong)[0])
-        raise ToleranceNotMet(
-            f"records count {n_records[j]} eigenvalues up to k={float(grid[j])!r}, "
-            f"the inertia count {n_grid[j]}"
+    records = []
+    for c, (robin, (_, below)) in enumerate(zip(robins, anchors)):
+        mine = owners == c
+        ks = np.concatenate([below, roots[mine]])
+        ms = np.concatenate([np.ones(len(below), dtype=int), mults[mine]])
+        radii = _merge_radius(graph, robin, ks, tol)
+        ks, ms, spread = _merge_roots(ks, ms, radii, grids[c])
+        radius = np.maximum(_stop_width(ks, tol) + spread, RADIUS_FLOOR * (1.0 + ks))
+        records.append((ks, ms, radius))
+    _certify_records(graph, robins, records, tol)
+
+    spectra = []
+    for robin, (ks, ms, radius), grid, n_grid, zero_count in zip(
+        robins, records, grids, n_grids, zero_counts
+    ):
+        # Exact audit: the records count what the inertia counted at every
+        # scan point.
+        n_records = zero_count + np.searchsorted(np.repeat(ks, ms), grid, side="right")
+        wrong = n_records != n_grid
+        if np.any(wrong):
+            j = int(np.flatnonzero(wrong)[0])
+            raise ToleranceNotMet(
+                f"records count {n_records[j]} eigenvalues up to k={float(grid[j])!r}, "
+                f"the inertia count {n_grid[j]}"
+            )
+        if zero_count:
+            ks, ms, radius = np.append(0.0, ks), np.append(1, ms), np.append(0.0, radius)
+        spectra.append(
+            Spectrum(graph, robin, 1 + np.cumsum(ms) - ms, ks, ms, radius, float(grid[-1]), tol)
         )
-
-    if has_zero_mode:
-        roots, mults = np.append(0.0, roots), np.append(1, mults)
-        radius = np.append(0.0, radius)
-    return Spectrum(
-        graph, robin, 1 + np.cumsum(mults) - mults, roots, mults, radius, float(grid[-1]), tol
-    )
-
+    return tuple(spectra)

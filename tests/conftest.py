@@ -3,15 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from graphspectra.graphs import (
-    RobinSpec,
-    build_graph,
-    incommensurate_lengths,
-    make_complete4,
-    make_star,
-)
+from graphspectra.graphs import RobinSpec, build_graph, make_complete4, make_star
 from graphspectra.solver import compute_spectrum
 from graphspectra.stats import rng_sequence
+from builders import incommensurate_lengths
 
 
 @pytest.fixture(scope="session")

@@ -266,6 +266,30 @@ def refined_kernel(edges, coupled, sigma, k, rows):
         return np.array(x.T.tolist(), dtype=complex)
 
 
+def exact_inertia_count(edges, num_vertices, coupled, sigma, k):
+    """N(k) = sum_e floor(k l_e / pi) + n_+(M(k)) at the float k, with the
+    vertex matrix M(k) built and decomposed at REFINE_DIGITS digits: the
+    count the solver's double-precision inertia count must give wherever
+    it claims margin."""
+    with mpmath.workdps(REFINE_DIGITS):
+        k = mpmath.mpf(k)
+        m = mpmath.zeros(num_vertices, num_vertices)
+        floors = 0
+        for u, v, length in edges:
+            x = k * mpmath.mpf(length)
+            floors += int(mpmath.floor(x / mpmath.pi))
+            if u == v:
+                m[u, u] += 2 * k * mpmath.tan(x / 2)
+                continue
+            m[u, u] -= k * mpmath.cot(x)
+            m[v, v] -= k * mpmath.cot(x)
+            m[u, v] += k / mpmath.sin(x)
+            m[v, u] += k / mpmath.sin(x)
+        for v in coupled:
+            m[v, v] -= mpmath.mpf(sigma)
+        return floors + sum(1 for mu in mpmath.eigsy(m, eigvals_only=True) if mu > 0)
+
+
 def gauged_kernel(edges, coupled, sigma, k, m):
     """Real eigenfunctions at a root k of multiplicity m as slot amplitudes,
     from the complex kernel of I - U(k).

@@ -27,10 +27,8 @@ from graphspectra.eigenfunctions import sensitivity
 from graphspectra.graphs import (
     RobinSpec,
     boundary_star_decomposition,
-    incommensurate_lengths,
     make_complete4,
     make_star,
-    midpoint_star_decomposition,
 )
 from graphspectra.solver import compute_spectrum
 from graphspectra.stats import (
@@ -41,6 +39,7 @@ from graphspectra.stats import (
     weyl_moments,
 )
 
+from builders import incommensurate_lengths, midpoint_star_decomposition
 from fd import discretize, oracle_eigenvalues
 from oracles import interval_robin_wavenumbers
 

@@ -20,10 +20,10 @@ from graphspectra.graphs import (
     build_graph,
     make_complete4,
     make_star,
-    midpoint_star_decomposition,
 )
 from graphspectra.solver import compute_spectrum
 from graphspectra.stats import RngSeries
+from builders import midpoint_star_decomposition
 
 
 class TestGapBound:

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspectra import bounds, cli
 from graphspectra.cli import main
-from graphspectra.solver import compute_spectrum
+from graphspectra.solver import compute_spectra
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -279,20 +281,23 @@ class TestCdf:
 
     @pytest.mark.parametrize("command", ["rng", "cdf"])
     def test_solver_settings_reach_both_spectra(self, command, tmp_path, monkeypatch):
+        # one solver pass computes the Neumann and the coupled spectrum
         seen = []
 
-        def recording(*args, **kwargs):
-            seen.append(kwargs)
-            return compute_spectrum(*args, **kwargs)
+        def recording(graph, robins, **kwargs):
+            seen.append((tuple(robin.sigma > 0.0 for robin in robins), kwargs))
+            return compute_spectra(graph, robins, **kwargs)
 
-        monkeypatch.setattr(cli, "compute_spectrum", recording)
+        monkeypatch.setattr(cli, "compute_spectra", recording)
         code, _ = run_cli(
             [command, "--graph", str(FIXTURES / "interval.json"), "--nmax", "30",
              "--tol", "1e-9"],
             tmp_path,
         )
         assert code == 0
-        assert [(kw["n_max"], kw["tol"]) for kw in seen] == [(30, 1e-9), (30, 1e-9)]
+        assert [(coupled, kw["n_max"], kw["tol"]) for coupled, kw in seen] == [
+            ((False, True), 30, 1e-9)
+        ]
 
     def test_tolerance_changes_the_output(self, tmp_path):
         args = ["cdf", "--graph", str(FIXTURES / "interval.json"), "--nmax", "30"]
@@ -427,6 +432,35 @@ class TestOutputDiscipline:
         for cols, table in ((columns, rows), (columns[:1], [(s,) for s in strings]),
                             (columns[:2], [row[:2] for row in rows]), (columns, [])):
             assert cli._csv_text(cols, table) == value_by_value(cols, table)
+
+    @given(
+        st.lists(st.sampled_from(["float", "int", "str", "mixed"]), min_size=1, max_size=5),
+        st.integers(0, 6),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_formats_match_the_cell_by_cell_oracle(self, kinds, size, data):
+        # every column kind the commands write, NaN and None among floats
+        # in some rows only, strings csv must quote, and columns of mixed
+        # kinds: the row-wise formats give the bytes of _fmt cell by cell
+        floats = st.one_of(
+            st.floats(), st.floats().map(np.float64), st.none(), st.just(float("nan"))
+        )
+        ints = st.one_of(st.integers(), st.integers(-(2**63), 2**63 - 1).map(np.int64))
+        cells = {
+            "float": floats,
+            "int": ints,
+            "str": st.text(),
+            "mixed": st.one_of(floats, ints, st.text(), st.booleans()),
+        }
+        table = [data.draw(st.lists(cells[kind], min_size=size, max_size=size)) for kind in kinds]
+        rows = list(zip(*table))
+        columns = [f"c{j}" for j in range(len(kinds))]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([cli._fmt(value) for value in row] for row in rows)
+        assert cli._csv_text(columns, rows) == buf.getvalue()
 
     def test_consecutive_runs_carry_no_state(self, capsys):
         # one parser serves every run in a process; a run with --window

@@ -96,7 +96,9 @@ def _names_taken(source, name):
     return taken
 
 
-@pytest.mark.parametrize("name", ["bounds", "eigenfunctions", "solver", "stats"])
+@pytest.mark.parametrize(
+    "name", ["bounds", "eigenfunctions", "graphs", "scattering", "solver", "stats"]
+)
 def test_public_names_have_a_caller_outside_the_tests(name):
     # a public name is taken by another package module or a README python
     # block, or is the class a taken function returns: API that only the

@@ -19,12 +19,11 @@ from graphspectra.graphs import (
     StarDecomposition,
     boundary_star_decomposition,
     build_graph,
-    incommensurate_lengths,
     make_complete4,
     make_star,
-    midpoint_star_decomposition,
     parse_graph,
 )
+from builders import incommensurate_lengths, midpoint_star_decomposition
 from oracles import min_integer_relation
 
 

@@ -19,13 +19,13 @@ from graphspectra.errors import ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
     build_graph,
-    incommensurate_lengths,
     load_graph_file,
     make_complete4,
     make_star,
 )
 from graphspectra.scattering import total_phase_values, unitary_stack
 from graphspectra.stats import weyl_moments
+from builders import incommensurate_lengths
 from oracles import (
     amplitude_matrix,
     complex_kernel_mismatch,
@@ -42,16 +42,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def _eigvals_count(graph, robin, lo, hi):
     """Crossings in (lo, hi] from the winding of plain LAPACK eigenphases."""
     ks = np.array([lo, hi])
-    ev = np.linalg.eigvals(unitary_stack(graph, robin, ks))
+    ev = np.linalg.eigvals(unitary_stack(graph, robin.vertex_sigmas(graph), ks))
     phi = np.mod(np.angle(ev), TWO_PI).sum(axis=1)
-    theta = total_phase_values(graph, robin, ks)
+    theta = total_phase_values(graph, robin.vertex_sigmas(graph), ks)
     return int(np.rint((theta[1] - theta[0] - (phi[1] - phi[0])) / TWO_PI))
 
 
 def test_amplitude_determinant_changes_sign_once_per_simple_root(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     ks = np.linspace(0.1, 40.0, 997)
-    f = solver._amplitude_dets(star4, robin, ks)
+    f = solver._amplitude_dets(star4, robin.vertex_sigmas(star4), ks)
     roots = solver.compute_spectrum(star4, robin, k_max=40.0).wavenumbers()
     assert np.all(np.diff(roots) > 0.0)
     assert np.count_nonzero(np.diff(np.sign(f))) == roots.size
@@ -66,7 +66,8 @@ def test_amplitude_determinant_sign_follows_the_count_parity(name, request):
     for robin in (NEUMANN, RobinSpec(frozenset({0}), 2.0)):
         spec = solver.compute_spectrum(graph, robin, k_max=40.0)
         counts = np.searchsorted(spec.wavenumbers(), ks, side="right")
-        signs = np.sign(solver._amplitude_dets(graph, robin, ks)) * (-1.0) ** counts
+        f = solver._amplitude_dets(graph, robin.vertex_sigmas(graph), ks)
+        signs = np.sign(f) * (-1.0) ** counts
         assert np.all(signs == signs[0]) and signs[0] != 0.0, robin
 
 
@@ -77,11 +78,14 @@ def test_polish_ready_sends_even_and_endpoint_roots_back(pi_interval):
     los = np.array([0.5, 1.5, 0.5, 0.5])
     his = np.array([1.5, 4.5, 2.5, 1.0])
     n_lo = np.array([1, 2, 1, 1])
-    _, _, ready, sign = solver._polish_ready(pi_interval, NEUMANN, los, his, n_lo)
+    table, which = NEUMANN.vertex_sigmas(pi_interval)[None, :], np.zeros(4, dtype=int)
+    _, _, ready, sign = solver._polish_ready(
+        pi_interval, table, which, los, his, n_lo, np.full(1, np.nan)
+    )
     assert ready.tolist() == [True, True, False, False]
     # the given s_0 is kept; the opposite one refuses every bracket
-    _, _, ready, _ = solver._polish_ready(pi_interval, NEUMANN, los, his, n_lo, -sign)
-    assert not ready.any()
+    _, _, ready, kept = solver._polish_ready(pi_interval, table, which, los, his, n_lo, -sign)
+    assert not ready.any() and kept.tolist() == (-sign).tolist()
 
 
 def test_handoff_on_a_noisy_end_sign_keeps_the_multiple_record():
@@ -101,7 +105,7 @@ def _assert_condensed(graph, robin):
     """A(k) has one f(v) column per vertex that starts an edge and one B_e
     per edge, and as many rows."""
     size = np.unique([u for u, _, _ in graph.edges]).size + graph.num_edges
-    a = solver._amplitude_matrices(graph, robin, np.array([0.3, 2.0]))
+    a = solver._amplitude_matrices(graph, robin.vertex_sigmas(graph), np.array([0.3, 2.0]))
     assert a.shape == (2, size, size)
 
 
@@ -116,8 +120,8 @@ def _planted(monkeypatch, row, column, delta):
     """Add delta to one entry of every amplitude matrix the solver builds."""
     build = solver._amplitude_matrices
 
-    def planted(graph, robin, ks):
-        a = build(graph, robin, ks)
+    def planted(graph, sigmas, ks):
+        a = build(graph, sigmas, ks)
         a[:, row, column] += delta
         return a
 
@@ -297,9 +301,9 @@ def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
     eigenphases = solver._eigenphases
     calls = []
 
-    def shifted(graph, robin, ks):
+    def shifted(graph, sigmas, ks):
         calls.append(len(ks))
-        rows = eigenphases(graph, robin, ks)
+        rows = eigenphases(graph, sigmas, ks)
         return rows if len(calls) == 1 else rows - 2.0 * TWO_PI / rows.shape[1]
 
     monkeypatch.setattr(solver, "_eigenphases", shifted)
@@ -341,8 +345,8 @@ def test_planted_quarter_count_raises(name, where, delta, monkeypatch):
         finally:
             state["quartering"] = False
 
-    def planted(graph, robin, ks):
-        counts, ok = inertia_fn(graph, robin, ks)
+    def planted(graph, sigmas, ks):
+        counts, ok = inertia_fn(graph, sigmas, ks)
         if state["quartering"] and state["planted"] is None:
             j = np.flatnonzero(ok)[int(where * (np.count_nonzero(ok) - 1))]
             counts[j] += delta
@@ -378,7 +382,8 @@ def _assert_polished_roots_change_sign(graph, robin, **target):
     # a lone root keeps its value as a record
     r = r[np.isin(r, spec.k[spec.multiplicity == 1])]
     half = 0.5 * spec.stop_width(r)
-    ends = solver._amplitude_dets(graph, robin, np.concatenate([r - half, r + half]))
+    ends = np.concatenate([r - half, r + half])
+    ends = solver._amplitude_dets(graph, robin.vertex_sigmas(graph), ends)
     same = np.prod(np.sign(np.split(ends, 2)), axis=0) > 0.0
     assert not np.any(same), r[same]
     return r.size
@@ -479,13 +484,13 @@ def test_joined_enclosures_count_the_sum_of_their_records(star4, monkeypatch):
     ks, mults = spec.k[5:7], spec.multiplicity[5:7]
     wide = np.full(2, 0.6 * (ks[1] - ks[0]))
     matrices = _count_matrices(monkeypatch, "svd")
-    solver._certify_records(star4, robin, ks, mults, wide, None)
+    solver._certify_records(star4, (robin,), [(ks, mults, wide)], None)
     assert matrices["svd"] == 2
     with pytest.raises(ToleranceNotMet, match="2 eigenvalues .* below its multiplicity 3"):
-        solver._certify_records(star4, robin, ks, mults + [0, 1], wide, None)
+        solver._certify_records(star4, (robin,), [(ks, mults + [0, 1], wide)], None)
     # one record whose enclosure reaches the next root holds too many
     with pytest.raises(ToleranceNotMet, match="above its multiplicity 1"):
-        solver._certify_records(star4, robin, ks[:1], mults[:1], 2.0 * wide[:1], None)
+        solver._certify_records(star4, (robin,), [(ks[:1], mults[:1], 2.0 * wide[:1])], None)
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
@@ -573,6 +578,10 @@ def _assert_winding_counts(graph, robin, spec):
         RobinSpec(frozenset({0}), 0.001),
     )
 )
+# an edge of length 1e-4 beside a unit one: near the double root at 8 pi
+# the terms of M(k), about 1e4, cancel to ||M||_2 = 0.03, and a margin on
+# ||M|| took counts flickering between 8 and 9 as certain
+@example(case=(build_graph([(0, 1, 1.0), (0, 1, 0.0001)]), RobinSpec(frozenset({0}), 1e-7)))
 def test_records_carry_their_winding_count(case):
     graph, robin = case
     _assert_winding_counts(graph, robin, solver.compute_spectrum(graph, robin, n_max=20))
@@ -615,6 +624,36 @@ def test_wide_star_polishes_its_handoff_brackets(monkeypatch):
     assert np.mean(ready) >= 0.9
 
 
+def _assert_same_spectrum(got, want):
+    assert got.graph == want.graph and got.robin == want.robin and got.tol == want.tol
+    for field in ("index", "k", "multiplicity", "radius"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.k_cap == want.k_cap
+
+
+@given(awkward_graphs(), st.booleans(), st.sampled_from([None, 1e-6]))
+@settings(max_examples=30, deadline=None)
+def test_one_pass_equals_a_pass_per_coupling(case, by_count, tol):
+    # compute_spectra shares the scan, quartering, refinement, polish and
+    # enclosure counts of its couplings row by row: each spectrum it gives
+    # is bitwise that of its coupling alone, whatever the order of the
+    # couplings, and a coupling given twice (every end value at the same k
+    # under both) gives the same spectrum twice
+    graph, robin = case
+    target = {"n_max": 12} if by_count else {"k_max": 12.0 * math.pi / graph.total_length}
+    couplings = (NEUMANN, robin)
+    try:
+        alone = [solver.compute_spectrum(graph, c, **target, tol=tol) for c in couplings]
+    except ToleranceNotMet:
+        with pytest.raises(ToleranceNotMet):
+            solver.compute_spectra(graph, couplings, **target, tol=tol)
+        return
+    for order in ((0, 1), (1, 0), (1, 1)):
+        spectra = solver.compute_spectra(graph, [couplings[c] for c in order], **target, tol=tol)
+        for got, c in zip(spectra, order):
+            _assert_same_spectrum(got, alone[c])
+
+
 @given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_amplitude_determinant_is_the_secular_function(case, us):
@@ -623,16 +662,17 @@ def test_amplitude_determinant_is_the_secular_function(case, us):
     # that both determinants are accurate)
     graph, robin = case
     ks = 1e-3 + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
-    u = unitary_stack(graph, robin, ks)
+    u = unitary_stack(graph, robin.vertex_sigmas(graph), ks)
     sv = np.linalg.svd(np.eye(graph.num_slots) - u, compute_uv=False)
     ks, u = ks[sv.min(axis=1) > 1e-4], u[sv.min(axis=1) > 1e-4]
     if ks.size == 0:
         return
+    sigmas = robin.vertex_sigmas(graph)
     zeta = secular_function(
-        u, total_phase_values(graph, robin, ks), graph.num_edges, graph.num_vertices
+        u, total_phase_values(graph, sigmas, ks), graph.num_edges, graph.num_vertices
     )
     assert np.all(np.abs(zeta.imag) <= 1e-8 * np.abs(zeta))
-    ratio = 2.0**graph.num_edges * solver._amplitude_dets(graph, robin, ks) / zeta.real
+    ratio = 2.0**graph.num_edges * solver._amplitude_dets(graph, sigmas, ks) / zeta.real
     assert np.allclose(ratio, ratio[0], rtol=0.0, atol=1e-8), ratio
     assert abs(abs(ratio[0]) - 1.0) <= 1e-8, ratio
 
@@ -651,7 +691,7 @@ def test_condensed_determinant_is_the_full_amplitude_determinant(case, us):
     ks, full = ks[sv.min(axis=1) > 1e-4], full[sv.min(axis=1) > 1e-4]
     if ks.size == 0:
         return
-    ratio = solver._amplitude_dets(graph, robin, ks) / np.linalg.det(full)
+    ratio = solver._amplitude_dets(graph, robin.vertex_sigmas(graph), ks) / np.linalg.det(full)
     assert np.allclose(ratio, ratio[0], rtol=0.0, atol=1e-12), ratio
     assert abs(abs(ratio[0]) - 1.0) <= 1e-12, ratio
 
@@ -803,8 +843,9 @@ def test_enclosures_agree_with_the_kernel_audit_across_couplings(case, pick):
         return
     positive = spec.k > 0.0
     ks, mults, rho = spec.k[positive], spec.multiplicity[positive], spec.radius[positive]
-    sv = np.linalg.svd(solver._amplitude_matrices(graph, robin, ks), compute_uv=False)
-    u = unitary_stack(graph, robin, ks)
+    sigmas = robin.vertex_sigmas(graph)
+    sv = np.linalg.svd(solver._amplitude_matrices(graph, sigmas, ks), compute_uv=False)
+    u = unitary_stack(graph, sigmas, ks)
     threshold = spec.kernel_threshold(ks)
     reach = 2.0 * threshold / graph.min_edge_length
 
@@ -826,7 +867,7 @@ def test_enclosures_agree_with_the_kernel_audit_across_couplings(case, pick):
     lo, hi = ks - rho, ks + rho
     alone = (lo > 0.0) & (lo > np.append(-np.inf, hi[:-1]))
     alone &= hi < np.append(lo[1:], np.inf)
-    counts, ok = solver._inertia_counts(graph, robin, np.concatenate([lo[alone], hi[alone]]))
+    counts, ok = solver._inertia_counts(graph, sigmas, np.concatenate([lo[alone], hi[alone]]))
     n_lo, n_hi = np.split(counts, 2)
     margin = np.logical_and(*np.split(ok, 2))
     assert np.array_equal((n_hi - n_lo)[margin], mults[alone][margin])
@@ -841,7 +882,7 @@ def test_inertia_count_equals_the_winding_count(case, us):
     k_start, below = solver._anchor(graph, robin, None)
     zero_count = 1 if robin.sigma == 0.0 or not robin.vertices else 0
     ks = k_start + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
-    counts, ok = solver._inertia_counts(graph, robin, ks)
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
     for k, n in zip(ks[ok], counts[ok]):
         winding = _eigvals_count(graph, robin, k_start, k)
         assert n == zero_count + len(below) + winding, (k, n, winding)

@@ -13,19 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspectra.errors import ZeroWaveNumber
-from graphspectra.graphs import (
-    RobinSpec,
-    build_graph,
-    incommensurate_lengths,
-    make_complete4,
-    make_star,
-)
+from graphspectra.graphs import RobinSpec, build_graph, make_complete4, make_star
 from graphspectra.scattering import (
     total_phase_derivative,
     total_phase_values,
     unitary_stack,
 )
 from graphspectra.solver import _eigenphases
+from builders import incommensurate_lengths
 from oracles import interval_robin_wavenumbers, secular_function, unitary_matrix
 
 NEUMANN = RobinSpec.neumann()
@@ -34,8 +29,8 @@ NEUMANN = RobinSpec.neumann()
 def _zeta(graph, robin, ks):
     """The real secular function zeta of the oracle, from unitary_stack."""
     return secular_function(
-        unitary_stack(graph, robin, ks),
-        total_phase_values(graph, robin, ks),
+        unitary_stack(graph, robin.vertex_sigmas(graph), ks),
+        total_phase_values(graph, robin.vertex_sigmas(graph), ks),
         graph.num_edges,
         graph.num_vertices,
     )
@@ -43,7 +38,8 @@ def _zeta(graph, robin, ks):
 
 def _scattering(graph, robin, k):
     """S(k), read off U(k) by undoing the propagation phases."""
-    return unitary_stack(graph, robin, [k])[0] * np.exp(-1j * k * graph.slot_length)
+    u = unitary_stack(graph, robin.vertex_sigmas(graph), [k])[0]
+    return u * np.exp(-1j * k * graph.slot_length)
 
 
 def test_entry_neumann_degree3():
@@ -81,27 +77,27 @@ def test_entry_non_incident_is_zero():
 def test_entry_rejects_zero_k():
     g = build_graph([(0, 1, 1.0)])
     with pytest.raises(ZeroWaveNumber):
-        unitary_stack(g, NEUMANN, [0.0])
+        unitary_stack(g, NEUMANN.vertex_sigmas(g), [0.0])
     with pytest.raises(ZeroWaveNumber):
-        unitary_stack(g, NEUMANN, [-1.0])
+        unitary_stack(g, NEUMANN.vertex_sigmas(g), [-1.0])
     with pytest.raises(ZeroWaveNumber):
         _zeta(g, NEUMANN, [0.0])
     with pytest.raises(ZeroWaveNumber):
-        total_phase_values(g, NEUMANN, [0.0])
+        total_phase_values(g, NEUMANN.vertex_sigmas(g), [0.0])
 
 
 def test_matrix_agrees_with_entries():
     g = make_complete4(incommensurate_lengths(6))
     robin = RobinSpec(frozenset({0, 2}), 1.7)
     k = 0.9
-    got = unitary_stack(g, robin, [k])[0]
+    got = unitary_stack(g, robin.vertex_sigmas(g), [k])[0]
     want = unitary_matrix(g.edges, {0, 2}, 1.7, k)
     assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 def test_unitary_on_interval_neumann():
     g = build_graph([(0, 1, math.pi)])
-    u = unitary_stack(g, NEUMANN, [1.0])[0]
+    u = unitary_stack(g, NEUMANN.vertex_sigmas(g), [1.0])[0]
     assert np.linalg.norm(u.conj().T @ u - np.eye(g.num_slots)) < 1e-14
     assert abs(_zeta(g, NEUMANN, [1.0])[0]) < 1e-12
     assert abs(_zeta(g, NEUMANN, [0.5])[0]) > 1e-2
@@ -117,7 +113,7 @@ def test_secular_zero_at_robin_interval_root():
 
 
 def _kernel_dim(graph, robin, k, tol=1e-8):
-    u = unitary_stack(graph, robin, [k])[0]
+    u = unitary_stack(graph, robin.vertex_sigmas(graph), [k])[0]
     sv = np.linalg.svd(np.eye(graph.num_slots) - u, compute_uv=False)
     return int(np.sum(sv < tol * math.sqrt(graph.num_slots)))
 
@@ -134,13 +130,13 @@ def test_equilateral_star_kernel_dimensions():
 def test_eigenphases_sorted_and_unimodular():
     g = make_complete4(incommensurate_lengths(6))
     robin = RobinSpec(frozenset(range(4)), 2.0)
-    ev = np.linalg.eigvals(unitary_stack(g, robin, [1.1])[0])
+    ev = np.linalg.eigvals(unitary_stack(g, robin.vertex_sigmas(g), [1.1])[0])
     assert np.allclose(np.abs(ev), 1.0, atol=1e-12)
     phases = np.sort(np.mod(np.angle(ev), 2.0 * math.pi))
     assert np.all(phases >= 0.0) and np.all(phases < 2.0 * math.pi)
     # the solver's eigenphase row is exactly these sorted reduced phases,
     # and Phi(k) is its sum
-    row = _eigenphases(g, robin, [1.1])[0]
+    row = _eigenphases(g, robin.vertex_sigmas(g), [1.1])[0]
     assert np.allclose(row, phases, rtol=0.0, atol=1e-12)
     assert row.sum() == pytest.approx(phases.sum(), abs=1e-12)
 
@@ -149,26 +145,28 @@ def test_unitary_stack_matches_pointwise():
     g = make_star(4, incommensurate_lengths(4))
     robin = RobinSpec(frozenset({0}), 2.0)
     ks = np.array([0.3, 1.0, 2.7, 9.4])
-    stack = unitary_stack(g, robin, ks)
+    stack = unitary_stack(g, robin.vertex_sigmas(g), ks)
     assert stack.shape == (4, g.num_slots, g.num_slots)
     for i, k in enumerate(ks):
         assert np.allclose(stack[i], unitary_matrix(g.edges, {0}, 2.0, float(k)))
     with pytest.raises(ZeroWaveNumber):
-        unitary_stack(g, robin, np.array([1.0, 0.0]))
+        unitary_stack(g, robin.vertex_sigmas(g), np.array([1.0, 0.0]))
 
 
 def test_total_phase_closed_forms():
     g = make_star(4, incommensurate_lengths(4))
     length = g.total_length
-    assert total_phase_values(g, NEUMANN, [3.0])[0] == pytest.approx(6.0 * length)
+    assert total_phase_values(g, NEUMANN.vertex_sigmas(g), [3.0])[0] == pytest.approx(6.0 * length)
 
     robin = RobinSpec(frozenset({0}), 2.0)
     k = 1.7
     want = 2.0 * k * length - 2.0 * math.atan(2.0 / (4.0 * k))
-    assert total_phase_values(g, robin, [k])[0] == pytest.approx(want, rel=1e-14)
+    assert total_phase_values(g, robin.vertex_sigmas(g), [k])[0] == pytest.approx(want, rel=1e-14)
 
     # coupling correction decays at large k
-    tail = total_phase_values(g, robin, [500.0]) - total_phase_values(g, NEUMANN, [500.0])
+    tail = total_phase_values(g, robin.vertex_sigmas(g), [500.0]) - total_phase_values(
+        g, NEUMANN.vertex_sigmas(g), [500.0]
+    )
     assert abs(tail[0]) < 1e-2
 
 
@@ -176,7 +174,7 @@ def test_total_phase_strictly_increasing():
     g = make_complete4(incommensurate_lengths(6))
     robin = RobinSpec(frozenset(range(4)), 2.0)
     ks = np.linspace(0.05, 40.0, 400)
-    theta = total_phase_values(g, robin, ks)
+    theta = total_phase_values(g, robin.vertex_sigmas(g), ks)
     assert np.all(np.diff(theta) > 0.0)
     deriv = total_phase_derivative(g, robin, ks)
     assert np.all(deriv >= 2.0 * g.total_length)
@@ -190,10 +188,10 @@ def test_lifted_det_argument_matches_total_phase():
     g = make_star(4, incommensurate_lengths(4))
     robin = RobinSpec(frozenset({0}), 2.0)
     ks = np.linspace(0.7, 3.0, 201)
-    dets = np.array([np.linalg.det(u) for u in unitary_stack(g, robin, ks)])
+    dets = np.array([np.linalg.det(u) for u in unitary_stack(g, robin.vertex_sigmas(g), ks)])
     # steps are small enough that each increment stays well inside (-pi, pi)
     lifted = np.sum(np.angle(dets[1:] / dets[:-1]))
-    want = total_phase_values(g, robin, ks[[0, -1]])
+    want = total_phase_values(g, robin.vertex_sigmas(g), ks[[0, -1]])
     assert abs(lifted - (want[1] - want[0])) < 1e-8 * ks.size
 
 
@@ -216,11 +214,11 @@ def test_unitarity_defect_property(kind, k, sigma):
     else:
         g = build_graph([(0, 0, 1.5), (0, 1, 0.8)])
         robin = RobinSpec(frozenset({0, 1}), sigma)
-    u = unitary_stack(g, robin, [k])[0]
+    u = unitary_stack(g, robin.vertex_sigmas(g), [k])[0]
     defect = np.linalg.norm(u.conj().T @ u - np.eye(g.num_slots))
     assert defect <= 1e-12 * g.num_slots
     assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-12
     # det U(k) = (-1)^(E + V) exp(i Theta(k)), loops included
-    theta = total_phase_values(g, robin, [k])[0]
+    theta = total_phase_values(g, robin.vertex_sigmas(g), [k])[0]
     sign = (-1.0) ** (g.num_edges + g.num_vertices)
     assert abs(np.linalg.det(u) - sign * np.exp(1j * theta)) < 1e-12

@@ -16,13 +16,12 @@ from graphspectra.errors import ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
     build_graph,
-    incommensurate_lengths,
     load_graph_file,
     make_star,
     make_complete4,
 )
 from graphspectra.solver import _stop_width, compute_spectrum
-from oracles import interval_robin_wavenumbers
+from oracles import exact_inertia_count, interval_robin_wavenumbers
 
 NEUMANN = RobinSpec.neumann()
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -106,7 +105,7 @@ def test_kmax_mode(star4):
     assert spec.k_cap >= 20.0
     ks = spec.wavenumbers()
     assert np.all(ks <= spec.k_cap)
-    count, ok = solver._inertia_counts(star4, NEUMANN, [spec.k_cap])
+    count, ok = solver._inertia_counts(star4, NEUMANN.vertex_sigmas(star4), [spec.k_cap])
     assert ok[0] and count[0] == spec.size
     longer = compute_spectrum(star4, NEUMANN, n_max=spec.size + 10).wavenumbers()
     np.testing.assert_array_equal(ks, longer[longer <= spec.k_cap])
@@ -186,9 +185,9 @@ def test_scan_short_of_n_max_raises(star4, monkeypatch):
     # a scan that certifies fewer than n_max roots raises, not extends
     inertia_counts = solver._inertia_counts
 
-    def lower_quarter(graph, robin, ks):
+    def lower_quarter(graph, sigmas, ks):
         # N flat above the lowest quarter: those cells count zero
-        n, ok = inertia_counts(graph, robin, ks)
+        n, ok = inertia_counts(graph, sigmas, ks)
         n[n.size // 4 :] = n[n.size // 4]
         return n, ok
 
@@ -284,7 +283,7 @@ def test_counting_consistency_property(sigma, seed):
     spec = compute_spectrum(g, robin, n_max=30)
     # the records count what the inertia of M(k) counts at arbitrary k
     ks = rng.uniform(0.05, spec.k_cap, 12)
-    counts, ok = solver._inertia_counts(g, robin, ks)
+    counts, ok = solver._inertia_counts(g, robin.vertex_sigmas(g), ks)
     for k, n in zip(ks[ok], counts[ok]):
         assert _count(spec, k) == n, (k, n)
 
@@ -320,7 +319,7 @@ def test_tiny_coupling_keeps_one_simple_ground_state(case, sigma, us):
     # the records count what the inertia of M(k) counts, wherever it has margin
     ks = spec.k_cap * np.asarray(us)
     ks = ks[ks > 0.0]
-    counts, ok = solver._inertia_counts(graph, robin, ks)
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
     for k, n in zip(ks[ok], counts[ok]):
         assert _count(spec, k) == n, (k, n)
 
@@ -343,10 +342,33 @@ def test_loop_entry_is_the_tangent_form():
     graph = build_graph([(0, 1, 1.0), (0, 0, 0.001)], num_vertices=2)
     robin = RobinSpec(frozenset({0}), 0.001)
     for k in (0.031601720711095835, 0.5, 3.0):
-        m = solver._vertex_matrices(graph, robin, [k])[0]
+        m = solver._vertex_matrices(graph, robin.vertex_sigmas(graph), [k])[0][0]
         want = -k / math.tan(k) + 2.0 * k * math.tan(0.0005 * k) - 0.001
         assert m[0, 0] == pytest.approx(want, rel=1e-14, abs=1e-16)
         assert m[0, 1] == m[1, 0] == pytest.approx(k / math.sin(k), rel=1e-15)
+
+
+@pytest.mark.parametrize("short", [1e-4, 1e-3, 1e-2])
+def test_cancelling_multi_edge_terms_leave_no_margin(short):
+    # beside a unit edge, an edge of length l adds terms of size 1 / l to
+    # M(k) that cancel in its entries: near the roots ||M||_2 is far below
+    # the rounding of those terms, so a bound on ||M|| claims margin at
+    # counts off by one.  A bound on the terms claims none there.
+    edges, sigma = [(0, 1, 1.0), (0, 1, short)], 1e-4
+    graph, robin = build_graph(edges), RobinSpec(frozenset({0}), sigma)
+    spec = compute_spectrum(graph, robin, n_max=12)
+    roots = spec.k[spec.k > 0.0]
+    ks = (roots[:, None] + np.arange(-12, 13) * np.spacing(roots)[:, None]).ravel()
+    exact = np.array([exact_inertia_count(edges, 2, [0], sigma, k) for k in ks])
+    m, _ = solver._vertex_matrices(graph, robin.vertex_sigmas(graph), ks)
+    mu = np.linalg.eigvalsh(m)
+    size = np.abs(mu)
+    # the bound 64 V eps ||M||_2 on the eigenvalues of the rounded M(k)
+    on_sum = size.min(axis=1) > solver.INERTIA_MARGIN * 2 * solver.EPS * size.max(axis=1)
+    floors = np.floor(ks[:, None] * graph.slot_length[0::2] / np.pi).sum(axis=1)
+    assert np.any(on_sum & (floors + np.count_nonzero(mu > 0.0, axis=1) != exact))
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
+    assert np.array_equal(counts[ok], exact[ok]) and np.count_nonzero(ok) > 0.1 * ks.size
 
 
 @st.composite
@@ -388,12 +410,12 @@ def test_pendant_reduction_keeps_the_count(case, seed, tiny):
     spread = np.random.default_rng(seed).uniform(0.0, top, 400)
     ks = np.concatenate([spread, 10.0 ** np.asarray(tiny)])
     ks = ks[ks > 0.0]
-    reduced, reduced_ok = solver._pendant_index(graph, robin, ks)
-    full, full_ok = solver._morse_index(graph, robin, ks)
+    reduced, reduced_ok = solver._pendant_index(graph, robin.vertex_sigmas(graph), ks)
+    full, full_ok = solver._morse_index(graph, robin.vertex_sigmas(graph), ks)
     poles, floors = _pole_margin(graph, ks)
     both = reduced_ok & full_ok & poles
     assert np.array_equal(reduced[both], full[both])
-    counts, ok = solver._inertia_counts(graph, robin, ks)
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
     assert np.array_equal(ok, poles & (reduced_ok | full_ok))
     assert np.array_equal(counts[ok], (floors + np.where(reduced_ok, reduced, full))[ok])
 
@@ -433,13 +455,13 @@ def test_stub_resonances_leave_the_count_to_the_full_matrix(case, m, ulps, data)
         h = _float_root(lambda k: k * np.sin(k * length) - sigma * np.cos(k * length),
                         max(m * np.pi / length, 1e-300), (m + 0.5) * np.pi / length)
         ks = np.append(ks, h)
-    reduced, reduced_ok = solver._pendant_index(graph, robin, ks)
-    full, full_ok = solver._morse_index(graph, robin, ks)
+    reduced, reduced_ok = solver._pendant_index(graph, robin.vertex_sigmas(graph), ks)
+    full, full_ok = solver._morse_index(graph, robin.vertex_sigmas(graph), ks)
     poles, floors = _pole_margin(graph, ks)
     assert not reduced_ok[0]
     both = reduced_ok & full_ok & poles
     assert np.array_equal(reduced[both], full[both])
-    counts, ok = solver._inertia_counts(graph, robin, ks)
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
     assert ok[0] == (poles[0] and full_ok[0])
     if ok[0]:
         assert counts[0] == floors[0] + full[0]
@@ -454,10 +476,11 @@ def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
         k = _float_root(
             lambda k: k * np.sin(k) - 3.0 * np.cos(k), max(m * np.pi, 1e-300), (m + 0.5) * np.pi
         )
-        _, reduced_ok = solver._pendant_index(graph, robin, np.array([k]))
+        _, reduced_ok = solver._pendant_index(graph, robin.vertex_sigmas(graph), np.array([k]))
         assert not reduced_ok[0]
         # 1e-8 relative to either side, the count is decided
-        counts, ok = solver._inertia_counts(graph, robin, [k * (1.0 - 1e-8), k * (1.0 + 1e-8)])
+        ks = [k * (1.0 - 1e-8), k * (1.0 + 1e-8)]
+        counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
         assert ok.all() and counts.tolist() == [m, m + 1]
 
 
@@ -504,7 +527,7 @@ def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
     spec = compute_spectrum(graph, robin, n_max=12, tol=1e-6)
     eigenbasis(spec, np.arange(spec.k.size))
     top = spec.k_cap + solver._kernel_reach(graph, robin, np.array([spec.k_cap]), 1e-6)
-    counts, ok = solver._inertia_counts(graph, robin, top)
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), top)
     assert ok[0] and counts[0] == spec.size
 
 
@@ -516,5 +539,6 @@ def test_pendant_count_flips_at_the_rayleigh_wave_number(sigma):
     graph = make_star(5, (0.7, 1.1, 1.3, 0.9, 1.7))
     robin = RobinSpec(frozenset({0}), sigma)
     k_r = math.sqrt(sigma / graph.total_length)
-    counts, ok = solver._inertia_counts(graph, robin, [0.999 * k_r, 1.001 * k_r])
+    ks = [0.999 * k_r, 1.001 * k_r]
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
     assert ok.all() and counts.tolist() == [0, 1]

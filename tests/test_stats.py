@@ -175,7 +175,7 @@ class TestPredictions:
             lambda: arctan_prediction(star, robin, ks),
             lambda: sensitivity_prediction(star, robin, ks**2),
             lambda: len(robin.coupled_vertices(star)) / star.total_length,
-            lambda: total_phase_values(star, robin, ks),
+            lambda: total_phase_values(star, robin.vertex_sigmas(star), ks),
             lambda: total_phase_derivative(star, robin, ks),
         ):
             with pytest.raises(DanglingEndpoint):
