@@ -82,12 +82,16 @@ def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray
     row's value does not depend on the couplings of the other rows.
     """
     ks = np.asarray(ks, dtype=float)
-    if ks.size and not np.all(ks > 0.0):
+    if ks.size and not ks.min() > 0.0:
         raise ZeroWaveNumber("total phase needs k > 0")
     sigmas = np.asarray(sigmas)
     theta = 2.0 * graph.total_length * ks
-    for v in np.flatnonzero(sigmas.reshape(-1, graph.num_vertices).any(axis=0)):
-        theta = theta - 2.0 * np.arctan(sigmas[..., v] / (graph.degrees[v] * ks))
+    if sigmas.ndim == 1:
+        coupled = [(v, s) for v, s in enumerate(sigmas.tolist()) if s]
+    else:
+        coupled = [(v, sigmas[:, v]) for v in np.flatnonzero(sigmas.any(axis=0)).tolist()]
+    for v, s in coupled:
+        theta = theta - 2.0 * np.arctan(s / (graph.degree(v) * ks))
     return theta
 
 

@@ -1,6 +1,6 @@
-"""Eigenvalue solver: inertia counts certify the scan, eigenphase winding
-counts the multiple roots, a real amplitude determinant polishes the
-simple ones.
+"""Eigenvalue solver: inertia counts certify the scan and split the
+multiple roots off the Dirichlet poles, eigenphase winding splits those on
+them, a real amplitude determinant polishes the simple roots.
 
 Counting.  Take k off every Dirichlet pole, so that k l_e / pi is not an
 integer for any edge.  Then the number of eigenvalues with wave number
@@ -83,9 +83,10 @@ where Phi(k) = sum_m phi_m(k).  The constant cancels and the right
 side is an integer up to rounding noise, so windows can be counted
 without any branch matching or path continuity.  Every grid cell with a
 positive inertia count, after quartering, is refined in two stages, and
-eigvals of U(k) runs only at the ends of the cells that reach the
-counted splits and at their split points: there the winding count is
-the only certificate, and it must equal the cell's inertia count.
+eigvals of U(k) runs only for the cells that reach the counted splits
+with a Dirichlet pole in them, at their ends and split points: there
+the winding count is the only certificate, and it must equal the cell's
+inertia count.
 
 Quartering.  On incommensurate graphs most scan cells that count two or
 more roots hold simple roots a fraction of a cell apart, which the
@@ -104,22 +105,49 @@ them like every scan point.
 Counted splits.  Each step measures every bracket at one point and
 counts each half; halves whose count stays positive are kept, so a
 cluster of m coincident roots is simply a bracket whose count never
-drops below m.  The point comes from the eigenphases the counts already
-use.  For a bracket (lo, hi] holding c crossings, let
+drops below m.  On reaching this stage a bracket takes one of two
+routes, which its halves keep: its own poles, and how finely M(k)
+resolves its roots, choose it.
+
+The vertex route takes a bracket (lo, hi] with no Dirichlet pole in
+[lo, hi]: the same floor(k l_e / pi) at both ends for every edge, and
+the pole margin at both.  There M'(k) is positive semidefinite: the
+block [[a, b], [b, a]] that an edge adds has a - |b| = (1 +- cos kl)
+(kl -+ sin kl) / sin^2 kl >= 0, a loop's 2 k tan(kl / 2) increases, and
+sigma is constant.  So every eigenvalue of M(k) rises with k, and the
+count of a half is n_+(M(x)) - n_+(M(lo)), one real V x V eigvalsh at x,
+with n_+(M(lo)) = N(lo) less the floor sum.  The c eigenvalues that
+cross zero in a bracket holding c roots sit at ascending positions
+[V - n_+(M(lo)) - c, V - n_+(M(lo))), and their sum S(k) is <= 0 at lo,
+> 0 at hi and non-decreasing between, near linear across a cluster
+whose eigenvalues cross together.  The eigenvalues of the full M at both
+ends must count with margin, and such counts must give N less the floor
+sum or raise.  They must also resolve a root to VERTEX_RESOLUTION stop
+widths: V eps ||T||_F (the rounding of M, see Counting) over the mean
+slope of the crossing eigenvalues, (S(hi) - S(lo)) / (c (hi - lo)), is
+at most that.  A large coupling, whose sigma enters T but not the slope,
+can fail it.  The bracket then takes the winding route, whose unitary
+U(k) has no such scale.
+
+Every other bracket takes the winding route, on the eigenphases its
+counts use.  For a bracket (lo, hi] holding c crossings, let
 
     psi(lo) = (sum of the c largest phi_m(lo)) - 2 pi c  <= 0,
     psi(hi) =  sum of the c smallest phi_m(hi)           >= 0.
 
 When the crossing branches are those nearest 2 pi at lo and nearest 0 at
 hi, psi is their summed phase unwrapped across the crossing, nearly
-linear in k and zero at a multiple root, so the false-position point of
-psi lands on the cluster.  It is safeguarded: an end kept twice in a row
-has its psi halved (the Illinois rule), the point stays half a stop
-width inside the bracket, and the midpoint is taken when the psi ends
-have the wrong signs or the bracket did not halve over three steps.  The
-point only chooses where to measure; the counts at it certify as before.
-Brackets with count 2 or more stay in this stage to the end, a few steps
-each where bisection took about 45.
+linear in k and zero at a multiple root.
+
+On either route the point is the false-position point of S or psi,
+which lands on the cluster.  It is safeguarded: an end kept twice in a
+row has its value halved (the Illinois rule), the point stays half a
+stop width inside the bracket, and the midpoint is taken when the end
+values have the wrong signs or the bracket did not halve over three
+steps.  The point only chooses where to measure; the counts at it
+certify as before.  Brackets with count 2 or more stay in this stage to
+the end, a few steps each where bisection took about 45.  Both routes
+run in one step loop.
 
 Polish.  A bracket with count 1 that is wider than POLISH_HANDOFF stop
 widths leaves the counted splits as soon as it appears, from the grid
@@ -210,8 +238,13 @@ roots, so a double root in a longer chain stays one record.
 
 Certification.  A window count further than COUNT_ROUNDING_TOL from an
 integer raises, as does a half-bracket count outside [0, count], an
-inertia count that falls from one grid point to the next, and a cell
-whose winding count differs from its inertia count.  Each record (k, m)
+inertia count that falls from one grid point to the next, a cell whose
+winding count differs from its inertia count, and vertex-route ends
+whose counts of M differ from N less the floor sum.  A split point's
+count needs no margin on either route: without it, it only decides
+which half takes a root within rounding of the point, as a winding count
+does at a crossing, and the vertex route's resolution rule keeps that
+rounding within the stop width.  Each record (k, m)
 then has a radius
 
     rho = max(stop width + spread, RADIUS_FLOOR (1 + k)),
@@ -240,11 +273,13 @@ l_min per unit k, and reach = 2 kernel_threshold / l_min.  The enclosure
 is the stronger certificate: it places exactly m eigenvalues within rho
 of k, and rho, 1e-12 (1 + k) at the default tol, lies far inside the
 reach.  A record that falls back keeps its radius on the certificate of
-its refinement bracket: the winding and inertia counts at the ends of a
-counted split, or for a polished root the signs of det A that the
-inertia parity predicts.  The one exception is a bracket polished on
-rounding noise beside a multiple root (see Polish), whose root only the
-rule and the audit below check.  Then the records must count exactly
+its refinement bracket: on the winding route the winding and inertia
+counts at the ends of a counted split; on the vertex route the counts
+of M at its ends, with margin at the grid points it started from and
+within the route's resolution at its split points; or for a polished
+root the signs of det A that the inertia parity predicts.  The one
+exception is a bracket polished on rounding noise beside a multiple
+root (see Polish), whose root only the rule and the audit below check.  Then the records must count exactly
 the inertia count N(k) at every grid point, scan and quarter points.
 
 Couplings.  compute_spectra solves several couplings of one graph to one
@@ -300,6 +335,8 @@ QUARTERS = 4
 CAP_CELLS = 8
 # a record's enclosure radius is at least RADIUS_FLOOR (1 + k)
 RADIUS_FLOOR = 1e-12
+# a vertex-route bracket resolves its roots to this share of the stop width
+VERTEX_RESOLUTION = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,10 +557,10 @@ def _vertex_matrices(graph: MetricGraph, sigmas, ks, stubs=None):
     return m, np.sqrt(np.sum(sizes * sizes, axis=1))
 
 
-def _morse_index(graph: MetricGraph, sigmas, ks, *stubs, noise=0.0):
-    """n_+ of M(k), or of M~(k) given the stub terms, and whether each has
-    margin: every |mu_j| above INERTIA_MARGIN V eps ||T||_F + noise, T the
-    per-entry sums of the |terms| of the matrix (see _vertex_matrices).
+def _vertex_spectra(graph: MetricGraph, sigmas, ks, *stubs):
+    """Ascending eigenvalues of M(k), or of M~(k) given the stub terms, and
+    the margin INERTIA_MARGIN V eps ||T||_F of each row, T the per-entry
+    sums of the |terms| of the matrix (see _vertex_matrices).
 
     Weyl's bound on the rounded matrix needs the size of its terms, not of
     their sum: on a multi-edge with a short edge the terms of size 1 / l
@@ -537,8 +574,26 @@ def _morse_index(graph: MetricGraph, sigmas, ks, *stubs, noise=0.0):
         _vertex_matrices,
         *stubs,
     )
-    bound = INERTIA_MARGIN * graph.num_vertices * EPS * scale + noise
-    return np.count_nonzero(mu > 0.0, axis=1), np.abs(mu).min(axis=1) > bound
+    return mu, INERTIA_MARGIN * graph.num_vertices * EPS * scale
+
+
+def _morse_index(graph: MetricGraph, sigmas, ks, *stubs, noise=0.0):
+    """n_+ of M(k), or of M~(k) given the stub terms, and whether each has
+    margin: every |mu_j| above the margin of _vertex_spectra plus noise."""
+    mu, bound = _vertex_spectra(graph, sigmas, ks, *stubs)
+    return np.count_nonzero(mu > 0.0, axis=1), np.abs(mu).min(axis=1) > bound + noise
+
+
+def _vertex_rows(graph: MetricGraph, sigmas, ks):
+    """Ascending eigenvalues of the full M(k) and their margins, for the
+    vertex route of the counted splits."""
+    return _vertex_spectra(graph, sigmas, ks)
+
+
+def _off_poles(x: np.ndarray) -> np.ndarray:
+    """|sin x| above the pole margin, x = k l_e: M(k) is far enough from the
+    pole for a count, and floor(x / pi) is exact (|sin x| > 2 eps x)."""
+    return np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x
 
 
 def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
@@ -577,7 +632,7 @@ def _inertia_counts(graph: MetricGraph, sigmas, ks):
     """
     ks = np.asarray(ks, dtype=float)
     x = ks[:, None] * graph.slot_length[None, 0::2]
-    poles = np.all(np.abs(np.sin(x)) > POLE_MARGIN + 2.0 * EPS * x, axis=1)
+    poles = np.all(_off_poles(x), axis=1)
     positive, ok = _pendant_index(graph, sigmas, ks)
     ok &= poles
     again = np.flatnonzero(poles & ~ok) if _pendant_edges(graph)[0].size else []
@@ -951,27 +1006,99 @@ def _cluster_phases(ph_lo, ph_hi, counts):
     return psi_lo[:, 0], psi_hi[:, 0]
 
 
-def _end_rows(graph, table, which, los, his, counts):
-    """Theta and eigenphase rows at the bracket ends, checked against counts,
-    bracket j under the couplings table[which[j]].
+def _crossing_sums(mu_lo, mu_hi, base, counts):
+    """S at both ends of brackets holding count crossings each, base the
+    count n_+(M(lo)).
 
-    An end shared by two brackets of one coupling is decomposed once.
-    Each bracket's winding count must equal the inertia count it came
-    with; raises ToleranceNotMet otherwise.
+    The eigenvalues of M(k) that cross zero in (lo, hi] sit at ascending
+    positions [V - base - count, V - base), and S is their sum: <= 0 at lo,
+    > 0 at hi, and non-decreasing between, since M'(k) is positive
+    semidefinite off the poles ("Counted splits" in the module docstring).
     """
+    top = mu_lo.shape[1] - base[:, None]
+    j = np.arange(mu_lo.shape[1])
+    crossing = (j >= top - counts[:, None]) & (j < top)
+    return np.sum(mu_lo * crossing, axis=1), np.sum(mu_hi * crossing, axis=1)
+
+
+def _at_ends(table, which, los, his, fn):
+    """fn(sigmas, ks) at the ends of brackets, bracket j under the couplings
+    table[which[j]], as a (lo, hi) pair per array fn returns: an end that
+    two brackets of one coupling share is evaluated once."""
     at, ks, inverse = _distinct(np.concatenate([which, which]), np.concatenate([los, his]))
-    sigmas = _couplings(table, at)
-    th_lo, th_hi = np.split(total_phase_values(graph, sigmas, ks)[inverse], 2)
-    ph_lo, ph_hi = np.split(_eigenphases(graph, sigmas, ks)[inverse], 2)
-    winding = _window_counts(th_hi - th_lo, ph_hi.sum(axis=1) - ph_lo.sum(axis=1))
-    wrong = winding != counts
-    if np.any(wrong):
-        j = int(np.flatnonzero(wrong)[0])
-        raise ToleranceNotMet(
-            f"winding count {winding[j]} of ({float(los[j])!r}, {float(his[j])!r}] differs "
-            f"from its inertia count {counts[j]}"
+    return [np.split(a[inverse], 2) for a in fn(_couplings(table, at), ks)]
+
+
+def _end_rows(graph, table, which, los, his, counts, n_lo, tol):
+    """Route, floor sum and rows at the ends of brackets, checked against
+    their counts, bracket j under the couplings table[which[j]].
+
+    A bracket with no Dirichlet pole in [lo, hi], the same floor(k l_e / pi)
+    at both ends for every edge and the pole margin at both, takes the
+    vertex route when the eigenvalues of M(k) at both ends count with
+    margin and resolve its roots to VERTEX_RESOLUTION stop widths
+    ("Counted splits" in the module docstring); counts with margin must
+    equal N less the floor sum.  Every other bracket takes the winding
+    route, with Theta and eigenphase rows whose winding count must equal
+    the inertia count it came with.  Raises ToleranceNotMet where a count
+    differs.  Returns the vertex mask, the floor sums at lo and the rows
+    (th_lo, ph_lo, mu_lo, th_hi, ph_hi, mu_hi), zero off their route.
+    """
+    n = los.size
+    lengths = graph.slot_length[None, 0::2]
+    x_lo, x_hi = los[:, None] * lengths, his[:, None] * lengths
+    floor_lo = np.floor(x_lo / np.pi)
+    floors = floor_lo.sum(axis=1).astype(int)
+    vertex = np.all(
+        (floor_lo == np.floor(x_hi / np.pi)) & _off_poles(x_lo) & _off_poles(x_hi), axis=1
+    )
+    th_lo, th_hi = np.zeros(n), np.zeros(n)
+    ph_lo, ph_hi = np.zeros((2, n, graph.num_slots))
+    mu_lo, mu_hi = np.zeros((2, n, graph.num_vertices))
+    on = np.flatnonzero(vertex)
+    if on.size:
+        (mu_lo[on], mu_hi[on]), (b_lo, b_hi) = _at_ends(
+            table, which[on], los[on], his[on], lambda s, k: _vertex_rows(graph, s, k)
         )
-    return th_lo, th_hi, ph_lo, ph_hi
+        base, c = n_lo[on] - floors[on], counts[on]
+        found_lo = np.count_nonzero(mu_lo[on] > 0.0, axis=1)
+        found_hi = np.count_nonzero(mu_hi[on] > 0.0, axis=1)
+        margin = (np.abs(mu_lo[on]).min(axis=1) > b_lo) & (np.abs(mu_hi[on]).min(axis=1) > b_hi)
+        wrong = np.flatnonzero(margin & ((found_lo != base) | (found_hi != base + c)))
+        if wrong.size:
+            j = wrong[0]
+            raise ToleranceNotMet(
+                f"vertex counts {found_lo[j]}, {found_hi[j]} at the ends of "
+                f"({float(los[on[j]])!r}, {float(his[on[j]])!r}] differ from N less the "
+                f"floor sum, {base[j]} and {base[j] + c[j]}"
+            )
+        # the rounding of M over the mean slope of the crossing eigenvalues
+        s_lo, s_hi = _crossing_sums(mu_lo[on], mu_hi[on], base, c)
+        rounding = np.maximum(b_lo, b_hi) / (INERTIA_MARGIN * graph.num_vertices)
+        fine = rounding * c * (his[on] - los[on]) < (
+            VERTEX_RESOLUTION * _stop_width(his[on], tol) * (s_hi - s_lo)
+        )
+        vertex[on[~(margin & fine)]] = False
+    off = np.flatnonzero(~vertex)
+    if off.size:
+        (th_lo[off], th_hi[off]), (ph_lo[off], ph_hi[off]) = _at_ends(
+            table,
+            which[off],
+            los[off],
+            his[off],
+            lambda s, k: (total_phase_values(graph, s, k), _eigenphases(graph, s, k)),
+        )
+        winding = _window_counts(
+            th_hi[off] - th_lo[off], ph_hi[off].sum(axis=1) - ph_lo[off].sum(axis=1)
+        )
+        wrong = np.flatnonzero(winding != counts[off])
+        if wrong.size:
+            j = off[wrong[0]]
+            raise ToleranceNotMet(
+                f"winding count {winding[wrong[0]]} of ({float(los[j])!r}, {float(his[j])!r}] "
+                f"differs from its inertia count {counts[j]}"
+            )
+    return vertex, floors, (th_lo, ph_lo, mu_lo, th_hi, ph_hi, mu_hi)
 
 
 def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
@@ -984,11 +1111,12 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
     bracket wider than POLISH_HANDOFF stop widths leaves as soon as it
     appears for the polish on det A, unless its end values do not have
     the signs N predicts (_polish_ready); then it stays here to the end.
-    The brackets left after the first handoff get their eigenphase rows
-    (_end_rows).  Each step then measures every bracket at one point,
-    chosen by _split_points on the cluster phases psi (an end kept twice
-    in a row has its psi halved, the Illinois rule), and keeps the halves
-    whose winding count stays positive.
+    The brackets left after the first handoff get their route and end
+    rows (_end_rows), which their halves keep.  Each step then measures
+    every bracket at one point, chosen by _split_points on S of the
+    eigenvalues of M(k) (vertex route) or on the cluster phases psi
+    (winding route), an end kept twice in a row having its value halved
+    (the Illinois rule), and keeps the halves whose count stays positive.
     """
     roots: list[float] = []
     mults: list[int] = []
@@ -1001,9 +1129,11 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
     kept_lo = np.zeros(n, dtype=bool)  # the step before kept lo
     kept_hi = np.zeros(n, dtype=bool)
     w_lo, w_hi = np.ones(n), np.ones(n)
+    # route and floor sum of _end_rows
+    vertex, floors = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
     # bracket widths one, two and three steps ago
     widths = np.full((3, n), np.inf)
-    rows = None  # th_lo, th_hi, ph_lo, ph_hi, from the first split on
+    rows = None  # rows of _end_rows at lo and hi, from the first split on
     for _ in range(MAX_REFINE_STEPS):
         width = his - los
         stop = _stop_width(his, tol)
@@ -1025,25 +1155,35 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
             )
             keep[leaving] = False
             unready[handoff[~ready]] = True
-        which, los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi = (
-            a[keep]
-            for a in (which, los, his, counts, n_lo, unready, kept_lo, kept_hi, w_lo, w_hi)
-        )
+        brackets = (which, los, his, counts, n_lo, unready, vertex, floors)
+        which, los, his, counts, n_lo, unready, vertex, floors = (a[keep] for a in brackets)
+        kept_lo, kept_hi, w_lo, w_hi = (a[keep] for a in (kept_lo, kept_hi, w_lo, w_hi))
         width, stop, widths = width[keep], stop[keep], widths[:, keep]
         if los.size == 0:
             break
         if rows is None:
-            th_lo, th_hi, ph_lo, ph_hi = _end_rows(graph, table, which, los, his, counts)
+            vertex, floors, rows = _end_rows(graph, table, which, los, his, counts, n_lo, tol)
         else:
-            th_lo, th_hi, ph_lo, ph_hi = (a[keep] for a in rows)
+            rows = tuple(a[keep] for a in rows)
+        th_lo, ph_lo, mu_lo, _, ph_hi, mu_hi = rows
+        base = n_lo - floors  # n_+(M(lo)) on the vertex route
         psi_lo, psi_hi = _cluster_phases(ph_lo, ph_hi, counts)
-        x = _split_points(
-            los, his, w_lo * psi_lo, w_hi * psi_hi, width > 0.5 * widths[2], stop
-        )
+        s_lo, s_hi = _crossing_sums(mu_lo, mu_hi, base, counts)
+        f_lo, f_hi = np.where(vertex, s_lo, psi_lo), np.where(vertex, s_hi, psi_hi)
+        x = _split_points(los, his, w_lo * f_lo, w_hi * f_hi, width > 0.5 * widths[2], stop)
         sigmas = _couplings(table, which)
-        th_x = total_phase_values(graph, sigmas, x)
-        ph_x = _eigenphases(graph, sigmas, x)
-        c_lo = _window_counts(th_x - th_lo, ph_x.sum(axis=1) - ph_lo.sum(axis=1))
+        th_x, ph_x, mu_x = np.zeros_like(th_lo), np.zeros_like(ph_lo), np.zeros_like(mu_lo)
+        c_lo = np.empty(los.size, dtype=int)
+        on, off = np.flatnonzero(vertex), np.flatnonzero(~vertex)
+        if on.size:
+            mu_x[on] = _vertex_rows(graph, _take(sigmas, on), x[on])[0]
+            c_lo[on] = np.count_nonzero(mu_x[on] > 0.0, axis=1) - base[on]
+        if off.size:
+            th_x[off] = total_phase_values(graph, _take(sigmas, off), x[off])
+            ph_x[off] = _eigenphases(graph, _take(sigmas, off), x[off])
+            c_lo[off] = _window_counts(
+                th_x[off] - th_lo[off], ph_x[off].sum(axis=1) - ph_lo[off].sum(axis=1)
+            )
         # c_hi is the remainder, so totals are conserved exactly; a half
         # outside [0, count] means the split-point and end counts disagree.
         outside = (c_lo < 0) | (c_lo > counts)
@@ -1067,14 +1207,13 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
         kept_hi = ~lefts & one_side[both]
         w_lo = np.where(lefts, w_lo[both], 1.0)
         w_hi = np.where(lefts, 1.0, w_hi[both])
-        which = which[both]
+        which, vertex, floors = which[both], vertex[both], floors[both]
         los = np.concatenate([los[left], x[right]])
         his = np.concatenate([x[left], his[right]])
+        at_x = (th_x, ph_x, mu_x)
         rows = (
-            np.concatenate([th_lo[left], th_x[right]]),
-            np.concatenate([th_x[left], th_hi[right]]),
-            np.concatenate([ph_lo[left], ph_x[right]]),
-            np.concatenate([ph_x[left], ph_hi[right]]),
+            *(np.concatenate([a[left], b[right]]) for a, b in zip(rows[:3], at_x)),
+            *(np.concatenate([b[left], a[right]]) for a, b in zip(rows[3:], at_x)),
         )
         counts = np.concatenate([c_lo[left], c_hi[right]])
         n_lo = np.concatenate([n_lo[left], n_lo[right] + c_lo[right]])

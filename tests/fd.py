@@ -20,12 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import splu
 
 from graphspectra.errors import GraphSpectraError
 from graphspectra.graphs import MetricGraph, RobinSpec
 
 MIN_POINTS = 8
+# block inverse iteration: at most MAX_SWEEPS sweeps, ended once the Ritz
+# values move by less than SWEEP_TOL of themselves plus the solve's rounding
+MAX_SWEEPS = 300
+SWEEP_TOL = 1e-10
+# below the spectrum, by enough that the solve's rounding, about
+# ||A|| eps / |SHIFT| with ||A|| ~ 1 / h^2 on a short edge, stays small
+SHIFT = -1.0
 
 
 class MeshTooCoarse(GraphSpectraError):
@@ -106,19 +113,26 @@ def discretize(
 
 
 def _lowest(op: DiscreteOperator, m: int) -> np.ndarray:
-    # shift-invert around a point below the spectrum turns the smallest
-    # eigenvalues into the dominant ones, which Lanczos finds quickly
-    try:
-        vals = eigsh(
-            op.matrix,
-            k=m,
-            sigma=-0.01,
-            which="LM",
-            return_eigenvectors=False,
-        )
-    except (ArpackError, ArpackNoConvergence) as exc:
-        raise ConvergenceFailure(f"sparse eigensolve failed: {exc}") from exc
-    return np.sort(vals)
+    # Block inverse iteration about a shift below the spectrum, with the
+    # Rayleigh-Ritz step on the inverse: a block of 2m vectors holds every
+    # copy of a multiple eigenvalue, where single-vector Lanczos (ARPACK)
+    # can miss one (one of four on four parallel unit edges), and the
+    # inverse keeps the small eigenvalues accurate to their own size where
+    # short edges make ||A|| large.
+    solve = splu((op.matrix - SHIFT * sp.identity(op.size)).tocsc()).solve
+    x = np.random.default_rng(0).standard_normal((op.size, min(2 * m, op.size)))
+    x = np.linalg.qr(x)[0]
+    mu = np.full(x.shape[1], np.inf)
+    for _ in range(MAX_SWEEPS):
+        y = solve(x)
+        h = x.T @ y
+        # h is symmetric but for the rounding of the solve, which bounds
+        # how far the Ritz values of the inverse can settle
+        last, (mu, w) = mu, np.linalg.eigh(h)
+        if np.all(np.abs(mu - last)[-m:] <= SWEEP_TOL * mu[-m:] + 4.0 * np.abs(h - h.T).max()):
+            return SHIFT + 1.0 / mu[::-1][:m]
+        x = np.linalg.qr(y @ w)[0]
+    raise ConvergenceFailure(f"lowest {m} eigenvalues still moving after {MAX_SWEEPS} sweeps")
 
 
 def oracle_eigenvalues(

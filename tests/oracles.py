@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -132,10 +133,11 @@ def unitary_entries(edges, coupled, sigma, k, exp=cmath.exp):
     degree = Counter(start for start, _, _ in slots)
     for e_in, (_, vertex, length) in enumerate(slots):
         s = sigma if vertex in coupled else 0.0
+        phase = exp(1j * k * length)
         for e_out, (start, _, _) in enumerate(slots):
             if start == vertex:
                 entry = vertex_scattering_entry(degree[vertex], s, k, e_out == e_in ^ 1)
-                yield e_out, e_in, entry * exp(1j * k * length)
+                yield e_out, e_in, entry * phase
 
 
 def unitary_matrix(edges, coupled, sigma, k):
@@ -291,6 +293,16 @@ def exact_inertia_count(edges, num_vertices, coupled, sigma, k):
 
 
 def gauged_kernel(edges, coupled, sigma, k, m):
+    """Real eigenfunctions at a root k of multiplicity m as slot amplitudes,
+    from the complex kernel of I - U(k): a copy of the memoized rows of
+    _gauged_kernel.  The oracles of one spectrum ask for a simple root's
+    rows twice (eigenspace_vertex_weight and simple_root_moments), and the
+    extended-precision refinement is most of their cost."""
+    return _gauged_kernel(tuple(edges), frozenset(coupled), float(sigma), float(k), int(m)).copy()
+
+
+@lru_cache(maxsize=256)
+def _gauged_kernel(edges, coupled, sigma, k, m):
     """Real eigenfunctions at a root k of multiplicity m as slot amplitudes,
     from the complex kernel of I - U(k).
 

@@ -1,7 +1,8 @@
 """Two-stage root refinement: the quartering of multi-count cells by
-inertia, the counted splits at the cluster-phase false-position point, the
-polish on the amplitude determinant det A, their safeguards, and the
-certification checks that stay loud around them."""
+inertia, the counted splits at the false-position point of the vertex
+matrix's crossing eigenvalues or of the cluster phases, the polish on the
+amplitude determinant det A, their safeguards, and the certification
+checks that stay loud around them."""
 from __future__ import annotations
 
 import itertools
@@ -25,6 +26,7 @@ from graphspectra.graphs import (
 )
 from graphspectra.scattering import total_phase_values, unitary_stack
 from graphspectra.stats import weyl_moments
+import fd
 from builders import incommensurate_lengths
 from oracles import (
     amplitude_matrix,
@@ -202,15 +204,46 @@ def _count_matrices(monkeypatch, *names):
     return matrices
 
 
-def test_multiple_roots_are_split_on_the_cluster_phases(equilateral_star, monkeypatch):
+def _count_vertex_rows(monkeypatch):
+    """Patch solver._vertex_rows to count the matrices of the vertex route."""
+    rows_fn, matrices = solver._vertex_rows, {"rows": 0}
+
+    def counted(graph, sigmas, ks):
+        matrices["rows"] += len(ks)
+        return rows_fn(graph, sigmas, ks)
+
+    monkeypatch.setattr(solver, "_vertex_rows", counted)
+    return matrices
+
+
+def test_multiple_roots_off_the_poles_are_split_on_the_vertex_matrix(
+    equilateral_star, monkeypatch
+):
+    # the triples of the equilateral star sit at (m + 1/2) pi, off every
+    # Dirichlet pole, under either coupling: no bracket needs eigenphases
     matrices = _count_matrices(monkeypatch, "eigvals")
+    rows = _count_vertex_rows(monkeypatch)
     for robin in (RobinSpec(frozenset({0}), 2.0), NEUMANN):
-        matrices["eigvals"] = 0
+        matrices["eigvals"] = rows["rows"] = 0
         spec = solver.compute_spectrum(equilateral_star, robin, k_max=170.0)
-        assert np.count_nonzero(spec.multiplicity > 1) == 54
-        # bisecting the triples to the stop width costs about 12.8
-        # eigendecompositions per eigenvalue; false position on psi about 2.5
-        assert matrices["eigvals"] < 5 * spec.size, (robin, matrices)
+        multiple = np.count_nonzero(spec.multiplicity > 1)
+        assert multiple == 54
+        assert matrices["eigvals"] == 0, robin
+        # bisecting a triple to the stop width takes about 45 counts; false
+        # position on the crossing sum S takes 6.7 matrices per triple here
+        assert rows["rows"] < 8 * multiple, (robin, rows)
+
+
+def test_multiple_roots_are_split_on_the_cluster_phases(monkeypatch):
+    # the multiple roots of the equilateral tetrahedron at m pi sit on
+    # Dirichlet poles: those brackets stay on the winding route
+    matrices = _count_matrices(monkeypatch, "eigvals")
+    rows = _count_vertex_rows(monkeypatch)
+    spec = solver.compute_spectrum(make_complete4((1.0,) * 6), NEUMANN, k_max=170.0)
+    poles = np.abs(np.sin(spec.k)) < 1e-8
+    assert np.count_nonzero(poles & (spec.multiplicity > 1)) > 50
+    assert 0 < matrices["eigvals"] < 5 * spec.size
+    assert rows["rows"] > 0  # the multiple roots off the poles
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
@@ -294,10 +327,13 @@ def test_window_counts_off_an_integer_raise():
     assert counts.tolist() == [2]
 
 
-def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
+def test_half_count_outside_the_bracket_raises(monkeypatch):
     # Lower every eigenphase so that Phi drops by 4 pi at each split point,
     # after the first end rows: each left half then counts two crossings
-    # more than its bracket holds.
+    # more than its bracket holds.  The multiple roots of the Neumann
+    # equilateral tetrahedron at pi sit on Dirichlet poles, so their
+    # brackets take the winding route.
+    graph = make_complete4((1.0,) * 6)
     eigenphases = solver._eigenphases
     calls = []
 
@@ -307,10 +343,10 @@ def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
         return rows if len(calls) == 1 else rows - 2.0 * TWO_PI / rows.shape[1]
 
     monkeypatch.setattr(solver, "_eigenphases", shifted)
-    # A wrong count-1 half beside the triple at pi / 2 can have end signs
-    # of the right parity (its true count is 3) and go to the polish, which
-    # the kernel audit then catches.  With every handoff refused, the
-    # brackets stay in the counted splits and meet the split check itself.
+    # A wrong count-1 half beside a multiple root can have end signs of the
+    # right parity and go to the polish, which the kernel audit then
+    # catches.  With every handoff refused, the brackets stay in the
+    # counted splits and meet the split check itself.
     ready = solver._polish_ready
 
     def refused(*args):
@@ -320,10 +356,40 @@ def test_half_count_outside_the_bracket_raises(equilateral_star, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(solver, "_polish_ready", refused)
         with pytest.raises(ToleranceNotMet, match="outside"):
-            solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+            solver.compute_spectrum(graph, NEUMANN, k_max=5.0)
     calls.clear()
     with pytest.raises(ToleranceNotMet):
-        solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
+        solver.compute_spectrum(graph, NEUMANN, k_max=5.0)
+
+
+def _shifted_vertex_rows(monkeypatch, at_ends):
+    """Raise every eigenvalue of M(k) on the vertex route by 1e6, in the
+    first call (the bracket ends) or in every later one (split points)."""
+    rows_fn, calls = solver._vertex_rows, []
+
+    def shifted(graph, sigmas, ks):
+        calls.append(len(ks))
+        mu, margin = rows_fn(graph, sigmas, ks)
+        return (mu + 1e6, margin) if (len(calls) == 1) == at_ends else (mu, margin)
+
+    monkeypatch.setattr(solver, "_vertex_rows", shifted)
+
+
+@pytest.mark.parametrize("robin", [NEUMANN, RobinSpec(frozenset({0}), 2.0)])
+def test_vertex_half_count_outside_the_bracket_raises(equilateral_star, robin, monkeypatch):
+    # every eigenvalue of M positive at the split points counts all V of
+    # them, more than n_+(M(lo)) plus the bracket's count
+    _shifted_vertex_rows(monkeypatch, at_ends=False)
+    with pytest.raises(ToleranceNotMet, match="half-bracket count .* outside"):
+        solver.compute_spectrum(equilateral_star, robin, k_max=5.0)
+
+
+@pytest.mark.parametrize("robin", [NEUMANN, RobinSpec(frozenset({0}), 2.0)])
+def test_vertex_count_off_an_end_count_raises(equilateral_star, robin, monkeypatch):
+    # the counts of M at a bracket's ends must be N less the floor sum
+    _shifted_vertex_rows(monkeypatch, at_ends=True)
+    with pytest.raises(ToleranceNotMet, match="differ from N less the floor sum"):
+        solver.compute_spectrum(equilateral_star, robin, k_max=5.0)
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
@@ -654,6 +720,54 @@ def test_one_pass_equals_a_pass_per_coupling(case, by_count, tol):
             _assert_same_spectrum(got, alone[c])
 
 
+@st.composite
+def degenerate_stars(draw):
+    """Equilateral stars and stars with lengths in odd ratios, where many
+    roots are multiple, coupled on a random vertex set with sigma from
+    1e-8 to 1e6."""
+    degree = draw(st.integers(2, 6))
+    length = draw(st.floats(0.5, 2.0))
+    ratios = draw(st.one_of(st.just([1] * degree), st.lists(st.sampled_from([1, 3, 5]),
+                                                             min_size=degree, max_size=degree)))
+    coupled = draw(st.sets(st.integers(0, degree), max_size=degree + 1))
+    sigma = float(10.0 ** draw(st.floats(-8.0, 6.0)))
+    return make_star(degree, tuple(length * r for r in ratios)), RobinSpec(frozenset(coupled), sigma)
+
+
+def _winding_only(patch):
+    """Send every bracket of the counted splits to the winding route: no
+    count of M(k) at a bracket end has margin."""
+    rows_fn = solver._vertex_rows
+
+    def no_margin(graph, sigmas, ks):
+        mu, margin = rows_fn(graph, sigmas, ks)
+        return mu, np.full_like(margin, np.inf)
+
+    patch.setattr(solver, "_vertex_rows", no_margin)
+
+
+@given(st.one_of(awkward_graphs(), degenerate_stars()), st.booleans())
+@settings(max_examples=40, deadline=None)
+# sigma = 100 at two vertices: the counts of M(k) near the double root at
+# pi resolve it to about two stop widths only, so it takes the winding route
+@example(case=(make_star(4, (0.5,) * 4), RobinSpec(frozenset({0, 1}), 100.0)), by_count=False)
+def test_vertex_route_equals_the_winding_route(case, by_count):
+    # the route of a bracket moves its roots within the stop width only:
+    # the same records, each within one stop width of the winding root
+    graph, robin = case
+    target = {"n_max": 20} if by_count else {"k_max": 20.0 * math.pi / graph.total_length}
+    with pytest.MonkeyPatch.context() as patch:
+        _winding_only(patch)
+        try:
+            want = solver.compute_spectrum(graph, robin, **target)
+        except ToleranceNotMet:
+            return
+    got = solver.compute_spectrum(graph, robin, **target)
+    assert np.array_equal(got.multiplicity, want.multiplicity)
+    assert np.array_equal(got.index, want.index)
+    assert np.all(np.abs(got.k - want.k) <= want.stop_width(want.k)), (got.k, want.k)
+
+
 @given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_amplitude_determinant_is_the_secular_function(case, us):
@@ -823,6 +937,36 @@ def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     except ToleranceNotMet:
         return
     _assert_matches_the_complex_kernel(spec, 12)
+
+
+FD_MODES = 6
+
+
+@given(awkward_graphs())
+@settings(max_examples=40, deadline=None)
+# four parallel unit edges: shift-invert Lanczos in the oracle missed one
+# copy of the quadruple eigenvalue pi^2
+@example(case=(build_graph([(0, 1, 1.0), (1, 2, 1.0)] + [(0, 1, 1.0)] * 3), NEUMANN))
+def test_low_modes_match_the_finite_difference_oracle(case):
+    # the lowest eigenvalues against the Richardson-extrapolated finite
+    # differences at 160 points per edge (error at most 1.3e-7 of
+    # max(lambda, 1) over 2,400 draws), and each record's multiplicity as the
+    # number of oracle values within the tolerance of it
+    graph, robin = case
+    try:
+        spec = solver.compute_spectrum(graph, robin, n_max=FD_MODES)
+    except ToleranceNotMet:
+        return
+    lam = spec.eigenvalues(FD_MODES)
+    got = fd.oracle_eigenvalues(fd.discretize(graph, robin, 160), FD_MODES)
+    tol = 1e-6 * np.maximum(lam, 1.0)
+    assert np.all(np.abs(got - lam) <= tol), (got, lam)
+    records, mults = spec.k ** 2, spec.multiplicity
+    whole = spec.index + mults - 1 <= FD_MODES
+    for value, m in zip(records[whole], mults[whole]):
+        width = 1e-6 * max(value, 1.0)
+        if np.count_nonzero(np.abs(records - value) <= 2.0 * width) == 1:
+            assert np.count_nonzero(np.abs(got - value) <= width) == m, (value, m, got)
 
 
 @given(awkward_graphs(), st.integers(0, 63))

@@ -184,6 +184,25 @@ def test_total_phase_strictly_increasing():
     assert np.allclose(fd, total_phase_derivative(g, robin, mid), rtol=1e-3)
 
 
+def test_total_phase_rows_are_bitwise_those_of_their_coupling_alone():
+    # the arctan terms go vertex by vertex in increasing order, whether the
+    # couplings come as one row for all wave numbers or one row each
+    g = make_complete4(incommensurate_lengths(6))
+    robins = [RobinSpec(frozenset({1, 3}), 2.0), RobinSpec.neumann(), RobinSpec(frozenset({0}), 1e-3)]
+    ks = np.linspace(0.05, 40.0, 30)
+    table = np.array([robin.vertex_sigmas(g) for robin in robins])
+    which = np.arange(ks.size) % len(robins)
+    rows = total_phase_values(g, table[which], ks)
+    for c, robin in enumerate(robins):
+        alone = total_phase_values(g, robin.vertex_sigmas(g), ks[which == c])
+        assert np.array_equal(rows[which == c], alone)
+        # the closed form, term by term
+        want = 2.0 * g.total_length * ks[which == c]
+        for v in robin.coupled_vertices(g):
+            want = want - 2.0 * np.arctan(robin.sigma / (g.degree(v) * ks[which == c]))
+        assert np.array_equal(alone, want)
+
+
 def test_lifted_det_argument_matches_total_phase():
     g = make_star(4, incommensurate_lengths(4))
     robin = RobinSpec(frozenset({0}), 2.0)

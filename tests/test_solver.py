@@ -484,6 +484,16 @@ def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
         assert ok.all() and counts.tolist() == [m, m + 1]
 
 
+# the full M(k) at the ends and split points of the brackets that the
+# counted splits refine on the vertex route, counted apart
+ROUTED = {
+    ("star_incommensurate", True): 3,
+    ("star_incommensurate", False): 3,
+    ("tetrahedron", True): 6,
+    ("tetrahedron", False): 11,
+}
+
+
 @pytest.mark.parametrize(
     "name, coupled, size, matrices",
     [
@@ -498,14 +508,21 @@ def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
 def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
     graph, robin = load_graph_file(FIXTURES / f"{name}.json")
     eigvalsh, sizes = np.linalg.eigvalsh, collections.Counter()
+    vertex_rows = solver._vertex_rows
 
     def counted(a):
         sizes[a.shape[-1]] += int(np.prod(a.shape[:-2]))
         return eigvalsh(a)
 
+    def rows(graph, sigmas, ks):
+        sizes["routed"] += len(ks)
+        return vertex_rows(graph, sigmas, ks)
+
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(solver, "_vertex_rows", rows)
     compute_spectrum(graph, robin if coupled else NEUMANN, n_max=300)
-    assert sizes[size] == matrices
+    assert sizes[size] - sizes["routed"] == matrices
+    assert sizes["routed"] == ROUTED[name, coupled]
 
 
 def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
