@@ -108,9 +108,9 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
 def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, x: np.ndarray):
     """A(k) x for each row of ks (np.longdouble) and x, in np.longdouble."""
     n, flat = solver._amplitude_layout(graph)[:2]
-    terms = solver._amplitude_values(graph, sigmas, ks) * x[:, flat % n]
+    terms = solver._amplitude_values(graph, sigmas, ks) * x.T[flat % n]
     out = np.zeros(x.shape, dtype=np.longdouble)
-    np.add.at(out.T, flat // n, terms.T)
+    np.add.at(out.T, flat // n, terms)
     return out
 
 

@@ -43,6 +43,19 @@ cos kl, and the eigenvalues of M~ pass the rule above with the stub
 terms' first-order errors added.  A count that has the pole margin but
 misses these is taken on the full M(k) instead.
 
+The same edges condense det A(k) (see Polish).  Lay each pendant edge t
+from v toward its leaf p (reversing an edge listed from its leaf maps its
+amplitudes (A, B) to (A cos kl + B sin kl, A sin kl - B cos kl), which
+multiplies det A by -1).  Then column B_t of A holds b_t = 1 / n_v in the
+delta-Kirchhoff row of v and d_t = -(cos kl + (sigma_p / k) sin kl) / n_p
+in the row of p, which holds d_t and c_t = (sin kl - (sigma_p / k) cos kl)
+/ n_p in column f(v).  Drop that row and column, multiply the row of v by
+prod d_t over its pendant edges and set its f(v) entry a to
+a prod d_t - sum_t b_t c_t prod_{s != t} d_s: the Schur complement on the
+pivots d_t with its division cleared, a polynomial identity that keeps
+det A up to one constant sign per layout, d_t = 0 (a stub pole) included.
+A star leaves one entry, other graphs a LAPACK determinant.
+
 The anchor.  Near k = 0 the row sums of M are differences of entries of
 size 1 / (k l), so eigvalsh cannot resolve the lowest eigenvalue of M.
 The congruent C = T^T M T with T = [1, e_2, ..., e_V] has the same
@@ -197,10 +210,12 @@ inverse quadratic interpolation through the two bracket ends and the
 point dropped last, wherever Chandrupatla's (xi, Phi) test says the
 interpolant is monotone across the bracket, and bisection elsewhere.
 Each point stays half a stop width inside its bracket.  A step costs
-one batched real determinant, where a counted split needs a batched
-complex eigendecomposition, and a bracket end beside a multiple root,
-where det A is flat, no longer stalls the iteration.  The certification
-below checks every polished root.
+one batched determinant of the pendant condensation of A (see Pendant
+vertices): on a star one entry, O(E) products and no LAPACK call, where
+a counted split needs a batched complex eigendecomposition; and a
+bracket end beside a multiple root, where det A is flat, no longer
+stalls the iteration.  The certification below checks every polished
+root.  The kernel rule and the eigenbasis take A(k) itself.
 
 Both stages stop once a bracket is narrower than the stop width
 max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
@@ -754,7 +769,7 @@ _SLOT_TERMS = {
 @lru_cache(maxsize=1)
 def _amplitude_layout(graph: MetricGraph):
     """Size, and entry, basis index, weight index and sign of each term of
-    the condensed A(k).
+    the condensed A(k); and the layout of its pendant condensation.
 
     The slots of each vertex are taken forward slots first.  Column c below
     V_s is f(v) of the c-th vertex that starts an edge, the merged A_t of
@@ -764,17 +779,31 @@ def _amplitude_layout(graph: MetricGraph):
     f_q(v) - f_p(v), p the slot before it.  A forward slot after another has
     no row ("Polish" in the module docstring).  The basis is
     [1, cos k l_t, sin k l_t] and the weights are
-    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  A has the
-    same layout at every coupling, so the last graph's is kept.
+    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  The last
+    item is _pendant_layout's.  A has the same layout at every coupling, so
+    the last graph's is kept, one cache for both forms.
     """
+    terms = _amplitude_terms(graph, graph.slot_origin)
+    for column in terms[3:]:
+        column.flags.writeable = False  # shared by every caller of the cache
+    return (terms[0], *terms[3:], _pendant_layout(graph, terms))
+
+
+def _amplitude_terms(graph: MetricGraph, origin: np.ndarray):
+    """Size, the delta-Kirchhoff row of each vertex, the vertices that start
+    an edge (the f(v) columns in order), and entry, basis index, weight index
+    and sign of each term of the condensed A(k), slot j starting at
+    origin[j] (see _amplitude_layout)."""
     n, num_edges, num_vertices = graph.num_slots, graph.num_edges, graph.num_vertices
-    slots = np.lexsort((np.arange(n) % 2, graph.slot_origin))
-    vertex, backward = graph.slot_origin[slots], slots % 2 == 1
+    slots = np.lexsort((np.arange(n) % 2, origin))
+    vertex, backward = origin[slots], slots % 2 == 1
     lead = np.concatenate([[True], vertex[1:] != vertex[:-1]])
     row_of = np.cumsum(lead | backward) - 1
     heads, cont = np.flatnonzero(lead), np.flatnonzero(~lead & backward)
-    starts, f_column = np.unique(graph.slot_origin[0::2], return_inverse=True)
+    starts, f_column = np.unique(origin[0::2], return_inverse=True)
     size = starts.size + num_edges
+    kirchhoff = np.empty(num_vertices, dtype=int)
+    kirchhoff[vertex[heads]] = row_of[heads]
     # (row, slot, derivative, weight, sign): f' / k of every slot and the
     # coupling term in its vertex's Kirchhoff row, then f_q - f_p
     row = row_of[np.concatenate([heads[vertex], heads, cont, cont])]
@@ -795,10 +824,77 @@ def _amplitude_layout(graph: MetricGraph):
             src = offset[basis] + edge * (basis != "1")
             col = f_column[edge] if column == 0 else starts.size + edge
             terms.append((row[at] * size + col, src, weight[at], factor * sign[at]))
-    layout = tuple(np.concatenate(column) for column in zip(*terms))
-    for column in layout:
-        column.flags.writeable = False  # shared by every caller of the cache
-    return (size, *layout)
+    return (size, kirchhoff, starts, *(np.concatenate(column) for column in zip(*terms)))
+
+
+def _pendant_layout(graph: MetricGraph, terms):
+    """How _condensed_amplitudes eliminates the pendant edges, given the
+    _amplitude_terms of A.
+
+    A is laid out with every pendant edge running toward its leaf, and the
+    pendant edges at each neighbour v fill a row of a G x w table.  Returns
+    the size m of what is left; entry in that layout (-1 for a constant),
+    basis index, weight index and sign of each term: the kept terms, those
+    in the rows of neighbours first, then five tables, the two terms of
+    d_t, the two of c_t and b_t, an empty cell holding the constant 1 in the
+    first and 0 in the others; the m x m entry of each kept term, then the
+    f(v) entry of each neighbour; the neighbour of each term kept in its
+    row; and (G, w).
+    """
+    edges, _, pendant, neighbour = _pendant_edges(graph)
+    origin = graph.slot_origin.copy()
+    origin[2 * edges], origin[2 * edges + 1] = neighbour, pendant
+    if not np.array_equal(origin, graph.slot_origin):
+        terms = _amplitude_terms(graph, origin)
+    size, kirchhoff, starts, flat, src, weight, sign = terms
+    count, cell = {}, []  # edges met at each neighbour, (neighbour, rank) of each
+    for v in neighbour.tolist():
+        cell.append((v, count.get(v, 0)))
+        count[v] = cell[-1][1] + 1
+    g, w = len(count), max(count.values(), default=0)
+    groups = np.array(list(count), dtype=int)
+    position = {v: j for j, v in enumerate(count)}
+    cell = np.array([position[v] * w + r for v, r in cell], dtype=int)
+    # the cell of the pendant edge of each row and column that goes, and
+    # the neighbour of each row that is scaled
+    of_row, of_column, of_neighbour = np.full((3, size), -1)
+    of_row[kirchhoff[pendant]] = of_column[starts.size + edges] = cell
+    of_neighbour[kirchhoff[groups]] = np.arange(g)
+    row, column, scaled = of_row[flat // size], of_column[flat % size], of_neighbour[flat // size]
+    kept = (row < 0) & (column < 0)
+    order = np.argsort(np.where(kept, scaled < 0, 2), kind="stable")
+    at, rest = order[: np.count_nonzero(kept)], order[np.count_nonzero(kept) :]
+    # d_t at (row of p, B_t) and c_t at (row of p, f(v)) have two terms, b_t
+    # at (row of v, B_t) one
+    kind = np.where(row < 0, 4, np.where(column < 0, 2, 0))[rest]
+    place = kind * g * w + np.maximum(row, column)[rest]
+    second = np.zeros(rest.size, dtype=int)
+    by_place = np.argsort(place, kind="stable")
+    second[by_place[1:]] = place[by_place[1:]] == place[by_place[:-1]]
+    table = np.full(5 * g * w, -1)
+    table[place + second * g * w] = rest
+    table = np.concatenate([at, table])
+    filled = table >= 0
+    new_row, new_column = np.cumsum(of_row < 0) - 1, np.cumsum(of_column < 0) - 1
+    m = size - edges.size
+    out = (
+        m,
+        np.where(filled, flat[table], -1),
+        np.where(filled, src[table], 0),
+        np.where(filled, weight[table], 0),
+        np.where(filled, sign[table], np.arange(table.size) < at.size + g * w),
+        np.concatenate(
+            [
+                new_row[flat[at] // size] * m + new_column[flat[at] % size],
+                new_row[kirchhoff[groups]] * m + new_column[np.searchsorted(starts, groups)],
+            ]
+        ),
+        scaled[at][scaled[at] >= 0],
+        (g, w),
+    )
+    for item in out[1:-1]:
+        item.flags.writeable = False
+    return out
 
 
 def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
@@ -817,30 +913,33 @@ def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     n, flat = _amplitude_layout(graph)[:2]
     values = _amplitude_values(graph, sigmas, ks)
-    at = np.arange(ks.size)[:, None] * (n * n) + flat
+    at = flat[:, None] + np.arange(ks.size) * (n * n)
     out = np.bincount(at.ravel(), weights=values.ravel(), minlength=ks.size * n * n)
     return out.reshape(-1, n, n)
 
 
-def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
-    """The terms of A(k) in the order of _amplitude_layout, shape
-    (len(ks), terms), in the floating type of ks: [1, cos k l_e, sin k l_e]
-    gathered and times the weights, at the couplings sigmas (see _couplings)."""
-    _, _, src, weight, sign = _amplitude_layout(graph)
-    x = ks[:, None] * graph.slot_length[None, 0::2]
-    ones = np.ones((ks.size, 1), dtype=ks.dtype)
-    basis = np.concatenate([ones, np.cos(x), np.sin(x)], axis=1)
-    coupling = sigmas / ks[:, None]
-    inverse = 1.0 / np.hypot(graph.degrees[None, :], coupling)
-    weights = np.concatenate([ones, inverse, coupling * inverse], axis=1)
-    return sign * basis[:, src] * weights[:, weight]
+def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray, pendant=False) -> np.ndarray:
+    """The terms of A(k) in the order of _amplitude_layout, or with pendant
+    in that of _pendant_layout, shape (terms, len(ks)), in the floating type
+    of ks: [1, cos k l_e, sin k l_e] gathered and times the weights
+    [1, 1 / n_v, (sigma_v / k) / n_v], at the couplings sigmas (see
+    _couplings)."""
+    layout = _amplitude_layout(graph)
+    src, weight, sign = layout[5][2:5] if pendant else layout[2:5]
+    x = graph.slot_length[0::2, None] * ks
+    ones = np.ones((1, ks.size), dtype=ks.dtype)
+    basis = np.concatenate([ones, np.cos(x), np.sin(x)])
+    coupling = np.atleast_2d(sigmas).T / ks
+    inverse = 1.0 / np.hypot(graph.degrees[:, None], coupling)
+    weights = np.concatenate([ones, inverse, coupling * inverse])
+    return sign[:, None] * basis[src] * weights[weight]
 
 
 def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
     """A bound on ||A'(k)||_2: the Frobenius norm of A', each entry bounded by
     its terms, l_t through cos or sin k l_t and |w'| through a vertex weight w,
     s^2 / r or s d^2 k / r with r = (d^2 k^2 + s^2)^(3/2) at coupling s."""
-    size, flat, src, weight, _ = _amplitude_layout(graph)
+    size, flat, src, weight = _amplitude_layout(graph)[:4]
     lengths = np.append(0.0, np.tile(graph.slot_length[0::2], 2))
     d, s, k = graph.degrees, robin.vertex_sigmas(graph), ks[:, None]
     r = (d * d * k * k + s * s) ** 1.5
@@ -851,10 +950,43 @@ def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np
     return np.linalg.norm(fixed + moving @ terms.T, axis=1)
 
 
+def _condensed_amplitudes(graph: MetricGraph, sigmas, ks) -> np.ndarray:
+    """A(k) with its pendant edges eliminated, shape (len(ks), m, m), its
+    determinant det A(k) up to one sign; sigmas as in _couplings.
+
+    The pendant edges at a neighbour v go one at a time ("Pendant vertices"
+    in the module docstring): edge t scales the row of v by d_t and takes
+    b_t c_t times the d_s before it from its f(v) entry.  So the kept terms
+    of that row are scaled by prod d_t and the term
+    -sum_t b_t c_t prod_{s != t} d_s joins its f(v) entry.
+    """
+    ks = np.asarray(ks, dtype=float)
+    m, _, _, _, _, entries, scaled, (g, w) = _amplitude_layout(graph)[5]
+    values = _amplitude_values(graph, sigmas, ks, pendant=True)
+    kept = values[: entries.size - g]
+    if g:
+        v = values[kept.shape[0] :].reshape(5, g, w, -1)  # see _pendant_layout
+        d, bc = v[0] + v[1], (v[2] + v[3]) * v[4]
+        shift, scale = bc[:, 0], d[:, 0]
+        for d_t, bc_t in zip(d.swapaxes(0, 1)[1:], bc.swapaxes(0, 1)[1:]):
+            shift *= d_t
+            shift += bc_t * scale
+            scale *= d_t
+        if m == 1:  # a star: the row of its centre is all that is left
+            return (kept.sum(axis=0) * scale[0] - shift[0]).reshape(-1, 1, 1)
+        kept[: scaled.size] *= scale[scaled]
+        kept = np.concatenate([kept, -shift])
+    at = entries[:, None] + np.arange(ks.size) * (m * m)
+    out = np.bincount(at.ravel(), weights=kept.ravel(), minlength=ks.size * m * m)
+    return out.reshape(-1, m, m)
+
+
 def _amplitude_dets(graph: MetricGraph, sigmas, ks) -> np.ndarray:
-    """det A(k) for a batch of positive wave numbers, sigmas as in
-    _couplings."""
-    return _stack_map(graph, sigmas, ks, np.linalg.det, build=_amplitude_matrices)
+    """det A(k) up to one constant sign for a batch of positive wave
+    numbers, sigmas as in _couplings: the determinant of the pendant
+    condensation, a LAPACK one only where more than one row is left."""
+    det = np.linalg.det if _amplitude_layout(graph)[5][0] > 1 else lambda a: a[:, 0, 0]
+    return _stack_map(graph, sigmas, ks, det, build=_condensed_amplitudes)
 
 
 def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:

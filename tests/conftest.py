@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from graphspectra.graphs import RobinSpec, build_graph, make_complete4, make_star
 from graphspectra.solver import compute_spectrum
 from graphspectra.stats import rng_sequence
 from builders import incommensurate_lengths
+
+# a failing draw prints the @reproduce_failure blob that replays it
+settings.register_profile("graphspectra", print_blob=True)
+settings.load_profile("graphspectra")
 
 
 @pytest.fixture(scope="session")

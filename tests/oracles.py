@@ -183,6 +183,22 @@ def amplitude_matrix(edges, coupled, sigma, k):
     return np.array(out)
 
 
+def amplitude_dets(edges, sigmas, ks):
+    """det of the 2E x 2E amplitude_matrix at each wave number ks[j], no
+    edge eliminated, vertex v at coupling sigmas[v] (one row of sigmas for
+    every k, or a row per k, its nonzero entries equal).  The solver's
+    det A(k) equals it up to one constant sign per graph."""
+    rows = np.broadcast_to(sigmas, (len(ks), np.shape(sigmas)[-1]))
+    out = []
+    for k, row in zip(ks, rows):
+        coupled = frozenset(int(v) for v in np.flatnonzero(row))
+        sigma = float(row[min(coupled)]) if coupled else 0.0
+        if any(row[v] != sigma for v in coupled):
+            raise ValueError("amplitude_dets takes one coupling per row")
+        out.append(np.linalg.det(amplitude_matrix(edges, coupled, sigma, float(k))))
+    return np.array(out)
+
+
 def secular_function(u, theta, num_edges, num_vertices):
     """zeta(k) = det(I - U(k)) exp(-i Theta(k) / 2) conj(c), one per U(k).
 
