@@ -62,10 +62,6 @@ class BoundReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def applicable(self) -> int:
-        return int(np.count_nonzero(~np.isnan(self.bound)))
-
 
 def bound_report(name, bound, actual, error=0.0) -> BoundReport:
     """The one violation rule: an entry violates the bound when actual -

@@ -40,23 +40,6 @@ from .stats import (
 HISTOGRAM_BINS = 50
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    graph_path: str
-    sigma: float | None
-    n_max: int | None
-    k_max: float | None
-    window: int | None
-    out: str | None
-    format: str
-    tol: float | None
-
-    @property
-    def target_n(self) -> int:
-        return self.n_max if self.n_max is not None else 2500
-
-
 @dataclass
 class Table:
     columns: list
@@ -131,8 +114,13 @@ def _json_ready(value):
     return value
 
 
-def _emit(table: Table, config: RunConfig) -> None:
-    if config.format == "json":
+def _target_n(args: argparse.Namespace) -> int:
+    """--nmax, or its default of 2500."""
+    return args.nmax if args.nmax is not None else 2500
+
+
+def _emit(table: Table, args: argparse.Namespace) -> None:
+    if args.format == "json":
         payload = {
             "columns": table.columns,
             "rows": [[_json_ready(x) for x in row] for row in table.rows],
@@ -143,18 +131,18 @@ def _emit(table: Table, config: RunConfig) -> None:
                 "rows": [[_json_ready(x) for x in row] for row in rows],
             }
         text = json.dumps(payload, indent=2) + "\n"
-        if config.out:
-            with open(config.out, "w", encoding="utf-8", newline="") as fh:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         return
 
     text = _csv_text(table.columns, table.rows)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        base, ext = os.path.splitext(config.out)
+        base, ext = os.path.splitext(args.out)
         for name, (cols, rows) in table.companions.items():
             side = f"{base}.{name}{ext}"
             with open(side, "w", encoding="utf-8", newline="") as fh:
@@ -164,32 +152,32 @@ def _emit(table: Table, config: RunConfig) -> None:
         # companion tables only materialize with --out; stdout stays one table
 
 
-def _load(config: RunConfig):
-    graph, robin = load_graph_file(config.graph_path)
-    if config.sigma is not None:
-        robin = RobinSpec(robin.vertices, float(config.sigma))
+def _load(args: argparse.Namespace):
+    graph, robin = load_graph_file(args.graph)
+    if args.sigma is not None:
+        robin = RobinSpec(robin.vertices, float(args.sigma))
     return graph, robin
 
 
-def _target(config: RunConfig) -> dict:
+def _target(args: argparse.Namespace) -> dict:
     """The run's spectrum target and solver settings."""
     return {
-        "n_max": config.target_n if config.k_max is None else None,
-        "k_max": config.k_max,
-        "tol": config.tol,
+        "n_max": _target_n(args) if args.kmax is None else None,
+        "k_max": args.kmax,
+        "tol": args.tol,
     }
 
 
-def _spectrum(graph, robin, config: RunConfig):
+def _spectrum(graph, robin, args: argparse.Namespace):
     """The spectrum of a single-coupling command."""
-    return compute_spectrum(graph, robin, **_target(config))
+    return compute_spectrum(graph, robin, **_target(args))
 
 
-def _gap_series(graph, robin, config: RunConfig):
+def _gap_series(graph, robin, args: argparse.Namespace):
     """Index-paired gaps between the Neumann and the coupled spectrum, both
     from one solver pass."""
-    neumann, coupled = compute_spectra(graph, (RobinSpec.neumann(), robin), **_target(config))
-    return rng_sequence(neumann, coupled, config.target_n)
+    neumann, coupled = compute_spectra(graph, (RobinSpec.neumann(), robin), **_target(args))
+    return rng_sequence(neumann, coupled, _target_n(args))
 
 
 def _require_coupling(robin: RobinSpec) -> None:
@@ -199,18 +187,18 @@ def _require_coupling(robin: RobinSpec) -> None:
         )
 
 
-def _require_index_target(config: RunConfig) -> None:
-    if config.k_max is not None:
+def _require_index_target(args: argparse.Namespace) -> None:
+    if args.kmax is not None:
         raise GraphSpectraError("statistics pair spectra by index; use --nmax")
 
 
-def cmd_spectrum(config: RunConfig) -> Table:
-    graph, robin = _load(config)
-    spectrum = _spectrum(graph, robin, config)
+def cmd_spectrum(args: argparse.Namespace) -> Table:
+    graph, robin = _load(args)
+    spectrum = _spectrum(graph, robin, args)
     ks = spectrum.wavenumbers()
     # a spectrum ends at k_cap, at or past its target; clip the table to it
-    limit = config.target_n if config.k_max is None else (
-        np.searchsorted(ks, config.k_max, side="right")
+    limit = _target_n(args) if args.kmax is None else (
+        np.searchsorted(ks, args.kmax, side="right")
     )
     mults = np.repeat(spectrum.multiplicity, spectrum.multiplicity)[:limit].tolist()
     ks = ks[:limit].tolist()
@@ -218,14 +206,14 @@ def cmd_spectrum(config: RunConfig) -> Table:
     return Table(["n", "k_n", "lambda_n", "multiplicity"], rows, {})
 
 
-def cmd_rng(config: RunConfig) -> Table:
-    graph, robin = _load(config)
+def cmd_rng(args: argparse.Namespace) -> Table:
+    graph, robin = _load(args)
     _require_coupling(robin)
-    _require_index_target(config)
-    n = config.target_n
-    series = _gap_series(graph, robin, config)
+    _require_index_target(args)
+    n = _target_n(args)
+    series = _gap_series(graph, robin, args)
     mean = theoretical_mean(graph, robin)
-    averaged = running_average(series.gaps, config.window)
+    averaged = running_average(series.gaps, args.window)
     predicted = arctan_prediction(graph, robin, series.k_neumann)
     decomp = boundary_star_decomposition(graph, robin)
     reports = check_all(series, decomp)
@@ -251,11 +239,11 @@ def cmd_rng(config: RunConfig) -> Table:
     )
 
 
-def cmd_weyl(config: RunConfig) -> Table:
-    graph, robin = _load(config)
-    _require_index_target(config)
-    n = config.target_n
-    spectrum = _spectrum(graph, robin, config)
+def cmd_weyl(args: argparse.Namespace) -> Table:
+    graph, robin = _load(args)
+    _require_index_target(args)
+    n = _target_n(args)
+    spectrum = _spectrum(graph, robin, args)
     report = weyl_moments(spectrum, n)
     total = graph.total_length
     slot_scale = 1.0 / (2.0 * total)
@@ -285,11 +273,11 @@ def cmd_weyl(config: RunConfig) -> Table:
     return Table(["quantity", "measured", "predicted", "rel_error"], rows, {})
 
 
-def cmd_cdf(config: RunConfig) -> Table:
-    graph, robin = _load(config)
+def cmd_cdf(args: argparse.Namespace) -> Table:
+    graph, robin = _load(args)
     _require_coupling(robin)
-    _require_index_target(config)
-    series = _gap_series(graph, robin, config)
+    _require_index_target(args)
+    series = _gap_series(graph, robin, args)
     cdf = empirical_cdf(series)
     # the distinct values, from the sorted ones without np.unique, which
     # imports numpy.ma
@@ -309,13 +297,13 @@ def cmd_cdf(config: RunConfig) -> Table:
     return Table(["kind", "x_lo", "x_hi", "value"], rows, {}, violations=violations)
 
 
-def cmd_sensitivity(config: RunConfig) -> Table:
-    graph, robin = _load(config)
+def cmd_sensitivity(args: argparse.Namespace) -> Table:
+    graph, robin = _load(args)
     if not robin.vertices:
         raise GraphSpectraError("this command needs coupled vertices")
-    _require_index_target(config)
-    n = config.target_n
-    spectrum = _spectrum(graph, robin, config)
+    _require_index_target(args)
+    n = _target_n(args)
+    spectrum = _spectrum(graph, robin, args)
     decomp = boundary_star_decomposition(graph, robin)
     lams = spectrum.eigenvalues(n)
     values = sensitivity(spectrum, np.arange(1, n + 1))
@@ -376,25 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "rng":
             p.add_argument("--window", type=int, default=21,
                            help="odd running-average window (default 21)")
+        else:
+            p.set_defaults(window=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        graph_path=args.graph,
-        sigma=args.sigma,
-        n_max=args.nmax,
-        k_max=args.kmax,
-        window=getattr(args, "window", None),
-        out=args.out,
-        format=args.format,
-        tol=args.tol,
-    )
     try:
-        table = _COMMANDS[config.command](config)
-        _emit(table, config)
+        table = _COMMANDS[args.command](args)
+        _emit(table, args)
     except (GraphSpectraError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

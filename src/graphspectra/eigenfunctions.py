@@ -164,16 +164,15 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     graph, robin = spectrum.graph, spectrum.robin
     all_ks, all_mults = spectrum.k, spectrum.multiplicity
     positive = np.flatnonzero(all_ks > 0.0)
-    threshold = spectrum.kernel_threshold(all_ks[positive])
-    reach = 2.0 * threshold / graph.min_edge_length
+    reach = solver._kernel_reach(graph, robin, all_ks[positive], spectrum.tol)
     chain = np.cumsum(np.diff(all_ks[positive], prepend=-np.inf) > reach.max(initial=0.0))
     chained = np.isin(chain, chain[np.isin(positive, records)])
-    handed, threshold = positive[chained], threshold[chained]
+    handed = positive[chained]
     ks, mults = all_ks[handed], all_mults[handed]
-    # (A_0, B_0, A_1, B_1, ...) from the columns: f(v) per starting vertex, B_t
-    starts, start_column = np.unique(graph.slot_origin[0::2], return_inverse=True)
-    n = starts.size + graph.num_edges
-    edge_columns = np.ravel([start_column, starts.size + np.arange(graph.num_edges)], "F")
+    threshold = spectrum.kernel_threshold(ks)
+    # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
+    layout = solver._amplitude_layout(graph)
+    n, edge_columns = layout[0], layout[6]
 
     def decompose(amp):
         # one LAPACK call per matrix, not per stack: the benchmark's layer

@@ -104,16 +104,14 @@ inertia count.
 Quartering.  On incommensurate graphs most scan cells that count two or
 more roots hold simple roots a fraction of a cell apart, which the
 inertia count parts as cheaply as it counts the grid.  So before any
-eigenphase, each cell with count 2 or more is cut into QUARTERS parts,
-and the QUARTERS - 1 interior points of all such cells are counted in
-one batched eigvalsh (_scan_counts, each point with its own step, a
-sixteenth of its part).  A part is cut again while its count is 2 or
-more and below the count of the cell it came from; a part that holds
-that whole count, a genuine cluster or roots closer than a quarter of
-the cell, goes to the counted splits as it is.  Every cut lowers the
-count, so the depth is bounded by the cell's count.  The quarter points
-join the scan grid: the count-fall check and the final audit below cover
-them like every scan point.
+eigenphase, each cell with count 2 or more is cut once into QUARTERS
+parts, and the QUARTERS - 1 interior points of all such cells are
+counted in one batched eigvalsh (_scan_counts, each point with its own
+step, a sixteenth of its part).  A part that still counts 2 or more, a
+genuine cluster or roots closer than a quarter of the cell, goes to the
+counted splits as it is.  The quarter points join the scan grid: the
+count-fall check and the final audit below cover them like every scan
+point.
 
 Counted splits.  Each step measures every bracket at one point and
 counts each half; halves whose count stays positive are kept, so a
@@ -152,34 +150,33 @@ When the crossing branches are those nearest 2 pi at lo and nearest 0 at
 hi, psi is their summed phase unwrapped across the crossing, nearly
 linear in k and zero at a multiple root.
 
-On either route the point is the false-position point of S or psi,
-which lands on the cluster.  It is safeguarded: an end kept twice in a
-row has its value halved (the Illinois rule), the point stays half a
-stop width inside the bracket, and the midpoint is taken when the end
-values have the wrong signs or the bracket did not halve over three
-steps.  The point only chooses where to measure; the counts at it
-certify as before.  Brackets with count 2 or more stay in this stage to
-the end, a few steps each where bisection took about 45.  Both routes
-run in one step loop.
+On either route the point comes from the Chandrupatla step of the
+polish (see Polish) on S or psi, on a fresh bracket the false-position
+point, which lands on the cluster.  A bracket tracks its newest end and
+the point it dropped last: a step that keeps one half replaces one end,
+and that half keeps the bracket's count and so its S or psi.  The two
+halves of a split have counts of their own, so they start fresh.  The
+point only chooses where to measure; the counts at it certify as before.
+Brackets with count 2 or more stay in this stage to the end, a few steps
+each where bisection took about 45.  Both routes run in one step loop.
 
-Polish.  A bracket with count 1 that is wider than POLISH_HANDOFF stop
-widths leaves the counted splits as soon as it appears, from the grid
-or from a split.  It holds exactly one simple root, which is a sign
-change of det A(k), A(k) the condensed real amplitude matrix.  The full
-one is 2E x 2E, over the amplitudes f_e(x) = A_e cos kx + B_e sin kx on
-each edge (x from its first vertex), with the d_v - 1 continuity
-conditions of each vertex and one delta-Kirchhoff row (sum f'_out / k -
-(sigma_v / k) f(v)) / |d_v + i sigma_v / k| (Berkolaiko & Kuchment, ch.
-3).  Take each vertex's slots forward first.  Adding the A_e columns of
-the edges that leave a vertex v into one column f(v) is a column
-operation, after which the continuity rows A_q - A_p between two forward
-slots are unit rows on the other A_e columns alone; a Laplace expansion
-along them drops those rows and columns.  So A(k) is (V_s + E)-square,
-V_s the vertices that start an edge, and its determinant is that of the
-full matrix up to one sign, as a polynomial identity.  det A(k) = 0
-exactly at the eigenvalue wave numbers, Dirichlet poles included, and the
-normalisation makes it the real secular function of U(k) up to one
-constant sign per graph:
+Polish.  A bracket with count 1 leaves the counted splits as soon as it
+appears, from the grid or from a split.  It holds exactly one simple
+root, which is a sign change of det A(k), A(k) the condensed real
+amplitude matrix.  The full one is 2E x 2E, over the amplitudes
+f_e(x) = A_e cos kx + B_e sin kx on each edge (x from its first vertex),
+with the d_v - 1 continuity conditions of each vertex and one
+delta-Kirchhoff row (sum f'_out / k - (sigma_v / k) f(v)) /
+|d_v + i sigma_v / k| (Berkolaiko & Kuchment, ch. 3).  Take each
+vertex's slots forward first.  Adding the A_e columns of the edges that
+leave a vertex v into one column f(v) is a column operation, after which
+the continuity rows A_q - A_p between two forward slots are unit rows on
+the other A_e columns alone; a Laplace expansion along them drops those
+rows and columns.  So A(k) is (V_s + E)-square, V_s the vertices that
+start an edge, and its determinant is that of the full matrix up to one
+sign, as a polynomial identity.  det A(k) = 0 exactly at the eigenvalue
+wave numbers, Dirichlet poles included, and the normalisation makes it
+the real secular function of U(k) up to one constant sign per graph:
 
     2^E det A(k) = +-zeta(k),  zeta = Re[det(I - U) exp(-i Theta / 2) conj(c)],
 
@@ -200,22 +197,23 @@ multiple root.  No rounding level is applied, so within rounding of a
 multiple root an end value can have the predicted sign by chance (a
 simple root one ulp of edge length from a triple one, say) and the
 bracket is polished on noise; the root it yields still meets the
-certification and the exact count audit below, which pass it or raise.  All
-count-1 brackets then run one
-vectorized Chandrupatla iteration on det A (T. R. Chandrupatla, A new
-hybrid quadratic/bisection algorithm for finding the zero of a
-nonlinear function without using derivatives, Adv. Eng. Softw. 28
-(1997) 145-149): the first point is the false-position point; after it,
-inverse quadratic interpolation through the two bracket ends and the
-point dropped last, wherever Chandrupatla's (xi, Phi) test says the
-interpolant is monotone across the bracket, and bisection elsewhere.
-Each point stays half a stop width inside its bracket.  A step costs
-one batched determinant of the pendant condensation of A (see Pendant
-vertices): on a star one entry, O(E) products and no LAPACK call, where
-a counted split needs a batched complex eigendecomposition; and a
-bracket end beside a multiple root, where det A is flat, no longer
-stalls the iteration.  The certification below checks every polished
-root.  The kernel rule and the eigenbasis take A(k) itself.
+certification and the exact count audit below, which pass it or raise.
+All count-1 brackets then run one vectorized Chandrupatla iteration on
+det A (T. R. Chandrupatla, A new hybrid quadratic/bisection algorithm
+for finding the zero of a nonlinear function without using derivatives,
+Adv. Eng. Softw. 28 (1997) 145-149): the false-position point on a
+fresh bracket; after it, inverse quadratic interpolation through the two
+bracket ends and the point dropped last, wherever Chandrupatla's
+(xi, Phi) test says the interpolant is monotone across the bracket, and
+the midpoint elsewhere or where the end values do not change sign.  Each
+point stays half a stop width inside its bracket, and one MAX_STEPS caps
+this loop and that of the counted splits.  A step costs one batched
+determinant of the pendant condensation of A (see Pendant vertices): on
+a star one entry, O(E) products and no LAPACK call, where a counted
+split needs a batched eigendecomposition; and a bracket end beside a
+multiple root, where det A is flat, no longer stalls the iteration.  The
+certification below checks every polished root.  The kernel rule and
+the eigenbasis take A(k) itself.
 
 Both stages stop once a bracket is narrower than the stop width
 max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
@@ -303,7 +301,7 @@ Every function of wave numbers takes the vertex couplings row by row
 (sigmas, see _couplings) and does the same arithmetic on a row whatever
 rows share its batch, so each spectrum is bitwise the one its coupling
 gives alone.  These stages run once over the rows of all couplings: the
-scan counts and their grid moves, the quartering rounds, the refinement
+scan counts and their grid moves, the quartering, the refinement
 with its end rows, handoffs and polish, and the enclosure counts of the
 certification.  Each row keeps the index of its coupling: quarter points
 join their own coupling's grid, the count-fall check runs on each grid,
@@ -329,13 +327,13 @@ __all__ = ["Spectrum", "compute_spectra", "compute_spectrum"]
 
 TWO_PI = 2.0 * np.pi
 EPS = float(np.finfo(float).eps)
-MAX_REFINE_STEPS = 200
-MAX_POLISH_STEPS = 200
+# steps of the counted splits, and of the polish, before a bracket still
+# open raises
+MAX_STEPS = 200
 MERGE_SCALE = 1e-9
 KERNEL_SV_SCALE = 1e-8
 LAPACK_CHUNK = 1024
 COUNT_ROUNDING_TOL = 1e-6
-POLISH_HANDOFF = 64.0
 # scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
 SCAN_PHASE_STEP = np.pi / 8.0
 # an inertia count needs every |mu_j(M)| above INERTIA_MARGIN V eps ||T||_F,
@@ -684,37 +682,29 @@ def _quarter_cells(graph: MetricGraph, table: np.ndarray, grids: list, n_grids: 
     quartered; table[c] holds the vertex couplings of grids[c].
 
     See "Quartering" in the module docstring.  Each cell with count 2 or
-    more is cut at its QUARTERS - 1 interior points, those of every
+    more is cut once, at its QUARTERS - 1 interior points, those of every
     coupling counted in one batch; a point that finds no margin is
-    dropped.  A part is cut again while its count is 2 or more and below
-    the count of the cell it came from, so a part holding that whole count
-    stays as it is.  The new points join their own coupling's grid.
+    dropped.  The new points join their own coupling's grid.
     """
-    grids, n_grids = list(grids), list(n_grids)
-    # count of the cell each cell was cut from
-    caps = [np.full(grid.size - 1, np.iinfo(int).max) for grid in grids]
-    while True:
-        counts = [np.diff(n_grid) for n_grid in n_grids]
-        cuts = [np.flatnonzero((n >= 2) & (n < cap)) for n, cap in zip(counts, caps)]
-        if not any(cut.size for cut in cuts):
-            return grids, n_grids
-        parts = [(grid[cut + 1] - grid[cut]) / QUARTERS for grid, cut in zip(grids, cuts)]
-        ks = np.concatenate(
-            [
-                (grid[cut, None] + part[:, None] * np.arange(1, QUARTERS)).ravel()
-                for grid, cut, part in zip(grids, cuts, parts)
-            ]
-        )
-        which = np.repeat(np.arange(len(grids)), [(QUARTERS - 1) * cut.size for cut in cuts])
-        steps = np.repeat(np.concatenate(parts) / 16.0, QUARTERS - 1)
-        ks, n_ks, ok = _scan_counts(graph, _couplings(table, which), ks, steps)
-        for c, cut in enumerate(cuts):
-            caps[c][cut] = counts[c][cut]
-            mine = ok & (which == c)
-            at = np.searchsorted(grids[c], ks[mine])
-            # a new cell inherits the cap of the cell it was cut from
-            new = ((grids[c], ks[mine]), (n_grids[c], n_ks[mine]), (caps[c], caps[c][at - 1]))
-            grids[c], n_grids[c], caps[c] = (np.insert(a, at, v) for a, v in new)
+    cuts = [np.flatnonzero(np.diff(n_grid) >= 2) for n_grid in n_grids]
+    if not any(cut.size for cut in cuts):
+        return grids, n_grids
+    parts = [(grid[cut + 1] - grid[cut]) / QUARTERS for grid, cut in zip(grids, cuts)]
+    ks = np.concatenate(
+        [
+            (grid[cut, None] + part[:, None] * np.arange(1, QUARTERS)).ravel()
+            for grid, cut, part in zip(grids, cuts, parts)
+        ]
+    )
+    which = np.repeat(np.arange(len(grids)), [(QUARTERS - 1) * cut.size for cut in cuts])
+    steps = np.repeat(np.concatenate(parts) / 16.0, QUARTERS - 1)
+    ks, n_ks, ok = _scan_counts(graph, _couplings(table, which), ks, steps)
+    out = []
+    for c, (grid, n_grid) in enumerate(zip(grids, n_grids)):
+        mine = ok & (which == c)
+        at = np.searchsorted(grid, ks[mine])
+        out.append((np.insert(grid, at, ks[mine]), np.insert(n_grid, at, n_ks[mine])))
+    return [grid for grid, _ in out], [n_grid for _, n_grid in out]
 
 
 def _require_rising(grid: np.ndarray, n_grid: np.ndarray) -> None:
@@ -742,17 +732,19 @@ def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     rest = _vertex_matrices(graph, sigmas, [k])[0][0, 1:, 1:]
     mu = np.linalg.eigvalsh(rest)
     size_max, size_min = np.abs(mu).max(initial=0.0), np.abs(mu).min(initial=np.inf)
-    y = np.linalg.solve(rest, b) if b.size else b
-    schur = positive - coupling - float(b @ y)
-    # to first order, b^T C'^-1 b moves by 2 y^T db + y^T dC' y, with
-    # |db| <= eps (positive + coupling) and ||dC'|| <= V eps ||C'||
-    y_norm = float(np.linalg.norm(y))
-    noise = INERTIA_MARGIN * n * EPS * (
-        (1.0 + 2.0 * y_norm) * (positive + coupling) + y_norm**2 * size_max
-    )
-    if size_min <= INERTIA_MARGIN * n * EPS * size_max or abs(schur) <= noise:
-        raise ToleranceNotMet(f"no inertia count with margin at k={float(k)!r}")
-    return int(np.count_nonzero(mu > 0.0)) + int(schur > 0.0)
+    # C' is solved only where its count has margin: a singular one raises
+    if size_min > INERTIA_MARGIN * n * EPS * size_max:
+        y = np.linalg.solve(rest, b) if b.size else b
+        schur = positive - coupling - float(b @ y)
+        # to first order, b^T C'^-1 b moves by 2 y^T db + y^T dC' y, with
+        # |db| <= eps (positive + coupling) and ||dC'|| <= V eps ||C'||
+        y_norm = float(np.linalg.norm(y))
+        noise = INERTIA_MARGIN * n * EPS * (
+            (1.0 + 2.0 * y_norm) * (positive + coupling) + y_norm**2 * size_max
+        )
+        if abs(schur) > noise:
+            return int(np.count_nonzero(mu > 0.0)) + int(schur > 0.0)
+    raise ToleranceNotMet(f"no inertia count with margin at k={float(k)!r}")
 
 
 # f and f' / k of a slot at its origin as (column, basis, factor) terms, by
@@ -769,7 +761,8 @@ _SLOT_TERMS = {
 @lru_cache(maxsize=1)
 def _amplitude_layout(graph: MetricGraph):
     """Size, and entry, basis index, weight index and sign of each term of
-    the condensed A(k); and the layout of its pendant condensation.
+    the condensed A(k); the layout of its pendant condensation; and the
+    column of each edge amplitude, A_0, B_0, A_1, B_1, ....
 
     The slots of each vertex are taken forward slots first.  Column c below
     V_s is f(v) of the c-th vertex that starts an edge, the merged A_t of
@@ -779,14 +772,19 @@ def _amplitude_layout(graph: MetricGraph):
     f_q(v) - f_p(v), p the slot before it.  A forward slot after another has
     no row ("Polish" in the module docstring).  The basis is
     [1, cos k l_t, sin k l_t] and the weights are
-    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  The last
-    item is _pendant_layout's.  A has the same layout at every coupling, so
-    the last graph's is kept, one cache for both forms.
+    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  Item 5
+    is _pendant_layout's.  A has the same layout at every coupling, so the
+    last graph's is kept, one cache for both forms.
     """
     terms = _amplitude_terms(graph, graph.slot_origin)
-    for column in terms[3:]:
+    starts, first = terms[2], graph.slot_origin[0::2]
+    # A_t is f(v) of the first vertex of edge t, B_t the column V_s + t
+    columns = np.ravel(
+        [np.searchsorted(starts, first), starts.size + np.arange(first.size)], "F"
+    )
+    for column in (*terms[3:], columns):
         column.flags.writeable = False  # shared by every caller of the cache
-    return (terms[0], *terms[3:], _pendant_layout(graph, terms))
+    return (terms[0], *terms[3:], _pendant_layout(graph, terms), columns)
 
 
 def _amplitude_terms(graph: MetricGraph, origin: np.ndarray):
@@ -1048,32 +1046,38 @@ def _polish_ready(graph, table, which, los, his, n_lo, signs):
     return f_lo, f_hi, agree_lo & agree_hi, signs
 
 
-def _split_points(los, his, f_lo, f_hi, stalled, stop) -> np.ndarray:
-    """Where to measure next in each bracket, half a stop width inside it.
+def _step_points(x1, x2, x3, f1, f2, f3, stop) -> np.ndarray:
+    """Where to measure next in brackets with ends x1, the newest, and x2,
+    by Chandrupatla's rule on the values f1, f2 there and f3 at x3, the
+    point dropped last (NaN on a fresh bracket).
 
-    The false-position point of the end values, or the midpoint where
-    they have the same sign or the bracket has stalled.  A zero end value
-    puts the point next to that end.
+    The false-position point on a fresh bracket; inverse quadratic
+    interpolation through the three points where the (xi, Phi) test says
+    the interpolant is monotone across the bracket; the midpoint otherwise,
+    or where the end values do not change sign.  Every point stays half a
+    stop width inside its bracket.
     """
-    width = his - los
-    secant = (np.sign(f_lo) * np.sign(f_hi) <= 0.0) & (f_lo != f_hi) & ~stalled
-    slope = np.where(secant, f_hi - f_lo, 1.0)
-    x = np.where(secant, his - f_hi * (width / slope), 0.5 * (los + his))
-    return np.clip(x, los + 0.5 * stop, his - 0.5 * stop)
+    dx, df, d3 = x2 - x1, f1 - f2, f3 - f2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = f1 / df
+        xi, phi = dx / (x2 - x3), df / d3
+        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        quadratic = secant * f3 / d3 + (x3 - x1) / dx * f1 / (f3 - f1) * f2 / d3
+    # the secant lies in [0, 1] exactly where the end values change sign
+    false_position = np.isnan(x3) & (secant >= 0.0) & (secant <= 1.0)
+    t = np.where(iqi, quadratic, np.where(false_position, secant, 0.5))
+    margin = 0.5 * stop / np.abs(dx)
+    # np.clip by two calls that cost a fraction of it
+    return x1 + np.minimum(np.maximum(t, margin), 1.0 - margin) * dx
 
 
 def _polish(graph, table, which, los, his, f_lo, f_hi, tol) -> np.ndarray:
     """Chandrupatla's method on det A over sign-changing brackets, bracket j
     under the couplings table[which[j]].
 
-    Each step evaluates det A at one point per open bracket, in one
-    batched determinant.  The first point is the false-position point;
-    after that, inverse quadratic interpolation through the bracket ends
-    and the point dropped last, where Chandrupatla's (xi, Phi) test says
-    the interpolant is monotone across the bracket, and the midpoint
-    otherwise.  Every point is kept
-    half a stop width inside its bracket.  Returns the midpoints once
-    brackets are within the stop width.
+    Each step evaluates det A at one point per open bracket (_step_points),
+    in one batched determinant.  Returns the midpoints once brackets are
+    within the stop width.
     """
     out = np.empty(los.size)
     open_ = np.arange(los.size)
@@ -1081,34 +1085,19 @@ def _polish(graph, table, which, los, his, f_lo, f_hi, tol) -> np.ndarray:
     # x1 the newest point, x2 the bracket end of the other sign, x3 the
     # point dropped last
     x1, x2, f1, f2 = los, his, f_lo, f_hi
-    x3 = f3 = None
-    for _ in range(MAX_POLISH_STEPS):
-        width = np.abs(x2 - x1)
+    x3 = f3 = np.full(los.size, np.nan)
+    for _ in range(MAX_STEPS):
         stop = _stop_width(np.maximum(x1, x2), tol)
-        done = width <= stop
-        out[open_[done]] = 0.5 * (x1[done] + x2[done])
-        live = ~done
-        open_, x1, x2, f1, f2, width, stop = (
-            a[live] for a in (open_, x1, x2, f1, f2, width, stop)
+        # the midpoint a bracket leaves last is that of the step it closes at
+        out[open_] = 0.5 * (x1 + x2)
+        live = np.abs(x2 - x1) > stop
+        open_, x1, x2, x3, f1, f2, f3, stop = (
+            a[live] for a in (open_, x1, x2, x3, f1, f2, f3, stop)
         )
         sigmas = _take(sigmas, live)
         if open_.size == 0:
             return out
-        if x3 is None:
-            t = f1 / (f1 - f2)
-        else:
-            x3, f3 = x3[live], f3[live]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = (x1 - x2) / (x3 - x2)
-                phi = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
-                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                quadratic = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (
-                    f3 - f1
-                ) * f2 / (f2 - f3)
-                t = np.where(iqi, quadratic, 0.5)
-        margin = 0.5 * stop / width
-        x = x1 + np.clip(t, margin, 1.0 - margin) * (x2 - x1)
+        x = _step_points(x1, x2, x3, f1, f2, f3, stop)
         f = _amplitude_dets(graph, sigmas, x)
         same = np.sign(f) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -1116,9 +1105,7 @@ def _polish(graph, table, which, los, his, f_lo, f_hi, tol) -> np.ndarray:
         x2 = np.where(f == 0.0, x, np.where(same, x2, x1))
         f2 = np.where(same, f2, f1)
         x1, f1 = x, f
-    raise ToleranceNotMet(
-        f"{open_.size} brackets still open after {MAX_POLISH_STEPS} polish steps"
-    )
+    raise ToleranceNotMet(f"{open_.size} brackets still open after {MAX_STEPS} polish steps")
 
 
 def _cluster_phases(ph_lo, ph_hi, counts):
@@ -1240,15 +1227,14 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
 
     n_lo is the inertia count N(lo) of each bracket; a split's left half
     keeps it and its right half adds the left half's count.  Each count-1
-    bracket wider than POLISH_HANDOFF stop widths leaves as soon as it
-    appears for the polish on det A, unless its end values do not have
-    the signs N predicts (_polish_ready); then it stays here to the end.
-    The brackets left after the first handoff get their route and end
-    rows (_end_rows), which their halves keep.  Each step then measures
-    every bracket at one point, chosen by _split_points on S of the
-    eigenvalues of M(k) (vertex route) or on the cluster phases psi
-    (winding route), an end kept twice in a row having its value halved
-    (the Illinois rule), and keeps the halves whose count stays positive.
+    bracket leaves as soon as it appears for the polish on det A, unless
+    its end values do not have the signs N predicts (_polish_ready); then
+    it stays here to the end.  The brackets left after the first handoff
+    get their route and end rows (_end_rows), which their halves keep.
+    Each step then measures every bracket at one point, chosen by
+    _step_points on S of the eigenvalues of M(k) (vertex route) or on the
+    cluster phases psi (winding route), and keeps the halves whose count
+    stays positive.
     """
     roots: list[float] = []
     mults: list[int] = []
@@ -1258,25 +1244,21 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
     # s_0 of _polish_ready per coupling, fixed at its first handoff
     signs = np.full(len(table), np.nan)
     unready = np.zeros(n, dtype=bool)
-    kept_lo = np.zeros(n, dtype=bool)  # the step before kept lo
-    kept_hi = np.zeros(n, dtype=bool)
-    w_lo, w_hi = np.ones(n), np.ones(n)
     # route and floor sum of _end_rows
     vertex, floors = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
-    # bracket widths one, two and three steps ago
-    widths = np.full((3, n), np.inf)
+    # whether lo is the newest end, and the point the last step dropped and
+    # its value, NaN on a fresh bracket
+    newest_lo = np.ones(n, dtype=bool)
+    x3 = f3 = np.full(n, np.nan)
     rows = None  # rows of _end_rows at lo and hi, from the first split on
-    for _ in range(MAX_REFINE_STEPS):
-        width = his - los
+    for _ in range(MAX_STEPS):
         stop = _stop_width(his, tol)
-        done = width <= stop
+        done = his - los <= stop
         roots.extend(0.5 * (los[done] + his[done]))
         mults.extend(counts[done])
         owners.extend(which[done])
         keep = ~done
-        handoff = np.flatnonzero(
-            keep & (counts == 1) & ~unready & (width > POLISH_HANDOFF * stop)
-        )
+        handoff = np.flatnonzero(keep & (counts == 1) & ~unready)
         if handoff.size:
             f_lo, f_hi, ready, signs = _polish_ready(
                 graph, table, which[handoff], los[handoff], his[handoff], n_lo[handoff], signs
@@ -1287,10 +1269,12 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
             )
             keep[leaving] = False
             unready[handoff[~ready]] = True
-        brackets = (which, los, his, counts, n_lo, unready, vertex, floors)
-        which, los, his, counts, n_lo, unready, vertex, floors = (a[keep] for a in brackets)
-        kept_lo, kept_hi, w_lo, w_hi = (a[keep] for a in (kept_lo, kept_hi, w_lo, w_hi))
-        width, stop, widths = width[keep], stop[keep], widths[:, keep]
+        brackets = (
+            which, los, his, counts, n_lo, unready, vertex, floors, newest_lo, x3, f3, stop
+        )
+        which, los, his, counts, n_lo, unready, vertex, floors, newest_lo, x3, f3, stop = (
+            a[keep] for a in brackets
+        )
         if los.size == 0:
             break
         if rows is None:
@@ -1302,7 +1286,15 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
         psi_lo, psi_hi = _cluster_phases(ph_lo, ph_hi, counts)
         s_lo, s_hi = _crossing_sums(mu_lo, mu_hi, base, counts)
         f_lo, f_hi = np.where(vertex, s_lo, psi_lo), np.where(vertex, s_hi, psi_hi)
-        x = _split_points(los, his, w_lo * f_lo, w_hi * f_hi, width > 0.5 * widths[2], stop)
+        x = _step_points(
+            np.where(newest_lo, los, his),
+            np.where(newest_lo, his, los),
+            x3,
+            np.where(newest_lo, f_lo, f_hi),
+            np.where(newest_lo, f_hi, f_lo),
+            f3,
+            stop,
+        )
         sigmas = _couplings(table, which)
         th_x, ph_x, mu_x = np.zeros_like(th_lo), np.zeros_like(ph_lo), np.zeros_like(mu_lo)
         c_lo = np.empty(los.size, dtype=int)
@@ -1328,18 +1320,15 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
         c_hi = counts - c_lo
         left = np.flatnonzero(c_lo > 0)
         right = np.flatnonzero(c_hi > 0)
-        # a step that keeps one half keeps one end, and an end kept twice in
-        # a row has its weight halved; both halves of a split start afresh
-        one_side = (c_lo == 0) | (c_hi == 0)
-        w_lo = np.where(one_side, np.where(kept_lo, 0.5, 1.0) * w_lo, 1.0)
-        w_hi = np.where(one_side, np.where(kept_hi, 0.5, 1.0) * w_hi, 1.0)
+        # a step that keeps one half drops the end that x replaces, with the
+        # same count and so the same function; both halves of a split start
+        # fresh
+        split = (c_lo > 0) & (c_hi > 0)
+        x3 = np.where(split, np.nan, np.where(c_hi > 0, los, his))
+        f3 = np.where(split, np.nan, np.where(c_hi > 0, f_lo, f_hi))
         both = np.concatenate([left, right])
-        lefts = np.arange(both.size) < left.size
-        kept_lo = lefts & one_side[both]
-        kept_hi = ~lefts & one_side[both]
-        w_lo = np.where(lefts, w_lo[both], 1.0)
-        w_hi = np.where(lefts, 1.0, w_hi[both])
-        which, vertex, floors = which[both], vertex[both], floors[both]
+        newest_lo = np.arange(both.size) >= left.size
+        which, vertex, floors, x3, f3 = (a[both] for a in (which, vertex, floors, x3, f3))
         los = np.concatenate([los[left], x[right]])
         his = np.concatenate([x[left], his[right]])
         at_x = (th_x, ph_x, mu_x)
@@ -1350,10 +1339,9 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
         counts = np.concatenate([c_lo[left], c_hi[right]])
         n_lo = np.concatenate([n_lo[left], n_lo[right] + c_lo[right]])
         unready = unready[both]
-        widths = np.stack([width, widths[0], widths[1]])[:, both]
     if los.size:
         raise ToleranceNotMet(
-            f"{los.size} brackets still open after {MAX_REFINE_STEPS} refinement steps"
+            f"{los.size} brackets still open after {MAX_STEPS} refinement steps"
         )
     if polish:
         at, lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))

@@ -55,11 +55,6 @@ class RngSeries:
     k_robin: np.ndarray
     error: np.ndarray | float = 0.0
 
-    @property
-    def k_gaps(self) -> np.ndarray:
-        """Wave-number differences; gaps == k_gaps * (k_robin + k_neumann)."""
-        return self.k_robin - self.k_neumann
-
     def __len__(self) -> int:
         return int(self.gaps.size)
 
@@ -73,10 +68,6 @@ class CdfEstimate:
     def __call__(self, x) -> np.ndarray:
         frac = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
         return frac / self.values.size
-
-    @property
-    def support(self) -> tuple:
-        return float(self.values[0]), float(self.values[-1])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -96,17 +97,24 @@ def _names_taken(source, name):
     return taken
 
 
+def _attributes_read(source):
+    """Attribute names a source reads or calls, on any object."""
+    nodes = ast.walk(ast.parse(source))
+    return {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
 @pytest.mark.parametrize(
     "name", ["bounds", "eigenfunctions", "graphs", "scattering", "solver", "stats"]
 )
 def test_public_names_have_a_caller_outside_the_tests(name):
     # a public name is taken by another package module or a README python
-    # block, or is the class a taken function returns: API that only the
-    # tests call cannot come back unnoticed
+    # block, or is the class a taken function returns; a public property or
+    # method of a class in __all__ is read by another package module, by its
+    # own module or by a README python block: API that only the tests call
+    # cannot come back unnoticed
     module = importlib.import_module(f"graphspectra.{name}")
-    sources = [
-        path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py") if path.stem != name
-    ]
+    own = PACKAGE / f"{name}.py"
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py") if path != own]
     taken = set().union(*(_names_taken(src, name) for src in sources + _readme_blocks()))
     returned = {
         inspect.signature(getattr(module, entry)).return_annotation
@@ -114,3 +122,15 @@ def test_public_names_have_a_caller_outside_the_tests(name):
         if inspect.isfunction(getattr(module, entry, None))
     }
     assert set(module.__all__) - taken - returned == set()
+    read = set().union(
+        *map(_attributes_read, sources + _readme_blocks() + [own.read_text(encoding="utf-8")])
+    )
+    members = {
+        f"{entry}.{attr}"
+        for entry in module.__all__
+        if inspect.isclass(getattr(module, entry))
+        for attr, obj in vars(getattr(module, entry)).items()
+        if not attr.startswith("_")
+        and isinstance(obj, (property, classmethod, staticmethod, types.FunctionType))
+    }
+    assert {member for member in members if member.split(".")[1] not in read} == set()

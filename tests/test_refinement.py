@@ -1,12 +1,14 @@
-"""Two-stage root refinement: the quartering of multi-count cells by
-inertia, the counted splits at the false-position point of the vertex
-matrix's crossing eigenvalues or of the cluster phases, the polish on the
-amplitude determinant det A, their safeguards, and the certification
-checks that stay loud around them."""
+"""Two-stage root refinement: one quartering of the multi-count cells by
+inertia, the counted splits and the polish on the amplitude determinant
+det A, both at the points of one Chandrupatla step (on the vertex
+matrix's crossing eigenvalues or the cluster phases in the splits), their
+safeguards and step cap, and the certification checks that stay loud
+around them."""
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -256,8 +258,9 @@ def test_multiple_roots_off_the_poles_are_split_on_the_vertex_matrix(
         multiple = np.count_nonzero(spec.multiplicity > 1)
         assert multiple == 54
         assert matrices["eigvals"] == 0, robin
-        # bisecting a triple to the stop width takes about 45 counts; false
-        # position on the crossing sum S takes 6.7 matrices per triple here
+        # bisecting a triple to the stop width takes about 45 counts; the
+        # Chandrupatla step on the crossing sum S takes 5.0 matrices per
+        # triple here
         assert rows["_vertex_rows"] < 8 * multiple, (robin, rows)
 
 
@@ -283,7 +286,8 @@ def test_scan_grid_is_counted_without_eigenphases(name, monkeypatch):
         # eigenphases on the whole scan grid cost 2.0-2.7 matrices per
         # eigenvalue; once quartering has parted the close simple roots,
         # only the cells holding a pair closer than a quarter cell reach
-        # the counted splits (3 matrices on the star, 6 and 15 on K4)
+        # the counted splits, most of them on the vertex matrix (no U(k)
+        # matrix on the star, none and 6 on K4)
         assert matrices["eigvals"] < 0.06 * spec.size, (coupling, matrices)
 
 
@@ -387,6 +391,40 @@ def test_half_count_outside_the_bracket_raises(monkeypatch):
     calls.clear()
     with pytest.raises(ToleranceNotMet):
         solver.compute_spectrum(graph, NEUMANN, k_max=5.0)
+
+
+def test_winding_count_off_the_inertia_count_raises(monkeypatch):
+    # every eigenphase at the highest bracket end lowered by 2 pi / N: Phi
+    # drops by 2 pi there, so the winding count of the bracket ending there
+    # is one above its inertia count.  The multiple roots of the Neumann
+    # equilateral tetrahedron sit on Dirichlet poles, on the winding route.
+    eigenphases = solver._eigenphases
+
+    def lowered(graph, sigmas, ks):
+        rows = eigenphases(graph, sigmas, ks)
+        rows[-1] -= TWO_PI / rows.shape[1]
+        return rows
+
+    monkeypatch.setattr(solver, "_eigenphases", lowered)
+    with pytest.raises(ToleranceNotMet, match="winding count") as raised:
+        solver.compute_spectrum(make_complete4((1.0,) * 6), NEUMANN, k_max=5.0)
+    found, want = re.fullmatch(
+        r"winding count (\d+) of \(\S+, \S+\] differs from its inertia count (\d+)",
+        str(raised.value),
+    ).groups()
+    assert int(found) == int(want) + 1
+
+
+@pytest.mark.parametrize(
+    "loop, name", [("refinement", "equilateral_star"), ("polish", "pi_interval")]
+)
+def test_brackets_open_after_the_step_cap_raise(loop, name, request, monkeypatch):
+    # two steps are too few for the triples of the equilateral star in the
+    # counted splits, and for the simple roots of the pi-interval, which
+    # all leave for the polish at once
+    monkeypatch.setattr(solver, "MAX_STEPS", 2)
+    with pytest.raises(ToleranceNotMet, match=rf"^\d+ brackets still open after 2 {loop} steps$"):
+        solver.compute_spectrum(request.getfixturevalue(name), NEUMANN, k_max=5.0)
 
 
 def _shifted_vertex_rows(monkeypatch, at_ends):

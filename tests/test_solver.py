@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import collections
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,72 @@ def test_scan_short_of_n_max_raises(star4, monkeypatch):
         compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=60)
     # wave numbers print as plain floats, not as numpy scalar reprs
     assert "np.float64" not in str(raised.value)
+
+
+def test_scan_point_without_margin_raises(star4, monkeypatch):
+    # no count at or above k = 3 has margin: the scan point there moves up
+    # GRID_MOVES times and raises rather than use a count without margin
+    inertia_counts = solver._inertia_counts
+
+    def planted(graph, sigmas, ks):
+        n, ok = inertia_counts(graph, sigmas, ks)
+        return n, ok & (np.asarray(ks) < 3.0)
+
+    monkeypatch.setattr(solver, "_inertia_counts", planted)
+    with pytest.raises(ToleranceNotMet, match="after 8 moves of a sixteenth") as raised:
+        compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=60)
+    # the first scan point at or above 3, half a cell up
+    k = float(re.search(r"k=(\S+) after", str(raised.value)).group(1))
+    cell = solver.SCAN_PHASE_STEP / star4.max_edge_length
+    assert 3.0 + 0.5 * cell <= k < 3.0 + 1.5 * cell
+
+
+def test_small_k_count_without_margin_raises(star4, monkeypatch):
+    # leaf 2 made a copy of leaf 1 in M(k): C', M without the centre, is
+    # singular, so the count at the scan floor has no margin (and C' is not
+    # solved)
+    vertex_matrices = solver._vertex_matrices
+
+    def planted(graph, sigmas, ks, stubs=None):
+        m, scale = vertex_matrices(graph, sigmas, ks, stubs)
+        m[:, 2, :], m[:, :, 2] = m[:, 1, :], m[:, :, 1]
+        return m, scale
+
+    monkeypatch.setattr(solver, "_vertex_matrices", planted)
+    with pytest.raises(ToleranceNotMet, match=r"^no inertia count with margin at k=\S+$"):
+        compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=20)
+
+
+def test_scan_floor_count_off_the_zero_mode_raises(star4, monkeypatch):
+    # the Neumann count at the scan floor must be the zero mode alone
+    small_k_count = solver._small_k_count
+    monkeypatch.setattr(
+        solver, "_small_k_count", lambda graph, robin, k: small_k_count(graph, robin, k) + 1
+    )
+    with pytest.raises(ToleranceNotMet, match=r"count 2 at the scan floor k=\S+, expected 1"):
+        compute_spectrum(star4, NEUMANN, n_max=20)
+
+
+def test_lost_root_breaks_the_count_audit(monkeypatch):
+    # a refinement that loses a simple root: the records left each hold
+    # their enclosure, so the certification passes them, and the exact
+    # audit finds one eigenvalue fewer than the inertia count above it
+    graph, robin = load_graph_file(FIXTURES / "star_incommensurate.json")
+    refine = solver._refine_brackets
+
+    def planted(*args):
+        roots, mults, owners = refine(*args)
+        j = np.argsort(roots)[roots.size // 2]
+        assert mults[j] == 1
+        return np.delete(roots, j), np.delete(mults, j), np.delete(owners, j)
+
+    monkeypatch.setattr(solver, "_refine_brackets", planted)
+    with pytest.raises(ToleranceNotMet, match="records count") as raised:
+        compute_spectrum(graph, robin, n_max=300)
+    found, want = re.fullmatch(
+        r"records count (\d+) eigenvalues up to k=\S+, the inertia count (\d+)", str(raised.value)
+    ).groups()
+    assert int(found) == int(want) - 1
 
 
 def test_loose_tolerance_still_brackets(unit_interval):
@@ -489,7 +556,7 @@ def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
 ROUTED = {
     ("star_incommensurate", True): 3,
     ("star_incommensurate", False): 3,
-    ("tetrahedron", True): 6,
+    ("tetrahedron", True): 9,
     ("tetrahedron", False): 11,
 }
 
@@ -501,7 +568,7 @@ ROUTED = {
         ("star_incommensurate", False, 5, 0),
         # no pendant vertex: the scan, quarter points and enclosures of the
         # unreduced count, and with the coupling one count at k_cap + reach
-        ("tetrahedron", True, 4, 1282),
+        ("tetrahedron", True, 4, 1279),
         ("tetrahedron", False, 4, 1297),
     ],
 )
