@@ -172,7 +172,7 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     threshold = spectrum.kernel_threshold(ks)
     # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
     layout = solver._amplitude_layout(graph)
-    n, edge_columns = layout[0], layout[6]
+    n, edge_columns = layout[0], layout[5]
 
     def decompose(amp):
         # one LAPACK call per matrix, not per stack: the benchmark's layer

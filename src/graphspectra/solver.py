@@ -43,18 +43,19 @@ cos kl, and the eigenvalues of M~ pass the rule above with the stub
 terms' first-order errors added.  A count that has the pole margin but
 misses these is taken on the full M(k) instead.
 
-The same edges condense det A(k) (see Polish).  Lay each pendant edge t
-from v toward its leaf p (reversing an edge listed from its leaf maps its
-amplitudes (A, B) to (A cos kl + B sin kl, A sin kl - B cos kl), which
+On a star, every edge pendant at one centre v (the interval included),
+the same edges give det A(k) in closed form (see Polish).  Lay each edge
+t from v toward its leaf p (reversing an edge listed from its leaf maps
+its amplitudes (A, B) to (A cos kl + B sin kl, A sin kl - B cos kl), which
 multiplies det A by -1).  Then column B_t of A holds b_t = 1 / n_v in the
 delta-Kirchhoff row of v and d_t = -(cos kl + (sigma_p / k) sin kl) / n_p
 in the row of p, which holds d_t and c_t = (sin kl - (sigma_p / k) cos kl)
-/ n_p in column f(v).  Drop that row and column, multiply the row of v by
-prod d_t over its pendant edges and set its f(v) entry a to
-a prod d_t - sum_t b_t c_t prod_{s != t} d_s: the Schur complement on the
-pivots d_t with its division cleared, a polynomial identity that keeps
-det A up to one constant sign per layout, d_t = 0 (a stub pole) included.
-A star leaves one entry, other graphs a LAPACK determinant.
+/ n_p in column f(v), where the row of v holds a = -(sigma_v / k) / n_v.
+Eliminating the B_t on the pivots d_t one edge at a time, with the
+division cleared, leaves one entry, a prod d_t - sum_t b_t c_t
+prod_{s != t} d_s: a polynomial identity that keeps det A up to one
+constant sign, d_t = 0 (a stub pole) included.  Other graphs take a
+LAPACK determinant of A itself.
 
 The anchor.  Near k = 0 the row sums of M are differences of entries of
 size 1 / (k l), so eigvalsh cannot resolve the lowest eigenvalue of M.
@@ -208,12 +209,12 @@ bracket ends and the point dropped last, wherever Chandrupatla's
 the midpoint elsewhere or where the end values do not change sign.  Each
 point stays half a stop width inside its bracket, and one MAX_STEPS caps
 this loop and that of the counted splits.  A step costs one batched
-determinant of the pendant condensation of A (see Pendant vertices): on
-a star one entry, O(E) products and no LAPACK call, where a counted
-split needs a batched eigendecomposition; and a bracket end beside a
-multiple root, where det A is flat, no longer stalls the iteration.  The
-certification below checks every polished root.  The kernel rule and
-the eigenbasis take A(k) itself.
+determinant: on a star its closed form (see Pendant vertices), O(E)
+products and no LAPACK call, on other graphs a LAPACK one of A, where a
+counted split needs a batched eigendecomposition; and a bracket end
+beside a multiple root, where det A is flat, no longer stalls the
+iteration.  The certification below checks every polished root.  The
+kernel rule and the eigenbasis take A(k) itself.
 
 Both stages stop once a bracket is narrower than the stop width
 max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
@@ -761,8 +762,8 @@ _SLOT_TERMS = {
 @lru_cache(maxsize=1)
 def _amplitude_layout(graph: MetricGraph):
     """Size, and entry, basis index, weight index and sign of each term of
-    the condensed A(k); the layout of its pendant condensation; and the
-    column of each edge amplitude, A_0, B_0, A_1, B_1, ....
+    the condensed A(k); and the column of each edge amplitude, A_0, B_0,
+    A_1, B_1, ....
 
     The slots of each vertex are taken forward slots first.  Column c below
     V_s is f(v) of the c-th vertex that starts an edge, the merged A_t of
@@ -772,36 +773,18 @@ def _amplitude_layout(graph: MetricGraph):
     f_q(v) - f_p(v), p the slot before it.  A forward slot after another has
     no row ("Polish" in the module docstring).  The basis is
     [1, cos k l_t, sin k l_t] and the weights are
-    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  Item 5
-    is _pendant_layout's.  A has the same layout at every coupling, so the
-    last graph's is kept, one cache for both forms.
+    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  A has the
+    same layout at every coupling, so the last graph's is kept.
     """
-    terms = _amplitude_terms(graph, graph.slot_origin)
-    starts, first = terms[2], graph.slot_origin[0::2]
-    # A_t is f(v) of the first vertex of edge t, B_t the column V_s + t
-    columns = np.ravel(
-        [np.searchsorted(starts, first), starts.size + np.arange(first.size)], "F"
-    )
-    for column in (*terms[3:], columns):
-        column.flags.writeable = False  # shared by every caller of the cache
-    return (terms[0], *terms[3:], _pendant_layout(graph, terms), columns)
-
-
-def _amplitude_terms(graph: MetricGraph, origin: np.ndarray):
-    """Size, the delta-Kirchhoff row of each vertex, the vertices that start
-    an edge (the f(v) columns in order), and entry, basis index, weight index
-    and sign of each term of the condensed A(k), slot j starting at
-    origin[j] (see _amplitude_layout)."""
     n, num_edges, num_vertices = graph.num_slots, graph.num_edges, graph.num_vertices
-    slots = np.lexsort((np.arange(n) % 2, origin))
-    vertex, backward = origin[slots], slots % 2 == 1
+    first = graph.slot_origin[0::2]
+    slots = np.lexsort((np.arange(n) % 2, graph.slot_origin))
+    vertex, backward = graph.slot_origin[slots], slots % 2 == 1
     lead = np.concatenate([[True], vertex[1:] != vertex[:-1]])
     row_of = np.cumsum(lead | backward) - 1
     heads, cont = np.flatnonzero(lead), np.flatnonzero(~lead & backward)
-    starts, f_column = np.unique(origin[0::2], return_inverse=True)
+    starts, f_column = np.unique(first, return_inverse=True)
     size = starts.size + num_edges
-    kirchhoff = np.empty(num_vertices, dtype=int)
-    kirchhoff[vertex[heads]] = row_of[heads]
     # (row, slot, derivative, weight, sign): f' / k of every slot and the
     # coupling term in its vertex's Kirchhoff row, then f_q - f_p
     row = row_of[np.concatenate([heads[vertex], heads, cont, cont])]
@@ -822,77 +805,14 @@ def _amplitude_terms(graph: MetricGraph, origin: np.ndarray):
             src = offset[basis] + edge * (basis != "1")
             col = f_column[edge] if column == 0 else starts.size + edge
             terms.append((row[at] * size + col, src, weight[at], factor * sign[at]))
-    return (size, kirchhoff, starts, *(np.concatenate(column) for column in zip(*terms)))
-
-
-def _pendant_layout(graph: MetricGraph, terms):
-    """How _condensed_amplitudes eliminates the pendant edges, given the
-    _amplitude_terms of A.
-
-    A is laid out with every pendant edge running toward its leaf, and the
-    pendant edges at each neighbour v fill a row of a G x w table.  Returns
-    the size m of what is left; entry in that layout (-1 for a constant),
-    basis index, weight index and sign of each term: the kept terms, those
-    in the rows of neighbours first, then five tables, the two terms of
-    d_t, the two of c_t and b_t, an empty cell holding the constant 1 in the
-    first and 0 in the others; the m x m entry of each kept term, then the
-    f(v) entry of each neighbour; the neighbour of each term kept in its
-    row; and (G, w).
-    """
-    edges, _, pendant, neighbour = _pendant_edges(graph)
-    origin = graph.slot_origin.copy()
-    origin[2 * edges], origin[2 * edges + 1] = neighbour, pendant
-    if not np.array_equal(origin, graph.slot_origin):
-        terms = _amplitude_terms(graph, origin)
-    size, kirchhoff, starts, flat, src, weight, sign = terms
-    count, cell = {}, []  # edges met at each neighbour, (neighbour, rank) of each
-    for v in neighbour.tolist():
-        cell.append((v, count.get(v, 0)))
-        count[v] = cell[-1][1] + 1
-    g, w = len(count), max(count.values(), default=0)
-    groups = np.array(list(count), dtype=int)
-    position = {v: j for j, v in enumerate(count)}
-    cell = np.array([position[v] * w + r for v, r in cell], dtype=int)
-    # the cell of the pendant edge of each row and column that goes, and
-    # the neighbour of each row that is scaled
-    of_row, of_column, of_neighbour = np.full((3, size), -1)
-    of_row[kirchhoff[pendant]] = of_column[starts.size + edges] = cell
-    of_neighbour[kirchhoff[groups]] = np.arange(g)
-    row, column, scaled = of_row[flat // size], of_column[flat % size], of_neighbour[flat // size]
-    kept = (row < 0) & (column < 0)
-    order = np.argsort(np.where(kept, scaled < 0, 2), kind="stable")
-    at, rest = order[: np.count_nonzero(kept)], order[np.count_nonzero(kept) :]
-    # d_t at (row of p, B_t) and c_t at (row of p, f(v)) have two terms, b_t
-    # at (row of v, B_t) one
-    kind = np.where(row < 0, 4, np.where(column < 0, 2, 0))[rest]
-    place = kind * g * w + np.maximum(row, column)[rest]
-    second = np.zeros(rest.size, dtype=int)
-    by_place = np.argsort(place, kind="stable")
-    second[by_place[1:]] = place[by_place[1:]] == place[by_place[:-1]]
-    table = np.full(5 * g * w, -1)
-    table[place + second * g * w] = rest
-    table = np.concatenate([at, table])
-    filled = table >= 0
-    new_row, new_column = np.cumsum(of_row < 0) - 1, np.cumsum(of_column < 0) - 1
-    m = size - edges.size
-    out = (
-        m,
-        np.where(filled, flat[table], -1),
-        np.where(filled, src[table], 0),
-        np.where(filled, weight[table], 0),
-        np.where(filled, sign[table], np.arange(table.size) < at.size + g * w),
-        np.concatenate(
-            [
-                new_row[flat[at] // size] * m + new_column[flat[at] % size],
-                new_row[kirchhoff[groups]] * m + new_column[np.searchsorted(starts, groups)],
-            ]
-        ),
-        scaled[at][scaled[at] >= 0],
-        (g, w),
+    # A_t is f(v) of the first vertex of edge t, B_t the column V_s + t
+    columns = np.ravel(
+        [np.searchsorted(starts, first), starts.size + np.arange(first.size)], "F"
     )
-    for item in out[1:-1]:
-        item.flags.writeable = False
-    return out
+    out = (*(np.concatenate(column) for column in zip(*terms)), columns)
+    for column in out:
+        column.flags.writeable = False  # shared by every caller of the cache
+    return (size, *out)
 
 
 def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
@@ -916,14 +836,12 @@ def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     return out.reshape(-1, n, n)
 
 
-def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray, pendant=False) -> np.ndarray:
-    """The terms of A(k) in the order of _amplitude_layout, or with pendant
-    in that of _pendant_layout, shape (terms, len(ks)), in the floating type
-    of ks: [1, cos k l_e, sin k l_e] gathered and times the weights
-    [1, 1 / n_v, (sigma_v / k) / n_v], at the couplings sigmas (see
-    _couplings)."""
-    layout = _amplitude_layout(graph)
-    src, weight, sign = layout[5][2:5] if pendant else layout[2:5]
+def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
+    """The terms of A(k) in the order of _amplitude_layout, shape
+    (terms, len(ks)), in the floating type of ks: [1, cos k l_e, sin k l_e]
+    gathered and times the weights [1, 1 / n_v, (sigma_v / k) / n_v], at the
+    couplings sigmas (see _couplings)."""
+    src, weight, sign = _amplitude_layout(graph)[2:5]
     x = graph.slot_length[0::2, None] * ks
     ones = np.ones((1, ks.size), dtype=ks.dtype)
     basis = np.concatenate([ones, np.cos(x), np.sin(x)])
@@ -948,43 +866,53 @@ def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np
     return np.linalg.norm(fixed + moving @ terms.T, axis=1)
 
 
-def _condensed_amplitudes(graph: MetricGraph, sigmas, ks) -> np.ndarray:
-    """A(k) with its pendant edges eliminated, shape (len(ks), m, m), its
-    determinant det A(k) up to one sign; sigmas as in _couplings.
+@lru_cache(maxsize=1)
+def _is_star(graph: MetricGraph) -> bool:
+    """Whether every edge is pendant at one shared neighbour, the interval
+    included."""
+    edges, _, _, neighbour = _pendant_edges(graph)
+    return edges.size == graph.num_edges and bool(np.all(neighbour == neighbour[0]))
 
-    The pendant edges at a neighbour v go one at a time ("Pendant vertices"
-    in the module docstring): edge t scales the row of v by d_t and takes
-    b_t c_t times the d_s before it from its f(v) entry.  So the kept terms
-    of that row are scaled by prod d_t and the term
-    -sum_t b_t c_t prod_{s != t} d_s joins its f(v) entry.
-    """
-    ks = np.asarray(ks, dtype=float)
-    m, _, _, _, _, entries, scaled, (g, w) = _amplitude_layout(graph)[5]
-    values = _amplitude_values(graph, sigmas, ks, pendant=True)
-    kept = values[: entries.size - g]
-    if g:
-        v = values[kept.shape[0] :].reshape(5, g, w, -1)  # see _pendant_layout
-        d, bc = v[0] + v[1], (v[2] + v[3]) * v[4]
-        shift, scale = bc[:, 0], d[:, 0]
-        for d_t, bc_t in zip(d.swapaxes(0, 1)[1:], bc.swapaxes(0, 1)[1:]):
-            shift *= d_t
-            shift += bc_t * scale
-            scale *= d_t
-        if m == 1:  # a star: the row of its centre is all that is left
-            return (kept.sum(axis=0) * scale[0] - shift[0]).reshape(-1, 1, 1)
-        kept[: scaled.size] *= scale[scaled]
-        kept = np.concatenate([kept, -shift])
-    at = entries[:, None] + np.arange(ks.size) * (m * m)
-    out = np.bincount(at.ravel(), weights=kept.ravel(), minlength=ks.size * m * m)
-    return out.reshape(-1, m, m)
+
+def _star_entries(graph: MetricGraph, sigmas, ks: np.ndarray):
+    """The entries of a star's A(k) that _star_dets reads, with every edge t
+    laid out from the centre toward its leaf: a at (0, 0) and, shape
+    (E, len(ks)), b_t, c_t and d_t at (0, t + 1), (t + 1, 0) and
+    (t + 1, t + 1); sigmas as in _couplings."""
+    _, lengths, leaves, centre = _pendant_edges(graph)
+    x = lengths[:, None] * ks
+    cos, sin = np.cos(x), np.sin(x)
+    coupling = np.atleast_2d(sigmas).T / ks
+    inverse = 1.0 / np.hypot(graph.degrees[:, None], coupling)
+    weighted, inverse_p = coupling[leaves] * inverse[leaves], inverse[leaves]
+    a = -(coupling[centre[0]] * inverse[centre[0]])
+    b = np.broadcast_to(inverse[centre[0]], x.shape)
+    c = -cos * weighted + sin * inverse_p
+    d = -sin * weighted - cos * inverse_p
+    return a, b, c, d
+
+
+def _star_dets(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
+    """det A(k) of a star up to one constant sign: its pendant condensation
+    a prod d_t - sum_t b_t c_t prod_{s != t} d_s ("Pendant vertices" in the
+    module docstring), one edge at a time in the order of _pendant_edges."""
+    a, b, c, d = _star_entries(graph, sigmas, ks)
+    bc = c * b
+    shift, scale = bc[0], d[0]
+    for d_t, bc_t in zip(d[1:], bc[1:]):
+        shift = shift * d_t + bc_t * scale
+        scale = scale * d_t
+    return a * scale - shift
 
 
 def _amplitude_dets(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """det A(k) up to one constant sign for a batch of positive wave
-    numbers, sigmas as in _couplings: the determinant of the pendant
-    condensation, a LAPACK one only where more than one row is left."""
-    det = np.linalg.det if _amplitude_layout(graph)[5][0] > 1 else lambda a: a[:, 0, 0]
-    return _stack_map(graph, sigmas, ks, det, build=_condensed_amplitudes)
+    numbers, sigmas as in _couplings: on a star its closed form, on any
+    other graph a LAPACK determinant of A(k)."""
+    ks = np.asarray(ks, dtype=float)
+    if _is_star(graph):
+        return _star_dets(graph, sigmas, ks)
+    return _stack_map(graph, sigmas, ks, np.linalg.det, build=_amplitude_matrices)
 
 
 def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:

@@ -185,11 +185,14 @@ def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
     """Moment averages over the simple eigenvalues among the first n.
 
     Multiple eigenvalues (and the zero mode, which has no scattering
-    amplitude vector) are skipped; their count lands in skipped.
+    amplitude vector) are skipped; their count lands in skipped.  Raises
+    InsufficientSpectrum where that leaves none.
     """
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
     firsts, mults = spectrum.index, spectrum.multiplicity
+    if not np.any((firsts <= n) & (mults == 1) & (spectrum.k > 0.0)):
+        raise InsufficientSpectrum(f"no simple positive eigenvalue among the first {n}")
     basis = eigenbasis(spectrum, np.flatnonzero(firsts <= n))
     used = (mults[basis.record] == 1) & (firsts[basis.record] <= n)
     n_used = int(used.sum())

@@ -257,6 +257,15 @@ class TestWeyl:
         assert float(table["slot_sq_0"][2]) == pytest.approx(1.0 / (2.0 * total))
         assert float(table["cross_0_1"][2]) == 0.0
 
+    def test_no_simple_positive_eigenvalue_exits_1(self, tmp_path, capsys):
+        code, out = run_cli(
+            ["weyl", "--graph", str(FIXTURES / "star_equilateral.json"),
+             "--sigma", "0", "--nmax", "3"],
+            tmp_path,
+        )
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: no simple positive eigenvalue")
+
 
 class TestCdf:
     def test_sections_and_area(self, tmp_path):

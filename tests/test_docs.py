@@ -2,8 +2,9 @@
 
 The README python blocks and the doctests are executed; each module with
 an __all__ must list exactly the public functions and classes it defines,
-the library's public names must have a caller outside the tests, and the
-README module map must describe that API as it is.
+the library's public names must have a caller outside the tests, the
+README module map must describe that API as it is, and every private name
+the docs cite is defined.
 """
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import ast
 import doctest
 import importlib
 import inspect
+import io
 import pkgutil
 import re
+import tokenize
 import types
 from pathlib import Path
 
@@ -22,6 +25,7 @@ import graphspectra
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(graphspectra.__file__).parent
+TESTS = Path(__file__).resolve().parent
 MODULES = [module.name for module in pkgutil.iter_modules(graphspectra.__path__)]
 
 
@@ -134,3 +138,55 @@ def test_public_names_have_a_caller_outside_the_tests(name):
         and isinstance(obj, (property, classmethod, staticmethod, types.FunctionType))
     }
     assert {member for member in members if member.split(".")[1] not in read} == set()
+
+
+# a private name, not a subscript (||T||_F, (C a)_j), a path (bench/_work)
+# or the tail of a primed symbol (f'_out)
+PRIVATE = re.compile(r"(?<![\w'/.|)])_[A-Za-z]\w*")
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield ast.get_docstring(node, clean=False) or ""
+
+
+def _comments(source):
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return [token.string for token in tokens if token.type == tokenize.COMMENT]
+
+
+def _defined(tree):
+    """Names a module binds: definitions, assignments, arguments, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).split(".")[0]
+
+
+def test_private_names_cited_in_the_docs_are_defined():
+    # a docstring, comment or README line that names a deleted helper
+    # outlives it unnoticed otherwise
+    assert PRIVATE.findall("sum f'_out(v), ||T||_F, see _pendant_layout.") == [
+        "_pendant_layout"
+    ]
+    defined, cited = set(), {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        defined.update(_defined(tree))
+        texts = list(_docstrings(tree))
+        if path.parent == PACKAGE:
+            texts += _comments(source)
+        for name in PRIVATE.findall("\n".join(texts)):
+            cited.setdefault(name, set()).add(path.name)
+    for name in PRIVATE.findall(README.read_text(encoding="utf-8")):
+        cited.setdefault(name, set()).add(README.name)
+    assert {name: sorted(where) for name, where in cited.items() if name not in defined} == {}

@@ -125,27 +125,34 @@ def test_amplitude_matrix_is_condensed_to_the_starting_vertices_and_edges():
 
 def _planted(monkeypatch, row, column, delta):
     """Add delta to one entry of every amplitude matrix the solver builds,
-    and to the first term of that entry the determinant reads, if it reads
-    one (the pendant condensation reads no entry that is zero in A)."""
-    build, values = solver._amplitude_matrices, solver._amplitude_values
+    and to that entry of a star's determinant where it reads it: a, b_t, c_t
+    and d_t of _star_entries, A's (0, 0), (0, t + 1), (t + 1, 0) and
+    (t + 1, t + 1) (it reads no entry that is zero in A)."""
+    build, entries = solver._amplitude_matrices, solver._star_entries
 
     def planted(graph, sigmas, ks):
         a = build(graph, sigmas, ks)
         a[:, row, column] += delta
         return a
 
-    def planted_values(graph, sigmas, ks, pendant=False):
-        out = values(graph, sigmas, ks, pendant=pendant)
-        if pendant:
-            layout = solver._amplitude_layout(graph)
-            # every pendant edge runs toward its leaf already, so the
-            # condensation lays out A's own terms
-            assert np.array_equal(np.sort(layout[5][1]), np.sort(layout[1]))
-            out[np.flatnonzero(layout[5][1] == row * layout[0] + column)[:1]] += delta
-        return out
+    def planted_entries(graph, sigmas, ks):
+        a, b, c, d = (np.array(x) for x in entries(graph, sigmas, ks))
+        # A's own layout: edge t runs from the centre 0 to the leaf t + 1
+        _, _, leaves, _ = solver._pendant_edges(graph)
+        assert not graph.slot_origin[0::2].any()
+        assert np.array_equal(leaves, np.arange(1, graph.num_edges + 1))
+        if row == column == 0:
+            a += delta
+        elif row == 0:
+            b[column - 1] += delta
+        elif column == 0:
+            c[row - 1] += delta
+        elif row == column:
+            d[row - 1] += delta
+        return a, b, c, d
 
     monkeypatch.setattr(solver, "_amplitude_matrices", planted)
-    monkeypatch.setattr(solver, "_amplitude_values", planted_values)
+    monkeypatch.setattr(solver, "_star_entries", planted_entries)
 
 
 def _same_records(spec, reference):
@@ -202,11 +209,32 @@ def test_simple_roots_are_polished_with_determinants(star4, monkeypatch):
     # bisection alone needs about 45 eigendecompositions per root; here
     # the scan grid (a few points per root) is nearly all that is left
     assert matrices["eigvals"] < 5 * spec.size
-    # a star's condensed determinant is one entry: no LAPACK determinant.
+    # a star's determinant is its closed form: no LAPACK determinant.
     # The bound on the rows sits above the 8.06 per root, end values
-    # included, that this polish took before the condensation
+    # included, that this polish took on LAPACK determinants of A
     assert matrices["det"] == 0
     assert spec.size < rows["_amplitude_dets"] <= 9 * spec.size
+    # a graph with pendant edges that is no star takes LAPACK determinants
+    # of A(k) itself, (V_s + E)-square
+    graph = build_graph([(0, 1, 1.0), (1, 1, 0.7), (0, 1, 1.3), (1, 2, 0.4)])
+    polish_fn, shapes = solver._polish, set()
+
+    def polish(*args):
+        det = np.linalg.det
+
+        def recorded(a):
+            shapes.add(np.shape(a)[1:])
+            return det(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "det", recorded)
+            return polish_fn(*args)
+
+    monkeypatch.setattr(solver, "_polish", polish)
+    matrices["det"] = 0
+    spec = solver.compute_spectrum(graph, RobinSpec(frozenset({0}), 2.0), n_max=100)
+    assert shapes == {(2 + 4, 2 + 4)}
+    assert matrices["det"] > spec.size
 
 
 def _count_matrices(monkeypatch, *names):
@@ -879,9 +907,10 @@ def test_amplitude_determinant_is_the_secular_function(case, us):
 )
 @settings(max_examples=60, deadline=None)
 def test_condensed_determinant_is_the_full_amplitude_determinant(case, us):
-    # det of the pendant condensation = +-det of the full 2E x 2E amplitude
-    # matrix, one sign per graph, at random k away from the roots (both
-    # determinants accurate), pendant edges listed from either end
+    # the polish determinant (a star's closed form, det A elsewhere) =
+    # +-det of the full 2E x 2E amplitude matrix, one sign per graph, at
+    # random k away from the roots (both determinants accurate), pendant
+    # edges listed from either end
     graph, robin = case
     ks = 1e-3 + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
     full = np.stack(

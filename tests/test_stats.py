@@ -219,6 +219,13 @@ class TestWeylMoments:
         with pytest.raises(InsufficientSpectrum):
             weyl_moments(spectrum, 10**6)
 
+    @pytest.mark.parametrize("name, n", [("unit_interval", 1), ("equilateral_star", 3)])
+    def test_no_simple_positive_eigenvalue_rejected(self, name, n, request, get_spectrum):
+        # Neumann: the zero mode first, then the equilateral star's triple
+        spectrum = get_spectrum(request.getfixturevalue(name), (), 0.0, n)
+        with pytest.raises(InsufficientSpectrum, match="no simple positive"):
+            weyl_moments(spectrum, n)
+
 
 class TestCdf:
     def test_right_continuous_at_atoms(self):
