@@ -285,28 +285,39 @@ def boundary_star_decomposition(graph: MetricGraph, robin: RobinSpec) -> StarDec
     return StarDecomposition(graph, tuple(splits))
 
 
+def _require(values, kinds, what: str) -> None:
+    """Raise ValueError unless each value is of kinds and no boolean: JSON
+    integers for kinds int, else JSON numbers.  No value is rounded or
+    coerced, so a file is read as the graph it describes or not at all."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            kind = "an integer" if kinds is int else "a number"
+            raise ValueError(f"{what} must be {kind}, got {value!r}")
+
+
 def parse_graph(mapping) -> tuple[MetricGraph, RobinSpec]:
     """Build (graph, robin) from the JSON graph schema.
 
     Schema: {"vertices": N, "edges": [{"u": int, "v": int, "len": float}],
     "robin": {"vertices": [int, ...], "sigma": float}}.  The robin block is
-    optional and defaults to no Robin vertices with sigma 0.
+    optional and defaults to no Robin vertices with sigma 0.  N and the
+    vertex ids must be JSON integers, lengths and sigma JSON numbers:
+    anything else, booleans included, raises ValueError.
     """
     try:
-        num_vertices = int(mapping["vertices"])
-        raw_edges = mapping["edges"]
-        edges = [(e["u"], e["v"], e["len"]) for e in raw_edges]
-    except (KeyError, TypeError) as exc:
+        num_vertices = mapping["vertices"]
+        edges = [(e["u"], e["v"], e["len"]) for e in mapping["edges"]]
+        robin_block = {} if mapping.get("robin") is None else mapping["robin"]
+        vertices = list(robin_block.get("vertices", ()))
+        sigma = robin_block.get("sigma", 0.0)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph description: {exc}") from exc
-    graph = MetricGraph(num_vertices, tuple(edges))
-    robin_block = mapping.get("robin")
-    if robin_block is None:
-        robin = RobinSpec.neumann()
-    else:
-        robin = RobinSpec(
-            frozenset(robin_block.get("vertices", ())),
-            float(robin_block.get("sigma", 0.0)),
-        )
+    _require([num_vertices], int, "vertex count")
+    _require([end for u, v, _ in edges for end in (u, v)], int, "vertex id")
+    _require([length for _, _, length in edges], (int, float), "edge length")
+    _require(vertices, int, "Robin vertex")
+    _require([sigma], (int, float), "sigma")
+    graph, robin = MetricGraph(num_vertices, tuple(edges)), RobinSpec(frozenset(vertices), sigma)
     robin.coupled_vertices(graph)  # validates the vertex set
     return graph, robin
 

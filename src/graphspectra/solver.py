@@ -35,13 +35,17 @@ edge, one end), so M_PP is diagonal: d_v = -(k cos kl + sigma_v sin kl)
 other vertices, with each pendant edge's -k cot kl at its neighbour
 replaced by the stub term k (k sin kl - sigma_v cos kl) / (k cos kl +
 sigma_v sin kl), k tan kl at a Neumann leaf.  This closed form avoids the
-cancellation of two terms of size 1 / l at small kl.  A star's M~ is
-1 x 1.  Its count has margin where, besides the pole margin, every
-|k cos kl + sigma_v sin kl| exceeds 64 eps (1 + kl)(k + sigma_v), a
-first-order bound on its rounding and on that of k sin kl - sigma_v
-cos kl, and the eigenvalues of M~ pass the rule above with the stub
-terms' first-order errors added.  A count that has the pole margin but
-misses these is taken on the full M(k) instead.
+cancellation of two terms of size 1 / l at small kl.  A count on M~ has
+margin where, besides the pole margin, every |k cos kl + sigma_v sin kl|
+exceeds 64 eps (1 + kl)(k + sigma_v), a first-order bound on its
+rounding and on that of k sin kl - sigma_v cos kl, and the eigenvalues
+of M~ pass the rule above with the stub terms' first-order errors added.
+A star's M~ is 1 x 1, the entry mu = sum_t stub_t - sigma_c of its
+centre c, and is counted as that scalar: [mu > 0], with margin where
+|mu| exceeds INERTIA_MARGIN V eps (sum_t |stub_t| + sigma_c) plus those
+errors, the rule written out, with no layout and no eigvalsh.  A count
+that has the pole margin but misses these is taken on the full M(k)
+instead.
 
 On a star, every edge pendant at one centre v (the interval included),
 the same edges give det A(k) in closed form (see Polish).  Lay each edge
@@ -59,17 +63,21 @@ LAPACK determinant of A itself.
 
 The anchor.  Near k = 0 the row sums of M are differences of entries of
 size 1 / (k l), so eigvalsh cannot resolve the lowest eigenvalue of M.
-The congruent C = T^T M T with T = [1, e_2, ..., e_V] has the same
-inertia and computes those sums directly, without cancellation:
+The congruent C = T^T M T, T the all-ones column followed by e_j for
+every vertex j but one vertex c, has the same inertia and computes those
+sums directly, without cancellation:
 
     C_11 = sum_e 2 k tan(k l_e / 2) - sigma |V_R|,
     C_1j = sum_{e at j} k tan(k l_e / 2) - sigma_j,
 
-while the rest C' is M without vertex 0.  By Haynsworth,
+while the rest C' is M without vertex c.  By Haynsworth,
 n_+(M) = n_+(C') + [C_11 - b^T C'^-1 b > 0], b the rest of C's first
 row.  Below pi / (2 |G|) no floor term is positive and C' is negative
 definite (clamping one vertex leaves no eigenvalue there), which the
-margins check rather than assume.  The scan starts at k_start below
+margins check rather than assume.  c is vertex 0, where C' takes an
+eigvalsh and a solve, or on a star its centre: there C' is the diagonal
+of the leaves, -k cot(k l_t) - sigma_t, so its inertia, its margins and
+C'^-1 b are elementwise.  The scan starts at k_start below
 every positive eigenvalue, and this count certifies N(k_start).  When
 sigma is so small that the ground state lies far below the usual anchor
 (k_R = sqrt(sigma |V_R| / |G|) at most half of it), no eigenphase or
@@ -614,7 +622,7 @@ def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
     """n_+(M(k)) as #{v in P : d_v > 0} + n_+(M~(k)), and whether it has
     margin ("Pendant vertices" in the module docstring); sigmas as in
     _couplings."""
-    _, lengths, pendant, _ = _pendant_edges(graph)
+    _, lengths, pendant, centre = _pendant_edges(graph)
     if not pendant.size:
         return _morse_index(graph, sigmas, ks)  # M~ is M
     k = ks[:, None]
@@ -631,7 +639,14 @@ def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
     # (k + |t|) noise / |g| bounds the error of a stub term t, and
     # (V - 1) |t| noise / |g| >= (V - 1) 64 eps |t| that of the sum it enters
     error = noise * (k + graph.num_vertices * np.abs(stubs)) / np.abs(g)
-    more, ok = _morse_index(graph, sigmas, ks, stubs, noise=error.sum(axis=1))
+    if _is_star(graph):
+        # M~ is the centre's entry: _morse_index on a 1 x 1 matrix
+        coupling = np.asarray(sigmas)[..., centre[0]]
+        mu = stubs.sum(axis=1) - coupling
+        scale = INERTIA_MARGIN * graph.num_vertices * EPS * (np.abs(stubs).sum(axis=1) + coupling)
+        more, ok = mu > 0.0, np.abs(mu) > scale + error.sum(axis=1)
+    else:
+        more, ok = _morse_index(graph, sigmas, ks, stubs, noise=error.sum(axis=1))
     return positive + more, ok & resolved.all(axis=1)
 
 
@@ -719,6 +734,14 @@ def _require_rising(grid: np.ndarray, n_grid: np.ndarray) -> None:
         )
 
 
+def _leaf_pivots(graph: MetricGraph, sigmas: np.ndarray, k: float) -> np.ndarray:
+    """A star's M(k) on its leaves, a diagonal: -k cot(k l_t) - sigma_t for
+    each edge t in the order of _pendant_edges."""
+    _, lengths, leaves, _ = _pendant_edges(graph)
+    x = k * lengths
+    return -k * np.cos(x) / np.sin(x) - sigmas[leaves]
+
+
 def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     """N(k) for 0 < k <= pi / (4 |G|) from the congruent form of M(k).
 
@@ -728,14 +751,19 @@ def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     n = graph.num_vertices
     sigmas = robin.vertex_sigmas(graph)
     t = k * np.tan(0.5 * k * graph.slot_length)
-    b = np.bincount(graph.slot_origin, weights=t, minlength=n)[1:] - sigmas[1:]
+    b = np.bincount(graph.slot_origin, weights=t, minlength=n) - sigmas
     positive, coupling = float(t.sum()), float(sigmas.sum())
-    rest = _vertex_matrices(graph, sigmas, [k])[0][0, 1:, 1:]
-    mu = np.linalg.eigvalsh(rest)
+    if _is_star(graph):
+        # the congruence about the centre: C' is the leaves' diagonal
+        mu, b = _leaf_pivots(graph, sigmas, k), b[_pendant_edges(graph)[2]]
+        solve = partial(np.divide, b, mu)
+    else:
+        rest, b = _vertex_matrices(graph, sigmas, [k])[0][0, 1:, 1:], b[1:]
+        mu, solve = np.linalg.eigvalsh(rest), partial(np.linalg.solve, rest, b)
     size_max, size_min = np.abs(mu).max(initial=0.0), np.abs(mu).min(initial=np.inf)
     # C' is solved only where its count has margin: a singular one raises
     if size_min > INERTIA_MARGIN * n * EPS * size_max:
-        y = np.linalg.solve(rest, b) if b.size else b
+        y = solve() if b.size else b
         schur = positive - coupling - float(b @ y)
         # to first order, b^T C'^-1 b moves by 2 y^T db + y^T dC' y, with
         # |db| <= eps (positive + coupling) and ||dC'|| <= V eps ||C'||

@@ -546,6 +546,15 @@ class TestOutputDiscipline:
         code, _ = run_cli(["spectrum", "--graph", str(bad), "--nmax", "3"], tmp_path)
         assert code == 1
         assert "error" in capsys.readouterr().err
+        # valid JSON, but a Robin vertex that is no integer: not rounded to 0
+        bad.write_text(
+            '{"vertices": 2, "edges": [{"u": 0, "v": 1, "len": 1.0}], '
+            '"robin": {"vertices": [0.6], "sigma": 1.0}}'
+        )
+        code, _ = run_cli(["spectrum", "--graph", str(bad), "--nmax", "3"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: Robin vertex must be an integer, got 0.6\n"
 
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cli.csv"

@@ -194,6 +194,38 @@ def test_parse_graph_roundtrip():
     with pytest.raises(ValueError):
         parse_graph({"edges": []})
 
+    # no id, count, length or sigma is rounded or coerced: each of these
+    # once read as a different graph and exited 0
+    def edited(edge=None, **top):
+        mapping = {
+            "vertices": 2,
+            "edges": [{"u": 0, "v": 1, "len": 1.0, **(edge or {})}],
+            "robin": {"vertices": [0], "sigma": 1.0},
+        }
+        mapping.update(top)
+        return mapping
+
+    for bad in (
+        edited({"v": 1.9}),
+        edited({"u": True}),
+        edited({"u": "0"}),
+        edited({"len": True}),
+        edited({"len": "1.0"}),
+        edited(vertices=2.5),
+        edited(vertices=2.0),
+        edited(robin={"vertices": [0.6], "sigma": 1.0}),
+        edited(robin={"vertices": [False], "sigma": 1.0}),
+        edited(robin={"vertices": [0], "sigma": True}),
+        edited(robin={"vertices": [0], "sigma": None}),
+    ):
+        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+            parse_graph(bad)
+    # a robin block of the wrong shape once escaped as a traceback
+    for bad in (edited(robin=[0]), edited(robin={"vertices": 0, "sigma": 1.0})):
+        with pytest.raises(ValueError, match="malformed graph description"):
+            parse_graph(bad)
+    assert parse_graph(edited(robin=None))[1] == RobinSpec.neumann()
+
 
 # ---------------------------------------------------------------------------
 # property suites

@@ -218,7 +218,22 @@ def test_scan_point_without_margin_raises(star4, monkeypatch):
 
 
 def test_small_k_count_without_margin_raises(star4, monkeypatch):
-    # leaf 2 made a copy of leaf 1 in M(k): C', M without the centre, is
+    # a zero pivot at leaf 2: C', the star's M(k) on its leaves, is singular,
+    # so the count at the scan floor has no margin (and C' is not solved)
+    leaf_pivots = solver._leaf_pivots
+
+    def planted(graph, sigmas, k):
+        pivots = leaf_pivots(graph, sigmas, k)
+        pivots[1] = 0.0
+        return pivots
+
+    monkeypatch.setattr(solver, "_leaf_pivots", planted)
+    with pytest.raises(ToleranceNotMet, match=r"^no inertia count with margin at k=\S+$"):
+        compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=20)
+
+
+def test_small_k_count_off_a_star_without_margin_raises(tetrahedron, monkeypatch):
+    # vertex 2 made a copy of vertex 1 in M(k): C', M without vertex 0, is
     # singular, so the count at the scan floor has no margin (and C' is not
     # solved)
     vertex_matrices = solver._vertex_matrices
@@ -230,7 +245,7 @@ def test_small_k_count_without_margin_raises(star4, monkeypatch):
 
     monkeypatch.setattr(solver, "_vertex_matrices", planted)
     with pytest.raises(ToleranceNotMet, match=r"^no inertia count with margin at k=\S+$"):
-        compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=20)
+        compute_spectrum(tetrahedron, RobinSpec(frozenset({0}), 2.0), n_max=20)
 
 
 def test_scan_floor_count_off_the_zero_mode_raises(star4, monkeypatch):
@@ -391,15 +406,24 @@ def test_tiny_coupling_keeps_one_simple_ground_state(case, sigma, us):
         assert _count(spec, k) == n, (k, n)
 
 
+# a star centred at vertex 2, two edges listed from the leaf, coupled at leaf 0
+OFF_CENTRE_STAR = build_graph([(2, 0, 0.7), (1, 2, 1.1), (2, 3, 1.3), (4, 2, 0.9)])
+
+
 @pytest.mark.parametrize("sigma", [1.1754943508222875e-38, 1e-30, 1e-200, 1e-300])
 def test_small_k_count_flips_at_the_rayleigh_wave_number(sigma):
-    # to first order in sigma the ground state sits at k_R = sqrt(sigma |V_R| / |G|)
+    # to first order in sigma the ground state sits at k_R = sqrt(sigma |V_R| / |G|),
+    # on K4 by the congruence about vertex 0 and on a star about its centre
     rng = np.random.default_rng(1)
-    graph = make_complete4(tuple(rng.uniform(0.6, 1.8, 6)))
-    robin = RobinSpec(frozenset(range(4)), sigma)
-    k_r = math.sqrt(sigma) * math.sqrt(4.0 / graph.total_length)
-    assert solver._small_k_count(graph, robin, 0.999999 * k_r) == 0
-    assert solver._small_k_count(graph, robin, 1.000001 * k_r) == 1
+    cases = [
+        (make_complete4(tuple(rng.uniform(0.6, 1.8, 6))), frozenset(range(4))),
+        (OFF_CENTRE_STAR, frozenset({0})),
+    ]
+    for graph, vertices in cases:
+        robin = RobinSpec(vertices, sigma)
+        k_r = math.sqrt(sigma) * math.sqrt(len(vertices) / graph.total_length)
+        assert solver._small_k_count(graph, robin, 0.999999 * k_r) == 0
+        assert solver._small_k_count(graph, robin, 1.000001 * k_r) == 1
 
 
 def test_loop_entry_is_the_tangent_form():
@@ -439,15 +463,21 @@ def test_cancelling_multi_edge_terms_leave_no_margin(short):
 
 
 @st.composite
-def pendant_graphs(draw):
-    """Graphs with pendant vertices: stars of degree 2-12, trees with a loop
-    or a second edge beside one of theirs, and an isolated edge, with
-    lengths in [0.01, 100], coupled or Neumann leaves and sigma in
-    [1e-8, 1e6]."""
+def pendant_graphs(draw, kinds=("star", "tree", "edge")):
+    """Graphs with pendant vertices: stars of degree 2-12 centred at any
+    vertex id with each edge listed from either end, trees with a loop or a
+    second edge beside one of theirs, and an isolated edge, with lengths in
+    [0.01, 100], coupled or Neumann leaves and sigma in [1e-8, 1e6]."""
     length = st.floats(-2.0, 2.0).map(lambda u: 10.0**u)
-    kind = draw(st.sampled_from(["star", "tree", "edge"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "star":
-        edges = [(0, j, draw(length)) for j in range(1, draw(st.integers(2, 12)) + 1)]
+        degree = draw(st.integers(2, 12))
+        centre = draw(st.integers(0, degree))
+        edges = [
+            (centre, j, draw(length)) if draw(st.booleans()) else (j, centre, draw(length))
+            for j in range(degree + 1)
+            if j != centre
+        ]
     elif kind == "tree":
         size = draw(st.integers(3, 8))
         edges = [(draw(st.integers(0, j - 1)), j, draw(length)) for j in range(1, size)]
@@ -534,6 +564,24 @@ def test_stub_resonances_leave_the_count_to_the_full_matrix(case, m, ulps, data)
         assert counts[0] == floors[0] + full[0]
 
 
+@given(pendant_graphs(kinds=("star",)), st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_small_k_count_of_a_star_is_exact(case, scales):
+    # the congruence about the centre gives the 40-digit count of the full
+    # M(k) wherever it claims margin, at any centre id and edge direction
+    graph, robin = case
+    for u in scales:
+        k = 0.25 * np.pi / graph.total_length * 10.0**u
+        try:
+            count = solver._small_k_count(graph, robin, k)
+        except ToleranceNotMet:
+            continue
+        exact = exact_inertia_count(
+            graph.edges, graph.num_vertices, robin.vertices, robin.sigma, k
+        )
+        assert count == exact, (k, count, exact)
+
+
 def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
     # on an isolated edge with a Robin end the stub term is all of M~, and
     # it vanishes at the graph's eigenvalues k tan kl = sigma
@@ -588,8 +636,12 @@ def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     monkeypatch.setattr(solver, "_vertex_rows", rows)
     compute_spectrum(graph, robin if coupled else NEUMANN, n_max=300)
-    assert sizes[size] - sizes["routed"] == matrices
-    assert sizes["routed"] == ROUTED[name, coupled]
+    routed = sizes.pop("routed")
+    assert sizes[size] - routed == matrices
+    assert routed == ROUTED[name, coupled]
+    if name.startswith("star"):
+        # a star's M~ and the C' of its anchor are counted without eigvalsh
+        assert sum(sizes.values()) == sizes[size]
 
 
 def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
