@@ -282,7 +282,7 @@ def cmd_cdf(args: argparse.Namespace) -> Table:
     # the distinct values, from the sorted ones without np.unique, which
     # imports numpy.ma
     xs = cdf.values[np.diff(cdf.values, prepend=-np.inf) > 0.0]
-    rows = [("cdf", float(x), float(x), float(cdf(x))) for x in xs]
+    rows = [("cdf", x, x, value) for x, value in zip(xs.tolist(), cdf(xs).tolist())]
     density, edges = np.histogram(series.gaps, bins=HISTOGRAM_BINS, density=True)
     rows.extend(
         ("hist", float(edges[i]), float(edges[i + 1]), float(density[i]))

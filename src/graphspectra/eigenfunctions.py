@@ -23,6 +23,25 @@ about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart.  Where s
 is below NEIGHBOUR_SV ||A(k)||, one Newton step with k free and the
 residual in np.longdouble moves it onto the root's kernel (_root_kernel).
 
+Stars.  On a star whose edges are all listed from its centre, A(k) is the
+arrow [[a, b^T], [c, diag(d)]] of the solver's closed-form determinant
+("Pendant vertices" in its docstring): a at (0, 0), b_t in the centre row,
+c_t and the leaf pivot d_t in leaf row t.  Its kernel vector is
+x = (1, -c_1 / d_1, ..., -c_E / d_E), and A x is zero but for its first
+entry, the Schur entry a - sum_t b_t c_t / d_t.  Deleting row and column 0
+leaves diag(d), so interlacing for the singular values of submatrices
+(R. C. Thompson, Linear Algebra Appl. 5 (1972) 1-12) gives
+sigma_{n-1}(A) >= min_t |d_t| and sigma_n(A) <= |det A| / prod_t |d_t|
+= |a - sum_t b_t c_t / d_t|.  A record takes this closed form, with no
+SVD, where all of these hold: A's E x E leaf block has no nonzero entry
+off its diagonal (checked exactly, on A itself), its multiplicity is 1,
+min_t |d_t| >= max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2, and
+the Schur entry is below the rule's floor 0.5e-8 sqrt(2E) ||A||_2.  The
+rule then sees exactly the one small singular value an SVD would show, no
+close-root step is due, and the residual is |Schur| |x_0| / (|x| ||A||_2);
+||A||_2 comes from one stacked eigvalsh of A^T A.  Every other record, the
+star multiples at stub poles among them, takes one SVD.
+
 Kernel rule.  A short or an excess kernel raises KernelDimensionMismatch,
 by the solver's rule on the singular values of A(k) (_kernel_rule;
 "Certification" in its docstring), the one that certifies the records
@@ -55,7 +74,8 @@ __all__ = [
 
 CONTINUITY_TOL = 1e-6
 # a simple record whose next singular value of A(k) is below this, relative
-# to ||A(k)||_2, has its kernel vector polished by _root_kernel
+# to ||A(k)||_2, has its kernel vector polished by _root_kernel; a star's
+# closed form needs every leaf pivot at or above it ("Stars")
 NEIGHBOUR_SV = 1e-3
 # central difference step of A'(k) x, relative to k
 SLOPE_STEP = 1e-7
@@ -152,12 +172,45 @@ def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.nda
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
+def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius, tol):
+    """Singular values, largest first, and right singular vectors of the
+    stack amp of A(k) as the kernel rule and eigenbasis read them, for the
+    simple records whose A(k) is an arrow that passes the gate ("Stars" in
+    the module docstring): ||A||_2, the pivot bound min_t |d_t| in place of
+    every middle value, and |A x| for the unit kernel vector x, the last
+    row of vt.  The other records' rows of sv are NaN."""
+    sv, vt = np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)
+    n = amp.shape[1]
+    leaves = amp[:, 1:, 1:][:, ~np.eye(n - 1, dtype=bool)]
+    at = np.flatnonzero((mults == 1) & ~np.any(leaves, axis=1))
+    if at.size == 0:  # no arrow record: spare the bound on ||A'||, built per graph
+        return sv, vt
+    arrow = amp[at]
+    norm = np.sqrt(np.linalg.eigvalsh(np.swapaxes(arrow, 1, 2) @ arrow)[:, -1])
+    floor, threshold = solver._kernel_thresholds(graph, robin, ks[at], norm, radius[at], tol)
+    pivot = np.abs(np.diagonal(arrow, axis1=1, axis2=2)[:, 1:]).min(axis=1) / norm
+    kept = pivot >= np.maximum(NEIGHBOUR_SV, threshold)
+    at, arrow, norm, pivot = at[kept], arrow[kept], norm[kept], pivot[kept]
+    x = np.ones((at.size, n))
+    x[:, 1:] = -arrow[:, 1:, 0] / np.diagonal(arrow, axis1=1, axis2=2)[:, 1:]
+    schur = np.abs(arrow[:, 0, 0] + np.sum(arrow[:, 0, 1:] * x[:, 1:], axis=1))
+    length = np.linalg.norm(x, axis=1)
+    kept = schur / norm < floor
+    at, length = at[kept], length[kept]
+    sv[at] = (pivot * norm)[kept, None]
+    sv[at, 0] = norm[kept]
+    sv[at, -1] = schur[kept] / length
+    vt[at, -1] = x[kept] / length[:, None]
+    return sv, vt
+
+
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real eigenfunctions of the records at positions records of the
-    spectrum and of their chains: one SVD of A(k) per record, the rest
-    vectorized.  Consecutive positive records closer than the largest
-    kernel reach form a chain, solved whole so that the kernel rule sees
-    every crossing near a record.  The zero mode is left out.  Raises
+    spectrum and of their chains: one SVD of A(k) per record, or for a
+    simple record of a star its closed form, the rest vectorized.
+    Consecutive positive records closer than the largest kernel reach form
+    a chain, solved whole so that the kernel rule sees every crossing near
+    a record.  The zero mode is left out.  Raises
     KernelDimensionMismatch where a record breaks the kernel rule, and
     ContinuityViolation where an eigenfunction takes two values at a vertex.
     """
@@ -174,19 +227,25 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
 
-    def decompose(amp):
+    radius = spectrum.radius[handed]
+
+    def build(graph, sigmas, batch_ks, at):
+        # looked up at each call, so that a wrapper on the module attribute sees it
+        return solver._amplitude_matrices(graph, sigmas, batch_ks), at
+
+    def decompose(built):
+        amp, at = built
+        sv, vt = _arrow_kernels(graph, robin, amp, ks[at], mults[at], radius[at], spectrum.tol)
         # one LAPACK call per matrix, not per stack: the benchmark's layer
         # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
-        sv, vt = np.empty((len(amp), n)), np.empty((len(amp), n, n))
-        for i, m in enumerate(amp):
-            _, sv[i], vt[i] = np.linalg.svd(m)
+        for i in np.flatnonzero(np.isnan(sv[:, 0])):
+            _, sv[i], vt[i] = np.linalg.svd(amp[i])
         return sv, vt
 
-    # looked up at each call, so that a wrapper on the module attribute sees it
     sv, vt = _stack_map(
-        graph, robin.vertex_sigmas(graph), ks, decompose, build=solver._amplitude_matrices
+        graph, robin.vertex_sigmas(graph), ks, decompose, build, np.arange(ks.size)
     )
-    mismatch = _kernel_rule(graph, robin, ks, mults, sv, spectrum.radius[handed], spectrum.tol)
+    mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, spectrum.tol)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
     sv = sv / sv[:, :1]  # relative to ||A(k)||_2

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,9 +59,9 @@ class MetricGraph:
     slot_length: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        edges = tuple((int(u), int(v), float(length)) for u, v, length in self.edges)
+        edges = tuple(_edge(*edge) for edge in self.edges)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "num_vertices", int(self.num_vertices))
+        object.__setattr__(self, "num_vertices", _integer(self.num_vertices, "vertex count"))
         if not edges:
             raise ValueError("a metric graph needs at least one edge")
         if self.num_vertices < 1:
@@ -154,8 +156,9 @@ class RobinSpec:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(int(v) for v in self.vertices))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        vertices = frozenset(_integer(v, "Robin vertex") for v in self.vertices)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma"))
         if not math.isfinite(self.sigma) or self.sigma < 0.0:
             raise ValueError(f"coupling must be finite and >= 0, got {self.sigma}")
 
@@ -230,7 +233,7 @@ def build_graph(edges, num_vertices=None) -> MetricGraph:
 
     num_vertices defaults to 1 + the largest referenced vertex id.
     """
-    edges = tuple((int(u), int(v), float(length)) for u, v, length in edges)
+    edges = tuple(_edge(*edge) for edge in edges)
     if not edges:
         raise ValueError("a metric graph needs at least one edge")
     if num_vertices is None:
@@ -242,7 +245,7 @@ def make_star(d: int, lengths) -> MetricGraph:
     """Star with d edges, central vertex 0, leaves 1..d."""
     if d < 1:
         raise ValueError("a star needs at least one edge")
-    lengths = tuple(float(x) for x in lengths)
+    lengths = tuple(lengths)
     if len(lengths) != d:
         raise ValueError(f"expected {d} lengths, got {len(lengths)}")
     return build_graph([(0, i + 1, lengths[i]) for i in range(d)], num_vertices=d + 1)
@@ -254,7 +257,7 @@ _COMPLETE4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 def make_complete4(lengths) -> MetricGraph:
     """Complete graph on 4 vertices; lengths follow the fixed edge order
     (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)."""
-    lengths = tuple(float(x) for x in lengths)
+    lengths = tuple(lengths)
     if len(lengths) != 6:
         raise ValueError(f"expected 6 lengths, got {len(lengths)}")
     return build_graph(
@@ -285,14 +288,27 @@ def boundary_star_decomposition(graph: MetricGraph, robin: RobinSpec) -> StarDec
     return StarDecomposition(graph, tuple(splits))
 
 
-def _require(values, kinds, what: str) -> None:
-    """Raise ValueError unless each value is of kinds and no boolean: JSON
-    integers for kinds int, else JSON numbers.  No value is rounded or
-    coerced, so a file is read as the graph it describes or not at all."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            kind = "an integer" if kinds is int else "a number"
-            raise ValueError(f"{what} must be {kind}, got {value!r}")
+def _integer(value, what: str) -> int:
+    """value as an int: a Python or numpy integer, no boolean.  Anything else
+    raises ValueError, so no id or count is rounded or coerced."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _real(value, what: str) -> float:
+    """value as a float: a real number, numpy's included, and no boolean;
+    anything else raises ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _edge(u, v, length) -> tuple[int, int, float]:
+    return _integer(u, "vertex id"), _integer(v, "vertex id"), _real(length, "edge length")
 
 
 def parse_graph(mapping) -> tuple[MetricGraph, RobinSpec]:
@@ -302,7 +318,8 @@ def parse_graph(mapping) -> tuple[MetricGraph, RobinSpec]:
     "robin": {"vertices": [int, ...], "sigma": float}}.  The robin block is
     optional and defaults to no Robin vertices with sigma 0.  N and the
     vertex ids must be JSON integers, lengths and sigma JSON numbers:
-    anything else, booleans included, raises ValueError.
+    anything else, booleans included, raises ValueError (MetricGraph and
+    RobinSpec check them).
     """
     try:
         num_vertices = mapping["vertices"]
@@ -312,12 +329,7 @@ def parse_graph(mapping) -> tuple[MetricGraph, RobinSpec]:
         sigma = robin_block.get("sigma", 0.0)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph description: {exc}") from exc
-    _require([num_vertices], int, "vertex count")
-    _require([end for u, v, _ in edges for end in (u, v)], int, "vertex id")
-    _require([length for _, _, length in edges], (int, float), "edge length")
-    _require(vertices, int, "Robin vertex")
-    _require([sigma], (int, float), "sigma")
-    graph, robin = MetricGraph(num_vertices, tuple(edges)), RobinSpec(frozenset(vertices), sigma)
+    graph, robin = MetricGraph(num_vertices, tuple(edges)), RobinSpec(vertices, sigma)
     robin.coupled_vertices(graph)  # validates the vertex set
     return graph, robin
 

@@ -287,9 +287,10 @@ applies too: singular values of A(k) over ||A(k)||_2 below half of
 max(1e-8 sqrt(2E), 2 (w + 2 s) ||A'(k)|| / ||A(k)||_2) count, twice what
 a root w / 2 + s off lifts the smallest one, w the stop width and s the
 spread (rho - w where rho is above its floor, else 0, and at most
-MERGE_SCALE (1 + k)).  A record is short when fewer than m count, and it
-has excess when more count than all the records place crossings within
-reach of it.  A gives no speed at which its singular values leave zero,
+MERGE_SCALE (1 + k)); _kernel_thresholds gives this threshold and its
+floor, which a star's closed-form eigenbasis gates on too.  A record is
+short when fewer than m count, and it has excess when more count than all
+the records place crossings within reach of it.  A gives no speed at which its singular values leave zero,
 so the reach is the eigenphases': every branch of U(k) moves at least
 l_min per unit k, and reach = 2 kernel_threshold / l_min.  The enclosure
 is the stronger certificate: it places exactly m eigenvalues within rho
@@ -1377,20 +1378,29 @@ def _kernel_reach(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
     return 2.0 * _kernel_threshold(graph, robin, ks, tol) / graph.min_edge_length
 
 
-def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> str | None:
-    """The kernel rule on the singular values sv of A(k) per record, largest
-    first ("Certification" in the module docstring): why the first record
-    (k, m) breaks it, or None.  Where a record's radius is above its floor,
-    radius - width is the spread of the roots merged into it.  Fewer than
-    m small singular values is short; more than the crossings (sorted, by
-    default the records') within reach of k is excess, unless the reach
-    spans k = 0, where the secular system has a larger kernel of its own."""
+def _kernel_thresholds(graph, robin, ks, norm, radius, tol):
+    """The kernel rule's floor and threshold on the singular values of A(k)
+    over norm = ||A(k)||_2 per record ("Certification" in the module
+    docstring): a value below the threshold counts.  Where a record's radius
+    is above its floor, radius - width is the spread of the roots merged
+    into it."""
     width = _stop_width(ks, tol)
     merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
     spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
+    floor = 0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots)
+    slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm
+    return floor, np.maximum(floor, slope)
+
+
+def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> str | None:
+    """The kernel rule on the singular values sv of A(k) per record, largest
+    first ("Certification" in the module docstring): why the first record
+    (k, m) breaks it, or None.  Fewer than m small singular values is short;
+    more than the crossings (sorted, by default the records') within reach
+    of k is excess, unless the reach spans k = 0, where the secular system
+    has a larger kernel of its own."""
     norm = sv[:, :1]
-    slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm[:, 0]
-    threshold = 0.5 * np.maximum(KERNEL_SV_SCALE * np.sqrt(graph.num_slots), 2.0 * slope)
+    threshold = _kernel_thresholds(graph, robin, ks, norm[:, 0], radius, tol)[1]
     dims = np.sum(sv / norm < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
     if short.size:

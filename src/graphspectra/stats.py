@@ -240,7 +240,9 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
     breaks = np.flatnonzero(np.diff(values) > tol)
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks + 1, [values.size]])
+    # a singleton is its own mean, bitwise: most clusters are one gap
     return [
-        (float(np.mean(values[a:b])), int(b - a)) for a, b in zip(starts, ends)
+        (float(values[a] if b - a == 1 else np.mean(values[a:b])), int(b - a))
+        for a, b in zip(starts, ends)
     ]
 

@@ -1,6 +1,7 @@
 """Shared fixtures: reference graphs and a session-wide spectrum cache."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -73,3 +74,16 @@ def gap_series(get_spectrum):
         )
 
     return get
+
+
+@pytest.fixture
+def svd_matrices(monkeypatch):
+    """A one-entry list counting the matrices np.linalg.svd is given."""
+    count, svd = [0], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return count

@@ -385,6 +385,30 @@ class TestSensitivity:
         assert len(got) == len(want) == 60
         assert max(abs(float(g[2]) - float(w[2])) for g, w in zip(got, want)) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "name, tol, svds",
+        [
+            ("interval", None, 0),
+            # the two records that fall back from the closed form
+            ("star_incommensurate", None, 2),
+            # the triples at the stub poles, 75 of the 150 records
+            ("star_equilateral", None, 75),
+            ("tetrahedron", None, 301),
+            # at a loose tol no Schur entry of a star is below the floor
+            ("star_incommensurate", "1e-6", 300),
+        ],
+    )
+    def test_svd_matrices_of_the_eigenbasis(self, name, tol, svds, tmp_path, svd_matrices):
+        # a simple record of a star takes its kernel in closed form, every
+        # other record one SVD of A(k)
+        loose = [] if tol is None else ["--tol", tol]
+        code, _ = run_cli(
+            ["sensitivity", "--graph", str(FIXTURES / f"{name}.json"), "--nmax", "300", *loose],
+            tmp_path,
+        )
+        assert code == 0
+        assert svd_matrices[0] == svds
+
 
 class TestNearDegenerateStar:
     # four edges 1e-8 apart in length: simple roots 1.76e-8 apart near

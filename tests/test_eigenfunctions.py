@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from graphspectra import solver
-from graphspectra.eigenfunctions import _l2_norm_sq, eigenbasis, evaluate, sensitivity
+from graphspectra.eigenfunctions import (
+    NEIGHBOUR_SV,
+    _l2_norm_sq,
+    eigenbasis,
+    evaluate,
+    sensitivity,
+)
 from graphspectra.errors import KernelDimensionMismatch, OutOfRange
 from graphspectra.graphs import RobinSpec, build_graph, make_star
 from graphspectra.solver import Spectrum, compute_spectrum
@@ -129,6 +135,60 @@ def test_kernel_lost_at_the_record_raises(monkeypatch, star4):
     monkeypatch.setattr(solver, "_amplitude_matrices", lifted)
     with pytest.raises(KernelDimensionMismatch, match="below"):
         eigenbasis(spec, [2])
+
+
+def _plant(monkeypatch, edit):
+    """Let edit(amp) change each stack of A(k) that the eigenbasis builds."""
+    build = solver._amplitude_matrices
+
+    def planted(*args):
+        amp = build(*args)
+        edit(amp)
+        return amp
+
+    monkeypatch.setattr(solver, "_amplitude_matrices", planted)
+
+
+def test_an_entry_off_the_arrow_takes_the_svd(monkeypatch, star4, svd_matrices):
+    # a planted fault the arrow's own entries do not show: A[2, 3] =
+    # 1e-3 ||A|| leaves a, b, c and d, so their Schur entry still vanishes,
+    # but the matrix has no kernel left; only the exact check of the leaf
+    # block sends the record to the SVD, which finds none
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=5)
+    svd_matrices[0] = 0
+    assert eigenbasis(spec, [2]).residual.max() < 1e-12
+    assert svd_matrices[0] == 0
+
+    def off_arrow(amp):
+        amp[:, 2, 3] = 1e-3 * np.linalg.norm(amp, ord=2, axis=(1, 2))
+
+    _plant(monkeypatch, off_arrow)
+    with pytest.raises(KernelDimensionMismatch, match="below"):
+        eigenbasis(spec, [2])
+    assert svd_matrices[0] == 1
+
+
+@pytest.mark.parametrize("ratio, svds", [(0.99, 1), (1.01, 0)])
+def test_a_small_pivot_takes_the_svd(monkeypatch, star4, svd_matrices, ratio, svds):
+    # leaf row 2 scaled so that its pivot |d| is ratio NEIGHBOUR_SV ||A||_2:
+    # the kernel is the same, but only a pivot at or above the bound
+    # certifies the next singular value without an SVD
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=5)
+    want = eigenbasis(spec, [2])
+
+    def small_pivot(amp):
+        for _ in range(8):  # the scaled row moves ||A||_2 a little
+            norm = np.linalg.norm(amp, ord=2, axis=(1, 2))
+            amp[:, 2] *= (ratio * NEIGHBOUR_SV * norm / np.abs(amp[:, 2, 2]))[:, None]
+        pivot = np.abs(amp[:, 2, 2]) / np.linalg.norm(amp, ord=2, axis=(1, 2))
+        assert np.allclose(pivot, ratio * NEIGHBOUR_SV, rtol=1e-6, atol=0.0)
+
+    _plant(monkeypatch, small_pivot)
+    svd_matrices[0] = 0
+    got = eigenbasis(spec, [2])
+    assert svd_matrices[0] == svds
+    sign = np.sign(np.vdot(want.vertex_values, got.vertex_values))
+    assert np.allclose(sign * got.vertex_values, want.vertex_values, rtol=0.0, atol=1e-11)
 
 
 def test_l2_norm_against_quadrature(star4):

@@ -88,6 +88,24 @@ def test_rejects_empty():
         build_graph([])
 
 
+def test_constructors_coerce_no_input():
+    # each of these once came back as another graph or coupling, without error
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        build_graph([(0, 1.9, True)])
+    with pytest.raises(ValueError, match="edge length must be a number"):
+        build_graph([(0, 1, True)])
+    with pytest.raises(ValueError, match="Robin vertex must be an integer"):
+        RobinSpec(frozenset({0.6}), 1.0)
+    with pytest.raises(ValueError, match="sigma must be a number"):
+        RobinSpec(frozenset({0}), True)
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        MetricGraph(2.5, ((0, 1, 1.0),))
+    # numpy integer and float scalars are what they say
+    g = build_graph([(np.int64(0), np.int32(1), np.float64(1.5))])
+    assert g == MetricGraph(np.intp(2), ((0, 1, 1.5),))
+    assert RobinSpec(frozenset({np.int64(1)}), np.float32(0.5)) == RobinSpec(frozenset({1}), 0.5)
+
+
 def test_graph_hashable_and_equal_on_defining_fields():
     g1 = make_star(3, (1.0, 2.0, 3.0))
     g2 = make_star(3, (1.0, 2.0, 3.0))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphspectra import solver
+from graphspectra import eigenfunctions, solver
 from graphspectra.eigenfunctions import eigenbasis, sensitivity
 from graphspectra.errors import ToleranceNotMet
 from graphspectra.graphs import (
@@ -814,24 +814,24 @@ def test_one_pass_equals_a_pass_per_coupling(case, by_count, tol):
 
 
 @st.composite
-def degenerate_stars(draw):
+def degenerate_stars(draw, decades=(-8.0, 6.0)):
     """Equilateral stars and stars with lengths in odd ratios, where many
     roots are multiple, coupled on a random vertex set with sigma from
-    1e-8 to 1e6."""
+    1e-8 to 1e6 (10 to the powers decades)."""
     degree = draw(st.integers(2, 6))
     length = draw(st.floats(0.5, 2.0))
     ratios = draw(st.one_of(st.just([1] * degree), st.lists(st.sampled_from([1, 3, 5]),
                                                              min_size=degree, max_size=degree)))
     coupled = draw(st.sets(st.integers(0, degree), max_size=degree + 1))
-    sigma = float(10.0 ** draw(st.floats(-8.0, 6.0)))
+    sigma = float(10.0 ** draw(st.floats(*decades)))
     return make_star(degree, tuple(length * r for r in ratios)), RobinSpec(frozenset(coupled), sigma)
 
 
 @st.composite
-def listed_stars(draw, max_degree=40):
+def listed_stars(draw, max_degree=40, decades=(-8.0, 6.0)):
     """Stars of 1 to max_degree edges with lengths in [0.1, 10], each edge
     listed from its leaf or toward it, coupled on a random vertex set with
-    sigma from 1e-8 to 1e6."""
+    sigma from 1e-8 to 1e6 (10 to the powers decades)."""
     degree = draw(st.integers(1, max_degree))
     exponents = draw(st.lists(st.floats(-1.0, 1.0), min_size=degree, max_size=degree))
     from_leaf = draw(st.lists(st.booleans(), min_size=degree, max_size=degree))
@@ -840,7 +840,7 @@ def listed_stars(draw, max_degree=40):
         for v, (x, first) in enumerate(zip(exponents, from_leaf), start=1)
     ]
     coupled = draw(st.sets(st.integers(0, degree), max_size=degree + 1))
-    sigma = float(10.0 ** draw(st.floats(-8.0, 6.0)))
+    sigma = float(10.0 ** draw(st.floats(*decades)))
     return build_graph(edges, num_vertices=degree + 1), RobinSpec(frozenset(coupled), sigma)
 
 
@@ -1078,6 +1078,53 @@ def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     except ToleranceNotMet:
         return
     _assert_matches_the_complex_kernel(spec, 12)
+
+
+@given(st.one_of(degenerate_stars((-4.0, 4.0)), listed_stars(8, (-4.0, 4.0))))
+@settings(max_examples=40, deadline=None)
+def test_star_eigenfunctions_match_the_complex_kernel(case):
+    # a star listed from its centre takes its simple records' kernels in
+    # closed form, one with an edge listed from a leaf takes the SVD: both
+    # must meet the complex-kernel oracle.  sigma stays within 1e-4..1e4:
+    # beyond it the SVD path misses the oracle's 1e-10 on degenerate stars
+    # as well (a value at a vertex coupled at 1e6 is a 1e-6 remainder, and
+    # weak couplings split multiple roots into close ones; see ROADMAP)
+    graph, robin = case
+    try:
+        spec = solver.compute_spectrum(graph, robin, n_max=12)
+    except ToleranceNotMet:
+        return
+    _assert_matches_the_complex_kernel(spec, 12)
+
+
+@given(degenerate_stars())
+@settings(max_examples=40, deadline=None)
+def test_star_closed_form_matches_the_svd(case):
+    # the closed-form kernel of a simple record against the SVD path with
+    # the closed form switched off: the same vertex values up to each row's
+    # sign, to 1e-11 of the largest, and so the same sensitivities to 1e-11
+    # of the largest sum of their squares.  A value at a leaf coupled at
+    # sigma 1e5 is a 1e-5 remainder of A cos kl + B sin kl, so its square
+    # has only about 1e-11 relative accuracy on either path
+    graph, robin = case
+    try:
+        spec = solver.compute_spectrum(graph, robin, n_max=20)
+    except ToleranceNotMet:
+        return
+    records = np.arange(len(spec.k))
+    got, values = eigenbasis(spec, records), sensitivity(spec, spec.index).value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            eigenfunctions,
+            "_arrow_kernels",
+            lambda graph, robin, amp, *rest: (np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)),
+        )
+        want, svd_values = eigenbasis(spec, records), sensitivity(spec, spec.index).value
+    sign = np.sign(np.sum(got.vertex_values * want.vertex_values, axis=1))[:, None]
+    scale = np.abs(want.vertex_values).max(initial=0.0)
+    assert np.allclose(sign * got.vertex_values, want.vertex_values, rtol=0.0, atol=1e-11 * scale)
+    top = len(robin.coupled_vertices(graph)) * scale**2
+    assert np.allclose(values, svd_values, rtol=1e-11, atol=1e-11 * top)
 
 
 def test_parallel_pairs_vanish_at_their_vertices():
