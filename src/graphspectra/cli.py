@@ -130,26 +130,20 @@ def _emit(table: Table, args: argparse.Namespace) -> None:
                 "columns": cols,
                 "rows": [[_json_ready(x) for x in row] for row in rows],
             }
-        text = json.dumps(payload, indent=2) + "\n"
+        texts = {args.out: json.dumps(payload, indent=2) + "\n"}
+    else:
+        texts = {args.out: _csv_text(table.columns, table.rows)}
+        # companion tables only materialize with --out; stdout stays one table
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            base, ext = os.path.splitext(args.out)
+            for name, (cols, rows) in table.companions.items():
+                texts[f"{base}.{name}{ext}"] = _csv_text(cols, rows)
+    for path, text in texts.items():
+        if path:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return
-
-    text = _csv_text(table.columns, table.rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        base, ext = os.path.splitext(args.out)
-        for name, (cols, rows) in table.companions.items():
-            side = f"{base}.{name}{ext}"
-            with open(side, "w", encoding="utf-8", newline="") as fh:
-                fh.write(_csv_text(cols, rows))
-    else:
-        sys.stdout.write(text)
-        # companion tables only materialize with --out; stdout stays one table
 
 
 def _load(args: argparse.Namespace):

@@ -45,7 +45,9 @@ star multiples at stub poles among them, takes one SVD.
 Kernel rule.  A short or an excess kernel raises KernelDimensionMismatch,
 by the solver's rule on the singular values of A(k) (_kernel_rule;
 "Certification" in its docstring), the one that certifies the records
-whose enclosures have no inertia margin.
+whose enclosures have no inertia margin.  An eigenbasis solves exactly
+the positive records asked for, and the rule reads every crossing of the
+spectrum, so a record within reach of one left unsolved still counts.
 
 Each row also carries the unit-norm slot amplitudes of the plane-wave form
 f_t(x) = a_2t exp(ikx) + a_2t+1 exp(ik(l_t - x)) that evaluate and
@@ -61,7 +63,7 @@ import numpy as np
 
 from . import solver
 from .errors import ContinuityViolation, KernelDimensionMismatch, OutOfRange
-from .graphs import MetricGraph, RobinSpec
+from .graphs import MetricGraph, RobinSpec, _integer
 from .solver import Spectrum, _kernel_rule, _stack_map
 
 __all__ = [
@@ -83,7 +85,8 @@ SLOPE_STEP = 1e-7
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """Real eigenfunctions of a batch of records of spectrum, one row each.
+    """Real eigenfunctions of the positive records of spectrum asked for,
+    and of no other.
 
     Rows come grouped by record in spectrum order, m L2-orthonormal rows
     for a record of multiplicity m at position record[i] of the spectrum's
@@ -205,29 +208,22 @@ def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius,
 
 
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
-    """Real eigenfunctions of the records at positions records of the
-    spectrum and of their chains: one SVD of A(k) per record, or for a
-    simple record of a star its closed form, the rest vectorized.
-    Consecutive positive records closer than the largest kernel reach form
-    a chain, solved whole so that the kernel rule sees every crossing near
-    a record.  The zero mode is left out.  Raises
-    KernelDimensionMismatch where a record breaks the kernel rule, and
-    ContinuityViolation where an eigenfunction takes two values at a vertex.
+    """Real eigenfunctions of the positive records at positions records of
+    the spectrum, and of no other: one SVD of A(k) per record, or for a
+    simple record of a star its closed form, the rest vectorized.  The zero
+    mode is left out.  The kernel rule counts every crossing of the
+    spectrum within reach of a record.  Raises KernelDimensionMismatch
+    where a record breaks the kernel rule, and ContinuityViolation where an
+    eigenfunction takes two values at a vertex.
     """
     graph, robin = spectrum.graph, spectrum.robin
-    all_ks, all_mults = spectrum.k, spectrum.multiplicity
-    positive = np.flatnonzero(all_ks > 0.0)
-    reach = solver._kernel_reach(graph, robin, all_ks[positive], spectrum.tol)
-    chain = np.cumsum(np.diff(all_ks[positive], prepend=-np.inf) > reach.max(initial=0.0))
-    chained = np.isin(chain, chain[np.isin(positive, records)])
-    handed = positive[chained]
-    ks, mults = all_ks[handed], all_mults[handed]
-    threshold = spectrum.kernel_threshold(ks)
+    positive = np.flatnonzero(spectrum.k > 0.0)
+    handed = positive[np.isin(positive, records)]
+    ks, mults = spectrum.k[handed], spectrum.multiplicity[handed]
+    radius, threshold = spectrum.radius[handed], spectrum.kernel_threshold(ks)
     # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
-
-    radius = spectrum.radius[handed]
 
     def build(graph, sigmas, batch_ks, at):
         # looked up at each call, so that a wrapper on the module attribute sees it
@@ -245,7 +241,8 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     sv, vt = _stack_map(
         graph, robin.vertex_sigmas(graph), ks, decompose, build, np.arange(ks.size)
     )
-    mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, spectrum.tol)
+    crossings = spectrum.wavenumbers()
+    mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, spectrum.tol, crossings)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
     sv = sv / sv[:, :1]  # relative to ||A(k)||_2
@@ -296,8 +293,10 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
 
 
 def evaluate(basis: EigenBasis, row: int, edge: int, x: float) -> float:
-    """Normalized value of eigenfunction row at position x along an edge."""
+    """Normalized value of eigenfunction row at position x along an edge.
+    A row or edge that is not an integer raises ValueError."""
     graph = basis.spectrum.graph
+    row, edge = _integer(row, "row"), _integer(edge, "edge")
     if not 0 <= row < len(basis.k):
         raise OutOfRange(f"row {row} outside 0..{len(basis.k) - 1}")
     if not 0 <= edge < graph.num_edges:

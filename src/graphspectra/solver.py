@@ -1392,13 +1392,13 @@ def _kernel_thresholds(graph, robin, ks, norm, radius, tol):
     return floor, np.maximum(floor, slope)
 
 
-def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> str | None:
+def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings) -> str | None:
     """The kernel rule on the singular values sv of A(k) per record, largest
     first ("Certification" in the module docstring): why the first record
     (k, m) breaks it, or None.  Fewer than m small singular values is short;
-    more than the crossings (sorted, by default the records') within reach
-    of k is excess, unless the reach spans k = 0, where the secular system
-    has a larger kernel of its own."""
+    more than the crossings (sorted wave numbers, one per index) within
+    reach of k is excess, unless the reach spans k = 0, where the secular
+    system has a larger kernel of its own."""
     norm = sv[:, :1]
     threshold = _kernel_thresholds(graph, robin, ks, norm[:, 0], radius, tol)[1]
     dims = np.sum(sv / norm < threshold[:, None], axis=1)
@@ -1409,8 +1409,6 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings=None) -> st
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
             f"at k={float(ks[j])!r}"
         )
-    if crossings is None:
-        crossings = np.sort(np.repeat(ks, mults))
     reach = _kernel_reach(graph, robin, ks, tol)
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
         crossings, ks - reach, side="left"

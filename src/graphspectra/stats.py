@@ -182,7 +182,8 @@ def sensitivity_prediction(graph: MetricGraph, robin: RobinSpec, lam) -> np.ndar
 
 
 def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
-    """Moment averages over the simple eigenvalues among the first n.
+    """Moment averages over the simple eigenvalues among the first n, the
+    only records whose eigenfunctions are solved.
 
     Multiple eigenvalues (and the zero mode, which has no scattering
     amplitude vector) are skipped; their count lands in skipped.  Raises
@@ -190,26 +191,21 @@ def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
     """
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
-    firsts, mults = spectrum.index, spectrum.multiplicity
-    if not np.any((firsts <= n) & (mults == 1) & (spectrum.k > 0.0)):
+    simple = (spectrum.index <= n) & (spectrum.multiplicity == 1) & (spectrum.k > 0.0)
+    if not np.any(simple):
         raise InsufficientSpectrum(f"no simple positive eigenvalue among the first {n}")
-    basis = eigenbasis(spectrum, np.flatnonzero(firsts <= n))
-    used = (mults[basis.record] == 1) & (firsts[basis.record] <= n)
-    n_used = int(used.sum())
-    amps = basis.a[used]
-    vertex_means = np.mean(basis.vertex_values[used] ** 2, axis=0)
-
-    amp_sq = np.abs(amps) ** 2
+    basis = eigenbasis(spectrum, np.flatnonzero(simple))
+    amp_sq = np.abs(basis.a) ** 2
     lengths = spectrum.graph.slot_length[None, 0::2]
     length_norm = np.sum(lengths * (amp_sq[:, 0::2] + amp_sq[:, 1::2]), axis=1)
-    scaled = amps / np.sqrt(length_norm)[:, None]
+    scaled = basis.a / np.sqrt(length_norm)[:, None]
     cross = (scaled[:, :, None] * np.conj(scaled[:, None, :])).mean(axis=0)
     return MomentReport(
-        vertex_means=vertex_means,
+        vertex_means=np.mean(basis.vertex_values**2, axis=0),
         slot_means=np.real(np.diag(cross)).copy(),
         cross_matrix=cross,
-        n_used=n_used,
-        skipped=n - n_used,
+        n_used=len(basis.k),
+        skipped=n - len(basis.k),
     )
 
 

@@ -101,7 +101,8 @@ def test_kernel_dimension_guard(pi_interval, equilateral_star):
 
 def test_rows_of_records_inside_each_others_kernel():
     # two certified simple roots 2.1e-8 apart near pi / 2: each lies inside
-    # the other's numerical kernel, so a row needs the pair to count it
+    # the other's numerical kernel, so a row needs the pair to count it,
+    # though the eigenbasis solves only the record asked for
     star = make_star(3, (1.0, 1.0, 1.0 + 2e-8))
     spec = compute_spectrum(star, RobinSpec(frozenset({0}), 1.0), n_max=4)
     pair = np.flatnonzero(np.abs(spec.k - math.pi / 2.0) < 1e-6)
@@ -109,6 +110,7 @@ def test_rows_of_records_inside_each_others_kernel():
     assert 0.0 < spec.k[pair[1]] - spec.k[pair[0]] < 1e-7
     for at in pair:
         basis, (row,) = _record_rows(spec, spec.index[at])
+        assert basis.record.tolist() == [at]
         assert basis.k[row] == spec.k[at]
         assert basis.residual[row] < 1e-12
         assert _reality_defect(star, basis, row) < 1e-12
@@ -268,6 +270,15 @@ def test_evaluate_rejects_edges_outside_the_graph():
     for edge in (-1, 3):
         with pytest.raises(OutOfRange):
             evaluate(basis, row, edge, 0.5)
+
+
+@pytest.mark.parametrize("row, edge", [(0.5, 0), (0, 1.5), (True, 0)])
+def test_evaluate_rejects_a_row_or_edge_that_is_no_integer(row, edge):
+    # a float must not index, nor a boolean read as a mask
+    basis, at = _star_row()
+    assert np.isfinite(evaluate(basis, np.int64(at), np.int64(0), 0.1))
+    with pytest.raises(ValueError, match="must be an integer"):
+        evaluate(basis, row, edge, 0.1)
 
 
 def test_robin_residual_rejects_vertices_outside_the_graph():

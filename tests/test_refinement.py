@@ -1204,7 +1204,9 @@ def test_enclosures_agree_with_the_kernel_audit_across_couplings(case, pick):
 
     def verdicts(claimed):
         return (
-            solver._kernel_rule(graph, robin, ks, claimed, sv, rho, spec.tol),
+            solver._kernel_rule(
+                graph, robin, ks, claimed, sv, rho, spec.tol, np.sort(np.repeat(ks, claimed))
+            ),
             complex_kernel_mismatch(u, ks, claimed, threshold, reach),
         )
 
