@@ -49,6 +49,15 @@ whose enclosures have no inertia margin.  An eigenbasis solves exactly
 the positive records asked for, and the rule reads every crossing of the
 spectrum, so a record within reach of one left unsolved still counts.
 
+Strong coupling.  At a vertex coupled with sigma > k the value f(v) is a
+remainder of order k / sigma of the amplitudes: read off an edge end, or
+off a kernel vector entry, it carries their absolute rounding, about 1e-16,
+as a relative error of 1e-16 sigma / k, near 1e-10 at sigma = 1e6.  There
+vertex_values takes it from the Robin condition instead, as the sum of the
+outward derivatives f_t'(0) = k B_t at an edge's start and -f_t'(l)
+= k (A_t sin kl - B_t cos kl) at its end, over sigma: those are of the
+amplitudes' own order, and their rounding comes in divided by sigma.
+
 Each row also carries the unit-norm slot amplitudes of the plane-wave form
 f_t(x) = a_2t exp(ikx) + a_2t+1 exp(ik(l_t - x)) that evaluate and
 weyl_moments read: a_2t = (A_t - i B_t) / 2 and a_2t+1
@@ -286,6 +295,18 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
             f"eigenfunction at k={float(k[row])!r} takes inconsistent values "
             f"at vertex {ends[edge]}"
         )
+    # a vertex coupled with sigma > k reads its value from its Robin
+    # condition, the sum of outward f'(v) over sigma ("Strong coupling")
+    coupled = robin.coupled_vertices(graph)
+    strong = np.flatnonzero(k < robin.sigma)
+    if coupled and strong.size:
+        outward = np.zeros((strong.size, graph.num_vertices))
+        kk, ph, sb = k[strong, None], phase[strong], ab[strong]
+        np.add.at(outward.T, graph.slot_origin[0::2], (kk * sb[:, 1::2]).T)
+        np.add.at(
+            outward.T, ends, (kk * (sb[:, 0::2] * np.sin(ph) - sb[:, 1::2] * np.cos(ph))).T
+        )
+        values[np.ix_(strong, coupled)] = outward[:, coupled] / robin.sigma
     a = np.repeat(0.5 * (ab[:, 0::2] - 1j * ab[:, 1::2]), 2, axis=1)
     a[:, 1::2] = np.exp(-1j * phase) * np.conj(a[:, 1::2])
     vertex_values = values / np.sqrt(l2norm_sq)[:, None]

@@ -374,6 +374,30 @@ def slot_vertex_values(edges, k, rows):
     return values
 
 
+def robin_vertex_values(edges, coupled, sigma, k, rows):
+    """slot_vertex_values, but at a vertex coupled with sigma > k taken
+    from its Robin condition as the sum of outward f'(v) over sigma.  There
+    f(v) is a remainder of order k / sigma of the amplitudes, so 2 Re a_j
+    carries their absolute rounding, about 1e-16, as a relative error of
+    1e-16 sigma / k; the derivatives are of the amplitudes' own order and
+    bring it in divided by sigma.  On edge t = (p, q, l), x running from p,
+    the outward f'(p) is ik (a_2t - a_2t+1 exp(ikl)) and f'(q) is
+    ik (a_2t+1 - a_2t exp(ikl))."""
+    values = slot_vertex_values(edges, k, rows)
+    if sigma <= k:
+        return values
+    outward = {v: 0.0 for v in coupled if v in values}
+    for t, (p, q, length) in enumerate(edges):
+        phase = cmath.exp(1j * k * length)
+        a, b = rows[:, 2 * t], rows[:, 2 * t + 1]
+        if p in outward:
+            outward[p] = outward[p] + np.real(1j * k * (a - b * phase))
+        if q in outward:
+            outward[q] = outward[q] + np.real(1j * k * (b - a * phase))
+    values.update({v: d / sigma for v, d in outward.items()})
+    return values
+
+
 def robin_residual(edges, coupled, sigma, k, a, v):
     """|sum of outward f'(v) - sigma_v f(v)| / ||f||_2 for the real
     eigenfunction with slot amplitudes a at wave number k: its defect in
@@ -400,7 +424,7 @@ def eigenspace_vertex_weight(edges, coupled, sigma, vertices, k, m):
     for L2-normalized f: trace(G^-1 F) / m with G the L2 Gram matrix of
     any basis of gauged_kernel and F_ij = sum_v f_i(v) f_j(v)."""
     rows = gauged_kernel(edges, coupled, sigma, k, m)
-    values = slot_vertex_values(edges, k, rows)
+    values = robin_vertex_values(edges, coupled, sigma, k, rows)
     f = np.array([values[v] for v in vertices]).reshape(len(vertices), m)
     gram = slot_l2_gram(edges, k, rows)
     return float(np.trace(np.linalg.solve(gram, f.T @ f))) / m
@@ -416,7 +440,7 @@ def simple_root_moments(edges, coupled, sigma, ks, num_vertices):
     for k in ks:
         rows = gauged_kernel(edges, coupled, sigma, k, 1)
         norm = slot_l2_gram(edges, k, rows)[0, 0]
-        values = slot_vertex_values(edges, k, rows)
+        values = robin_vertex_values(edges, coupled, sigma, k, rows)
         vertex += np.array([values[v][0] ** 2 for v in range(num_vertices)]) / norm
         scaled = rows[0] / math.sqrt(np.sum(lengths * np.abs(rows[0]) ** 2))
         cross = cross + np.outer(scaled, scaled.conj())
