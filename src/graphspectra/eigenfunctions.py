@@ -25,7 +25,7 @@ residual in np.longdouble moves it onto the root's kernel (_root_kernel).
 
 Stars.  On a star whose edges are all listed from its centre, A(k) is the
 arrow [[a, b^T], [c, diag(d)]] of the solver's closed-form determinant
-("Pendant vertices" in its docstring): a at (0, 0), b_t in the centre row,
+("Stars" in its docstring): a at (0, 0), b_t in the centre row,
 c_t and the leaf pivot d_t in leaf row t.  Its kernel vector is
 x = (1, -c_1 / d_1, ..., -c_E / d_E), and A x is zero but for its first
 entry, the Schur entry a - sum_t b_t c_t / d_t.  Deleting row and column 0
@@ -72,7 +72,7 @@ import numpy as np
 
 from . import solver
 from .errors import ContinuityViolation, KernelDimensionMismatch, OutOfRange
-from .graphs import MetricGraph, RobinSpec, _integer
+from .graphs import MetricGraph, RobinSpec, _integer, _real
 from .solver import Spectrum, _kernel_rule, _stack_map
 
 __all__ = [
@@ -221,11 +221,18 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     the spectrum, and of no other: one SVD of A(k) per record, or for a
     simple record of a star its closed form, the rest vectorized.  The zero
     mode is left out.  The kernel rule counts every crossing of the
-    spectrum within reach of a record.  Raises KernelDimensionMismatch
-    where a record breaks the kernel rule, and ContinuityViolation where an
-    eigenfunction takes two values at a vertex.
+    spectrum within reach of a record.  Raises ValueError for a position
+    that is not an integer (a boolean included), OutOfRange for one outside
+    the records, KernelDimensionMismatch where a record breaks the kernel
+    rule, and ContinuityViolation where an eigenfunction takes two values
+    at a vertex.
     """
     graph, robin = spectrum.graph, spectrum.robin
+    records = np.asarray(records)
+    if records.size and records.dtype.kind not in "iu":
+        raise ValueError(f"record positions must be integers, got {records!r}")
+    if np.any((records < 0) | (records >= spectrum.k.size)):
+        raise OutOfRange(f"record positions outside 0..{spectrum.k.size - 1}")
     positive = np.flatnonzero(spectrum.k > 0.0)
     handed = positive[np.isin(positive, records)]
     ks, mults = spectrum.k[handed], spectrum.multiplicity[handed]
@@ -315,9 +322,10 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
 
 def evaluate(basis: EigenBasis, row: int, edge: int, x: float) -> float:
     """Normalized value of eigenfunction row at position x along an edge.
-    A row or edge that is not an integer raises ValueError."""
+    A row or edge that is not an integer, or an x that is not a number,
+    raises ValueError."""
     graph = basis.spectrum.graph
-    row, edge = _integer(row, "row"), _integer(edge, "edge")
+    row, edge, x = _integer(row, "row"), _integer(edge, "edge"), _real(x, "x")
     if not 0 <= row < len(basis.k):
         raise OutOfRange(f"row {row} outside 0..{len(basis.k) - 1}")
     if not 0 <= edge < graph.num_edges:

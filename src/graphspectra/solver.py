@@ -14,47 +14,50 @@ eigenvalues and M(k) is the real symmetric V x V vertex
 Dirichlet-to-Neumann matrix minus the couplings: M_vv = -sum k cot(k l_e)
 - sigma_v over the edges at v, M_uv = sum k / sin(k l_e) over the edges
 u-v, and a loop at v adds 2 k tan(k l / 2) to M_vv.  This is
-the sign convention sum f'_out(v) = sigma f(v).  Every scan-grid point
-is counted this way, by one batched eigvalsh, and a count is used only
-with margin: every |mu_j(M)| above INERTIA_MARGIN V eps ||T||_F, T the
-entrywise sums of the |terms| of M, sigma_v included (Weyl's bound on the
-eigenvalues of the rounded matrix, whose entries are rounded on the scale
-of their terms: on a multi-edge with a short edge, terms of size 1 / l
-cancel to entries, and to a ||M||_2, far below that rounding), and every
-|sin k l_e| above POLE_MARGIN, where a graph eigenvalue sitting on a pole
-can fool the first test.  Grid points are free, so a point without margin moves
-up by a sixteenth of the cell above it at a time, at most GRID_MOVES
-times; a scan point that finds none raises ToleranceNotMet, and a
-quarter point (below) is dropped.  No count is rounded without margin.
+the sign convention sum f'_out(v) = sigma f(v).  Each graph counts by one
+rule, with no other to fall back on: a star by the closed-form scalar of
+Stars below, every other graph by the eigenvalues of its full M(k), one
+batched eigvalsh over the points.  A count is used only with margin:
+on the full M(k), every |mu_j(M)| above INERTIA_MARGIN V eps ||T||_F, T
+the entrywise sums of the |terms| of M, sigma_v included (Weyl's bound on
+the eigenvalues of the rounded matrix, whose entries are rounded on the
+scale of their terms: on a multi-edge with a short edge, terms of size
+1 / l cancel to entries, and to a ||M||_2, far below that rounding); on
+either rule, every |sin k l_e| above POLE_MARGIN, where a graph eigenvalue
+sitting on a pole can fool the first test.  Grid points are free, so a
+point without margin moves up by a sixteenth of the cell above it at a
+time, at most GRID_MOVES times; a scan point that finds none raises
+ToleranceNotMet, and a quarter point (below) is dropped.  An enclosure
+end without margin leaves its records to the kernel rule
+(Certification).  No count is rounded without margin.
 
-Pendant vertices.  P holds the vertices of degree 1 (of an isolated
-edge, one end), so M_PP is diagonal: d_v = -(k cos kl + sigma_v sin kl)
-/ sin kl, l the length of v's edge.  By Haynsworth's inertia additivity
-(E. V. Haynsworth, Linear Algebra Appl. 1 (1968) 73-81), n_+(M) =
-#{v in P : d_v > 0} + n_+(M~), M~ the Schur complement of M_PP: M on the
-other vertices, with each pendant edge's -k cot kl at its neighbour
-replaced by the stub term k (k sin kl - sigma_v cos kl) / (k cos kl +
-sigma_v sin kl), k tan kl at a Neumann leaf.  This closed form avoids the
-cancellation of two terms of size 1 / l at small kl.  A count on M~ has
-margin where, besides the pole margin, every |k cos kl + sigma_v sin kl|
-exceeds 64 eps (1 + kl)(k + sigma_v), a first-order bound on its
-rounding and on that of k sin kl - sigma_v cos kl, and the eigenvalues
-of M~ pass the rule above with the stub terms' first-order errors added.
-A star's M~ is 1 x 1, the entry mu = sum_t stub_t - sigma_c of its
-centre c, and is counted as that scalar: [mu > 0], with margin where
-|mu| exceeds INERTIA_MARGIN V eps (sum_t |stub_t| + sigma_c) plus those
-errors, the rule written out, with no layout and no eigvalsh.  A count
-that has the pole margin but misses these is taken on the full M(k)
-instead.
+Stars.  A star has every edge pendant at one centre c, the interval
+included, whose centre is its lower id.  Its leaves hold a diagonal
+block of M: d_p = -(k cos kl + sigma_p sin kl) / sin kl at leaf p, l the
+length of p's edge.  By Haynsworth's inertia additivity
+(E. V. Haynsworth, Linear Algebra Appl. 1 (1968) 73-81),
+n_+(M) = #{p : d_p > 0} + [mu > 0], mu the Schur complement of the
+leaves: the centre's entry with each edge's -k cot kl replaced by the
+stub term k (k sin kl - sigma_p cos kl) / (k cos kl + sigma_p sin kl),
+k tan kl at a Neumann leaf, so mu = sum_t stub_t - sigma_c.  This closed
+form avoids the cancellation of two terms of size 1 / l at small kl and
+takes no eigvalsh.  The count has margin where, besides the pole margin,
+every |k cos kl + sigma_p sin kl| exceeds 64 eps (1 + kl)(k + sigma_p),
+a first-order bound on its rounding and on that of
+k sin kl - sigma_p cos kl, and |mu| exceeds
+INERTIA_MARGIN V eps (sum_t |stub_t| + sigma_c) plus the stub terms'
+first-order errors: the rule of Counting on a 1 x 1 matrix, written
+out.  A star's count without margin is not taken again on M(k); it goes
+the way of every count without margin.
 
-On a star, every edge pendant at one centre v (the interval included),
-the same edges give det A(k) in closed form (see Polish).  Lay each edge
-t from v toward its leaf p (reversing an edge listed from its leaf maps
-its amplitudes (A, B) to (A cos kl + B sin kl, A sin kl - B cos kl), which
-multiplies det A by -1).  Then column B_t of A holds b_t = 1 / n_v in the
-delta-Kirchhoff row of v and d_t = -(cos kl + (sigma_p / k) sin kl) / n_p
-in the row of p, which holds d_t and c_t = (sin kl - (sigma_p / k) cos kl)
-/ n_p in column f(v), where the row of v holds a = -(sigma_v / k) / n_v.
+The same edges give a star's det A(k) in closed form (see Polish).  Lay
+each edge t from the centre v toward its leaf p (reversing an edge
+listed from its leaf maps its amplitudes (A, B) to (A cos kl + B sin kl,
+A sin kl - B cos kl), which multiplies det A by -1).  Then column B_t of
+A holds b_t = 1 / n_v in the delta-Kirchhoff row of v and
+d_t = -(cos kl + (sigma_p / k) sin kl) / n_p in the row of p, which holds
+d_t and c_t = (sin kl - (sigma_p / k) cos kl) / n_p in column f(v),
+where the row of v holds a = -(sigma_v / k) / n_v.
 Eliminating the B_t on the pivots d_t one edge at a time, with the
 division cleared, leaves one entry, a prod d_t - sum_t b_t c_t
 prod_{s != t} d_s: a polynomial identity that keeps det A up to one
@@ -217,7 +220,7 @@ bracket ends and the point dropped last, wherever Chandrupatla's
 the midpoint elsewhere or where the end values do not change sign.  Each
 point stays half a stop width inside its bracket, and one MAX_STEPS caps
 this loop and that of the counted splits.  A step costs one batched
-determinant: on a star its closed form (see Pendant vertices), O(E)
+determinant: on a star its closed form (see Stars), O(E)
 products and no LAPACK call, on other graphs a LAPACK one of A, where a
 counted split needs a batched eigendecomposition; and a bracket end
 beside a multiple root, where det A is flat, no longer stalls the
@@ -411,11 +414,12 @@ class Spectrum:
     def positions(self, n) -> np.ndarray:
         """Positions of the records holding eigenvalue indices n.
 
-        Raises ValueError for an index that is not a whole number or is
-        below 1, and OutOfRange for one beyond the spectrum.
+        Raises ValueError for an index that is not a whole number (a
+        boolean included) or is below 1, and OutOfRange for one beyond the
+        spectrum.
         """
         n = np.asarray(n)
-        if np.any(n != np.floor(n)):
+        if n.dtype.kind not in "iuf" or np.any(n != np.floor(n)):
             raise ValueError("eigenvalue index must be a whole number")
         if np.any(n < 1):
             raise ValueError("eigenvalue index starts at 1")
@@ -489,64 +493,55 @@ def _eigenphases(graph: MetricGraph, sigmas, ks) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _pendant_edges(graph: MetricGraph):
-    """Edges, lengths, pendant ends and other ends of the pendant vertices P:
-    degree 1 (a loop counts 2), of an isolated edge the end with the larger
-    id.  Read-only, as every caller of the cache shares them."""
+def _star_layout(graph: MetricGraph):
+    """A star's edge lengths, leaves and centre, or None off a star ("Stars"
+    in the module docstring).
+
+    A star has every edge pendant at one centre, the interval included,
+    whose centre is its lower id; every edge is laid out from the centre
+    toward its leaf, in edge order.  Read-only, as every caller of the
+    cache shares it.
+    """
     u, v, degree = graph.slot_origin[0::2], graph.slot_origin[1::2], graph.degrees
     at_v = (degree[v] == 1) & ((degree[u] > 1) | (v > u))
     at_u = (degree[u] == 1) & ~at_v
-    edges = np.flatnonzero(at_u | at_v)
-    out = (
-        edges,
-        graph.slot_length[0::2][edges],
-        np.where(at_v, v, u)[edges],
-        np.where(at_v, u, v)[edges],
-    )
-    for column in out:
-        column.flags.writeable = False
-    return out
+    centre = np.where(at_v, u, v)
+    if not np.all(at_u | at_v) or np.any(centre != centre[0]):
+        return None
+    lengths, leaves = graph.slot_length[0::2], np.where(at_v, v, u)
+    lengths.flags.writeable = leaves.flags.writeable = False
+    return lengths, leaves, int(centre[0])
 
 
-@lru_cache(maxsize=2)
-def _vertex_layout(graph: MetricGraph, reduced: bool):
-    """Size of M(k), or with reduced of M~(k), its edge lengths, half loop
-    lengths and kept vertices, and how its entries sum the values of
-    _vertex_matrices: each term's value index sorted by entry, where each
-    entry's terms start, the entries, and which entry is each kept vertex's
-    diagonal (every kept vertex has an edge, a loop or a stub term)."""
-    edges, _, pendant, neighbour = _pendant_edges(graph) if reduced else ([],) * 4
+@lru_cache(maxsize=1)
+def _vertex_layout(graph: MetricGraph):
+    """Edge lengths and half loop lengths of M(k), and how its entries sum
+    the values of _vertex_matrices: each term's value index sorted by
+    entry, where each entry's terms start, the entries, and which entry is
+    each vertex's diagonal (every vertex has an edge or a loop)."""
     u, v = graph.slot_origin[0::2], graph.slot_origin[1::2]
-    link, keep = u != v, np.ones(graph.num_vertices, dtype=bool)
-    link[edges], keep[pendant] = False, False
-    links, loops, kept = np.flatnonzero(link), np.flatnonzero(u == v), np.flatnonzero(keep)
-    n, index = kept.size, np.cumsum(keep) - 1
-    u, v, w = index[u[links]], index[v[links]], index[u[loops]]
-    b = index[np.asarray(neighbour, dtype=int)]
+    links, loops, n = np.flatnonzero(u != v), np.flatnonzero(u == v), graph.num_vertices
+    u, v, w = u[links], v[links], u[loops]
     j, m = np.arange(links.size), links.size
     # a loop's term enters twice, once from each of its slots
-    loop, stub = 2 * m + np.arange(w.size).repeat(2), 2 * m + w.size + np.arange(b.size)
-    value = np.concatenate([j, j, m + j, m + j, loop, stub])
+    value = np.concatenate([j, j, m + j, m + j, 2 * m + np.arange(w.size).repeat(2)])
     entry = np.concatenate(
-        [u * (n + 1), v * (n + 1), u * n + v, v * n + u, w.repeat(2) * (n + 1), b * (n + 1)]
+        [u * (n + 1), v * (n + 1), u * n + v, v * n + u, w.repeat(2) * (n + 1)]
     )
     order = np.argsort(entry, kind="stable")
     entries, starts = np.unique(entry[order], return_index=True)
     lengths = graph.slot_length[0::2]
     diagonal = np.searchsorted(entries, np.arange(n) * (n + 1))
-    out = (
-        n, lengths[links], 0.5 * lengths[loops], kept, value[order], starts, entries, diagonal
-    )
-    for column in out[1:]:
+    out = (lengths[links], 0.5 * lengths[loops], value[order], starts, entries, diagonal)
+    for column in out:
         column.flags.writeable = False
     return out
 
 
-def _vertex_matrices(graph: MetricGraph, sigmas, ks, stubs=None):
+def _vertex_matrices(graph: MetricGraph, sigmas, ks):
     """M(k) for a batch of wave numbers off the poles, shape (len(ks), V, V),
-    or given the stub terms (a column per pendant vertex), M~(k); and the
-    Frobenius norm of each matrix of the per-entry sums of |terms|, sigma_v
-    included, which bounds the rounding of its entries.
+    and the Frobenius norm of each matrix of the per-entry sums of |terms|,
+    sigma_v included, which bounds the rounding of its entries.
 
     Each edge u-v adds -k cot(k l) to M_uu and M_vv and k / sin(k l) to
     M_uv and M_vu, and a loop at u their sum 2 k tan(k l / 2) to M_uu, in
@@ -555,35 +550,28 @@ def _vertex_matrices(graph: MetricGraph, sigmas, ks, stubs=None):
     row at its own couplings: sigmas as in _couplings.
     """
     ks = np.asarray(ks, dtype=float)
-    layout = _vertex_layout(graph, stubs is not None)
-    n, links, half_loops, kept, value, starts, entries, diagonal = layout
-    k = ks[:, None]
+    links, half_loops, value, starts, entries, diagonal = _vertex_layout(graph)
+    n, k = graph.num_vertices, ks[:, None]
     x = k * links
     sin = np.sin(x)
     values = np.concatenate(
-        [
-            -k * np.cos(x) / sin,
-            k / sin,
-            k * np.tan(k * half_loops),
-            np.empty((ks.size, 0)) if stubs is None else stubs,
-        ],
-        axis=1,
+        [-k * np.cos(x) / sin, k / sin, k * np.tan(k * half_loops)], axis=1
     )
     terms = values[:, value]
     m = np.zeros((ks.size, n * n))
     m[:, entries] = np.add.reduceat(terms, starts, axis=1)
     m = m.reshape(-1, n, n)
-    coupling = np.asarray(sigmas)[..., kept]
+    coupling = np.asarray(sigmas)
     m[:, np.arange(n), np.arange(n)] -= coupling
     sizes = np.add.reduceat(np.abs(terms), starts, axis=1)
     sizes[:, diagonal] += coupling
     return m, np.sqrt(np.sum(sizes * sizes, axis=1))
 
 
-def _vertex_spectra(graph: MetricGraph, sigmas, ks, *stubs):
-    """Ascending eigenvalues of M(k), or of M~(k) given the stub terms, and
-    the margin INERTIA_MARGIN V eps ||T||_F of each row, T the per-entry
-    sums of the |terms| of the matrix (see _vertex_matrices).
+def _vertex_spectra(graph: MetricGraph, sigmas, ks):
+    """Ascending eigenvalues of M(k), and the margin INERTIA_MARGIN V eps
+    ||T||_F of each row, T the per-entry sums of the |terms| of M (see
+    _vertex_matrices).
 
     Weyl's bound on the rounded matrix needs the size of its terms, not of
     their sum: on a multi-edge with a short edge the terms of size 1 / l
@@ -595,16 +583,15 @@ def _vertex_spectra(graph: MetricGraph, sigmas, ks, *stubs):
         ks,
         lambda pair: (np.linalg.eigvalsh(pair[0]), pair[1]),
         _vertex_matrices,
-        *stubs,
     )
     return mu, INERTIA_MARGIN * graph.num_vertices * EPS * scale
 
 
-def _morse_index(graph: MetricGraph, sigmas, ks, *stubs, noise=0.0):
-    """n_+ of M(k), or of M~(k) given the stub terms, and whether each has
-    margin: every |mu_j| above the margin of _vertex_spectra plus noise."""
-    mu, bound = _vertex_spectra(graph, sigmas, ks, *stubs)
-    return np.count_nonzero(mu > 0.0, axis=1), np.abs(mu).min(axis=1) > bound + noise
+def _morse_index(graph: MetricGraph, sigmas, ks):
+    """n_+ of M(k), and whether each has margin: every |mu_j| above the
+    margin of _vertex_spectra."""
+    mu, bound = _vertex_spectra(graph, sigmas, ks)
+    return np.count_nonzero(mu > 0.0, axis=1), np.abs(mu).min(axis=1) > bound
 
 
 def _vertex_rows(graph: MetricGraph, sigmas, ks):
@@ -620,15 +607,13 @@ def _off_poles(x: np.ndarray) -> np.ndarray:
 
 
 def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
-    """n_+(M(k)) as #{v in P : d_v > 0} + n_+(M~(k)), and whether it has
-    margin ("Pendant vertices" in the module docstring); sigmas as in
-    _couplings."""
-    _, lengths, pendant, centre = _pendant_edges(graph)
-    if not pendant.size:
-        return _morse_index(graph, sigmas, ks)  # M~ is M
+    """n_+(M(k)) of a star as #{leaves v : d_v > 0} + [mu > 0], mu the
+    centre's Schur complement, and whether it has margin ("Stars" in the
+    module docstring); sigmas as in _couplings."""
+    lengths, leaves, centre = _star_layout(graph)
     k = ks[:, None]
     x = k * lengths
-    c, s, sigma = np.cos(x), np.sin(x), np.asarray(sigmas)[..., pendant]
+    c, s, sigma = np.cos(x), np.sin(x), np.asarray(sigmas)[..., leaves]
     g = k * c + sigma * s  # -d_v sin kl
     # rounding of g and of k sin - sigma cos: eps times their terms, and
     # eps kl times their slopes in kl, each the other one
@@ -640,35 +625,28 @@ def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
     # (k + |t|) noise / |g| bounds the error of a stub term t, and
     # (V - 1) |t| noise / |g| >= (V - 1) 64 eps |t| that of the sum it enters
     error = noise * (k + graph.num_vertices * np.abs(stubs)) / np.abs(g)
-    if _is_star(graph):
-        # M~ is the centre's entry: _morse_index on a 1 x 1 matrix
-        coupling = np.asarray(sigmas)[..., centre[0]]
-        mu = stubs.sum(axis=1) - coupling
-        scale = INERTIA_MARGIN * graph.num_vertices * EPS * (np.abs(stubs).sum(axis=1) + coupling)
-        more, ok = mu > 0.0, np.abs(mu) > scale + error.sum(axis=1)
-    else:
-        more, ok = _morse_index(graph, sigmas, ks, stubs, noise=error.sum(axis=1))
-    return positive + more, ok & resolved.all(axis=1)
+    coupling = np.asarray(sigmas)[..., centre]
+    mu = stubs.sum(axis=1) - coupling
+    scale = INERTIA_MARGIN * graph.num_vertices * EPS * (np.abs(stubs).sum(axis=1) + coupling)
+    ok = np.abs(mu) > scale + error.sum(axis=1)
+    return positive + (mu > 0.0), ok & resolved.all(axis=1)
 
 
 def _inertia_counts(graph: MetricGraph, sigmas, ks):
-    """N(k) by the Morse index of M(k) with its pendant vertices eliminated,
-    and whether each count has margin; each wave number at its own vertex
-    couplings, sigmas as in _couplings.
+    """N(k) by the Morse index of M(k), and whether each count has margin;
+    each wave number at its own vertex couplings, sigmas as in _couplings.
 
-    See "Counting" and "Pendant vertices" in the module docstring.
-    floor(k l_e / pi) is exact where |sin k l_e| exceeds 2 eps k l_e, which
-    the pole margin includes.
+    One rule per graph ("Counting" and "Stars" in the module docstring): a
+    star counts its centre's scalar by _pendant_index, every other graph
+    the eigenvalues of its full M(k).  floor(k l_e / pi) is exact where
+    |sin k l_e| exceeds 2 eps k l_e, which the pole margin includes.
     """
     ks = np.asarray(ks, dtype=float)
     x = ks[:, None] * graph.slot_length[None, 0::2]
-    poles = np.all(_off_poles(x), axis=1)
-    positive, ok = _pendant_index(graph, sigmas, ks)
-    ok &= poles
-    again = np.flatnonzero(poles & ~ok) if _pendant_edges(graph)[0].size else []
-    if len(again):
-        positive[again], ok[again] = _morse_index(graph, _take(sigmas, again), ks[again])
-    return np.floor(x / np.pi).sum(axis=1).astype(int) + positive, ok
+    index = _morse_index if _star_layout(graph) is None else _pendant_index
+    positive, ok = index(graph, sigmas, ks)
+    floors = np.floor(x / np.pi).sum(axis=1).astype(int)
+    return floors + positive, ok & np.all(_off_poles(x), axis=1)
 
 
 def _scan_counts(graph: MetricGraph, sigmas, ks: np.ndarray, steps):
@@ -737,8 +715,8 @@ def _require_rising(grid: np.ndarray, n_grid: np.ndarray) -> None:
 
 def _leaf_pivots(graph: MetricGraph, sigmas: np.ndarray, k: float) -> np.ndarray:
     """A star's M(k) on its leaves, a diagonal: -k cot(k l_t) - sigma_t for
-    each edge t in the order of _pendant_edges."""
-    _, lengths, leaves, _ = _pendant_edges(graph)
+    each edge t in the order of _star_layout."""
+    lengths, leaves, _ = _star_layout(graph)
     x = k * lengths
     return -k * np.cos(x) / np.sin(x) - sigmas[leaves]
 
@@ -754,9 +732,10 @@ def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
     t = k * np.tan(0.5 * k * graph.slot_length)
     b = np.bincount(graph.slot_origin, weights=t, minlength=n) - sigmas
     positive, coupling = float(t.sum()), float(sigmas.sum())
-    if _is_star(graph):
+    star = _star_layout(graph)
+    if star is not None:
         # the congruence about the centre: C' is the leaves' diagonal
-        mu, b = _leaf_pivots(graph, sigmas, k), b[_pendant_edges(graph)[2]]
+        mu, b = _leaf_pivots(graph, sigmas, k), b[star[1]]
         solve = partial(np.divide, b, mu)
     else:
         rest, b = _vertex_matrices(graph, sigmas, [k])[0][0, 1:, 1:], b[1:]
@@ -895,27 +874,19 @@ def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np
     return np.linalg.norm(fixed + moving @ terms.T, axis=1)
 
 
-@lru_cache(maxsize=1)
-def _is_star(graph: MetricGraph) -> bool:
-    """Whether every edge is pendant at one shared neighbour, the interval
-    included."""
-    edges, _, _, neighbour = _pendant_edges(graph)
-    return edges.size == graph.num_edges and bool(np.all(neighbour == neighbour[0]))
-
-
 def _star_entries(graph: MetricGraph, sigmas, ks: np.ndarray):
     """The entries of a star's A(k) that _star_dets reads, with every edge t
     laid out from the centre toward its leaf: a at (0, 0) and, shape
     (E, len(ks)), b_t, c_t and d_t at (0, t + 1), (t + 1, 0) and
     (t + 1, t + 1); sigmas as in _couplings."""
-    _, lengths, leaves, centre = _pendant_edges(graph)
+    lengths, leaves, centre = _star_layout(graph)
     x = lengths[:, None] * ks
     cos, sin = np.cos(x), np.sin(x)
     coupling = np.atleast_2d(sigmas).T / ks
     inverse = 1.0 / np.hypot(graph.degrees[:, None], coupling)
     weighted, inverse_p = coupling[leaves] * inverse[leaves], inverse[leaves]
-    a = -(coupling[centre[0]] * inverse[centre[0]])
-    b = np.broadcast_to(inverse[centre[0]], x.shape)
+    a = -(coupling[centre] * inverse[centre])
+    b = np.broadcast_to(inverse[centre], x.shape)
     c = -cos * weighted + sin * inverse_p
     d = -sin * weighted - cos * inverse_p
     return a, b, c, d
@@ -923,8 +894,8 @@ def _star_entries(graph: MetricGraph, sigmas, ks: np.ndarray):
 
 def _star_dets(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """det A(k) of a star up to one constant sign: its pendant condensation
-    a prod d_t - sum_t b_t c_t prod_{s != t} d_s ("Pendant vertices" in the
-    module docstring), one edge at a time in the order of _pendant_edges."""
+    a prod d_t - sum_t b_t c_t prod_{s != t} d_s ("Stars" in the module
+    docstring), one edge at a time in the order of _star_layout."""
     a, b, c, d = _star_entries(graph, sigmas, ks)
     bc = c * b
     shift, scale = bc[0], d[0]
@@ -939,7 +910,7 @@ def _amplitude_dets(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     numbers, sigmas as in _couplings: on a star its closed form, on any
     other graph a LAPACK determinant of A(k)."""
     ks = np.asarray(ks, dtype=float)
-    if _is_star(graph):
+    if _star_layout(graph) is not None:
         return _star_dets(graph, sigmas, ks)
     return _stack_map(graph, sigmas, ks, np.linalg.det, build=_amplitude_matrices)
 

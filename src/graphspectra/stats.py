@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
-from .graphs import MetricGraph, RobinSpec
+from .graphs import MetricGraph, RobinSpec, _integer
 from .solver import Spectrum
 
 __all__ = [
@@ -98,9 +98,10 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
     With r = rho_0 + rho_1 the sum of the two records' radii, the true
     gap lies within r (k_0 + k_1 + |k_1 - k_0|) + r^2 of the gap from the
     reported k_1, which the error adds to a pair reported as 0.
-    Raises ValueError when the spectra belong to different graphs or the
-    first one is coupled.
+    Raises ValueError when n is not an integer (a boolean included), the
+    spectra belong to different graphs or the first one is coupled.
     """
+    n = _integer(n, "gap count")
     if n < 1:
         raise ValueError("need at least one gap")
     if neumann.graph != coupled.graph:
@@ -140,8 +141,10 @@ def theoretical_mean(graph: MetricGraph, robin: RobinSpec) -> float:
 
 
 def running_average(values, window: int) -> np.ndarray:
-    """Centered moving mean with windows truncated at both ends."""
+    """Centered moving mean with windows truncated at both ends.  window
+    must be a positive odd integer, not a boolean, or ValueError is raised."""
     values = np.asarray(values, dtype=float)
+    window = _integer(window, "window")
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be a positive odd integer")
     if window > values.size:
@@ -187,8 +190,10 @@ def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
 
     Multiple eigenvalues (and the zero mode, which has no scattering
     amplitude vector) are skipped; their count lands in skipped.  Raises
-    InsufficientSpectrum where that leaves none.
+    InsufficientSpectrum where that leaves none, and ValueError where n is not
+    an integer (a boolean included).
     """
+    n = _integer(n, "eigenvalue count")
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
     simple = (spectrum.index <= n) & (spectrum.multiplicity == 1) & (spectrum.k > 0.0)

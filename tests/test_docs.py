@@ -190,3 +190,40 @@ def test_private_names_cited_in_the_docs_are_defined():
     for name in PRIVATE.findall(README.read_text(encoding="utf-8")):
         cited.setdefault(name, set()).add(README.name)
     assert {name: sorted(where) for name, where in cited.items() if name not in defined} == {}
+
+
+# a docstring paragraph heading: "Name." opening a paragraph
+HEADING = re.compile(r"(?:\A|\n[ \t]*\n)[ \t]*([A-Z][A-Za-z -]*)\.\s")
+# quoted names, one or several joined by "and" or commas, cited as sections
+# of a docstring: ("Polish" in its docstring), "Counting" and "Stars" in the
+# module docstring, a comment's citation across lines included
+SECTION_CITE = re.compile(
+    r'((?:"[A-Z][A-Za-z -]*"(?:,? and |, ))*"[A-Z][A-Za-z -]*")\)? '
+    r"in (?:the module|its|the solver) docstring"
+)
+
+
+def _one_line(source):
+    """source as one line: a line break, with the indent and comment mark
+    that follow it, reads as one space."""
+    return re.sub(r"\s*\n\s*(?:#\s*)?", " ", source)
+
+
+def test_docstring_sections_cited_in_the_source_exist():
+    # a section renamed or deleted in a module docstring leaves its citations
+    # naming nothing otherwise
+    headings = set()
+    for name in MODULES:
+        doc = importlib.import_module(f"graphspectra.{name}").__doc__ or ""
+        headings.update(HEADING.findall(doc))
+    assert {"Counting", "Polish", "Certification", "Stars"} <= headings
+    assert SECTION_CITE.findall(_one_line('# see ("A" and "B c"\n    # in its docstring)')) == [
+        '"A" and "B c"'
+    ]
+    cited = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for names in SECTION_CITE.findall(_one_line(path.read_text(encoding="utf-8"))):
+            for name in re.findall(r'"([^"]+)"', names):
+                cited.setdefault(name, set()).add(path.name)
+    assert cited
+    assert {name: sorted(where) for name, where in cited.items() if name not in headings} == {}

@@ -281,6 +281,37 @@ def test_evaluate_rejects_a_row_or_edge_that_is_no_integer(row, edge):
         evaluate(basis, row, edge, 0.1)
 
 
+@pytest.mark.parametrize("x", [True, "0.5"])
+def test_evaluate_rejects_an_x_that_is_no_number(x):
+    # a boolean must not read as x = 1.0, nor a string escape as a TypeError
+    basis, row = _star_row()
+    with pytest.raises(ValueError, match="must be a number"):
+        evaluate(basis, row, 0, x)
+
+
+@pytest.mark.parametrize(
+    "records, error",
+    [([99], OutOfRange), ([-1], OutOfRange), ([1.5], ValueError), ([True], ValueError)],
+)
+def test_eigenbasis_rejects_a_position_it_cannot_use(records, error):
+    # no position may silently give no rows, nor a boolean the rows of record 1
+    star = make_star(3, (1.0, 1.5, 2.0))
+    spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=5)
+    assert spec.k.size == 5 and eigenbasis(spec, [4]).record.tolist() == [4]
+    with pytest.raises(error):
+        eigenbasis(spec, records)
+
+
+def test_a_boolean_index_is_no_eigenvalue_index(star4):
+    # True must not read as index 1, the ground state's
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=4)
+    for n in (True, np.array([True, False])):
+        with pytest.raises(ValueError, match="whole number"):
+            spec.positions(n)
+        with pytest.raises(ValueError, match="whole number"):
+            sensitivity(spec, n)
+
+
 def test_robin_residual_rejects_vertices_outside_the_graph():
     # a negative vertex must not wrap around to the last one
     basis, row = _star_row()

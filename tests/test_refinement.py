@@ -138,7 +138,7 @@ def _planted(monkeypatch, row, column, delta):
     def planted_entries(graph, sigmas, ks):
         a, b, c, d = (np.array(x) for x in entries(graph, sigmas, ks))
         # A's own layout: edge t runs from the centre 0 to the leaf t + 1
-        _, _, leaves, _ = solver._pendant_edges(graph)
+        _, leaves, _ = solver._star_layout(graph)
         assert not graph.slot_origin[0::2].any()
         assert np.array_equal(leaves, np.arange(1, graph.num_edges + 1))
         if row == column == 0:

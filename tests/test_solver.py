@@ -238,8 +238,8 @@ def test_small_k_count_off_a_star_without_margin_raises(tetrahedron, monkeypatch
     # solved)
     vertex_matrices = solver._vertex_matrices
 
-    def planted(graph, sigmas, ks, stubs=None):
-        m, scale = vertex_matrices(graph, sigmas, ks, stubs)
+    def planted(graph, sigmas, ks):
+        m, scale = vertex_matrices(graph, sigmas, ks)
         m[:, 2, :], m[:, :, 2] = m[:, 1, :], m[:, :, 1]
         return m, scale
 
@@ -497,11 +497,15 @@ def _pole_margin(graph, ks):
 
 
 # subnormal k, but not so small that k l rounds to 0, a pole of every edge
-@given(pendant_graphs(), st.integers(0, 2**32 - 1), st.lists(st.floats(-320.0, -6.0), max_size=4))
+@given(
+    pendant_graphs(kinds=("star",)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(-320.0, -6.0), max_size=4),
+)
 @settings(max_examples=60, deadline=None)
 def test_pendant_reduction_keeps_the_count(case, seed, tiny):
-    # the Morse index of M by Haynsworth on the pendant vertices equals that
-    # of M wherever both have margin, and N(k) takes M's where it lacks its own
+    # a star's Morse index by Haynsworth on its leaves equals that of M
+    # wherever both have margin, and N(k) takes it, with its own margin
     graph, robin = case
     top = 60.0 / graph.min_edge_length
     spread = np.random.default_rng(seed).uniform(0.0, top, 400)
@@ -513,8 +517,25 @@ def test_pendant_reduction_keeps_the_count(case, seed, tiny):
     both = reduced_ok & full_ok & poles
     assert np.array_equal(reduced[both], full[both])
     counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
-    assert np.array_equal(ok, poles & (reduced_ok | full_ok))
-    assert np.array_equal(counts[ok], (floors + np.where(reduced_ok, reduced, full))[ok])
+    assert np.array_equal(ok, poles & reduced_ok)
+    assert np.array_equal(counts[ok], (floors + reduced)[ok])
+
+
+@given(pendant_graphs(kinds=("tree",)), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_counts_off_a_star_are_exact(case, seed):
+    # a graph with pendant vertices that is no star, a tree with a loop or a
+    # second edge, counts its full M(k): the 40-digit count wherever it
+    # claims margin
+    graph, robin = case
+    assert solver._star_layout(graph) is None
+    ks = np.random.default_rng(seed).uniform(0.0, 60.0 / graph.min_edge_length, 12)
+    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
+    for k, count in zip(ks[ok], counts[ok]):
+        exact = exact_inertia_count(
+            graph.edges, graph.num_vertices, robin.vertices, robin.sigma, k
+        )
+        assert count == exact, (k, count, exact)
 
 
 def _float_root(f, lo, hi):
@@ -527,18 +548,18 @@ def _float_root(f, lo, hi):
         lo, hi = (mid, hi) if np.sign(f(mid)) == f_lo else (lo, mid)
 
 
-@given(pendant_graphs(), st.integers(0, 40), st.integers(-3, 3), st.data())
+@given(pendant_graphs(kinds=("star",)), st.integers(0, 40), st.integers(-3, 3), st.data())
 @settings(max_examples=60, deadline=None)
-def test_stub_resonances_leave_the_count_to_the_full_matrix(case, m, ulps, data):
-    # k cos kl + sigma sin kl = 0 makes d_v vanish: there the reduced count
-    # has no margin, and N(k) is M's count with M's margin; where
-    # k sin kl = sigma cos kl the stub term cancels, and a reduced count
-    # with margin still equals M's
+def test_a_star_counts_exactly_beside_its_stub_resonances(case, m, ulps, data):
+    # k cos kl + sigma sin kl = 0 makes d_v vanish: there a star's count has
+    # no margin, and 1e-8 relative off it the count has margin and is
+    # exact; where k sin kl = sigma cos kl the stub term cancels, and a
+    # count with margin is still exact
     graph, robin = case
-    _, lengths, pendant, _ = solver._pendant_edges(graph)
-    j = data.draw(st.integers(0, pendant.size - 1))
+    lengths, leaves, _ = solver._star_layout(graph)
+    j = data.draw(st.integers(0, leaves.size - 1))
     length = lengths[j]
-    sigma = robin.sigma if int(pendant[j]) in robin.vertices else 0.0
+    sigma = robin.sigma if int(leaves[j]) in robin.vertices else 0.0
 
     def at(k):
         return float(np.nextafter(k, np.sign(ulps) * np.inf) if ulps else k)
@@ -547,21 +568,20 @@ def test_stub_resonances_leave_the_count_to_the_full_matrix(case, m, ulps, data)
                     (m + 0.25) * np.pi / length, (m + 1.0) * np.pi / length)
     for _ in range(abs(ulps)):
         g = at(g)
-    ks = np.array([g])
+    ks = np.array([g, g * (1.0 - 1e-8), g * (1.0 + 1e-8)])
     if sigma > 0.0:
         h = _float_root(lambda k: k * np.sin(k * length) - sigma * np.cos(k * length),
                         max(m * np.pi / length, 1e-300), (m + 0.5) * np.pi / length)
         ks = np.append(ks, h)
-    reduced, reduced_ok = solver._pendant_index(graph, robin.vertex_sigmas(graph), ks)
-    full, full_ok = solver._morse_index(graph, robin.vertex_sigmas(graph), ks)
-    poles, floors = _pole_margin(graph, ks)
-    assert not reduced_ok[0]
-    both = reduced_ok & full_ok & poles
-    assert np.array_equal(reduced[both], full[both])
     counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)
-    assert ok[0] == (poles[0] and full_ok[0])
-    if ok[0]:
-        assert counts[0] == floors[0] + full[0]
+    poles, _ = _pole_margin(graph, ks)
+    assert not ok[0]
+    assert np.array_equal(ok[1:3], poles[1:3])
+    for k, count in zip(ks[ok], counts[ok]):
+        exact = exact_inertia_count(
+            graph.edges, graph.num_vertices, robin.vertices, robin.sigma, k
+        )
+        assert count == exact, (k, count, exact)
 
 
 @given(pendant_graphs(kinds=("star",)), st.lists(st.floats(-6.0, 0.0), min_size=1, max_size=3))
@@ -586,7 +606,7 @@ def test_a_lone_stub_has_no_margin_at_its_eigenvalue():
     # on an isolated edge with a Robin end the stub term is all of M~, and
     # it vanishes at the graph's eigenvalues k tan kl = sigma
     graph, robin = build_graph([(0, 1, 1.0)]), RobinSpec(frozenset({1}), 3.0)
-    assert solver._pendant_edges(graph)[2].tolist() == [1]
+    assert solver._star_layout(graph)[1].tolist() == [1]
     for m in range(5):
         k = _float_root(
             lambda k: k * np.sin(k) - 3.0 * np.cos(k), max(m * np.pi, 1e-300), (m + 0.5) * np.pi
@@ -606,7 +626,14 @@ ROUTED = {
     ("star_incommensurate", False): 3,
     ("tetrahedron", True): 9,
     ("tetrahedron", False): 11,
+    ("loopy", True): 0,
+    ("loopy", False): 0,
 }
+# a loop at 0, a double edge 0-1 and the chain 1-2-3 to the pendant vertex 3
+LOOPY = (
+    build_graph([(0, 0, 0.7), (0, 1, 1.1), (0, 1, 1.6), (1, 2, 0.9), (2, 3, 1.3)]),
+    RobinSpec(frozenset({0, 3}), 2.0),
+)
 
 
 @pytest.mark.parametrize(
@@ -614,14 +641,16 @@ ROUTED = {
     [
         ("star_incommensurate", True, 5, 0),
         ("star_incommensurate", False, 5, 0),
-        # no pendant vertex: the scan, quarter points and enclosures of the
-        # unreduced count, and with the coupling one count at k_cap + reach
+        # no star: the scan, quarter points and enclosures counted on the
+        # full M(k), and with the coupling one count at k_cap + reach
         ("tetrahedron", True, 4, 1279),
         ("tetrahedron", False, 4, 1297),
+        ("loopy", True, 4, 1359),
+        ("loopy", False, 4, 1353),
     ],
 )
 def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
-    graph, robin = load_graph_file(FIXTURES / f"{name}.json")
+    graph, robin = LOOPY if name == "loopy" else load_graph_file(FIXTURES / f"{name}.json")
     eigvalsh, sizes = np.linalg.eigvalsh, collections.Counter()
     vertex_rows = solver._vertex_rows
 
@@ -636,12 +665,15 @@ def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     monkeypatch.setattr(solver, "_vertex_rows", rows)
     compute_spectrum(graph, robin if coupled else NEUMANN, n_max=300)
-    routed = sizes.pop("routed")
+    routed = sizes.pop("routed", 0)
     assert sizes[size] - routed == matrices
     assert routed == ROUTED[name, coupled]
     if name.startswith("star"):
-        # a star's M~ and the C' of its anchor are counted without eigvalsh
+        # a star's scalar and the C' of its anchor are counted without eigvalsh
         assert sum(sizes.values()) == sizes[size]
+    else:
+        # the counts decompose V x V matrices only, and the anchor one C'
+        assert sizes == {size: sizes[size], size - 1: 1}
 
 
 def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():

@@ -129,6 +129,21 @@ class TestRunningAverage:
             running_average([1.0, 2.0], 21)
 
 
+def test_counts_that_are_no_integers_raise(star4, get_spectrum):
+    # a boolean must not count one, nor a float slice, average or index
+    neumann, coupled = get_spectrum(star4, (), 0.0, 6), get_spectrum(star4, (0,), 2.0, 6)
+    calls = [
+        lambda n: rng_sequence(neumann, coupled, n),
+        lambda n: weyl_moments(coupled, n),
+        lambda n: running_average(np.arange(6.0), n),
+    ]
+    for call in calls:
+        call(np.int64(3))  # a numpy integer is one
+        for n in (True, 2.5, 1.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(n)
+
+
 class TestPredictions:
     def test_arctan_large_k_limit(self, star4):
         robin = RobinSpec(frozenset([0]), 2.0)
