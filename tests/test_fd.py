@@ -22,6 +22,8 @@ def test_mesh_guards(pi_interval):
         oracle_eigenvalues(op, op.size)
     with pytest.raises(ValueError):
         oracle_eigenvalues(op, 0)
+    with pytest.raises(ValueError):
+        oracle_eigenvalues(op, 3, levels=1)
 
 
 def test_matrix_symmetric_and_nonnegative(star4):
@@ -100,3 +102,30 @@ def test_loop_edge_discretization():
     rel = np.abs(fd_vals - exact) / np.maximum(exact, 1e-8)
     assert np.max(rel[1:]) < 1e-4
     assert abs(fd_vals[0]) < 1e-9
+
+
+def test_refined_solves_hold_short_edges_to_rounding():
+    # a unit edge and eight edges of 1e-4 in chains and loops: unrefined LU
+    # solves lost 4e-7 of max(lambda, 1) at the 640-point mesh, fourfold
+    # more per halving; refined, three meshes meet the solver to 4e-13
+    t = 1e-4
+    g = build_graph(
+        [(0, 1, 1.0), (1, 2, t), (2, 3, t), (0, 4, t), (4, 5, t), (1, 6, t), (6, 7, t)]
+        + [(3, 3, t), (5, 5, t)]
+    )
+    robin = RobinSpec(frozenset({0, 1}), 1e-8)
+    exact = compute_spectrum(g, robin, n_max=6).eigenvalues(6)
+    fd_vals = oracle_eigenvalues(discretize(g, robin, 160), 6, levels=3)
+    assert np.max(np.abs(fd_vals - exact) / np.maximum(exact, 1.0)) < 1e-11
+
+
+def test_third_mesh_removes_the_h4_term_on_close_pairs():
+    # parallel edges 1 and 0.1 with one Robin end: lambda_6 = 293.64 sits
+    # 0.18 below its partner, and one Richardson step leaves 7.5e-6 of it
+    g = build_graph([(0, 1, 1.0), (0, 1, 0.1)])
+    robin = RobinSpec(frozenset({0}), 0.1)
+    exact = compute_spectrum(g, robin, n_max=6).eigenvalues(6)
+    op = discretize(g, robin, 160)
+    two, three = (oracle_eigenvalues(op, 6, levels=n) / exact - 1.0 for n in (2, 3))
+    assert abs(two[5]) > 5e-6
+    assert np.max(np.abs(three)) < 1e-7

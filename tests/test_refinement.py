@@ -1173,18 +1173,22 @@ FD_MODES = 6
 # four parallel unit edges: shift-invert Lanczos in the oracle missed one
 # copy of the quadruple eigenvalue pi^2
 @example(case=(build_graph([(0, 1, 1.0), (1, 2, 1.0)] + [(0, 1, 1.0)] * 3), NEUMANN))
+# parallel edges 1 and 0.1, one Robin end: close pairs whose h^4 error after
+# one Richardson step is 7.5e-6 of lambda_6 = 293.64 at 160 points per edge
+# (secular-equation roots to 1e-15), and 6.5e-8 after two
+@example(case=(build_graph([(0, 1, 1.0), (0, 1, 0.1)]), RobinSpec(frozenset({0}), 0.1)))
 def test_low_modes_match_the_finite_difference_oracle(case):
-    # the lowest eigenvalues against the Richardson-extrapolated finite
-    # differences at 160 points per edge (error at most 1.3e-7 of
-    # max(lambda, 1) over 2,400 draws), and each record's multiplicity as the
-    # number of oracle values within the tolerance of it
+    # the lowest eigenvalues against the finite differences at 160, 320 and
+    # 640 points per edge, extrapolated to O(h^6) (error at most 6.5e-8 of
+    # max(lambda, 1) over 2,400 draws and the examples), and each record's
+    # multiplicity as the number of oracle values within the tolerance of it
     graph, robin = case
     try:
         spec = solver.compute_spectrum(graph, robin, n_max=FD_MODES)
     except ToleranceNotMet:
         return
     lam = spec.eigenvalues(FD_MODES)
-    got = fd.oracle_eigenvalues(fd.discretize(graph, robin, 160), FD_MODES)
+    got = fd.oracle_eigenvalues(fd.discretize(graph, robin, 160), FD_MODES, levels=3)
     tol = 1e-6 * np.maximum(lam, 1.0)
     assert np.all(np.abs(got - lam) <= tol), (got, lam)
     records, mults = spec.k ** 2, spec.multiplicity
