@@ -23,24 +23,62 @@ about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart.  Where s
 is below NEIGHBOUR_SV ||A(k)||, one Newton step with k free and the
 residual in np.longdouble moves it onto the root's kernel (_root_kernel).
 
-Stars.  On a star whose edges are all listed from its centre, A(k) is the
-arrow [[a, b^T], [c, diag(d)]] of the solver's closed-form determinant
-("Stars" in its docstring): a at (0, 0), b_t in the centre row,
-c_t and the leaf pivot d_t in leaf row t.  Its kernel vector is
-x = (1, -c_1 / d_1, ..., -c_E / d_E), and A x is zero but for its first
-entry, the Schur entry a - sum_t b_t c_t / d_t.  Deleting row and column 0
-leaves diag(d), so interlacing for the singular values of submatrices
-(R. C. Thompson, Linear Algebra Appl. 5 (1972) 1-12) gives
-sigma_{n-1}(A) >= min_t |d_t| and sigma_n(A) <= |det A| / prod_t |d_t|
-= |a - sum_t b_t c_t / d_t|.  A record takes this closed form, with no
-SVD, where all of these hold: A's E x E leaf block has no nonzero entry
-off its diagonal (checked exactly, on A itself), its multiplicity is 1,
-min_t |d_t| >= max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2, and
-the Schur entry is below the rule's floor 0.5e-8 sqrt(2E) ||A||_2.  The
-rule then sees exactly the one small singular value an SVD would show, no
-close-root step is due, and the residual is |Schur| |x_0| / (|x| ||A||_2);
-||A||_2 comes from one stacked eigvalsh of A^T A.  Every other record, the
-star multiples at stub poles among them, takes one SVD.
+Stars.  On a star whose edges all leave its centre, A(k) with its rows
+taken centre first, then each leaf's in edge order (A's own rows follow
+the vertex ids, which need not follow the edges), is the arrow
+[[a, b^T], [c, diag(d)]] of the solver's closed-form determinant ("Stars"
+in its docstring): a at (0, 0), b_t in the centre row, c_t and the leaf
+pivot d_t in leaf row t.  A's E x E leaf block must have no nonzero entry
+off its diagonal, checked exactly on A itself, and every leaf pivot the
+closed form divides by or leaves in place must be at least
+max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2; a record that
+fails a test takes one SVD.  ||A||_2 comes from one stacked eigvalsh per
+stack, of A^T A for a simple record and of A0^T A0 (below) for a multiple
+one.
+
+A simple record's kernel vector is x = (1, -c_1 / d_1, ..., -c_E / d_E),
+and A x is zero but for its first entry, the Schur entry
+a - sum_t b_t c_t / d_t.  Deleting row and column 0 leaves diag(d), so
+interlacing for the singular values of submatrices (R. C. Thompson,
+Linear Algebra Appl. 5 (1972) 1-12) gives sigma_{n-1}(A) >= min_t |d_t|
+and sigma_n(A) <= |det A| / prod_t |d_t| = |a - sum_t b_t c_t / d_t|.  It
+takes this closed form where the Schur entry is below the rule's floor
+0.5e-8 sqrt(2E) ||A||_2: the rule then sees exactly the one small singular
+value an SVD would show, no close-root step is due, and the residual is
+|Schur| |x_0| / (|x| ||A||_2).
+
+A record of multiplicity m >= 2 sits where m + 1 leaves share a stub pole.
+Let P be the m + 1 leaves with the smallest |d_t|, Q the others,
+delta = max_P |d_t|, and A0 = A with d_P set to 0.  Where c_P != 0 and
+d_Q != 0, ker A0 is exactly {x : x_0 = 0, x_Q = 0, b_P . x_P = 0}: a row
+of P reads c_t x_0, a row of Q c_t x_0 + d_t x_t, and the centre row is
+then b_P . x_P.  The reflection H = I - 2 h h^T / |h|^2 with
+h = b_P + sign(b_p) |b_P| e_p, p the first leaf of P, maps b_P onto the
+e_p axis, so H's other columns on P are an orthonormal basis of ker A0,
+with no LAPACK call.  A0 on the complement of its kernel, its P columns
+merged into b_P's direction, is A~ = A0 [e_0, b_P / |b_P|, e_Q], two
+columns when Q is empty, and sigma_min(A~) is the (m + 1)-th smallest
+singular value of A0: its square is the (m + 1)-th smallest eigenvalue
+of A0^T A0, whose largest gives ||A0||_2 for ||A||_2, within delta of
+it.  Since ||A - A0||_2 = delta, Courant-Fischer on the m-dimensional
+ker A0 puts the m smallest singular values of A at or below delta, and
+Weyl's inequality the next one at or above sigma_min(A~) - delta.  The
+record takes this closed form where the Q pivots and
+sigma_min(A~) - delta pass the pivot test above and
+delta <= w ||A'(k)|| / 2, w the stop width: at most what a pole at a
+root half a stop width off leaves, as at a multiple root, whose copies
+all lie within w / 2 of it, and at most half the rule's threshold, so
+the m bounds count.  A cluster of distinct close roots merged into one
+record leaves larger pivots and takes the SVD.  The rule then sees
+exactly the m small singular values an SVD would show; the residual is
+the bound delta / ||A0||_2.  For unit x in ker A0, |A x| <= delta, so the
+SVD's kernel at the float k leans from ker A0 by at most
+delta / sigma_{n-m}(A).  As b_t = 1 / n_c on every edge, ker A0 does not
+move with k: it is the eigenspace itself, and the lean is the SVD's.  At
+the default tol it is at most 2 eps (1 + k) ||A'|| / sigma_{n-m}(A),
+below 1e-11 wherever sigma_{n-m}(A) >= 4.5e-5 (1 + k) ||A'||.  On the
+benchmark's equilateral and 1:3:5 stars, delta < 1e-13 ||A||_2 and
+sigma_{n-m}(A) >= 0.077 ||A||_2, a lean below 1.3e-12.
 
 Kernel rule.  A short or an excess kernel raises KernelDimensionMismatch,
 by the solver's rule on the singular values of A(k) (_kernel_rule;
@@ -67,12 +105,13 @@ I - U(k) and meet a_j = conj(a_rev(j)) exp(-ik l_j) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import solver
 from .errors import ContinuityViolation, KernelDimensionMismatch, OutOfRange
-from .graphs import MetricGraph, RobinSpec, _integer, _real
+from .graphs import MetricGraph, RobinSpec, _has_boolean, _integer, _real
 from .solver import Spectrum, _kernel_rule, _stack_map
 
 __all__ = [
@@ -86,7 +125,8 @@ __all__ = [
 CONTINUITY_TOL = 1e-6
 # a simple record whose next singular value of A(k) is below this, relative
 # to ||A(k)||_2, has its kernel vector polished by _root_kernel; a star's
-# closed form needs every leaf pivot at or above it ("Stars")
+# closed form needs every leaf pivot it keeps, and a multiple record's bound
+# on its next singular value, at or above it ("Stars")
 NEIGHBOUR_SV = 1e-3
 # central difference step of A'(k) x, relative to k
 SLOPE_STEP = 1e-7
@@ -101,8 +141,9 @@ class EigenBasis:
     for a record of multiplicity m at position record[i] of the spectrum's
     arrays, wave number k[i].  a holds the unit-norm slot amplitudes of the
     module docstring, residual |A(k) x| / (|x| ||A(k)||_2) for the row's
-    kernel vector x, l2norm_sq the exact squared L2 norm of the function a
-    describes, and vertex_values the L2-normalized f(v).
+    kernel vector x (a bound on it for a star's multiple record), l2norm_sq
+    the exact squared L2 norm of the function a describes, and
+    vertex_values the L2-normalized f(v).
     """
 
     spectrum: Spectrum
@@ -184,53 +225,113 @@ def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.nda
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
+@lru_cache(maxsize=1)
+def _arrow_rows(graph: MetricGraph) -> np.ndarray | slice:
+    """The rows of A(k) in arrow order ("Stars" in the module docstring): on
+    a star whose edges all leave one vertex, that vertex's row, then each
+    leaf's in edge order; A's own order on any other graph.  Read-only, as
+    every caller of the cache shares it."""
+    star = solver._star_layout(graph)
+    if star is None or solver._amplitude_layout(graph)[0] != graph.num_edges + 1:
+        return slice(None)
+    # one row per vertex, in the order of the vertex ids
+    rows = np.argsort(np.argsort(np.append(star[2], star[1])))
+    rows.flags.writeable = False
+    return slice(None) if np.array_equal(rows, np.arange(rows.size)) else rows
+
+
 def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius, tol):
     """Singular values, largest first, and right singular vectors of the
     stack amp of A(k) as the kernel rule and eigenbasis read them, for the
-    simple records whose A(k) is an arrow that passes the gate ("Stars" in
-    the module docstring): ||A||_2, the pivot bound min_t |d_t| in place of
-    every middle value, and |A x| for the unit kernel vector x, the last
-    row of vt.  The other records' rows of sv are NaN."""
+    records whose A(k) is an arrow that passes the gate ("Stars" in the
+    module docstring): ||A||_2, a lower bound in place of every middle
+    value, and for a simple record |A x| for the unit kernel vector x, the
+    last row of vt; for a record of multiplicity m the bound max_P |d_t| in
+    each of the m last places, and an orthonormal basis of ker A0 in the
+    last m rows of vt.  The other records' rows of sv are NaN."""
     sv, vt = np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)
     n = amp.shape[1]
-    leaves = amp[:, 1:, 1:][:, ~np.eye(n - 1, dtype=bool)]
-    at = np.flatnonzero((mults == 1) & ~np.any(leaves, axis=1))
+    arrow = amp[:, _arrow_rows(graph)]
+    leaves = arrow[:, 1:, 1:][:, ~np.eye(n - 1, dtype=bool)]
+    # a multiple record takes m + 1 of the n - 1 leaves
+    at = np.flatnonzero(((mults == 1) | (mults < n - 1)) & ~np.any(leaves, axis=1))
     if at.size == 0:  # no arrow record: spare the bound on ||A'||, built per graph
         return sv, vt
-    arrow = amp[at]
-    norm = np.sqrt(np.linalg.eigvalsh(np.swapaxes(arrow, 1, 2) @ arrow)[:, -1])
-    floor, threshold = solver._kernel_thresholds(graph, robin, ks[at], norm, radius[at], tol)
-    pivot = np.abs(np.diagonal(arrow, axis1=1, axis2=2)[:, 1:]).min(axis=1) / norm
-    kept = pivot >= np.maximum(NEIGHBOUR_SV, threshold)
-    at, arrow, norm, pivot = at[kept], arrow[kept], norm[kept], pivot[kept]
-    x = np.ones((at.size, n))
-    x[:, 1:] = -arrow[:, 1:, 0] / np.diagonal(arrow, axis1=1, axis2=2)[:, 1:]
-    schur = np.abs(arrow[:, 0, 0] + np.sum(arrow[:, 0, 1:] * x[:, 1:], axis=1))
+    arrow, m = arrow[at], mults[at]
+    pivot = np.abs(np.diagonal(arrow, axis1=1, axis2=2)[:, 1:])
+    # P: the m + 1 smallest pivots of a multiple record, none of a simple
+    # one; A0 is A with d_P set to 0
+    pole, reduced = np.zeros(pivot.shape, dtype=bool), arrow
+    multiple = np.flatnonzero(m > 1)
+    if multiple.size:
+        ranks = np.argsort(np.argsort(pivot[multiple], axis=1), axis=1)
+        pole[multiple] = ranks <= m[multiple, None]
+        record, leaf = np.nonzero(pole)
+        reduced = arrow.copy()
+        reduced[record, leaf + 1, leaf + 1] = 0.0
+    gram = np.linalg.eigvalsh(np.swapaxes(reduced, 1, 2) @ reduced)
+    norm = np.sqrt(gram[:, -1])
+    floor, threshold, lift = solver._kernel_thresholds(
+        graph, robin, ks[at], norm, radius[at], tol
+    )
+    gate = np.maximum(NEIGHBOUR_SV, threshold) * norm
+    # the smallest Q pivot, every pivot of a simple record
+    rest = np.min(pivot, axis=1, where=~pole, initial=np.inf)
+    kept = rest >= gate
+
+    simple = np.flatnonzero(kept & (m == 1))
+    x = np.ones((simple.size, n))
+    x[:, 1:] = -arrow[simple, 1:, 0] / np.diagonal(arrow[simple], axis1=1, axis2=2)[:, 1:]
+    schur = np.abs(arrow[simple, 0, 0] + np.sum(arrow[simple, 0, 1:] * x[:, 1:], axis=1))
     length = np.linalg.norm(x, axis=1)
-    kept = schur / norm < floor
-    at, length = at[kept], length[kept]
-    sv[at] = (pivot * norm)[kept, None]
-    sv[at, 0] = norm[kept]
-    sv[at, -1] = schur[kept] / length
-    vt[at, -1] = x[kept] / length[:, None]
+    small = schur / norm[simple] < floor
+    simple, length = simple[small], length[small]
+    sv[at[simple]] = rest[simple, None]
+    sv[at[simple], -1] = schur[small] / length
+    vt[at[simple], -1] = x[small] / length[:, None]
+    sv[at[simple], 0] = norm[simple]
+
+    if multiple.size:
+        # sigma_min(A~) - delta bounds the middle values, delta the m last
+        delta = np.max(pivot[multiple], axis=1, where=pole[multiple], initial=0.0)
+        above = np.sqrt(np.maximum(gram[multiple, m[multiple]], 0.0)) - delta
+        taken = (delta <= lift[multiple] * norm[multiple]) & (above >= gate[multiple])
+        taken &= kept[multiple]
+        multiple, delta, above = multiple[taken], delta[taken], above[taken]
+        # the reflection of b_P onto its first leaf: its other columns on P
+        # are an orthonormal basis of ker A0, taken last
+        h = np.where(pole[multiple], arrow[multiple, 0, 1:], 0.0)  # b_P
+        rows, first = np.arange(multiple.size), np.argmax(pole[multiple], axis=1)
+        h[rows, first] += np.copysign(np.linalg.norm(h, axis=1), h[rows, first])
+        h /= np.linalg.norm(h, axis=1)[:, None]
+        reflect = np.eye(n - 1) - 2.0 * h[:, :, None] * h[:, None, :]
+        basis = pole[multiple]
+        basis[rows, first] = False
+        order = np.argsort(basis, axis=1, kind="stable")
+        last = np.arange(n) >= n - m[multiple, None]
+        sv[at[multiple]] = np.where(last, delta[:, None], above[:, None])
+        sv[at[multiple], 0] = norm[multiple]
+        reflected = np.take_along_axis(reflect, order[:, None], axis=2)
+        vt[at[multiple], 1:, 1:] = np.swapaxes(reflected, 1, 2)
     return sv, vt
 
 
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real eigenfunctions of the positive records at positions records of
-    the spectrum, and of no other: one SVD of A(k) per record, or for a
-    simple record of a star its closed form, the rest vectorized.  The zero
-    mode is left out.  The kernel rule counts every crossing of the
-    spectrum within reach of a record.  Raises ValueError for a position
-    that is not an integer (a boolean included), OutOfRange for one outside
+    the spectrum, and of no other: one SVD of A(k) per record, or on a
+    star the arrow's closed form ("Stars" in the module docstring), the
+    rest vectorized.  The zero mode is left out.  The kernel rule counts
+    every crossing of the spectrum within reach of a record.  Raises
+    ValueError for a position that is not an integer (a boolean included,
+    inside a list too), OutOfRange for one outside
     the records, KernelDimensionMismatch where a record breaks the kernel
     rule, and ContinuityViolation where an eigenfunction takes two values
     at a vertex.
     """
     graph, robin = spectrum.graph, spectrum.robin
-    records = np.asarray(records)
-    if records.size and records.dtype.kind not in "iu":
-        raise ValueError(f"record positions must be integers, got {records!r}")
+    given, records = records, np.asarray(records)
+    if _has_boolean(given) or (records.size and records.dtype.kind not in "iu"):
+        raise ValueError(f"record positions must be integers, got {given!r}")
     if np.any((records < 0) | (records >= spectrum.k.size)):
         raise OutOfRange(f"record positions outside 0..{spectrum.k.size - 1}")
     positive = np.flatnonzero(spectrum.k > 0.0)

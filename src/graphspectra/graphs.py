@@ -307,6 +307,15 @@ def _real(value, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+def _has_boolean(values) -> bool:
+    """Whether values, a number, an array or a list of them, holds a
+    boolean: np.asarray reads True inside a list of integers as 1."""
+    if isinstance(values, np.ndarray):
+        return values.dtype == bool
+    flat = np.ravel(np.asarray(values, dtype=object))
+    return any(isinstance(v, (bool, np.bool_)) for v in flat)
+
+
 def _edge(u, v, length) -> tuple[int, int, float]:
     return _integer(u, "vertex id"), _integer(v, "vertex id"), _real(length, "edge length")
 

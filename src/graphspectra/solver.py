@@ -333,7 +333,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import OutOfRange, ToleranceNotMet
-from .graphs import MetricGraph, RobinSpec
+from .graphs import MetricGraph, RobinSpec, _has_boolean
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
 __all__ = ["Spectrum", "compute_spectra", "compute_spectrum"]
@@ -418,8 +418,9 @@ class Spectrum:
         boolean included) or is below 1, and OutOfRange for one beyond the
         spectrum.
         """
+        boolean = _has_boolean(n)
         n = np.asarray(n)
-        if n.dtype.kind not in "iuf" or np.any(n != np.floor(n)):
+        if boolean or n.dtype.kind not in "iuf" or np.any(n != np.floor(n)):
             raise ValueError("eigenvalue index must be a whole number")
         if np.any(n < 1):
             raise ValueError("eigenvalue index starts at 1")
@@ -1354,13 +1355,15 @@ def _kernel_thresholds(graph, robin, ks, norm, radius, tol):
     over norm = ||A(k)||_2 per record ("Certification" in the module
     docstring): a value below the threshold counts.  Where a record's radius
     is above its floor, radius - width is the spread of the roots merged
-    into it."""
+    into it.  Also w ||A'|| / (2 norm), the most that a root half a stop
+    width w off lifts a singular value of A over norm."""
     width = _stop_width(ks, tol)
     merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
     spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
     floor = 0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots)
-    slope = (width + 2.0 * spread) * _amplitude_slope(graph, robin, ks) / norm
-    return floor, np.maximum(floor, slope)
+    slope = _amplitude_slope(graph, robin, ks)
+    threshold = np.maximum(floor, (width + 2.0 * spread) * slope / norm)
+    return floor, threshold, 0.5 * width * slope / norm
 
 
 def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings) -> str | None:

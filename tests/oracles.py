@@ -463,6 +463,16 @@ def robin_star_sensitivity(lengths, k):
     )
 
 
+def vertex_projectors(basis):
+    """sum over the rows of each record of an eigenbasis of f(u) f(v): the
+    projector of the record's eigenspace on the vertex values, the same for
+    every L2-orthonormal basis of it."""
+    values, size = basis.vertex_values, len(basis.spectrum.k)
+    out = np.zeros((size, values.shape[1], values.shape[1]))
+    np.add.at(out, basis.record, values[:, :, None] * values[:, None, :])
+    return out
+
+
 def quadrature_norm_sq(edges, k):
     """Numerical L2 norm squared of sum-of-plane-waves edge data.
 

@@ -385,26 +385,38 @@ class TestSensitivity:
         assert len(got) == len(want) == 60
         assert max(abs(float(g[2]) - float(w[2])) for g, w in zip(got, want)) <= 1e-5
 
+    # a 1:3:5 star coupled at its centre: its doubles sit where the stub
+    # poles of all three leaves meet
+    RATIONAL_STAR = {
+        "vertices": 4,
+        "edges": [{"u": 0, "v": j + 1, "len": r} for j, r in enumerate((1.0, 3.0, 5.0))],
+        "robin": {"vertices": [0], "sigma": 2.0},
+    }
+
     @pytest.mark.parametrize(
         "name, tol, svds",
         [
             ("interval", None, 0),
             # the two records that fall back from the closed form
             ("star_incommensurate", None, 2),
-            # the triples at the stub poles, 75 of the 150 records
-            ("star_equilateral", None, 75),
+            # the triples at the stub poles, 75 of the 150 records, too
+            ("star_equilateral", None, 0),
+            ("star_rational", None, 0),
             ("tetrahedron", None, 301),
             # at a loose tol no Schur entry of a star is below the floor
             ("star_incommensurate", "1e-6", 300),
         ],
     )
     def test_svd_matrices_of_the_eigenbasis(self, name, tol, svds, tmp_path, svd_matrices):
-        # a simple record of a star takes its kernel in closed form, every
-        # other record one SVD of A(k)
+        # a simple record of a star takes its kernel in closed form, and a
+        # multiple one at a stub pole too; every other record one SVD of A(k)
+        graph = FIXTURES / f"{name}.json"
+        if name == "star_rational":
+            graph = tmp_path / "star_rational.json"
+            graph.write_text(json.dumps(self.RATIONAL_STAR))
         loose = [] if tol is None else ["--tol", tol]
         code, _ = run_cli(
-            ["sensitivity", "--graph", str(FIXTURES / f"{name}.json"), "--nmax", "300", *loose],
-            tmp_path,
+            ["sensitivity", "--graph", str(graph), "--nmax", "300", *loose], tmp_path
         )
         assert code == 0
         assert svd_matrices[0] == svds

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from graphspectra import solver
+from graphspectra import eigenfunctions, solver
 from graphspectra.eigenfunctions import (
     NEIGHBOUR_SV,
     _l2_norm_sq,
@@ -22,6 +22,7 @@ from oracles import (
     quadrature_norm_sq,
     robin_residual,
     robin_star_sensitivity,
+    vertex_projectors,
 )
 
 NEUMANN = RobinSpec.neumann()
@@ -193,6 +194,125 @@ def test_a_small_pivot_takes_the_svd(monkeypatch, star4, svd_matrices, ratio, sv
     assert np.allclose(sign * got.vertex_values, want.vertex_values, rtol=0.0, atol=1e-11)
 
 
+def _without_closed_form(patch):
+    """Send every record to the SVD path."""
+    patch.setattr(
+        eigenfunctions,
+        "_arrow_kernels",
+        lambda graph, robin, amp, *rest: (np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)),
+    )
+
+
+@pytest.mark.parametrize("lengths", [(1.0,) * 4, (1.0, 3.0, 5.0)], ids=["equilateral", "1:3:5"])
+def test_star_multiples_take_their_kernel_in_closed_form(monkeypatch, svd_matrices, lengths):
+    # the triples of the equilateral star and the doubles of the 1:3:5 star
+    # sit at the stub poles of all their leaves: the closed form takes them
+    # with no SVD, and gives the eigenspaces and sensitivities of the SVD
+    # path, rows that meet every vertex condition among them
+    star = make_star(len(lengths), lengths)
+    spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=60)
+    records = np.arange(spec.k.size)
+    assert np.any(spec.multiplicity > 1)
+    svd_matrices[0] = 0
+    got, values = eigenbasis(spec, records), sensitivity(spec, spec.index).value
+    assert svd_matrices[0] == 0
+    with monkeypatch.context() as patch:
+        _without_closed_form(patch)
+        want, svd_values = eigenbasis(spec, records), sensitivity(spec, spec.index).value
+    assert svd_matrices[0] > 0
+    assert np.allclose(vertex_projectors(got), vertex_projectors(want), rtol=0.0, atol=1e-12)
+    assert np.allclose(values, svd_values, rtol=0.0, atol=1e-12)
+    multiple = np.flatnonzero(spec.multiplicity[got.record] > 1)
+    assert np.all(got.residual[multiple] < 1e-13)
+    for row in multiple:
+        for v in range(len(lengths) + 1):
+            assert _residual(got, row, v) < 1e-10
+
+
+def _triple(equilateral_star):
+    """The equilateral star at {0}, sigma 2, and the position of its first triple."""
+    spec = compute_spectrum(equilateral_star, RobinSpec(frozenset({0}), 2.0), n_max=5)
+    (at,) = np.flatnonzero(spec.multiplicity == 3)
+    return spec, int(at)
+
+
+def test_an_entry_off_the_arrow_takes_a_triple_to_the_svd(
+    monkeypatch, equilateral_star, svd_matrices
+):
+    # A[2, 3] = 1e-3 ||A|| leaves every pivot and the centre row as they
+    # were, but the triple's kernel loses a dimension: only the exact check
+    # of the leaf block sends it to the SVD, which finds it short
+    spec, at = _triple(equilateral_star)
+    svd_matrices[0] = 0
+    assert eigenbasis(spec, [at]).record.tolist() == [at] * 3
+    assert svd_matrices[0] == 0
+
+    def off_arrow(amp):
+        amp[:, 2, 3] = 1e-3 * np.linalg.norm(amp, ord=2, axis=(1, 2))
+
+    _plant(monkeypatch, off_arrow)
+    with pytest.raises(KernelDimensionMismatch, match="below"):
+        eigenbasis(spec, [at])
+    assert svd_matrices[0] == 1
+
+
+@pytest.mark.parametrize("pivot, svds", [(0.0, 0), (1e-10, 1)])
+def test_a_lifted_pole_pivot_takes_the_svd(
+    monkeypatch, equilateral_star, svd_matrices, pivot, svds
+):
+    # the pivot of leaf row 2 set to pivot ||A||_2 at the triple: exactly at
+    # the pole it keeps the closed form; at 1e-10, below the kernel rule's
+    # floor, so that the SVD still counts three small singular values, but
+    # far above what a root half a stop width off leaves, it leaves it
+    spec, at = _triple(equilateral_star)
+    want = eigenbasis(spec, [at])
+
+    def lifted(amp):
+        amp[:, 2, 2] = pivot * np.linalg.norm(amp, ord=2, axis=(1, 2))
+
+    _plant(monkeypatch, lifted)
+    svd_matrices[0] = 0
+    got = eigenbasis(spec, [at])
+    assert svd_matrices[0] == svds
+    assert np.allclose(vertex_projectors(got), vertex_projectors(want), rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("sigma, svds", [(1e3, 0), (1e4, 2)])
+def test_a_strong_centre_keeps_the_triples_svd(
+    monkeypatch, equilateral_star, svd_matrices, sigma, svds
+):
+    # the centre row of A(k) is 1 / n_c, about k / sigma: the next singular
+    # value at the two triples below 5 falls from 1.3e-3 ||A||_2 at sigma
+    # 1e3 to 1.3e-4 ||A||_2 at 1e4, so the bound on it passes the gate only
+    # at 1e3, where the closed form must give the SVD's eigenspaces
+    spec = compute_spectrum(equilateral_star, RobinSpec(frozenset({0}), sigma), n_max=5)
+    triples = np.flatnonzero(spec.multiplicity == 3)
+    assert triples.size == 2
+    svd_matrices[0] = 0
+    got = eigenbasis(spec, triples)
+    assert svd_matrices[0] == svds
+    with monkeypatch.context() as patch:
+        _without_closed_form(patch)
+        want = eigenbasis(spec, triples)
+    assert np.allclose(vertex_projectors(got), vertex_projectors(want), rtol=0.0, atol=1e-12)
+
+
+def test_leaves_out_of_edge_order_take_the_closed_form(svd_matrices):
+    # A(k)'s rows follow the vertex ids and its B_t columns the edges, so on
+    # the first listing its leaf block is diagonal only with its rows taken
+    # in edge order: both listings take no SVD and give the same values
+    robin, bases = RobinSpec(frozenset({0}), 2.0), []
+    for edges in ([(0, 2, 1.0), (0, 1, 1.3)], [(0, 1, 1.3), (0, 2, 1.0)]):
+        spec = compute_spectrum(build_graph(edges), robin, n_max=50)
+        svd_matrices[0] = 0
+        bases.append(eigenbasis(spec, np.arange(spec.k.size)))
+        assert svd_matrices[0] == 0
+    one, two = bases
+    assert np.allclose(one.k, two.k, rtol=1e-15, atol=0.0)
+    sign = np.sign(np.sum(one.vertex_values * two.vertex_values, axis=1))[:, None]
+    assert np.allclose(sign * one.vertex_values, two.vertex_values, rtol=0.0, atol=1e-13)
+
+
 def test_l2_norm_against_quadrature(star4):
     robin = RobinSpec(frozenset({0}), 2.0)
     spec = compute_spectrum(star4, robin, n_max=12)
@@ -291,10 +411,17 @@ def test_evaluate_rejects_an_x_that_is_no_number(x):
 
 @pytest.mark.parametrize(
     "records, error",
-    [([99], OutOfRange), ([-1], OutOfRange), ([1.5], ValueError), ([True], ValueError)],
+    [
+        ([99], OutOfRange),
+        ([-1], OutOfRange),
+        ([1.5], ValueError),
+        ([True], ValueError),
+        ([4, True], ValueError),
+    ],
 )
 def test_eigenbasis_rejects_a_position_it_cannot_use(records, error):
-    # no position may silently give no rows, nor a boolean the rows of record 1
+    # no position may silently give no rows, nor a boolean the rows of
+    # record 1, inside a list of integers too
     star = make_star(3, (1.0, 1.5, 2.0))
     spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=5)
     assert spec.k.size == 5 and eigenbasis(spec, [4]).record.tolist() == [4]
@@ -303,9 +430,10 @@ def test_eigenbasis_rejects_a_position_it_cannot_use(records, error):
 
 
 def test_a_boolean_index_is_no_eigenvalue_index(star4):
-    # True must not read as index 1, the ground state's
+    # True must not read as index 1, the ground state's, inside a list of
+    # integers either
     spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=4)
-    for n in (True, np.array([True, False])):
+    for n in (True, np.array([True, False]), [2, True], [[True], [3]]):
         with pytest.raises(ValueError, match="whole number"):
             spec.positions(n)
         with pytest.raises(ValueError, match="whole number"):
