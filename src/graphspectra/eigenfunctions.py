@@ -33,8 +33,8 @@ off its diagonal, checked exactly on A itself, and every leaf pivot the
 closed form divides by or leaves in place must be at least
 max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2; a record that
 fails a test takes one SVD.  ||A||_2 comes from one stacked eigvalsh per
-stack, of A^T A for a simple record and of A0^T A0 (below) for a multiple
-one.
+eigenbasis call, of A^T A for a simple record and of A0^T A0 (below) for a
+multiple one.
 
 A simple record's kernel vector is x = (1, -c_1 / d_1, ..., -c_E / d_E),
 and A x is zero but for its first entry, the Schur entry
@@ -112,7 +112,7 @@ import numpy as np
 from . import solver
 from .errors import ContinuityViolation, KernelDimensionMismatch, OutOfRange
 from .graphs import MetricGraph, RobinSpec, _has_boolean, _integer, _real
-from .solver import Spectrum, _kernel_rule, _stack_map
+from .solver import Spectrum, _kernel_rule
 
 __all__ = [
     "EigenBasis",
@@ -216,12 +216,8 @@ def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.nda
     the lean left is that type's rounding over s where it is wider than
     double (x86), and no worse than before where it is not.
     """
-
-    def solve(system):
-        return np.linalg.solve(system[..., :-1], system[..., -1:])[..., 0]
-
-    step = _stack_map(graph, robin.vertex_sigmas(graph), ks, solve, _bordered_systems, x)
-    out = x + step[:, :-1]
+    system = _bordered_systems(graph, robin.vertex_sigmas(graph), ks, x)
+    out = x + np.linalg.solve(system[..., :-1], system[..., -1:])[:, :-1, 0]
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
@@ -341,23 +337,12 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
-
-    def build(graph, sigmas, batch_ks, at):
-        # looked up at each call, so that a wrapper on the module attribute sees it
-        return solver._amplitude_matrices(graph, sigmas, batch_ks), at
-
-    def decompose(built):
-        amp, at = built
-        sv, vt = _arrow_kernels(graph, robin, amp, ks[at], mults[at], radius[at], spectrum.tol)
-        # one LAPACK call per matrix, not per stack: the benchmark's layer
-        # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
-        for i in np.flatnonzero(np.isnan(sv[:, 0])):
-            _, sv[i], vt[i] = np.linalg.svd(amp[i])
-        return sv, vt
-
-    sv, vt = _stack_map(
-        graph, robin.vertex_sigmas(graph), ks, decompose, build, np.arange(ks.size)
-    )
+    amp = solver._amplitude_matrices(graph, robin.vertex_sigmas(graph), ks)
+    sv, vt = _arrow_kernels(graph, robin, amp, ks, mults, radius, spectrum.tol)
+    # one LAPACK call per matrix, not per stack: the benchmark's layer
+    # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
+    for i in np.flatnonzero(np.isnan(sv[:, 0])):
+        _, sv[i], vt[i] = np.linalg.svd(amp[i])
     crossings = spectrum.wavenumbers()
     mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, spectrum.tol, crossings)
     if mismatch:

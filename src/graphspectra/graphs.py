@@ -76,6 +76,12 @@ class MetricGraph:
                 raise NonPositiveLength(f"edge ({u}, {v}) has invalid length {length}")
 
         m = len(edges)
+        # before anything of size num_vertices is allocated
+        if self.num_vertices > m + 1:
+            raise DisconnectedGraph(
+                f"vertex count {self.num_vertices} above the edge count plus one, "
+                f"{m + 1}: the graph cannot be connected"
+            )
         origin = np.empty(2 * m, dtype=np.intp)
         terminus = np.empty(2 * m, dtype=np.intp)
         lengths = np.empty(2 * m)

@@ -345,7 +345,6 @@ EPS = float(np.finfo(float).eps)
 MAX_STEPS = 200
 MERGE_SCALE = 1e-9
 KERNEL_SV_SCALE = 1e-8
-LAPACK_CHUNK = 1024
 COUNT_ROUNDING_TOL = 1e-6
 # scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
 SCAN_PHASE_STEP = np.pi / 8.0
@@ -453,44 +452,16 @@ def _take(sigmas, rows):
     return sigmas if sigmas.ndim == 1 else sigmas[rows]
 
 
-def _stack_map(graph: MetricGraph, sigmas, ks, fn, build, *along):
-    """fn(build(graph, couplings, batch, *rows)) over slices of at most
-    LAPACK_CHUNK wave numbers, couplings and rows the batch's rows of sigmas
-    (see _couplings) and of each array in along.
-
-    build is _vertex_matrices (M), _amplitude_matrices (A), unitary_stack
-    (U) or a system made from them, named at each call so that a wrapper on
-    the module attribute sees it.  The results are joined along the first
-    axis, element by element when fn returns a tuple.  Every batched decomposition over wave numbers
-    in the package goes through here, which bounds the stacks it builds.
-    """
-    ks = np.asarray(ks, dtype=float)
-    parts = [
-        fn(build(graph, _take(sigmas, batch), ks[batch], *(a[batch] for a in along)))
-        for batch in (
-            slice(start, start + LAPACK_CHUNK)
-            for start in range(0, max(ks.size, 1), LAPACK_CHUNK)
-        )
-    ]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    return np.concatenate(parts)
-
-
 def _eigenphases(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """Eigenvalue arguments of U(k) reduced to [0, 2 pi), sorted along rows.
 
-    Phi(k) is the row sum.  This is the one eigenphase evaluation: the
-    scan keeps the rows of its grid and the refinement those of its
-    bracket ends, so no wave number is decomposed twice.
+    Phi(k) is the row sum.  Only the winding route of the refinement
+    evaluates it: once at the distinct ends of its brackets and once at
+    each split point, whose rows the halves keep, so no wave number is
+    decomposed twice.
     """
-    return _stack_map(
-        graph,
-        sigmas,
-        ks,
-        lambda u: np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1),
-        build=unitary_stack,
-    )
+    u = unitary_stack(graph, sigmas, ks)
+    return np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1)
 
 
 @lru_cache(maxsize=1)
@@ -578,14 +549,8 @@ def _vertex_spectra(graph: MetricGraph, sigmas, ks):
     their sum: on a multi-edge with a short edge the terms of size 1 / l
     cancel to entries far smaller than their rounding.
     """
-    mu, scale = _stack_map(
-        graph,
-        sigmas,
-        ks,
-        lambda pair: (np.linalg.eigvalsh(pair[0]), pair[1]),
-        _vertex_matrices,
-    )
-    return mu, INERTIA_MARGIN * graph.num_vertices * EPS * scale
+    m, scale = _vertex_matrices(graph, sigmas, ks)
+    return np.linalg.eigvalsh(m), INERTIA_MARGIN * graph.num_vertices * EPS * scale
 
 
 def _morse_index(graph: MetricGraph, sigmas, ks):
@@ -913,7 +878,7 @@ def _amplitude_dets(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     if _star_layout(graph) is not None:
         return _star_dets(graph, sigmas, ks)
-    return _stack_map(graph, sigmas, ks, np.linalg.det, build=_amplitude_matrices)
+    return np.linalg.det(_amplitude_matrices(graph, sigmas, ks))
 
 
 def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -1449,8 +1414,7 @@ def _certify_records(graph, robins, records, tol) -> None:
         at = np.flatnonzero(~(margin & alone)[np.cumsum(first) - 1])
         if at.size == 0:
             continue
-        svd = partial(np.linalg.svd, compute_uv=False)
-        sv = _stack_map(graph, table[c], ks[at], svd, build=_amplitude_matrices)
+        sv = np.linalg.svd(_amplitude_matrices(graph, table[c], ks[at]), compute_uv=False)
         crossings = np.repeat(ks, mults)
         mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], tol, crossings)
         if mismatch:

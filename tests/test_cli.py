@@ -601,6 +601,19 @@ class TestOutputDiscipline:
         err = capsys.readouterr().err
         assert err == "error: Robin vertex must be an integer, got 0.6\n"
 
+    def test_huge_vertex_count_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "huge.json"
+        bad.write_text(
+            '{"vertices": 1000000000000000000, "edges": [{"u": 0, "v": 1, "len": 1.0}]}'
+        )
+        code, _ = run_cli(["spectrum", "--graph", str(bad), "--nmax", "3"], tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: vertex count 1000000000000000000 above the edge count plus one, 2: "
+            "the graph cannot be connected\n"
+        )
+
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "cli.csv"
         proc = subprocess.run(

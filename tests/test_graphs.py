@@ -78,6 +78,16 @@ def test_rejects_disconnected():
         MetricGraph(3, ((0, 1, 1.0),))  # vertex 2 isolated
 
 
+def test_rejects_more_vertices_than_a_connected_graph_can_have():
+    # E edges connect at most E + 1 vertices; a count this large once
+    # reached an allocation of size num_vertices and escaped as MemoryError
+    huge = 10**18
+    with pytest.raises(DisconnectedGraph, match="plus one, 2: the graph cannot be connected"):
+        MetricGraph(huge, ((0, 1, 1.0),))
+    with pytest.raises(DisconnectedGraph, match="plus one, 2: the graph cannot be connected"):
+        parse_graph({"vertices": huge, "edges": [{"u": 0, "v": 1, "len": 1.0}]})
+
+
 def test_rejects_dangling_endpoint():
     with pytest.raises(DanglingEndpoint):
         MetricGraph(2, ((0, 5, 1.0),))

@@ -676,6 +676,38 @@ def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
         assert sizes == {size: sizes[size], size - 1: 1}
 
 
+@pytest.mark.parametrize("name", ["tetrahedron", "loopy"])
+def test_stacks_above_1024_match_their_slices(name):
+    # each batched decomposition takes its whole stack in one call: row by
+    # row it must give what it gives on slices of the stack, bit for bit
+    ks = np.linspace(0.37, 61.3, 2100)
+    if name == "loopy":
+        graph, robin = LOOPY
+        # a row-wise couplings table, two couplings alternating
+        table = np.array([robin.vertex_sigmas(graph), 0.5 * robin.vertex_sigmas(graph)])
+        sigmas = table[np.arange(ks.size) % 2]
+    else:
+        graph, robin = load_graph_file(FIXTURES / "tetrahedron.json")
+        sigmas = robin.vertex_sigmas(graph)
+    calls = {
+        "vertex_spectra": lambda s, k: solver._vertex_spectra(graph, s, k),
+        "amplitude_dets": lambda s, k: (solver._amplitude_dets(graph, s, k),),
+        "eigenphases": lambda s, k: (solver._eigenphases(graph, s, k),),
+        "amplitude_svd": lambda s, k: (
+            np.linalg.svd(solver._amplitude_matrices(graph, s, k), compute_uv=False),
+        ),
+    }
+    for call, fn in calls.items():
+        whole = fn(sigmas, ks)
+        parts = [
+            fn(solver._take(sigmas, rows), ks[rows])
+            for rows in (slice(start, start + 1024) for start in range(0, ks.size, 1024))
+        ]
+        for column, joined in zip(whole, map(np.concatenate, zip(*parts))):
+            assert column.dtype == joined.dtype and column.shape == joined.shape, call
+            assert column.tobytes() == joined.tobytes(), call
+
+
 def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
     # the first scan point counting n_max sat just below a root within the
     # kernel reach of the records under it, which the kernel rule then found
