@@ -12,13 +12,12 @@ A measured value violates a bound only when it exceeds the bound by more
 than its certified error plus a relative slack of 1e-10, so that strict
 mathematical inequalities are not failed on root-refinement noise: the
 gaps carry the error bars the spectra's radii give them, the
-sensitivities none.  At the default tol both radii are the floor
+sensitivities none.  Where no roots merged, both radii are the floor
 1e-12 (1 + k), so a gap near wave number k may exceed its bound by about
 4e-12 k^2 before it is flagged (3.5e-6 at k = 940), where the slack
-alone allowed 1e-10 (1 + bound); a loose tol widens the bars with the
-stop width.  The radii of records certified by the kernel rule rather
-than an inertia enclosure rest on their refinement brackets
-("Certification" in the solver docstring).
+alone allowed 1e-10 (1 + bound).  The radii of records certified by the
+kernel rule rather than an inertia enclosure rest on their refinement
+brackets ("Certification" in the solver docstring).
 """
 from __future__ import annotations
 
@@ -133,10 +132,11 @@ def improved_bound(lambda0, sigma: float, s_check: float, S_check: float) -> np.
     """Refined bound grown from each uncoupled eigenvalue in lambda0.
 
     Only defined above the threshold lambda0 > 1/(4 s_check S_check);
-    NaN at and below it.
+    NaN at and below it.  Raises DegenerateParameters unless s_check and
+    S_check are finite and positive.
     """
-    if s_check <= 0.0 or S_check <= 0.0:
-        raise DegenerateParameters("split parameters must be positive")
+    if not (0.0 < s_check < np.inf and 0.0 < S_check < np.inf):
+        raise DegenerateParameters("split parameters must be finite and positive")
     lambda0 = np.asarray(lambda0, dtype=float)
     threshold = 1.0 / (4.0 * s_check * S_check)
     out = np.full(lambda0.shape, np.nan)

@@ -154,12 +154,8 @@ def _load(args: argparse.Namespace):
 
 
 def _target(args: argparse.Namespace) -> dict:
-    """The run's spectrum target and solver settings."""
-    return {
-        "n_max": _target_n(args) if args.kmax is None else None,
-        "k_max": args.kmax,
-        "tol": args.tol,
-    }
+    """The run's spectrum target."""
+    return {"n_max": _target_n(args) if args.kmax is None else None, "k_max": args.kmax}
 
 
 def _spectrum(graph, robin, args: argparse.Namespace):
@@ -353,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="wave-number ceiling instead of a count")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=None,
-                       help="root refinement tolerance")
         if name == "rng":
             p.add_argument("--window", type=int, default=21,
                            help="odd running-average window (default 21)")

@@ -74,9 +74,8 @@ exactly the m small singular values an SVD would show; the residual is
 the bound delta / ||A0||_2.  For unit x in ker A0, |A x| <= delta, so the
 SVD's kernel at the float k leans from ker A0 by at most
 delta / sigma_{n-m}(A).  As b_t = 1 / n_c on every edge, ker A0 does not
-move with k: it is the eigenspace itself, and the lean is the SVD's.  At
-the default tol it is at most 2 eps (1 + k) ||A'|| / sigma_{n-m}(A),
-below 1e-11 wherever sigma_{n-m}(A) >= 4.5e-5 (1 + k) ||A'||.  On the
+move with k: it is the eigenspace itself, and the lean is the SVD's.  It
+is at most 2 eps (1 + k) ||A'|| / sigma_{n-m}(A), below 1e-11 wherever sigma_{n-m}(A) >= 4.5e-5 (1 + k) ||A'||.  On the
 benchmark's equilateral and 1:3:5 stars, delta < 1e-13 ||A||_2 and
 sigma_{n-m}(A) >= 0.077 ||A||_2, a lean below 1.3e-12.
 
@@ -236,7 +235,7 @@ def _arrow_rows(graph: MetricGraph) -> np.ndarray | slice:
     return slice(None) if np.array_equal(rows, np.arange(rows.size)) else rows
 
 
-def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius, tol):
+def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius):
     """Singular values, largest first, and right singular vectors of the
     stack amp of A(k) as the kernel rule and eigenbasis read them, for the
     records whose A(k) is an arrow that passes the gate ("Stars" in the
@@ -267,9 +266,7 @@ def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius,
         reduced[record, leaf + 1, leaf + 1] = 0.0
     gram = np.linalg.eigvalsh(np.swapaxes(reduced, 1, 2) @ reduced)
     norm = np.sqrt(gram[:, -1])
-    floor, threshold, lift = solver._kernel_thresholds(
-        graph, robin, ks[at], norm, radius[at], tol
-    )
+    floor, threshold, lift = solver._kernel_thresholds(graph, robin, ks[at], norm, radius[at])
     gate = np.maximum(NEIGHBOUR_SV, threshold) * norm
     # the smallest Q pivot, every pivot of a simple record
     rest = np.min(pivot, axis=1, where=~pole, initial=np.inf)
@@ -333,18 +330,18 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     positive = np.flatnonzero(spectrum.k > 0.0)
     handed = positive[np.isin(positive, records)]
     ks, mults = spectrum.k[handed], spectrum.multiplicity[handed]
-    radius, threshold = spectrum.radius[handed], spectrum.kernel_threshold(ks)
+    radius, threshold = spectrum.radius[handed], solver._kernel_threshold(graph, robin, ks)
     # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
     amp = solver._amplitude_matrices(graph, robin.vertex_sigmas(graph), ks)
-    sv, vt = _arrow_kernels(graph, robin, amp, ks, mults, radius, spectrum.tol)
+    sv, vt = _arrow_kernels(graph, robin, amp, ks, mults, radius)
     # one LAPACK call per matrix, not per stack: the benchmark's layer
     # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
     for i in np.flatnonzero(np.isnan(sv[:, 0])):
         _, sv[i], vt[i] = np.linalg.svd(amp[i])
     crossings = spectrum.wavenumbers()
-    mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, spectrum.tol, crossings)
+    mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, crossings)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
     sv = sv / sv[:, :1]  # relative to ||A(k)||_2
@@ -379,7 +376,7 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     values[:, ends] = at_end
     values[:, graph.slot_origin[0::2]] = ab[:, 0::2]
     # each edge end against its vertex's value: they differ by a sum of
-    # continuity rows of A x, so a loose tol widens this check too
+    # continuity rows of A x, which the kernel threshold bounds
     jump = np.abs(at_end - values[:, ends])
     broken = jump > np.maximum(CONTINUITY_TOL, 2.0 * threshold[local])[:, None]
     if np.any(broken):

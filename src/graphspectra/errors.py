@@ -22,7 +22,7 @@ class ZeroWaveNumber(GraphSpectraError):
 
 
 class ToleranceNotMet(GraphSpectraError):
-    """Root refinement could not reach the requested tolerance."""
+    """A count, bracket or record failed the solver's certification."""
 
 
 class ContinuityViolation(GraphSpectraError):
@@ -30,7 +30,7 @@ class ContinuityViolation(GraphSpectraError):
 
 
 class DegenerateParameters(GraphSpectraError):
-    """A bound parameter (s-check or S-check) is zero."""
+    """A bound parameter (s-check or S-check) is not finite and positive."""
 
 
 class DegenerateDecomposition(GraphSpectraError):

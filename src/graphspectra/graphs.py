@@ -212,8 +212,8 @@ class StarDecomposition:
         slot_split = np.empty(g.num_slots)
         for t, (s_u, s_v) in enumerate(splits):
             length = g.edge_length(t)
-            if s_u < 0.0 or s_v < 0.0:
-                raise ValueError(f"negative split on edge {t}")
+            if not (0.0 <= s_u < np.inf and 0.0 <= s_v < np.inf):
+                raise ValueError(f"split on edge {t} is negative or not finite")
             if abs((s_u + s_v) - length) > 4.0 * np.finfo(float).eps * length:
                 raise ValueError(
                     f"splits {s_u} + {s_v} do not sum to edge length {length}"

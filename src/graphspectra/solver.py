@@ -228,11 +228,11 @@ iteration.  The certification below checks every polished root.  The
 kernel rule and the eigenbasis take A(k) itself.
 
 Both stages stop once a bracket is narrower than the stop width
-max(4 eps (1 + k), tol (1 + k)) and report its midpoint, so every
-reported root lies within half a stop width of the true root.  Where
-inside that window a root lands depends on the eigenphases and
-determinants met on the way, so a root shared by two couplings need not
-be reported bitwise equal at both.
+4 eps (1 + k) and report its midpoint, so every reported root lies
+within half a stop width of the true root.  Where inside that window a
+root lands depends on the eigenphases and determinants met on the way,
+so a root shared by two couplings need not be reported bitwise equal at
+both.
 
 Scan range.  Each of the N = 2E branches loses at most one crossing
 against Theta / (2 pi), because Phi stays in [0, 2 pi N), and Theta
@@ -284,8 +284,8 @@ within rho of k.  A count off by one either way raises, as "below" or
 next to a Dirichlet pole no count has margin.  So the records of a join
 with such an end (every record of the Neumann interval, half of those of
 the Neumann equilateral star) fall back to the kernel rule, as do the
-records of a join of several (at a loose tol), whose count certifies
-only their sum.  The rule, _kernel_rule, which the eigenfunction module
+records of a join of several, whose count certifies only their sum.
+The rule, _kernel_rule, which the eigenfunction module
 applies too: singular values of A(k) over ||A(k)||_2 below half of
 max(1e-8 sqrt(2E), 2 (w + 2 s) ||A'(k)|| / ||A(k)||_2) count, twice what
 a root w / 2 + s off lifts the smallest one, w the stop width and s the
@@ -297,7 +297,7 @@ the records place crossings within reach of it.  A gives no speed at which its s
 so the reach is the eigenphases': every branch of U(k) moves at least
 l_min per unit k, and reach = 2 kernel_threshold / l_min.  The enclosure
 is the stronger certificate: it places exactly m eigenvalues within rho
-of k, and rho, 1e-12 (1 + k) at the default tol, lies far inside the
+of k, and rho, 1e-12 (1 + k) where no roots merged, lies far inside the
 reach.  A record that falls back keeps its radius on the certificate of
 its refinement bracket: on the winding route the winding and inertia
 counts at the ends of a counted split; on the vertex route the counts
@@ -373,9 +373,7 @@ class Spectrum:
     point at or past the target, counting n_max or at or above k_max,
     with no eigenvalue within the kernel reach above it; every eigenvalue
     at or below k_cap appears, so a spectrum can hold a few more than
-    n_max, or some above k_max.  tol is the refinement tolerance the
-    records were computed with (None for the default stop width);
-    stop_width and kernel_threshold give the accuracy model it sets.
+    n_max, or some above k_max.
     radius[i] bounds the distance from k[i] to its roots: the stop width
     plus the spread of the roots merged into the record, at least
     RADIUS_FLOOR (1 + k).  Where the inertia counts at its ends have
@@ -392,7 +390,6 @@ class Spectrum:
     multiplicity: np.ndarray
     radius: np.ndarray
     k_cap: float
-    tol: float | None = None
 
     def __post_init__(self):
         for column in (self.index, self.k, self.multiplicity, self.radius):
@@ -426,14 +423,6 @@ class Spectrum:
         if np.any(n > self.size):
             raise OutOfRange(f"index {int(n.max())} beyond the computed spectrum")
         return np.searchsorted(self.index, n, side="right") - 1
-
-    def stop_width(self, ks: np.ndarray) -> np.ndarray:
-        """Final bracket width at ks; a reported k lies within half of it."""
-        return _stop_width(ks, self.tol)
-
-    def kernel_threshold(self, ks: np.ndarray) -> np.ndarray:
-        """Eigenphase scale of the kernel rule's reach and the merge cap."""
-        return _kernel_threshold(self.graph, self.robin, ks, self.tol)
 
 
 def _couplings(table: np.ndarray, which) -> np.ndarray:
@@ -894,11 +883,9 @@ def _window_counts(dtheta: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     return counts.astype(int)
 
 
-def _stop_width(ks: np.ndarray, tol: float | None) -> np.ndarray:
-    floor = 4.0 * EPS * (1.0 + ks)
-    if tol is None:
-        return floor
-    return np.maximum(floor, tol * (1.0 + ks))
+def _stop_width(ks: np.ndarray) -> np.ndarray:
+    """Final bracket width at ks; a reported k lies within half of it."""
+    return 4.0 * EPS * (1.0 + ks)
 
 
 def _distinct(which: np.ndarray, ks: np.ndarray):
@@ -965,7 +952,7 @@ def _step_points(x1, x2, x3, f1, f2, f3, stop) -> np.ndarray:
     return x1 + np.minimum(np.maximum(t, margin), 1.0 - margin) * dx
 
 
-def _polish(graph, table, which, los, his, f_lo, f_hi, tol) -> np.ndarray:
+def _polish(graph, table, which, los, his, f_lo, f_hi) -> np.ndarray:
     """Chandrupatla's method on det A over sign-changing brackets, bracket j
     under the couplings table[which[j]].
 
@@ -981,7 +968,7 @@ def _polish(graph, table, which, los, his, f_lo, f_hi, tol) -> np.ndarray:
     x1, x2, f1, f2 = los, his, f_lo, f_hi
     x3 = f3 = np.full(los.size, np.nan)
     for _ in range(MAX_STEPS):
-        stop = _stop_width(np.maximum(x1, x2), tol)
+        stop = _stop_width(np.maximum(x1, x2))
         # the midpoint a bracket leaves last is that of the step it closes at
         out[open_] = 0.5 * (x1 + x2)
         live = np.abs(x2 - x1) > stop
@@ -1042,7 +1029,7 @@ def _at_ends(table, which, los, his, fn):
     return [np.split(a[inverse], 2) for a in fn(_couplings(table, at), ks)]
 
 
-def _end_rows(graph, table, which, los, his, counts, n_lo, tol):
+def _end_rows(graph, table, which, los, his, counts, n_lo):
     """Route, floor sum and rows at the ends of brackets, checked against
     their counts, bracket j under the couplings table[which[j]].
 
@@ -1089,7 +1076,7 @@ def _end_rows(graph, table, which, los, his, counts, n_lo, tol):
         s_lo, s_hi = _crossing_sums(mu_lo[on], mu_hi[on], base, c)
         rounding = np.maximum(b_lo, b_hi) / (INERTIA_MARGIN * graph.num_vertices)
         fine = rounding * c * (his[on] - los[on]) < (
-            VERTEX_RESOLUTION * _stop_width(his[on], tol) * (s_hi - s_lo)
+            VERTEX_RESOLUTION * _stop_width(his[on]) * (s_hi - s_lo)
         )
         vertex[on[~(margin & fine)]] = False
     off = np.flatnonzero(~vertex)
@@ -1114,7 +1101,7 @@ def _end_rows(graph, table, which, los, his, counts, n_lo, tol):
     return vertex, floors, (th_lo, ph_lo, mu_lo, th_hi, ph_hi, mu_hi)
 
 
-def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
+def _refine_brackets(graph, table, which, los, his, counts, n_lo):
     """Roots with multiplicities of every bracket, down to the stop width,
     and the coupling of each: bracket j is under the couplings
     table[which[j]], and its halves and roots keep which[j].
@@ -1146,7 +1133,7 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
     x3 = f3 = np.full(n, np.nan)
     rows = None  # rows of _end_rows at lo and hi, from the first split on
     for _ in range(MAX_STEPS):
-        stop = _stop_width(his, tol)
+        stop = _stop_width(his)
         done = his - los <= stop
         roots.extend(0.5 * (los[done] + his[done]))
         mults.extend(counts[done])
@@ -1172,7 +1159,7 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
         if los.size == 0:
             break
         if rows is None:
-            vertex, floors, rows = _end_rows(graph, table, which, los, his, counts, n_lo, tol)
+            vertex, floors, rows = _end_rows(graph, table, which, los, his, counts, n_lo)
         else:
             rows = tuple(a[keep] for a in rows)
         th_lo, ph_lo, mu_lo, _, ph_hi, mu_hi = rows
@@ -1239,7 +1226,7 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo, tol):
         )
     if polish:
         at, lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
-        roots.extend(_polish(graph, table, at, lo, hi, f_lo, f_hi, tol))
+        roots.extend(_polish(graph, table, at, lo, hi, f_lo, f_hi))
         mults.extend([1] * lo.size)
         owners.extend(at)
     return np.asarray(roots), np.asarray(mults, dtype=int), np.asarray(owners, dtype=int)
@@ -1279,19 +1266,19 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray, grid):
             new_chain[first + np.argmax(gap[first : ends[c + 1]])] = True
 
 
-def _kernel_threshold(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
+def _kernel_threshold(graph, robin, ks: np.ndarray) -> np.ndarray:
     """Eigenphase scale of the kernel rule's reach, the merge cap and the
     continuity tolerance of eigenfunctions: max(1e-8 sqrt(2E), 2 w Theta'(k)),
     w the stop width.  A root reported w / 2 off moves its eigenphase by up
-    to that times the branch velocity, so a loose tol widens the scale.
+    to that times the branch velocity.
     """
     return np.maximum(
         KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
-        2.0 * _stop_width(ks, tol) * total_phase_derivative(graph, robin, ks),
+        2.0 * _stop_width(ks) * total_phase_derivative(graph, robin, ks),
     )
 
 
-def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
+def _merge_radius(graph, robin, ks: np.ndarray) -> np.ndarray:
     """MERGE_SCALE (1 + k), capped at the kernel threshold over the largest
     branch velocity: no eigenphase of U(k) moves by more than the threshold
     between a merged root and its record's mean, well inside the reach.
@@ -1306,23 +1293,23 @@ def _merge_radius(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
         s = robin.sigma
         velocity += np.max(2.0 * s * d / (d * d * ks * ks + s * s), axis=0, initial=0.0)
     return np.minimum(
-        MERGE_SCALE * (1.0 + ks), _kernel_threshold(graph, robin, ks, tol) / velocity
+        MERGE_SCALE * (1.0 + ks), _kernel_threshold(graph, robin, ks) / velocity
     )
 
 
-def _kernel_reach(graph, robin, ks: np.ndarray, tol) -> np.ndarray:
+def _kernel_reach(graph, robin, ks: np.ndarray) -> np.ndarray:
     """How far from k the kernel rule looks for crossings ("Certification")."""
-    return 2.0 * _kernel_threshold(graph, robin, ks, tol) / graph.min_edge_length
+    return 2.0 * _kernel_threshold(graph, robin, ks) / graph.min_edge_length
 
 
-def _kernel_thresholds(graph, robin, ks, norm, radius, tol):
+def _kernel_thresholds(graph, robin, ks, norm, radius):
     """The kernel rule's floor and threshold on the singular values of A(k)
     over norm = ||A(k)||_2 per record ("Certification" in the module
     docstring): a value below the threshold counts.  Where a record's radius
     is above its floor, radius - width is the spread of the roots merged
     into it.  Also w ||A'|| / (2 norm), the most that a root half a stop
     width w off lifts a singular value of A over norm."""
-    width = _stop_width(ks, tol)
+    width = _stop_width(ks)
     merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
     spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
     floor = 0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots)
@@ -1331,7 +1318,7 @@ def _kernel_thresholds(graph, robin, ks, norm, radius, tol):
     return floor, threshold, 0.5 * width * slope / norm
 
 
-def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings) -> str | None:
+def _kernel_rule(graph, robin, ks, mults, sv, radius, crossings) -> str | None:
     """The kernel rule on the singular values sv of A(k) per record, largest
     first ("Certification" in the module docstring): why the first record
     (k, m) breaks it, or None.  Fewer than m small singular values is short;
@@ -1339,7 +1326,7 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings) -> str | N
     reach of k is excess, unless the reach spans k = 0, where the secular
     system has a larger kernel of its own."""
     norm = sv[:, :1]
-    threshold = _kernel_thresholds(graph, robin, ks, norm[:, 0], radius, tol)[1]
+    threshold = _kernel_thresholds(graph, robin, ks, norm[:, 0], radius)[1]
     dims = np.sum(sv / norm < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
     if short.size:
@@ -1348,7 +1335,7 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings) -> str | N
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
             f"at k={float(ks[j])!r}"
         )
-    reach = _kernel_reach(graph, robin, ks, tol)
+    reach = _kernel_reach(graph, robin, ks)
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
         crossings, ks - reach, side="left"
     )
@@ -1362,7 +1349,7 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, tol, crossings) -> str | N
     return None
 
 
-def _certify_records(graph, robins, records, tol) -> None:
+def _certify_records(graph, robins, records) -> None:
     """Raise ToleranceNotMet unless every record (k, m) of each coupling is
     certified; records[c] holds the ascending wave numbers, multiplicities
     and radii of robins[c].  See "Certification" in the module docstring.
@@ -1416,12 +1403,12 @@ def _certify_records(graph, robins, records, tol) -> None:
             continue
         sv = np.linalg.svd(_amplitude_matrices(graph, table[c], ks[at]), compute_uv=False)
         crossings = np.repeat(ks, mults)
-        mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], tol, crossings)
+        mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], crossings)
         if mismatch:
             raise ToleranceNotMet(mismatch)
 
 
-def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
+def _anchor(graph: MetricGraph, robin: RobinSpec) -> tuple[float, list]:
     """Scan floor k_start below every positive eigenvalue not listed, and
     the list: the ground state when it lies far below the usual floor.
 
@@ -1454,19 +1441,19 @@ def _anchor(graph: MetricGraph, robin: RobinSpec, tol) -> tuple[float, list]:
         return k_start, []
     # (0, floor] holds exactly the simple ground state
     lo, hi = 0.0, floor
-    while hi - lo > _stop_width(np.asarray(hi), tol):
+    while hi - lo > _stop_width(np.asarray(hi)):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if _small_k_count(graph, robin, mid) == 0 else (lo, mid)
     return k_start, [0.5 * (lo + hi)]
 
 
-def _cap_index(graph, robin, grid, n_grid, start: int, tol) -> int:
+def _cap_index(graph, robin, grid, n_grid, start: int) -> int:
     """Index of k_cap in the scan grid ("Scan range"): the first from start
     on with no eigenvalue within the kernel reach above it, by the count at
     the next scan point past the reach, or else by one inertia count at
     k_cap + reach."""
     for j in range(start, grid.size):
-        top = float(grid[j] + _kernel_reach(graph, robin, grid[j : j + 1], tol)[0])
+        top = float(grid[j] + _kernel_reach(graph, robin, grid[j : j + 1])[0])
         above = int(np.searchsorted(grid, top))
         if above < grid.size and n_grid[above] == n_grid[j]:
             return j
@@ -1484,13 +1471,11 @@ def compute_spectrum(
     robin: RobinSpec | None = None,
     n_max: int | None = None,
     k_max: float | None = None,
-    *,
-    tol: float | None = None,
 ) -> Spectrum:
     """All eigenvalue wave numbers up to an index or wave-number target, at
     one coupling (Neumann when robin is None): compute_spectra of it alone."""
     robin = RobinSpec.neumann() if robin is None else robin
-    return compute_spectra(graph, (robin,), n_max, k_max, tol=tol)[0]
+    return compute_spectra(graph, (robin,), n_max, k_max)[0]
 
 
 def compute_spectra(
@@ -1498,16 +1483,14 @@ def compute_spectra(
     robins,
     n_max: int | None = None,
     k_max: float | None = None,
-    *,
-    tol: float | None = None,
 ) -> tuple[Spectrum, ...]:
     """The spectrum of graph at each coupling of robins, up to one index or
     wave-number target, in one solver pass ("Couplings" in the module
     docstring): each equals the spectrum of its coupling alone.
 
     Exactly one of n_max (count including multiplicity) and k_max must
-    be given; k_max must be finite and positive.  tol, finite and
-    positive, loosens the default refinement stop width to tol * (1 + k).
+    be given; k_max must be finite and positive.  Every root is refined
+    to the stop width 4 eps (1 + k).
     """
     robins = tuple(robins)
     if not robins:
@@ -1518,12 +1501,10 @@ def compute_spectra(
         raise ValueError("n_max must be at least 1")
     if k_max is not None and not (np.isfinite(k_max) and k_max > 0.0):
         raise ValueError(f"k_max must be finite and positive, got {k_max!r}")
-    if tol is not None and not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
     table = np.array([robin.vertex_sigmas(graph) for robin in robins])
     delta = SCAN_PHASE_STEP / graph.max_edge_length
-    anchors = [_anchor(graph, robin, tol) for robin in robins]
+    anchors = [_anchor(graph, robin) for robin in robins]
     zero_counts = [int(robin.sigma == 0.0 or not robin.vertices) for robin in robins]
 
     if k_max is not None:
@@ -1566,7 +1547,7 @@ def compute_spectra(
                     "eigenvalues, below the winding bound "
                     "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
                 )
-        cap = _cap_index(graph, robin, grid, n_grid, start, tol)
+        cap = _cap_index(graph, robin, grid, n_grid, start)
         grids.append(grid[: cap + 1])
         n_grids.append(n_grid[: cap + 1])
     grids, n_grids = _quarter_cells(graph, table, grids, n_grids)
@@ -1578,18 +1559,18 @@ def compute_spectra(
         brackets.append((grid[hot], grid[hot + 1], counts[hot], n_grid[hot]))
     which = np.repeat(np.arange(len(robins)), [bracket[0].size for bracket in brackets])
     los, his, counts, n_lo = (np.concatenate(column) for column in zip(*brackets))
-    roots, mults, owners = _refine_brackets(graph, table, which, los, his, counts, n_lo, tol)
+    roots, mults, owners = _refine_brackets(graph, table, which, los, his, counts, n_lo)
 
     records = []
     for c, (robin, (_, below)) in enumerate(zip(robins, anchors)):
         mine = owners == c
         ks = np.concatenate([below, roots[mine]])
         ms = np.concatenate([np.ones(len(below), dtype=int), mults[mine]])
-        radii = _merge_radius(graph, robin, ks, tol)
+        radii = _merge_radius(graph, robin, ks)
         ks, ms, spread = _merge_roots(ks, ms, radii, grids[c])
-        radius = np.maximum(_stop_width(ks, tol) + spread, RADIUS_FLOOR * (1.0 + ks))
+        radius = np.maximum(_stop_width(ks) + spread, RADIUS_FLOOR * (1.0 + ks))
         records.append((ks, ms, radius))
-    _certify_records(graph, robins, records, tol)
+    _certify_records(graph, robins, records)
 
     spectra = []
     for robin, (ks, ms, radius), grid, n_grid, zero_count in zip(
@@ -1608,6 +1589,6 @@ def compute_spectra(
         if zero_count:
             ks, ms, radius = np.append(0.0, ks), np.append(1, ms), np.append(0.0, radius)
         spectra.append(
-            Spectrum(graph, robin, 1 + np.cumsum(ms) - ms, ks, ms, radius, float(grid[-1]), tol)
+            Spectrum(graph, robin, 1 + np.cumsum(ms) - ms, ks, ms, radius, float(grid[-1]))
         )
     return tuple(spectra)

@@ -23,7 +23,7 @@ import numpy as np
 from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
 from .graphs import MetricGraph, RobinSpec, _integer
-from .solver import Spectrum
+from .solver import Spectrum, _stop_width
 
 __all__ = [
     "RngSeries",
@@ -120,7 +120,7 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
         + np.repeat(coupled.radius, coupled.multiplicity)[:n]
     )
     error = r * (k0 + k1 + np.abs(k1 - k0)) + r * r
-    reach = 0.5 * (neumann.stop_width(k0) + coupled.stop_width(k1))
+    reach = 0.5 * (_stop_width(k0) + _stop_width(k1))
     shared = np.abs(k1 - k0) <= reach
     error += np.where(shared, np.abs(k1 - k0) * (k1 + k0), 0.0)
     k1 = np.where(shared, k0, k1)
@@ -231,10 +231,13 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
     stays positive as n grows, not as the total number of clusters.
 
     Default resolution scales with the gap ceiling:
-    tol = 1e-6 * (1 + 4 sigma / l_min).
+    tol = 1e-6 * (1 + 4 sigma / l_min).  A given tol must be finite and
+    at least 0, or ValueError is raised.
     """
     if tol is None:
         tol = 1e-6 * (1.0 + 4.0 * series.robin.sigma / series.graph.min_edge_length)
+    elif not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"cluster tol must be finite and at least 0, got {tol!r}")
     values = np.sort(series.gaps)
     if values.size == 0:
         return []

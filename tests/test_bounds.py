@@ -133,6 +133,10 @@ class TestImprovedBound:
             improved_bound(np.array([5.0]), 1.0, 0.0, 2.0)
         with pytest.raises(DegenerateParameters):
             improved_bound(np.array([5.0]), 1.0, 0.5, -1.0)
+        # a NaN or infinite parameter returned a NaN bound that never flags
+        for s_check, S_check in ((np.nan, 2.0), (0.5, np.nan), (np.inf, 2.0), (0.5, np.inf)):
+            with pytest.raises(DegenerateParameters):
+                improved_bound(np.array([5.0]), 1.0, s_check, S_check)
 
     def test_decays_toward_flat_bound(self, star4):
         # excess over 2*sigma/S_check shrinks like 1/lambda0 and its sign

@@ -104,27 +104,22 @@ class TestSpectrum:
                   "--nmax", "5", "--kmax", "3.0"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flag", [["--window", "5"], ["--step-scale", "0.5"]])
+    @pytest.mark.parametrize(
+        "flag", [["--window", "5"], ["--step-scale", "0.5"], ["--tol", "1e-6"]]
+    )
     def test_unknown_flags_rejected(self, flag):
-        # --window belongs to rng alone, and the scan step is not a setting
+        # --window belongs to rng alone, and neither the scan step nor the
+        # stop width is a setting
         with pytest.raises(SystemExit) as err:
             main(["spectrum", "--graph", str(FIXTURES / "interval.json"),
                   "--nmax", "5", *flag])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize(
-        "flag, target",
-        [
-            ("--tol=inf", "--nmax=5"),  # printed k_1 = 0.5248 for 0.5195
-            ("--tol=nan", "--nmax=5"),
-            ("--tol=-1e-6", "--nmax=5"),  # silently ignored
-            ("--kmax=inf", None),  # OverflowError traceback
-            ("--kmax=nan", None),
-        ],
-    )
-    def test_bad_tolerance_or_ceiling_exits_1(self, flag, target, tmp_path, capsys):
+    # --kmax=inf ended in an OverflowError traceback
+    @pytest.mark.parametrize("flag", ["--kmax=inf", "--kmax=nan"])
+    def test_bad_ceiling_exits_1(self, flag, tmp_path, capsys):
         args = ["spectrum", "--graph", str(FIXTURES / "star_incommensurate.json"), flag]
-        code, out = run_cli(args + ([target] if target else []), tmp_path)
+        code, out = run_cli(args, tmp_path)
         assert code == 1
         assert "must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
@@ -194,12 +189,11 @@ class TestRng:
         assert gaps.count(0.0) == 225
         assert min(gaps) >= 0.0
 
-    def test_loose_tol_judges_gaps_at_their_error(self, tmp_path, capsys, monkeypatch):
-        # at tol 1e-6 the interval's gaps approach the sharp flat bound
-        # 2 sigma / |G| within their error bars, which is no violation; the
-        # bound scaled by 0.99 is violated where the bars are narrow
-        args = ["rng", "--graph", str(FIXTURES / "interval.json"),
-                "--nmax", "300", "--tol", "1e-6"]
+    def test_gaps_judged_at_their_error(self, tmp_path, capsys, monkeypatch):
+        # the interval's gaps approach the sharp flat bound 2 sigma / |G|,
+        # which is no violation at their error bars; the bound scaled by
+        # 0.99 is violated
+        args = ["rng", "--graph", str(FIXTURES / "interval.json"), "--nmax", "300"]
         code, _ = run_cli(args, tmp_path)
         assert code == 0
         gap_bound = bounds.gap_bound
@@ -299,20 +293,10 @@ class TestCdf:
 
         monkeypatch.setattr(cli, "compute_spectra", recording)
         code, _ = run_cli(
-            [command, "--graph", str(FIXTURES / "interval.json"), "--nmax", "30",
-             "--tol", "1e-9"],
-            tmp_path,
+            [command, "--graph", str(FIXTURES / "interval.json"), "--nmax", "30"], tmp_path
         )
         assert code == 0
-        assert [(coupled, kw["n_max"], kw["tol"]) for coupled, kw in seen] == [
-            ((False, True), 30, 1e-9)
-        ]
-
-    def test_tolerance_changes_the_output(self, tmp_path):
-        args = ["cdf", "--graph", str(FIXTURES / "interval.json"), "--nmax", "30"]
-        _, default = run_cli(args, tmp_path, "default.csv")
-        _, loose = run_cli([*args, "--tol", "1e-4"], tmp_path, "loose.csv")
-        assert default.read_bytes() != loose.read_bytes()
+        assert seen == [((False, True), {"n_max": 30, "k_max": None})]
 
     def test_top_gap_at_the_ceiling_is_no_violation(self, tmp_path, monkeypatch):
         # cdf checks the ceiling 4 sigma / l_min with the slack rng uses
@@ -370,21 +354,6 @@ class TestSensitivity:
         assert rows[0][3] == "NA" and rows[0][4] == "NA"
 
 
-    def test_loose_tol_counts_kernels_like_the_solver(self, tmp_path):
-        # the solver widens its kernel threshold for a loose tol; the
-        # eigenfunctions must count with the same threshold, or they
-        # reject roots the solver certified
-        args = ["sensitivity", "--graph", str(FIXTURES / "star_incommensurate.json"),
-                "--nmax", "60"]
-        code, default = run_cli(args, tmp_path, name="default.csv")
-        assert code == 0
-        code, loose = run_cli([*args, "--tol", "1e-6"], tmp_path, name="loose.csv")
-        assert code == 0
-        _, want = read_rows(default)
-        _, got = read_rows(loose)
-        assert len(got) == len(want) == 60
-        assert max(abs(float(g[2]) - float(w[2])) for g, w in zip(got, want)) <= 1e-5
-
     # a 1:3:5 star coupled at its centre: its doubles sit where the stub
     # poles of all three leaves meet
     RATIONAL_STAR = {
@@ -394,30 +363,25 @@ class TestSensitivity:
     }
 
     @pytest.mark.parametrize(
-        "name, tol, svds",
+        "name, svds",
         [
-            ("interval", None, 0),
+            ("interval", 0),
             # the two records that fall back from the closed form
-            ("star_incommensurate", None, 2),
+            ("star_incommensurate", 2),
             # the triples at the stub poles, 75 of the 150 records, too
-            ("star_equilateral", None, 0),
-            ("star_rational", None, 0),
-            ("tetrahedron", None, 301),
-            # at a loose tol no Schur entry of a star is below the floor
-            ("star_incommensurate", "1e-6", 300),
+            ("star_equilateral", 0),
+            ("star_rational", 0),
+            ("tetrahedron", 301),
         ],
     )
-    def test_svd_matrices_of_the_eigenbasis(self, name, tol, svds, tmp_path, svd_matrices):
+    def test_svd_matrices_of_the_eigenbasis(self, name, svds, tmp_path, svd_matrices):
         # a simple record of a star takes its kernel in closed form, and a
         # multiple one at a stub pole too; every other record one SVD of A(k)
         graph = FIXTURES / f"{name}.json"
         if name == "star_rational":
             graph = tmp_path / "star_rational.json"
             graph.write_text(json.dumps(self.RATIONAL_STAR))
-        loose = [] if tol is None else ["--tol", tol]
-        code, _ = run_cli(
-            ["sensitivity", "--graph", str(graph), "--nmax", "300", *loose], tmp_path
-        )
+        code, _ = run_cli(["sensitivity", "--graph", str(graph), "--nmax", "300"], tmp_path)
         assert code == 0
         assert svd_matrices[0] == svds
 

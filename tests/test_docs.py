@@ -3,11 +3,13 @@
 The README python blocks and the doctests are executed; each module with
 an __all__ must list exactly the public functions and classes it defines,
 the library's public names must have a caller outside the tests, the
-README module map must describe that API as it is, and every private name
-the docs cite is defined.
+README module map must describe that API as it is, its command-line
+section must name exactly the flags the parser accepts, and every private
+name the docs cite is defined.
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import doctest
 import importlib
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import graphspectra
+from graphspectra.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = Path(graphspectra.__file__).parent
@@ -31,6 +34,26 @@ MODULES = [module.name for module in pkgutil.iter_modules(graphspectra.__path__)
 
 def _readme_blocks():
     return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_readme_flags_match_the_parser():
+    # a flag the parser dropped but the README still names, or one it gained
+    # that the README does not name, shows here
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert named == accepted
 
 
 def test_readme_python_blocks_run():

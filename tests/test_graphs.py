@@ -198,6 +198,10 @@ def test_decomposition_rejects_bad_splits():
         StarDecomposition(g, ((0.7, 0.7),))
     with pytest.raises(ValueError):
         StarDecomposition(g, ((-0.1, 1.1),))
+    # a NaN split passed the sign and sum checks and gave a NaN bound
+    for split in ((math.nan, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            StarDecomposition(make_star(2, (1.0, 2.0)), (split, (1.0, 1.0)))
 
 
 def test_parse_graph_roundtrip():

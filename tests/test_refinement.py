@@ -104,7 +104,7 @@ def test_handoff_on_a_noisy_end_sign_keeps_the_multiple_record():
     # the kernel and count audits still certify the multiplicity-4 record.
     graph = make_star(16, (1.0,) * 11 + (1.5,) * 4 + (0.5000000000000001,))
     spec = solver.compute_spectrum(graph, NEUMANN, k_max=10.0)
-    at = np.abs(spec.k - 3.0 * math.pi) <= spec.stop_width(spec.k)
+    at = np.abs(spec.k - 3.0 * math.pi) <= solver._stop_width(spec.k)
     assert spec.multiplicity[at].tolist() == [4]
     assert spec.index[at].tolist() == [52]
 
@@ -161,7 +161,7 @@ def _same_records(spec, reference):
     return (
         np.array_equal(spec.multiplicity, reference.multiplicity)
         and np.array_equal(spec.index, reference.index)
-        and bool(np.all(np.abs(ks - ref) <= reference.stop_width(ref)))
+        and bool(np.all(np.abs(ks - ref) <= solver._stop_width(ref)))
     )
 
 
@@ -541,7 +541,7 @@ def _assert_polished_roots_change_sign(graph, robin, **target):
     r = np.concatenate(roots) if roots else np.empty(0)
     # a lone root keeps its value as a record
     r = r[np.isin(r, spec.k[spec.multiplicity == 1])]
-    half = 0.5 * spec.stop_width(r)
+    half = 0.5 * solver._stop_width(r)
     ends = np.concatenate([r - half, r + half])
     ends = solver._amplitude_dets(graph, robin.vertex_sigmas(graph), ends)
     same = np.prod(np.sign(np.split(ends, 2)), axis=0) > 0.0
@@ -582,7 +582,7 @@ def _planted_record(monkeypatch, at, shift=0.0, extra=0):
         mean, total, spread = merge(roots, mults, radii, grid)
         mean, total = mean.copy(), total.copy()
         rho = max(
-            float(solver._stop_width(mean[at], None)) + spread[at],
+            float(solver._stop_width(mean[at])) + spread[at],
             solver.RADIUS_FLOOR * (1.0 + mean[at]),
         )
         mean[at] += shift * rho
@@ -644,13 +644,13 @@ def test_joined_enclosures_count_the_sum_of_their_records(star4, monkeypatch):
     ks, mults = spec.k[5:7], spec.multiplicity[5:7]
     wide = np.full(2, 0.6 * (ks[1] - ks[0]))
     matrices = _count_matrices(monkeypatch, "svd")
-    solver._certify_records(star4, (robin,), [(ks, mults, wide)], None)
+    solver._certify_records(star4, (robin,), [(ks, mults, wide)])
     assert matrices["svd"] == 2
     with pytest.raises(ToleranceNotMet, match="2 eigenvalues .* below its multiplicity 3"):
-        solver._certify_records(star4, (robin,), [(ks, mults + [0, 1], wide)], None)
+        solver._certify_records(star4, (robin,), [(ks, mults + [0, 1], wide)])
     # one record whose enclosure reaches the next root holds too many
     with pytest.raises(ToleranceNotMet, match="above its multiplicity 1"):
-        solver._certify_records(star4, (robin,), [(ks[:1], mults[:1], 2.0 * wide[:1])], None)
+        solver._certify_records(star4, (robin,), [(ks[:1], mults[:1], 2.0 * wide[:1])])
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
@@ -692,6 +692,23 @@ def awkward_graphs(draw):
 
 
 @st.composite
+def short_multi_edges(draw):
+    """A unit edge beside one to three parallel edges about 1e-4 long, some
+    of them exactly 1e-4, with a pendant edge at random, weakly coupled:
+    sigma from 1e-8 to 1e-4.  The terms of M(k), about 1 / l, cancel far
+    below their size there, so only the term-wise margins keep a count."""
+    short = st.one_of(st.just(1e-4), st.floats(-4.3, -3.7).map(lambda u: float(10.0**u)))
+    edges = [(0, 1, 1.0)] + [(0, 1, draw(short)) for _ in range(draw(st.integers(1, 3)))]
+    n = 2
+    if draw(st.booleans()):
+        edges.append((1, 2, draw(st.floats(0.3, 1.0))))
+        n = 3
+    coupled = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    sigma = float(10.0 ** draw(st.floats(-8.0, -4.0)))
+    return build_graph(edges, num_vertices=n), RobinSpec(frozenset(coupled), sigma)
+
+
+@st.composite
 def wide_graphs(draw):
     """Stars and connected random graphs (loops and multi-edges allowed)
     with 2E from 32 to 80, edge lengths in [0.5, 2], up to three coupled
@@ -718,18 +735,18 @@ def _assert_winding_counts(graph, robin, spec):
     for k, multiplicity in zip(spec.k, spec.multiplicity):
         if k == 0.0:
             continue
-        w = float(solver._stop_width(np.asarray(k), None))
+        w = float(solver._stop_width(np.asarray(k)))
         count = _eigvals_count(graph, robin, k - 2.0 * w, k + 2.0 * w)
         if count != multiplicity:
             # roots closer than the merge radius are one record by design
             # (say a loop of length 1 - 2e-10 beside an edge of length 1)
-            r = float(solver._merge_radius(graph, robin, np.asarray([k]), None)[0])
+            r = float(solver._merge_radius(graph, robin, np.asarray([k]))[0])
             count = _eigvals_count(graph, robin, k - r, k + r)
         assert count == multiplicity, (k, multiplicity, w)
 
 
-@given(awkward_graphs())
-@settings(max_examples=40, deadline=None)
+@given(st.one_of(awkward_graphs(), short_multi_edges()))
+@settings(max_examples=80, deadline=None)
 # a loop of length 1e-3: its M(k) entry as -2k cot(kl) + 2k / sin(kl)
 # rounded to the wrong side of zero at the ground state
 @example(
@@ -785,15 +802,15 @@ def test_wide_star_polishes_its_handoff_brackets(monkeypatch):
 
 
 def _assert_same_spectrum(got, want):
-    assert got.graph == want.graph and got.robin == want.robin and got.tol == want.tol
+    assert got.graph == want.graph and got.robin == want.robin
     for field in ("index", "k", "multiplicity", "radius"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.k_cap == want.k_cap
 
 
-@given(awkward_graphs(), st.booleans(), st.sampled_from([None, 1e-6]))
+@given(awkward_graphs(), st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_one_pass_equals_a_pass_per_coupling(case, by_count, tol):
+def test_one_pass_equals_a_pass_per_coupling(case, by_count):
     # compute_spectra shares the scan, quartering, refinement, polish and
     # enclosure counts of its couplings row by row: each spectrum it gives
     # is bitwise that of its coupling alone, whatever the order of the
@@ -803,13 +820,13 @@ def test_one_pass_equals_a_pass_per_coupling(case, by_count, tol):
     target = {"n_max": 12} if by_count else {"k_max": 12.0 * math.pi / graph.total_length}
     couplings = (NEUMANN, robin)
     try:
-        alone = [solver.compute_spectrum(graph, c, **target, tol=tol) for c in couplings]
+        alone = [solver.compute_spectrum(graph, c, **target) for c in couplings]
     except ToleranceNotMet:
         with pytest.raises(ToleranceNotMet):
-            solver.compute_spectra(graph, couplings, **target, tol=tol)
+            solver.compute_spectra(graph, couplings, **target)
         return
     for order in ((0, 1), (1, 0), (1, 1)):
-        spectra = solver.compute_spectra(graph, [couplings[c] for c in order], **target, tol=tol)
+        spectra = solver.compute_spectra(graph, [couplings[c] for c in order], **target)
         for got, c in zip(spectra, order):
             _assert_same_spectrum(got, alone[c])
 
@@ -876,7 +893,7 @@ def test_vertex_route_equals_the_winding_route(case, by_count):
     got = solver.compute_spectrum(graph, robin, **target)
     assert np.array_equal(got.multiplicity, want.multiplicity)
     assert np.array_equal(got.index, want.index)
-    assert np.all(np.abs(got.k - want.k) <= want.stop_width(want.k)), (got.k, want.k)
+    assert np.all(np.abs(got.k - want.k) <= solver._stop_width(want.k)), (got.k, want.k)
 
 
 @given(awkward_graphs(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
@@ -945,7 +962,7 @@ def test_polish_on_the_full_determinant_keeps_the_records(case, by_count):
     got = solver.compute_spectrum(graph, robin, **target)
     assert np.array_equal(got.multiplicity, want.multiplicity)
     assert np.array_equal(got.index, want.index)
-    assert np.all(np.abs(got.k - want.k) <= want.stop_width(want.k)), (got.k, want.k)
+    assert np.all(np.abs(got.k - want.k) <= solver._stop_width(want.k)), (got.k, want.k)
 
 
 @given(
@@ -1170,7 +1187,7 @@ def test_parallel_pairs_vanish_at_their_vertices():
     simple = spec.k[(spec.multiplicity == 1) & (spec.k > 0.0) & (spec.index <= 12)]
     n = np.rint(simple / math.pi).astype(int)
     assert n.tolist() == [1, 2, 3, 4, 5]
-    assert np.all(np.abs(simple - n * math.pi) <= spec.stop_width(simple))
+    assert np.all(np.abs(simple - n * math.pi) <= solver._stop_width(simple))
     with mpmath.workdps(40):
         for root in n * mpmath.pi:
             ends = (root - mpmath.mpf(10) ** -20, root + mpmath.mpf(10) ** -20)
@@ -1234,13 +1251,13 @@ def test_enclosures_agree_with_the_kernel_audit_across_couplings(case, pick):
     sigmas = robin.vertex_sigmas(graph)
     sv = np.linalg.svd(solver._amplitude_matrices(graph, sigmas, ks), compute_uv=False)
     u = unitary_stack(graph, sigmas, ks)
-    threshold = spec.kernel_threshold(ks)
+    threshold = solver._kernel_threshold(graph, robin, ks)
     reach = 2.0 * threshold / graph.min_edge_length
 
     def verdicts(claimed):
         return (
             solver._kernel_rule(
-                graph, robin, ks, claimed, sv, rho, spec.tol, np.sort(np.repeat(ks, claimed))
+                graph, robin, ks, claimed, sv, rho, np.sort(np.repeat(ks, claimed))
             ),
             complex_kernel_mismatch(u, ks, claimed, threshold, reach),
         )
@@ -1269,7 +1286,7 @@ def test_inertia_count_equals_the_winding_count(case, us):
     # N(k) from the inertia of M(k) against the eigenphase winding count
     # from the anchor, at random k where the inertia count has margin
     graph, robin = case
-    k_start, below = solver._anchor(graph, robin, None)
+    k_start, below = solver._anchor(graph, robin)
     zero_count = 1 if robin.sigma == 0.0 or not robin.vertices else 0
     ks = k_start + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
     counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)

@@ -274,6 +274,12 @@ class TestClusters:
         clusters = accumulation_clusters(series, tol=10.0)
         assert clusters == [(1.0, 3)]
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN chained every gap into one cluster, a negative tol split each off
+        with pytest.raises(ValueError, match="finite and at least 0"):
+            accumulation_clusters(_synthetic([0.0, 1.0, 2.0]), tol=tol)
+
     def test_equilateral_zero_cluster(self, equilateral_star, gap_series):
         series = gap_series(equilateral_star, (0,), 2.0, 120)
         clusters = accumulation_clusters(series)
