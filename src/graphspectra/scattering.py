@@ -76,22 +76,21 @@ def unitary_stack(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
 
 def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """Vectorized Theta(k) over an array of positive wave numbers, each at
-    its own vertex couplings: sigmas broadcasts to (len(ks), V).
+    its own vertex couplings: sigmas is one row per wave number, or one
+    (V,) row for all, read as its broadcast to (len(ks), V).
 
-    The arctan terms are taken vertex by vertex in increasing order, so a
-    row's value does not depend on the couplings of the other rows.
+    The arctan terms are taken vertex by vertex in increasing order, each
+    coupled vertex of any row over every row, so a row's value does not
+    depend on the couplings of the other rows (a zero coupling adds an
+    exact zero).
     """
     ks = np.asarray(ks, dtype=float)
     if ks.size and not ks.min() > 0.0:
         raise ZeroWaveNumber("total phase needs k > 0")
-    sigmas = np.asarray(sigmas)
+    sigmas = np.broadcast_to(sigmas, (ks.size, graph.num_vertices))
     theta = 2.0 * graph.total_length * ks
-    if sigmas.ndim == 1:
-        coupled = [(v, s) for v, s in enumerate(sigmas.tolist()) if s]
-    else:
-        coupled = [(v, sigmas[:, v]) for v in np.flatnonzero(sigmas.any(axis=0)).tolist()]
-    for v, s in coupled:
-        theta = theta - 2.0 * np.arctan(s / (graph.degree(v) * ks))
+    for v in np.flatnonzero(sigmas.any(axis=0)).tolist():
+        theta = theta - 2.0 * np.arctan(sigmas[:, v] / (graph.degree(v) * ks))
     return theta
 
 

@@ -310,20 +310,25 @@ the inertia count N(k) at every grid point, scan and quarter points.
 
 Couplings.  compute_spectra solves several couplings of one graph to one
 target in one pass, and compute_spectrum is that pass for one coupling.
-Every function of wave numbers takes the vertex couplings row by row
-(sigmas, see _couplings) and does the same arithmetic on a row whatever
-rows share its batch, so each spectrum is bitwise the one its coupling
-gives alone.  These stages run once over the rows of all couplings: the
-scan counts and their grid moves, the quartering, the refinement
-with its end rows, handoffs and polish, and the enclosure counts of the
-certification.  Each row keeps the index of its coupling: quarter points
-join their own coupling's grid, the count-fall check runs on each grid,
-and end values are shared by the brackets of one coupling only, since at
-the same k another coupling has other values.  These steps stay per
-coupling, as they belong to one spectrum: the anchor, k_cap, s_0 of the
-handoff parity, the merging of roots, the kernel rule and the exact
-count audit.  A pass pays the fixed cost of each step once, however many
-couplings its rows carry, which is most of the cost of a spectrum.
+Its table holds the vertex couplings of each coupling in a row, and a
+couplings row is the row of a wave number's coupling: every function of
+wave numbers takes sigmas = table[which], shape (len(ks), V), one
+couplings row per wave number (the functions that form M(k), A(k) and
+U(k) broadcast, so one (V,) row also serves a batch of one coupling).  It
+does the same arithmetic on a row whatever rows share its batch, so each
+spectrum is bitwise the one its coupling gives alone.  These stages run
+once over the rows of all couplings: the scan counts and their grid
+moves, the quartering, the refinement with its end rows, handoffs and
+polish, and the enclosure counts of the certification.  Each row keeps
+the index of its coupling: quarter points join their own coupling's
+grid, the count-fall check runs on each grid, and each bracket end is
+its own row, so an end that two brackets share gets the same values
+twice, and the same k under two couplings the values of each.  These
+steps stay per coupling, as they belong to one spectrum: the anchor,
+k_cap, s_0 of the handoff parity, the merging of roots, the kernel rule
+and the exact count audit.  A pass pays the fixed cost of each step
+once, however many couplings its rows carry, which is most of the cost
+of a spectrum.
 """
 from __future__ import annotations
 
@@ -333,7 +338,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import OutOfRange, ToleranceNotMet
-from .graphs import MetricGraph, RobinSpec, _has_boolean
+from .graphs import MetricGraph, RobinSpec, _has_boolean, _integer
 from .scattering import total_phase_derivative, total_phase_values, unitary_stack
 
 __all__ = ["Spectrum", "compute_spectra", "compute_spectrum"]
@@ -396,9 +401,14 @@ class Spectrum:
             column.flags.writeable = False
 
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
-        """Expanded wave numbers, one entry per index."""
+        """Expanded wave numbers, one entry per index, or the first count of
+        them; a count that is not a non-negative integer raises ValueError."""
         ks = np.repeat(self.k, self.multiplicity)
-        return ks if count is None else ks[:count]
+        if count is None:
+            return ks
+        if _integer(count, "count") < 0:
+            raise ValueError(f"count must be non-negative, got {count!r}")
+        return ks[:count]
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
         return self.wavenumbers(count) ** 2
@@ -425,29 +435,12 @@ class Spectrum:
         return np.searchsorted(self.index, n, side="right") - 1
 
 
-def _couplings(table: np.ndarray, which) -> np.ndarray:
-    """The vertex couplings of rows under the couplings table[which]: one
-    row per wave number, or table[0] for all when there is one coupling.
-
-    Every function of wave numbers here that takes sigmas takes either
-    shape, (V,) for all of them or (len(ks), V), and does the same
-    arithmetic on each row.
-    """
-    return table[0] if len(table) == 1 else table[which]
-
-
-def _take(sigmas, rows):
-    """The couplings of the given rows, of sigmas of either shape."""
-    return sigmas if sigmas.ndim == 1 else sigmas[rows]
-
-
 def _eigenphases(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """Eigenvalue arguments of U(k) reduced to [0, 2 pi), sorted along rows.
 
     Phi(k) is the row sum.  Only the winding route of the refinement
-    evaluates it: once at the distinct ends of its brackets and once at
-    each split point, whose rows the halves keep, so no wave number is
-    decomposed twice.
+    evaluates it: once at each end of its brackets, an end two brackets
+    share twice, and once at each split point, whose rows the halves keep.
     """
     u = unitary_stack(graph, sigmas, ks)
     return np.sort(np.mod(np.angle(np.linalg.eigvals(u)), TWO_PI), axis=1)
@@ -508,7 +501,7 @@ def _vertex_matrices(graph: MetricGraph, sigmas, ks):
     M_uv and M_vu, and a loop at u their sum 2 k tan(k l / 2) to M_uu, in
     that form: the four terms cancel two of size 2 / l, whose rounding
     outgrows the inertia margin on a short loop.  sigma_v leaves M_vv, each
-    row at its own couplings: sigmas as in _couplings.
+    row at its own couplings row.
     """
     ks = np.asarray(ks, dtype=float)
     links, half_loops, value, starts, entries, diagonal = _vertex_layout(graph)
@@ -564,7 +557,7 @@ def _off_poles(x: np.ndarray) -> np.ndarray:
 def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
     """n_+(M(k)) of a star as #{leaves v : d_v > 0} + [mu > 0], mu the
     centre's Schur complement, and whether it has margin ("Stars" in the
-    module docstring); sigmas as in _couplings."""
+    module docstring)."""
     lengths, leaves, centre = _star_layout(graph)
     k = ks[:, None]
     x = k * lengths
@@ -589,7 +582,7 @@ def _pendant_index(graph: MetricGraph, sigmas, ks: np.ndarray):
 
 def _inertia_counts(graph: MetricGraph, sigmas, ks):
     """N(k) by the Morse index of M(k), and whether each count has margin;
-    each wave number at its own vertex couplings, sigmas as in _couplings.
+    each wave number at its own couplings row.
 
     One rule per graph ("Counting" and "Stars" in the module docstring): a
     star counts its centre's scalar by _pendant_index, every other graph
@@ -606,7 +599,7 @@ def _inertia_counts(graph: MetricGraph, sigmas, ks):
 
 def _scan_counts(graph: MetricGraph, sigmas, ks: np.ndarray, steps):
     """Inertia counts at points, moving each point that lacks margin; each
-    point at its own vertex couplings, sigmas as in _couplings.
+    point at its own couplings row.
 
     A point without margin moves up by its step at a time, at most
     GRID_MOVES times.  A step is a sixteenth of the cell or part above the
@@ -623,7 +616,7 @@ def _scan_counts(graph: MetricGraph, sigmas, ks: np.ndarray, steps):
         if bad.size == 0:
             break
         ks[bad] += steps[bad]
-        counts[bad], ok[bad] = _inertia_counts(graph, _take(sigmas, bad), ks[bad])
+        counts[bad], ok[bad] = _inertia_counts(graph, sigmas[bad], ks[bad])
     return ks, counts, ok
 
 
@@ -648,7 +641,7 @@ def _quarter_cells(graph: MetricGraph, table: np.ndarray, grids: list, n_grids: 
     )
     which = np.repeat(np.arange(len(grids)), [(QUARTERS - 1) * cut.size for cut in cuts])
     steps = np.repeat(np.concatenate(parts) / 16.0, QUARTERS - 1)
-    ks, n_ks, ok = _scan_counts(graph, _couplings(table, which), ks, steps)
+    ks, n_ks, ok = _scan_counts(graph, table[which], ks, steps)
     out = []
     for c, (grid, n_grid) in enumerate(zip(grids, n_grids)):
         mine = ok & (which == c)
@@ -780,8 +773,7 @@ def _amplitude_layout(graph: MetricGraph):
 
 def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """The condensed real amplitude matrix A(k), shape (len(ks), n, n) with
-    n = V_s + E, each row at its own vertex couplings (sigmas as in
-    _couplings).
+    n = V_s + E, each at its own couplings row.
 
     Its columns are f(v) at each vertex that starts an edge and the B_e of
     f_e(x) = A_e cos kx + B_e sin kx, x running from the edge's first
@@ -803,7 +795,7 @@ def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """The terms of A(k) in the order of _amplitude_layout, shape
     (terms, len(ks)), in the floating type of ks: [1, cos k l_e, sin k l_e]
     gathered and times the weights [1, 1 / n_v, (sigma_v / k) / n_v], at the
-    couplings sigmas (see _couplings)."""
+    couplings rows sigmas."""
     src, weight, sign = _amplitude_layout(graph)[2:5]
     x = graph.slot_length[0::2, None] * ks
     ones = np.ones((1, ks.size), dtype=ks.dtype)
@@ -833,7 +825,7 @@ def _star_entries(graph: MetricGraph, sigmas, ks: np.ndarray):
     """The entries of a star's A(k) that _star_dets reads, with every edge t
     laid out from the centre toward its leaf: a at (0, 0) and, shape
     (E, len(ks)), b_t, c_t and d_t at (0, t + 1), (t + 1, 0) and
-    (t + 1, t + 1); sigmas as in _couplings."""
+    (t + 1, t + 1)."""
     lengths, leaves, centre = _star_layout(graph)
     x = lengths[:, None] * ks
     cos, sin = np.cos(x), np.sin(x)
@@ -862,8 +854,8 @@ def _star_dets(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
 
 def _amplitude_dets(graph: MetricGraph, sigmas, ks) -> np.ndarray:
     """det A(k) up to one constant sign for a batch of positive wave
-    numbers, sigmas as in _couplings: on a star its closed form, on any
-    other graph a LAPACK determinant of A(k)."""
+    numbers, each at its own couplings row: on a star its closed form, on
+    any other graph a LAPACK determinant of A(k)."""
     ks = np.asarray(ks, dtype=float)
     if _star_layout(graph) is not None:
         return _star_dets(graph, sigmas, ks)
@@ -888,19 +880,6 @@ def _stop_width(ks: np.ndarray) -> np.ndarray:
     return 4.0 * EPS * (1.0 + ks)
 
 
-def _distinct(which: np.ndarray, ks: np.ndarray):
-    """The distinct (coupling, wave number) pairs of rows, ordered, and the
-    position of each row's pair: an end that two brackets of one coupling
-    share is evaluated once, an end at the same k under two couplings twice."""
-    order = np.lexsort((ks, which))
-    which, ks = which[order], ks[order]
-    first = np.ones(ks.size, dtype=bool)
-    first[1:] = (which[1:] != which[:-1]) | (ks[1:] != ks[:-1])
-    inverse = np.empty(ks.size, dtype=int)
-    inverse[order] = np.cumsum(first) - 1
-    return which[first], ks[first], inverse
-
-
 def _polish_ready(graph, table, which, los, his, n_lo, signs):
     """End values of det A, which one-root brackets the polish can take,
     and s_0 per coupling.
@@ -912,8 +891,7 @@ def _polish_ready(graph, table, which, los, his, n_lo, signs):
     s_0 comes from the end of that coupling with the largest |det A|.
     """
     ends = np.concatenate([which, which])
-    at, ks, inverse = _distinct(ends, np.concatenate([los, his]))
-    f = _amplitude_dets(graph, _couplings(table, at), ks)[inverse]
+    f = _amplitude_dets(graph, table[ends], np.concatenate([los, his]))
     parity = 1.0 - 2.0 * (np.asarray(n_lo) % 2)
     parity = np.concatenate([parity, -parity])
     signs = signs.copy()
@@ -962,7 +940,7 @@ def _polish(graph, table, which, los, his, f_lo, f_hi) -> np.ndarray:
     """
     out = np.empty(los.size)
     open_ = np.arange(los.size)
-    sigmas = _couplings(table, which)
+    sigmas = table[which]
     # x1 the newest point, x2 the bracket end of the other sign, x3 the
     # point dropped last
     x1, x2, f1, f2 = los, his, f_lo, f_hi
@@ -975,7 +953,7 @@ def _polish(graph, table, which, los, his, f_lo, f_hi) -> np.ndarray:
         open_, x1, x2, x3, f1, f2, f3, stop = (
             a[live] for a in (open_, x1, x2, x3, f1, f2, f3, stop)
         )
-        sigmas = _take(sigmas, live)
+        sigmas = sigmas[live]
         if open_.size == 0:
             return out
         x = _step_points(x1, x2, x3, f1, f2, f3, stop)
@@ -1023,10 +1001,10 @@ def _crossing_sums(mu_lo, mu_hi, base, counts):
 
 def _at_ends(table, which, los, his, fn):
     """fn(sigmas, ks) at the ends of brackets, bracket j under the couplings
-    table[which[j]], as a (lo, hi) pair per array fn returns: an end that
-    two brackets of one coupling share is evaluated once."""
-    at, ks, inverse = _distinct(np.concatenate([which, which]), np.concatenate([los, his]))
-    return [np.split(a[inverse], 2) for a in fn(_couplings(table, at), ks)]
+    table[which[j]], as a (lo, hi) pair per array fn returns: each end its
+    own row."""
+    ends = table[np.concatenate([which, which])]
+    return [np.split(a, 2) for a in fn(ends, np.concatenate([los, his]))]
 
 
 def _end_rows(graph, table, which, los, his, counts, n_lo):
@@ -1176,16 +1154,16 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
             f3,
             stop,
         )
-        sigmas = _couplings(table, which)
+        sigmas = table[which]
         th_x, ph_x, mu_x = np.zeros_like(th_lo), np.zeros_like(ph_lo), np.zeros_like(mu_lo)
         c_lo = np.empty(los.size, dtype=int)
         on, off = np.flatnonzero(vertex), np.flatnonzero(~vertex)
         if on.size:
-            mu_x[on] = _vertex_rows(graph, _take(sigmas, on), x[on])[0]
+            mu_x[on] = _vertex_rows(graph, sigmas[on], x[on])[0]
             c_lo[on] = np.count_nonzero(mu_x[on] > 0.0, axis=1) - base[on]
         if off.size:
-            th_x[off] = total_phase_values(graph, _take(sigmas, off), x[off])
-            ph_x[off] = _eigenphases(graph, _take(sigmas, off), x[off])
+            th_x[off] = total_phase_values(graph, sigmas[off], x[off])
+            ph_x[off] = _eigenphases(graph, sigmas[off], x[off])
             c_lo[off] = _window_counts(
                 th_x[off] - th_lo[off], ph_x[off].sum(axis=1) - ph_lo[off].sum(axis=1)
             )
@@ -1349,10 +1327,11 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, crossings) -> str | None:
     return None
 
 
-def _certify_records(graph, robins, records) -> None:
+def _certify_records(graph, robins, table, records) -> None:
     """Raise ToleranceNotMet unless every record (k, m) of each coupling is
     certified; records[c] holds the ascending wave numbers, multiplicities
-    and radii of robins[c].  See "Certification" in the module docstring.
+    and radii of robins[c], whose vertex couplings are table[c].  See
+    "Certification" in the module docstring.
 
     The enclosures [k - rho, k + rho] of one coupling join where they
     overlap, and a join whose ends both count with margin must count the
@@ -1376,9 +1355,8 @@ def _certify_records(graph, robins, records) -> None:
         joins.append((first, starts, ends))
     ends = np.concatenate([join[2] for join in joins])
     which = np.repeat(np.arange(len(robins)), [join[2].size for join in joins])
-    table = np.array([robin.vertex_sigmas(graph) for robin in robins])
     counts, ok = np.zeros(ends.size, dtype=int), ends > 0.0
-    counts[ok], ok[ok] = _inertia_counts(graph, _couplings(table, which[ok]), ends[ok])
+    counts[ok], ok[ok] = _inertia_counts(graph, table[which[ok]], ends[ok])
     for c, (robin, (ks, mults, radius), (first, starts, ends)) in enumerate(
         zip(robins, records, joins)
     ):
@@ -1489,14 +1467,15 @@ def compute_spectra(
     docstring): each equals the spectrum of its coupling alone.
 
     Exactly one of n_max (count including multiplicity) and k_max must
-    be given; k_max must be finite and positive.  Every root is refined
-    to the stop width 4 eps (1 + k).
+    be given; n_max must be an integer of at least 1, k_max finite and
+    positive.  Every root is refined to the stop width 4 eps (1 + k).
     """
     robins = tuple(robins)
     if not robins:
         raise ValueError("give at least one coupling")
     if (n_max is None) == (k_max is None):
         raise ValueError("give exactly one of n_max and k_max")
+    n_max = None if n_max is None else _integer(n_max, "n_max")
     if n_max is not None and n_max < 1:
         raise ValueError("n_max must be at least 1")
     if k_max is not None and not (np.isfinite(k_max) and k_max > 0.0):
@@ -1522,7 +1501,7 @@ def compute_spectra(
     ]
     which = np.repeat(np.arange(len(robins)), [scan.size for scan in scans])
     points, n_points, ok = _scan_counts(
-        graph, _couplings(table, which), np.concatenate(scans), delta / 16.0
+        graph, table[which], np.concatenate(scans), delta / 16.0
     )
 
     grids, n_grids = [], []
@@ -1570,7 +1549,7 @@ def compute_spectra(
         ks, ms, spread = _merge_roots(ks, ms, radii, grids[c])
         radius = np.maximum(_stop_width(ks) + spread, RADIUS_FLOOR * (1.0 + ks))
         records.append((ks, ms, radius))
-    _certify_records(graph, robins, records)
+    _certify_records(graph, robins, table, records)
 
     spectra = []
     for robin, (ks, ms, radius), grid, n_grid, zero_count in zip(

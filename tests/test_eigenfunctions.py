@@ -18,6 +18,7 @@ from graphspectra.errors import KernelDimensionMismatch, OutOfRange
 from graphspectra.graphs import RobinSpec, build_graph, make_star
 from graphspectra.solver import Spectrum, compute_spectrum
 from oracles import (
+    eigenspace_vertex_weight,
     interval_robin_wavenumbers,
     quadrature_norm_sq,
     robin_residual,
@@ -227,6 +228,26 @@ def test_star_multiples_take_their_kernel_in_closed_form(monkeypatch, svd_matric
     for row in multiple:
         for v in range(len(lengths) + 1):
             assert _residual(got, row, v) < 1e-10
+
+
+def test_star_simples_meet_the_oracle_at_high_k(svd_matrices):
+    # x = (1, -c / d) leans from the kernel by |Schur| / min |d|, which left
+    # the sensitivity near k = 227.77 1.7e-11 of the largest value off the
+    # oracle; the step of inverse iteration on A^T A takes it to rounding,
+    # still with no SVD
+    star = make_star(4, (1.0,) * 4)
+    robin = RobinSpec(frozenset({0, 1}), 2.0)
+    spec = compute_spectrum(star, robin, n_max=300)
+    at = np.flatnonzero(spec.k > 0.0)
+    svd_matrices[0] = 0
+    got = sensitivity(spec, spec.index[at]).value
+    assert svd_matrices[0] == 0
+    edges, vertices = list(star.edges), robin.coupled_vertices(star)
+    want = np.array([
+        eigenspace_vertex_weight(edges, robin.vertices, robin.sigma, vertices, k, m)
+        for k, m in zip(spec.k[at], spec.multiplicity[at])
+    ])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(want).max()
 
 
 def _triple(equilateral_star):

@@ -643,14 +643,15 @@ def test_joined_enclosures_count_the_sum_of_their_records(star4, monkeypatch):
     spec = solver.compute_spectrum(star4, robin, k_max=10.0)
     ks, mults = spec.k[5:7], spec.multiplicity[5:7]
     wide = np.full(2, 0.6 * (ks[1] - ks[0]))
+    table = robin.vertex_sigmas(star4)[None]
     matrices = _count_matrices(monkeypatch, "svd")
-    solver._certify_records(star4, (robin,), [(ks, mults, wide)])
+    solver._certify_records(star4, (robin,), table, [(ks, mults, wide)])
     assert matrices["svd"] == 2
     with pytest.raises(ToleranceNotMet, match="2 eigenvalues .* below its multiplicity 3"):
-        solver._certify_records(star4, (robin,), [(ks, mults + [0, 1], wide)])
+        solver._certify_records(star4, (robin,), table, [(ks, mults + [0, 1], wide)])
     # one record whose enclosure reaches the next root holds too many
     with pytest.raises(ToleranceNotMet, match="above its multiplicity 1"):
-        solver._certify_records(star4, (robin,), [(ks[:1], mults[:1], 2.0 * wide[:1])])
+        solver._certify_records(star4, (robin,), table, [(ks[:1], mults[:1], 2.0 * wide[:1])])
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])

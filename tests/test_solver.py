@@ -21,6 +21,7 @@ from graphspectra.graphs import (
     make_star,
     make_complete4,
 )
+from graphspectra.scattering import total_phase_values
 from graphspectra.solver import _stop_width, compute_spectrum
 from oracles import exact_inertia_count, interval_robin_wavenumbers
 
@@ -142,6 +143,26 @@ def test_target_validation(unit_interval):
     for k_max in (math.inf, math.nan):
         with pytest.raises(ValueError, match="k_max must be finite"):
             compute_spectrum(unit_interval, NEUMANN, k_max=k_max)
+
+
+@pytest.mark.parametrize("n_max", [1.5, 2.0, True, np.bool_(True), "3"])
+def test_n_max_that_is_no_integer_raises(n_max):
+    # 1.5 gave two records and True one, rounded and coerced without a word
+    star = make_star(3, (1.0, 1.5, 2.0))
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=n_max)
+
+
+@pytest.mark.parametrize("count", [-1, 1.5, True, "2"])
+def test_a_count_of_eigenvalues_is_a_non_negative_integer(count):
+    # -1 silently dropped the last index and True kept the first
+    star = make_star(3, (1.0, 1.5, 2.0))
+    spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=4)
+    for read in (spec.wavenumbers, spec.eigenvalues):
+        with pytest.raises(ValueError, match="count must be"):
+            read(count)
+        assert read(np.int64(2)).tolist() == read()[:2].tolist()
+        assert read(0).size == 0
 
 
 def test_counting_function(pi_interval):
@@ -669,36 +690,85 @@ def test_vertex_matrices_decomposed(name, coupled, size, matrices, monkeypatch):
         assert sizes == {size: sizes[size], size - 1: 1}
 
 
-@pytest.mark.parametrize("name", ["tetrahedron", "loopy"])
-def test_stacks_above_1024_match_their_slices(name):
-    # each batched decomposition takes its whole stack in one call: row by
-    # row it must give what it gives on slices of the stack, bit for bit
+@pytest.mark.parametrize("name", ["tetrahedron", "loopy", "star"])
+def test_a_rows_values_do_not_depend_on_its_batch(name):
+    # every function of wave numbers takes one couplings row per wave
+    # number and does the same arithmetic on a row whatever rows share its
+    # batch: a stack above 1,024 matrices, taken in one call, gives row by
+    # row what its slices give, a row-wise table what each coupling gives
+    # alone, and one (V,) row what the table of its copies gives, bit for bit
     ks = np.linspace(0.37, 61.3, 2100)
     if name == "loopy":
         graph, robin = LOOPY
-        # a row-wise couplings table, two couplings alternating
-        table = np.array([robin.vertex_sigmas(graph), 0.5 * robin.vertex_sigmas(graph)])
-        sigmas = table[np.arange(ks.size) % 2]
+    elif name == "star":
+        graph, robin = make_star(4, (0.7, 1.1, 1.3, 1.7)), RobinSpec(frozenset({0, 2}), 2.0)
     else:
         graph, robin = load_graph_file(FIXTURES / "tetrahedron.json")
-        sigmas = robin.vertex_sigmas(graph)
+    row = robin.vertex_sigmas(graph)
+    # two couplings alternating
+    table = np.array([row, 0.5 * row])
+    which = np.arange(ks.size) % 2
     calls = {
+        "inertia_counts": lambda s, k: solver._inertia_counts(graph, s, k),
         "vertex_spectra": lambda s, k: solver._vertex_spectra(graph, s, k),
         "amplitude_dets": lambda s, k: (solver._amplitude_dets(graph, s, k),),
         "eigenphases": lambda s, k: (solver._eigenphases(graph, s, k),),
+        "total_phase_values": lambda s, k: (total_phase_values(graph, s, k),),
         "amplitude_svd": lambda s, k: (
             np.linalg.svd(solver._amplitude_matrices(graph, s, k), compute_uv=False),
         ),
     }
+
+    def same(got, want, call):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape, call
+            assert a.tobytes() == b.tobytes(), call
+
+    copies = np.tile(row, (ks.size, 1))
     for call, fn in calls.items():
-        whole = fn(sigmas, ks)
-        parts = [
-            fn(solver._take(sigmas, rows), ks[rows])
-            for rows in (slice(start, start + 1024) for start in range(0, ks.size, 1024))
-        ]
-        for column, joined in zip(whole, map(np.concatenate, zip(*parts))):
-            assert column.dtype == joined.dtype and column.shape == joined.shape, call
-            assert column.tobytes() == joined.tobytes(), call
+        for sigmas in (copies, table[which]):
+            parts = [
+                fn(sigmas[rows], ks[rows])
+                for rows in (slice(start, start + 1024) for start in range(0, ks.size, 1024))
+            ]
+            same(fn(sigmas, ks), map(np.concatenate, zip(*parts)), call)
+        same(fn(row, ks), fn(copies, ks), call)
+        rowwise = fn(table[which], ks)
+        for c in range(len(table)):
+            same([a[which == c] for a in rowwise], fn(table[c], ks[which == c]), call)
+
+
+def test_a_shared_bracket_end_gets_the_values_of_its_own_coupling():
+    # each bracket end is its own row: two brackets of one coupling that
+    # share an end get the same bits there, and the same k under two
+    # couplings gets the values of each
+    graph, robin = LOOPY
+    table = np.array([robin.vertex_sigmas(graph), 0.5 * robin.vertex_sigmas(graph)])
+    which = np.array([0, 0, 1, 1])
+    los, his = np.array([1.3, 2.05, 1.3, 2.05]), np.array([2.05, 2.9, 2.05, 2.9])
+
+    def rows(s, k):
+        return (
+            *solver._vertex_rows(graph, s, k),
+            solver._eigenphases(graph, s, k),
+            total_phase_values(graph, s, k),
+        )
+
+    f_lo, f_hi, _, _ = solver._polish_ready(
+        graph, table, which, los, his, np.array([3, 4, 3, 4]), np.full(2, np.nan)
+    )
+    ends = [*solver._at_ends(table, which, los, his, rows), (f_lo, f_hi)]
+    want = [
+        [(*rows(table[c], [k]), solver._amplitude_dets(graph, table[c], [k])) for k in los[:2]]
+        for c in range(2)
+    ]
+    for j, (lo, hi) in enumerate(ends):
+        for c in range(2):
+            assert hi[2 * c].tobytes() == lo[2 * c + 1].tobytes()
+            for b in range(2):
+                assert lo[2 * c + b].tobytes() == want[c][b][j][0].tobytes()
+        # the other coupling has other values at the same k
+        assert not np.array_equal(lo[0], lo[2])
 
 
 def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
