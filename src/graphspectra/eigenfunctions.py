@@ -19,9 +19,11 @@ as in the basis average of sensitivity, is then basis free.
 
 Close roots.  At a float k the kernel vector of a simple record leans
 toward the singular vector of a neighbouring small singular value s by
-about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart.  Where s
-is below NEIGHBOUR_SV ||A(k)||, one Newton step with k free and the
-residual in np.longdouble moves it onto the root's kernel (_root_kernel).
+about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart and more
+for two records 1e-12 (1 + k) apart.  Where s is below NEIGHBOUR_SV
+||A(k)||, Newton steps with k free and the residual A(k) x in EXACT_DIGITS
+decimal digits, cos k l and sin k l by their power series, move it onto
+the root's kernel (_root_kernel).
 
 Stars.  On a star whose edges all leave its centre, A(k) with its rows
 taken centre first, then each leaf's in edge order (A's own rows follow
@@ -74,8 +76,9 @@ sigma_min(A~) - delta pass the pivot test above and
 delta <= w ||A'(k)|| / 2, w the stop width: at most what a pole at a
 root half a stop width off leaves, as at a multiple root, whose copies
 all lie within w / 2 of it, and at most half the rule's threshold, so
-the m bounds count.  A cluster of distinct close roots merged into one
-record leaves larger pivots and takes the SVD.  The rule then sees
+the m bounds count.  A record whose merged roots spread further, though
+within RADIUS_FLOOR (1 + k) of each other, leaves larger pivots and takes
+the SVD.  The rule then sees
 exactly the m small singular values an SVD would show; the residual is
 the bound delta / ||A0||_2.  For unit x in ker A0, |A x| <= delta, so the
 SVD's kernel at the float k leans from ker A0 by at most
@@ -110,6 +113,7 @@ I - U(k) and meet a_j = conj(a_rev(j)) exp(-ik l_j) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -135,6 +139,10 @@ CONTINUITY_TOL = 1e-6
 NEIGHBOUR_SV = 1e-3
 # central difference step of A'(k) x, relative to k
 SLOPE_STEP = 1e-7
+# Newton steps of _root_kernel, each on the residual A(k) x in EXACT_DIGITS
+# decimal digits
+EXACT_STEPS = 3
+EXACT_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -183,46 +191,45 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
     return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
-def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, x: np.ndarray):
-    """A(k) x for each row of ks (np.longdouble) and x, in np.longdouble."""
-    n, flat = solver._amplitude_layout(graph)[:2]
-    terms = solver._amplitude_values(graph, sigmas, ks) * x.T[flat % n]
-    out = np.zeros(x.shape, dtype=np.longdouble)
-    np.add.at(out.T, flat // n, terms)
-    return out
-
-
 def _bordered_systems(graph: MetricGraph, sigmas, ks, x):
-    """[[A, A' x, -A x], [x^T, 0, 0]] at each row of ks and x: the Newton
-    system of _root_kernel with its right-hand side as the last column."""
-    wide, size = ks.astype(np.longdouble), x.shape[1]
-    h = SLOPE_STEP * wide
-    ahead, behind = wide + h, wide - h
-    slope = (_wide_product(graph, sigmas, ahead, x) - _wide_product(graph, sigmas, behind, x)) / (
-        ahead - behind
-    )[:, None]
-    out = np.zeros((ks.size, size + 1, size + 2))
-    out[:, :size, :size] = solver._amplitude_matrices(graph, sigmas, ks)
-    out[:, :size, size] = slope
-    out[:, :size, size + 1] = -_wide_product(graph, sigmas, wide, x)
+    """[[A, A' x], [x^T, 0]] at each row of ks and x, in double: the Newton
+    system of _root_kernel, A' x a central difference."""
+    size, h = x.shape[1], SLOPE_STEP * ks
+    ahead, behind = ks + h, ks - h
+    amp = solver._amplitude_matrices(graph, sigmas, np.concatenate([ks, ahead, behind]))
+    out = np.zeros((ks.size, size + 1, size + 1))
+    out[:, :size, :size] = amp[: ks.size]
+    slope = np.einsum("rij,rj->ri", amp[ks.size : 2 * ks.size] - amp[2 * ks.size :], x)
+    out[:, :size, size] = slope / (ahead - behind)[:, None]
     out[:, size, :size] = x
     return out
 
 
 def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.ndarray):
     """Unit kernel vectors x of A(k) at simple roots next to the float wave
-    numbers ks, after one Newton step on A(k) x = 0 with k free.
+    numbers ks, after EXACT_STEPS Newton steps on A(k) x = 0 with k free.
 
     At a float k the SVD's kernel vector leans toward the singular vector
     of a neighbouring small singular value s by about (eps + ulp(k) ||A'||)
     / s, from the rounding of A(k) and of k itself: near 1e-9 for roots
-    1e-7 apart.  The step solves [[A, A' x], [x^T, 0]] (dx, dk) = (-A x, 0)
-    with A x and the central difference A' x formed in np.longdouble, so
-    the lean left is that type's rounding over s where it is wider than
-    double (x86), and no worse than before where it is not.
+    1e-7 apart, and more for two records as close as 1e-12 (1 + k).  Each
+    step solves [[A, A' x], [x^T, 0]] (dx, dk) = (-A x, 0), the system in
+    double at the float k, A x in EXACT_DIGITS decimal digits at k plus the
+    steps so far (solver._exact_product).  The system's rounding over s
+    leaves a factor near eps / s of the lean at each step, so that only
+    the decimal rounding bounds it.
     """
-    system = _bordered_systems(graph, robin.vertex_sigmas(graph), ks, x)
-    out = x + np.linalg.solve(system[..., :-1], system[..., -1:])[:, :-1, 0]
+    sigmas = robin.vertex_sigmas(graph)
+    system = _bordered_systems(graph, sigmas, ks, x)
+    out, rhs = x.copy(), np.zeros((ks.size, x.shape[1] + 1, 1))
+    with localcontext() as context:
+        context.prec = EXACT_DIGITS
+        k = [Decimal(v) for v in ks.tolist()]
+        for _ in range(EXACT_STEPS):
+            rhs[:, :-1, 0] = [solver._exact_product(graph, sigmas, *row) for row in zip(k, out)]
+            step = np.linalg.solve(system, -rhs)[..., 0]
+            out += step[:, :-1]
+            k = [at + Decimal(dk) for at, dk in zip(k, step[:, -1].tolist())]
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 

@@ -251,15 +251,10 @@ no eigenvalue within the kernel reach (Certification) above it, so no
 record's kernel rule meets an unrefined root.  The scan grid is the same
 for every target, so k_cap does not depend on the bound.
 
-Records.  Roots merge by single linkage on the merge radius, 1e-9
-(1 + k) capped at the kernel threshold over the largest branch
-velocity: a chain of roots, each within the radius of the root below
-it, is one record at its multiplicity-weighted mean, provided every root
-of the chain lies within the radius of that mean, so that the record's
-kernel holds them all.  No chain crosses a grid point, where the audit
-below counts the records.  A chain whose mean misses one of its roots
-splits at its widest gap, and each part is judged again, down to single
-roots, so a double root in a longer chain stays one record.
+Records.  A root within RADIUS_FLOOR (1 + k) of the root below it, the
+floor of every enclosure, joins that root's record, unless a grid point
+lies between them, where the audit below counts the records.  A record
+sits at the multiplicity-weighted mean of its roots.
 
 Certification.  A window count further than COUNT_ROUNDING_TOL from an
 integer raises, as does a half-bracket count outside [0, count], an
@@ -289,24 +284,25 @@ The rule, _kernel_rule, which the eigenfunction module
 applies too: singular values of A(k) over ||A(k)||_2 below half of
 max(1e-8 sqrt(2E), 2 (w + 2 s) ||A'(k)|| / ||A(k)||_2) count, twice what
 a root w / 2 + s off lifts the smallest one, w the stop width and s the
-spread (rho - w where rho is above its floor, else 0, and at most
-MERGE_SCALE (1 + k)); _kernel_thresholds gives this threshold and its
-floor, which a star's closed-form eigenbasis gates on too.  A record is
-short when fewer than m count, and it has excess when more count than all
-the records place crossings within reach of it.  A gives no speed at which its singular values leave zero,
+spread (rho - w where rho is above its floor, else 0); _kernel_thresholds
+gives this threshold and its floor, which a star's closed-form eigenbasis
+gates on too.  A record is short when fewer than m count, and it has
+excess when more count than all the records place crossings within reach
+of it.  A gives no speed at which its singular values leave zero,
 so the reach is the eigenphases': every branch of U(k) moves at least
 l_min per unit k, and reach = 2 kernel_threshold / l_min.  The enclosure
 is the stronger certificate: it places exactly m eigenvalues within rho
-of k, and rho, 1e-12 (1 + k) where no roots merged, lies far inside the
-reach.  A record that falls back keeps its radius on the certificate of
-its refinement bracket: on the winding route the winding and inertia
-counts at the ends of a counted split; on the vertex route the counts
-of M at its ends, with margin at the grid points it started from and
-within the route's resolution at its split points; or for a polished
-root the signs of det A that the inertia parity predicts.  The one
-exception is a bracket polished on rounding noise beside a multiple
-root (see Polish), whose root only the rule and the audit below check.  Then the records must count exactly
-the inertia count N(k) at every grid point, scan and quarter points.
+of k, and rho, 1e-12 (1 + k) unless the roots of a record spread wider,
+lies far inside the reach.  A record that falls back keeps its radius on
+the certificate of its refinement bracket: on the winding route the
+winding and inertia counts at the ends of a counted split; on the vertex
+route the counts of M at its ends, with margin at the grid points it
+started from and within the route's resolution at its split points; or
+for a polished root the signs of det A that the inertia parity predicts.
+The one exception is a bracket polished on rounding noise beside a
+multiple root (see Polish), whose root only the rule and the audit below
+check.  Then the records must count exactly the inertia count N(k) at
+every grid point, scan and quarter points.
 
 Couplings.  compute_spectra solves several couplings of one graph to one
 target in one pass, and compute_spectrum is that pass for one coupling.
@@ -333,6 +329,7 @@ of a spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, getcontext
 from functools import lru_cache, partial
 
 import numpy as np
@@ -348,7 +345,6 @@ EPS = float(np.finfo(float).eps)
 # steps of the counted splits, and of the polish, before a bracket still
 # open raises
 MAX_STEPS = 200
-MERGE_SCALE = 1e-9
 KERNEL_SV_SCALE = 1e-8
 COUNT_ROUNDING_TOL = 1e-6
 # scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
@@ -363,10 +359,13 @@ GRID_MOVES = 8
 QUARTERS = 4
 # scan cells a k_max target runs past k_max
 CAP_CELLS = 8
-# a record's enclosure radius is at least RADIUS_FLOOR (1 + k)
+# roots within RADIUS_FLOOR (1 + k) of the root below are one record, whose
+# enclosure radius is at least that
 RADIUS_FLOOR = 1e-12
 # a vertex-route bracket resolves its roots to this share of the stop width
 VERTEX_RESOLUTION = 1.0
+# pi / 2 to 62 digits, the quarter turn of _exact_cos_sin
+HALF_PI = Decimal("1.5707963267948966192313216916397514420985846996875529104874723")
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,12 +401,15 @@ class Spectrum:
 
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
         """Expanded wave numbers, one entry per index, or the first count of
-        them; a count that is not a non-negative integer raises ValueError."""
+        them; a count that is not a non-negative integer raises ValueError,
+        one beyond the spectrum OutOfRange."""
         ks = np.repeat(self.k, self.multiplicity)
         if count is None:
             return ks
         if _integer(count, "count") < 0:
             raise ValueError(f"count must be non-negative, got {count!r}")
+        if count > ks.size:
+            raise OutOfRange(f"count {count} beyond the computed spectrum of {ks.size}")
         return ks[:count]
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
@@ -795,7 +797,7 @@ def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """The terms of A(k) in the order of _amplitude_layout, shape
     (terms, len(ks)), in the floating type of ks: [1, cos k l_e, sin k l_e]
     gathered and times the weights [1, 1 / n_v, (sigma_v / k) / n_v], at the
-    couplings rows sigmas."""
+    couplings rows sigmas.  _exact_product repeats them in decimal."""
     src, weight, sign = _amplitude_layout(graph)[2:5]
     x = graph.slot_length[0::2, None] * ks
     ones = np.ones((1, ks.size), dtype=ks.dtype)
@@ -804,6 +806,43 @@ def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     inverse = 1.0 / np.hypot(graph.degrees[:, None], coupling)
     weights = np.concatenate([ones, inverse, coupling * inverse])
     return sign[:, None] * basis[src] * weights[weight]
+
+
+def _exact_cos_sin(t: Decimal) -> tuple[Decimal, Decimal]:
+    """cos t and sin t for t >= 0 in the current decimal context: the power
+    series of exp(ir), t = q pi / 2 + r with 0 <= r < pi / 2, turned by q
+    quarters."""
+    q, r = divmod(t, HALF_PI)
+    cos, sin, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+    tiny = Decimal(10) ** -(getcontext().prec + 2)
+    while abs(term) > tiny:
+        if n % 2:
+            sin += term if n % 4 == 1 else -term
+        else:
+            cos += term if n % 4 == 0 else -term
+        n += 1
+        term = term * r / n
+    for _ in range(int(q) % 4):
+        cos, sin = -sin, cos
+    return cos, sin
+
+
+def _exact_product(graph: MetricGraph, sigmas, k: Decimal, x: np.ndarray) -> np.ndarray:
+    """A(k) x for one couplings row, a Decimal k and a float x, in the
+    current decimal context and rounded to floats at the end: the terms of
+    _amplitude_values, whose basis and weights it must track."""
+    n, flat, src, weight, sign = (np.asarray(c).tolist() for c in _amplitude_layout(graph)[:5])
+    lengths = graph.slot_length[0::2].tolist()
+    waves = {length: _exact_cos_sin(k * Decimal(length)) for length in set(lengths)}
+    basis = [Decimal(1), *(waves[t][0] for t in lengths), *(waves[t][1] for t in lengths)]
+    coupling = [Decimal(s) / k for s in np.asarray(sigmas, dtype=float).tolist()]
+    inverse = [1 / (d * d + c * c).sqrt() for d, c in zip(graph.degrees.tolist(), coupling)]
+    weights = [Decimal(1), *inverse, *(c * w for c, w in zip(coupling, inverse))]
+    values, out = [Decimal(v) for v in x.tolist()], [Decimal(0)] * n
+    for at, b, w, plus in zip(flat, src, weight, sign):
+        term = basis[b] * weights[w] * values[at % n]
+        out[at // n] += term if plus > 0 else -term
+    return np.array([float(v) for v in out])
 
 
 def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
@@ -1210,10 +1249,10 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
     return np.asarray(roots), np.asarray(mults, dtype=int), np.asarray(owners, dtype=int)
 
 
-def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray, grid):
-    """Records from roots by single linkage on their merge radii, cut at
-    every point of grid, a chain whose mean misses one of its roots split at
-    its widest gap until every part's mean holds its roots; see "Records".
+def _merge_roots(roots: np.ndarray, mults: np.ndarray, grid):
+    """Records from roots by single linkage: a root within RADIUS_FLOOR
+    (1 + k) of the root below it, with no point of grid between them, joins
+    its record; see "Records".
 
     Returns the records' wave numbers and multiplicities, and their
     spreads: the largest distance from a record to a root merged into it.
@@ -1221,57 +1260,29 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray, radii: np.ndarray, grid):
     if roots.size == 0:
         return roots, mults, roots
     order = np.argsort(roots)
-    roots, mults, radii = roots[order], mults[order], radii[order]
-    gap = np.diff(roots, prepend=-np.inf)
+    roots, mults = roots[order], mults[order]
+    far = np.diff(roots, prepend=-np.inf) > RADIUS_FLOOR * (1.0 + roots)
     # a root in another grid cell than the root below it starts a chain
-    new_chain = (gap > radii) | (np.diff(np.searchsorted(grid, roots), prepend=-1) != 0)
-    while True:
-        starts = np.flatnonzero(new_chain)
-        chain = np.cumsum(new_chain) - 1
-        total = np.add.reduceat(mults, starts)
-        # offsets from the chain's lowest root, so a lone root keeps its value
-        mean = roots[starts] + np.add.reduceat(
-            mults * (roots - roots[starts][chain]), starts
-        ) / total
-        offset = np.abs(roots - mean[chain])
-        tight = np.logical_and.reduceat(offset <= radii, starts)
-        if tight.all():
-            return mean, total, np.maximum.reduceat(offset, starts)
-        ends = np.append(starts, roots.size)
-        for c in np.flatnonzero(~tight):
-            # a loose chain has two roots or more; a lone root is tight
-            first = starts[c] + 1
-            new_chain[first + np.argmax(gap[first : ends[c + 1]])] = True
+    new_chain = far | (np.diff(np.searchsorted(grid, roots), prepend=-1) != 0)
+    starts = np.flatnonzero(new_chain)
+    chain = np.cumsum(new_chain) - 1
+    total = np.add.reduceat(mults, starts)
+    # offsets from the chain's lowest root, so a lone root keeps its value
+    mean = roots[starts] + np.add.reduceat(
+        mults * (roots - roots[starts][chain]), starts
+    ) / total
+    return mean, total, np.maximum.reduceat(np.abs(roots - mean[chain]), starts)
 
 
 def _kernel_threshold(graph, robin, ks: np.ndarray) -> np.ndarray:
-    """Eigenphase scale of the kernel rule's reach, the merge cap and the
-    continuity tolerance of eigenfunctions: max(1e-8 sqrt(2E), 2 w Theta'(k)),
-    w the stop width.  A root reported w / 2 off moves its eigenphase by up
+    """Eigenphase scale of the kernel rule's reach and the continuity
+    tolerance of eigenfunctions: max(1e-8 sqrt(2E), 2 w Theta'(k)), w the
+    stop width.  A root reported w / 2 off moves its eigenphase by up
     to that times the branch velocity.
     """
     return np.maximum(
         KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
         2.0 * _stop_width(ks) * total_phase_derivative(graph, robin, ks),
-    )
-
-
-def _merge_radius(graph, robin, ks: np.ndarray) -> np.ndarray:
-    """MERGE_SCALE (1 + k), capped at the kernel threshold over the largest
-    branch velocity: no eigenphase of U(k) moves by more than the threshold
-    between a merged root and its record's mean, well inside the reach.
-
-    A branch of U(k) moves at most l_max plus the phase velocity of the
-    coupled vertex factor, 2 sigma d / (d^2 k^2 + sigma^2), per unit k.
-    """
-    ks = np.asarray(ks, dtype=float)
-    velocity = np.full_like(ks, graph.max_edge_length)
-    if robin.vertices:
-        d = graph.degrees[robin.coupled_vertices(graph)][:, None]
-        s = robin.sigma
-        velocity += np.max(2.0 * s * d / (d * d * ks * ks + s * s), axis=0, initial=0.0)
-    return np.minimum(
-        MERGE_SCALE * (1.0 + ks), _kernel_threshold(graph, robin, ks) / velocity
     )
 
 
@@ -1288,8 +1299,7 @@ def _kernel_thresholds(graph, robin, ks, norm, radius):
     into it.  Also w ||A'|| / (2 norm), the most that a root half a stop
     width w off lifts a singular value of A over norm."""
     width = _stop_width(ks)
-    merged = np.minimum(radius - width, MERGE_SCALE * (1.0 + ks))
-    spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), merged, 0.0)
+    spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), radius - width, 0.0)
     floor = 0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots)
     slope = _amplitude_slope(graph, robin, ks)
     threshold = np.maximum(floor, (width + 2.0 * spread) * slope / norm)
@@ -1541,12 +1551,11 @@ def compute_spectra(
     roots, mults, owners = _refine_brackets(graph, table, which, los, his, counts, n_lo)
 
     records = []
-    for c, (robin, (_, below)) in enumerate(zip(robins, anchors)):
+    for c, (_, below) in enumerate(anchors):
         mine = owners == c
         ks = np.concatenate([below, roots[mine]])
         ms = np.concatenate([np.ones(len(below), dtype=int), mults[mine]])
-        radii = _merge_radius(graph, robin, ks)
-        ks, ms, spread = _merge_roots(ks, ms, radii, grids[c])
+        ks, ms, spread = _merge_roots(ks, ms, grids[c])
         radius = np.maximum(_stop_width(ks) + spread, RADIUS_FLOOR * (1.0 + ks))
         records.append((ks, ms, radius))
     _certify_records(graph, robins, table, records)

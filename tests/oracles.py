@@ -149,7 +149,7 @@ def unitary_matrix(edges, coupled, sigma, k):
     return out
 
 
-def amplitude_matrix(edges, coupled, sigma, k):
+def amplitude_matrix(edges, coupled, sigma, k, lib=math):
     """The real 2E x 2E amplitude matrix A(k), built row by row.
 
     f_t(x) = A_t cos kx + B_t sin kx on edge t = (u, v, length), x running
@@ -158,18 +158,20 @@ def amplitude_matrix(edges, coupled, sigma, k):
     (sum f'_out / k - (sigma_v / k) f(v)) / |d_v + i sigma_v / k| and a
     continuity row f_q(v) - f_p(v) for each slot q after the first, p the
     slot before it (Berkolaiko and Kuchment, ch. 3).  coupled vertices
-    carry coupling sigma.
+    carry coupling sigma.  With an mpmath k and lib=mpmath the entries
+    carry the working precision, in an object array.
     """
     size = 2 * len(edges)
+    dtype = float if lib is math else object
     starts, value, slope = [], [], []  # f and f'_out / k of each slot at its start
     for t, (u, v, length) in enumerate(edges):
-        c, s = math.cos(k * length), math.sin(k * length)
+        c, s = lib.cos(k * length), lib.sin(k * length)
         forward = (u, {2 * t: 1.0}, {2 * t + 1: 1.0})
         backward = (v, {2 * t: c, 2 * t + 1: s}, {2 * t: s, 2 * t + 1: -c})
         for start, f, df in (forward, backward):
             starts.append(start)
             for terms, rows in ((f, value), (df, slope)):
-                row = np.zeros(size)
+                row = np.zeros(size, dtype=dtype)
                 for column, entry in terms.items():
                     row[column] = entry
                 rows.append(row)
@@ -250,6 +252,41 @@ def complex_kernel_mismatch(u, ks, mults, threshold, reach):
 NEIGHBOUR_SV = 1e-4
 REFINE_DIGITS = 40
 REFINE_STEPS = 2
+# secant steps from two points a stop width apart: at order 1.6 the error
+# falls from about 1e-16 of the root to REFINE_DIGITS digits in four or five
+REFINE_SECANT_STEPS = 8
+# a simple root's kernel is refined this far (times 1 + k) above the root,
+# so it leans toward a neighbour by ROOT_SHIFT (1 + k) over their distance
+ROOT_SHIFT = 1e-30
+EPS = float(np.finfo(float).eps)
+
+
+def refined_root(edges, coupled, sigma, k):
+    """The simple root of det A(k) (amplitude_matrix) next to the float
+    root k, by REFINE_SECANT_STEPS steps of the secant method at
+    REFINE_DIGITS digits, as an mpmath number.  Raises ValueError when it
+    lies further than 1e-12 (1 + k) from k, the least radius of a
+    certified record."""
+    with mpmath.workdps(REFINE_DIGITS):
+
+        def det(x):
+            matrix = mpmath.matrix(amplitude_matrix(edges, coupled, sigma, x, mpmath).tolist())
+            try:
+                return mpmath.det(matrix)
+            except TypeError:  # mpmath's pivot search meets a zero column: det A = 0
+                return mpmath.mpf(0)
+
+        x0 = start = mpmath.mpf(k)
+        x1 = x0 + 4.0 * EPS * (1.0 + k)  # the solver's stop width
+        f0 = det(x0)
+        for _ in range(REFINE_SECANT_STEPS):
+            f1 = det(x1)
+            if f1 == f0:
+                break
+            x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
+        if abs(x1 - start) > 1e-12 * (1.0 + k):
+            raise ValueError(f"no simple root of det A within 1e-12 (1 + k) of k={k!r}")
+        return x1
 
 
 def refined_kernel(edges, coupled, sigma, k, rows):
@@ -259,12 +296,15 @@ def refined_kernel(edges, coupled, sigma, k, rows):
     The double-precision singular vectors of I - U(k) carry an error of
     about 1e-16 / s in the direction of each other singular vector with a
     small singular value s, so a root a short distance from another root
-    blurs them.  Here I - U(k) is built at REFINE_DIGITS digits at the same
-    float k and each of REFINE_STEPS steps solves it against the rows, then
-    orthonormalizes them: every step scales the content along a
-    neighbouring singular vector by the ratio of the kernel's singular
-    value (rounding of k, about 1e-16) to the neighbour's.  Returns the
-    refined rows as a complex array.
+    blurs them.  Here I - U(k) is built at REFINE_DIGITS digits at k, a
+    float or an mpmath number, and each of REFINE_STEPS steps solves it
+    against the rows, then orthonormalizes them: every step scales the
+    content along a neighbouring singular vector by the ratio of the
+    kernel's singular value to the neighbour's.  At a float k that ratio
+    is the rounding of k, about 1e-16, over the neighbour's, which leaves
+    the rows leaning toward the neighbour by as much; ROOT_SHIFT (1 + k)
+    above a root from refined_root it is that shift over theirs.  Returns
+    the refined rows as a complex array.
     """
     size = len(rows[0])
     with mpmath.workdps(REFINE_DIGITS):
@@ -324,8 +364,9 @@ def _gauged_kernel(edges, coupled, sigma, k, m):
 
     The kernel rows u are the conjugated right singular vectors of the m
     smallest singular values of I - U(k), refined at extended precision
-    (refined_kernel) when the next singular value is below NEIGHBOUR_SV;
-    above it they are good to about 1e-12.  The conjugation
+    (refined_kernel) when the next singular value is below NEIGHBOUR_SV,
+    next to the root itself (refined_root) when it is simple; above it
+    they are good to about 1e-12.  The conjugation
     (C a)_j = conj(a_rev(j)) exp(-ik l_j) maps the kernel onto itself and
     squares to the identity, so the 2m vectors u + Cu and i(u - Cu) are
     C-fixed.  Their real Gram matrix has eigenvalue 4 on the m combinations
@@ -340,7 +381,12 @@ def _gauged_kernel(edges, coupled, sigma, k, m):
     _, sv, vh = np.linalg.svd(np.eye(n) - u)
     kernel = np.conj(vh[n - m :])
     if m < n and sv[n - m - 1] < NEIGHBOUR_SV:
-        kernel = refined_kernel(edges, coupled, sigma, k, kernel)
+        at = k
+        if m == 1:
+            # ROOT_SHIFT off the root I - U stays invertible at REFINE_DIGITS
+            with mpmath.workdps(REFINE_DIGITS):
+                at = refined_root(edges, coupled, sigma, k) + ROOT_SHIFT * (1.0 + k)
+        kernel = refined_kernel(edges, coupled, sigma, at, kernel)
     lengths = np.repeat([length for _, _, length in edges], 2)
     flip = np.conj(kernel[:, np.arange(n) ^ 1]) * np.exp(-1j * k * lengths)
     fixed = np.concatenate([kernel + flip, 1j * (kernel - flip)])

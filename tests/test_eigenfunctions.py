@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +118,19 @@ def test_rows_of_records_inside_each_others_kernel():
         assert basis.k[row] == spec.k[at]
         assert basis.residual[row] < 1e-12
         assert _reality_defect(star, basis, row) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "t", [0.0, 1e-9, 0.7853981633974483, 1.5707963267948966, 3.0, 4.8, 9.42, 1234.5678]
+)
+def test_exact_cos_sin_match_mpmath(t):
+    # the residual of the Newton steps takes cos k l and sin k l to
+    # EXACT_DIGITS digits, past every float and np.longdouble
+    with localcontext() as context, mpmath.workdps(60):
+        context.prec = eigenfunctions.EXACT_DIGITS
+        cos, sin = solver._exact_cos_sin(Decimal(t))
+        for got, want in ((cos, mpmath.cos(t)), (sin, mpmath.sin(t))):
+            assert abs(mpmath.mpf(str(got)) - want) < mpmath.mpf(10) ** (3 - context.prec)
 
 
 def test_zero_mode_has_no_row(unit_interval):

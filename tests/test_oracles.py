@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from oracles import (
+    REFINE_DIGITS,
     bisect,
     equilateral_star_gaps,
     equilateral_star_wavenumbers,
@@ -19,6 +21,7 @@ from oracles import (
     interval_robin_wavenumbers,
     min_integer_relation,
     quadrature_norm_sq,
+    refined_root,
 )
 
 # Frozen roots of k*tan(k) = sigma, first branch, length 1.
@@ -34,6 +37,18 @@ FROZEN_STAR_GAP_5 = 0.9697008751450937
 
 SQRT_HALF_PRIMES = [1.0, 1.224744871391589, 1.5811388300841898,
                     1.8708286933869707, 2.3452078799117149, 2.5495097567963922]
+
+
+def test_refined_root_is_the_root_at_full_precision():
+    # k sin k = cos k, the Robin interval at sigma 1, solved by mpmath
+    # at REFINE_DIGITS digits
+    edges, coupled = [(0, 1, 1.0)], frozenset({1})
+    with mpmath.workdps(REFINE_DIGITS):
+        want = mpmath.findroot(lambda k: k * mpmath.sin(k) - mpmath.cos(k), 0.86)
+        got = refined_root(edges, coupled, 1.0, FROZEN_ROBIN_K1[1.0])
+        assert abs(got - want) < mpmath.mpf(10) ** (5 - REFINE_DIGITS)
+    with pytest.raises(ValueError, match="no simple root"):
+        refined_root(edges, coupled, 1.0, 2.0)
 
 
 def test_bisect_finds_simple_root():

@@ -344,8 +344,8 @@ def test_polish_needs_few_determinants_beside_multiple_roots(monkeypatch):
 
 
 def test_merged_records_stay_inside_the_audited_kernel():
-    # two roots 5e-8 apart near k = 76.969: merged at the radius 1e-9 (1 + k),
-    # their mean sat 2.5e-8 from each, outside the kernel threshold
+    # two simple roots 5e-8 apart near k = 76.969 stay two records: merged,
+    # their mean would sit 2.5e-8 from each, outside the kernel threshold
     graph = make_star(3, (1.0, 1.0000000005615068, 1.0000000011230137))
     robin = RobinSpec(frozenset({0}), 0.0014866135130149375)
     spec = solver.compute_spectrum(graph, robin, k_max=77.0)
@@ -355,9 +355,11 @@ def test_merged_records_stay_inside_the_audited_kernel():
 
 
 def test_merge_chains_stop_at_grid_points():
-    # two roots about 3e-8 apart on either side of a quarter point near
-    # k = 50.45193 made one chain, and the records then counted one
-    # eigenvalue too many up to that point
+    # four simple roots near k = 50.45193, a quarter point between the upper
+    # two, 1.5e-8 apart: a chain across the point once counted one
+    # eigenvalue too many up to it.  The middle two, 2.6e-8 apart, were one
+    # record at the old merge radius; their 40-digit roots of det A are
+    # 50.45193397026 and 50.45193399625
     graph = make_star(
         5,
         (
@@ -372,11 +374,13 @@ def test_merge_chains_stop_at_grid_points():
     for target in ({"n_max": 50}, {"n_max": 80}, {"k_max": 60.0}):
         spec = solver.compute_spectrum(graph, robin, **target)
         near = np.abs(spec.k - 50.45193) < 1e-5
-        assert spec.multiplicity[near].tolist() == [1, 2, 1], target
-    # two roots within each other's merge radius stay apart across a point
-    roots, mults, radii = np.array([1.0, 1.0 + 2e-10]), np.ones(2, dtype=int), np.full(2, 1e-9)
-    assert solver._merge_roots(roots, mults, radii, np.array([0.0, 2.0]))[1].tolist() == [2]
-    split = solver._merge_roots(roots, mults, radii, np.array([0.0, 1.0 + 1e-10, 2.0]))
+        assert spec.multiplicity[near].tolist() == [1, 1, 1, 1], target
+        middle = spec.k[near][1:3]
+        assert np.allclose(middle, [50.45193397026, 50.45193399625], rtol=0, atol=1e-11)
+    # two roots within RADIUS_FLOOR (1 + k) of each other stay apart across a point
+    roots, mults = np.array([1.0, 1.0 + 1e-12]), np.ones(2, dtype=int)
+    assert solver._merge_roots(roots, mults, np.array([0.0, 2.0]))[1].tolist() == [2]
+    split = solver._merge_roots(roots, mults, np.array([0.0, 1.0 + 5e-13, 2.0]))
     assert split[1].tolist() == [1, 1]
 
 
@@ -566,7 +570,7 @@ def test_kernel_audit_reports_excess_dimension(equilateral_star, monkeypatch):
     monkeypatch.setattr(
         solver,
         "_merge_roots",
-        lambda roots, mults, radii, grid: merge(roots, np.ones_like(mults), radii, grid),
+        lambda roots, mults, grid: merge(roots, np.ones_like(mults), grid),
     )
     with pytest.raises(ToleranceNotMet, match="above"):
         solver.compute_spectrum(equilateral_star, NEUMANN, k_max=5.0)
@@ -578,8 +582,8 @@ def _planted_record(monkeypatch, at, shift=0.0, extra=0):
     multiplicity."""
     merge = solver._merge_roots
 
-    def planted(roots, mults, radii, grid):
-        mean, total, spread = merge(roots, mults, radii, grid)
+    def planted(roots, mults, grid):
+        mean, total, spread = merge(roots, mults, grid)
         mean, total = mean.copy(), total.copy()
         rho = max(
             float(solver._stop_width(mean[at])) + spread[at],
@@ -635,23 +639,28 @@ def test_planted_multiplicity_on_a_pole_meets_the_kernel_audit(
     assert matrices["svd"] > 0
 
 
-def test_joined_enclosures_count_the_sum_of_their_records(star4, monkeypatch):
+def test_joined_enclosures_count_the_sum_of_their_records(monkeypatch):
     # two neighbouring simple records whose enclosures overlap are one
     # join: it must hold both roots, and each record meets the kernel rule
-    # too, since the join certifies only their sum
+    # too, since the join certifies only their sum.  The roots, split off
+    # the double root at pi / 2 by a leaf 1e-10 longer, are 1.6e-10 apart,
+    # so radii that overlap them widen the rule's threshold by less than
+    # its floor
+    graph = make_star(3, (1.0, 1.0, 1.0 + 1e-10))
     robin = RobinSpec(frozenset({0}), 2.0)
-    spec = solver.compute_spectrum(star4, robin, k_max=10.0)
-    ks, mults = spec.k[5:7], spec.multiplicity[5:7]
+    spec = solver.compute_spectrum(graph, robin, k_max=5.0)
+    ks, mults = spec.k[1:3], spec.multiplicity[1:3]
+    assert mults.tolist() == [1, 1] and ks[1] - ks[0] < 2e-10
     wide = np.full(2, 0.6 * (ks[1] - ks[0]))
-    table = robin.vertex_sigmas(star4)[None]
+    table = robin.vertex_sigmas(graph)[None]
     matrices = _count_matrices(monkeypatch, "svd")
-    solver._certify_records(star4, (robin,), table, [(ks, mults, wide)])
+    solver._certify_records(graph, (robin,), table, [(ks, mults, wide)])
     assert matrices["svd"] == 2
     with pytest.raises(ToleranceNotMet, match="2 eigenvalues .* below its multiplicity 3"):
-        solver._certify_records(star4, (robin,), table, [(ks, mults + [0, 1], wide)])
+        solver._certify_records(graph, (robin,), table, [(ks, mults + [0, 1], wide)])
     # one record whose enclosure reaches the next root holds too many
     with pytest.raises(ToleranceNotMet, match="above its multiplicity 1"):
-        solver._certify_records(star4, (robin,), table, [(ks[:1], mults[:1], 2.0 * wide[:1])])
+        solver._certify_records(graph, (robin,), table, [(ks[:1], mults[:1], 2.0 * wide[:1])])
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
@@ -733,16 +742,15 @@ def wide_graphs(draw):
 
 
 def _assert_winding_counts(graph, robin, spec):
-    for k, multiplicity in zip(spec.k, spec.multiplicity):
+    for k, multiplicity, radius in zip(spec.k, spec.multiplicity, spec.radius):
         if k == 0.0:
             continue
         w = float(solver._stop_width(np.asarray(k)))
         count = _eigvals_count(graph, robin, k - 2.0 * w, k + 2.0 * w)
         if count != multiplicity:
-            # roots closer than the merge radius are one record by design
-            # (say a loop of length 1 - 2e-10 beside an edge of length 1)
-            r = float(solver._merge_radius(graph, robin, np.asarray([k]))[0])
-            count = _eigvals_count(graph, robin, k - r, k + r)
+            # roots within RADIUS_FLOOR (1 + k) of each other are one record
+            # by design, whose radius holds them all
+            count = _eigvals_count(graph, robin, k - radius, k + radius)
         assert count == multiplicity, (k, multiplicity, w)
 
 
@@ -974,8 +982,11 @@ def test_polish_on_the_full_determinant_keeps_the_records(case, by_count):
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-# four roots near 5 pi / 2, each gap below the merge radius: one record
+# four simple roots near 5 pi / 2, under 7e-9 apart: four records
 @example(degree=5, u=-9.25, steps=[0, 0, 1, 1, 1], s=0.0, at_leaf=False)
+# three simple roots near 9 pi / 2, the lower two 1.1e-8 apart, once a
+# double record whose kernel rule counted the third, 5.2e-8 above, as excess
+@example(degree=4, u=-9.25, steps=[0, 0, 1, 0, 0], s=-6.0, at_leaf=True)
 def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf):
     # lengths 1 + j delta {0, 1, 2}: clusters of roots that split just
     # above or below the stop width, the hard case for the split point
@@ -998,8 +1009,8 @@ def test_near_degenerate_clusters_keep_their_counts(degree, u, steps, s, at_leaf
 @example(degree=3, u=-8.0, steps=[0, 0, 1, 0, 0], s=0.0, at_leaf=False)
 # a leaf coupled at sigma = 1e-7 splits the double root at 3 pi / 2
 @example(degree=3, u=-2.0, steps=[0] * 5, s=-7.0, at_leaf=True)
-# four roots near pi / 2 in one chain whose mean misses a root: two
-# double records, not a double root split into two simple ones
+# a double root near pi / 2 and two simple ones under 2.5e-9 from it: the
+# double stays one record, not two simple ones
 @example(degree=5, u=-8.9375, steps=[0, 0, 1, 1, 0], s=0.0, at_leaf=False)
 def test_eigenfunctions_accept_the_certified_clusters(degree, u, steps, s, at_leaf):
     # the eigenfunctions count kernels by the solver's rule, so every
@@ -1104,6 +1115,23 @@ def test_fixture_eigenfunctions_match_the_complex_kernel(name, coupled):
     ),
     coupled=True,
 )
+# near pi, 2 pi and 3 pi a simple root and a double one, 2.4e-10 to 9.2e-9
+# apart, once triple records, the one at k = 9.42468 2.2e-6 off the oracle
+@example(
+    case=(
+        build_graph(
+            [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (4, 5, 0.1), (0, 0, 1.0)]
+        ),
+        RobinSpec(frozenset({0, 1, 2, 3, 4}), 1e5),
+    ),
+    coupled=True,
+)
+# two loops 2.3e-12 apart in length: a simple root 1.4e-11 above a double
+# one near 2 pi, whose kernel vector leant 9e-9 on the np.longdouble residual
+@example(
+    case=(build_graph([(0, 1, 1.0), (0, 0, 1.0), (0, 0, 0.9999999999976974)]), NEUMANN),
+    coupled=False,
+)
 def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     graph, robin = case
     if not coupled:
@@ -1115,16 +1143,35 @@ def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     _assert_matches_the_complex_kernel(spec, 12)
 
 
-@given(st.one_of(degenerate_stars((-4.0, 6.0)), listed_stars(8, (-4.0, 6.0))))
+@given(st.one_of(degenerate_stars(), listed_stars(8)))
 @settings(max_examples=40, deadline=None)
+# weak couplings split the multiple roots of degenerate stars into simple
+# ones 1e-8 to 1e-5 apart: the oracle's kernel must be taken at the root
+# itself, the solver's records must not merge them
+@example(case=(make_star(3, (1.0, 1.0, 3.0)), RobinSpec(frozenset({0, 1}), 1e-5)))
+@example(case=(make_star(3, (1.0, 1.0, 3.0)), RobinSpec(frozenset({1}), 1e-5)))
+@example(case=(make_star(3, (1.0,) * 3), RobinSpec(frozenset({0, 1}), 1e-7)))
+# two simple roots 1e-9 apart near k = 2.0287578, once one double record
+# read at their mean, 5.1e-10 off the oracle
+@example(
+    case=(
+        build_graph(
+            [(0, 1, 1.0), (0, 2, 1.0), (3, 0, 1.000000002302585)]
+            + [(0, v, 1.0) for v in range(4, 9)],
+            num_vertices=9,
+        ),
+        RobinSpec(frozenset({0, 1, 2, 3}), 1.0),
+    )
+)
+# a double root at pi / 2 and a simple one 3.6e-12 above it: the simple
+# record's kernel vector leant 2.8e-9 toward the double's after the step on
+# the np.longdouble residual alone
+@example(case=(make_star(4, (1.0, 1.0, 1.0, 1.0000000000023026)), NEUMANN))
 def test_star_eigenfunctions_match_the_complex_kernel(case):
     # a star listed from its centre takes its simple records' kernels in
     # closed form, one with an edge listed from a leaf takes the SVD: both
-    # must meet the complex-kernel oracle.  sigma stays at or above 1e-4:
-    # below it the SVD path misses the oracle's 1e-10 on degenerate stars
-    # as well (weak couplings split multiple roots into close ones; see
-    # ROADMAP).  At 1e6 a coupled vertex's value is a 1e-6 remainder, taken
-    # from the Robin condition on both sides
+    # must meet the complex-kernel oracle.  At 1e6 a coupled vertex's value
+    # is a 1e-6 remainder, taken from the Robin condition on both sides
     graph, robin = case
     try:
         spec = solver.compute_spectrum(graph, robin, n_max=12)
@@ -1297,12 +1344,11 @@ def test_inertia_count_equals_the_winding_count(case, us):
 
 
 def _slack(spec, count):
-    """1e-10 (1 + k) per index, plus the merge radius on multiple records:
-    roots closer than that are reported once, at their mean."""
+    """1e-10 (1 + k) per index, plus the radius of a multiple record: roots
+    closer than RADIUS_FLOOR (1 + k) are reported once, at their mean."""
     merged = np.repeat(spec.multiplicity, spec.multiplicity)[:count] > 1
-    return (1e-10 + np.where(merged, solver.MERGE_SCALE, 0.0)) * (
-        1.0 + spec.wavenumbers(count)
-    )
+    radius = np.repeat(spec.radius, spec.multiplicity)[:count]
+    return 1e-10 * (1.0 + spec.wavenumbers(count)) + np.where(merged, radius, 0.0)
 
 
 @given(awkward_graphs(), st.integers(0, 63))

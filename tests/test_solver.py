@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from graphspectra import solver
 from graphspectra.eigenfunctions import eigenbasis
-from graphspectra.errors import ToleranceNotMet
+from graphspectra.errors import OutOfRange, ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
     build_graph,
@@ -163,6 +163,17 @@ def test_a_count_of_eigenvalues_is_a_non_negative_integer(count):
             read(count)
         assert read(np.int64(2)).tolist() == read()[:2].tolist()
         assert read(0).size == 0
+
+
+def test_a_count_past_the_spectrum_raises():
+    # 9 and 10**9 returned the 4 values there were, where positions raises
+    star = make_star(3, (1.0, 1.5, 2.0))
+    spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=4)
+    for read in (spec.wavenumbers, spec.eigenvalues):
+        assert read(spec.size).size == spec.size
+        for count in (spec.size + 1, 10**9):
+            with pytest.raises(OutOfRange, match="beyond the computed spectrum"):
+                read(count)
 
 
 def test_counting_function(pi_interval):
@@ -784,7 +795,7 @@ def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
     for n_max in (47, 48, 49):
         spec = compute_spectrum(graph, robin, n_max=n_max)
         near = np.abs(spec.k - 50.45193) < 1e-5
-        assert spec.multiplicity[near].tolist() == [1, 2, 1]
+        assert spec.multiplicity[near].tolist() == [1, 1, 1, 1]
     graph = build_graph([(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 1, 1.0)])
     robin = RobinSpec(frozenset({0}), 0.001)
     spec = compute_spectrum(graph, robin, n_max=12)
