@@ -21,9 +21,9 @@ Close roots.  At a float k the kernel vector of a simple record leans
 toward the singular vector of a neighbouring small singular value s by
 about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart and more
 for two records 1e-12 (1 + k) apart.  Where s is below NEIGHBOUR_SV
-||A(k)||, Newton steps with k free and the residual A(k) x in EXACT_DIGITS
-decimal digits, cos k l and sin k l by their power series, move it onto
-the root's kernel (_root_kernel).
+||A(k)||, EXACT_STEPS Newton steps with k free move it onto the root's
+kernel (_root_kernel), the residual A(k) x in double-double arithmetic,
+about 32 digits, one batched pass over every such record per step.
 
 Stars.  On a star whose edges all leave its centre, A(k) with its rows
 taken centre first, then each leaf's in edge order (A's own rows follow
@@ -113,7 +113,6 @@ I - U(k) and meet a_j = conj(a_rev(j)) exp(-ik l_j) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -139,10 +138,8 @@ CONTINUITY_TOL = 1e-6
 NEIGHBOUR_SV = 1e-3
 # central difference step of A'(k) x, relative to k
 SLOPE_STEP = 1e-7
-# Newton steps of _root_kernel, each on the residual A(k) x in EXACT_DIGITS
-# decimal digits
+# Newton steps of _root_kernel, each on the residual A(k) x in double-double
 EXACT_STEPS = 3
-EXACT_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -191,45 +188,48 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
     return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
-def _bordered_systems(graph: MetricGraph, sigmas, ks, x):
-    """[[A, A' x], [x^T, 0]] at each row of ks and x, in double: the Newton
-    system of _root_kernel, A' x a central difference."""
+def _bordered_systems(graph: MetricGraph, sigmas, amp, ks, x):
+    """[[A, A' x], [x^T, 0]] at each row of ks and x, A the rows amp of
+    A(k) already built, in double: the Newton system of _root_kernel, A' x
+    a central difference."""
     size, h = x.shape[1], SLOPE_STEP * ks
     ahead, behind = ks + h, ks - h
-    amp = solver._amplitude_matrices(graph, sigmas, np.concatenate([ks, ahead, behind]))
+    slopes = solver._amplitude_matrices(graph, sigmas, np.concatenate([ahead, behind]))
     out = np.zeros((ks.size, size + 1, size + 1))
-    out[:, :size, :size] = amp[: ks.size]
-    slope = np.einsum("rij,rj->ri", amp[ks.size : 2 * ks.size] - amp[2 * ks.size :], x)
+    out[:, :size, :size] = amp
+    slope = np.einsum("rij,rj->ri", slopes[: ks.size] - slopes[ks.size :], x)
     out[:, :size, size] = slope / (ahead - behind)[:, None]
     out[:, size, :size] = x
     return out
 
 
-def _root_kernel(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray, x: np.ndarray):
+def _root_kernel(graph: MetricGraph, robin: RobinSpec, amp, ks: np.ndarray, x: np.ndarray):
     """Unit kernel vectors x of A(k) at simple roots next to the float wave
-    numbers ks, after EXACT_STEPS Newton steps on A(k) x = 0 with k free.
+    numbers ks, A(ks) the stack amp, after EXACT_STEPS Newton steps on
+    A(k) x = 0 with k free.
 
     At a float k the SVD's kernel vector leans toward the singular vector
     of a neighbouring small singular value s by about (eps + ulp(k) ||A'||)
     / s, from the rounding of A(k) and of k itself: near 1e-9 for roots
     1e-7 apart, and more for two records as close as 1e-12 (1 + k).  Each
     step solves [[A, A' x], [x^T, 0]] (dx, dk) = (-A x, 0), the system in
-    double at the float k, A x in EXACT_DIGITS decimal digits at k plus the
-    steps so far (solver._exact_product).  The system's rounding over s
-    leaves a factor near eps / s of the lean at each step, so that only
-    the decimal rounding bounds it.
+    double at the float k, A x in double-double at k plus the steps so far,
+    one batched pass over the records (solver._wide_product, about 32
+    digits; cos k l and sin k l taken once at the float k and turned by
+    each step's shift).  The system's rounding over s leaves a factor near
+    eps / s of the lean at each step, so that only the residual's rounding
+    bounds it.
     """
     sigmas = robin.vertex_sigmas(graph)
-    system = _bordered_systems(graph, sigmas, ks, x)
+    system = _bordered_systems(graph, sigmas, amp, ks, x)
+    waves = solver._wide_waves(graph, ks)
     out, rhs = x.copy(), np.zeros((ks.size, x.shape[1] + 1, 1))
-    with localcontext() as context:
-        context.prec = EXACT_DIGITS
-        k = [Decimal(v) for v in ks.tolist()]
-        for _ in range(EXACT_STEPS):
-            rhs[:, :-1, 0] = [solver._exact_product(graph, sigmas, *row) for row in zip(k, out)]
-            step = np.linalg.solve(system, -rhs)[..., 0]
-            out += step[:, :-1]
-            k = [at + Decimal(dk) for at, dk in zip(k, step[:, -1].tolist())]
+    shift = (np.zeros((ks.size, 1)), np.zeros((ks.size, 1)))
+    for _ in range(EXACT_STEPS):
+        rhs[:, :-1, 0] = solver._wide_product(graph, sigmas, ks, shift, waves, out)[0]
+        step = np.linalg.solve(system, -rhs)[..., 0]
+        out += step[:, :-1]
+        shift = solver._dd_add(shift, (step[:, -1:], 0.0))
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
@@ -370,7 +370,7 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     sv = sv / sv[:, :1]  # relative to ||A(k)||_2
     near = np.flatnonzero((mults == 1) & (sv[:, -2] < NEIGHBOUR_SV))
     if near.size:
-        vt[near, -1] = _root_kernel(graph, robin, ks[near], vt[near, -1])
+        vt[near, -1] = _root_kernel(graph, robin, amp[near], ks[near], vt[near, -1])
 
     local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults

@@ -328,8 +328,8 @@ of a spectrum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
 from functools import lru_cache, partial
 
 import numpy as np
@@ -364,8 +364,12 @@ CAP_CELLS = 8
 RADIUS_FLOOR = 1e-12
 # a vertex-route bracket resolves its roots to this share of the stop width
 VERTEX_RESOLUTION = 1.0
-# pi / 2 to 62 digits, the quarter turn of _exact_cos_sin
-HALF_PI = Decimal("1.5707963267948966192313216916397514420985846996875529104874723")
+# pi / 2 as three doubles, hi to lo, the reduction of _wide_cos_sin
+HALF_PI_PARTS = (1.5707963267948966, 6.123233995736766e-17, -1.4973849048591698e-33)
+# the Taylor series of _wide_cos_sin stop below this
+TAYLOR_TAIL = 2.0**-110
+# 2^27 + 1: Dekker's split of a double into two halves of 26 bits
+SPLIT = 134217729.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -797,7 +801,7 @@ def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """The terms of A(k) in the order of _amplitude_layout, shape
     (terms, len(ks)), in the floating type of ks: [1, cos k l_e, sin k l_e]
     gathered and times the weights [1, 1 / n_v, (sigma_v / k) / n_v], at the
-    couplings rows sigmas.  _exact_product repeats them in decimal."""
+    couplings rows sigmas.  _wide_product repeats them in double-double."""
     src, weight, sign = _amplitude_layout(graph)[2:5]
     x = graph.slot_length[0::2, None] * ks
     ones = np.ones((1, ks.size), dtype=ks.dtype)
@@ -808,41 +812,170 @@ def _amplitude_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     return sign[:, None] * basis[src] * weights[weight]
 
 
-def _exact_cos_sin(t: Decimal) -> tuple[Decimal, Decimal]:
-    """cos t and sin t for t >= 0 in the current decimal context: the power
-    series of exp(ir), t = q pi / 2 + r with 0 <= r < pi / 2, turned by q
-    quarters."""
-    q, r = divmod(t, HALF_PI)
-    cos, sin, term, n = Decimal(0), Decimal(0), Decimal(1), 0
-    tiny = Decimal(10) ** -(getcontext().prec + 2)
-    while abs(term) > tiny:
+def _two_sum(a, b):
+    """s + e = a + b exactly, s the rounded sum (Knuth's TwoSum)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """s + e = a + b exactly where |a| >= |b| or a = 0 (Dekker)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """p + e = a b exactly, p the rounded product, by Dekker's split of
+    each factor into two 26-bit halves."""
+    p = a * b
+    ca, cb = SPLIT * a, SPLIT * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(a, b):
+    """a + b for double-doubles, pairs (hi, lo) of arrays: within about
+    2^-104 of the sum however much it cancels (the accurate addition of
+    Hida, Li and Bailey's QD library)."""
+    s, e = _two_sum(a[0], b[0])
+    t, f = _two_sum(a[1], b[1])
+    s, e = _fast_two_sum(s, e + t)
+    return _fast_two_sum(s, e + f)
+
+
+def _dd_mul(a, b):
+    """a b for double-doubles; a float b enters as (b, 0.0)."""
+    p, e = _two_prod(a[0], b[0])
+    return _fast_two_sum(p, e + (a[0] * b[1] + a[1] * b[0]))
+
+
+def _dd_div(a, b):
+    """a / b for double-doubles: the float quotient and the remainder
+    a - q b, exact in double-double, over b's high part."""
+    q = a[0] / b[0]
+    r = _dd_add(a, _dd_mul(b, (-q, 0.0)))
+    return _fast_two_sum(q, r[0] / b[0])
+
+
+def _dd_sqrt(a):
+    """The square root of a positive double-double: the float root s and
+    one Newton correction (a - s^2) / (2 s), s^2 taken exactly."""
+    s = np.sqrt(a[0])
+    p, e = _two_prod(s, s)
+    return _fast_two_sum(s, ((a[0] - p) - e + a[1]) / (2.0 * s))
+
+
+def _taylor_coefficient(n: int):
+    """(-1)^(n // 2) / n! as a double-double, from exact integer ratios."""
+    factorial, sign = math.factorial(n), (-1.0) ** (n // 2)
+    num, den = (1.0 / factorial).as_integer_ratio()
+    return sign * num / den, sign * (den - num * factorial) / (den * factorial)
+
+
+# the coefficients of the Taylor series of _wide_cos_sin, past its longest
+TAYLOR = [_taylor_coefficient(n) for n in range(40)]
+
+
+def _wide_cos_sin(t):
+    """cos t and sin t of a double-double t, in double-double.
+
+    Past pi / 4, t = q pi / 2 + r with |r| <= pi / 4, r reduced by the
+    three doubles of HALF_PI_PARTS, each product q part exact (Cody and
+    Waite), and the values at r turned by q quarters.  The parts leave out
+    5.6e-50 of pi / 2, so the reduction loses under 4e-50 |t|.  Within
+    pi / 4, the Taylor series of cos t and sin t / t in t^2, cut where the
+    largest |t|^n / n! falls below TAYLOR_TAIL: 29 terms at pi / 4, 3 for
+    the shift of a Newton step.  Both values are within about
+    1e-32 (1 + |t|).
+    """
+    q = np.rint(t[0] / HALF_PI_PARTS[0])
+    if np.any(q):
+        r = t
+        for part in HALF_PI_PARTS:
+            r = _dd_add(r, _two_prod(-q, part))
+        cos, sin = _wide_cos_sin(r)
+        # cos of r + j pi / 2 for j = 0..3; sin t is cos(t - pi / 2)
+        turns = (cos, (-sin[0], -sin[1]), (-cos[0], -cos[1]), sin)
+        quarter = np.mod(q, 4.0).astype(int)
+        return tuple(
+            tuple(np.choose((quarter + j) % 4, [turn[part] for turn in turns]) for part in (0, 1))
+            for j in (0, 3)
+        )
+    z = _dd_mul(t, t)
+    largest, terms, tail = float(np.max(np.abs(t[0]), initial=0.0)), 0, 1.0
+    while tail > TAYLOR_TAIL:
+        terms += 1
+        tail *= largest / terms
+    cos = sin = (np.zeros_like(z[0]), np.zeros_like(z[0]))
+    for n in range(terms - 1, -1, -1):
         if n % 2:
-            sin += term if n % 4 == 1 else -term
+            sin = _dd_add(_dd_mul(sin, z), TAYLOR[n])
         else:
-            cos += term if n % 4 == 0 else -term
-        n += 1
-        term = term * r / n
-    for _ in range(int(q) % 4):
-        cos, sin = -sin, cos
-    return cos, sin
+            cos = _dd_add(_dd_mul(cos, z), TAYLOR[n])
+    return cos, _dd_mul(sin, t)
 
 
-def _exact_product(graph: MetricGraph, sigmas, k: Decimal, x: np.ndarray) -> np.ndarray:
-    """A(k) x for one couplings row, a Decimal k and a float x, in the
-    current decimal context and rounded to floats at the end: the terms of
-    _amplitude_values, whose basis and weights it must track."""
-    n, flat, src, weight, sign = (np.asarray(c).tolist() for c in _amplitude_layout(graph)[:5])
-    lengths = graph.slot_length[0::2].tolist()
-    waves = {length: _exact_cos_sin(k * Decimal(length)) for length in set(lengths)}
-    basis = [Decimal(1), *(waves[t][0] for t in lengths), *(waves[t][1] for t in lengths)]
-    coupling = [Decimal(s) / k for s in np.asarray(sigmas, dtype=float).tolist()]
-    inverse = [1 / (d * d + c * c).sqrt() for d, c in zip(graph.degrees.tolist(), coupling)]
-    weights = [Decimal(1), *inverse, *(c * w for c, w in zip(coupling, inverse))]
-    values, out = [Decimal(v) for v in x.tolist()], [Decimal(0)] * n
-    for at, b, w, plus in zip(flat, src, weight, sign):
-        term = basis[b] * weights[w] * values[at % n]
-        out[at // n] += term if plus > 0 else -term
-    return np.array([float(v) for v in out])
+def _wide_waves(graph: MetricGraph, ks: np.ndarray):
+    """cos k l and sin k l at each float k and distinct edge length l, in
+    double-double, for _wide_product: the edge of each length, the
+    lengths, and the pair, each value shape (len(ks), lengths)."""
+    lengths, edge = np.unique(graph.slot_length[0::2], return_inverse=True)
+    return edge, lengths, _wide_cos_sin(_two_prod(ks[:, None], lengths))
+
+
+def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, shift, waves, x: np.ndarray):
+    """A(k) x at k = ks + shift for one couplings row sigmas, shift a
+    double-double of shape (len(ks), 1), waves from _wide_waves at ks, and
+    x a float array of shape (len(ks), n): the terms of _amplitude_values,
+    whose basis and weights it must track, in double-double, as a pair
+    (hi, lo) of arrays shaped like x.
+
+    The waves are turned by shift with the series of cos and sin of
+    shift l, and the weights [1, 1 / n_v, (sigma_v / k) / n_v] are taken
+    at k in double-double, so every term is a double-double times an
+    entry of x.  Each row is then summed without error, its rounding
+    errors carried in a second sum (Sum2 of Ogita, Rump and Oishi, SIAM
+    J. Sci. Comput. 26 (2005)): the result is within about
+    1e-32 (1 + k l) |x| of A(k) x.
+    """
+    size, flat, src, weight, sign = _amplitude_layout(graph)[:5]
+    edge, lengths, (cos, sin) = waves
+    turn_cos, turn_sin = _wide_cos_sin(_dd_mul(shift, (lengths, 0.0)))
+    cos, sin = (
+        _dd_add(_dd_mul(cos, turn_cos), _dd_mul(sin, (-turn_sin[0], -turn_sin[1]))),
+        _dd_add(_dd_mul(sin, turn_cos), _dd_mul(cos, turn_sin)),
+    )
+    k = _dd_add((ks[:, None], 0.0), shift)
+    coupling = _dd_div((np.atleast_2d(sigmas), 0.0), k)
+    norm = _dd_sqrt(_dd_add(_dd_mul(coupling, coupling), (graph.degrees**2.0, 0.0)))
+    ones, zeros = np.ones((ks.size, 1)), np.zeros((ks.size, 1))
+    inverse = _dd_div((ones, 0.0), norm)
+    basis = [
+        np.concatenate([one, c[:, edge], s[:, edge]], axis=1)
+        for one, c, s in zip((ones, zeros), cos, sin)
+    ]
+    weights = [
+        np.concatenate(v, axis=1) for v in zip((ones, zeros), inverse, _dd_mul(coupling, inverse))
+    ]
+    terms = _dd_mul(
+        _dd_mul(tuple(b[:, src] for b in basis), tuple(w[:, weight] for w in weights)),
+        (sign * x[:, flat % size], 0.0),
+    )
+    # the terms of each row down one column of a table, padded by a zero term
+    row = flat // size
+    counts = np.bincount(row, minlength=size)
+    order = np.argsort(row, kind="stable")
+    table = np.full((counts.max(), size), row.size)
+    place = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    table[place, row[order]] = order
+    hi, lo = (np.append(v, zeros, axis=1) for v in terms)
+    total, error = np.zeros_like(x), np.zeros_like(x)
+    for column in table:
+        total, e = _two_sum(total, hi[:, column])
+        error += e + lo[:, column]
+    return _fast_two_sum(total, error)
 
 
 def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:

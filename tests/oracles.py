@@ -178,7 +178,9 @@ def amplitude_matrix(edges, coupled, sigma, k, lib=math):
     out = []
     for vertex in sorted(set(starts)):
         at = [j for j, start in enumerate(starts) if start == vertex]
-        s = sigma / k if vertex in coupled else 0.0
+        # zero in the type of k: an uncoupled row of an mpmath k divides by
+        # d_v at full precision, not in float
+        s = sigma / k if vertex in coupled else 0.0 * k
         kirchhoff = sum(slope[j] for j in at) - s * value[at[0]]
         out.append(kirchhoff / abs(len(at) + 1j * s))
         out.extend(value[q] - value[p] for p, q in zip(at, at[1:]))
@@ -261,12 +263,13 @@ ROOT_SHIFT = 1e-30
 EPS = float(np.finfo(float).eps)
 
 
-def refined_root(edges, coupled, sigma, k):
-    """The simple root of det A(k) (amplitude_matrix) next to the float
-    root k, by REFINE_SECANT_STEPS steps of the secant method at
-    REFINE_DIGITS digits, as an mpmath number.  Raises ValueError when it
-    lies further than 1e-12 (1 + k) from k, the least radius of a
-    certified record."""
+def refined_root(edges, coupled, sigma, k, order=0):
+    """The simple root of det A(k) (amplitude_matrix), or of its order-th
+    derivative, next to the float root k, by REFINE_SECANT_STEPS steps of
+    the secant method at REFINE_DIGITS digits, as an mpmath number: order
+    1 finds a double root of det A, a simple root of its derivative
+    (mpmath.diff).  Raises ValueError when it lies further than
+    1e-12 (1 + k) from k, the least radius of a certified record."""
     with mpmath.workdps(REFINE_DIGITS):
 
         def det(x):
@@ -276,11 +279,12 @@ def refined_root(edges, coupled, sigma, k):
             except TypeError:  # mpmath's pivot search meets a zero column: det A = 0
                 return mpmath.mpf(0)
 
+        f = det if order == 0 else (lambda x: mpmath.diff(det, x, order))
         x0 = start = mpmath.mpf(k)
         x1 = x0 + 4.0 * EPS * (1.0 + k)  # the solver's stop width
-        f0 = det(x0)
+        f0 = f(x0)
         for _ in range(REFINE_SECANT_STEPS):
-            f1 = det(x1)
+            f1 = f(x1)
             if f1 == f0:
                 break
             x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
@@ -365,8 +369,9 @@ def _gauged_kernel(edges, coupled, sigma, k, m):
     The kernel rows u are the conjugated right singular vectors of the m
     smallest singular values of I - U(k), refined at extended precision
     (refined_kernel) when the next singular value is below NEIGHBOUR_SV,
-    next to the root itself (refined_root) when it is simple; above it
-    they are good to about 1e-12.  The conjugation
+    next to the root itself (refined_root), refined on det A or, for
+    multiplicity m, on its (m - 1)-th derivative; above it they are good
+    to about 1e-12.  The conjugation
     (C a)_j = conj(a_rev(j)) exp(-ik l_j) maps the kernel onto itself and
     squares to the identity, so the 2m vectors u + Cu and i(u - Cu) are
     C-fixed.  Their real Gram matrix has eigenvalue 4 on the m combinations
@@ -381,11 +386,11 @@ def _gauged_kernel(edges, coupled, sigma, k, m):
     _, sv, vh = np.linalg.svd(np.eye(n) - u)
     kernel = np.conj(vh[n - m :])
     if m < n and sv[n - m - 1] < NEIGHBOUR_SV:
-        at = k
-        if m == 1:
-            # ROOT_SHIFT off the root I - U stays invertible at REFINE_DIGITS
-            with mpmath.workdps(REFINE_DIGITS):
-                at = refined_root(edges, coupled, sigma, k) + ROOT_SHIFT * (1.0 + k)
+        # a root of multiplicity m is a simple root of the (m - 1)-th
+        # derivative of det A; ROOT_SHIFT off it I - U stays invertible at
+        # REFINE_DIGITS
+        with mpmath.workdps(REFINE_DIGITS):
+            at = refined_root(edges, coupled, sigma, k, m - 1) + ROOT_SHIFT * (1.0 + k)
         kernel = refined_kernel(edges, coupled, sigma, at, kernel)
     lengths = np.repeat([length for _, _, length in edges], 2)
     flip = np.conj(kernel[:, np.arange(n) ^ 1]) * np.exp(-1j * k * lengths)

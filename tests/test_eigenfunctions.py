@@ -1,8 +1,8 @@
 """Kernel vectors, gauges, norms, vertex values, sensitivity."""
 from __future__ import annotations
 
+import itertools
 import math
-from decimal import Decimal, localcontext
 
 import mpmath
 import numpy as np
@@ -17,9 +17,10 @@ from graphspectra.eigenfunctions import (
     sensitivity,
 )
 from graphspectra.errors import KernelDimensionMismatch, OutOfRange
-from graphspectra.graphs import RobinSpec, build_graph, make_star
+from graphspectra.graphs import RobinSpec, build_graph, make_complete4, make_star
 from graphspectra.solver import Spectrum, compute_spectrum
 from oracles import (
+    amplitude_matrix,
     eigenspace_vertex_weight,
     interval_robin_wavenumbers,
     quadrature_norm_sq,
@@ -124,13 +125,97 @@ def test_rows_of_records_inside_each_others_kernel():
     "t", [0.0, 1e-9, 0.7853981633974483, 1.5707963267948966, 3.0, 4.8, 9.42, 1234.5678]
 )
 def test_exact_cos_sin_match_mpmath(t):
-    # the residual of the Newton steps takes cos k l and sin k l to
-    # EXACT_DIGITS digits, past every float and np.longdouble
-    with localcontext() as context, mpmath.workdps(60):
-        context.prec = eigenfunctions.EXACT_DIGITS
-        cos, sin = solver._exact_cos_sin(Decimal(t))
-        for got, want in ((cos, mpmath.cos(t)), (sin, mpmath.sin(t))):
-            assert abs(mpmath.mpf(str(got)) - want) < mpmath.mpf(10) ** (3 - context.prec)
+    # the residual of the Newton steps takes cos k l and sin k l in
+    # double-double, past every float and np.longdouble
+    cos, sin = solver._wide_cos_sin((np.array([t]), np.array([0.0])))
+    with mpmath.workdps(60):
+        for (hi, lo), want in ((cos, mpmath.cos(t)), (sin, mpmath.sin(t))):
+            assert abs(mpmath.mpf(hi[0]) + mpmath.mpf(lo[0]) - want) < 1e-31 * (1.0 + t)
+
+
+def _condensed_rows(edges, coupled, sigma, k, y):
+    """The rows of the solver's condensed A(k) times x, from the oracle's
+    2E x 2E amplitude_matrix at mpmath's precision times y, the edge
+    amplitudes of x.  Per vertex, with the oracle's slots in edge order
+    and the solver's forward slots first: the solver's Kirchhoff row reads
+    f at its own first slot, so it is the oracle's minus
+    (sigma / k) / n_v times that slot's f less the oracle's first; a
+    continuity row f_q - f_p, q backward and p the slot before it, is a
+    sum of the oracle's."""
+    product = amplitude_matrix(edges, coupled, sigma, k, mpmath) @ y
+    starts = [end for u, v, _ in edges for end in (u, v)]
+    out, row = [], 0
+    for vertex in sorted(set(starts)):
+        at = [j for j, start in enumerate(starts) if start == vertex]
+        # f_j less f at the oracle's first slot, from its continuity rows
+        rise = dict(zip(at, itertools.accumulate(product[row + 1 : row + len(at)], initial=0)))
+        order = sorted(at, key=lambda j: (j % 2, j))
+        s = sigma / k if vertex in coupled else 0
+        out.append(product[row] - s / mpmath.sqrt(len(at) ** 2 + s**2) * rise[order[0]])
+        out.extend(rise[q] - rise[p] for p, q in zip(order, order[1:]) if q % 2)
+        row += len(at)
+    return out
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-8, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        make_complete4((1.0, 1.3, 0.7, 1.1, 0.9, 1.7)),
+        make_star(4, (1.0, 1.0, 1.0, 2.5)),
+        build_graph([(0, 1, 1.0), (0, 0, 0.6), (1, 1, 1.4)]),
+        build_graph([(0, 1, 0.8)]),
+    ],
+    ids=["K4", "star4", "edge_two_loops", "interval"],
+)
+def test_wide_product_matches_mpmath(graph, sigma):
+    # the residual of the Newton steps, A(k) x at k = k0 + shift in
+    # double-double, against the oracle's A(k) at 60 digits: k l_max from
+    # 1e-9 to 1e5 and within 1e-12 of multiples of pi / 2, each k once at
+    # shift 0 and once a shift of 1e-11 (1 + k) plus a low part off it
+    robin = RobinSpec(frozenset({0, 1}), sigma)
+    sigmas = robin.vertex_sigmas(graph)
+    l_max = float(np.max(graph.slot_length))
+    quarters = [q * math.pi / 2.0 + d for q in (1, 2, 3, 1000, 63661) for d in (-1e-12, 1e-12)]
+    kl = np.array([1e-9, 1e-3, 0.5, 2.0, 17.3, 1e3, 1e5, *quarters])
+    ks = np.repeat(kl / l_max, 2)
+    offset = (1e-11 * (1.0 + ks) * (np.arange(ks.size) % 2))[:, None]
+    shift = solver._fast_two_sum(offset, 1e-17 * offset)
+    layout = solver._amplitude_layout(graph)
+    n, edge_columns = layout[0], layout[5]
+    x = np.random.default_rng(7).standard_normal((ks.size, n))
+    hi, lo = solver._wide_product(graph, sigmas, ks, shift, solver._wide_waves(graph, ks), x)
+    edges = list(graph.edges)
+    with mpmath.workdps(60):
+        for i, k0 in enumerate(ks):
+            k = mpmath.mpf(k0) + mpmath.mpf(shift[0][i, 0]) + mpmath.mpf(shift[1][i, 0])
+            y = [mpmath.mpf(v) for v in x[i, edge_columns]]
+            want = _condensed_rows(edges, robin.vertices, sigma, k, y)
+            got = [mpmath.mpf(h) + mpmath.mpf(g) for h, g in zip(hi[i], lo[i])]
+            error = max(abs(a - b) for a, b in zip(got, want))
+            bound = 1e-28 * (1.0 + k0 * l_max) * np.linalg.norm(x[i])
+            assert error <= bound, (k0, float(error), bound)
+
+
+def test_one_wide_product_per_newton_step(monkeypatch):
+    # the near records of one eigenbasis call share one batched residual
+    # per Newton step: EXACT_STEPS calls for one near record or for all
+    graph = make_complete4((1.0,) * 6)
+    spec = compute_spectrum(graph, RobinSpec(frozenset({0, 1}), 0.3), n_max=40)
+    calls, wide = [], solver._wide_product
+
+    def counted(graph, sigmas, ks, *rest):
+        calls.append(ks.copy())
+        return wide(graph, sigmas, ks, *rest)
+
+    monkeypatch.setattr(solver, "_wide_product", counted)
+    eigenbasis(spec, np.arange(spec.k.size))
+    assert len(calls) == eigenfunctions.EXACT_STEPS and calls[0].size >= 2
+    assert all(np.array_equal(ks, calls[0]) for ks in calls)
+    one = int(np.flatnonzero(spec.k == calls[0][0])[0])
+    calls.clear()
+    eigenbasis(spec, [one])
+    assert [ks.size for ks in calls] == [1] * eigenfunctions.EXACT_STEPS
 
 
 def test_zero_mode_has_no_row(unit_interval):

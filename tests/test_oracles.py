@@ -17,11 +17,13 @@ from oracles import (
     bisect,
     equilateral_star_gaps,
     equilateral_star_wavenumbers,
+    gauged_kernel,
     interval_neumann_wavenumbers,
     interval_robin_wavenumbers,
     min_integer_relation,
     quadrature_norm_sq,
     refined_root,
+    slot_l2_gram,
 )
 
 # Frozen roots of k*tan(k) = sigma, first branch, length 1.
@@ -49,6 +51,26 @@ def test_refined_root_is_the_root_at_full_precision():
         assert abs(got - want) < mpmath.mpf(10) ** (5 - REFINE_DIGITS)
     with pytest.raises(ValueError, match="no simple root"):
         refined_root(edges, coupled, 1.0, 2.0)
+
+
+def test_refined_double_root_kernel_is_the_eigenspace():
+    # the 4-star of leaves 1, 1, 1 and 1 + 2.3e-12, Neumann: at pi / 2 a
+    # double root, f = B_t sin kx on the unit leaves with sum_t B_t = 0,
+    # 2.7e-12 below a simple one.  Refined on the derivative of det A, the
+    # oracle's kernel is that eigenspace to rounding; at the float k it
+    # leant 6.5e-13 toward the simple root's
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0 + 2.3e-12)]
+    k = 1.570796326794897
+    with mpmath.workdps(REFINE_DIGITS):
+        got = refined_root(edges, frozenset(), 0.0, k, 1)
+        assert abs(got - mpmath.pi / 2) < mpmath.mpf(10) ** (5 - REFINE_DIGITS)
+    b = np.array([[1.0, -1.0, 0.0, 0.0], [1.0, 1.0, -2.0, 0.0]])
+    lengths = np.array([length for _, _, length in edges])
+    exact = np.zeros((2, 8), dtype=complex)
+    exact[:, 0::2], exact[:, 1::2] = b / 2j, -b * np.exp(-1j * k * lengths) / 2j
+    rows = gauged_kernel(edges, frozenset(), 0.0, k, 2)
+    got, want = (r.T @ np.linalg.solve(slot_l2_gram(edges, k, r), r.conj()) for r in (rows, exact))
+    assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_bisect_finds_simple_root():

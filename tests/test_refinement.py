@@ -37,8 +37,10 @@ from oracles import (
     complex_kernel_mismatch,
     eigenspace_vertex_weight,
     exact_inertia_count,
+    gauged_kernel,
     secular_function,
     simple_root_moments,
+    slot_l2_gram,
     vertex_projectors,
 )
 
@@ -1141,6 +1143,55 @@ def test_awkward_eigenfunctions_match_the_complex_kernel(case, coupled):
     except ToleranceNotMet:
         return
     _assert_matches_the_complex_kernel(spec, 12)
+
+
+def _l2_projector(edges, k, rows):
+    """The L2-orthogonal projector onto the span of slot amplitude rows,
+    in slot coordinates: the same for every basis of one eigenspace."""
+    rows = np.asarray(rows, dtype=complex)
+    return rows.T @ np.linalg.solve(slot_l2_gram(edges, k, rows), rows.conj())
+
+
+def _assert_multiple_records_meet_their_refined_roots(spec):
+    """Each multiple record with a simple one within 1e-8 (1 + k) of it
+    against the oracle's kernel at its root, refined on the (m - 1)-th
+    derivative of det A: the same eigenspace projector, to 1e-10 of its
+    largest entry.  Returns how many records it checked."""
+    graph, robin = spec.graph, spec.robin
+    edges = list(graph.edges)
+    checked = 0
+    for at in np.flatnonzero((spec.k > 0.0) & (spec.multiplicity > 1)):
+        k, m = spec.k[at], int(spec.multiplicity[at])
+        if np.min(np.abs(np.delete(spec.k, at) - k)) > 1e-8 * (1.0 + k):
+            continue
+        want = _l2_projector(edges, k, gauged_kernel(edges, robin.vertices, robin.sigma, k, m))
+        got = _l2_projector(edges, k, eigenbasis(spec, [at]).a)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (k, m)
+        checked += 1
+    return checked
+
+
+# A multiple record's SVD at the float k leans toward a simple root close
+# by, by about eps ||A|| / s, s its singular value: 1.4e-7 to 0.15 of the
+# projector on these graphs, 2.7e-12 to 3.1e-10 from their simple roots
+# (CHANGES.md, FOUND).  The strict mark fails the run once that is mended.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a multiple record's SVD leans toward a close simple root",
+)
+@pytest.mark.parametrize(
+    "graph, coupled, sigma",
+    [
+        (build_graph([(0, 1, 1.0), (0, 0, 1.0), (0, 0, 1.0 - 2.3e-12)]), {0, 1}, 0.0),
+        (make_star(4, (1.0, 1.0, 1.0, 1.0 + 2.3e-12)), {0}, 0.0),
+        (make_star(5, (1.0, 1.0, 1.0, 1.0, 1.0 + 1e-10)), {0}, 1.0),
+        (make_complete4((1.0,) * 5 + (1.0 + 1e-10,)), {0}, 0.0),
+    ],
+    ids=["two_loops", "star4", "star5_triple", "K4"],
+)
+def test_multiple_records_beside_a_close_simple_one(graph, coupled, sigma):
+    spec = solver.compute_spectrum(graph, RobinSpec(frozenset(coupled), sigma), n_max=12)
+    assert _assert_multiple_records_meet_their_refined_roots(spec) >= 1
 
 
 @given(st.one_of(degenerate_stars(), listed_stars(8)))
