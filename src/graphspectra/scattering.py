@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ZeroWaveNumber
-from .graphs import MetricGraph, RobinSpec
+from .graphs import MetricGraph
 
 __all__ = [
     "unitary_stack",
@@ -94,15 +94,22 @@ def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray
     return theta
 
 
-def total_phase_derivative(
-    graph: MetricGraph, robin: RobinSpec, ks: np.ndarray
-) -> np.ndarray:
-    """d Theta / dk; always >= 2|G|, so Theta is strictly increasing."""
+def total_phase_derivative(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
+    """d Theta / dk over positive wave numbers, each at its own vertex
+    couplings as in total_phase_values; always >= 2|G|, so Theta is
+    strictly increasing.
+
+    The terms are taken vertex by vertex in increasing order, as there, so
+    a row's value does not depend on the other rows; float_power squares a
+    coupling by libm's pow, as Python's sigma**2 does, where sigma * sigma
+    can differ in the last bit.
+    """
     ks = np.asarray(ks, dtype=float)
     if ks.size and not np.all(ks > 0.0):
         raise ZeroWaveNumber("total phase derivative needs k > 0")
+    sigmas = np.broadcast_to(sigmas, (ks.size, graph.num_vertices))
     out = np.full_like(ks, 2.0 * graph.total_length)
-    for v in robin.coupled_vertices(graph):
+    for v in np.flatnonzero(sigmas.any(axis=0)).tolist():
         d = graph.degree(v)
-        out = out + 2.0 * robin.sigma * d / (d * d * ks * ks + robin.sigma**2)
+        out = out + 2.0 * sigmas[:, v] * d / (d * d * ks * ks + np.float_power(sigmas[:, v], 2))
     return out

@@ -25,11 +25,11 @@ scale of their terms: on a multi-edge with a short edge, terms of size
 1 / l cancel to entries, and to a ||M||_2, far below that rounding); on
 either rule, every |sin k l_e| above POLE_MARGIN, where a graph eigenvalue
 sitting on a pole can fool the first test.  Grid points are free, so a
-point without margin moves up by a sixteenth of the cell above it at a
-time, at most GRID_MOVES times; a scan point that finds none raises
-ToleranceNotMet, and a quarter point (below) is dropped.  An enclosure
-end without margin leaves its records to the kernel rule
-(Certification).  No count is rounded without margin.
+scan or quarter point (below) without margin is dropped, and the two cells
+it parted join; a scan that keeps too few points to reach its target
+raises ToleranceNotMet (Scan range).  An enclosure end without margin
+leaves its records to the kernel rule (Certification).  No count is
+rounded without margin.
 
 Stars.  A star has every edge pendant at one centre c, the interval
 included, whose centre is its lower id.  Its leaves hold a diagonal
@@ -118,8 +118,7 @@ more roots hold simple roots a fraction of a cell apart, which the
 inertia count parts as cheaply as it counts the grid.  So before any
 eigenphase, each cell with count 2 or more is cut once into QUARTERS
 parts, and the QUARTERS - 1 interior points of all such cells are
-counted in one batched eigvalsh (_scan_counts, each point with its own
-step, a sixteenth of its part).  A part that still counts 2 or more, a
+counted in one batched eigvalsh.  A part that still counts 2 or more, a
 genuine cluster or roots closer than a quarter of the cell, goes to the
 counted splits as it is.  The quarter points join the scan grid: the
 count-fall check and the final audit below cover them like every scan
@@ -242,14 +241,16 @@ below every positive eigenvalue,
     N(k) > zero_count + |G| (k - k_start) / pi - 2E,
 
 so a single scan to k = pi (n_max + 2E + 8) / |G| certifies n_max
-eigenvalues; a scan that certifies fewer raises.  A k_max target scans
-CAP_CELLS cells past k_max.  The margin raise and the count-fall check
-cover the whole scan, but only the cells up to k_cap are quartered,
-refined, audited and recorded.  For both targets k_cap is the first scan
-point at or past the target (counting n_max, or at or above k_max) with
-no eigenvalue within the kernel reach (Certification) above it, so no
-record's kernel rule meets an unrefined root.  The scan grid is the same
-for every target, so k_cap does not depend on the bound.
+eigenvalues.  A k_max target scans CAP_CELLS cells past k_max.  A scan
+whose kept points fall short of its target raises, naming the lowest
+point dropped above the last one kept, or else the winding bound.  The
+count-fall check alone covers the whole scan; only the cells up to k_cap
+are quartered, refined, audited and recorded.  For both targets k_cap is
+the first scan point kept at or past the target (counting n_max, or at
+or above k_max) with no eigenvalue within the kernel reach
+(Certification) above it, so no record's kernel rule meets an unrefined
+root.  The scan grid is the same for every target, so k_cap does not
+depend on the bound.
 
 Records.  A root within RADIUS_FLOOR (1 + k) of the root below it, the
 floor of every enclosure, joins that root's record, unless a grid point
@@ -313,9 +314,9 @@ couplings row per wave number (the functions that form M(k), A(k) and
 U(k) broadcast, so one (V,) row also serves a batch of one coupling).  It
 does the same arithmetic on a row whatever rows share its batch, so each
 spectrum is bitwise the one its coupling gives alone.  These stages run
-once over the rows of all couplings: the scan counts and their grid
-moves, the quartering, the refinement with its end rows, handoffs and
-polish, and the enclosure counts of the certification.  Each row keeps
+once over the rows of all couplings: the scan counts, the quartering, the
+refinement with its end rows, handoffs and polish, and the enclosure
+counts of the certification.  Each row keeps
 the index of its coupling: quarter points join their own coupling's
 grid, the count-fall check runs on each grid, and each bracket end is
 its own row, so an end that two brackets share gets the same values
@@ -347,14 +348,13 @@ EPS = float(np.finfo(float).eps)
 MAX_STEPS = 200
 KERNEL_SV_SCALE = 1e-8
 COUNT_ROUNDING_TOL = 1e-6
-# scan step times l_max: no edge phase k l_e advances more than pi / 8 per cell
+# scan step times l_max: no edge phase k l_e advances more than pi / 8 per
+# scan step (a cell spans several steps where scan points were dropped)
 SCAN_PHASE_STEP = np.pi / 8.0
 # an inertia count needs every |mu_j(M)| above INERTIA_MARGIN V eps ||T||_F,
 # T the entrywise sums of |terms| of M, and every |sin k l_e| above POLE_MARGIN
 INERTIA_MARGIN = 64.0
 POLE_MARGIN = 1e-8
-# moves of a sixteenth of its cell a grid point without margin may take
-GRID_MOVES = 8
 # parts a multi-count cell is cut into before any eigenphase
 QUARTERS = 4
 # scan cells a k_max target runs past k_max
@@ -603,36 +603,13 @@ def _inertia_counts(graph: MetricGraph, sigmas, ks):
     return floors + positive, ok & np.all(_off_poles(x), axis=1)
 
 
-def _scan_counts(graph: MetricGraph, sigmas, ks: np.ndarray, steps):
-    """Inertia counts at points, moving each point that lacks margin; each
-    point at its own couplings row.
-
-    A point without margin moves up by its step at a time, at most
-    GRID_MOVES times.  A step is a sixteenth of the cell or part above the
-    point, so the point stays below the next one of its grid and the order
-    holds.  Returns the points where the counts were taken, the counts,
-    and whether each count has margin; the caller raises on or drops a
-    point without it.
-    """
-    ks = np.array(ks, dtype=float)
-    steps = np.broadcast_to(steps, ks.shape)
-    counts, ok = _inertia_counts(graph, sigmas, ks)
-    for _ in range(GRID_MOVES):
-        bad = np.flatnonzero(~ok)
-        if bad.size == 0:
-            break
-        ks[bad] += steps[bad]
-        counts[bad], ok[bad] = _inertia_counts(graph, sigmas[bad], ks[bad])
-    return ks, counts, ok
-
-
 def _quarter_cells(graph: MetricGraph, table: np.ndarray, grids: list, n_grids: list):
     """Each coupling's grid and its counts with every multi-count cell
     quartered; table[c] holds the vertex couplings of grids[c].
 
     See "Quartering" in the module docstring.  Each cell with count 2 or
     more is cut once, at its QUARTERS - 1 interior points, those of every
-    coupling counted in one batch; a point that finds no margin is
+    coupling counted in one batch; a point whose count has no margin is
     dropped.  The new points join their own coupling's grid.
     """
     cuts = [np.flatnonzero(np.diff(n_grid) >= 2) for n_grid in n_grids]
@@ -646,8 +623,7 @@ def _quarter_cells(graph: MetricGraph, table: np.ndarray, grids: list, n_grids: 
         ]
     )
     which = np.repeat(np.arange(len(grids)), [(QUARTERS - 1) * cut.size for cut in cuts])
-    steps = np.repeat(np.concatenate(parts) / 16.0, QUARTERS - 1)
-    ks, n_ks, ok = _scan_counts(graph, table[which], ks, steps)
+    n_ks, ok = _inertia_counts(graph, table[which], ks)
     out = []
     for c, (grid, n_grid) in enumerate(zip(grids, n_grids)):
         mine = ok & (which == c)
@@ -1415,7 +1391,7 @@ def _kernel_threshold(graph, robin, ks: np.ndarray) -> np.ndarray:
     """
     return np.maximum(
         KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
-        2.0 * _stop_width(ks) * total_phase_derivative(graph, robin, ks),
+        2.0 * _stop_width(ks) * total_phase_derivative(graph, robin.vertex_sigmas(graph), ks),
     )
 
 
@@ -1643,19 +1619,13 @@ def compute_spectra(
         for k_start, _ in anchors
     ]
     which = np.repeat(np.arange(len(robins)), [scan.size for scan in scans])
-    points, n_points, ok = _scan_counts(
-        graph, table[which], np.concatenate(scans), delta / 16.0
-    )
+    points = np.concatenate(scans)
+    n_points, ok = _inertia_counts(graph, table[which], points)
 
     grids, n_grids = [], []
     for c, (robin, (k_start, below)) in enumerate(zip(robins, anchors)):
-        mine = which == c
-        if not np.all(ok[mine]):
-            j = int(np.flatnonzero(~ok[mine])[0])
-            raise ToleranceNotMet(
-                f"no inertia count with margin at k={float(points[mine][j])!r} after "
-                f"{GRID_MOVES} moves of a sixteenth of a scan cell"
-            )
+        # a scan point without margin is dropped: its cell joins the next
+        mine = (which == c) & ok
         grid = np.concatenate([[k_start], points[mine]])
         n_grid = np.concatenate([[zero_counts[c] + len(below)], n_points[mine]])
         _require_rising(grid, n_grid)
@@ -1663,12 +1633,18 @@ def compute_spectra(
             start = int(np.searchsorted(grid, k_max))
         else:
             start = int(np.searchsorted(n_grid, n_max))
-            if start == grid.size:
-                raise ToleranceNotMet(
-                    f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} of {n_max} "
-                    "eigenvalues, below the winding bound "
-                    "N(k) > zero_count + |G| (k - k_start) / pi - 2E"
-                )
+        if start == grid.size:
+            # every scan point above the last one kept was dropped
+            lost = points[(which == c) & (points > grid[-1])]
+            cause = (
+                f"no inertia count with margin at k={float(lost[0])!r} or above"
+                if lost.size
+                else "below the winding bound N(k) > zero_count + |G| (k - k_start) / pi - 2E"
+            )
+            raise ToleranceNotMet(
+                f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} eigenvalues, "
+                f"short of its target: {cause}"
+            )
         cap = _cap_index(graph, robin, grid, n_grid, start)
         grids.append(grid[: cap + 1])
         n_grids.append(n_grid[: cap + 1])

@@ -176,31 +176,43 @@ def test_total_phase_strictly_increasing():
     ks = np.linspace(0.05, 40.0, 400)
     theta = total_phase_values(g, robin.vertex_sigmas(g), ks)
     assert np.all(np.diff(theta) > 0.0)
-    deriv = total_phase_derivative(g, robin, ks)
+    deriv = total_phase_derivative(g, robin.vertex_sigmas(g), ks)
     assert np.all(deriv >= 2.0 * g.total_length)
     # finite differences track the closed-form derivative
     mid = 0.5 * (ks[1:] + ks[:-1])
     fd = np.diff(theta) / np.diff(ks)
-    assert np.allclose(fd, total_phase_derivative(g, robin, mid), rtol=1e-3)
+    assert np.allclose(fd, total_phase_derivative(g, robin.vertex_sigmas(g), mid), rtol=1e-3)
 
 
 def test_total_phase_rows_are_bitwise_those_of_their_coupling_alone():
-    # the arctan terms go vertex by vertex in increasing order, whether the
-    # couplings come as one row for all wave numbers or one row each
+    # the arctan terms, and the terms of the derivative, go vertex by vertex
+    # in increasing order, whether the couplings come as one row for all
+    # wave numbers or one row each; 71.9849 ** 2, by libm's pow, is an ulp
+    # off 71.9849 * 71.9849, which moves the derivative at one of these k
     g = make_complete4(incommensurate_lengths(6))
-    robins = [RobinSpec(frozenset({1, 3}), 2.0), RobinSpec.neumann(), RobinSpec(frozenset({0}), 1e-3)]
-    ks = np.linspace(0.05, 40.0, 30)
+    robins = [
+        RobinSpec(frozenset({1, 3}), 2.0),
+        RobinSpec.neumann(),
+        RobinSpec(frozenset({0}), 1e-3),
+        RobinSpec(frozenset({0, 2}), 71.9849),
+    ]
+    ks = np.linspace(0.05, 40.0, 40)
     table = np.array([robin.vertex_sigmas(g) for robin in robins])
     which = np.arange(ks.size) % len(robins)
-    rows = total_phase_values(g, table[which], ks)
-    for c, robin in enumerate(robins):
-        alone = total_phase_values(g, robin.vertex_sigmas(g), ks[which == c])
-        assert np.array_equal(rows[which == c], alone)
-        # the closed form, term by term
-        want = 2.0 * g.total_length * ks[which == c]
+    for fn in (total_phase_values, total_phase_derivative):
+        rows = fn(g, table[which], ks)
+        for c, robin in enumerate(robins):
+            alone = fn(g, robin.vertex_sigmas(g), ks[which == c])
+            assert np.array_equal(rows[which == c], alone)
+    for robin in robins:
+        # the closed forms, term by term, at the scalar coupling
+        want, slope = 2.0 * g.total_length * ks, np.full_like(ks, 2.0 * g.total_length)
         for v in robin.coupled_vertices(g):
-            want = want - 2.0 * np.arctan(robin.sigma / (g.degree(v) * ks[which == c]))
-        assert np.array_equal(alone, want)
+            d = g.degree(v)
+            want = want - 2.0 * np.arctan(robin.sigma / (d * ks))
+            slope = slope + 2.0 * robin.sigma * d / (d * d * ks * ks + robin.sigma**2)
+        assert np.array_equal(total_phase_values(g, robin.vertex_sigmas(g), ks), want)
+        assert np.array_equal(total_phase_derivative(g, robin.vertex_sigmas(g), ks), slope)
 
 
 def test_lifted_det_argument_matches_total_phase():

@@ -234,8 +234,8 @@ def test_scan_short_of_n_max_raises(star4, monkeypatch):
 
 
 def test_scan_point_without_margin_raises(star4, monkeypatch):
-    # no count at or above k = 3 has margin: the scan point there moves up
-    # GRID_MOVES times and raises rather than use a count without margin
+    # no count at or above k = 3 has margin: every scan point there is
+    # dropped, and the scan raises rather than use a count without margin
     inertia_counts = solver._inertia_counts
 
     def planted(graph, sigmas, ks):
@@ -243,12 +243,54 @@ def test_scan_point_without_margin_raises(star4, monkeypatch):
         return n, ok & (np.asarray(ks) < 3.0)
 
     monkeypatch.setattr(solver, "_inertia_counts", planted)
-    with pytest.raises(ToleranceNotMet, match="after 8 moves of a sixteenth") as raised:
+    with pytest.raises(ToleranceNotMet, match="no inertia count with margin") as raised:
         compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=60)
-    # the first scan point at or above 3, half a cell up
-    k = float(re.search(r"k=(\S+) after", str(raised.value)).group(1))
+    # the first scan point at or above 3
+    k = float(re.search(r"margin at k=(\S+) or above", str(raised.value)).group(1))
     cell = solver.SCAN_PHASE_STEP / star4.max_edge_length
-    assert 3.0 + 0.5 * cell <= k < 3.0 + 1.5 * cell
+    assert 3.0 <= k < 3.0 + cell
+
+
+def _no_margin_where(monkeypatch, lacks):
+    """Plant: no inertia count has margin at the wave numbers where lacks
+    holds."""
+    inertia_counts = solver._inertia_counts
+
+    def planted(graph, sigmas, ks):
+        n, ok = inertia_counts(graph, sigmas, ks)
+        return n, ok & ~lacks(np.asarray(ks))
+
+    monkeypatch.setattr(solver, "_inertia_counts", planted)
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["robin", "neumann"])
+def test_a_band_without_margin_is_dropped(coupled, monkeypatch):
+    # no count in [3, 3 + 2 scan cells) has margin: the scan points there
+    # are dropped and their cells join, and the spectrum is the one found
+    # without the plant, to the stop width
+    graph, robin = load_graph_file(FIXTURES / "star_incommensurate.json")
+    robin = robin if coupled else NEUMANN
+    want = compute_spectrum(graph, robin, n_max=60)
+    cell = solver.SCAN_PHASE_STEP / graph.max_edge_length
+    _no_margin_where(monkeypatch, lambda ks: (ks >= 3.0) & (ks < 3.0 + 2.0 * cell))
+    got = compute_spectrum(graph, robin, n_max=60)
+    assert np.array_equal(got.multiplicity, want.multiplicity)
+    assert np.array_equal(got.index, want.index)
+    assert got.k_cap == want.k_cap
+    assert np.all(np.abs(got.k - want.k) <= _stop_width(want.k))
+
+
+def test_no_margin_past_k_max_raises(star4, monkeypatch):
+    # every scan point at or above k_max is dropped, so the grid falls
+    # short of its target: the scan names the first count without margin
+    # rather than index past the grid or blame the winding bound
+    _no_margin_where(monkeypatch, lambda ks: ks >= 5.0)
+    with pytest.raises(ToleranceNotMet, match="no inertia count with margin") as raised:
+        compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), k_max=5.0)
+    assert "winding" not in str(raised.value)
+    k = float(re.search(r"margin at k=(\S+) or above", str(raised.value)).group(1))
+    cell = solver.SCAN_PHASE_STEP / star4.max_edge_length
+    assert 5.0 <= k < 5.0 + cell
 
 
 def test_small_k_count_without_margin_raises(star4, monkeypatch):

@@ -191,7 +191,7 @@ class TestPredictions:
             lambda: sensitivity_prediction(star, robin, ks**2),
             lambda: len(robin.coupled_vertices(star)) / star.total_length,
             lambda: total_phase_values(star, robin.vertex_sigmas(star), ks),
-            lambda: total_phase_derivative(star, robin, ks),
+            lambda: total_phase_derivative(star, robin.vertex_sigmas(star), ks),
         ):
             with pytest.raises(DanglingEndpoint):
                 closed_form()
