@@ -77,7 +77,8 @@ def unitary_stack(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
 def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray:
     """Vectorized Theta(k) over an array of positive wave numbers, each at
     its own vertex couplings: sigmas is one row per wave number, or one
-    (V,) row for all, read as its broadcast to (len(ks), V).
+    (V,) row for all, read as its broadcast to ks.shape + (V,).  The
+    result has the shape of ks.
 
     The arctan terms are taken vertex by vertex in increasing order, each
     coupled vertex of any row over every row, so a row's value does not
@@ -87,10 +88,10 @@ def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray
     ks = np.asarray(ks, dtype=float)
     if ks.size and not ks.min() > 0.0:
         raise ZeroWaveNumber("total phase needs k > 0")
-    sigmas = np.broadcast_to(sigmas, (ks.size, graph.num_vertices))
+    sigmas = np.broadcast_to(sigmas, ks.shape + (graph.num_vertices,))
     theta = 2.0 * graph.total_length * ks
-    for v in np.flatnonzero(sigmas.any(axis=0)).tolist():
-        theta = theta - 2.0 * np.arctan(sigmas[:, v] / (graph.degree(v) * ks))
+    for v in np.flatnonzero(sigmas.reshape(-1, graph.num_vertices).any(axis=0)).tolist():
+        theta = theta - 2.0 * np.arctan(sigmas[..., v] / (graph.degree(v) * ks))
     return theta
 
 
@@ -107,9 +108,10 @@ def total_phase_derivative(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.nda
     ks = np.asarray(ks, dtype=float)
     if ks.size and not np.all(ks > 0.0):
         raise ZeroWaveNumber("total phase derivative needs k > 0")
-    sigmas = np.broadcast_to(sigmas, (ks.size, graph.num_vertices))
+    sigmas = np.broadcast_to(sigmas, ks.shape + (graph.num_vertices,))
     out = np.full_like(ks, 2.0 * graph.total_length)
-    for v in np.flatnonzero(sigmas.any(axis=0)).tolist():
+    for v in np.flatnonzero(sigmas.reshape(-1, graph.num_vertices).any(axis=0)).tolist():
         d = graph.degree(v)
-        out = out + 2.0 * sigmas[:, v] * d / (d * d * ks * ks + np.float_power(sigmas[:, v], 2))
+        sigma = sigmas[..., v]
+        out = out + 2.0 * sigma * d / (d * d * ks * ks + np.float_power(sigma, 2))
     return out

@@ -144,11 +144,11 @@ cross zero in a bracket holding c roots sit at ascending positions
 > 0 at hi and non-decreasing between, near linear across a cluster
 whose eigenvalues cross together.  The eigenvalues of the full M at both
 ends must count with margin, and such counts must give N less the floor
-sum or raise.  They must also resolve a root to VERTEX_RESOLUTION stop
-widths: V eps ||T||_F (the rounding of M, see Counting) over the mean
-slope of the crossing eigenvalues, (S(hi) - S(lo)) / (c (hi - lo)), is
-at most that.  A large coupling, whose sigma enters T but not the slope,
-can fail it.  The bracket then takes the winding route, whose unitary
+sum or raise.  They must also resolve a root to the stop width:
+V eps ||T||_F (the rounding of M, see Counting) over the mean slope of
+the crossing eigenvalues, (S(hi) - S(lo)) / (c (hi - lo)), is at most
+that.  A large coupling, whose sigma enters T but not the slope, can
+fail it.  The bracket then takes the winding route, whose unitary
 U(k) has no such scale.
 
 Every other bracket takes the winding route, on the eigenphases its
@@ -171,8 +171,9 @@ point only chooses where to measure; the counts at it certify as before.
 Brackets with count 2 or more stay in this stage to the end, a few steps
 each where bisection took about 45.  Both routes run in one step loop.
 
-Polish.  A bracket with count 1 leaves the counted splits as soon as it
-appears, from the grid or from a split.  It holds exactly one simple
+Polish.  A bracket with count 1 is offered to the polish as soon as it
+appears, from the grid or from a split, and at every step of the counted
+splits until it leaves them.  It holds exactly one simple
 root, which is a sign change of det A(k), A(k) the condensed real
 amplitude matrix.  The full one is 2E x 2E, over the amplitudes
 f_e(x) = A_e cos kx + B_e sin kx on each edge (x from its first vertex),
@@ -197,13 +198,17 @@ A root of multiplicity m flips the sign m times, so
 
     sign det A(k) = s_0 (-1)^N(k),
 
-with N(k) the inertia count and s_0 one constant per spectrum, taken at
-the first handoff from the end with the largest |det A|.  The handoff
-certifies the end signs by this parity: a grid cell carries N(lo) from
-the grid, and a split's left half keeps N(lo) while its right half adds
-the left half's count.  A bracket whose end values do not both have the
-predicted signs stays in the counted splits; that is a root on or
-within rounding of an end, the usual case after a split next to a
+with N(k) the inertia count and s_0 one constant per graph, the same
+for every coupling: at a fixed k, det A(k) changes sign exactly where an
+eigenvalue crosses k^2 as the couplings move, as (-1)^N(k) does, and the
+row weights of A are positive.  A pass takes s_0 at its first handoff,
+from the end with the largest |det A| over the ends of every coupling.
+The handoff certifies the end signs by this parity: a grid cell carries
+N(lo) from the grid, and a split's left half keeps N(lo) while its right
+half adds the left half's count.  A bracket whose end values do not both
+have the predicted signs takes a step of the counted splits and is
+offered again at every step, as its count-1 halves are; that is a root
+on or within rounding of an end, the usual case after a split next to a
 multiple root.  No rounding level is applied, so within rounding of a
 multiple root an end value can have the predicted sign by chance (a
 simple root one ulp of edge length from a triple one, say) and the
@@ -322,10 +327,10 @@ grid, the count-fall check runs on each grid, and each bracket end is
 its own row, so an end that two brackets share gets the same values
 twice, and the same k under two couplings the values of each.  These
 steps stay per coupling, as they belong to one spectrum: the anchor,
-k_cap, s_0 of the handoff parity, the merging of roots, the kernel rule
-and the exact count audit.  A pass pays the fixed cost of each step
-once, however many couplings its rows carry, which is most of the cost
-of a spectrum.
+k_cap, the merging of roots, the kernel rule and the exact count audit;
+s_0 of the handoff parity is one for the graph (Polish).  A pass pays
+the fixed cost of each step once, however many couplings its rows
+carry, which is most of the cost of a spectrum.
 """
 from __future__ import annotations
 
@@ -362,8 +367,6 @@ CAP_CELLS = 8
 # roots within RADIUS_FLOOR (1 + k) of the root below are one record, whose
 # enclosure radius is at least that
 RADIUS_FLOOR = 1e-12
-# a vertex-route bracket resolves its roots to this share of the stop width
-VERTEX_RESOLUTION = 1.0
 # pi / 2 as three doubles, hi to lo, the reduction of _wide_cos_sin
 HALF_PI_PARTS = (1.5707963267948966, 6.123233995736766e-17, -1.4973849048591698e-33)
 # the Taylor series of _wide_cos_sin stop below this
@@ -1028,29 +1031,26 @@ def _stop_width(ks: np.ndarray) -> np.ndarray:
     return 4.0 * EPS * (1.0 + ks)
 
 
-def _polish_ready(graph, table, which, los, his, n_lo, signs):
+def _polish_ready(graph, table, which, los, his, n_lo, sign):
     """End values of det A, which one-root brackets the polish can take,
-    and s_0 per coupling.
+    and s_0.
 
-    Bracket j is under the couplings table[which[j]], and signs[c] is s_0
-    of coupling c, NaN until known.  sign det A(k) = s_0 (-1)^N(k), so a
-    bracket holding one root, with N(lo) = n_lo, qualifies when its end
-    values have the signs s_0 (-1)^n_lo and -s_0 (-1)^n_lo.  An unknown
-    s_0 comes from the end of that coupling with the largest |det A|.
+    Bracket j is under the couplings table[which[j]], and sign is s_0, one
+    constant for every coupling of the graph, NaN until known.
+    sign det A(k) = s_0 (-1)^N(k), so a bracket holding one root, with
+    N(lo) = n_lo, qualifies when its end values have the signs
+    s_0 (-1)^n_lo and -s_0 (-1)^n_lo.  An unknown s_0 comes from the end
+    with the largest |det A|.
     """
-    ends = np.concatenate([which, which])
-    f = _amplitude_dets(graph, table[ends], np.concatenate([los, his]))
+    f = _amplitude_dets(graph, table[np.concatenate([which, which])], np.concatenate([los, his]))
     parity = 1.0 - 2.0 * (np.asarray(n_lo) % 2)
     parity = np.concatenate([parity, -parity])
-    signs = signs.copy()
-    for c in np.flatnonzero(np.isnan(signs)):
-        mine = np.flatnonzero(ends == c)
-        if mine.size:
-            j = mine[np.argmax(np.abs(f[mine]))]
-            signs[c] = np.sign(f[j]) * parity[j]
-    agree_lo, agree_hi = np.split(np.sign(f) == signs[ends] * parity, 2)
+    if np.isnan(sign):
+        j = np.argmax(np.abs(f))
+        sign = np.sign(f[j]) * parity[j]
+    agree_lo, agree_hi = np.split(np.sign(f) == sign * parity, 2)
     f_lo, f_hi = np.split(f, 2)
-    return f_lo, f_hi, agree_lo & agree_hi, signs
+    return f_lo, f_hi, agree_lo & agree_hi, sign
 
 
 def _step_points(x1, x2, x3, f1, f2, f3, stop) -> np.ndarray:
@@ -1162,13 +1162,13 @@ def _end_rows(graph, table, which, los, his, counts, n_lo):
     A bracket with no Dirichlet pole in [lo, hi], the same floor(k l_e / pi)
     at both ends for every edge and the pole margin at both, takes the
     vertex route when the eigenvalues of M(k) at both ends count with
-    margin and resolve its roots to VERTEX_RESOLUTION stop widths
-    ("Counted splits" in the module docstring); counts with margin must
-    equal N less the floor sum.  Every other bracket takes the winding
-    route, with Theta and eigenphase rows whose winding count must equal
-    the inertia count it came with.  Raises ToleranceNotMet where a count
-    differs.  Returns the vertex mask, the floor sums at lo and the rows
-    (th_lo, ph_lo, mu_lo, th_hi, ph_hi, mu_hi), zero off their route.
+    margin and resolve its roots to the stop width ("Counted splits" in
+    the module docstring); counts with margin must equal N less the floor
+    sum.  Every other bracket takes the winding route, with Theta and
+    eigenphase rows whose winding count must equal the inertia count it
+    came with.  Raises ToleranceNotMet where a count differs.  Returns the
+    vertex mask, the floor sums at lo and the rows (th_lo, ph_lo, mu_lo,
+    th_hi, ph_hi, mu_hi), zero off their route.
     """
     n = los.size
     lengths = graph.slot_length[None, 0::2]
@@ -1201,9 +1201,7 @@ def _end_rows(graph, table, which, los, his, counts, n_lo):
         # the rounding of M over the mean slope of the crossing eigenvalues
         s_lo, s_hi = _crossing_sums(mu_lo[on], mu_hi[on], base, c)
         rounding = np.maximum(b_lo, b_hi) / (INERTIA_MARGIN * graph.num_vertices)
-        fine = rounding * c * (his[on] - los[on]) < (
-            VERTEX_RESOLUTION * _stop_width(his[on]) * (s_hi - s_lo)
-        )
+        fine = rounding * c * (his[on] - los[on]) < _stop_width(his[on]) * (s_hi - s_lo)
         vertex[on[~(margin & fine)]] = False
     off = np.flatnonzero(~vertex)
     if off.size:
@@ -1234,9 +1232,9 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
 
     n_lo is the inertia count N(lo) of each bracket; a split's left half
     keeps it and its right half adds the left half's count.  Each count-1
-    bracket leaves as soon as it appears for the polish on det A, unless
-    its end values do not have the signs N predicts (_polish_ready); then
-    it stays here to the end.  The brackets left after the first handoff
+    bracket is offered to the polish on det A at every step, from the one
+    it appears at, and leaves once its end values have the signs N
+    predicts (_polish_ready).  The brackets left after the first handoff
     get their route and end rows (_end_rows), which their halves keep.
     Each step then measures every bracket at one point, chosen by
     _step_points on S of the eigenvalues of M(k) (vertex route) or on the
@@ -1248,9 +1246,8 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
     owners: list[int] = []
     polish: list[tuple] = []
     n = los.size
-    # s_0 of _polish_ready per coupling, fixed at its first handoff
-    signs = np.full(len(table), np.nan)
-    unready = np.zeros(n, dtype=bool)
+    # s_0 of _polish_ready, fixed at the first handoff
+    sign = np.nan
     # route and floor sum of _end_rows
     vertex, floors = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
     # whether lo is the newest end, and the point the last step dropped and
@@ -1265,21 +1262,18 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
         mults.extend(counts[done])
         owners.extend(which[done])
         keep = ~done
-        handoff = np.flatnonzero(keep & (counts == 1) & ~unready)
+        handoff = np.flatnonzero(keep & (counts == 1))
         if handoff.size:
-            f_lo, f_hi, ready, signs = _polish_ready(
-                graph, table, which[handoff], los[handoff], his[handoff], n_lo[handoff], signs
+            f_lo, f_hi, ready, sign = _polish_ready(
+                graph, table, which[handoff], los[handoff], his[handoff], n_lo[handoff], sign
             )
             leaving = handoff[ready]
             polish.append(
                 (which[leaving], los[leaving], his[leaving], f_lo[ready], f_hi[ready])
             )
             keep[leaving] = False
-            unready[handoff[~ready]] = True
-        brackets = (
-            which, los, his, counts, n_lo, unready, vertex, floors, newest_lo, x3, f3, stop
-        )
-        which, los, his, counts, n_lo, unready, vertex, floors, newest_lo, x3, f3, stop = (
+        brackets = (which, los, his, counts, n_lo, vertex, floors, newest_lo, x3, f3, stop)
+        which, los, his, counts, n_lo, vertex, floors, newest_lo, x3, f3, stop = (
             a[keep] for a in brackets
         )
         if los.size == 0:
@@ -1345,7 +1339,6 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
         )
         counts = np.concatenate([c_lo[left], c_hi[right]])
         n_lo = np.concatenate([n_lo[left], n_lo[right] + c_lo[right]])
-        unready = unready[both]
     if los.size:
         raise ToleranceNotMet(
             f"{los.size} brackets still open after {MAX_STEPS} refinement steps"

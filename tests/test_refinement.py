@@ -89,13 +89,41 @@ def test_polish_ready_sends_even_and_endpoint_roots_back(pi_interval):
     his = np.array([1.5, 4.5, 2.5, 1.0])
     n_lo = np.array([1, 2, 1, 1])
     table, which = NEUMANN.vertex_sigmas(pi_interval)[None, :], np.zeros(4, dtype=int)
-    _, _, ready, sign = solver._polish_ready(
-        pi_interval, table, which, los, his, n_lo, np.full(1, np.nan)
-    )
+    _, _, ready, sign = solver._polish_ready(pi_interval, table, which, los, his, n_lo, np.nan)
     assert ready.tolist() == [True, True, False, False]
     # the given s_0 is kept; the opposite one refuses every bracket
     _, _, ready, kept = solver._polish_ready(pi_interval, table, which, los, his, n_lo, -sign)
-    assert not ready.any() and kept.tolist() == (-sign).tolist()
+    assert not ready.any() and kept == -sign
+
+
+def test_a_refused_handoff_is_offered_again():
+    # every bracket refused at the first handoff: each stays in the counted
+    # splits for one step and is offered again, so all 61 one-root brackets
+    # still reach the polish (2 did when a refusal kept a bracket there to
+    # the end), with the same records, each k within one stop width
+    graph, robin = load_graph_file(FIXTURES / "star_incommensurate.json")
+    ready_fn, polish_fn = solver._polish_ready, solver._polish
+    polished, calls = [], []
+
+    def counted(graph, table, which, los, *rest):
+        polished.append(los.size)
+        return polish_fn(graph, table, which, los, *rest)
+
+    def refused(*args):
+        f_lo, f_hi, ok, sign = ready_fn(*args)
+        calls.append(ok.size)
+        return f_lo, f_hi, ok & (len(calls) > 1), sign
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_polish", counted)
+        want = solver.compute_spectrum(graph, robin, n_max=60)
+        patch.setattr(solver, "_polish_ready", refused)
+        got = solver.compute_spectrum(graph, robin, n_max=60)
+    assert polished == [61, 61]
+    assert np.array_equal(got.index, want.index)
+    assert np.array_equal(got.multiplicity, want.multiplicity)
+    assert got.k_cap == want.k_cap
+    assert np.all(np.abs(got.k - want.k) <= solver._stop_width(want.k)), (got.k, want.k)
 
 
 def test_handoff_on_a_noisy_end_sign_keeps_the_multiple_record():
@@ -945,6 +973,41 @@ def test_amplitude_determinant_is_the_secular_function(case, us):
     ratio = 2.0**graph.num_edges * solver._amplitude_dets(graph, sigmas, ks) / zeta.real
     assert np.allclose(ratio, ratio[0], rtol=0.0, atol=1e-8), ratio
     assert abs(abs(ratio[0]) - 1.0) <= 1e-8, ratio
+
+
+@given(st.one_of(awkward_graphs(), degenerate_stars()), st.data())
+@settings(max_examples=40, deadline=None)
+def test_count_parity_sign_is_one_for_every_coupling(case, data):
+    # s_0 = sign det A(k) (-1)^N(k) belongs to the graph: one value at the
+    # kept scan points of Neumann and two random couplings in one pass,
+    # wherever det A is not zero
+    graph, robin = case
+    other = RobinSpec(
+        frozenset(data.draw(st.sets(st.integers(0, graph.num_vertices - 1)))),
+        float(10.0 ** data.draw(st.floats(-8.0, 6.0))),
+    )
+    robins = (NEUMANN, robin, other)
+    counts_fn = solver._inertia_counts
+    scans = []
+
+    def first(graph, sigmas, ks):
+        out = counts_fn(graph, sigmas, ks)
+        if not scans:
+            scans.append((sigmas, ks, *out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_inertia_counts", first)
+        try:
+            solver.compute_spectra(graph, robins, n_max=20)
+        except ToleranceNotMet:
+            pass
+    if not scans:
+        return
+    sigmas, ks, n, ok = scans[0]
+    signs = np.sign(solver._amplitude_dets(graph, sigmas[ok], ks[ok])) * (-1.0) ** n[ok]
+    signs = signs[signs != 0.0]
+    assert np.all(signs == signs[0]), (robins, signs)
 
 
 @given(

@@ -215,6 +215,21 @@ def test_total_phase_rows_are_bitwise_those_of_their_coupling_alone():
         assert np.array_equal(total_phase_derivative(g, robin.vertex_sigmas(g), ks), slope)
 
 
+def test_total_phase_takes_the_shape_of_ks():
+    # a coupled vertex gave shape (1,) for a 0-d ks, and raised ValueError
+    # for a (2, 3) ks, where Neumann gave the shape of ks
+    g = make_star(3, (1.0, 1.5, 2.0))
+    flat = np.linspace(0.5, 3.0, 6)
+    for robin in (NEUMANN, RobinSpec(frozenset({0}), 2.0)):
+        sigmas = robin.vertex_sigmas(g)
+        for fn in (total_phase_values, total_phase_derivative):
+            want = fn(g, sigmas, flat)
+            for ks in (flat[0], flat[:1], flat.reshape(2, 3)):
+                got = fn(g, sigmas, ks)
+                assert np.shape(got) == np.shape(ks), (robin, fn.__name__)
+                assert np.asarray(got).tobytes() == want[: np.size(ks)].tobytes()
+
+
 def test_lifted_det_argument_matches_total_phase():
     g = make_star(4, incommensurate_lengths(4))
     robin = RobinSpec(frozenset({0}), 2.0)

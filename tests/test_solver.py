@@ -808,7 +808,7 @@ def test_a_shared_bracket_end_gets_the_values_of_its_own_coupling():
         )
 
     f_lo, f_hi, _, _ = solver._polish_ready(
-        graph, table, which, los, his, np.array([3, 4, 3, 4]), np.full(2, np.nan)
+        graph, table, which, los, his, np.array([3, 4, 3, 4]), np.nan
     )
     ends = [*solver._at_ends(table, which, los, his, rows), (f_lo, f_hi)]
     want = [
