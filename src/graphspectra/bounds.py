@@ -78,18 +78,21 @@ def bound_report(name, bound, actual, error=0.0) -> BoundReport:
     )
 
 
-def _coupled_star_lengths(decomp: StarDecomposition, robin: RobinSpec) -> np.ndarray:
+def _coupled(decomp: StarDecomposition, robin: RobinSpec) -> np.ndarray:
+    """The coupled vertex ids, validated against the decomposition's graph;
+    raises ValueError when there are none."""
     verts = robin.coupled_vertices(decomp.graph)
     if not verts:
         raise ValueError("no coupled vertices to bound")
-    return np.array([decomp.star_length(v) for v in verts])
+    return np.array(verts)
 
 
 def gap_bound(decomp: StarDecomposition, robin: RobinSpec) -> float:
-    """Flat bound 2 sigma / min |S_v| over the coupled vertices."""
+    """Flat bound 2 sigma / min |S_v| over the coupled vertices, 0 at sigma = 0."""
     if robin.sigma == 0.0:
+        robin.coupled_vertices(decomp.graph)  # validates the vertex set
         return 0.0
-    smallest = float(np.min(_coupled_star_lengths(decomp, robin)))
+    smallest = float(np.min(decomp.star_lengths[_coupled(decomp, robin)]))
     if smallest == 0.0:
         raise DegenerateDecomposition(
             "a coupled vertex received a star of zero length"
@@ -110,22 +113,16 @@ def sensitivity_bound(decomp: StarDecomposition, robin: RobinSpec, lam) -> np.nd
     decays from 2 sigma-corrected values to 2/min|S_v| as lam grows.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0.0):
+    if not np.all(lam > 0.0):
         raise ValueError("energy must be positive")
     sigma = robin.sigma
-    verts = robin.coupled_vertices(decomp.graph)
-    if not verts:
-        raise ValueError("no coupled vertices to bound")
-    denoms = []
-    for v in verts:
-        big_s = decomp.star_length(v)
-        small_s = decomp.harmonic_split(v)
-        if big_s == 0.0 and sigma == 0.0:
-            raise DegenerateDecomposition(
-                "a coupled vertex received a star of zero length"
-            )
-        denoms.append(big_s + (sigma**2 * small_s + sigma) / lam)
-    return 2.0 / np.min(denoms, axis=0)
+    verts = _coupled(decomp, robin)
+    big_s, small_s = decomp.star_lengths[verts], decomp.harmonic_splits[verts]
+    if sigma == 0.0 and np.any(big_s == 0.0):
+        raise DegenerateDecomposition(
+            "a coupled vertex received a star of zero length"
+        )
+    return 2.0 / np.min(big_s + (sigma**2 * small_s + sigma) / lam[..., None], axis=-1)
 
 
 def improved_bound(lambda0, sigma: float, s_check: float, S_check: float) -> np.ndarray:
@@ -133,10 +130,12 @@ def improved_bound(lambda0, sigma: float, s_check: float, S_check: float) -> np.
 
     Only defined above the threshold lambda0 > 1/(4 s_check S_check);
     NaN at and below it.  Raises DegenerateParameters unless s_check and
-    S_check are finite and positive.
+    S_check are finite and positive and sigma finite and >= 0.
     """
     if not (0.0 < s_check < np.inf and 0.0 < S_check < np.inf):
         raise DegenerateParameters("split parameters must be finite and positive")
+    if not 0.0 <= sigma < np.inf:
+        raise DegenerateParameters("coupling must be finite and >= 0")
     lambda0 = np.asarray(lambda0, dtype=float)
     threshold = 1.0 / (4.0 * s_check * S_check)
     out = np.full(lambda0.shape, np.nan)
@@ -153,11 +152,9 @@ def improved_bound(lambda0, sigma: float, s_check: float, S_check: float) -> np.
 
 def decomposition_bound_parameters(decomp: StarDecomposition, robin: RobinSpec) -> tuple:
     """(s_check, S_check) = (min s_v, min |S_v|) over the coupled vertices."""
-    verts = robin.coupled_vertices(decomp.graph)
-    if not verts:
-        raise ValueError("no coupled vertices")
-    s_check = min(decomp.harmonic_split(v) for v in verts)
-    S_check = min(decomp.star_length(v) for v in verts)
+    verts = _coupled(decomp, robin)
+    s_check = float(np.min(decomp.harmonic_splits[verts]))
+    S_check = float(np.min(decomp.star_lengths[verts]))
     if s_check <= 0.0 or S_check <= 0.0:
         raise DegenerateParameters(
             "decomposition gives a coupled vertex a zero split"

@@ -119,7 +119,7 @@ import numpy as np
 
 from . import solver
 from .errors import ContinuityViolation, KernelDimensionMismatch, OutOfRange
-from .graphs import MetricGraph, RobinSpec, _has_boolean, _integer, _real
+from .graphs import MetricGraph, _has_boolean, _integer, _real
 from .solver import Spectrum, _kernel_rule
 
 __all__ = [
@@ -203,10 +203,10 @@ def _bordered_systems(graph: MetricGraph, sigmas, amp, ks, x):
     return out
 
 
-def _root_kernel(graph: MetricGraph, robin: RobinSpec, amp, ks: np.ndarray, x: np.ndarray):
+def _root_kernel(graph: MetricGraph, sigmas, amp, ks: np.ndarray, x: np.ndarray):
     """Unit kernel vectors x of A(k) at simple roots next to the float wave
-    numbers ks, A(ks) the stack amp, after EXACT_STEPS Newton steps on
-    A(k) x = 0 with k free.
+    numbers ks, A(ks) the stack amp at the couplings row sigmas, after
+    EXACT_STEPS Newton steps on A(k) x = 0 with k free.
 
     At a float k the SVD's kernel vector leans toward the singular vector
     of a neighbouring small singular value s by about (eps + ulp(k) ||A'||)
@@ -220,7 +220,6 @@ def _root_kernel(graph: MetricGraph, robin: RobinSpec, amp, ks: np.ndarray, x: n
     eps / s of the lean at each step, so that only the residual's rounding
     bounds it.
     """
-    sigmas = robin.vertex_sigmas(graph)
     system = _bordered_systems(graph, sigmas, amp, ks, x)
     waves = solver._wide_waves(graph, ks)
     out, rhs = x.copy(), np.zeros((ks.size, x.shape[1] + 1, 1))
@@ -248,15 +247,16 @@ def _arrow_rows(graph: MetricGraph) -> np.ndarray | slice:
     return slice(None) if np.array_equal(rows, np.arange(rows.size)) else rows
 
 
-def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius):
+def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
     """Singular values, largest first, and right singular vectors of the
-    stack amp of A(k) as the kernel rule and eigenbasis read them, for the
-    records whose A(k) is an arrow that passes the gate ("Stars" in the
-    module docstring): ||A||_2, a lower bound in place of every middle
-    value, and for a simple record |A x| for the unit kernel vector x, the
-    last row of vt; for a record of multiplicity m the bound max_P |d_t| in
-    each of the m last places, and an orthonormal basis of ker A0 in the
-    last m rows of vt.  The other records' rows of sv are NaN."""
+    stack amp of A(k) at the couplings row sigmas as the kernel rule and
+    eigenbasis read them, for the records whose A(k) is an arrow that
+    passes the gate ("Stars" in the module docstring): ||A||_2, a lower
+    bound in place of every middle value, and for a simple record |A x| for
+    the unit kernel vector x, the last row of vt; for a record of
+    multiplicity m the bound max_P |d_t| in each of the m last places, and
+    an orthonormal basis of ker A0 in the last m rows of vt.  The other
+    records' rows of sv are NaN."""
     sv, vt = np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)
     n = amp.shape[1]
     arrow = amp[:, _arrow_rows(graph)]
@@ -279,7 +279,7 @@ def _arrow_kernels(graph: MetricGraph, robin: RobinSpec, amp, ks, mults, radius)
         reduced[record, leaf + 1, leaf + 1] = 0.0
     gram = np.linalg.eigvalsh(np.swapaxes(reduced, 1, 2) @ reduced)
     norm = np.sqrt(gram[:, -1])
-    floor, threshold, lift = solver._kernel_thresholds(graph, robin, ks[at], norm, radius[at])
+    floor, threshold, lift = solver._kernel_thresholds(graph, sigmas, ks[at], norm, radius[at])
     gate = np.maximum(NEIGHBOUR_SV, threshold) * norm
     # the smallest Q pivot, every pivot of a simple record
     rest = np.min(pivot, axis=1, where=~pole, initial=np.inf)
@@ -353,24 +353,25 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     positive = np.flatnonzero(spectrum.k > 0.0)
     handed = positive[np.isin(positive, records)]
     ks, mults = spectrum.k[handed], spectrum.multiplicity[handed]
-    radius, threshold = spectrum.radius[handed], solver._kernel_threshold(graph, robin, ks)
+    sigmas = robin.vertex_sigmas(graph)
+    radius, threshold = spectrum.radius[handed], solver._kernel_threshold(graph, sigmas, ks)
     # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
-    amp = solver._amplitude_matrices(graph, robin.vertex_sigmas(graph), ks)
-    sv, vt = _arrow_kernels(graph, robin, amp, ks, mults, radius)
+    amp = solver._amplitude_matrices(graph, sigmas, ks)
+    sv, vt = _arrow_kernels(graph, sigmas, amp, ks, mults, radius)
     # one LAPACK call per matrix, not per stack: the benchmark's layer
     # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
     for i in np.flatnonzero(np.isnan(sv[:, 0])):
         _, sv[i], vt[i] = np.linalg.svd(amp[i])
     crossings = spectrum.wavenumbers()
-    mismatch = _kernel_rule(graph, robin, ks, mults, sv, radius, crossings)
+    mismatch = _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
     sv = sv / sv[:, :1]  # relative to ||A(k)||_2
     near = np.flatnonzero((mults == 1) & (sv[:, -2] < NEIGHBOUR_SV))
     if near.size:
-        vt[near, -1] = _root_kernel(graph, robin, amp[near], ks[near], vt[near, -1])
+        vt[near, -1] = _root_kernel(graph, sigmas, amp[near], ks[near], vt[near, -1])
 
     local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults
@@ -436,7 +437,7 @@ def evaluate(basis: EigenBasis, row: int, edge: int, x: float) -> float:
         raise OutOfRange(f"row {row} outside 0..{len(basis.k) - 1}")
     if not 0 <= edge < graph.num_edges:
         raise OutOfRange(f"edge {edge} outside 0..{graph.num_edges - 1}")
-    length = graph.edge_length(edge)
+    length = graph.edges[edge][2]
     if not 0.0 <= x <= length:
         raise OutOfRange(f"x={x!r} outside [0, {length!r}] on edge {edge}")
     a, k = basis.a[row], basis.k[row]

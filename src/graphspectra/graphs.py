@@ -138,16 +138,6 @@ class MetricGraph:
     def max_edge_length(self) -> float:
         return float(self.slot_length.max())
 
-    def degree(self, v: int) -> int:
-        return int(self.degrees[v])
-
-    def edge_length(self, t: int) -> float:
-        return self.edges[t][2]
-
-    def slots_out(self, v: int) -> np.ndarray:
-        """Directed slots leaving vertex v (the adjacency list E_v)."""
-        return np.flatnonzero(self.slot_origin == v)
-
 
 @dataclass(frozen=True)
 class RobinSpec:
@@ -193,15 +183,17 @@ class StarDecomposition:
     """Partition of the graph into vertex stars by splitting each edge.
 
     splits[t] = (s_u, s_v) assigns the portion of edge t adjacent to each
-    endpoint; the two parts sum to the edge length exactly.  star_length(v)
-    is the total length |S_v| of the star at v, and harmonic_split(v) the
-    harmonic mean-type quantity s_v = 1 / sum(1/s), zero when any incident
-    split is zero.
+    endpoint; the two parts sum to the edge length exactly.  Two arrays
+    indexed by vertex are derived from them: star_lengths[v] is the total
+    length |S_v| of the star at v, and harmonic_splits[v] the harmonic
+    mean-type quantity s_v = 1 / sum(1/s), zero when any incident split is
+    zero.  Both sum a vertex's splits in slot order.
     """
 
     graph: MetricGraph
     splits: tuple[tuple[float, float], ...]
-    slot_split: np.ndarray = field(init=False, compare=False, repr=False)
+    star_lengths: np.ndarray = field(init=False, compare=False, repr=False)
+    harmonic_splits: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         splits = tuple((float(a), float(b)) for a, b in self.splits)
@@ -209,29 +201,20 @@ class StarDecomposition:
         g = self.graph
         if len(splits) != g.num_edges:
             raise ValueError("one split per edge required")
-        slot_split = np.empty(g.num_slots)
-        for t, (s_u, s_v) in enumerate(splits):
-            length = g.edge_length(t)
+        for t, ((s_u, s_v), (_, _, length)) in enumerate(zip(splits, g.edges)):
             if not (0.0 <= s_u < np.inf and 0.0 <= s_v < np.inf):
                 raise ValueError(f"split on edge {t} is negative or not finite")
             if abs((s_u + s_v) - length) > 4.0 * np.finfo(float).eps * length:
                 raise ValueError(
                     f"splits {s_u} + {s_v} do not sum to edge length {length}"
                 )
-            slot_split[2 * t] = s_u
-            slot_split[2 * t + 1] = s_v
-        object.__setattr__(self, "slot_split", slot_split)
-
-    def star_length(self, v: int) -> float:
-        """|S_v|: total length assigned to the star at v."""
-        return float(self.slot_split[self.graph.slots_out(v)].sum())
-
-    def harmonic_split(self, v: int) -> float:
-        """s_v = (sum over incident splits of 1/s)^(-1), or 0 if any split is 0."""
-        parts = self.slot_split[self.graph.slots_out(v)]
-        if np.any(parts == 0.0):
-            return 0.0
-        return float(1.0 / np.sum(1.0 / parts))
+        per_slot = np.abs(splits).reshape(-1)  # s_u at slot 2t, s_v at 2t + 1; no -0.0
+        star_lengths = np.bincount(g.slot_origin, per_slot, g.num_vertices)
+        # a zero split gives 1/0 = inf, so s_v = 1/inf = 0
+        with np.errstate(divide="ignore"):
+            inverse = np.bincount(g.slot_origin, 1.0 / per_slot, g.num_vertices)
+        object.__setattr__(self, "star_lengths", star_lengths)
+        object.__setattr__(self, "harmonic_splits", 1.0 / inverse)
 
 
 def build_graph(edges, num_vertices=None) -> MetricGraph:

@@ -91,7 +91,7 @@ def total_phase_values(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.ndarray
     sigmas = np.broadcast_to(sigmas, ks.shape + (graph.num_vertices,))
     theta = 2.0 * graph.total_length * ks
     for v in np.flatnonzero(sigmas.reshape(-1, graph.num_vertices).any(axis=0)).tolist():
-        theta = theta - 2.0 * np.arctan(sigmas[..., v] / (graph.degree(v) * ks))
+        theta = theta - 2.0 * np.arctan(sigmas[..., v] / (graph.degrees[v] * ks))
     return theta
 
 
@@ -111,7 +111,7 @@ def total_phase_derivative(graph: MetricGraph, sigmas, ks: np.ndarray) -> np.nda
     sigmas = np.broadcast_to(sigmas, ks.shape + (graph.num_vertices,))
     out = np.full_like(ks, 2.0 * graph.total_length)
     for v in np.flatnonzero(sigmas.reshape(-1, graph.num_vertices).any(axis=0)).tolist():
-        d = graph.degree(v)
+        d = graph.degrees[v]
         sigma = sigmas[..., v]
         out = out + 2.0 * sigma * d / (d * d * ks * ks + np.float_power(sigma, 2))
     return out

@@ -316,7 +316,11 @@ Its table holds the vertex couplings of each coupling in a row, and a
 couplings row is the row of a wave number's coupling: every function of
 wave numbers takes sigmas = table[which], shape (len(ks), V), one
 couplings row per wave number (the functions that form M(k), A(k) and
-U(k) broadcast, so one (V,) row also serves a batch of one coupling).  It
+U(k) broadcast, so one (V,) row also serves a batch of one coupling).
+Every private helper takes couplings rows, never a RobinSpec: only
+compute_spectra and the eigenfunction module's eigenbasis build a row
+from a coupling, and the anchor and the zero count read theirs
+(sigmas.any(), sigmas.max(), np.count_nonzero(sigmas)).  A pass
 does the same arithmetic on a row whatever rows share its batch, so each
 spectrum is bitwise the one its coupling gives alone.  These stages run
 once over the rows of all couplings: the scan counts, the quartering, the
@@ -654,14 +658,14 @@ def _leaf_pivots(graph: MetricGraph, sigmas: np.ndarray, k: float) -> np.ndarray
     return -k * np.cos(x) / np.sin(x) - sigmas[leaves]
 
 
-def _small_k_count(graph: MetricGraph, robin: RobinSpec, k: float) -> int:
-    """N(k) for 0 < k <= pi / (4 |G|) from the congruent form of M(k).
+def _small_k_count(graph: MetricGraph, sigmas: np.ndarray, k: float) -> int:
+    """N(k) for 0 < k <= pi / (4 |G|) from the congruent form of M(k) at
+    the couplings row sigmas.
 
     See "The anchor" in the module docstring; raises ToleranceNotMet
     unless C' and the Schur complement both have margin.
     """
     n = graph.num_vertices
-    sigmas = robin.vertex_sigmas(graph)
     t = k * np.tan(0.5 * k * graph.slot_length)
     b = np.bincount(graph.slot_origin, weights=t, minlength=n) - sigmas
     positive, coupling = float(t.sum()), float(sigmas.sum())
@@ -957,13 +961,14 @@ def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, shift, waves, x: n
     return _fast_two_sum(total, error)
 
 
-def _amplitude_slope(graph: MetricGraph, robin: RobinSpec, ks: np.ndarray) -> np.ndarray:
-    """A bound on ||A'(k)||_2: the Frobenius norm of A', each entry bounded by
-    its terms, l_t through cos or sin k l_t and |w'| through a vertex weight w,
-    s^2 / r or s d^2 k / r with r = (d^2 k^2 + s^2)^(3/2) at coupling s."""
+def _amplitude_slope(graph: MetricGraph, sigmas: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """A bound on ||A'(k)||_2 at the couplings row sigmas: the Frobenius
+    norm of A', each entry bounded by its terms, l_t through cos or sin
+    k l_t and |w'| through a vertex weight w, s^2 / r or s d^2 k / r with
+    r = (d^2 k^2 + s^2)^(3/2) at coupling s."""
     size, flat, src, weight = _amplitude_layout(graph)[:4]
     lengths = np.append(0.0, np.tile(graph.slot_length[0::2], 2))
-    d, s, k = graph.degrees, robin.vertex_sigmas(graph), ks[:, None]
+    d, s, k = graph.degrees, sigmas, ks[:, None]
     r = (d * d * k * k + s * s) ** 1.5
     moving = np.concatenate([np.zeros_like(k), s * s / r, s * d * d * k / r], axis=1)
     terms = np.zeros((size * size, moving.shape[1]))
@@ -1376,7 +1381,7 @@ def _merge_roots(roots: np.ndarray, mults: np.ndarray, grid):
     return mean, total, np.maximum.reduceat(np.abs(roots - mean[chain]), starts)
 
 
-def _kernel_threshold(graph, robin, ks: np.ndarray) -> np.ndarray:
+def _kernel_threshold(graph, sigmas, ks: np.ndarray) -> np.ndarray:
     """Eigenphase scale of the kernel rule's reach and the continuity
     tolerance of eigenfunctions: max(1e-8 sqrt(2E), 2 w Theta'(k)), w the
     stop width.  A root reported w / 2 off moves its eigenphase by up
@@ -1384,16 +1389,16 @@ def _kernel_threshold(graph, robin, ks: np.ndarray) -> np.ndarray:
     """
     return np.maximum(
         KERNEL_SV_SCALE * np.sqrt(graph.num_slots),
-        2.0 * _stop_width(ks) * total_phase_derivative(graph, robin.vertex_sigmas(graph), ks),
+        2.0 * _stop_width(ks) * total_phase_derivative(graph, sigmas, ks),
     )
 
 
-def _kernel_reach(graph, robin, ks: np.ndarray) -> np.ndarray:
+def _kernel_reach(graph, sigmas, ks: np.ndarray) -> np.ndarray:
     """How far from k the kernel rule looks for crossings ("Certification")."""
-    return 2.0 * _kernel_threshold(graph, robin, ks) / graph.min_edge_length
+    return 2.0 * _kernel_threshold(graph, sigmas, ks) / graph.min_edge_length
 
 
-def _kernel_thresholds(graph, robin, ks, norm, radius):
+def _kernel_thresholds(graph, sigmas, ks, norm, radius):
     """The kernel rule's floor and threshold on the singular values of A(k)
     over norm = ||A(k)||_2 per record ("Certification" in the module
     docstring): a value below the threshold counts.  Where a record's radius
@@ -1403,12 +1408,12 @@ def _kernel_thresholds(graph, robin, ks, norm, radius):
     width = _stop_width(ks)
     spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), radius - width, 0.0)
     floor = 0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots)
-    slope = _amplitude_slope(graph, robin, ks)
+    slope = _amplitude_slope(graph, sigmas, ks)
     threshold = np.maximum(floor, (width + 2.0 * spread) * slope / norm)
     return floor, threshold, 0.5 * width * slope / norm
 
 
-def _kernel_rule(graph, robin, ks, mults, sv, radius, crossings) -> str | None:
+def _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings) -> str | None:
     """The kernel rule on the singular values sv of A(k) per record, largest
     first ("Certification" in the module docstring): why the first record
     (k, m) breaks it, or None.  Fewer than m small singular values is short;
@@ -1416,7 +1421,7 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, crossings) -> str | None:
     reach of k is excess, unless the reach spans k = 0, where the secular
     system has a larger kernel of its own."""
     norm = sv[:, :1]
-    threshold = _kernel_thresholds(graph, robin, ks, norm[:, 0], radius)[1]
+    threshold = _kernel_thresholds(graph, sigmas, ks, norm[:, 0], radius)[1]
     dims = np.sum(sv / norm < threshold[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
     if short.size:
@@ -1425,7 +1430,7 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, crossings) -> str | None:
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
             f"at k={float(ks[j])!r}"
         )
-    reach = _kernel_reach(graph, robin, ks)
+    reach = _kernel_reach(graph, sigmas, ks)
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
         crossings, ks - reach, side="left"
     )
@@ -1439,10 +1444,10 @@ def _kernel_rule(graph, robin, ks, mults, sv, radius, crossings) -> str | None:
     return None
 
 
-def _certify_records(graph, robins, table, records) -> None:
+def _certify_records(graph, table, records) -> None:
     """Raise ToleranceNotMet unless every record (k, m) of each coupling is
     certified; records[c] holds the ascending wave numbers, multiplicities
-    and radii of robins[c], whose vertex couplings are table[c].  See
+    and radii of the coupling whose couplings row is table[c].  See
     "Certification" in the module docstring.
 
     The enclosures [k - rho, k + rho] of one coupling join where they
@@ -1466,12 +1471,10 @@ def _certify_records(graph, robins, table, records) -> None:
         ends = np.concatenate([bottom[starts], top[np.append(starts[1:], ks.size) - 1]])
         joins.append((first, starts, ends))
     ends = np.concatenate([join[2] for join in joins])
-    which = np.repeat(np.arange(len(robins)), [join[2].size for join in joins])
+    which = np.repeat(np.arange(len(records)), [join[2].size for join in joins])
     counts, ok = np.zeros(ends.size, dtype=int), ends > 0.0
     counts[ok], ok[ok] = _inertia_counts(graph, table[which[ok]], ends[ok])
-    for c, (robin, (ks, mults, radius), (first, starts, ends)) in enumerate(
-        zip(robins, records, joins)
-    ):
+    for c, ((ks, mults, radius), (first, starts, ends)) in enumerate(zip(records, joins)):
         if ks.size == 0:
             continue
         mine = which == c
@@ -1493,14 +1496,15 @@ def _certify_records(graph, robins, table, records) -> None:
             continue
         sv = np.linalg.svd(_amplitude_matrices(graph, table[c], ks[at]), compute_uv=False)
         crossings = np.repeat(ks, mults)
-        mismatch = _kernel_rule(graph, robin, ks[at], mults[at], sv, radius[at], crossings)
+        mismatch = _kernel_rule(graph, table[c], ks[at], mults[at], sv, radius[at], crossings)
         if mismatch:
             raise ToleranceNotMet(mismatch)
 
 
-def _anchor(graph: MetricGraph, robin: RobinSpec) -> tuple[float, list]:
+def _anchor(graph: MetricGraph, sigmas: np.ndarray) -> tuple[float, list]:
     """Scan floor k_start below every positive eigenvalue not listed, and
-    the list: the ground state when it lies far below the usual floor.
+    the list, at the couplings row sigmas: the ground state when it lies
+    far below the usual floor.
 
     For sigma = 0 the first positive wave number is at least pi / |G|
     (path graphs saturate it), so a quarter of that is safe.  For
@@ -1515,13 +1519,13 @@ def _anchor(graph: MetricGraph, robin: RobinSpec) -> tuple[float, list]:
     """
     floor = min(1e-6, 0.25 * np.pi / graph.total_length)
     k_start, expected, tiny = floor, 1, False
-    if robin.sigma > 0.0 and robin.vertices:
+    if sigmas.any():
         # two square roots: sigma / |G| underflows for subnormal sigma
-        scale = np.sqrt(robin.sigma) / np.sqrt(graph.total_length)
-        tiny = scale * np.sqrt(len(robin.vertices)) <= 0.5 * floor
+        scale = np.sqrt(sigmas.max()) / np.sqrt(graph.total_length)
+        tiny = scale * np.sqrt(np.count_nonzero(sigmas)) <= 0.5 * floor
         if not tiny:
             k_start, expected = min(floor, 0.01 * scale), 0
-    count = _small_k_count(graph, robin, k_start)
+    count = _small_k_count(graph, sigmas, k_start)
     if count != expected:
         raise ToleranceNotMet(
             f"inertia count {count} at the scan floor k={float(k_start)!r}, "
@@ -1533,21 +1537,21 @@ def _anchor(graph: MetricGraph, robin: RobinSpec) -> tuple[float, list]:
     lo, hi = 0.0, floor
     while hi - lo > _stop_width(np.asarray(hi)):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _small_k_count(graph, robin, mid) == 0 else (lo, mid)
+        lo, hi = (mid, hi) if _small_k_count(graph, sigmas, mid) == 0 else (lo, mid)
     return k_start, [0.5 * (lo + hi)]
 
 
-def _cap_index(graph, robin, grid, n_grid, start: int) -> int:
+def _cap_index(graph, sigmas, grid, n_grid, start: int) -> int:
     """Index of k_cap in the scan grid ("Scan range"): the first from start
     on with no eigenvalue within the kernel reach above it, by the count at
     the next scan point past the reach, or else by one inertia count at
     k_cap + reach."""
     for j in range(start, grid.size):
-        top = float(grid[j] + _kernel_reach(graph, robin, grid[j : j + 1])[0])
+        top = float(grid[j] + _kernel_reach(graph, sigmas, grid[j : j + 1])[0])
         above = int(np.searchsorted(grid, top))
         if above < grid.size and n_grid[above] == n_grid[j]:
             return j
-        count, ok = _inertia_counts(graph, robin.vertex_sigmas(graph), [top])
+        count, ok = _inertia_counts(graph, sigmas, [top])
         if ok[0] and count[0] == n_grid[j]:
             return j
     raise ToleranceNotMet(
@@ -1595,8 +1599,8 @@ def compute_spectra(
 
     table = np.array([robin.vertex_sigmas(graph) for robin in robins])
     delta = SCAN_PHASE_STEP / graph.max_edge_length
-    anchors = [_anchor(graph, robin) for robin in robins]
-    zero_counts = [int(robin.sigma == 0.0 or not robin.vertices) for robin in robins]
+    anchors = [_anchor(graph, sigmas) for sigmas in table]
+    zero_counts = [int(not sigmas.any()) for sigmas in table]
 
     if k_max is not None:
         # a few cells on, so that the cap rule can move past a root just
@@ -1616,7 +1620,7 @@ def compute_spectra(
     n_points, ok = _inertia_counts(graph, table[which], points)
 
     grids, n_grids = [], []
-    for c, (robin, (k_start, below)) in enumerate(zip(robins, anchors)):
+    for c, (k_start, below) in enumerate(anchors):
         # a scan point without margin is dropped: its cell joins the next
         mine = (which == c) & ok
         grid = np.concatenate([[k_start], points[mine]])
@@ -1638,7 +1642,7 @@ def compute_spectra(
                 f"scan to k={float(grid[-1])!r} certified {n_grid[-1]} eigenvalues, "
                 f"short of its target: {cause}"
             )
-        cap = _cap_index(graph, robin, grid, n_grid, start)
+        cap = _cap_index(graph, table[c], grid, n_grid, start)
         grids.append(grid[: cap + 1])
         n_grids.append(n_grid[: cap + 1])
     grids, n_grids = _quarter_cells(graph, table, grids, n_grids)
@@ -1660,7 +1664,7 @@ def compute_spectra(
         ks, ms, spread = _merge_roots(ks, ms, grids[c])
         radius = np.maximum(_stop_width(ks) + spread, RADIUS_FLOOR * (1.0 + ks))
         records.append((ks, ms, radius))
-    _certify_records(graph, robins, table, records)
+    _certify_records(graph, table, records)
 
     spectra = []
     for robin, (ks, ms, radius), grid, n_grid, zero_count in zip(

@@ -136,7 +136,7 @@ def rng_sequence(neumann: Spectrum, coupled: Spectrum, n: int) -> RngSeries:
 
 def theoretical_mean(graph: MetricGraph, robin: RobinSpec) -> float:
     """Limiting mean gap: (2 sigma / |G|) sum over coupled v of 1/deg(v)."""
-    inv_deg = sum(1.0 / graph.degree(v) for v in robin.coupled_vertices(graph))
+    inv_deg = sum(1.0 / graph.degrees[robin.coupled_vertices(graph)])
     return 2.0 * robin.sigma / graph.total_length * inv_deg
 
 
@@ -166,7 +166,7 @@ def arctan_prediction(graph: MetricGraph, robin: RobinSpec, k) -> np.ndarray:
     acc = np.zeros_like(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         for v in robin.coupled_vertices(graph):
-            acc = acc + np.arctan(robin.sigma / (graph.degree(v) * k))
+            acc = acc + np.arctan(robin.sigma / (graph.degrees[v] * k))
         scaled = 2.0 * k / graph.total_length * acc
     return np.where(k > 0.0, scaled, 0.0)
 
@@ -179,7 +179,7 @@ def sensitivity_prediction(graph: MetricGraph, robin: RobinSpec, lam) -> np.ndar
     # but the value there is direction-dependent, so nan is passed through
     with np.errstate(invalid="ignore"):
         for v in robin.coupled_vertices(graph):
-            d = graph.degree(v)
+            d = graph.degrees[v]
             acc = acc + lam * d / (robin.sigma**2 + lam * d * d)
     return 2.0 / graph.total_length * acc
 

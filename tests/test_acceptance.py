@@ -225,7 +225,7 @@ def test_local_weyl_law(star4, get_spectrum):
     assert report.skipped == 0
     total = star4.total_length
     for v in range(star4.num_vertices):
-        predicted = 2.0 / (star4.degree(v) * total)
+        predicted = 2.0 / (star4.degrees[v] * total)
         assert abs(report.vertex_means[v] - predicted) <= 0.05 * predicted, v
     slot_scale = 1.0 / (2.0 * total)
     assert np.max(np.abs(report.slot_means - slot_scale)) <= 0.05 * slot_scale
@@ -248,7 +248,7 @@ MAJOR_SHARE = 0.05  # a cluster with a positive limiting share holds >= 5%
 
 
 def _equilateral_limit(graph):
-    return 2.0 * EQ_SIGMA / graph.degree(0)
+    return 2.0 * EQ_SIGMA / graph.degrees[0]
 
 
 def _major(clusters, n):
@@ -349,7 +349,7 @@ def test_lipschitz_audit_star(star4, get_spectrum):
     decomp = boundary_star_decomposition(star4, robin)
     spectra = [get_spectrum(star4, (0,) if s else (), s, 1000) for s in SIGMA_GRID]
     worst = _lipschitz(spectra, 1000)
-    ceiling = 2.0 / decomp.star_length(0)
+    ceiling = 2.0 / decomp.star_lengths[0]
     assert worst <= ceiling + 1e-10 * (1.0 + ceiling), (worst, ceiling)
 
 
@@ -360,5 +360,5 @@ def test_lipschitz_audit_tetrahedron(tetrahedron, get_spectrum):
         get_spectrum(tetrahedron, verts if s else (), s, 1000) for s in SIGMA_GRID
     ]
     worst = _lipschitz(spectra, 1000)
-    ceiling = 2.0 / min(decomp.star_length(v) for v in verts)
+    ceiling = 2.0 / min(decomp.star_lengths[list(verts)])
     assert worst <= ceiling + 1e-10 * (1.0 + ceiling), (worst, ceiling)

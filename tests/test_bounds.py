@@ -1,6 +1,8 @@
 """Bound evaluation: closed forms, error branches, and the audit plumbing."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from graphspectra.bounds import (
     sensitivity_bound,
     shortest_edge_bound,
 )
-from graphspectra.errors import DegenerateDecomposition, DegenerateParameters
+from graphspectra.errors import DanglingEndpoint, DegenerateDecomposition, DegenerateParameters
 from graphspectra.graphs import (
     RobinSpec,
     StarDecomposition,
@@ -49,6 +51,15 @@ class TestGapBound:
         with pytest.raises(DegenerateDecomposition):
             gap_bound(decomp, RobinSpec(frozenset([1]), 2.0))
 
+    def test_vertex_set_checked_at_zero_coupling(self):
+        # at sigma = 0 a vertex outside the graph returned 0.0, where every
+        # other bound raises
+        star = make_star(3, (1.0, 1.5, 2.0))
+        decomp = midpoint_star_decomposition(star)
+        with pytest.raises(DanglingEndpoint):
+            gap_bound(decomp, RobinSpec({9}, 0.0))
+        assert gap_bound(decomp, RobinSpec({0}, 0.0)) == 0.0
+
 
 class TestSensitivityBound:
     def test_uncoupled_collapses(self, star4):
@@ -75,6 +86,14 @@ class TestSensitivityBound:
         decomp = boundary_star_decomposition(star4, robin)
         with pytest.raises(ValueError):
             sensitivity_bound(decomp, robin, 0.0)
+
+    def test_nan_energy_rejected(self):
+        # a NaN energy passed lam <= 0 and gave a NaN bound, never judged
+        star = make_star(3, (1.0, 1.5, 2.0))
+        robin = RobinSpec(frozenset([0]), 2.0)
+        decomp = boundary_star_decomposition(star, robin)
+        with pytest.raises(ValueError, match="energy must be positive"):
+            sensitivity_bound(decomp, robin, [4.0, math.nan])
 
 
 class TestSlope:
@@ -138,6 +157,13 @@ class TestImprovedBound:
             with pytest.raises(DegenerateParameters):
                 improved_bound(np.array([5.0]), 1.0, s_check, S_check)
 
+    def test_bad_coupling_rejected(self):
+        # a NaN coupling gave NaN bounds, an infinite one finite bounds and a
+        # negative one negative bounds
+        for sigma in (math.nan, math.inf, -1.0):
+            with pytest.raises(DegenerateParameters):
+                improved_bound([10.0, 100.0], sigma, 1.0, 1.0)
+
     def test_decays_toward_flat_bound(self, star4):
         # excess over 2*sigma/S_check shrinks like 1/lambda0 and its sign
         # is that of 3 - 2*s_check*sigma; at the star's parameters the
@@ -174,7 +200,7 @@ class TestParameters:
         robin = RobinSpec(frozenset(range(4)), 2.0)
         decomp = midpoint_star_decomposition(tetrahedron)
         s_check, S_check = decomposition_bound_parameters(decomp, robin)
-        stars = [decomp.star_length(v) for v in range(4)]
+        stars = decomp.star_lengths.tolist()
         assert S_check == pytest.approx(min(stars), rel=1e-14)
         assert 0.0 < s_check < min(stars)
 

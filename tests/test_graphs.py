@@ -31,27 +31,27 @@ def test_single_edge_graph():
     g = build_graph([(0, 1, 1.0)])
     assert g.num_edges == 1
     assert g.total_length == 1.0
-    assert g.degree(0) == g.degree(1) == 1
+    assert g.degrees[0] == g.degrees[1] == 1
     assert list(g.slot_reversal) == [1, 0]
     assert g.slot_origin[0] == 0 and g.slot_terminus[0] == 1
 
 
 def test_star_topology():
     g = make_star(4, (1.0, 1.0, 1.0, 1.0))
-    assert g.degree(0) == 4
-    assert all(g.degree(v) == 1 for v in range(1, 5))
+    assert g.degrees[0] == 4
+    assert all(g.degrees[v] == 1 for v in range(1, 5))
     assert g.total_length == 4.0
 
 
 def test_complete4_topology():
     g = make_complete4([1.0] * 6)
     assert g.total_length == 6.0
-    assert all(g.degree(v) == 3 for v in range(4))
+    assert all(g.degrees[v] == 3 for v in range(4))
 
 
 def test_loop_contributes_two_slots():
     g = build_graph([(0, 0, 2.0), (0, 1, 1.0)])
-    assert g.degree(0) == 3  # loop twice plus the pendant edge
+    assert g.degrees[0] == 3  # loop twice plus the pendant edge
     assert g.slot_reversal[0] == 1 and g.slot_origin[1] == 0
 
 
@@ -153,24 +153,24 @@ def test_midpoint_decomposition():
     g = build_graph([(0, 1, 1.0)])
     d = midpoint_star_decomposition(g)
     assert d.splits == ((0.5, 0.5),)
-    assert d.star_length(0) == d.star_length(1) == 0.5
+    assert d.star_lengths[0] == d.star_lengths[1] == 0.5
 
     star = make_star(4, (1.0, 1.0, 1.0, 1.0))
     d = midpoint_star_decomposition(star)
-    assert d.star_length(0) == 2.0
-    assert d.star_length(1) == 0.5
+    assert d.star_lengths[0] == 2.0
+    assert d.star_lengths[1] == 0.5
 
     tetra = make_complete4([1.0] * 6)
     d = midpoint_star_decomposition(tetra)
-    assert all(abs(d.star_length(v) - 1.5) < 1e-15 for v in range(4))
+    assert all(abs(d.star_lengths[v] - 1.5) < 1e-15 for v in range(4))
 
 
 def test_boundary_decomposition_star_center():
     star = make_star(4, incommensurate_lengths(4))
     robin = RobinSpec(frozenset({0}), 2.0)
     d = boundary_star_decomposition(star, robin)
-    assert abs(d.star_length(0) - star.total_length) < 1e-14
-    assert d.star_length(1) == 0.0
+    assert abs(d.star_lengths[0] - star.total_length) < 1e-14
+    assert d.star_lengths[1] == 0.0
 
 
 def test_boundary_decomposition_interval_and_fallback():
@@ -188,8 +188,61 @@ def test_harmonic_split():
     robin = RobinSpec(frozenset({0}), 1.0)
     d = boundary_star_decomposition(star, robin)
     # 1/(1/1 + 1/2 + 1/4 + 1/4) = 0.5
-    assert abs(d.harmonic_split(0) - 0.5) < 1e-15
-    assert d.harmonic_split(1) == 0.0  # a zero split collapses s_v
+    assert abs(d.harmonic_splits[0] - 0.5) < 1e-15
+    assert d.harmonic_splits[1] == 0.0  # a zero split collapses s_v
+
+
+def _star_arrays_oracle(decomp):
+    """|S_v| and s_v vertex by vertex: each vertex's splits summed in slot
+    order (edge by edge, the tail's split first), s_v = 0 at a zero split."""
+    parts = [[] for _ in range(decomp.graph.num_vertices)]
+    for (u, v, _), (s_u, s_v) in zip(decomp.graph.edges, decomp.splits):
+        parts[u].append(s_u)
+        parts[v].append(s_v)
+    lengths, harmonic = [], []
+    for splits in parts:
+        total = inverse = 0.0
+        for split in splits:
+            total += split
+            inverse += 1.0 / split if split else 0.0
+        lengths.append(total)
+        harmonic.append(0.0 if 0.0 in splits else 1.0 / inverse)
+    return parts, lengths, harmonic
+
+
+def _uneven(graph, fractions):
+    """Edge t split at fractions[t] of its length from its tail."""
+    lengths = [length for _, _, length in graph.edges]
+    return StarDecomposition(
+        graph, tuple((f * length, length - f * length) for length, f in zip(lengths, fractions))
+    )
+
+
+@pytest.mark.parametrize(
+    "decomp",
+    [
+        # a loop at 0 and a double edge 0-1
+        _uneven(
+            build_graph([(0, 0, 0.7), (0, 1, 1.3), (0, 1, 0.9), (1, 2, 2.1), (2, 2, 0.3)]),
+            (0.31, 0.77, 0.1, 0.45, 0.6),
+        ),
+        # zero splits at every leaf
+        boundary_star_decomposition(make_star(4, incommensurate_lengths(4)), RobinSpec({0}, 1.0)),
+        _uneven(make_complete4((0.3, 0.7, 1.1, 1.3, 1.7, 0.1)), (0.2, 0.4, 0.6, 0.8, 0.3, 0.9)),
+        # nine slots at the centre
+        _uneven(make_star(9, incommensurate_lengths(9)), np.linspace(0.1, 0.9, 9)),
+    ],
+    ids=["loops-multi-edge", "zero-splits", "k4", "star9"],
+)
+def test_star_arrays_match_the_per_vertex_oracle(decomp):
+    parts, lengths, harmonic = _star_arrays_oracle(decomp)
+    for v, splits in enumerate(parts):
+        got = (decomp.star_lengths[v], decomp.harmonic_splits[v])
+        if len(splits) < 8:
+            # bitwise: both add in slot order
+            assert got == (lengths[v], harmonic[v]), v
+        else:
+            assert got == pytest.approx((lengths[v], harmonic[v]), abs=0, rel=1e-15), v
 
 
 def test_decomposition_rejects_bad_splits():
@@ -290,10 +343,10 @@ def test_star_lengths_partition_total_length(edges):
         midpoint_star_decomposition(g),
         boundary_star_decomposition(g, RobinSpec(frozenset({0}), 1.0)),
     ):
-        total = sum(decomp.star_length(v) for v in range(g.num_vertices))
+        total = sum(decomp.star_lengths)
         assert abs(total - g.total_length) < 1e-12 * (1 + g.total_length)
         for t, (s_u, s_v) in enumerate(decomp.splits):
-            assert s_u + s_v == pytest.approx(g.edge_length(t), abs=0, rel=1e-15)
+            assert s_u + s_v == pytest.approx(g.edges[t][2], abs=0, rel=1e-15)
 
 
 @given(edge_lists)

@@ -684,13 +684,13 @@ def test_joined_enclosures_count_the_sum_of_their_records(monkeypatch):
     wide = np.full(2, 0.6 * (ks[1] - ks[0]))
     table = robin.vertex_sigmas(graph)[None]
     matrices = _count_matrices(monkeypatch, "svd")
-    solver._certify_records(graph, (robin,), table, [(ks, mults, wide)])
+    solver._certify_records(graph, table, [(ks, mults, wide)])
     assert matrices["svd"] == 2
     with pytest.raises(ToleranceNotMet, match="2 eigenvalues .* below its multiplicity 3"):
-        solver._certify_records(graph, (robin,), table, [(ks, mults + [0, 1], wide)])
+        solver._certify_records(graph, table, [(ks, mults + [0, 1], wide)])
     # one record whose enclosure reaches the next root holds too many
     with pytest.raises(ToleranceNotMet, match="above its multiplicity 1"):
-        solver._certify_records(graph, (robin,), table, [(ks[:1], mults[:1], 2.0 * wide[:1])])
+        solver._certify_records(graph, table, [(ks[:1], mults[:1], 2.0 * wide[:1])])
 
 
 @pytest.mark.parametrize("name", ["star_incommensurate", "tetrahedron"])
@@ -1338,7 +1338,7 @@ def test_star_closed_form_matches_the_svd(case):
         patch.setattr(
             eigenfunctions,
             "_arrow_kernels",
-            lambda graph, robin, amp, *rest: (np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)),
+            lambda graph, sigmas, amp, *rest: (np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)),
         )
         want, svd_values = eigenbasis(spec, records), sensitivity(spec, spec.index).value
     sign = np.sign(np.sum(got.vertex_values * want.vertex_values, axis=1))[:, None]
@@ -1458,13 +1458,13 @@ def test_enclosures_agree_with_the_kernel_audit_across_couplings(case, pick):
     sigmas = robin.vertex_sigmas(graph)
     sv = np.linalg.svd(solver._amplitude_matrices(graph, sigmas, ks), compute_uv=False)
     u = unitary_stack(graph, sigmas, ks)
-    threshold = solver._kernel_threshold(graph, robin, ks)
+    threshold = solver._kernel_threshold(graph, sigmas, ks)
     reach = 2.0 * threshold / graph.min_edge_length
 
     def verdicts(claimed):
         return (
             solver._kernel_rule(
-                graph, robin, ks, claimed, sv, rho, np.sort(np.repeat(ks, claimed))
+                graph, sigmas, ks, claimed, sv, rho, np.sort(np.repeat(ks, claimed))
             ),
             complex_kernel_mismatch(u, ks, claimed, threshold, reach),
         )
@@ -1493,7 +1493,7 @@ def test_inertia_count_equals_the_winding_count(case, us):
     # N(k) from the inertia of M(k) against the eigenphase winding count
     # from the anchor, at random k where the inertia count has margin
     graph, robin = case
-    k_start, below = solver._anchor(graph, robin)
+    k_start, below = solver._anchor(graph, robin.vertex_sigmas(graph))
     zero_count = 1 if robin.sigma == 0.0 or not robin.vertices else 0
     ks = k_start + (60.0 / graph.min_edge_length) * np.asarray(us) ** 2
     counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), ks)

@@ -208,7 +208,7 @@ def test_total_phase_rows_are_bitwise_those_of_their_coupling_alone():
         # the closed forms, term by term, at the scalar coupling
         want, slope = 2.0 * g.total_length * ks, np.full_like(ks, 2.0 * g.total_length)
         for v in robin.coupled_vertices(g):
-            d = g.degree(v)
+            d = g.degrees[v]
             want = want - 2.0 * np.arctan(robin.sigma / (d * ks))
             slope = slope + 2.0 * robin.sigma * d / (d * d * ks * ks + robin.sigma**2)
         assert np.array_equal(total_phase_values(g, robin.vertex_sigmas(g), ks), want)

@@ -124,7 +124,7 @@ def test_kmax_spectrum_holds_the_roots_within_reach_above_k_max():
     graph = make_star(3, (1.0, 1.0 + 8e-9, 1.0 + 1.6e-8))
     robin = RobinSpec({0}, 3e-11)
     spec = compute_spectrum(graph, robin, k_max=4.71238893)
-    reach = solver._kernel_reach(graph, robin, np.array([4.71238893661]))[0]
+    reach = solver._kernel_reach(graph, robin.vertex_sigmas(graph), np.array([4.71238893661]))[0]
     assert 2.7e-8 < spec.k[-1] - 4.71238893661 < reach
     assert spec.k_cap > 4.7123889645
     basis = eigenbasis(spec, np.arange(spec.k.size))
@@ -328,7 +328,7 @@ def test_scan_floor_count_off_the_zero_mode_raises(star4, monkeypatch):
     # the Neumann count at the scan floor must be the zero mode alone
     small_k_count = solver._small_k_count
     monkeypatch.setattr(
-        solver, "_small_k_count", lambda graph, robin, k: small_k_count(graph, robin, k) + 1
+        solver, "_small_k_count", lambda graph, sigmas, k: small_k_count(graph, sigmas, k) + 1
     )
     with pytest.raises(ToleranceNotMet, match=r"count 2 at the scan floor k=\S+, expected 1"):
         compute_spectrum(star4, NEUMANN, n_max=20)
@@ -487,10 +487,10 @@ def test_small_k_count_flips_at_the_rayleigh_wave_number(sigma):
         (OFF_CENTRE_STAR, frozenset({0})),
     ]
     for graph, vertices in cases:
-        robin = RobinSpec(vertices, sigma)
+        sigmas = RobinSpec(vertices, sigma).vertex_sigmas(graph)
         k_r = math.sqrt(sigma) * math.sqrt(len(vertices) / graph.total_length)
-        assert solver._small_k_count(graph, robin, 0.999999 * k_r) == 0
-        assert solver._small_k_count(graph, robin, 1.000001 * k_r) == 1
+        assert solver._small_k_count(graph, sigmas, 0.999999 * k_r) == 0
+        assert solver._small_k_count(graph, sigmas, 1.000001 * k_r) == 1
 
 
 def test_loop_entry_is_the_tangent_form():
@@ -660,7 +660,7 @@ def test_small_k_count_of_a_star_is_exact(case, scales):
     for u in scales:
         k = 0.25 * np.pi / graph.total_length * 10.0**u
         try:
-            count = solver._small_k_count(graph, robin, k)
+            count = solver._small_k_count(graph, robin.vertex_sigmas(graph), k)
         except ToleranceNotMet:
             continue
         exact = exact_inertia_count(
@@ -842,8 +842,9 @@ def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
     robin = RobinSpec(frozenset({0}), 0.001)
     spec = compute_spectrum(graph, robin, n_max=12)
     eigenbasis(spec, np.arange(spec.k.size))
-    top = spec.k_cap + solver._kernel_reach(graph, robin, np.array([spec.k_cap]))
-    counts, ok = solver._inertia_counts(graph, robin.vertex_sigmas(graph), top)
+    sigmas = robin.vertex_sigmas(graph)
+    top = spec.k_cap + solver._kernel_reach(graph, sigmas, np.array([spec.k_cap]))
+    counts, ok = solver._inertia_counts(graph, sigmas, top)
     assert ok[0] and counts[0] == spec.size
 
 
