@@ -4,7 +4,7 @@ On edge t, x running from its first vertex u, an eigenfunction with wave
 number k is f_t(x) = f(u) cos kx + B_t sin kx, and (f(v) per vertex that
 starts an edge, B_t per edge) is a null vector of the real (V_s + E)-square
 A(k) of the solver's polish ("Polish" in its docstring): for multiplicity
-m, a right singular vector of the m smallest singular values.  A vertex
+m, one of the m vectors of its kernel ("Kernel vectors").  A vertex
 that starts no edge reads the end of an edge into it, f(u) cos k l_t +
 B_t sin k l_t, and every edge end must agree with its vertex's value, or
 ContinuityViolation is raised.  With a = f(u), b = B_t and l = l_t, the
@@ -17,43 +17,68 @@ an inner product taking half the cross term from each of a_1 b_2 and a_2 b_1.
 The m vectors are orthonormalised in that Gram matrix: a trace over them,
 as in the basis average of sensitivity, is then basis free.
 
-Close roots.  At a float k the kernel vector of a simple record leans
-toward the singular vector of a neighbouring small singular value s by
-about (eps + ulp(k) ||A'||) / s, near 1e-9 for roots 1e-7 apart and more
-for two records 1e-12 (1 + k) apart.  Where s is below NEIGHBOUR_SV
-||A(k)||, EXACT_STEPS Newton steps with k free move it onto the root's
-kernel (_root_kernel), the residual A(k) x in double-double arithmetic,
-about 32 digits, one batched pass over every such record per step.
+Kernel vectors.  A record off the arrow's gate ("Stars") takes its m
+vectors one way, batched over every such record.  With W the
+first m columns of a fixed orthogonal matrix (_borders), the bordered
+matrix C = [[A, W], [W^T, 0]] is invertible wherever ker A(k) has
+dimension m and W meets it and A's range generically, and
+C [X; Y] = [0; I] gives m vectors X with W^T X = I and A X = -W Y.  At a
+float k they lean from the root's kernel toward the singular vector of the
+next singular value s of A(k) by about (eps + ulp(k) ||A'||) / s, near
+1e-9 for roots 1e-7 apart and more for two records 1e-12 (1 + k) apart.
+EXACT_STEPS Newton steps with k free follow, the record's m vectors
+sharing one shift dk: C's inverse, taken once, applied to (-A x_i, 0) and
+to (-A' x_i, 0), A' x_i a forward difference taken once, gives
+(dx_i, y_i), linear in dk, with A dx_i + W y_i = -(A x_i + dk A' x_i) and
+W^T dx_i = 0, and dk minimizes sum_i |y_i|^2, the part of the m equations
+that no dx_i meets.  For m = 1 that is the Newton step on
+[[A, A' x], [W^T, 0]]; for m > 1 one shift is what a root of multiplicity
+m gives, where a shift held fixed leaves the lean toward a simple root
+close by.  Where s is below NEIGHBOUR_SV ||A(k)||_2 the residual A(k) x is
+taken at k + shift in double-double (solver._wide_product, about 32
+digits; cos k l and sin k l taken once at the float k and turned by each
+step's shift), one batched pass per step over every such record, and C's
+left border is the orthonormalised span of its inverse's last rows, the
+left kernel: where no shift meets every equation, as for roots merged
+closer than the rounding of k, the residual that stays then lies in A's
+left kernel, as an SVD's does, where W would leave it leaning x by
+|y| / s.  Elsewhere the residual is taken in double, as
+A(k) x + shift A' x, and one step leaves the lean at rounding: a call
+with no near record takes only that one.  C's rounding over s
+leaves a factor near eps / s of the lean at each step, so that only the
+residual's rounding bounds it.  The rows are then orthonormalised in the
+L2 Gram matrix (above), and a row's residual is
+|A(k) x| / (|x| ||A(k)||_2) of its vector x at the float k.
 
 Stars.  On a star whose edges all leave its centre, A(k) with its rows
 taken centre first, then each leaf's in edge order (A's own rows follow
 the vertex ids, which need not follow the edges), is the arrow
 [[a, b^T], [c, diag(d)]] of the solver's closed-form determinant ("Stars"
 in its docstring): a at (0, 0), b_t in the centre row, c_t and the leaf
-pivot d_t in leaf row t.  A's E x E leaf block must have no nonzero entry
-off its diagonal, checked exactly on A itself, and every leaf pivot the
-closed form divides by or leaves in place must be at least
-max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2; a record that
-fails a test takes one SVD.  ||A||_2 comes from one stacked eigvalsh per
-eigenbasis call, of A^T A for a simple record and of A0^T A0 (below) for a
-multiple one.
+pivot d_t in leaf row t.  Its singular values, as the kernel rule reads
+them, and its kernel vectors come in closed form.  A's E x E leaf block
+must have no nonzero entry off its diagonal, checked exactly on A itself,
+and every leaf pivot the closed form divides by or leaves in place must
+be at least max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2; a
+record that fails a test takes one value-only SVD and the bordered solve
+("Kernel vectors").  ||A||_2 comes from one stacked eigvalsh
+per eigenbasis call, of A^T A for a simple record and of A0^T A0 (below)
+for a multiple one.
 
-A simple record's kernel vector is x = (1, -c_1 / d_1, ..., -c_E / d_E),
-and A x is zero but for its first entry, the Schur entry
-a - sum_t b_t c_t / d_t.  Deleting row and column 0 leaves diag(d), so
-interlacing for the singular values of submatrices (R. C. Thompson,
-Linear Algebra Appl. 5 (1972) 1-12) gives sigma_{n-1}(A) >= min_t |d_t|
-and sigma_n(A) <= |det A| / prod_t |d_t| = |a - sum_t b_t c_t / d_t|.  It
-takes this closed form where the Schur entry S is below the rule's floor
-0.5e-8 sqrt(2E) ||A||_2: the rule then sees exactly the one small singular
-value an SVD would show, and no close-root step is due.  x leans from the
-kernel by up to |S| / min_t |d_t| (on the equilateral 4-star coupled at
-two vertices, 1.7e-11 of the largest sensitivity near k = 228), so one
-step of inverse iteration on A^T A follows: A^T z = x, then A y = z,
-each by elimination on S, both carried times S so that S = 0 stays
-finite.  The step cuts the lean by (sigma_n / sigma_{n-1})^2, and
-|A y| / |y|, in exact arithmetic at most |S| / |x|, is the last singular
-value, and over ||A||_2 the residual.
+A record that passes these tests also takes its vectors in closed form,
+with no LAPACK call.  A simple record's kernel vector is
+x = (1, -c_1 / d_1, ..., -c_E / d_E), and A x is zero but for its first
+entry, the Schur entry S = a - sum_t b_t c_t / d_t.  Deleting row and
+column 0 leaves diag(d), so interlacing for the singular values of
+submatrices (R. C. Thompson, Linear Algebra Appl. 5 (1972) 1-12) gives
+sigma_{n-1}(A) >= min_t |d_t| and sigma_n(A) <= |S|.  It takes this closed
+form where |S| is below the rule's floor 0.5e-8 sqrt(2E) ||A||_2: the rule
+then sees exactly the one small singular value an SVD would show.  x
+leans from the kernel by up to |S| / min_t |d_t|, so one step of inverse
+iteration on A^T A follows: A^T z = x, then A y = z, each by elimination
+on S, both carried times S so that S = 0 stays finite.  The step cuts the
+lean by (sigma_n / sigma_{n-1})^2, and |A y| / |y|, in exact arithmetic at
+most |S| / |x|, is the last singular value.
 
 A record of multiplicity m >= 2 sits where m + 1 leaves share a stub pole.
 Let P be the m + 1 leaves with the smallest |d_t|, Q the others,
@@ -62,31 +87,30 @@ d_Q != 0, ker A0 is exactly {x : x_0 = 0, x_Q = 0, b_P . x_P = 0}: a row
 of P reads c_t x_0, a row of Q c_t x_0 + d_t x_t, and the centre row is
 then b_P . x_P.  The reflection H = I - 2 h h^T / |h|^2 with
 h = b_P + sign(b_p) |b_P| e_p, p the first leaf of P, maps b_P onto the
-e_p axis, so H's other columns on P are an orthonormal basis of ker A0,
-with no LAPACK call.  A0 on the complement of its kernel, its P columns
-merged into b_P's direction, is A~ = A0 [e_0, b_P / |b_P|, e_Q], two
-columns when Q is empty, and sigma_min(A~) is the (m + 1)-th smallest
-singular value of A0: its square is the (m + 1)-th smallest eigenvalue
-of A0^T A0, whose largest gives ||A0||_2 for ||A||_2, within delta of
-it.  Since ||A - A0||_2 = delta, Courant-Fischer on the m-dimensional
-ker A0 puts the m smallest singular values of A at or below delta, and
-Weyl's inequality the next one at or above sigma_min(A~) - delta.  The
-record takes this closed form where the Q pivots and
-sigma_min(A~) - delta pass the pivot test above and
-delta <= w ||A'(k)|| / 2, w the stop width: at most what a pole at a
-root half a stop width off leaves, as at a multiple root, whose copies
-all lie within w / 2 of it, and at most half the rule's threshold, so
-the m bounds count.  A record whose merged roots spread further, though
-within RADIUS_FLOOR (1 + k) of each other, leaves larger pivots and takes
-the SVD.  The rule then sees
-exactly the m small singular values an SVD would show; the residual is
-the bound delta / ||A0||_2.  For unit x in ker A0, |A x| <= delta, so the
-SVD's kernel at the float k leans from ker A0 by at most
-delta / sigma_{n-m}(A).  As b_t = 1 / n_c on every edge, ker A0 does not
-move with k: it is the eigenspace itself, and the lean is the SVD's.  It
-is at most 2 eps (1 + k) ||A'|| / sigma_{n-m}(A), below 1e-11 wherever sigma_{n-m}(A) >= 4.5e-5 (1 + k) ||A'||.  On the
-benchmark's equilateral and 1:3:5 stars, delta < 1e-13 ||A||_2 and
-sigma_{n-m}(A) >= 0.077 ||A||_2, a lean below 1.3e-12.
+e_p axis, so H's other columns on P are an orthonormal basis of ker A0.
+A0 on the complement of its kernel, its P columns merged into b_P's
+direction, is A~ = A0 [e_0, b_P / |b_P|, e_Q], two columns when Q is
+empty, and sigma_min(A~) is the (m + 1)-th smallest singular value of A0:
+its square is the (m + 1)-th smallest eigenvalue of A0^T A0, whose
+largest gives ||A0||_2 for ||A||_2, within delta of it.  Since
+||A - A0||_2 = delta, Courant-Fischer on the m-dimensional ker A0 puts the
+m smallest singular values of A at or below delta, and Weyl's inequality
+the next one at or above sigma_min(A~) - delta.  The record takes this
+closed form where the Q pivots and sigma_min(A~) - delta pass the pivot
+test above and delta <= w ||A'(k)|| / 2, w the stop width: at most what a
+pole at a root half a stop width off leaves, as at a multiple root, whose
+copies all lie within w / 2 of it, and at most half the rule's threshold,
+so the m bounds count.  A record whose merged roots spread further,
+though within RADIUS_FLOOR (1 + k) of each other, leaves larger pivots and
+takes the SVD.  The rule then sees exactly the m small singular values an
+SVD would show.  For unit x in ker A0, |A x| <= delta, so the kernel at
+the float k leans from ker A0 by at most delta / sigma_{n-m}(A).  As
+b_t = 1 / n_c on every edge, ker A0 does not move with k: it is the
+eigenspace itself, and its lean is at most
+2 eps (1 + k) ||A'|| / sigma_{n-m}(A), below 1e-11 wherever
+sigma_{n-m}(A) >= 4.5e-5 (1 + k) ||A'||.  Every record these tests take
+has its next singular value at or above NEIGHBOUR_SV ||A||_2, so no record
+with a root close by takes a closed form.
 
 Kernel rule.  A short or an excess kernel raises KernelDimensionMismatch,
 by the solver's rule on the singular values of A(k) (_kernel_rule;
@@ -131,14 +155,15 @@ __all__ = [
 ]
 
 CONTINUITY_TOL = 1e-6
-# a simple record whose next singular value of A(k) is below this, relative
-# to ||A(k)||_2, has its kernel vector polished by _root_kernel; a star's
-# closed form needs every leaf pivot it keeps, and a multiple record's bound
-# on its next singular value, at or above it ("Stars")
+# a record whose next singular value of A(k) is below this, relative to
+# ||A(k)||_2, takes its Newton residual in double-double ("Kernel
+# vectors"); a star's closed form needs every leaf pivot it keeps, and a
+# multiple record's bound on its next singular value, at or above it
+# ("Stars")
 NEIGHBOUR_SV = 1e-3
-# central difference step of A'(k) x, relative to k
+# forward difference step of A'(k) x, relative to k
 SLOPE_STEP = 1e-7
-# Newton steps of _root_kernel, each on the residual A(k) x in double-double
+# Newton steps with k free on every record's kernel vectors
 EXACT_STEPS = 3
 
 
@@ -164,6 +189,11 @@ class EigenBasis:
     l2norm_sq: np.ndarray
     vertex_values: np.ndarray
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # as frozen as the basis
+
 
 @dataclass(frozen=True)
 class SensitivityValue:
@@ -188,96 +218,118 @@ def _l2_norm_sq(graph: MetricGraph, p: np.ndarray, k, q=None) -> np.ndarray:
     return np.sum(terms + cross * (pa * qb + pb * qa), axis=-1)
 
 
-def _bordered_systems(graph: MetricGraph, sigmas, amp, ks, x):
-    """[[A, A' x], [x^T, 0]] at each row of ks and x, A the rows amp of
-    A(k) already built, in double: the Newton system of _root_kernel, A' x
-    a central difference."""
-    size, h = x.shape[1], SLOPE_STEP * ks
-    ahead, behind = ks + h, ks - h
-    slopes = solver._amplitude_matrices(graph, sigmas, np.concatenate([ahead, behind]))
-    out = np.zeros((ks.size, size + 1, size + 1))
-    out[:, :size, :size] = amp
-    slope = np.einsum("rij,rj->ri", slopes[: ks.size] - slopes[ks.size :], x)
-    out[:, :size, size] = slope / (ahead - behind)[:, None]
-    out[:, size, :size] = x
-    return out
+@lru_cache(maxsize=None)
+def _borders(n: int) -> np.ndarray:
+    """An n x n orthogonal matrix whose first m columns are the border W of
+    a record of multiplicity m ("Kernel vectors" in the module docstring):
+    the QR of sin(j^2), j = 1..n^2, in no relation to any graph's
+    structure.  Read-only, as every caller of the cache shares it."""
+    border = np.linalg.qr(np.sin(np.arange(1.0, n * n + 1.0) ** 2).reshape(n, n))[0]
+    border.flags.writeable = False
+    return border
 
 
-def _root_kernel(graph: MetricGraph, sigmas, amp, ks: np.ndarray, x: np.ndarray):
-    """Unit kernel vectors x of A(k) at simple roots next to the float wave
-    numbers ks, A(ks) the stack amp at the couplings row sigmas, after
-    EXACT_STEPS Newton steps on A(k) x = 0 with k free.
-
-    At a float k the SVD's kernel vector leans toward the singular vector
-    of a neighbouring small singular value s by about (eps + ulp(k) ||A'||)
-    / s, from the rounding of A(k) and of k itself: near 1e-9 for roots
-    1e-7 apart, and more for two records as close as 1e-12 (1 + k).  Each
-    step solves [[A, A' x], [x^T, 0]] (dx, dk) = (-A x, 0), the system in
-    double at the float k, A x in double-double at k plus the steps so far,
-    one batched pass over the records (solver._wide_product, about 32
-    digits; cos k l and sin k l taken once at the float k and turned by
-    each step's shift).  The system's rounding over s leaves a factor near
-    eps / s of the lean at each step, so that only the residual's rounding
-    bounds it.
-    """
-    system = _bordered_systems(graph, sigmas, amp, ks, x)
-    waves = solver._wide_waves(graph, ks)
-    out, rhs = x.copy(), np.zeros((ks.size, x.shape[1] + 1, 1))
+def _kernel_vectors(graph: MetricGraph, sigmas, amp, ks, mults, near) -> np.ndarray:
+    """The m kernel vectors of each A(k) of the stack amp at the couplings
+    row sigmas, m the record's multiplicity, as the first m columns of an
+    array shaped (len(ks), n, max m), its other columns zero: a bordered
+    solve, then Newton steps with k free, one shift per record, the residual
+    in double-double where near ("Kernel vectors" in the module docstring)."""
+    size, top = amp.shape[1], int(mults.max(initial=1))
+    # columns past m: W's columns are 0 there and an identity block takes
+    # their place, which leaves them 0
+    live = np.arange(top) < mults[:, None]
+    right = _borders(size)[:, :top] * live[:, None, :]
+    system = np.zeros((ks.size, size + top, size + top))
+    system[:, :size, :size] = amp
+    system[:, :size, size:] = right
+    system[:, size:, :size] = np.swapaxes(right, 1, 2)
+    system[:, size:, size:] = np.eye(top) * ~live[:, None, :]
+    inverse = np.linalg.inv(system)
+    close = np.flatnonzero(near)
+    if close.size:
+        # the last rows of the inverse span the left kernel, the left
+        # border that leaves the residual no shift removes in it
+        left = np.linalg.qr(np.swapaxes(inverse[close, size:, :size], 1, 2))[0]
+        system[close, :size, size:] = left * live[close, None, :]
+        inverse[close] = np.linalg.inv(system[close])
+    del system
+    x, solve = inverse[:, :size, size:].copy(), inverse[:, :, :size]
+    ahead = ks * (1.0 + SLOPE_STEP)
+    slope = solver._amplitude_matrices(graph, sigmas, ahead) @ x - amp @ x
+    slope /= (ahead - ks)[:, None, None]
+    # (dx, y) per unit shift; the shift minimizes |y|^2 over the m columns
+    fixed = solve @ -slope
+    weight = np.sum(fixed[:, size:] ** 2, axis=(1, 2))
+    # the near records' columns, one double-double pass over them per step
+    wide, column = np.nonzero(live & near[:, None])
+    waves = solver._wide_waves(graph, ks[wide]) if wide.size else None
     shift = (np.zeros((ks.size, 1)), np.zeros((ks.size, 1)))
-    for _ in range(EXACT_STEPS):
-        rhs[:, :-1, 0] = solver._wide_product(graph, sigmas, ks, shift, waves, out)[0]
-        step = np.linalg.solve(system, -rhs)[..., 0]
-        out += step[:, :-1]
-        shift = solver._dd_add(shift, (step[:, -1:], 0.0))
-    return out / np.linalg.norm(out, axis=1)[:, None]
+    # one step leaves a vector with no near neighbour at rounding
+    for _ in range(EXACT_STEPS if wide.size else 1):
+        residual = amp @ x + shift[0][:, :, None] * slope
+        if wide.size:
+            at = (shift[0][wide], shift[1][wide])
+            product = solver._wide_product(graph, sigmas, ks[wide], at, waves, x[wide, :, column])
+            residual[wide, :, column] = product[0]
+        step = solve @ -residual
+        dk = -np.sum(step[:, size:] * fixed[:, size:], axis=(1, 2)) / weight
+        x += step[:, :size] + dk[:, None, None] * fixed[:, :size]
+        shift = solver._dd_add(shift, (dk[:, None], 0.0))
+    return x
 
 
 @lru_cache(maxsize=1)
-def _arrow_rows(graph: MetricGraph) -> np.ndarray | slice:
+def _arrow_rows(graph: MetricGraph) -> np.ndarray:
     """The rows of A(k) in arrow order ("Stars" in the module docstring): on
     a star whose edges all leave one vertex, that vertex's row, then each
     leaf's in edge order; A's own order on any other graph.  Read-only, as
     every caller of the cache shares it."""
-    star = solver._star_layout(graph)
-    if star is None or solver._amplitude_layout(graph)[0] != graph.num_edges + 1:
-        return slice(None)
-    # one row per vertex, in the order of the vertex ids
-    rows = np.argsort(np.argsort(np.append(star[2], star[1])))
+    star, size = solver._star_layout(graph), solver._amplitude_layout(graph)[0]
+    rows = np.arange(size)
+    if star is not None and size == graph.num_edges + 1:
+        # one row per vertex, in the order of the vertex ids
+        rows = np.argsort(np.argsort(np.append(star[2], star[1])))
     rows.flags.writeable = False
-    return slice(None) if np.array_equal(rows, np.arange(rows.size)) else rows
+    return rows
 
 
 def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
-    """Singular values, largest first, and right singular vectors of the
-    stack amp of A(k) at the couplings row sigmas as the kernel rule and
-    eigenbasis read them, for the records whose A(k) is an arrow that
-    passes the gate ("Stars" in the module docstring): ||A||_2, a lower
-    bound in place of every middle value, and for a simple record |A x| for
-    the unit kernel vector x, the last row of vt; for a record of
-    multiplicity m the bound max_P |d_t| in each of the m last places, and
-    an orthonormal basis of ker A0 in the last m rows of vt.  The other
-    records' rows of sv are NaN."""
-    sv, vt = np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)
-    n = amp.shape[1]
-    arrow = amp[:, _arrow_rows(graph)]
-    leaves = arrow[:, 1:, 1:][:, ~np.eye(n - 1, dtype=bool)]
-    # a multiple record takes m + 1 of the n - 1 leaves
-    at = np.flatnonzero(((mults == 1) | (mults < n - 1)) & ~np.any(leaves, axis=1))
+    """Singular values, largest first, of the stack amp of A(k) at the
+    couplings row sigmas as the kernel rule reads them, and kernel vectors
+    laid out as _kernel_vectors lays them out, for the records whose A(k) is
+    an arrow that passes the gate ("Stars" in the module docstring):
+    ||A||_2, a lower bound in place of every middle value, and for a simple
+    record |A x| for the unit kernel vector x in the last place; for a
+    record of multiplicity m the bound max_P |d_t| in each of the m last
+    places, and an orthonormal basis of ker A0.  The other records' rows of
+    the values are NaN, and of the vectors 0."""
+    sv = np.full(amp.shape[:2], np.nan)
+    n, rows = amp.shape[1], _arrow_rows(graph)
+    vectors = np.zeros((ks.size, n, int(mults.max(initial=1))))
+    leaf = np.arange(1, n)
+    pivot = np.abs(amp[:, rows[1:], leaf])
+    # the leaf block, its rows in any order, has no nonzero entry off its
+    # diagonal; a multiple record takes m + 1 of the n - 1 leaves
+    block = np.count_nonzero(amp[:, :, 1:], axis=(1, 2))
+    block -= np.count_nonzero(amp[:, rows[0], 1:], axis=1)
+    diagonal = block == np.count_nonzero(pivot, axis=1)
+    at = np.flatnonzero(((mults == 1) | (mults < n - 1)) & diagonal)
     if at.size == 0:  # no arrow record: spare the bound on ||A'||, built per graph
-        return sv, vt
-    arrow, m = arrow[at], mults[at]
-    pivot = np.abs(np.diagonal(arrow, axis1=1, axis2=2)[:, 1:])
-    # P: the m + 1 smallest pivots of a multiple record, none of a simple
-    # one; A0 is A with d_P set to 0
-    pole, reduced = np.zeros(pivot.shape, dtype=bool), arrow
+        return sv, vectors
+    m, pivot = mults[at], pivot[at]
     multiple = np.flatnonzero(m > 1)
+    # P: the m + 1 smallest pivots of a multiple record, none of a simple
+    # one; the multiple records' rows of arrow become A0, d_P set to 0, in
+    # a copy of the stack, which a stack of simple records is spared
+    arrow = amp if at.size == ks.size and multiple.size == 0 else amp[at]
+    pole = np.zeros(pivot.shape, dtype=bool)
     if multiple.size:
         ranks = np.argsort(np.argsort(pivot[multiple], axis=1), axis=1)
         pole[multiple] = ranks <= m[multiple, None]
-        record, leaf = np.nonzero(pole)
-        reduced = arrow.copy()
-        reduced[record, leaf + 1, leaf + 1] = 0.0
-    gram = np.linalg.eigvalsh(np.swapaxes(reduced, 1, 2) @ reduced)
+        record, t = np.nonzero(pole)
+        arrow[record, rows[t + 1], t + 1] = 0.0
+    gram = np.linalg.eigvalsh(np.swapaxes(arrow, 1, 2) @ arrow)
     norm = np.sqrt(gram[:, -1])
     floor, threshold, lift = solver._kernel_thresholds(graph, sigmas, ks[at], norm, radius[at])
     gate = np.maximum(NEIGHBOUR_SV, threshold) * norm
@@ -285,10 +337,11 @@ def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
     rest = np.min(pivot, axis=1, where=~pole, initial=np.inf)
     kept = rest >= gate
 
+    # x = (1, -c / d): A x is the Schur entry in its first place, 0 elsewhere
     simple = np.flatnonzero(kept & (m == 1))
+    a, b = arrow[simple, rows[0], 0], arrow[simple, rows[0], 1:]
+    c, d = arrow[simple[:, None], rows[1:], 0], arrow[simple[:, None], rows[1:], leaf]
     x = np.ones((simple.size, n))
-    a, b, c = arrow[simple, 0, 0], arrow[simple, 0, 1:], arrow[simple, 1:, 0]
-    d = np.diagonal(arrow[simple], axis1=1, axis2=2)[:, 1:]
     x[:, 1:] = -c / d
     schur = a + np.sum(b * x[:, 1:], axis=1)
     small = np.abs(schur) / norm[simple] < floor
@@ -300,12 +353,11 @@ def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
     y = np.empty_like(x)
     y[:, 0] = z0 - np.sum(b * z / d, axis=1)
     y[:, 1:] = (schur[:, None] * z - c * y[:, :1]) / d
-    length = np.linalg.norm(y, axis=1)
-    product = np.einsum("rij,rj->ri", arrow[simple], y)
+    y /= np.linalg.norm(y, axis=1)[:, None]
     sv[at[simple]] = rest[simple, None]
-    sv[at[simple], -1] = np.linalg.norm(product, axis=1) / length
-    vt[at[simple], -1] = y / length[:, None]
+    sv[at[simple], -1] = np.linalg.norm((arrow[simple] @ y[:, :, None])[..., 0], axis=1)
     sv[at[simple], 0] = norm[simple]
+    vectors[at[simple], :, 0] = y
 
     if multiple.size:
         # sigma_min(A~) - delta bounds the middle values, delta the m last
@@ -314,29 +366,31 @@ def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
         taken = (delta <= lift[multiple] * norm[multiple]) & (above >= gate[multiple])
         taken &= kept[multiple]
         multiple, delta, above = multiple[taken], delta[taken], above[taken]
-        # the reflection of b_P onto its first leaf: its other columns on P
-        # are an orthonormal basis of ker A0, taken last
-        h = np.where(pole[multiple], arrow[multiple, 0, 1:], 0.0)  # b_P
-        rows, first = np.arange(multiple.size), np.argmax(pole[multiple], axis=1)
-        h[rows, first] += np.copysign(np.linalg.norm(h, axis=1), h[rows, first])
-        h /= np.linalg.norm(h, axis=1)[:, None]
-        reflect = np.eye(n - 1) - 2.0 * h[:, :, None] * h[:, None, :]
-        basis = pole[multiple]
-        basis[rows, first] = False
-        order = np.argsort(basis, axis=1, kind="stable")
         last = np.arange(n) >= n - m[multiple, None]
         sv[at[multiple]] = np.where(last, delta[:, None], above[:, None])
         sv[at[multiple], 0] = norm[multiple]
-        reflected = np.take_along_axis(reflect, order[:, None], axis=2)
-        vt[at[multiple], 1:, 1:] = np.swapaxes(reflected, 1, 2)
-    return sv, vt
+        # the reflection of b_P onto its first leaf: its other columns on P
+        # are an orthonormal basis of ker A0, taken first
+        h = np.where(pole[multiple], arrow[multiple, rows[0], 1:], 0.0)  # b_P
+        each, first = np.arange(multiple.size), np.argmax(pole[multiple], axis=1)
+        h[each, first] += np.copysign(np.linalg.norm(h, axis=1), h[each, first])
+        h /= np.linalg.norm(h, axis=1)[:, None]
+        reflect = np.eye(n - 1) - 2.0 * h[:, :, None] * h[:, None, :]
+        basis = pole[multiple]
+        basis[each, first] = False
+        width = min(vectors.shape[2], n - 1)
+        order = np.argsort(~basis, axis=1, kind="stable")[:, None, :width]
+        live = np.arange(width) < m[multiple, None, None]
+        vectors[at[multiple], 1:, :width] = np.take_along_axis(reflect, order, axis=2) * live
+    return sv, vectors
 
 
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real eigenfunctions of the positive records at positions records of
-    the spectrum, and of no other: one SVD of A(k) per record, or on a
-    star the arrow's closed form ("Stars" in the module docstring), the
-    rest vectorized.  The zero mode is left out.  The kernel rule counts
+    the spectrum, and of no other: on a star the arrow's closed form
+    ("Stars" in the module docstring), for every other record one
+    value-only SVD of A(k) and one batched bordered solve with its Newton
+    steps ("Kernel vectors").  The zero mode is left out.  The kernel rule counts
     every crossing of the spectrum within reach of a record.  Raises
     ValueError for a position that is not an integer (a boolean included,
     inside a list too), OutOfRange for one outside
@@ -359,19 +413,24 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
     amp = solver._amplitude_matrices(graph, sigmas, ks)
-    sv, vt = _arrow_kernels(graph, sigmas, amp, ks, mults, radius)
+    sv, vectors = _arrow_kernels(graph, sigmas, amp, ks, mults, radius)
+    other = np.flatnonzero(np.isnan(sv[:, 0]))
     # one LAPACK call per matrix, not per stack: the benchmark's layer
     # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
-    for i in np.flatnonzero(np.isnan(sv[:, 0])):
-        _, sv[i], vt[i] = np.linalg.svd(amp[i])
+    for i in other:
+        sv[i] = np.linalg.svd(amp[i], compute_uv=False)
     crossings = spectrum.wavenumbers()
     mismatch = _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
-    sv = sv / sv[:, :1]  # relative to ||A(k)||_2
-    near = np.flatnonzero((mults == 1) & (sv[:, -2] < NEIGHBOUR_SV))
-    if near.size:
-        vt[near, -1] = _root_kernel(graph, sigmas, amp[near], ks[near], vt[near, -1])
+    norm = sv[:, 0]
+    # the singular value next to the m smallest
+    near = sv[np.arange(ks.size), n - mults - 1] < NEIGHBOUR_SV * norm
+    if other.size:
+        block = amp if other.size == ks.size else amp[other]
+        found = _kernel_vectors(graph, sigmas, block, ks[other], mults[other], near[other])
+        vectors[other, :, : found.shape[2]] = found
+    products = amp @ vectors
 
     local = np.repeat(np.arange(ks.size), mults)
     first_row = np.cumsum(mults) - mults
@@ -379,16 +438,16 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     residual = np.empty(local.size)
     # the distinct multiplicities, without np.unique, which imports numpy.ma
     for m in np.flatnonzero(np.bincount(mults)):
-        # the right singular vectors of the m smallest singular values,
-        # orthonormalised in their L2 Gram matrix
+        # a record's m vectors, orthonormalised in their L2 Gram matrix
         at = np.flatnonzero(mults == m)
-        tail = vt[at, n - m :][:, :, edge_columns]
+        tail = np.swapaxes(vectors[at][:, edge_columns, :m], 1, 2)
         gram = _l2_norm_sq(graph, tail[:, :, None], ks[at, None, None], tail[:, None])
         lam, w = np.linalg.eigh(gram)
+        w /= np.sqrt(lam)[:, None, :]
         rows = first_row[at, None] + np.arange(m)
-        ab[rows] = np.einsum("rij,rin->rjn", w / np.sqrt(lam)[:, None, :], tail)
-        # |A x| for the unit x = sum_i w_ij v_i: sigma_i w_ij over i
-        residual[rows] = np.linalg.norm(sv[at, n - m :, None] * w, axis=1)
+        ab[rows] = np.einsum("rij,rin->rjn", w, tail)
+        length = np.linalg.norm(vectors[at, :, :m] @ w, axis=1) * norm[at, None]
+        residual[rows] = np.linalg.norm(products[at, :, :m] @ w, axis=1) / length
     k = ks[local]
 
     ab /= np.sqrt(0.5 * np.sum(ab**2, axis=1))[:, None]  # unit slot amplitudes

@@ -116,11 +116,11 @@ class MetricGraph:
             )
 
         object.__setattr__(self, "total_length", float(lengths[0::2].sum()))
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "slot_origin", origin)
-        object.__setattr__(self, "slot_terminus", terminus)
-        object.__setattr__(self, "slot_reversal", reversal)
-        object.__setattr__(self, "slot_length", lengths)
+        # read-only: the graph compares and hashes on its edges alone
+        _set_read_only(
+            self, degrees=degrees, slot_origin=origin, slot_terminus=terminus,
+            slot_reversal=reversal, slot_length=lengths,
+        )
 
     @property
     def num_edges(self) -> int:
@@ -213,8 +213,14 @@ class StarDecomposition:
         # a zero split gives 1/0 = inf, so s_v = 1/inf = 0
         with np.errstate(divide="ignore"):
             inverse = np.bincount(g.slot_origin, 1.0 / per_slot, g.num_vertices)
-        object.__setattr__(self, "star_lengths", star_lengths)
-        object.__setattr__(self, "harmonic_splits", 1.0 / inverse)
+        _set_read_only(self, star_lengths=star_lengths, harmonic_splits=1.0 / inverse)
+
+
+def _set_read_only(obj, **arrays) -> None:
+    """Set each array as a field of the frozen obj, not writeable."""
+    for name, array in arrays.items():
+        array.flags.writeable = False
+        object.__setattr__(obj, name, array)
 
 
 def build_graph(edges, num_vertices=None) -> MetricGraph:

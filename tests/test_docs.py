@@ -4,8 +4,9 @@ The README python blocks and the doctests are executed; each module with
 an __all__ must list exactly the public functions and classes it defines,
 the library's public names must have a caller outside the tests, the
 README module map must describe that API as it is, its command-line
-section must name exactly the flags the parser accepts, and every private
-name the docs cite is defined.
+section must name exactly the flags the parser accepts, every private
+name the docs cite is defined, and every docstring section that the
+package or README cites by name exists.
 """
 from __future__ import annotations
 
@@ -222,7 +223,7 @@ HEADING = re.compile(r"(?:\A|\n[ \t]*\n)[ \t]*([A-Z][A-Za-z -]*)\.\s")
 # module docstring, a comment's citation across lines included
 SECTION_CITE = re.compile(
     r'((?:"[A-Z][A-Za-z -]*"(?:,? and |, ))*"[A-Z][A-Za-z -]*")\)? '
-    r"in (?:the module|its|the solver) docstring"
+    r"in (?:the module|its|the \w+) docstring"
 )
 
 
@@ -232,21 +233,30 @@ def _one_line(source):
     return re.sub(r"\s*\n\s*(?:#\s*)?", " ", source)
 
 
+def _cited_sections(source):
+    """The docstring sections a source cites by name."""
+    return [
+        name
+        for names in SECTION_CITE.findall(_one_line(source))
+        for name in re.findall(r'"([^"]+)"', names)
+    ]
+
+
 def test_docstring_sections_cited_in_the_source_exist():
-    # a section renamed or deleted in a module docstring leaves its citations
-    # naming nothing otherwise
+    # a section renamed or deleted in a module docstring leaves its citations,
+    # in the package or in README, naming nothing otherwise
     headings = set()
     for name in MODULES:
         doc = importlib.import_module(f"graphspectra.{name}").__doc__ or ""
         headings.update(HEADING.findall(doc))
-    assert {"Counting", "Polish", "Certification", "Stars"} <= headings
-    assert SECTION_CITE.findall(_one_line('# see ("A" and "B c"\n    # in its docstring)')) == [
-        '"A" and "B c"'
+    assert {"Counting", "Polish", "Certification", "Stars", "Kernel vectors"} <= headings
+    assert _cited_sections('# see ("A" and "B c"\n    # in its docstring)') == ["A", "B c"]
+    assert _cited_sections('("No such paragraph" in the\neigenfunctions docstring)') == [
+        "No such paragraph"
     ]
     cited = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for names in SECTION_CITE.findall(_one_line(path.read_text(encoding="utf-8"))):
-            for name in re.findall(r'"([^"]+)"', names):
-                cited.setdefault(name, set()).add(path.name)
-    assert cited
+    for path in sorted(PACKAGE.glob("*.py")) + [README]:
+        for name in _cited_sections(path.read_text(encoding="utf-8")):
+            cited.setdefault(name, set()).add(path.name)
+    assert "README.md" in set().union(*cited.values())
     assert {name: sorted(where) for name, where in cited.items() if name not in headings} == {}

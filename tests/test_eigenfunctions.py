@@ -198,8 +198,9 @@ def test_wide_product_matches_mpmath(graph, sigma):
 
 
 def test_one_wide_product_per_newton_step(monkeypatch):
-    # the near records of one eigenbasis call share one batched residual
-    # per Newton step: EXACT_STEPS calls for one near record or for all
+    # the near records of one eigenbasis call, of every multiplicity, share
+    # one batched residual per Newton step: EXACT_STEPS calls for one near
+    # record or for all
     graph = make_complete4((1.0,) * 6)
     spec = compute_spectrum(graph, RobinSpec(frozenset({0, 1}), 0.3), n_max=40)
     calls, wide = [], solver._wide_product
@@ -296,20 +297,23 @@ def test_a_small_pivot_takes_the_svd(monkeypatch, star4, svd_matrices, ratio, sv
 
 
 def _without_closed_form(patch):
-    """Send every record to the SVD path."""
+    """Send every record's singular values to the SVD."""
     patch.setattr(
         eigenfunctions,
         "_arrow_kernels",
-        lambda graph, sigmas, amp, *rest: (np.full(amp.shape[:2], np.nan), np.zeros(amp.shape)),
+        lambda graph, sigmas, amp, ks, mults, radius: (
+            np.full(amp.shape[:2], np.nan),
+            np.zeros((ks.size, amp.shape[1], mults.max(initial=1))),
+        ),
     )
 
 
 @pytest.mark.parametrize("lengths", [(1.0,) * 4, (1.0, 3.0, 5.0)], ids=["equilateral", "1:3:5"])
 def test_star_multiples_take_their_kernel_in_closed_form(monkeypatch, svd_matrices, lengths):
     # the triples of the equilateral star and the doubles of the 1:3:5 star
-    # sit at the stub poles of all their leaves: the closed form takes them
-    # with no SVD, and gives the eigenspaces and sensitivities of the SVD
-    # path, rows that meet every vertex condition among them
+    # sit at the stub poles of all their leaves: the closed-form bounds
+    # certify them with no SVD, and the eigenspaces and sensitivities are
+    # those of the SVD path, rows that meet every vertex condition among them
     star = make_star(len(lengths), lengths)
     spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=60)
     records = np.arange(spec.k.size)
@@ -331,10 +335,10 @@ def test_star_multiples_take_their_kernel_in_closed_form(monkeypatch, svd_matric
 
 
 def test_star_simples_meet_the_oracle_at_high_k(svd_matrices):
-    # x = (1, -c / d) leans from the kernel by |Schur| / min |d|, which left
-    # the sensitivity near k = 227.77 1.7e-11 of the largest value off the
-    # oracle; the step of inverse iteration on A^T A takes it to rounding,
-    # still with no SVD
+    # x = (1, -c / d) leans from the kernel by |Schur| / min |d|, which once
+    # left the sensitivity near k = 227.77 1.7e-11 of the largest value off
+    # the oracle; the Newton step after the bordered solve must keep it at
+    # rounding, still with no SVD
     star = make_star(4, (1.0,) * 4)
     robin = RobinSpec(frozenset({0, 1}), 2.0)
     spec = compute_spectrum(star, robin, n_max=300)
@@ -704,3 +708,25 @@ def test_sensitivity_rejects_a_fractional_index(star4, n):
 def test_zero_vector_norm():
     g = build_graph([(0, 1, 1.0)])
     assert _l2_norm_sq(g, np.zeros((1, 2), dtype=complex), np.array([1.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("name", ["record", "k", "a", "residual", "l2norm_sq", "vertex_values"])
+def test_basis_arrays_are_read_only(star4, name):
+    spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=5)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(eigenbasis(spec, [2]), name)[0] = 0
+
+
+def test_the_svd_gives_values_only(monkeypatch, tetrahedron):
+    # the kernel vectors come from the bordered solve: an SVD off the
+    # arrow's gate gives the kernel rule its values and nothing else
+    spec = compute_spectrum(tetrahedron, RobinSpec(frozenset({0}), 1.0), n_max=20)
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    eigenbasis(spec, np.arange(spec.k.size))
+    assert calls and not any(calls)

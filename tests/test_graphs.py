@@ -23,6 +23,7 @@ from graphspectra.graphs import (
     make_star,
     parse_graph,
 )
+from graphspectra.stats import theoretical_mean
 from builders import incommensurate_lengths, midpoint_star_decomposition
 from oracles import min_integer_relation
 
@@ -359,3 +360,27 @@ def test_slot_tables_consistent(edges):
     assert np.array_equal(g.slot_origin[rev], g.slot_terminus)
     assert np.array_equal(g.slot_length[rev], g.slot_length)
     assert int(g.degrees.sum()) == g.num_slots
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["degrees", "slot_origin", "slot_terminus", "slot_reversal", "slot_length",
+     "star_lengths", "harmonic_splits"],
+)
+def test_derived_arrays_are_read_only(name):
+    # a graph compares and hashes on its edges alone, and the per-graph
+    # caches of the solver trust that: none of its derived arrays may move
+    g = make_star(3, (1.0, 1.5, 2.0))
+    owner = g if hasattr(g, name) else boundary_star_decomposition(g, RobinSpec(frozenset({0}), 2.0))
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(owner, name)[0] = 1
+
+
+def test_a_written_degree_cannot_move_the_theoretical_mean():
+    # writing g.degrees once moved theoretical_mean at {0}, sigma 2, from
+    # 0.296 to 0.889, while g still compared equal to a fresh copy
+    g, robin = make_star(3, (1.0, 1.5, 2.0)), RobinSpec(frozenset({0}), 2.0)
+    want = theoretical_mean(g, robin)
+    with pytest.raises(ValueError):
+        g.degrees[0] = 1
+    assert theoretical_mean(g, robin) == want == pytest.approx(2.0 * 2.0 / 4.5 / 3.0)
