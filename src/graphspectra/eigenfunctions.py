@@ -35,9 +35,12 @@ that no dx_i meets.  For m = 1 that is the Newton step on
 [[A, A' x], [W^T, 0]]; for m > 1 one shift is what a root of multiplicity
 m gives, where a shift held fixed leaves the lean toward a simple root
 close by.  Where s is below NEIGHBOUR_SV ||A(k)||_2 the residual A(k) x is
-taken at k + shift in double-double (solver._wide_product, about 32
-digits; cos k l and sin k l taken once at the float k and turned by each
-step's shift), one batched pass per step over every such record, and C's
+taken at k + shift in double-double (solver._wide_product, within
+1e-32 (1 + k l) |x|), one batched pass per step over the columns of every
+such record: what no shift moves, cos k l and sin k l at the float k
+and the row table of A's terms, is taken once per call, and each step
+turns the waves by its shift and takes the entries of A(k + shift) once
+per record, then the products with x and the row sums; and C's
 left border is the orthonormalised span of its inverse's last rows, the
 left kernel: where no shift meets every equation, as for roots merged
 closer than the rounding of k, the residual that stays then lies in A's
@@ -60,8 +63,9 @@ them, and its kernel vectors come in closed form.  A's E x E leaf block
 must have no nonzero entry off its diagonal, checked exactly on A itself,
 and every leaf pivot the closed form divides by or leaves in place must
 be at least max(NEIGHBOUR_SV, the kernel rule's threshold) ||A||_2; a
-record that fails a test takes one value-only SVD and the bordered solve
-("Kernel vectors").  ||A||_2 comes from one stacked eigvalsh
+record that fails a test takes the singular values the certification
+took (Spectrum.singular_values), or else one value-only SVD, and the
+bordered solve ("Kernel vectors").  ||A||_2 comes from one stacked eigvalsh
 per eigenbasis call, of A^T A for a simple record and of A0^T A0 (below)
 for a multiple one.
 
@@ -261,16 +265,20 @@ def _kernel_vectors(graph: MetricGraph, sigmas, amp, ks, mults, near) -> np.ndar
     # (dx, y) per unit shift; the shift minimizes |y|^2 over the m columns
     fixed = solve @ -slope
     weight = np.sum(fixed[:, size:] ** 2, axis=(1, 2))
-    # the near records' columns, one double-double pass over them per step
-    wide, column = np.nonzero(live & near[:, None])
-    waves = solver._wide_waves(graph, ks[wide]) if wide.size else None
+    # the near records' columns, one double-double pass over them per step,
+    # what the shift leaves as it is taken once
+    owner, column = np.nonzero(live[close])
+    wide = close[owner]
+    waves = solver._wide_waves(graph, ks[close]) if close.size else None
     shift = (np.zeros((ks.size, 1)), np.zeros((ks.size, 1)))
     # one step leaves a vector with no near neighbour at rounding
-    for _ in range(EXACT_STEPS if wide.size else 1):
+    for _ in range(EXACT_STEPS if close.size else 1):
         residual = amp @ x + shift[0][:, :, None] * slope
-        if wide.size:
-            at = (shift[0][wide], shift[1][wide])
-            product = solver._wide_product(graph, sigmas, ks[wide], at, waves, x[wide, :, column])
+        if close.size:
+            at = (shift[0][close], shift[1][close])
+            product = solver._wide_product(
+                graph, sigmas, ks[close], at, waves, x[wide, :, column], owner
+            )
             residual[wide, :, column] = product[0]
         step = solve @ -residual
         dk = -np.sum(step[:, size:] * fixed[:, size:], axis=(1, 2)) / weight
@@ -294,9 +302,9 @@ def _arrow_rows(graph: MetricGraph) -> np.ndarray:
     return rows
 
 
-def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
-    """Singular values, largest first, of the stack amp of A(k) at the
-    couplings row sigmas as the kernel rule reads them, and kernel vectors
+def _arrow_kernels(graph: MetricGraph, amp, ks, mults, radius, slope):
+    """Singular values, largest first, of the stack amp of A(k) as the
+    kernel rule reads them, slope its bound on ||A'(k)||, and kernel vectors
     laid out as _kernel_vectors lays them out, for the records whose A(k) is
     an arrow that passes the gate ("Stars" in the module docstring):
     ||A||_2, a lower bound in place of every middle value, and for a simple
@@ -315,7 +323,7 @@ def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
     block -= np.count_nonzero(amp[:, rows[0], 1:], axis=1)
     diagonal = block == np.count_nonzero(pivot, axis=1)
     at = np.flatnonzero(((mults == 1) | (mults < n - 1)) & diagonal)
-    if at.size == 0:  # no arrow record: spare the bound on ||A'||, built per graph
+    if at.size == 0:
         return sv, vectors
     m, pivot = mults[at], pivot[at]
     multiple = np.flatnonzero(m > 1)
@@ -331,7 +339,7 @@ def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
         arrow[record, rows[t + 1], t + 1] = 0.0
     gram = np.linalg.eigvalsh(np.swapaxes(arrow, 1, 2) @ arrow)
     norm = np.sqrt(gram[:, -1])
-    floor, threshold, lift = solver._kernel_thresholds(graph, sigmas, ks[at], norm, radius[at])
+    floor, threshold, lift = solver._kernel_thresholds(graph, ks[at], norm, radius[at], slope[at])
     gate = np.maximum(NEIGHBOUR_SV, threshold) * norm
     # the smallest Q pivot, every pivot of a simple record
     rest = np.min(pivot, axis=1, where=~pole, initial=np.inf)
@@ -388,10 +396,11 @@ def _arrow_kernels(graph: MetricGraph, sigmas, amp, ks, mults, radius):
 def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     """Real eigenfunctions of the positive records at positions records of
     the spectrum, and of no other: on a star the arrow's closed form
-    ("Stars" in the module docstring), for every other record one
-    value-only SVD of A(k) and one batched bordered solve with its Newton
-    steps ("Kernel vectors").  The zero mode is left out.  The kernel rule counts
-    every crossing of the spectrum within reach of a record.  Raises
+    ("Stars" in the module docstring), for every other record the singular
+    values of A(k) the spectrum carries, or else one value-only SVD, and
+    one batched bordered solve with its Newton steps ("Kernel vectors").
+    The zero mode is left out.  The kernel rule counts every crossing of
+    the spectrum within reach of a record.  Raises
     ValueError for a position that is not an integer (a boolean included,
     inside a list too), OutOfRange for one outside
     the records, KernelDimensionMismatch where a record breaks the kernel
@@ -407,20 +416,25 @@ def eigenbasis(spectrum: Spectrum, records) -> EigenBasis:
     positive = np.flatnonzero(spectrum.k > 0.0)
     handed = positive[np.isin(positive, records)]
     ks, mults = spectrum.k[handed], spectrum.multiplicity[handed]
-    sigmas = robin.vertex_sigmas(graph)
-    radius, threshold = spectrum.radius[handed], solver._kernel_threshold(graph, sigmas, ks)
+    sigmas, radius = robin.vertex_sigmas(graph), spectrum.radius[handed]
+    # the kernel rule's bound on ||A'(k)|| and its eigenphase threshold, which
+    # is also the continuity tolerance, each taken once
+    slope = solver._amplitude_slope(graph, sigmas, ks)
+    threshold = solver._kernel_threshold(graph, sigmas, ks)
     # A(k)'s size and the columns of (A_0, B_0, A_1, B_1, ...)
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
     amp = solver._amplitude_matrices(graph, sigmas, ks)
-    sv, vectors = _arrow_kernels(graph, sigmas, amp, ks, mults, radius)
+    sv, vectors = _arrow_kernels(graph, amp, ks, mults, radius, slope)
     other = np.flatnonzero(np.isnan(sv[:, 0]))
-    # one LAPACK call per matrix, not per stack: the benchmark's layer
-    # trace (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
-    for i in other:
+    # the singular values the certification took, and for the other records
+    # one LAPACK call per matrix, not per stack: the benchmark's layer trace
+    # (bench/tests) pins eigenfunctions.svd_calls to svd_matrices
+    sv[other] = spectrum.singular_values[handed[other]]
+    for i in other[np.isnan(sv[other, 0])]:
         sv[i] = np.linalg.svd(amp[i], compute_uv=False)
     crossings = spectrum.wavenumbers()
-    mismatch = _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings)
+    mismatch = _kernel_rule(graph, ks, mults, sv, radius, crossings, slope, threshold)
     if mismatch:
         raise KernelDimensionMismatch(mismatch)
     norm = sv[:, 0]

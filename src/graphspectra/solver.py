@@ -226,10 +226,25 @@ point stays half a stop width inside its bracket, and one MAX_STEPS caps
 this loop and that of the counted splits.  A step costs one batched
 determinant: on a star its closed form (see Stars), O(E)
 products and no LAPACK call, on other graphs a LAPACK one of A, where a
-counted split needs a batched eigendecomposition; and a bracket end
-beside a multiple root, where det A is flat, no longer stalls the
-iteration.  The certification below checks every polished root.  The
-kernel rule and the eigenbasis take A(k) itself.
+counted split needs a batched eigendecomposition.  The certification
+below checks every polished root.  The kernel rule and the eigenbasis
+take A(k) itself.
+
+Next to a multiple root r of multiplicity m, det A carries the factor
+(k - r)^m, flat across the bracket end beside r, where inverse quadratic
+interpolation fails its test and the step falls back to the midpoint.
+So the iteration runs on det A divided by prod (|k - r| / rho)^m over
+the root next to the bracket on each side (_deflation), where the
+counted splits found that root with count m >= 2 and it lies within the
+bracket's width of its end, so that the factor at least doubles across
+the bracket: the root below ends at N(lo), the one above starts at
+N(lo) + 1, both of the bracket's own coupling.  |k - r| is taken at
+least the stop width, so a root on a bracket end leaves every value
+finite, and rho, r's distance to the bracket's far end, keeps each
+factor at most 1.  The weight is positive, so the signs of det A, the
+handoff parity and the root the bracket closes on stay as they are.  A
+bracket with no such root has weight 1 exactly, and a pass where no
+bracket has one runs on det A itself.
 
 Both stages stop once a bracket is narrower than the stop width
 4 eps (1 + k) and report its midpoint, so every reported root lies
@@ -286,8 +301,10 @@ next to a Dirichlet pole no count has margin.  So the records of a join
 with such an end (every record of the Neumann interval, half of those of
 the Neumann equilateral star) fall back to the kernel rule, as do the
 records of a join of several, whose count certifies only their sum.
-The rule, _kernel_rule, which the eigenfunction module
-applies too: singular values of A(k) over ||A(k)||_2 below half of
+Their singular values, one value-only SVD of A(k) per record, travel
+with the spectrum (Spectrum.singular_values), so the eigenbasis takes
+no second SVD of them.  The rule, _kernel_rule, which the eigenfunction
+module applies too: singular values of A(k) over ||A(k)||_2 below half of
 max(1e-8 sqrt(2E), 2 (w + 2 s) ||A'(k)|| / ||A(k)||_2) count, twice what
 a root w / 2 + s off lifts the smallest one, w the stop width and s the
 spread (rho - w where rho is above its floor, else 0); _kernel_thresholds
@@ -396,6 +413,10 @@ class Spectrum:
     within it ("Certification" in the solver docstring); where they lack
     it, the refinement bracket certifies the radius and the kernel rule
     the multiplicity.  The zero mode is exact, with radius 0.
+    singular_values[i] holds the singular values of A(k[i]), largest
+    first, where the certification took them for the kernel rule, and NaN
+    for every other record, the default: the eigenbasis takes no second
+    SVD of those records.
     """
 
     graph: MetricGraph
@@ -405,9 +426,13 @@ class Spectrum:
     multiplicity: np.ndarray
     radius: np.ndarray
     k_cap: float
+    singular_values: np.ndarray | None = None
 
     def __post_init__(self):
-        for column in (self.index, self.k, self.multiplicity, self.radius):
+        if self.singular_values is None:
+            size = _amplitude_size(self.graph)
+            object.__setattr__(self, "singular_values", np.full((self.k.size, size), np.nan))
+        for column in (self.index, self.k, self.multiplicity, self.radius, self.singular_values):
             column.flags.writeable = False
 
     def wavenumbers(self, count: int | None = None) -> np.ndarray:
@@ -718,8 +743,10 @@ def _amplitude_layout(graph: MetricGraph):
     f_q(v) - f_p(v), p the slot before it.  A forward slot after another has
     no row ("Polish" in the module docstring).  The basis is
     [1, cos k l_t, sin k l_t] and the weights are
-    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  A has the
-    same layout at every coupling, so the last graph's is kept.
+    [1, 1 / n_v, (sigma_v / k) / n_v] (see _amplitude_matrices).  Last, the
+    row table of _wide_product: row r's terms down column r, then the
+    index of a zero term past the last, to a power of two rows.  A has
+    the same layout at every coupling, so the last graph's is kept.
     """
     n, num_edges, num_vertices = graph.num_slots, graph.num_edges, graph.num_vertices
     first = graph.slot_origin[0::2]
@@ -754,10 +781,24 @@ def _amplitude_layout(graph: MetricGraph):
     columns = np.ravel(
         [np.searchsorted(starts, first), starts.size + np.arange(first.size)], "F"
     )
-    out = (*(np.concatenate(column) for column in zip(*terms)), columns)
+    flat, *rest = (np.concatenate(column) for column in zip(*terms))
+    # row r's terms down column r, padded to a power of two by the index of
+    # a zero term past the last
+    row = flat // size
+    counts = np.bincount(row, minlength=size)
+    order = np.argsort(row, kind="stable")
+    table = np.full((1 << int(counts.max() - 1).bit_length(), size), row.size)
+    table[np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts), row[order]] = order
+    out = (flat, *rest, columns, table)
     for column in out:
         column.flags.writeable = False  # shared by every caller of the cache
     return (size, *out)
+
+
+def _amplitude_size(graph: MetricGraph) -> int:
+    """The size V_s + E of A(k), without the layout, which a star's
+    closed forms do not need."""
+    return graph.num_edges + np.count_nonzero(np.bincount(graph.slot_origin[0::2]))
 
 
 def _amplitude_matrices(graph: MetricGraph, sigmas, ks) -> np.ndarray:
@@ -857,78 +898,90 @@ def _taylor_coefficient(n: int):
     return sign * num / den, sign * (den - num * factorial) / (den * factorial)
 
 
-# the coefficients of the Taylor series of _wide_cos_sin, past its longest
-TAYLOR = [_taylor_coefficient(n) for n in range(40)]
+# the coefficients of the Taylor series of _wide_cos_sin, past its longest:
+# those of cos t and sin t / t in t^2, side by side as one double-double
+TAYLOR = [
+    tuple(np.array(part) for part in zip(_taylor_coefficient(n), _taylor_coefficient(n + 1)))
+    for n in range(0, 40, 2)
+]
 
 
 def _wide_cos_sin(t):
-    """cos t and sin t of a double-double t, in double-double.
+    """cos t and sin t of a double-double t, in double-double, stacked on a
+    first axis of 2.
 
     Past pi / 4, t = q pi / 2 + r with |r| <= pi / 4, r reduced by the
     three doubles of HALF_PI_PARTS, each product q part exact (Cody and
     Waite), and the values at r turned by q quarters.  The parts leave out
     5.6e-50 of pi / 2, so the reduction loses under 4e-50 |t|.  Within
-    pi / 4, the Taylor series of cos t and sin t / t in t^2, cut where the
-    largest |t|^n / n! falls below TAYLOR_TAIL: 29 terms at pi / 4, 3 for
-    the shift of a Newton step.  Both values are within about
-    1e-32 (1 + |t|).
+    pi / 4, the Taylor series of cos t and sin t / t in t^2, both in one
+    pass, cut where the largest |t|^n / n! falls below TAYLOR_TAIL: 15
+    terms each at pi / 4, 2 for the shift of a Newton step.  Both values
+    are within about 1e-32 (1 + |t|).
     """
     q = np.rint(t[0] / HALF_PI_PARTS[0])
     if np.any(q):
         r = t
         for part in HALF_PI_PARTS:
             r = _dd_add(r, _two_prod(-q, part))
-        cos, sin = _wide_cos_sin(r)
-        # cos of r + j pi / 2 for j = 0..3; sin t is cos(t - pi / 2)
-        turns = (cos, (-sin[0], -sin[1]), (-cos[0], -cos[1]), sin)
+        # (cos, sin) of r + j pi / 2 is that of r turned j times by
+        # (c, s) -> (-s, c)
+        turned = [(v, np.stack([-v[1], v[0]])) for v in _wide_cos_sin(r)]
         quarter = np.mod(q, 4.0).astype(int)
-        return tuple(
-            tuple(np.choose((quarter + j) % 4, [turn[part] for turn in turns]) for part in (0, 1))
-            for j in (0, 3)
-        )
+        return tuple(np.choose(quarter, [v, w, -v, -w]) for v, w in turned)
     z = _dd_mul(t, t)
     largest, terms, tail = float(np.max(np.abs(t[0]), initial=0.0)), 0, 1.0
     while tail > TAYLOR_TAIL:
         terms += 1
         tail *= largest / terms
-    cos = sin = (np.zeros_like(z[0]), np.zeros_like(z[0]))
-    for n in range(terms - 1, -1, -1):
-        if n % 2:
-            sin = _dd_add(_dd_mul(sin, z), TAYLOR[n])
-        else:
-            cos = _dd_add(_dd_mul(cos, z), TAYLOR[n])
-    return cos, _dd_mul(sin, t)
+    stacked = (2,) + (1,) * z[0].ndim
+    last, *rest = reversed(TAYLOR[: (terms + 1) // 2])
+    series = (last[0].reshape(stacked), last[1].reshape(stacked))
+    for hi, lo in rest:
+        series = _dd_add(_dd_mul(series, z), (hi.reshape(stacked), lo.reshape(stacked)))
+    # (cos t, sin t) is the series times (1, t)
+    one = np.stack([np.ones_like(t[0]), t[0]]), np.stack([np.zeros_like(t[1]), t[1]])
+    return _dd_mul(series, one)
 
 
 def _wide_waves(graph: MetricGraph, ks: np.ndarray):
-    """cos k l and sin k l at each float k and distinct edge length l, in
-    double-double, for _wide_product: the edge of each length, the
-    lengths, and the pair, each value shape (len(ks), lengths)."""
+    """What the shift of a Newton step leaves as it is, for _wide_product at
+    the float wave numbers ks: cos k l and sin k l at each distinct edge
+    length l in double-double, stacked as _wide_cos_sin stacks them, and
+    (-sin k l, cos k l); the lengths; and, per term of A(k) and one zero
+    term past them, the place of its basis value in
+    [1, cos k l, sin k l], its weight index, its sign and its column."""
+    size, flat, src, weight, sign = _amplitude_layout(graph)[:5]
     lengths, edge = np.unique(graph.slot_length[0::2], return_inverse=True)
-    return edge, lengths, _wide_cos_sin(_two_prod(ks[:, None], lengths))
+    place = np.concatenate([[0], 1 + edge, 1 + lengths.size + edge])
+    waves = _wide_cos_sin(_two_prod(ks[:, None], lengths))
+    turned = tuple(np.stack([-v[1], v[0]]) for v in waves)
+    terms = tuple(np.append(v, 0) for v in (place[src], weight, sign, flat % size))
+    return terms, lengths, waves, turned
 
 
-def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, shift, waves, x: np.ndarray):
+def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, shift, waves, x, owner):
     """A(k) x at k = ks + shift for one couplings row sigmas, shift a
     double-double of shape (len(ks), 1), waves from _wide_waves at ks, and
-    x a float array of shape (len(ks), n): the terms of _amplitude_values,
-    whose basis and weights it must track, in double-double, as a pair
-    (hi, lo) of arrays shaped like x.
+    x a float array of shape (columns, n), column j taken at ks[owner[j]]:
+    the terms of _amplitude_values, whose basis and weights it must track,
+    in double-double, as a pair (hi, lo) of arrays shaped like x.
 
     The waves are turned by shift with the series of cos and sin of
     shift l, and the weights [1, 1 / n_v, (sigma_v / k) / n_v] are taken
-    at k in double-double, so every term is a double-double times an
-    entry of x.  Each row is then summed without error, its rounding
-    errors carried in a second sum (Sum2 of Ogita, Rump and Oishi, SIAM
-    J. Sci. Comput. 26 (2005)): the result is within about
-    1e-32 (1 + k l) |x| of A(k) x.
+    at k in double-double, so every entry of A(k) is a double-double, taken
+    once per wave number, and every term an entry times one of x.  The
+    terms of each row are then summed pairwise down the row table of
+    _amplitude_layout, each sum exact as a pair (TwoSum), the rounding
+    errors summed in a second sum, as in Sum2 of Ogita, Rump and Oishi
+    (SIAM J. Sci. Comput. 26 (2005)): the result is within about
+    1e-32 (1 + k l) |x| of A(k) x, l the longest edge.
     """
-    size, flat, src, weight, sign = _amplitude_layout(graph)[:5]
-    edge, lengths, (cos, sin) = waves
-    turn_cos, turn_sin = _wide_cos_sin(_dd_mul(shift, (lengths, 0.0)))
-    cos, sin = (
-        _dd_add(_dd_mul(cos, turn_cos), _dd_mul(sin, (-turn_sin[0], -turn_sin[1]))),
-        _dd_add(_dd_mul(sin, turn_cos), _dd_mul(cos, turn_sin)),
+    table = _amplitude_layout(graph)[6]
+    (place, weight, sign, column), lengths, waves, turned = waves
+    turn_hi, turn_lo = _wide_cos_sin(_dd_mul(shift, (lengths, 0.0)))
+    rotated = _dd_add(
+        _dd_mul(waves, (turn_hi[0], turn_lo[0])), _dd_mul(turned, (turn_hi[1], turn_lo[1]))
     )
     k = _dd_add((ks[:, None], 0.0), shift)
     coupling = _dd_div((np.atleast_2d(sigmas), 0.0), k)
@@ -936,29 +989,21 @@ def _wide_product(graph: MetricGraph, sigmas, ks: np.ndarray, shift, waves, x: n
     ones, zeros = np.ones((ks.size, 1)), np.zeros((ks.size, 1))
     inverse = _dd_div((ones, 0.0), norm)
     basis = [
-        np.concatenate([one, c[:, edge], s[:, edge]], axis=1)
-        for one, c, s in zip((ones, zeros), cos, sin)
+        np.concatenate([one, *v], axis=1)[:, place] for one, v in zip((ones, zeros), rotated)
     ]
     weights = [
-        np.concatenate(v, axis=1) for v in zip((ones, zeros), inverse, _dd_mul(coupling, inverse))
+        np.concatenate(v, axis=1)[:, weight]
+        for v in zip((ones, zeros), inverse, _dd_mul(coupling, inverse))
     ]
-    terms = _dd_mul(
-        _dd_mul(tuple(b[:, src] for b in basis), tuple(w[:, weight] for w in weights)),
-        (sign * x[:, flat % size], 0.0),
-    )
-    # the terms of each row down one column of a table, padded by a zero term
-    row = flat // size
-    counts = np.bincount(row, minlength=size)
-    order = np.argsort(row, kind="stable")
-    table = np.full((counts.max(), size), row.size)
-    place = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    table[place, row[order]] = order
-    hi, lo = (np.append(v, zeros, axis=1) for v in terms)
-    total, error = np.zeros_like(x), np.zeros_like(x)
-    for column in table:
-        total, e = _two_sum(total, hi[:, column])
-        error += e + lo[:, column]
-    return _fast_two_sum(total, error)
+    entries = tuple(v[owner] for v in _dd_mul(basis, weights))
+    # the zero term past the last pads the row table
+    hi, lo = _dd_mul(entries, (sign * x[:, column], 0.0))
+    hi, lo = hi[:, table], lo[:, table]
+    error = np.sum(lo, axis=1)
+    while hi.shape[1] > 1:
+        hi, e = _two_sum(*np.split(hi, 2, axis=1))
+        error += np.sum(e, axis=1)
+    return _fast_two_sum(hi[:, 0], error)
 
 
 def _amplitude_slope(graph: MetricGraph, sigmas: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -1083,9 +1128,47 @@ def _step_points(x1, x2, x3, f1, f2, f3, stop) -> np.ndarray:
     return x1 + np.minimum(np.maximum(t, margin), 1.0 - margin) * dx
 
 
-def _polish(graph, table, which, los, his, f_lo, f_hi) -> np.ndarray:
+def _deflation(which, los, his, n_lo, poles):
+    """Per bracket (lo, hi] holding one root, bracket j under coupling
+    which[j] with N(lo) = n_lo[j], the root next to it on each side where
+    that root is one of the multiple roots poles = (coupling, k, m, N(k-))
+    found and lies within the bracket's width of its end: its k, its
+    multiplicity m (0 where there is none) and its distance to the
+    bracket's far end, each a row (below, above) of one array.  None where
+    no bracket has one."""
+    owner, ks, mults, below = poles
+    # (coupling, count) as one exact integer key
+    span = 2 + max(int(n_lo.max(initial=0)), int((below + mults).max()))
+    out = np.zeros((3, 2, los.size))
+    out[2] = 1.0
+    # the root below ends at N(lo), the root above starts at N(lo) + 1
+    sides = ((below + mults, n_lo, los, his), (below, n_lo + 1, his, los))
+    for side, (top, start, end, far) in enumerate(sides):
+        key, wanted = owner * span + top, which * span + start
+        order = np.argsort(key)
+        root = order[np.minimum(np.searchsorted(key[order], wanted), key.size - 1)]
+        hit = (key[root] == wanted) & (np.abs(end - ks[root]) <= his - los)
+        root = root[hit]
+        out[:, side, hit] = ks[root], mults[root], np.abs(far[hit] - ks[root])
+    return out if out[1].any() else None
+
+
+def _deflation_weight(x, stop, deflation) -> np.ndarray:
+    """prod (|x - r| / rho)^m over the two sides of _deflation, each
+    distance at least the stop width, so that a root on a bracket end
+    leaves it finite; at most 1, and 1 exactly where no side has a root.
+    The floor keeps it positive where the product would underflow, past
+    multiplicity 20 or so."""
+    centre, power, scale = deflation
+    ratio = np.maximum(np.abs(x - centre), stop) / scale
+    return np.maximum(np.prod(ratio**power, axis=0), np.finfo(float).tiny)
+
+
+def _polish(graph, table, which, los, his, f_lo, f_hi, deflation) -> np.ndarray:
     """Chandrupatla's method on det A over sign-changing brackets, bracket j
-    under the couplings table[which[j]].
+    under the couplings table[which[j]], det A divided by the weight of
+    the multiple roots next to the bracket (_deflation, None where there is
+    none).
 
     Each step evaluates det A at one point per open bracket (_step_points),
     in one batched determinant.  Returns the midpoints once brackets are
@@ -1094,6 +1177,10 @@ def _polish(graph, table, which, los, his, f_lo, f_hi) -> np.ndarray:
     out = np.empty(los.size)
     open_ = np.arange(los.size)
     sigmas = table[which]
+    if deflation is not None:
+        stop = _stop_width(his)
+        f_lo = f_lo / _deflation_weight(los, stop, deflation)
+        f_hi = f_hi / _deflation_weight(his, stop, deflation)
     # x1 the newest point, x2 the bracket end of the other sign, x3 the
     # point dropped last
     x1, x2, f1, f2 = los, his, f_lo, f_hi
@@ -1111,6 +1198,8 @@ def _polish(graph, table, which, los, his, f_lo, f_hi) -> np.ndarray:
             return out
         x = _step_points(x1, x2, x3, f1, f2, f3, stop)
         f = _amplitude_dets(graph, sigmas, x)
+        if deflation is not None:
+            f = f / _deflation_weight(x, stop, deflation[..., open_])
         same = np.sign(f) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         # an exact zero closes the bracket onto x
@@ -1246,9 +1335,8 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
     cluster phases psi (winding route), and keeps the halves whose count
     stays positive.
     """
-    roots: list[float] = []
-    mults: list[int] = []
-    owners: list[int] = []
+    # (root, count, coupling, N(lo)) of the brackets each step closes
+    found: list[tuple] = []
     polish: list[tuple] = []
     n = los.size
     # s_0 of _polish_ready, fixed at the first handoff
@@ -1263,9 +1351,7 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
     for _ in range(MAX_STEPS):
         stop = _stop_width(his)
         done = his - los <= stop
-        roots.extend(0.5 * (los[done] + his[done]))
-        mults.extend(counts[done])
-        owners.extend(which[done])
+        found.append((0.5 * (los[done] + his[done]), counts[done], which[done], n_lo[done]))
         keep = ~done
         handoff = np.flatnonzero(keep & (counts == 1))
         if handoff.size:
@@ -1273,9 +1359,8 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
                 graph, table, which[handoff], los[handoff], his[handoff], n_lo[handoff], sign
             )
             leaving = handoff[ready]
-            polish.append(
-                (which[leaving], los[leaving], his[leaving], f_lo[ready], f_hi[ready])
-            )
+            ends = (which, los, his, n_lo)
+            polish.append((*(a[leaving] for a in ends), f_lo[ready], f_hi[ready]))
             keep[leaving] = False
         brackets = (which, los, his, counts, n_lo, vertex, floors, newest_lo, x3, f3, stop)
         which, los, his, counts, n_lo, vertex, floors, newest_lo, x3, f3, stop = (
@@ -1348,12 +1433,19 @@ def _refine_brackets(graph, table, which, los, his, counts, n_lo):
         raise ToleranceNotMet(
             f"{los.size} brackets still open after {MAX_STEPS} refinement steps"
         )
+    roots, mults, owners, lows = (np.concatenate(column) for column in zip(*found))
     if polish:
-        at, lo, hi, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
-        roots.extend(_polish(graph, table, at, lo, hi, f_lo, f_hi))
-        mults.extend([1] * lo.size)
-        owners.extend(at)
-    return np.asarray(roots), np.asarray(mults, dtype=int), np.asarray(owners, dtype=int)
+        at, lo, hi, low, f_lo, f_hi = (np.concatenate(column) for column in zip(*polish))
+        # a pass with no multiple root runs on det A itself
+        multiple = mults > 1
+        deflation = None
+        if multiple.any():
+            poles = tuple(a[multiple] for a in (owners, roots, mults, lows))
+            deflation = _deflation(at, lo, hi, low, poles)
+        roots = np.concatenate([roots, _polish(graph, table, at, lo, hi, f_lo, f_hi, deflation)])
+        mults = np.concatenate([mults, np.ones(lo.size, dtype=int)])
+        owners = np.concatenate([owners, at])
+    return roots, mults, owners
 
 
 def _merge_roots(roots: np.ndarray, mults: np.ndarray, grid):
@@ -1393,36 +1485,38 @@ def _kernel_threshold(graph, sigmas, ks: np.ndarray) -> np.ndarray:
     )
 
 
-def _kernel_reach(graph, sigmas, ks: np.ndarray) -> np.ndarray:
-    """How far from k the kernel rule looks for crossings ("Certification")."""
-    return 2.0 * _kernel_threshold(graph, sigmas, ks) / graph.min_edge_length
+def _kernel_reach(graph, threshold: np.ndarray) -> np.ndarray:
+    """How far from k the kernel rule looks for crossings ("Certification"),
+    from the _kernel_threshold at k."""
+    return 2.0 * threshold / graph.min_edge_length
 
 
-def _kernel_thresholds(graph, sigmas, ks, norm, radius):
+def _kernel_thresholds(graph, ks, norm, radius, slope):
     """The kernel rule's floor and threshold on the singular values of A(k)
     over norm = ||A(k)||_2 per record ("Certification" in the module
-    docstring): a value below the threshold counts.  Where a record's radius
-    is above its floor, radius - width is the spread of the roots merged
-    into it.  Also w ||A'|| / (2 norm), the most that a root half a stop
-    width w off lifts a singular value of A over norm."""
+    docstring), slope the _amplitude_slope at k: a value below the
+    threshold counts.  Where a record's radius is above its floor,
+    radius - width is the spread of the roots merged into it.  Also
+    w ||A'|| / (2 norm), the most that a root half a stop width w off
+    lifts a singular value of A over norm."""
     width = _stop_width(ks)
     spread = np.where(radius > RADIUS_FLOOR * (1.0 + ks), radius - width, 0.0)
     floor = 0.5 * KERNEL_SV_SCALE * np.sqrt(graph.num_slots)
-    slope = _amplitude_slope(graph, sigmas, ks)
     threshold = np.maximum(floor, (width + 2.0 * spread) * slope / norm)
     return floor, threshold, 0.5 * width * slope / norm
 
 
-def _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings) -> str | None:
+def _kernel_rule(graph, ks, mults, sv, radius, crossings, slope, threshold) -> str | None:
     """The kernel rule on the singular values sv of A(k) per record, largest
-    first ("Certification" in the module docstring): why the first record
+    first ("Certification" in the module docstring), slope and threshold
+    the _amplitude_slope and _kernel_threshold at k: why the first record
     (k, m) breaks it, or None.  Fewer than m small singular values is short;
     more than the crossings (sorted wave numbers, one per index) within
     reach of k is excess, unless the reach spans k = 0, where the secular
     system has a larger kernel of its own."""
     norm = sv[:, :1]
-    threshold = _kernel_thresholds(graph, sigmas, ks, norm[:, 0], radius)[1]
-    dims = np.sum(sv / norm < threshold[:, None], axis=1)
+    limit = _kernel_thresholds(graph, ks, norm[:, 0], radius, slope)[1]
+    dims = np.sum(sv / norm < limit[:, None], axis=1)
     short = np.flatnonzero(dims < mults)
     if short.size:
         j = short[0]
@@ -1430,7 +1524,7 @@ def _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings) -> str | None:
             f"kernel dimension {dims[j]} below crossing count {mults[j]} "
             f"at k={float(ks[j])!r}"
         )
-    reach = _kernel_reach(graph, sigmas, ks)
+    reach = _kernel_reach(graph, threshold)
     nearby = np.searchsorted(crossings, ks + reach, side="right") - np.searchsorted(
         crossings, ks - reach, side="left"
     )
@@ -1444,11 +1538,13 @@ def _kernel_rule(graph, sigmas, ks, mults, sv, radius, crossings) -> str | None:
     return None
 
 
-def _certify_records(graph, table, records) -> None:
+def _certify_records(graph, table, records) -> list:
     """Raise ToleranceNotMet unless every record (k, m) of each coupling is
     certified; records[c] holds the ascending wave numbers, multiplicities
     and radii of the coupling whose couplings row is table[c].  See
-    "Certification" in the module docstring.
+    "Certification" in the module docstring.  Returns per coupling the
+    singular values of A(k) the kernel rule read, a row per record, NaN
+    where the enclosure certified the record.
 
     The enclosures [k - rho, k + rho] of one coupling join where they
     overlap, and a join whose ends both count with margin must count the
@@ -1474,7 +1570,9 @@ def _certify_records(graph, table, records) -> None:
     which = np.repeat(np.arange(len(records)), [join[2].size for join in joins])
     counts, ok = np.zeros(ends.size, dtype=int), ends > 0.0
     counts[ok], ok[ok] = _inertia_counts(graph, table[which[ok]], ends[ok])
+    size, taken = _amplitude_size(graph), []
     for c, ((ks, mults, radius), (first, starts, ends)) in enumerate(zip(records, joins)):
+        taken.append(np.full((ks.size, size), np.nan))
         if ks.size == 0:
             continue
         mine = which == c
@@ -1494,11 +1592,16 @@ def _certify_records(graph, table, records) -> None:
         at = np.flatnonzero(~(margin & alone)[np.cumsum(first) - 1])
         if at.size == 0:
             continue
-        sv = np.linalg.svd(_amplitude_matrices(graph, table[c], ks[at]), compute_uv=False)
-        crossings = np.repeat(ks, mults)
-        mismatch = _kernel_rule(graph, table[c], ks[at], mults[at], sv, radius[at], crossings)
+        sigmas, near = table[c], ks[at]
+        sv = np.linalg.svd(_amplitude_matrices(graph, sigmas, near), compute_uv=False)
+        taken[c][at] = sv
+        mismatch = _kernel_rule(
+            graph, near, mults[at], sv, radius[at], np.repeat(ks, mults),
+            _amplitude_slope(graph, sigmas, near), _kernel_threshold(graph, sigmas, near),
+        )
         if mismatch:
             raise ToleranceNotMet(mismatch)
+    return taken
 
 
 def _anchor(graph: MetricGraph, sigmas: np.ndarray) -> tuple[float, list]:
@@ -1547,7 +1650,8 @@ def _cap_index(graph, sigmas, grid, n_grid, start: int) -> int:
     the next scan point past the reach, or else by one inertia count at
     k_cap + reach."""
     for j in range(start, grid.size):
-        top = float(grid[j] + _kernel_reach(graph, sigmas, grid[j : j + 1])[0])
+        top = grid[j] + _kernel_reach(graph, _kernel_threshold(graph, sigmas, grid[j : j + 1]))
+        top = float(top[0])
         above = int(np.searchsorted(grid, top))
         if above < grid.size and n_grid[above] == n_grid[j]:
             return j
@@ -1664,11 +1768,11 @@ def compute_spectra(
         ks, ms, spread = _merge_roots(ks, ms, grids[c])
         radius = np.maximum(_stop_width(ks) + spread, RADIUS_FLOOR * (1.0 + ks))
         records.append((ks, ms, radius))
-    _certify_records(graph, table, records)
+    taken = _certify_records(graph, table, records)
 
     spectra = []
-    for robin, (ks, ms, radius), grid, n_grid, zero_count in zip(
-        robins, records, grids, n_grids, zero_counts
+    for robin, (ks, ms, radius), sv, grid, n_grid, zero_count in zip(
+        robins, records, taken, grids, n_grids, zero_counts
     ):
         # Exact audit: the records count what the inertia counted at every
         # scan point.
@@ -1682,7 +1786,7 @@ def compute_spectra(
             )
         if zero_count:
             ks, ms, radius = np.append(0.0, ks), np.append(1, ms), np.append(0.0, radius)
-        spectra.append(
-            Spectrum(graph, robin, 1 + np.cumsum(ms) - ms, ks, ms, radius, float(grid[-1]))
-        )
+            sv = np.concatenate([np.full((1, sv.shape[1]), np.nan), sv])
+        index = 1 + np.cumsum(ms) - ms
+        spectra.append(Spectrum(graph, robin, index, ks, ms, radius, float(grid[-1]), sv))
     return tuple(spectra)

@@ -127,10 +127,10 @@ def test_rows_of_records_inside_each_others_kernel():
 def test_exact_cos_sin_match_mpmath(t):
     # the residual of the Newton steps takes cos k l and sin k l in
     # double-double, past every float and np.longdouble
-    cos, sin = solver._wide_cos_sin((np.array([t]), np.array([0.0])))
+    hi, lo = solver._wide_cos_sin((np.array([t]), np.array([0.0])))
     with mpmath.workdps(60):
-        for (hi, lo), want in ((cos, mpmath.cos(t)), (sin, mpmath.sin(t))):
-            assert abs(mpmath.mpf(hi[0]) + mpmath.mpf(lo[0]) - want) < 1e-31 * (1.0 + t)
+        for j, want in enumerate((mpmath.cos(t), mpmath.sin(t))):
+            assert abs(mpmath.mpf(hi[j, 0]) + mpmath.mpf(lo[j, 0]) - want) < 1e-31 * (1.0 + t)
 
 
 def _condensed_rows(edges, coupled, sigma, k, y):
@@ -184,7 +184,8 @@ def test_wide_product_matches_mpmath(graph, sigma):
     layout = solver._amplitude_layout(graph)
     n, edge_columns = layout[0], layout[5]
     x = np.random.default_rng(7).standard_normal((ks.size, n))
-    hi, lo = solver._wide_product(graph, sigmas, ks, shift, solver._wide_waves(graph, ks), x)
+    waves = solver._wide_waves(graph, ks)
+    hi, lo = solver._wide_product(graph, sigmas, ks, shift, waves, x, np.arange(ks.size))
     edges = list(graph.edges)
     with mpmath.workdps(60):
         for i, k0 in enumerate(ks):
@@ -217,6 +218,101 @@ def test_one_wide_product_per_newton_step(monkeypatch):
     calls.clear()
     eigenbasis(spec, [one])
     assert [ks.size for ks in calls] == [1] * eigenfunctions.EXACT_STEPS
+
+
+@pytest.mark.parametrize(
+    "graph, robin",
+    [
+        (make_complete4((1.0,) * 5 + (1.0 + 1e-10,)), NEUMANN),
+        (build_graph([(0, 1, 1.0), (0, 0, 1.0), (0, 0, 0.9999999999976974)]), NEUMANN),
+    ],
+    ids=["K4", "two_loops"],
+)
+def test_kernel_vectors_residual_matches_mpmath(monkeypatch, graph, robin):
+    # the double-double residual of every Newton step of the near records,
+    # at the shift the step took, and once more at a shift of RADIUS_FLOOR
+    # (1 + k), against the oracle's A(k + shift) x at 50 digits, within the
+    # 1e-32 (1 + k l) |x| of _wide_product's docstring (two_loops: a record
+    # of two simple roots 4.85e-12 apart, whose shift goes furthest)
+    spec = compute_spectrum(graph, robin, n_max=12)
+    calls, wide = [], solver._wide_product
+
+    def kept(graph, sigmas, ks, shift, waves, x, owner):
+        out = wide(graph, sigmas, ks, shift, waves, x, owner)
+        calls.append((ks[owner], tuple(v[owner, 0] for v in shift), x.copy(), out))
+        return out
+
+    monkeypatch.setattr(solver, "_wide_product", kept)
+    eigenbasis(spec, np.arange(spec.k.size))
+    assert len(calls) == eigenfunctions.EXACT_STEPS
+    ks, _, x, _ = calls[-1]
+    far = (solver.RADIUS_FLOOR * (1.0 + ks))[:, None]
+    sigmas, waves = robin.vertex_sigmas(graph), solver._wide_waves(graph, ks)
+    out = wide(graph, sigmas, ks, (far, 0.0 * far), waves, x, np.arange(ks.size))
+    calls.append((ks, (far[:, 0], 0.0 * far[:, 0]), x, out))
+    columns, l_max = solver._amplitude_layout(graph)[5], float(np.max(graph.slot_length))
+    with mpmath.workdps(50):
+        for ks, shift, x, (hi, lo) in calls:
+            for i, k0 in enumerate(ks):
+                k = mpmath.mpf(k0) + mpmath.mpf(shift[0][i]) + mpmath.mpf(shift[1][i])
+                y = [mpmath.mpf(v) for v in x[i, columns]]
+                want = _condensed_rows(list(graph.edges), robin.vertices, robin.sigma, k, y)
+                got = [mpmath.mpf(h) + mpmath.mpf(g) for h, g in zip(hi[i], lo[i])]
+                error = max(abs(a - b) for a, b in zip(got, want))
+                bound = 1e-32 * (1.0 + k0 * l_max) * np.linalg.norm(x[i])
+                assert error <= bound, (k0, float(error), bound)
+
+
+def test_a_spectrum_rebuilt_without_its_singular_values_gives_the_same_basis():
+    # the eigenbasis reads the singular values the certification took, and
+    # takes its own SVD where a spectrum carries none: the same projectors,
+    # and the same kernel rule's verdict on a claimed multiplicity
+    graph, robin = make_complete4((1.0,) * 6), RobinSpec(frozenset({0, 1}), 0.7)
+    spec = compute_spectrum(graph, robin, n_max=60)
+    taken = np.flatnonzero(~np.isnan(spec.singular_values[:, 0]))
+    assert taken.size >= 10
+
+    def rebuilt(multiplicity, singular_values=None):
+        return Spectrum(
+            spec.graph, spec.robin, spec.index, spec.k, multiplicity, spec.radius,
+            spec.k_cap, singular_values,
+        )
+
+    bare = rebuilt(spec.multiplicity)
+    assert bare.singular_values.shape == spec.singular_values.shape
+    assert np.all(np.isnan(bare.singular_values))
+    records = np.flatnonzero(spec.k > 0.0)
+    got = vertex_projectors(eigenbasis(spec, records))
+    want = vertex_projectors(eigenbasis(bare, records))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    for at in taken[[0, -1]]:
+        claimed = spec.multiplicity.copy()
+        claimed[at] += 1
+        verdicts = []
+        for carried in (spec.singular_values, None):
+            with pytest.raises(KernelDimensionMismatch) as raised:
+                eigenbasis(rebuilt(claimed, carried), [at])
+            verdicts.append(str(raised.value))
+        assert verdicts[0] == verdicts[1]
+
+
+def test_the_eigenbasis_takes_no_second_svd_of_a_certified_record(monkeypatch):
+    # an equilateral K4: one single-matrix SVD for each record whose
+    # enclosure the certification counted, none for those whose singular
+    # values it took for the kernel rule
+    spec = compute_spectrum(make_complete4((0.9,) * 6), RobinSpec(frozenset({0}), 1.3), n_max=60)
+    positive = spec.k > 0.0
+    untaken = np.count_nonzero(positive & np.isnan(spec.singular_values[:, 0]))
+    assert 0 < untaken < np.count_nonzero(positive)
+    shapes, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    sensitivity(spec, np.arange(1, spec.size + 1))
+    assert len(shapes) == untaken and all(len(shape) == 2 for shape in shapes)
 
 
 def test_zero_mode_has_no_row(unit_interval):
@@ -301,7 +397,7 @@ def _without_closed_form(patch):
     patch.setattr(
         eigenfunctions,
         "_arrow_kernels",
-        lambda graph, sigmas, amp, ks, mults, radius: (
+        lambda graph, amp, ks, mults, radius, slope: (
             np.full(amp.shape[:2], np.nan),
             np.zeros((ks.size, amp.shape[1], mults.max(initial=1))),
         ),

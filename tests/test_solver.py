@@ -89,7 +89,7 @@ def test_index_bookkeeping(star4):
 
 def test_spectrum_arrays_are_read_only(star4):
     spec = compute_spectrum(star4, RobinSpec(frozenset({0}), 2.0), n_max=10)
-    for column in (spec.index, spec.k, spec.multiplicity):
+    for column in (spec.index, spec.k, spec.multiplicity, spec.radius, spec.singular_values):
         with pytest.raises(ValueError):
             column[0] = 0
 
@@ -124,7 +124,9 @@ def test_kmax_spectrum_holds_the_roots_within_reach_above_k_max():
     graph = make_star(3, (1.0, 1.0 + 8e-9, 1.0 + 1.6e-8))
     robin = RobinSpec({0}, 3e-11)
     spec = compute_spectrum(graph, robin, k_max=4.71238893)
-    reach = solver._kernel_reach(graph, robin.vertex_sigmas(graph), np.array([4.71238893661]))[0]
+    top = np.array([4.71238893661])
+    threshold = solver._kernel_threshold(graph, robin.vertex_sigmas(graph), top)
+    reach = solver._kernel_reach(graph, threshold)[0]
     assert 2.7e-8 < spec.k[-1] - 4.71238893661 < reach
     assert spec.k_cap > 4.7123889645
     basis = eigenbasis(spec, np.arange(spec.k.size))
@@ -843,7 +845,8 @@ def test_k_cap_leaves_no_root_within_the_kernel_reach_above_it():
     spec = compute_spectrum(graph, robin, n_max=12)
     eigenbasis(spec, np.arange(spec.k.size))
     sigmas = robin.vertex_sigmas(graph)
-    top = spec.k_cap + solver._kernel_reach(graph, sigmas, np.array([spec.k_cap]))
+    cap = np.array([spec.k_cap])
+    top = cap + solver._kernel_reach(graph, solver._kernel_threshold(graph, sigmas, cap))
     counts, ok = solver._inertia_counts(graph, sigmas, top)
     assert ok[0] and counts[0] == spec.size
 
