@@ -177,11 +177,6 @@ def _require_coupling(robin: RobinSpec) -> None:
         )
 
 
-def _require_index_target(args: argparse.Namespace) -> None:
-    if args.kmax is not None:
-        raise GraphSpectraError("statistics pair spectra by index; use --nmax")
-
-
 def cmd_spectrum(args: argparse.Namespace) -> Table:
     graph, robin = _load(args)
     spectrum = _spectrum(graph, robin, args)
@@ -199,7 +194,6 @@ def cmd_spectrum(args: argparse.Namespace) -> Table:
 def cmd_rng(args: argparse.Namespace) -> Table:
     graph, robin = _load(args)
     _require_coupling(robin)
-    _require_index_target(args)
     n = _target_n(args)
     series = _gap_series(graph, robin, args)
     mean = theoretical_mean(graph, robin)
@@ -231,7 +225,6 @@ def cmd_rng(args: argparse.Namespace) -> Table:
 
 def cmd_weyl(args: argparse.Namespace) -> Table:
     graph, robin = _load(args)
-    _require_index_target(args)
     n = _target_n(args)
     spectrum = _spectrum(graph, robin, args)
     report = weyl_moments(spectrum, n)
@@ -265,7 +258,6 @@ def cmd_weyl(args: argparse.Namespace) -> Table:
 def cmd_cdf(args: argparse.Namespace) -> Table:
     graph, robin = _load(args)
     _require_coupling(robin)
-    _require_index_target(args)
     series = _gap_series(graph, robin, args)
     cdf = empirical_cdf(series)
     # the distinct values, from the sorted ones without np.unique, which
@@ -290,7 +282,6 @@ def cmd_sensitivity(args: argparse.Namespace) -> Table:
     graph, robin = _load(args)
     if not robin.vertices:
         raise GraphSpectraError("this command needs coupled vertices")
-    _require_index_target(args)
     n = _target_n(args)
     spectrum = _spectrum(graph, robin, args)
     decomp = boundary_star_decomposition(graph, robin)
@@ -344,8 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
         target = p.add_mutually_exclusive_group()
         target.add_argument("--nmax", type=int, default=None,
                             help="number of eigenvalues (default 2500)")
-        target.add_argument("--kmax", type=float, default=None,
-                            help="wave-number ceiling instead of a count")
+        if name == "spectrum":
+            target.add_argument("--kmax", type=float, default=None,
+                                help="wave-number ceiling instead of a count")
+        else:  # the statistics pair spectra by index
+            p.set_defaults(kmax=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "rng":

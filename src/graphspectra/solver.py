@@ -469,7 +469,7 @@ class Spectrum:
         if np.any(n < 1):
             raise ValueError("eigenvalue index starts at 1")
         if np.any(n > self.size):
-            raise OutOfRange(f"index {int(n.max())} beyond the computed spectrum")
+            raise OutOfRange(f"index {n.max():.15g} beyond the computed spectrum")
         return np.searchsorted(self.index, n, side="right") - 1
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigenfunctions import eigenbasis
 from .errors import InsufficientSpectrum
-from .graphs import MetricGraph, RobinSpec, _integer
+from .graphs import MetricGraph, RobinSpec, _integer, _real
 from .solver import Spectrum, _stop_width
 
 __all__ = [
@@ -191,9 +191,11 @@ def weyl_moments(spectrum: Spectrum, n: int) -> MomentReport:
     Multiple eigenvalues (and the zero mode, which has no scattering
     amplitude vector) are skipped; their count lands in skipped.  Raises
     InsufficientSpectrum where that leaves none, and ValueError where n is not
-    an integer (a boolean included).
+    an integer (a boolean included) or is below 1.
     """
     n = _integer(n, "eigenvalue count")
+    if n < 1:
+        raise ValueError("need at least one eigenvalue")
     if spectrum.size < n:
         raise InsufficientSpectrum(f"need {n} eigenvalues, have {spectrum.size}")
     simple = (spectrum.index <= n) & (spectrum.multiplicity == 1) & (spectrum.k > 0.0)
@@ -231,13 +233,15 @@ def accumulation_clusters(series: RngSeries, tol: float | None = None) -> list:
     stays positive as n grows, not as the total number of clusters.
 
     Default resolution scales with the gap ceiling:
-    tol = 1e-6 * (1 + 4 sigma / l_min).  A given tol must be finite and
-    at least 0, or ValueError is raised.
+    tol = 1e-6 * (1 + 4 sigma / l_min).  A given tol must be a number (no
+    boolean), finite and at least 0, or ValueError is raised.
     """
     if tol is None:
         tol = 1e-6 * (1.0 + 4.0 * series.robin.sigma / series.graph.min_edge_length)
-    elif not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"cluster tol must be finite and at least 0, got {tol!r}")
+    else:
+        tol = _real(tol, "cluster tol")
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"cluster tol must be finite and at least 0, got {tol!r}")
     values = np.sort(series.gaps)
     if values.size == 0:
         return []

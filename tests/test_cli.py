@@ -213,14 +213,6 @@ class TestRng:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_rejects_kmax(self, tmp_path, capsys):
-        code, _ = run_cli(
-            ["rng", "--graph", str(FIXTURES / "interval.json"), "--kmax", "20"],
-            tmp_path,
-        )
-        assert code == 1
-        assert "nmax" in capsys.readouterr().err
-
     def test_even_window_rejected(self, tmp_path, capsys):
         code, _ = run_cli(
             ["rng", "--graph", str(FIXTURES / "interval.json"),
@@ -309,6 +301,22 @@ class TestCdf:
         monkeypatch.setattr(cli, "shortest_edge_bound", lambda graph, robin: top)
         code, _ = run_cli(args, tmp_path, name="second.json")
         assert code == 0
+
+
+class TestIndexTarget:
+    @pytest.mark.parametrize("command", ["rng", "weyl", "cdf", "sensitivity"])
+    def test_statistics_take_no_kmax(self, command, capsys):
+        # the statistics pair spectra by index: --kmax was offered, then
+        # refused at run time with exit 1
+        with pytest.raises(SystemExit) as err:
+            main([command, "--graph", str(FIXTURES / "interval.json"), "--kmax", "5"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --kmax 5" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--nmax" in help_text and "--kmax" not in help_text
 
 
 class TestDefaultTarget:

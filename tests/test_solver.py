@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspectra import solver
-from graphspectra.eigenfunctions import eigenbasis
+from graphspectra.eigenfunctions import eigenbasis, sensitivity
 from graphspectra.errors import OutOfRange, ToleranceNotMet
 from graphspectra.graphs import (
     RobinSpec,
@@ -176,6 +176,21 @@ def test_a_count_past_the_spectrum_raises():
         for count in (spec.size + 1, 10**9):
             with pytest.raises(OutOfRange, match="beyond the computed spectrum"):
                 read(count)
+
+
+def test_an_infinite_index_is_out_of_range():
+    # int(n.max()) in the message raised OverflowError for inf, and printed
+    # 301 digits for 1e300
+    star = make_star(3, (1.0, 1.5, 2.0))
+    spec = compute_spectrum(star, RobinSpec(frozenset({0}), 2.0), n_max=20)
+    for read in (spec.positions, lambda n: sensitivity(spec, n)):
+        for n in (np.inf, [3, np.inf]):
+            with pytest.raises(OutOfRange, match="index inf beyond"):
+                read(n)
+    with pytest.raises(OutOfRange, match=r"index 1e\+300 beyond"):
+        spec.positions(1e300)
+    with pytest.raises(ValueError, match="whole number"):
+        spec.positions([3, np.nan])
 
 
 def test_counting_function(pi_interval):

@@ -234,6 +234,14 @@ class TestWeylMoments:
         with pytest.raises(InsufficientSpectrum):
             weyl_moments(spectrum, 10**6)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_count_below_one_is_rejected(self, n, star4, get_spectrum):
+        # InsufficientSpectrum said "no simple positive eigenvalue among the
+        # first 0", where rng_sequence raises ValueError for the same count
+        spectrum = get_spectrum(star4, (0,), 2.0, 6)
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            weyl_moments(spectrum, n)
+
     @pytest.mark.parametrize("name, n", [("unit_interval", 1), ("equilateral_star", 3)])
     def test_no_simple_positive_eigenvalue_rejected(self, name, n, request, get_spectrum):
         # Neumann: the zero mode first, then the equilateral star's triple
@@ -278,6 +286,12 @@ class TestClusters:
     def test_bad_tolerance_rejected(self, tol):
         # NaN chained every gap into one cluster, a negative tol split each off
         with pytest.raises(ValueError, match="finite and at least 0"):
+            accumulation_clusters(_synthetic([0.0, 1.0, 2.0]), tol=tol)
+
+    @pytest.mark.parametrize("tol", [np.True_, "1e-3"])
+    def test_a_tolerance_that_is_no_number_is_rejected(self, tol):
+        # np.True_ clustered at 1.0 and "1e-3" raised TypeError in np.isfinite
+        with pytest.raises(ValueError, match="cluster tol must be a number"):
             accumulation_clusters(_synthetic([0.0, 1.0, 2.0]), tol=tol)
 
     def test_equilateral_zero_cluster(self, equilateral_star, gap_series):
